@@ -24,17 +24,16 @@ from .constructions import (KappaMismatch, LiePair, bimodule_rb_to_mrb,
                             commutator_bracket, commutator_lie_pair, direct_sum,
                             induced_algebra, induced_bimodule, rb_to_mrb,
                             rho_representation, semidirect_product)
-from .cohomology import (DEFAULT_CONVENTION, CohomologyResult, DegreeCapExceeded,
-                         OperatorCochain, OperatorMapConvention, OperatorSpace,
-                         PairCochain, PairSpace, ce_delta, cohomology,
+from .cohomology import (DEFAULT_CONVENTION, Cochain, CochainSpace, CohomologyResult,
+                         DegreeCapExceeded, OperatorMapConvention, PairSpace,
+                         ce_delta, cochain_arities, cohomology,
                          convention_candidates, derivation_defect,
                          differential_matrix, hochschild_delta, hom_space,
                          induced_lie_pair, lie_derivation_defect,
-                         lie_operator_delta, lie_operator_map, lie_pair_delta,
-                         modified_delta, modified_delta_via_induced, one_cochain,
-                         operator_delta, operator_map, pair_delta,
-                         skew_operator_cochain, skew_pair_cochain,
-                         skew_symmetrize, two_cochain, two_cochain_parts)
+                         lie_operator_map, lie_pair_delta, modified_delta,
+                         modified_delta_via_induced, operator_delta,
+                         operator_map, pair_delta, primitive, skew_cochain,
+                         skew_symmetrize)
 from .deformation import (Deformation, Gauge, apply_gauge, check_deformation,
                           derivation_scaling_deformation, equivalent_infinitesimals,
                           identity_gauge, infinitesimal, single_term_gauge,

@@ -19,7 +19,7 @@ from .linalg import EntryCapExceeded, set_max_tensor_entries
 from .structures import (CheckReport, InvalidStructure, check_bimodule,
                          adjoint_bimodule, verify_pair)
 from .cohomology import (DegreeCapExceeded, MAX_MATRIX_DEGREE, PairSpace,
-                         cohomology, differential_matrix, pair_delta)
+                         cohomology, differential_matrix, pair_delta, primitive)
 from .deformation import check_deformation, infinitesimal, trivialize
 from .extension import (build_extension, check_extension, classify, derive_base,
                         extract_cocycle)
@@ -160,9 +160,7 @@ def cmd_infinitesimal(args) -> int:
     bim = adjoint_bimodule(inst.pair)
     c = infinitesimal(inst.deformation)
     closed = pair_delta(inst.pair, bim, c).is_zero()
-    from .extension import cocycles_cohomologous
-    space2 = PairSpace(inst.pair.field, inst.pair.dim, inst.pair.dim, 2)
-    h = cocycles_cohomologous(inst.pair, bim, c, space2.zero()) if closed else None
+    h = primitive(inst.pair, bim, c) if closed else None
     _emit({
         "command": "infinitesimal",
         "cocycle": cocycle_to_json(c),

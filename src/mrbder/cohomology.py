@@ -6,6 +6,12 @@ Degree-n cochains come in three layers:
 * operator cochains          OC^n = C^n + C^{n-1}   (n >= 2; OC^1 = C^1)
 * pair cochains              PC^n = OC^n x OC^{n-1} (n >= 2; PC^1 = C^1)
 
+One graded type, :class:`Cochain`, holds both OC^n and PC^n cochains as the
+tuple of their Hochschild parts: arities (n, n-1) in OC^n and
+(n, n-1, n-1, n-2) in PC^n, parts of arity 0 dropped.  One space type,
+:class:`CochainSpace`, flattens them by concatenating the parts in that
+order; ``PairSpace(field, dim_a, dim_m, n)`` is the space of PC^n.
+
 The differentials (all squaring to zero):
 
 * ``hochschild_delta``: the Hochschild coboundary, normalized so that the
@@ -38,23 +44,27 @@ The differentials (all squaring to zero):
   the failure of f to commute with the derivation.
 
 * ``operator_delta``: OC^n -> OC^{n+1}, (f, g) |-> (delta f, -modified_delta g - phi f)
-* ``pair_delta``: PC^n -> PC^{n+1}, adding the derivation defect with the sign
-  (-1)^n on the bottom layer.
+* ``pair_delta``: PC^n -> PC^{n+1}, (f, g, h, k) |-> (operator_delta(f, g),
+  operator_delta(h, k) + (-1)^n (Delta f, Delta g)).
 
 Cohomology is computed from RREF rank/kernel data with canonical (RREF)
-representatives.  The Lie-side complex (Chevalley-Eilenberg of the commutator
-bracket) and the skew-symmetrization chain maps live here too.
+representatives, and ``primitive`` solves D^1 h = c for a degree-2 cochain c.
+The Lie-side complex (Chevalley-Eilenberg of the commutator bracket) shares
+the generic differential, and the skew-symmetrization chain maps live here
+too.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .fields import Field
 from .linalg import (Matrix, MultiTensor, ShapeError, TensorSpace, _index_tuples,
-                     operator_matrix, rank_and_kernel, rref_vectors)
-from .structures import Algebra, Bimodule, MRBDerPair, unit_vector
+                     operator_matrix, rank_and_kernel, rref_vectors, solve_linear,
+                     tensor_as_matrix)
+from .structures import Bimodule, MRBDerPair
 from .constructions import LiePair
 
 MAX_MATRIX_DEGREE = 4
@@ -286,152 +296,106 @@ def derivation_defect(pair: MRBDerPair, bim: Bimodule, f: MultiTensor) -> MultiT
 
 
 # ---------------------------------------------------------------------------
-# cochain containers
+# graded cochains
+
+
+def cochain_arities(n: int, k: int) -> tuple:
+    """Arities of the parts of OC^n (k = 2) or PC^n (k = 4): the first k of
+    (n, n-1, n-1, n-2), parts of arity 0 dropped."""
+    return tuple(a for a in (n, n - 1, n - 1, n - 2)[:k] if a > 0)
 
 
 @dataclass(frozen=True)
-class OperatorCochain:
-    """Element of OC^n = C^n + C^{n-1}; ``g`` is None exactly in degree 1."""
+class Cochain:
+    """Element of OC^n = C^n + C^{n-1} or of PC^n = OC^n x OC^{n-1}.
+
+    ``parts`` are Hochschild cochains of arities :func:`cochain_arities`:
+    (f, g) in OC^n, and (f, g, h, k) in PC^n with (f, g) in OC^n and (h, k)
+    in OC^{n-1}.  So OC^1 = PC^1 = C^1 and PC^2 has the three parts (f, g, h).
+    """
 
     degree: int
-    f: MultiTensor
-    g: MultiTensor | None
+    parts: tuple
 
     def __post_init__(self):
         if self.degree < 1:
             raise ShapeError("degree must be >= 1")
-        if self.f.arity != self.degree:
-            raise ShapeError("top component must have arity %d" % self.degree)
-        if self.degree == 1:
-            if self.g is not None:
-                raise ShapeError("degree-1 operator cochain has no second component")
-        else:
-            if self.g is None or self.g.arity != self.degree - 1:
-                raise ShapeError("second component must have arity %d" % (self.degree - 1))
+        object.__setattr__(self, "parts", tuple(self.parts))
+        if self.arities not in (cochain_arities(self.degree, 2),
+                                cochain_arities(self.degree, 4)):
+            raise ShapeError("parts of arities %s form neither OC^%d nor PC^%d"
+                             % (self.arities, self.degree, self.degree))
+
+    @property
+    def arities(self) -> tuple:
+        return tuple(p.arity for p in self.parts)
+
+    def _zip(self, other):
+        if (self.degree, self.arities) != (other.degree, other.arities):
+            raise ShapeError("cochain layouts differ")
+        return zip(self.parts, other.parts)
 
     def __add__(self, other):
-        self._match(other)
-        g = None if self.g is None else self.g + other.g
-        return OperatorCochain(self.degree, self.f + other.f, g)
+        return Cochain(self.degree, tuple(a + b for a, b in self._zip(other)))
 
     def __sub__(self, other):
-        self._match(other)
-        g = None if self.g is None else self.g - other.g
-        return OperatorCochain(self.degree, self.f - other.f, g)
+        return Cochain(self.degree, tuple(a - b for a, b in self._zip(other)))
 
     def __neg__(self):
-        return OperatorCochain(self.degree, -self.f, None if self.g is None else -self.g)
-
-    def scale(self, c):
-        return OperatorCochain(self.degree, self.f.scale(c),
-                               None if self.g is None else self.g.scale(c))
+        return Cochain(self.degree, tuple(-p for p in self.parts))
 
     def is_zero(self) -> bool:
-        return self.f.is_zero() and (self.g is None or self.g.is_zero())
-
-    def _match(self, other):
-        if self.degree != other.degree:
-            raise ShapeError("operator cochain degrees differ")
-
-
-@dataclass(frozen=True)
-class PairCochain:
-    """Element of PC^n = OC^n x OC^{n-1}; ``bottom`` is None exactly in degree 1."""
-
-    degree: int
-    top: OperatorCochain
-    bottom: OperatorCochain | None
-
-    def __post_init__(self):
-        if self.top.degree != self.degree:
-            raise ShapeError("top layer must have degree %d" % self.degree)
-        if self.degree == 1:
-            if self.bottom is not None:
-                raise ShapeError("degree-1 pair cochain has no bottom layer")
-        else:
-            if self.bottom is None or self.bottom.degree != self.degree - 1:
-                raise ShapeError("bottom layer must have degree %d" % (self.degree - 1))
-
-    def __add__(self, other):
-        if self.degree != other.degree:
-            raise ShapeError("pair cochain degrees differ")
-        bot = None if self.bottom is None else self.bottom + other.bottom
-        return PairCochain(self.degree, self.top + other.top, bot)
-
-    def __sub__(self, other):
-        if self.degree != other.degree:
-            raise ShapeError("pair cochain degrees differ")
-        bot = None if self.bottom is None else self.bottom - other.bottom
-        return PairCochain(self.degree, self.top - other.top, bot)
-
-    def __neg__(self):
-        return PairCochain(self.degree, -self.top, None if self.bottom is None else -self.bottom)
-
-    def scale(self, c):
-        return PairCochain(self.degree, self.top.scale(c),
-                           None if self.bottom is None else self.bottom.scale(c))
-
-    def is_zero(self) -> bool:
-        return self.top.is_zero() and (self.bottom is None or self.bottom.is_zero())
-
-
-def one_cochain(f: MultiTensor) -> PairCochain:
-    """Wrap f in PC^1."""
-    return PairCochain(1, OperatorCochain(1, f, None), None)
-
-
-def two_cochain(f2: MultiTensor, g1: MultiTensor, h1: MultiTensor) -> PairCochain:
-    """Wrap the triple (f2, g1, h1) in PC^2 = (C^2 + C^1) x C^1."""
-    return PairCochain(2, OperatorCochain(2, f2, g1), OperatorCochain(1, h1, None))
-
-
-def two_cochain_parts(c: PairCochain) -> tuple:
-    if c.degree != 2:
-        raise ShapeError("expected a degree-2 pair cochain")
-    return c.top.f, c.top.g, c.bottom.f
+        return all(p.is_zero() for p in self.parts)
 
 
 # ---------------------------------------------------------------------------
 # assembled differentials
 
 
-def _operator_delta_generic(delta, mdelta, phi, c: OperatorCochain) -> OperatorCochain:
-    top = delta(c.f)
-    if c.degree == 1:
-        bot = -phi(c.f)
-    else:
-        bot = -(mdelta(c.g)) - phi(c.f)
-    return OperatorCochain(c.degree + 1, top, bot)
+def _graded_delta(delta, mdelta, phi, defect, c: Cochain) -> Cochain:
+    """The differential of OC^n built from (delta, delta_R, phi), or of PC^n
+    when the derivation defect Delta is given too:
 
+        OC: (f, g)       |-> (delta f, -delta_R g - phi f)
+        PC: (f, g, h, k) |-> (D(f, g), D(h, k) + (-1)^n (Delta f, Delta g))
 
-def _pair_delta_generic(opdelta, defect, c: PairCochain) -> PairCochain:
-    top = opdelta(c.top)
-    if c.degree == 1:
-        bottom = OperatorCochain(1, -defect(c.top.f), None)
-    else:
-        shift = OperatorCochain(c.degree, defect(c.top.f),
-                                defect(c.top.g))
+    where every term in an absent (arity-0) part is left out.
+    """
+    layers = 2 if defect is None else 4
+    if c.arities != cochain_arities(c.degree, layers):
+        raise ShapeError("expected a cochain in %s^%d"
+                         % ("OC" if defect is None else "PC", c.degree))
+
+    def op(f, g):
+        return [delta(f), -phi(f) if g is None else -(mdelta(g)) - phi(f)]
+
+    f, g, h, k = c.parts + (None,) * (4 - len(c.parts))
+    out = op(f, g)
+    if defect is not None:
+        shift = [defect(x) for x in (f, g) if x is not None]
         if not _sign_is_plus(c.degree):
-            shift = -shift
-        bottom = opdelta(c.bottom) + shift
-    return PairCochain(c.degree + 1, top, bottom)
+            shift = [-x for x in shift]
+        out += shift if h is None else [a + b for a, b in zip(op(h, k), shift)]
+    return Cochain(c.degree + 1, tuple(out))
 
 
-def operator_delta(pair: MRBDerPair, bim: Bimodule, c: OperatorCochain,
-                   convention: OperatorMapConvention = DEFAULT_CONVENTION) -> OperatorCochain:
+def operator_delta(pair: MRBDerPair, bim: Bimodule, c: Cochain,
+                   convention: OperatorMapConvention = DEFAULT_CONVENTION) -> Cochain:
     """OC^n -> OC^{n+1}: (f, g) |-> (delta f, -modified_delta g - phi f)."""
-    return _operator_delta_generic(
+    return _graded_delta(
         lambda f: hochschild_delta(pair, bim, f),
         lambda g: modified_delta(pair, bim, g),
         lambda f: operator_map(pair, bim, f, convention),
-        c)
+        None, c)
 
 
-def pair_delta(pair: MRBDerPair, bim: Bimodule, c: PairCochain,
-               convention: OperatorMapConvention = DEFAULT_CONVENTION) -> PairCochain:
+def pair_delta(pair: MRBDerPair, bim: Bimodule, c: Cochain,
+               convention: OperatorMapConvention = DEFAULT_CONVENTION) -> Cochain:
     """PC^n -> PC^{n+1}, the full differential of the pair complex."""
-    return _pair_delta_generic(
-        lambda oc: operator_delta(pair, bim, oc, convention),
+    return _graded_delta(
+        lambda f: hochschild_delta(pair, bim, f),
+        lambda g: modified_delta(pair, bim, g),
+        lambda f: operator_map(pair, bim, f, convention),
         lambda f: derivation_defect(pair, bim, f),
         c)
 
@@ -445,40 +409,41 @@ def hom_space(pair_dim: int, bim_dim: int, n: int, field: Field) -> TensorSpace:
 
 
 @dataclass(frozen=True)
-class OperatorSpace:
+class CochainSpace:
+    """The cochains with parts of the given arities, flattened by
+    concatenating the parts' entries in order."""
+
     field: Field
     dim_a: int
     dim_m: int
-    degree: int
+    arities: tuple
+
+    @cached_property
+    def _slices(self) -> tuple:
+        """(space, start, stop) of each part in the flat vector."""
+        out, start = [], 0
+        for a in self.arities:
+            sp = hom_space(self.dim_a, self.dim_m, a, self.field)
+            out.append((sp, start, start + sp.dim))
+            start += sp.dim
+        return tuple(out)
 
     @property
     def dim(self) -> int:
-        d = self.dim_a ** self.degree * self.dim_m
-        if self.degree >= 2:
-            d += self.dim_a ** (self.degree - 1) * self.dim_m
-        return d
+        return self._slices[-1][2]
 
-    def _parts(self):
-        top = TensorSpace(self.field, (self.dim_a,) * self.degree, self.dim_m)
-        if self.degree == 1:
-            return top, None
-        return top, TensorSpace(self.field, (self.dim_a,) * (self.degree - 1), self.dim_m)
+    def zero(self) -> Cochain:
+        return Cochain(self.arities[0], tuple(sp.zero() for sp, _, _ in self._slices))
 
-    def zero(self) -> OperatorCochain:
-        top, bot = self._parts()
-        return OperatorCochain(self.degree, top.zero(), None if bot is None else bot.zero())
+    def flatten(self, c: Cochain) -> tuple:
+        if len(c.parts) != len(self.arities):
+            raise ShapeError("cochain of arities %s, space of arities %s"
+                             % (c.arities, self.arities))
+        return sum((sp.flatten(p) for (sp, _, _), p in zip(self._slices, c.parts)), ())
 
-    def flatten(self, c: OperatorCochain) -> tuple:
-        if c.degree != self.degree:
-            raise ShapeError("cochain degree %d, space degree %d" % (c.degree, self.degree))
-        return c.f.entries + (c.g.entries if c.g is not None else ())
-
-    def unflatten(self, vec) -> OperatorCochain:
-        top, bot = self._parts()
-        k = top.dim
-        f = top.unflatten(vec[:k])
-        g = None if bot is None else bot.unflatten(vec[k:])
-        return OperatorCochain(self.degree, f, g)
+    def unflatten(self, vec) -> Cochain:
+        return Cochain(self.arities[0],
+                       tuple(sp.unflatten(vec[a:b]) for sp, a, b in self._slices))
 
     def basis(self):
         F = self.field
@@ -489,51 +454,9 @@ class OperatorSpace:
             yield self.unflatten(tuple(ent))
 
 
-@dataclass(frozen=True)
-class PairSpace:
-    field: Field
-    dim_a: int
-    dim_m: int
-    degree: int
-
-    def _parts(self):
-        top = OperatorSpace(self.field, self.dim_a, self.dim_m, self.degree)
-        if self.degree == 1:
-            return top, None
-        return top, OperatorSpace(self.field, self.dim_a, self.dim_m, self.degree - 1)
-
-    @property
-    def dim(self) -> int:
-        top, bot = self._parts()
-        return top.dim + (bot.dim if bot is not None else 0)
-
-    def zero(self) -> PairCochain:
-        top, bot = self._parts()
-        return PairCochain(self.degree, top.zero(), None if bot is None else bot.zero())
-
-    def flatten(self, c: PairCochain) -> tuple:
-        if c.degree != self.degree:
-            raise ShapeError("cochain degree %d, space degree %d" % (c.degree, self.degree))
-        top, bot = self._parts()
-        out = top.flatten(c.top)
-        if bot is not None:
-            out = out + bot.flatten(c.bottom)
-        return out
-
-    def unflatten(self, vec) -> PairCochain:
-        top, bot = self._parts()
-        k = top.dim
-        t = top.unflatten(vec[:k])
-        b = None if bot is None else bot.unflatten(vec[k:])
-        return PairCochain(self.degree, t, b)
-
-    def basis(self):
-        F = self.field
-        n = self.dim
-        for k in range(n):
-            ent = [F.zero] * n
-            ent[k] = F.one
-            yield self.unflatten(tuple(ent))
+def PairSpace(field: Field, dim_a: int, dim_m: int, degree: int) -> CochainSpace:
+    """PC^degree as a flat space."""
+    return CochainSpace(field, dim_a, dim_m, cochain_arities(degree, 4))
 
 
 _MATRIX_KINDS = ("hochschild", "modified", "operator_map", "derivation_defect",
@@ -563,17 +486,15 @@ def differential_matrix(pair: MRBDerPair, bim: Bimodule, n: int, which: str,
         if which == "operator_map":
             return operator_matrix(dom, dom, lambda f: operator_map(pair, bim, f, convention))
         return operator_matrix(dom, dom, lambda f: derivation_defect(pair, bim, f))
+    if which == "pair":
+        return operator_matrix(PairSpace(F, nA, m, n), PairSpace(F, nA, m, n + 1),
+                               lambda c: pair_delta(pair, bim, c, convention))
+    dom = CochainSpace(F, nA, m, cochain_arities(n, 2))
     if which == "operator":
-        return operator_matrix(OperatorSpace(F, nA, m, n), OperatorSpace(F, nA, m, n + 1),
+        return operator_matrix(dom, CochainSpace(F, nA, m, cochain_arities(n + 1, 2)),
                                lambda c: operator_delta(pair, bim, c, convention))
-    if which == "operator_defect":
-        dom = OperatorSpace(F, nA, m, n)
-        def fn(c):
-            g = None if c.g is None else derivation_defect(pair, bim, c.g)
-            return OperatorCochain(c.degree, derivation_defect(pair, bim, c.f), g)
-        return operator_matrix(dom, dom, fn)
-    return operator_matrix(PairSpace(F, nA, m, n), PairSpace(F, nA, m, n + 1),
-                           lambda c: pair_delta(pair, bim, c, convention))
+    return operator_matrix(dom, dom, lambda c: Cochain(
+        n, tuple(derivation_defect(pair, bim, p) for p in c.parts)))
 
 
 @dataclass(frozen=True)
@@ -582,7 +503,7 @@ class CohomologyResult:
     dim_cocycles: int
     dim_coboundaries: int
     dim_h: int
-    representatives: tuple  # PairCochains spanning a complement of B in Z
+    representatives: tuple  # PC^n cochains spanning a complement of B in Z
 
 
 def cohomology(pair: MRBDerPair, bim: Bimodule, n: int,
@@ -614,6 +535,23 @@ def cohomology(pair: MRBDerPair, bim: Bimodule, n: int,
     return CohomologyResult(n, len(z_basis), len(b_basis), len(z_basis) - len(b_basis), reps)
 
 
+def primitive(pair: MRBDerPair, bim: Bimodule, c: Cochain) -> Matrix | None:
+    """A 1-cochain h: A -> M, as a matrix, with D^1 h = c; None when the
+    degree-2 cochain c is not a coboundary.
+
+    h is the RREF particular solution (free variables zero), which is linear
+    in c.
+    """
+    if c.degree != 2:
+        raise ShapeError("expecting a degree-2 cochain")
+    F = pair.field
+    d1 = differential_matrix(pair, bim, 1, "pair")
+    sol = solve_linear(d1, PairSpace(F, pair.dim, bim.dim_m, 2).flatten(c))
+    if sol is None:
+        return None
+    return tensor_as_matrix(hom_space(pair.dim, bim.dim_m, 1, F).unflatten(sol))
+
+
 # ---------------------------------------------------------------------------
 # skew-symmetrization and the Lie-side complex
 
@@ -636,14 +574,8 @@ def skew_symmetrize(f: MultiTensor) -> MultiTensor:
     return acc
 
 
-def skew_operator_cochain(c: OperatorCochain) -> OperatorCochain:
-    g = None if c.g is None else skew_symmetrize(c.g)
-    return OperatorCochain(c.degree, skew_symmetrize(c.f), g)
-
-
-def skew_pair_cochain(c: PairCochain) -> PairCochain:
-    bot = None if c.bottom is None else skew_operator_cochain(c.bottom)
-    return PairCochain(c.degree, skew_operator_cochain(c.top), bot)
+def skew_cochain(c: Cochain) -> Cochain:
+    return Cochain(c.degree, tuple(skew_symmetrize(p) for p in c.parts))
 
 
 def _rho_of(lp: LiePair):
@@ -707,19 +639,14 @@ def lie_derivation_defect(lp: LiePair, f: MultiTensor) -> MultiTensor:
     return _derivation_defect_core(lp.field, lp.d, d_M, f)
 
 
-def lie_operator_delta(lp: LiePair, c: OperatorCochain,
-                       convention: OperatorMapConvention = DEFAULT_CONVENTION) -> OperatorCochain:
+def lie_pair_delta(lp: LiePair, c: Cochain,
+                   convention: OperatorMapConvention = DEFAULT_CONVENTION) -> Cochain:
+    """The pair differential with the CE coboundaries of ``lp`` and of its
+    induced Lie pair in place of the Hochschild ones."""
     ind = induced_lie_pair(lp)
-    return _operator_delta_generic(
+    return _graded_delta(
         lambda f: ce_delta(lp, f),
         lambda g: ce_delta(ind, g),
         lambda f: lie_operator_map(lp, f, convention),
-        c)
-
-
-def lie_pair_delta(lp: LiePair, c: PairCochain,
-                   convention: OperatorMapConvention = DEFAULT_CONVENTION) -> PairCochain:
-    return _pair_delta_generic(
-        lambda oc: lie_operator_delta(lp, oc, convention),
         lambda f: lie_derivation_defect(lp, f),
         c)

@@ -34,11 +34,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fields import Field
-from .linalg import Matrix, MultiTensor, ShapeError, solve_linear, tensor_as_matrix
+from .linalg import Matrix, MultiTensor, ShapeError, matrix_as_tensor
 from .structures import (CheckFailure, CheckReport, InvalidStructure, MRBDerPair,
                          _report, adjoint_bimodule, unit_vector)
-from .cohomology import (PairCochain, PairSpace, differential_matrix,
-                         pair_delta, two_cochain)
+from .cohomology import Cochain, pair_delta, primitive
 
 MAX_DEFORMATION_ORDER = 6
 
@@ -194,15 +193,9 @@ def check_deformation(defo: Deformation) -> CheckReport:
     return _report(failures)
 
 
-def infinitesimal(defo: Deformation) -> PairCochain:
+def infinitesimal(defo: Deformation) -> Cochain:
     """The order-1 coefficient as a degree-2 pair cochain ((mu_1, R_1), d_1)."""
-    F, n = defo.pair.field, defo.pair.dim
-    r1 = MultiTensor.from_map(F, (n,), n, lambda i: defo.R_at(1).apply(unit_vector(F, n, i)))
-    d1 = MultiTensor.from_map(F, (n,), n, lambda i: defo.d_at(1).apply(unit_vector(F, n, i)))
-    return two_cochain(defo.mu_at(1), r1, d1)
-
-
-_tensor1_to_matrix = tensor_as_matrix
+    return _coefficient_cochain(defo, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -307,15 +300,7 @@ def equivalent_infinitesimals(def1: Deformation, def2: Deformation) -> Matrix | 
                  and p1.kappa == p2.kappa)
     if not same_base:
         raise ShapeError("deformations do not share a base pair")
-    F, n = p1.field, p1.dim
-    bim = adjoint_bimodule(p1)
-    space2 = PairSpace(F, n, n, 2)
-    d1 = differential_matrix(p1, bim, 1, "pair")
-    sol = solve_linear(d1, space2.flatten(infinitesimal(def1) - infinitesimal(def2)))
-    if sol is None:
-        return None
-    space1 = PairSpace(F, n, n, 1)
-    return _tensor1_to_matrix(space1.unflatten(sol).top.f)
+    return primitive(p1, adjoint_bimodule(p1), infinitesimal(def1) - infinitesimal(def2))
 
 
 def trivialize(defo: Deformation, max_order: int | None = None) -> Gauge | None:
@@ -329,12 +314,8 @@ def trivialize(defo: Deformation, max_order: int | None = None) -> Gauge | None:
     if not rep.ok:
         raise InvalidStructure("not a deformation: %s" % (rep.first,), rep)
     pair = defo.pair
-    F, n = pair.field, pair.dim
     N = defo.order if max_order is None else min(max_order, defo.order)
     bim = adjoint_bimodule(pair)
-    d1 = differential_matrix(pair, bim, 1, "pair")
-    space1 = PairSpace(F, n, n, 1)
-    space2 = PairSpace(F, n, n, 2)
     total = identity_gauge(pair, defo.order)
     current = defo
     while True:
@@ -345,11 +326,9 @@ def trivialize(defo: Deformation, max_order: int | None = None) -> Gauge | None:
         # a surviving lowest coefficient is always closed for valid input
         if not pair_delta(pair, bim, c).is_zero():
             raise InvalidStructure("lowest coefficient is not a 2-cocycle")
-        target = tuple(F.neg(x) for x in space2.flatten(c))
-        sol = solve_linear(d1, target)
-        if sol is None:
+        psi = primitive(pair, bim, -c)
+        if psi is None:
             return None
-        psi = _tensor1_to_matrix(space1.unflatten(sol).top.f)
         step = single_term_gauge(pair, k, psi, defo.order)
         current = apply_gauge(current, step)
         if current.lowest_nonzero() == k:
@@ -357,8 +336,6 @@ def trivialize(defo: Deformation, max_order: int | None = None) -> Gauge | None:
         total = total.compose(step, defo.order)
 
 
-def _coefficient_cochain(defo: Deformation, k: int) -> PairCochain:
-    F, n = defo.pair.field, defo.pair.dim
-    rk = MultiTensor.from_map(F, (n,), n, lambda i: defo.R_at(k).apply(unit_vector(F, n, i)))
-    dk = MultiTensor.from_map(F, (n,), n, lambda i: defo.d_at(k).apply(unit_vector(F, n, i)))
-    return two_cochain(defo.mu_at(k), rk, dk)
+def _coefficient_cochain(defo: Deformation, k: int) -> Cochain:
+    return Cochain(2, (defo.mu_at(k), matrix_as_tensor(defo.R_at(k)),
+                       matrix_as_tensor(defo.d_at(k))))

@@ -30,8 +30,7 @@ from .linalg import (Matrix, MultiTensor, ShapeError, rank_and_kernel,
 from .structures import (Algebra, Bimodule, CheckFailure, CheckReport,
                          InvalidStructure, MRBDerPair, _report, _vsub,
                          unit_vector, verify_pair)
-from .cohomology import (PairCochain, PairSpace, differential_matrix, pair_delta,
-                         two_cochain, two_cochain_parts)
+from .cohomology import Cochain, PairSpace, pair_delta, primitive
 
 
 @dataclass(frozen=True)
@@ -180,7 +179,7 @@ def check_extension(pair: MRBDerPair, bim: Bimodule, ext: Extension) -> CheckRep
 
 
 def extract_cocycle(pair: MRBDerPair, bim: Bimodule, ext: Extension,
-                    section: Matrix | None = None) -> PairCochain:
+                    section: Matrix | None = None) -> Cochain:
     """The degree-2 cochain measured by a section (canonical if omitted)."""
     F = ext.total.field
     n, m = ext.dim_base, ext.dim_fiber
@@ -202,16 +201,16 @@ def extract_cocycle(pair: MRBDerPair, bim: Bimodule, ext: Extension,
         F, (n,), m,
         lambda a: _pull_to_fiber(ext, L, _vsub(F, dh.apply(scols[a]),
                                                s.apply(pair.d.apply(unit_vector(F, n, a))))))
-    return two_cochain(theta, xi, chi)
+    return Cochain(2, (theta, xi, chi))
 
 
-def build_extension(pair: MRBDerPair, bim: Bimodule, cocycle: PairCochain) -> Extension:
+def build_extension(pair: MRBDerPair, bim: Bimodule, cocycle: Cochain) -> Extension:
     """Assemble the total structure on A + M from a closed degree-2 cochain."""
     if cocycle.degree != 2:
         raise ShapeError("extensions are built from degree-2 cochains")
     if not pair_delta(pair, bim, cocycle).is_zero():
         raise InvalidStructure("cochain is not closed; no extension exists")
-    theta, xi, chi = two_cochain_parts(cocycle)
+    theta, xi, chi = cocycle.parts
     F = pair.field
     n, m = pair.dim, bim.dim_m
     N = n + m
@@ -243,18 +242,9 @@ def build_extension(pair: MRBDerPair, bim: Bimodule, cocycle: PairCochain) -> Ex
 
 
 def cocycles_cohomologous(pair: MRBDerPair, bim: Bimodule,
-                          c1: PairCochain, c2: PairCochain) -> Matrix | None:
+                          c1: Cochain, c2: Cochain) -> Matrix | None:
     """A 1-cochain h with D^1 h = c1 - c2, or None if the classes differ."""
-    if c1.degree != 2 or c2.degree != 2:
-        raise ShapeError("expecting degree-2 cochains")
-    F = pair.field
-    space2 = PairSpace(F, pair.dim, bim.dim_m, 2)
-    d1 = differential_matrix(pair, bim, 1, "pair")
-    sol = solve_linear(d1, space2.flatten(c1 - c2))
-    if sol is None:
-        return None
-    space1 = PairSpace(F, pair.dim, bim.dim_m, 1)
-    return tensor_as_matrix(space1.unflatten(sol).top.f)
+    return primitive(pair, bim, c1 - c2)
 
 
 def equivalence_map(ext1: Extension, ext2: Extension, h: Matrix) -> Matrix:

@@ -15,18 +15,34 @@ class ParseError(ValueError):
     """Malformed field name, scalar literal, or inexact (float) input."""
 
 
-def is_prime(p: int) -> bool:
-    if p < 2:
+# Miller-Rabin with these bases decides primality exactly below MAX_PRIME
+# (Sorenson & Webster, "Strong pseudoprimes to twelve prime bases", 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MAX_PRIME = 3_317_044_064_679_887_385_961_981
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin, exact for n < MAX_PRIME."""
+    if n >= MAX_PRIME:
+        raise ValueError("primality of %d is not decided (limit %d)" % (n, MAX_PRIME))
+    if n < 2:
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -37,6 +53,8 @@ class Field:
     p: int | None = None
 
     def __post_init__(self):
+        if self.p is not None and self.p >= MAX_PRIME:
+            raise ParseError("prime too large: %d (the limit is %d)" % (self.p, MAX_PRIME))
         if self.p is not None and not is_prime(self.p):
             raise ParseError("not a prime: %r" % (self.p,))
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from .fields import Field
 from .linalg import Matrix, MultiTensor, rank_and_kernel
 from .structures import (Algebra, Bimodule, MRBDerPair, adjoint_bimodule,
-                         check_bimodule, dual_pair, verify_pair)
+                         check_bimodule, dual_pair, unit_vector, verify_pair)
 from .constructions import (direct_sum, induced_algebra, induced_bimodule,
                             semidirect_product)
 
@@ -74,8 +74,8 @@ def _derivation_constraints(alg: Algebra, R: Matrix):
         for i in range(n):
             for j in range(n):
                 lhs = D.apply(mu.value_at(i, j))
-                a = mu.eval([tuple(D.rows[t][i] for t in range(n)), _unit(F, n, j)])
-                b = mu.eval([_unit(F, n, i), tuple(D.rows[t][j] for t in range(n))])
+                a = mu.eval([tuple(D.rows[t][i] for t in range(n)), unit_vector(F, n, j)])
+                b = mu.eval([unit_vector(F, n, i), tuple(D.rows[t][j] for t in range(n))])
                 out.extend(F.sub(lhs[t], F.add(a[t], b[t])) for t in range(n))
         comm = R * D - D * R
         for row in comm.rows:
@@ -83,10 +83,6 @@ def _derivation_constraints(alg: Algebra, R: Matrix):
         return out
 
     return fn
-
-
-def _unit(field: Field, n: int, i: int) -> tuple:
-    return tuple(field.one if j == i else field.zero for j in range(n))
 
 
 def random_matrix(rng: random.Random, field: Field, n: int, m: int | None = None) -> Matrix:

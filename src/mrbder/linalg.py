@@ -267,16 +267,6 @@ def solve_linear(m: Matrix, b: Sequence):
     return tuple(x)
 
 
-def _offsets(dims: tuple, cod: int) -> tuple:
-    # stride of slot i in the flat layout (..., cod) fastest
-    strides = []
-    acc = cod
-    for d in reversed(dims):
-        strides.append(acc)
-        acc *= d
-    return tuple(reversed(strides))
-
-
 @dataclass(frozen=True)
 class MultiTensor:
     """Multilinear map V_1 x ... x V_k -> W in coordinates.

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from .fields import Field, ParseError
 from .linalg import Matrix, MultiTensor, matrix_as_tensor, tensor_as_matrix
 from .structures import Algebra, Bimodule, MRBDerPair
-from .cohomology import PairCochain, two_cochain, two_cochain_parts
+from .cohomology import Cochain
 from .deformation import Deformation
 from .extension import Extension
 
@@ -44,7 +44,7 @@ class Instance:
     bim: Bimodule | None = None
     deformation: Deformation | None = None
     extension: Extension | None = None
-    cocycle: PairCochain | None = None
+    cocycle: Cochain | None = None
 
 
 def _reject_float(text):
@@ -57,6 +57,8 @@ def loads_json(text: str):
                           parse_constant=_reject_float)
     except json.JSONDecodeError as e:
         raise ParseError("bad JSON: %s" % e) from None
+    except RecursionError:
+        raise ParseError("bad JSON: nested too deeply") from None
 
 
 def dumps_canonical(obj) -> str:
@@ -214,7 +216,7 @@ def load_instance(text: str) -> Instance:
             if "xi" in c else Matrix.zeros(field, m, dim)
         chi_m = _read_matrix(field, c.get("chi"), m, dim, "cocycle.chi") \
             if "chi" in c else Matrix.zeros(field, m, dim)
-        coc = two_cochain(theta, matrix_as_tensor(xi_m), matrix_as_tensor(chi_m))
+        coc = Cochain(2, (theta, matrix_as_tensor(xi_m), matrix_as_tensor(chi_m)))
 
     return Instance(pair, bim, defo, ext, coc)
 
@@ -278,8 +280,8 @@ def deformation_to_json(defo: Deformation) -> dict:
     }
 
 
-def cocycle_to_json(c: PairCochain) -> dict:
-    theta, xi, chi = two_cochain_parts(c)
+def cocycle_to_json(c: Cochain) -> dict:
+    theta, xi, chi = c.parts
     return {
         "theta": triples_to_json(theta),
         "xi": matrix_to_json(tensor_as_matrix(xi)),

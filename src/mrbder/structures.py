@@ -365,11 +365,9 @@ def scalar_pair(alg: Algebra, lam) -> MRBDerPair:
 
 def dual_algebra(field: Field) -> Algebra:
     """Dual numbers k[x]/(x^2) in the basis (1, x)."""
-    one = field.one
     table = {(0, 0): unit_vector(field, 2, 0),
              (0, 1): unit_vector(field, 2, 1),
              (1, 0): unit_vector(field, 2, 1)}
-    del one
     return Algebra.from_table(field, 2, table)
 
 

@@ -11,12 +11,11 @@ import random
 import time
 from pathlib import Path
 
-from mrbder.cohomology import (DEFAULT_CONVENTION, PairSpace, ce_delta,
-                               cohomology, convention_candidates,
+from mrbder.cohomology import (DEFAULT_CONVENTION, Cochain, PairSpace,
+                               ce_delta, cohomology, convention_candidates,
                                differential_matrix, hochschild_delta,
-                               hom_space, lie_pair_delta, one_cochain,
-                               operator_map, pair_delta, skew_pair_cochain,
-                               skew_symmetrize, two_cochain_parts)
+                               hom_space, lie_pair_delta, operator_map,
+                               pair_delta, skew_cochain, skew_symmetrize)
 from mrbder.constructions import rho_representation
 from mrbder.deformation import (Deformation, apply_gauge, check_deformation,
                                 derivation_scaling_deformation,
@@ -91,7 +90,7 @@ def _random_closed_cochain(pair, bim, rng):
 
 
 def _order_one_deformation(pair, cochain):
-    theta, xi, chi = two_cochain_parts(cochain)
+    theta, xi, chi = cochain.parts
     return Deformation(pair, 1, (theta,),
                        (tensor_as_matrix(xi),), (tensor_as_matrix(chi),))
 
@@ -312,13 +311,13 @@ def test_06_deformation_suite():
         phi = _random_square(QQ, 2, qrng)
         zero = zero_deformation(pair, 2)
         gauged = apply_gauge(zero, single_term_gauge(pair, 1, phi, 2))
-        want = pair_delta(pair, bim, one_cochain(matrix_as_tensor(phi)))
+        want = pair_delta(pair, bim, Cochain(1, (matrix_as_tensor(phi),)))
         assert (infinitesimal(gauged) - want).is_zero()
         psi = equivalent_infinitesimals(gauged, zero)
         assert psi is not None
-        delta_psi = pair_delta(pair, bim, one_cochain(matrix_as_tensor(psi)))
+        delta_psi = pair_delta(pair, bim, Cochain(1, (matrix_as_tensor(psi),)))
         assert (delta_psi - infinitesimal(gauged)).is_zero()
-        same_class = pair_delta(pair, bim, one_cochain(matrix_as_tensor(psi - phi)))
+        same_class = pair_delta(pair, bim, Cochain(1, (matrix_as_tensor(psi - phi),)))
         assert same_class.is_zero()
 
     # (d) a searched-for rigid pair: every gauged constant family trivializes
@@ -374,7 +373,7 @@ def test_07_extension_suite():
         c1 = extract_cocycle(pair, bim, ext, section=s1)
         c2 = extract_cocycle(pair, bim, ext, section=s2)
         h = fiber_retraction(ext) * (s1 - s2)
-        want = pair_delta(pair, bim, one_cochain(matrix_as_tensor(h)))
+        want = pair_delta(pair, bim, Cochain(1, (matrix_as_tensor(h),)))
         assert ((c1 - c2) - want).is_zero()
 
     # (c) complete classification over F2: 2^k classes, pairwise inequivalent,
@@ -418,8 +417,8 @@ def test_08_skew_symmetrization_morphisms():
             space = PairSpace(F, pair.dim, bim.dim_m, n)
             for _ in range(2):
                 c = space.unflatten(tuple(F.random(rng) for _ in range(space.dim)))
-                lhs = skew_pair_cochain(pair_delta(pair, bim, c))
-                rhs = lie_pair_delta(lp, skew_pair_cochain(c))
+                lhs = skew_cochain(pair_delta(pair, bim, c))
+                rhs = lie_pair_delta(lp, skew_cochain(c))
                 assert (lhs - rhs).is_zero()
                 assert lie_pair_delta(lp, lie_pair_delta(lp, c)).is_zero()
     _stamp("skew-symmetrization intertwines both complexes", t0)

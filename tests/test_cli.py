@@ -7,6 +7,7 @@ bytes are checked directly; one subprocess test covers the -m entry point.
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -111,6 +112,25 @@ class TestVerify:
         code, _, err = run(capsys, "verify", str(path))
         assert code == USAGE_EXIT
         assert err.startswith("error: bad JSON")
+
+    def test_deeply_nested_json(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000)
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == USAGE_EXIT
+        assert out == ""
+        assert err.startswith("error: bad JSON") and err.count("\n") == 1
+
+    def test_huge_prime_field_fails_fast(self, capsys, tmp_path):
+        data = json.loads(Path(FIXD).read_text())
+        data["field"] = "Fp:%d" % (2 ** 127 - 1)
+        path = write_json(tmp_path, "huge_prime.json", data)
+        for argv in (["verify", path], ["fuzz", "--field", "fp:%d" % (2 ** 127 - 1)]):
+            start = time.perf_counter()
+            code, out, err = run(capsys, *argv)
+            assert time.perf_counter() - start < 1.0
+            assert code == USAGE_EXIT and out == ""
+            assert err.startswith("error: prime too large")
 
     def test_float_scalar(self, capsys, tmp_path):
         data = json.loads(Path(FIXD).read_text())

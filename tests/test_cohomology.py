@@ -4,19 +4,18 @@ import pytest
 
 from mrbder.cohomology import (DEFAULT_CONVENTION, MAX_COHOMOLOGY_DEGREE,
                                MAX_MATRIX_DEGREE, DegreeCapExceeded,
-                               OperatorCochain, OperatorMapConvention,
-                               OperatorSpace, PairCochain, PairSpace,
-                               ce_delta, cohomology, convention_candidates,
-                               derivation_defect, differential_matrix,
-                               hochschild_delta, hom_space, induced_actions,
-                               induced_mu, lie_pair_delta, modified_delta,
-                               modified_delta_via_induced, one_cochain,
-                               operator_map, pair_delta, skew_pair_cochain,
-                               skew_symmetrize, two_cochain)
+                               Cochain, CochainSpace, OperatorMapConvention,
+                               PairSpace, ce_delta, cochain_arities, cohomology,
+                               convention_candidates, derivation_defect,
+                               differential_matrix, hochschild_delta, hom_space,
+                               induced_actions, induced_mu, lie_pair_delta,
+                               modified_delta, modified_delta_via_induced,
+                               operator_delta, operator_map, pair_delta,
+                               skew_cochain, skew_symmetrize)
 from mrbder.constructions import rho_representation
 from mrbder.fields import Field, QQ
 from mrbder.fuzzing import random_instances
-from mrbder.linalg import Matrix, MultiTensor, matrix_as_tensor
+from mrbder.linalg import Matrix, MultiTensor, ShapeError, matrix_as_tensor
 from mrbder.structures import (Algebra, MRBDerPair, adjoint_bimodule,
                                dual_pair, scalar_pair, dual_algebra,
                                upper_triangular_pair, verify_pair)
@@ -182,19 +181,43 @@ class TestOperatorMapAndDefect:
 class TestPairComplex:
     def test_d_of_derivation_cochain_closed(self, dual_q_adj):
         pair, bim = dual_q_adj
-        c = two_cochain(zeros(QQ, 2, 2), zeros(QQ, 1, 2), matrix_as_tensor(pair.d))
+        c = Cochain(2, (zeros(QQ, 2, 2), zeros(QQ, 1, 2), matrix_as_tensor(pair.d)))
         assert pair_delta(pair, bim, c).is_zero()
 
     def test_degree1_assembly(self, dual_q_adj):
         pair, bim = dual_q_adj
         rng = random.Random(6)
         f = hom_space(2, 2, 1, QQ)
-        c = one_cochain(f.unflatten(tuple(QQ.random(rng) for _ in range(f.dim))))
+        c = Cochain(1, (f.unflatten(tuple(QQ.random(rng) for _ in range(f.dim))),))
         out = pair_delta(pair, bim, c)
         assert out.degree == 2
-        assert out.top.f.entries == hochschild_delta(pair, bim, c.top.f).entries
-        assert out.top.g.entries == (-operator_map(pair, bim, c.top.f)).entries
-        assert out.bottom.f.entries == (-derivation_defect(pair, bim, c.top.f)).entries
+        top, mid, bottom = out.parts
+        (f1,) = c.parts
+        assert top.entries == hochschild_delta(pair, bim, f1).entries
+        assert mid.entries == (-operator_map(pair, bim, f1)).entries
+        assert bottom.entries == (-derivation_defect(pair, bim, f1)).entries
+
+    def test_degree2_assembly(self, dual_q_adj):
+        # (f, g, h) |-> (delta f, -delta_R g - phi f, delta h + Delta f, Delta g - phi h)
+        pair, bim = dual_q_adj
+        rng = random.Random(12)
+        space = PairSpace(QQ, 2, 2, 2)
+        c = space.unflatten(tuple(QQ.random(rng) for _ in range(space.dim)))
+        f, g, h = c.parts
+        want = (hochschild_delta(pair, bim, f),
+                -modified_delta(pair, bim, g) - operator_map(pair, bim, f),
+                hochschild_delta(pair, bim, h) + derivation_defect(pair, bim, f),
+                derivation_defect(pair, bim, g) - operator_map(pair, bim, h))
+        out = pair_delta(pair, bim, c)
+        assert out.degree == 3
+        assert [p.entries for p in out.parts] == [p.entries for p in want]
+
+    def test_operator_delta_rejects_pair_layout(self, dual_q_adj):
+        pair, bim = dual_q_adj
+        with pytest.raises(ShapeError):
+            operator_delta(pair, bim, PairSpace(QQ, 2, 2, 2).zero())
+        with pytest.raises(ShapeError):
+            pair_delta(pair, bim, CochainSpace(QQ, 2, 2, cochain_arities(2, 2)).zero())
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_complex_matrix_squares_to_zero(self, n, dual_q_adj):
@@ -247,7 +270,23 @@ class TestSpaces:
         assert [PairSpace(QQ, 2, 2, n).dim for n in (1, 2, 3, 4)] == [4, 16, 36, 72]
 
     def test_operator_space_dims(self):
-        assert [OperatorSpace(QQ, 2, 2, n).dim for n in (1, 2, 3)] == [4, 12, 24]
+        assert [CochainSpace(QQ, 2, 2, cochain_arities(n, 2)).dim
+                for n in (1, 2, 3)] == [4, 12, 24]
+
+    def test_pair_space_layout(self):
+        # PC^n = (C^n + C^{n-1}) x (C^{n-1} + C^{n-2}), flattened part by part
+        want = {1: (1,), 2: (2, 1, 1), 3: (3, 2, 2, 1), 4: (4, 3, 3, 2)}
+        for n, arities in want.items():
+            sp = PairSpace(QQ, 2, 3, n)
+            vec = tuple(QQ.from_int(k) for k in range(sp.dim))
+            c = sp.unflatten(vec)
+            assert c.arities == arities
+            start = 0
+            for p, a in zip(c.parts, arities):
+                assert (p.dims, p.cod) == ((2,) * a, 3)
+                assert p.entries == vec[start:start + len(p.entries)]
+                start += len(p.entries)
+            assert start == sp.dim
 
     def test_flatten_round_trip(self):
         sp = PairSpace(F5, 2, 2, 2)
@@ -260,11 +299,11 @@ class TestSpaces:
 
     def test_cochain_shape_guards(self):
         with pytest.raises(Exception):
-            OperatorCochain(1, zeros(QQ, 1, 2), zeros(QQ, 1, 2))
+            Cochain(1, (zeros(QQ, 1, 2), zeros(QQ, 1, 2)))
         with pytest.raises(Exception):
-            OperatorCochain(2, zeros(QQ, 2, 2), None)
+            Cochain(2, (zeros(QQ, 2, 2),))
         with pytest.raises(Exception):
-            PairCochain(2, OperatorCochain(2, zeros(QQ, 2, 2), zeros(QQ, 1, 2)), None)
+            Cochain(3, (zeros(QQ, 3, 2), zeros(QQ, 2, 2), zeros(QQ, 2, 2)))
 
 
 class TestCohomologyGroups:
@@ -293,7 +332,7 @@ class TestCohomologyGroups:
         # ((0,0), d) is closed and not exact, and H^2 is one-dimensional
         from mrbder.linalg import solve_linear
         pair, bim = dual_q_adj
-        c = two_cochain(zeros(QQ, 2, 2), zeros(QQ, 1, 2), matrix_as_tensor(pair.d))
+        c = Cochain(2, (zeros(QQ, 2, 2), zeros(QQ, 1, 2), matrix_as_tensor(pair.d)))
         target = PairSpace(QQ, 2, 2, 2)
         d1 = differential_matrix(pair, bim, 1, "pair")
         assert pair_delta(pair, bim, c).is_zero()
@@ -465,8 +504,8 @@ class TestSkewAndLie:
         space = PairSpace(QQ, 3, 3, n)
         rng = random.Random(10)
         c = space.unflatten(tuple(QQ.random(rng) for _ in range(space.dim)))
-        lhs = skew_pair_cochain(pair_delta(pair, bim, c))
-        rhs = lie_pair_delta(lp, skew_pair_cochain(c))
+        lhs = skew_cochain(pair_delta(pair, bim, c))
+        rhs = lie_pair_delta(lp, skew_cochain(c))
         assert (lhs - rhs).is_zero()
 
     @pytest.mark.parametrize("n", [1, 2])

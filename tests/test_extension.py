@@ -2,9 +2,8 @@ import random
 
 import pytest
 
-from mrbder.cohomology import (PairSpace, cohomology, differential_matrix,
-                               one_cochain, pair_delta, two_cochain,
-                               two_cochain_parts)
+from mrbder.cohomology import (Cochain, PairSpace, cohomology,
+                               differential_matrix, pair_delta)
 from mrbder.extension import (CLASS_ENUMERATION_CAP, Extension,
                               build_extension, canonical_section,
                               check_extension, classify,
@@ -88,7 +87,7 @@ class TestCocycleExtraction:
         pair, bim = derive_base(ext)
         s = canonical_section(ext) + ext.i
         c = extract_cocycle(pair, bim, ext, section=s)
-        theta, xi, chi = two_cochain_parts(c)
+        theta, xi, chi = c.parts
         assert theta.value_at(0, 0) == (QQ.one,)
         assert xi.value_at(0) == (QQ.parse(-2),)
         assert chi.value_at(0) == (QQ.one,)
@@ -110,7 +109,7 @@ class TestCocycleExtraction:
         c1 = extract_cocycle(pair, bim, ext, section=s1)
         c2 = extract_cocycle(pair, bim, ext, section=s2)
         h = L * (s1 - s2)
-        want = pair_delta(pair, bim, one_cochain(matrix_as_tensor(h)))
+        want = pair_delta(pair, bim, Cochain(1, (matrix_as_tensor(h),)))
         assert ((c1 - c2) - want).is_zero()
 
     def test_non_section_rejected(self):
@@ -147,9 +146,9 @@ class TestBuildExtension:
 
     def test_essential_class_builds(self, dual_q_adj):
         pair, bim = dual_q_adj
-        c = two_cochain(MultiTensor.zeros(QQ, (2, 2), 2),
+        c = Cochain(2, (MultiTensor.zeros(QQ, (2, 2), 2),
                         MultiTensor.zeros(QQ, (2,), 2),
-                        matrix_as_tensor(pair.d))
+                        matrix_as_tensor(pair.d)))
         built = build_extension(pair, bim, c)
         assert verify_pair(built.total).ok
         assert check_extension(pair, bim, built).ok
@@ -200,7 +199,7 @@ class TestEquivalence:
         c2 = extract_cocycle(pair, bim, ext, section=canonical_section(ext) + ext.i)
         h = cocycles_cohomologous(pair, bim, c1, c2)
         assert h is not None
-        got = pair_delta(pair, bim, one_cochain(matrix_as_tensor(h)))
+        got = pair_delta(pair, bim, Cochain(1, (matrix_as_tensor(h),)))
         assert ((c1 - c2) - got).is_zero()
 
     def test_equivalence_of_two_builds_of_one_class(self):
@@ -217,9 +216,9 @@ class TestEquivalence:
     def test_inequivalent_classes(self, dual_q_adj):
         pair, bim = dual_q_adj
         space = PairSpace(QQ, 2, 2, 2)
-        c = two_cochain(MultiTensor.zeros(QQ, (2, 2), 2),
+        c = Cochain(2, (MultiTensor.zeros(QQ, (2, 2), 2),
                         MultiTensor.zeros(QQ, (2,), 2),
-                        matrix_as_tensor(pair.d))
+                        matrix_as_tensor(pair.d)))
         e1 = build_extension(pair, bim, space.zero())
         e2 = build_extension(pair, bim, c)
         assert extensions_equivalent(pair, bim, e1, e2) is None

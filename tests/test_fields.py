@@ -29,6 +29,30 @@ def test_is_prime_small():
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
 
+def test_is_prime_agrees_with_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % f for f in range(2, int(n ** 0.5) + 1))
+    assert [n for n in range(20000) if is_prime(n)] == [n for n in range(20000) if trial(n)]
+
+
+@pytest.mark.parametrize("n", [3215031751, 3825123056546413051])
+def test_strong_pseudoprimes_rejected(n):
+    # strong pseudoprimes to the bases 2, 3, 5, 7 and to 2..23 respectively
+    assert not is_prime(n)
+    with pytest.raises(ParseError):
+        Field.prime(n)
+
+
+def test_large_primes():
+    assert is_prime(2 ** 61 - 1) and not is_prime(2 ** 61 + 1)
+    assert Field.from_name("Fp:%d" % (2 ** 61 - 1)).p == 2 ** 61 - 1
+    # beyond the range where the Miller-Rabin bases are exact
+    with pytest.raises(ParseError, match="too large"):
+        Field.from_name("Fp:%d" % (2 ** 127 - 1))
+    with pytest.raises(ValueError):
+        is_prime(2 ** 127 - 1)
+
+
 @given(a=rationals, b=rationals, c=rationals)
 def test_rational_ring_axioms(a, b, c):
     F = QQ
