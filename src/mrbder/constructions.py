@@ -12,10 +12,11 @@ from dataclasses import dataclass
 
 from .fields import Field
 from .linalg import Matrix, MultiTensor, ShapeError
-from .structures import (Algebra, Bimodule, CheckFailure, CheckReport, InvalidStructure,
-                         MRBDerPair, _is_zero_vec, _report, _vadd, _vscale, _vsub,
-                         check_bimodule, check_commutation, check_derivation,
-                         unit_vector, verify_pair)
+from .structures import (Algebra, Bimodule, CheckReport, InvalidStructure, MRBDerPair,
+                         _report, associator_slice, check_bimodule, check_commutation,
+                         check_derivation, derivation_residual, operator_residual,
+                         residual_failures, rota_baxter_residual, sliced_failures,
+                         verify_pair)
 
 
 class KappaMismatch(ValueError):
@@ -124,76 +125,27 @@ def check_lie_pair(lp: LiePair) -> CheckReport:
     derivation and commutation axioms, and the representation identities when
     rho is attached."""
     F, n, br = lp.field, lp.dim, lp.bracket
-    fails = []
-    ea = [unit_vector(F, n, i) for i in range(n)]
-    Rc = [lp.R.apply(v) for v in ea]
-    dc = [lp.d.apply(v) for v in ea]
-    for i in range(n):
-        res = br.value_at(i, i)
-        if not _is_zero_vec(F, res):
-            fails.append(CheckFailure("alternating", (i,), res))
-    for i in range(n):
-        for j in range(i + 1, n):
-            res = _vadd(F, br.value_at(i, j), br.value_at(j, i))
-            if not _is_zero_vec(F, res):
-                fails.append(CheckFailure("antisymmetry", (i, j), res))
-    for i in range(n):
-        for j in range(n):
-            bij = br.value_at(i, j)
-            for k in range(n):
-                s = br.eval([bij, ea[k]])
-                s = _vadd(F, s, br.eval([br.value_at(j, k), ea[i]]))
-                s = _vadd(F, s, br.eval([br.value_at(k, i), ea[j]]))
-                if not _is_zero_vec(F, s):
-                    fails.append(CheckFailure("jacobi", (i, j, k), s))
-    for i in range(n):
-        for j in range(n):
-            lhs = br.eval([Rc[i], Rc[j]])
-            inner = _vadd(F, br.eval([Rc[i], ea[j]]), br.eval([ea[i], Rc[j]]))
-            rhs = _vadd(F, lp.R.apply(inner), _vscale(F, lp.kappa, br.value_at(i, j)))
-            res = _vsub(F, lhs, rhs)
-            if not _is_zero_vec(F, res):
-                fails.append(CheckFailure("mrb-lie", (i, j), res))
-    for i in range(n):
-        for j in range(n):
-            lhs = lp.d.apply(br.value_at(i, j))
-            rhs = _vadd(F, br.eval([dc[i], ea[j]]), br.eval([ea[i], dc[j]]))
-            res = _vsub(F, lhs, rhs)
-            if not _is_zero_vec(F, res):
-                fails.append(CheckFailure("bracket-derivation", (i, j), res))
-    fails.extend(check_commutation(lp.R, lp.d).failures)
+    R, d = lp.R, lp.d
+    fails = residual_failures(
+        "alternating", MultiTensor.from_map(F, (n,), n, lambda i: br.value_at(i, i)))
+    fails += [f for f in residual_failures("antisymmetry", br + br.permute_slots([1, 0]))
+              if f.args[0] < f.args[1]]
+    fails += sliced_failures("jacobi", n, lambda i: (
+        br.precompose_slot(0, br.partial_map(0, i))
+        + br.postcompose(br.partial_map(1, i))
+        + br.precompose_slot(0, br.partial_map(1, i)).permute_slots([1, 0])))
+    fails += residual_failures("mrb-lie", operator_residual(br, R, R, R, lp.kappa))
+    fails += residual_failures("bracket-derivation", derivation_residual(br, d, d, d))
+    fails += check_commutation(R, d).failures
 
     if lp.rho is not None:
-        m = lp.rho.dims[1]
-        em = [unit_vector(F, m, u) for u in range(m)]
-        RMc = [lp.R_M.apply(v) for v in em]
-        dMc = [lp.d_M.apply(v) for v in em]
-        rho = lp.rho
-        for i in range(n):
-            for j in range(n):
-                for u in range(m):
-                    lhs = rho.eval([br.value_at(i, j), em[u]])
-                    rhs = _vsub(F, rho.eval([ea[i], rho.value_at(j, u)]),
-                                rho.eval([ea[j], rho.value_at(i, u)]))
-                    res = _vsub(F, lhs, rhs)
-                    if not _is_zero_vec(F, res):
-                        fails.append(CheckFailure("rep-bracket", (i, j, u), res))
-        for i in range(n):
-            for u in range(m):
-                lhs = rho.eval([Rc[i], RMc[u]])
-                inner = _vadd(F, rho.eval([ea[i], RMc[u]]), rho.eval([Rc[i], em[u]]))
-                rhs = _vadd(F, lp.R_M.apply(inner), _vscale(F, lp.kappa, rho.value_at(i, u)))
-                res = _vsub(F, lhs, rhs)
-                if not _is_zero_vec(F, res):
-                    fails.append(CheckFailure("rep-op", (i, u), res))
-        for i in range(n):
-            for u in range(m):
-                lhs = lp.d_M.apply(rho.value_at(i, u))
-                rhs = _vadd(F, rho.eval([dc[i], em[u]]), rho.eval([ea[i], dMc[u]]))
-                res = _vsub(F, lhs, rhs)
-                if not _is_zero_vec(F, res):
-                    fails.append(CheckFailure("rep-derivation", (i, u), res))
-        fails.extend(check_commutation(lp.R_M, lp.d_M, "rep-op-der-commute").failures)
+        rho, R_M, d_M = lp.rho, lp.R_M, lp.d_M
+        fails += sliced_failures("rep-bracket", n, lambda i: (
+            associator_slice(i, br, rho, rho, rho)
+            + rho.precompose_slot(1, rho.partial_map(0, i))))
+        fails += residual_failures("rep-op", operator_residual(rho, R, R_M, R_M, lp.kappa))
+        fails += residual_failures("rep-derivation", derivation_residual(rho, d, d_M, d_M))
+        fails += check_commutation(R_M, d_M, "rep-op-der-commute").failures
     return _report(fails)
 
 
@@ -217,19 +169,7 @@ def rho_representation(pair: MRBDerPair, bim: Bimodule) -> LiePair:
 
 def check_rota_baxter(alg: Algebra, P: Matrix, lam) -> CheckReport:
     """Rota-Baxter of weight lambda: mu(Pa,Pb) = P(mu(Pa,b) + mu(a,Pb)) + lam*P(mu(a,b))."""
-    F, n, mu = alg.field, alg.dim, alg.mu
-    fails = []
-    Pc = [P.apply(unit_vector(F, n, i)) for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            ei, ej = unit_vector(F, n, i), unit_vector(F, n, j)
-            lhs = mu.eval([Pc[i], Pc[j]])
-            inner = _vadd(F, mu.eval([Pc[i], ej]), mu.eval([ei, Pc[j]]))
-            inner = _vadd(F, inner, _vscale(F, lam, mu.value_at(i, j)))
-            res = _vsub(F, lhs, P.apply(inner))
-            if not _is_zero_vec(F, res):
-                fails.append(CheckFailure("rota-baxter", (i, j), res))
-    return _report(fails)
+    return _report(residual_failures("rota-baxter", rota_baxter_residual(alg.mu, P, P, P, lam)))
 
 
 def rb_to_mrb(alg: Algebra, P: Matrix, lam, d: Matrix) -> MRBDerPair:
@@ -263,46 +203,12 @@ def bimodule_rb_to_mrb(alg: Algebra, P: Matrix, lam, d: Matrix,
     plus the derivation compatibilities and T_M . d_M = d_M . T_M.
     """
     F = alg.field
-    n = alg.dim
     m = T_M.nrows
-    fails = []
-    ea = [unit_vector(F, n, i) for i in range(n)]
-    em = [unit_vector(F, m, u) for u in range(m)]
-    Pc = [P.apply(v) for v in ea]
-    Tc = [T_M.apply(v) for v in em]
-    dc = [d.apply(v) for v in ea]
-    dMc = [d_M.apply(v) for v in em]
-    for i in range(n):
-        for u in range(m):
-            lhs = left.eval([Pc[i], Tc[u]])
-            inner = _vadd(F, left.eval([Pc[i], em[u]]), left.eval([ea[i], Tc[u]]))
-            inner = _vadd(F, inner, _vscale(F, lam, left.value_at(i, u)))
-            res = _vsub(F, lhs, T_M.apply(inner))
-            if not _is_zero_vec(F, res):
-                fails.append(CheckFailure("rb-module-left", (i, u), res))
-    for u in range(m):
-        for i in range(n):
-            lhs = right.eval([Tc[u], Pc[i]])
-            inner = _vadd(F, right.eval([Tc[u], ea[i]]), right.eval([em[u], Pc[i]]))
-            inner = _vadd(F, inner, _vscale(F, lam, right.value_at(u, i)))
-            res = _vsub(F, lhs, T_M.apply(inner))
-            if not _is_zero_vec(F, res):
-                fails.append(CheckFailure("rb-module-right", (u, i), res))
-    for i in range(n):
-        for u in range(m):
-            lhs = d_M.apply(left.value_at(i, u))
-            rhs = _vadd(F, left.eval([dc[i], em[u]]), left.eval([ea[i], dMc[u]]))
-            res = _vsub(F, lhs, rhs)
-            if not _is_zero_vec(F, res):
-                fails.append(CheckFailure("rb-der-left", (i, u), res))
-    for u in range(m):
-        for i in range(n):
-            lhs = d_M.apply(right.value_at(u, i))
-            rhs = _vadd(F, right.eval([dMc[u], ea[i]]), right.eval([em[u], dc[i]]))
-            res = _vsub(F, lhs, rhs)
-            if not _is_zero_vec(F, res):
-                fails.append(CheckFailure("rb-der-right", (u, i), res))
-    fails.extend(check_commutation(T_M, d_M, "rb-op-der-commute").failures)
+    fails = residual_failures("rb-module-left", rota_baxter_residual(left, P, T_M, T_M, lam))
+    fails += residual_failures("rb-module-right", rota_baxter_residual(right, T_M, P, T_M, lam))
+    fails += residual_failures("rb-der-left", derivation_residual(left, d, d_M, d_M))
+    fails += residual_failures("rb-der-right", derivation_residual(right, d_M, d, d_M))
+    fails += check_commutation(T_M, d_M, "rb-op-der-commute").failures
     rep = _report(fails)
     if not rep.ok:
         raise InvalidStructure("not a Rota-Baxter bimodule: %r" % (rep.first,), rep)

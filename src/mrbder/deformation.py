@@ -32,11 +32,14 @@ Id + t^k psi exactly when it is the coboundary of -psi.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 from .fields import Field
 from .linalg import Matrix, MultiTensor, ShapeError, matrix_as_tensor
 from .structures import (CheckFailure, CheckReport, InvalidStructure, MRBDerPair,
-                         _report, adjoint_bimodule, unit_vector)
+                         _report, adjoint_bimodule, associator_slice, derivation_residual,
+                         residual_failures, sliced_failures)
 from .cohomology import Cochain, pair_delta, primitive
 
 MAX_DEFORMATION_ORDER = 6
@@ -124,72 +127,25 @@ def derivation_scaling_deformation(pair: MRBDerPair, order: int) -> Deformation:
 
 def check_deformation(defo: Deformation) -> CheckReport:
     """Verify the four coefficient equations at every order 1..N."""
-    pair = defo.pair
-    F, n = pair.field, pair.dim
+    n, kappa = defo.pair.dim, defo.pair.kappa
+    mu, R, d = defo.mu_at, defo.R_at, defo.d_at
     failures = []
-    units = [unit_vector(F, n, i) for i in range(n)]
-
     for order in range(1, defo.order + 1):
-        # assoc
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    acc = [F.zero] * n
-                    for i in range(order + 1):
-                        j = order - i
-                        w = defo.mu_at(j).value_at(a, b)
-                        v1 = defo.mu_at(i).eval([w, units[c]])
-                        w = defo.mu_at(j).value_at(b, c)
-                        v2 = defo.mu_at(i).eval([units[a], w])
-                        for t in range(n):
-                            acc[t] = F.add(acc[t], F.sub(v1[t], v2[t]))
-                    if any(not F.is_zero(x) for x in acc):
-                        failures.append(CheckFailure("deform-assoc", (order, a, b, c), tuple(acc)))
-        # mrb
-        for a in range(n):
-            for b in range(n):
-                acc = [F.zero] * n
-                for i in range(order + 1):
-                    for j in range(order + 1 - i):
-                        k = order - i - j
-                        Ra = defo.R_at(j).apply(units[a])
-                        Rb = defo.R_at(k).apply(units[b])
-                        lhs = defo.mu_at(i).eval([Ra, Rb])
-                        Rka = defo.R_at(k).apply(units[a])
-                        Rkb = defo.R_at(k).apply(units[b])
-                        inner1 = defo.mu_at(j).eval([Rka, units[b]])
-                        inner2 = defo.mu_at(j).eval([units[a], Rkb])
-                        rhs = defo.R_at(i).apply(tuple(F.add(x, y) for x, y in zip(inner1, inner2)))
-                        for t in range(n):
-                            acc[t] = F.add(acc[t], F.sub(lhs[t], rhs[t]))
-                kap = defo.mu_at(order).value_at(a, b)
-                for t in range(n):
-                    acc[t] = F.sub(acc[t], F.mul(pair.kappa, kap[t]))
-                if any(not F.is_zero(x) for x in acc):
-                    failures.append(CheckFailure("deform-mrb", (order, a, b), tuple(acc)))
-        # der
-        for a in range(n):
-            for b in range(n):
-                acc = [F.zero] * n
-                for i in range(order + 1):
-                    j = order - i
-                    v1 = defo.d_at(i).apply(defo.mu_at(j).value_at(a, b))
-                    da = defo.d_at(j).apply(units[a])
-                    db = defo.d_at(j).apply(units[b])
-                    v2 = defo.mu_at(i).eval([da, units[b]])
-                    v3 = defo.mu_at(i).eval([units[a], db])
-                    for t in range(n):
-                        acc[t] = F.add(acc[t], F.sub(v1[t], F.add(v2[t], v3[t])))
-                if any(not F.is_zero(x) for x in acc):
-                    failures.append(CheckFailure("deform-der", (order, a, b), tuple(acc)))
-        # comm
-        acc_m = Matrix.zeros(F, n, n)
-        for i in range(order + 1):
-            j = order - i
-            acc_m = acc_m + (defo.R_at(i) * defo.d_at(j) - defo.d_at(i) * defo.R_at(j))
-        if not acc_m.is_zero():
+        pairs = [(i, order - i) for i in range(order + 1)]
+        triples = [(i, j, order - i - j) for i in range(order + 1) for j in range(order + 1 - i)]
+        failures += sliced_failures("deform-assoc", n, lambda a: reduce(add, (
+            associator_slice(a, mu(j), mu(i), mu(j), mu(i)) for i, j in pairs)), (order,))
+        mrb = reduce(add, (
+            mu(i).precompose_slot(0, R(j)).precompose_slot(1, R(k))
+            - (mu(j).precompose_slot(0, R(k)) + mu(j).precompose_slot(1, R(k))).postcompose(R(i))
+            for i, j, k in triples))
+        failures += residual_failures("deform-mrb", mrb - mu(order).scale(kappa), (order,))
+        failures += residual_failures("deform-der", reduce(add, (
+            derivation_residual(mu(j), d(i), d(i), d(i)) for i, j in pairs)), (order,))
+        comm = reduce(add, (R(i) * d(j) - d(i) * R(j) for i, j in pairs))
+        if not comm.is_zero():
             failures.append(CheckFailure("deform-comm", (order,),
-                                         tuple(x for row in acc_m.rows for x in row)))
+                                         tuple(x for row in comm.rows for x in row)))
     return _report(failures)
 
 

@@ -29,7 +29,8 @@ from .linalg import (Matrix, MultiTensor, ShapeError, rank_and_kernel,
                      solve_linear, tensor_as_matrix)
 from .structures import (Algebra, Bimodule, CheckFailure, CheckReport,
                          InvalidStructure, MRBDerPair, _report, _vsub,
-                         unit_vector, verify_pair)
+                         multiplicative_residual, residual_failures, unit_vector,
+                         verify_pair)
 from .cohomology import Cochain, PairSpace, pair_delta, primitive
 
 
@@ -120,7 +121,7 @@ def derive_base(ext: Extension) -> tuple:
 def check_extension(pair: MRBDerPair, bim: Bimodule, ext: Extension) -> CheckReport:
     """Verify the extension axioms against the claimed base pair and bimodule."""
     F = ext.total.field
-    n, m, N = ext.dim_base, ext.dim_fiber, ext.total.dim
+    n, m = ext.dim_base, ext.dim_fiber
     if pair.dim != n or bim.dim_m != m:
         raise ShapeError("base/fiber dimensions do not match the extension maps")
     exactness = []
@@ -139,20 +140,11 @@ def check_extension(pair: MRBDerPair, bim: Bimodule, ext: Extension) -> CheckRep
     muh, Rh, dh = ext.total.mu, ext.total.R, ext.total.d
     if pair.kappa != ext.total.kappa:
         failures.append(CheckFailure("kappa", (), (F.sub(pair.kappa, ext.total.kappa),)))
-    icols = [ext.i.apply(unit_vector(F, m, w)) for w in range(m)]
-    for w1 in range(m):
-        for w2 in range(m):
-            v = muh.eval([icols[w1], icols[w2]])
-            if any(not F.is_zero(x) for x in v):
-                failures.append(CheckFailure("ideal-square", (w1, w2), tuple(v)))
+    failures += residual_failures("ideal-square",
+                                  muh.precompose_slot(0, ext.i).precompose_slot(1, ext.i))
     # the projection is a homomorphism of pairs
-    for x in range(N):
-        for y in range(N):
-            lhs = ext.p.apply(muh.value_at(x, y))
-            rhs = pair.mu.eval([ext.p.apply(unit_vector(F, N, x)),
-                                ext.p.apply(unit_vector(F, N, y))])
-            if lhs != rhs:
-                failures.append(CheckFailure("proj-multiplicative", (x, y), _vsub(F, lhs, rhs)))
+    failures += residual_failures("proj-multiplicative",
+                                  multiplicative_residual(ext.p, muh, pair.mu))
     if not (ext.p * Rh - pair.R * ext.p).is_zero():
         failures.append(CheckFailure("proj-operator", (), ()))
     if not (ext.p * dh - pair.d * ext.p).is_zero():
@@ -164,17 +156,11 @@ def check_extension(pair: MRBDerPair, bim: Bimodule, ext: Extension) -> CheckRep
         failures.append(CheckFailure("incl-derivation", (), ()))
     # actions induced on the fiber agree with the bimodule
     s = canonical_section(ext)
-    scols = [s.apply(unit_vector(F, n, a)) for a in range(n)]
-    for a in range(n):
-        for w in range(m):
-            lhs = muh.eval([scols[a], icols[w]])
-            rhs = ext.i.apply(bim.left.value_at(a, w))
-            if lhs != rhs:
-                failures.append(CheckFailure("action-left", (a, w), _vsub(F, lhs, rhs)))
-            lhs = muh.eval([icols[w], scols[a]])
-            rhs = ext.i.apply(bim.right.value_at(w, a))
-            if lhs != rhs:
-                failures.append(CheckFailure("action-right", (w, a), _vsub(F, lhs, rhs)))
+    left = muh.precompose_slot(0, s).precompose_slot(1, ext.i) - bim.left.postcompose(ext.i)
+    right = muh.precompose_slot(0, ext.i).precompose_slot(1, s) - bim.right.postcompose(ext.i)
+    actions = residual_failures("action-left", left) + residual_failures("action-right", right)
+    # interleaved per (a, w): action-left (a, w) before action-right (w, a)
+    failures += sorted(actions, key=lambda f: f.args if f.identity == "action-left" else f.args[::-1])
     return _report(failures)
 
 
@@ -258,7 +244,6 @@ def equivalence_map(ext1: Extension, ext2: Extension, h: Matrix) -> Matrix:
 
 def _is_equivalence(pair: MRBDerPair, ext1: Extension, ext2: Extension,
                     gamma: Matrix) -> bool:
-    F, N = ext1.total.field, ext1.total.dim
     if not (gamma * ext1.i - ext2.i).is_zero():
         return False
     if not (ext2.p * gamma - ext1.p).is_zero():
@@ -268,14 +253,7 @@ def _is_equivalence(pair: MRBDerPair, ext1: Extension, ext2: Extension,
         return False
     if not (gamma * t1.d - t2.d * gamma).is_zero():
         return False
-    for x in range(N):
-        for y in range(N):
-            lhs = gamma.apply(t1.mu.value_at(x, y))
-            rhs = t2.mu.eval([gamma.apply(unit_vector(F, N, x)),
-                              gamma.apply(unit_vector(F, N, y))])
-            if lhs != rhs:
-                return False
-    return True
+    return multiplicative_residual(gamma, t1.mu, t2.mu).is_zero()
 
 
 def extensions_equivalent(pair: MRBDerPair, bim: Bimodule,

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 from .fields import Field
 from .linalg import Matrix, MultiTensor, rank_and_kernel
 from .structures import (Algebra, Bimodule, MRBDerPair, adjoint_bimodule,
-                         check_bimodule, dual_pair, unit_vector, verify_pair)
+                         check_bimodule, derivation_residual, dual_pair,
+                         operator_residual, verify_pair)
 from .constructions import (direct_sum, induced_algebra, induced_bimodule,
                             semidirect_product)
 
@@ -67,20 +68,10 @@ def _kernel_matrices(field: Field, n: int, constraint_fn) -> list:
 
 def _derivation_constraints(alg: Algebra, R: Matrix):
     """Linear conditions on d: derivation of mu, and commuting with R."""
-    F, n, mu = alg.field, alg.dim, alg.mu
 
     def fn(D: Matrix):
-        out = []
-        for i in range(n):
-            for j in range(n):
-                lhs = D.apply(mu.value_at(i, j))
-                a = mu.eval([tuple(D.rows[t][i] for t in range(n)), unit_vector(F, n, j)])
-                b = mu.eval([unit_vector(F, n, i), tuple(D.rows[t][j] for t in range(n))])
-                out.extend(F.sub(lhs[t], F.add(a[t], b[t])) for t in range(n))
-        comm = R * D - D * R
-        for row in comm.rows:
-            out.extend(row)
-        return out
+        der = derivation_residual(alg.mu, D, D, D)
+        return list(der.entries) + [x for row in (R * D - D * R).rows for x in row]
 
     return fn
 
@@ -192,20 +183,11 @@ def _mrb_options(field: Field, alg: Algebra) -> list:
         for flat in stack:
             yield _mat_from_flat(F, n, flat)
     for R in all_matrices():
-        muRR = mu.precompose_slot(0, R).precompose_slot(1, R)
-        muRx = mu.precompose_slot(0, R)
-        muxR = mu.precompose_slot(1, R)
+        res = operator_residual(mu, R, R, R, F.zero)
         kappa = None
         consistent = True
-        pending = []  # (v, w) with v = kappa * w required
-        for i in range(n):
-            for j in range(n):
-                inner = tuple(F.add(a, b) for a, b in
-                              zip(muRx.value_at(i, j), muxR.value_at(i, j)))
-                v = tuple(F.sub(a, b) for a, b in
-                          zip(muRR.value_at(i, j), R.apply(inner)))
-                w = mu.value_at(i, j)
-                pending.append((v, w))
+        # v = kappa * w is required for every basis pair
+        pending = [(res.value_at(i, j), mu.value_at(i, j)) for i in range(n) for j in range(n)]
         for v, w in pending:
             wt = next((t for t in range(n) if not F.is_zero(w[t])), None)
             if wt is None:

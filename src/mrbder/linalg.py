@@ -38,6 +38,14 @@ def max_tensor_entries() -> int:
     return _max_tensor_entries
 
 
+def _checked_size(dims: Sequence[int], cod: int) -> int:
+    """Entry count of a tensor of this shape; raises before anything is allocated."""
+    size = math.prod(dims) * cod
+    if size > _max_tensor_entries:
+        raise EntryCapExceeded("tensor with %d entries exceeds cap %d" % (size, _max_tensor_entries))
+    return size
+
+
 @dataclass(frozen=True)
 class Matrix:
     """Dense matrix over ``field``; ``rows`` is a tuple of row tuples.
@@ -283,9 +291,7 @@ class MultiTensor:
     entries: tuple
 
     def __post_init__(self):
-        size = math.prod(self.dims) * self.cod
-        if size > _max_tensor_entries:
-            raise EntryCapExceeded("tensor with %d entries exceeds cap %d" % (size, _max_tensor_entries))
+        size = _checked_size(self.dims, self.cod)
         if len(self.entries) != size:
             raise ShapeError("entry count %d, expected %d" % (len(self.entries), size))
 
@@ -296,15 +302,13 @@ class MultiTensor:
     @staticmethod
     def zeros(field: Field, dims: Sequence[int], cod: int) -> "MultiTensor":
         dims = tuple(dims)
-        size = math.prod(dims) * cod
-        if size > _max_tensor_entries:
-            raise EntryCapExceeded("tensor with %d entries exceeds cap %d" % (size, _max_tensor_entries))
-        return MultiTensor(field, dims, cod, (field.zero,) * size)
+        return MultiTensor(field, dims, cod, (field.zero,) * _checked_size(dims, cod))
 
     @staticmethod
     def from_map(field: Field, dims: Sequence[int], cod: int, fn: Callable) -> "MultiTensor":
         """Build from ``fn(*basis_indices) -> coordinate vector of length cod``."""
         dims = tuple(dims)
+        _checked_size(dims, cod)
         entries = []
         for idx in _index_tuples(dims):
             v = fn(*idx)
@@ -376,6 +380,15 @@ class MultiTensor:
     def is_zero(self) -> bool:
         F = self.field
         return all(F.is_zero(a) for a in self.entries)
+
+    def partial_map(self, slot: int, i: int) -> Matrix:
+        """Matrix of a bilinear map with argument ``slot`` fixed at e_i:
+        T(e_i, .) for slot 0, T(., e_i) for slot 1."""
+        if self.arity != 2 or slot not in (0, 1):
+            raise ShapeError("partial maps need a bilinear tensor and slot 0 or 1")
+        cols = [self.value_at(i, j) if slot == 0 else self.value_at(j, i)
+                for j in range(self.dims[1 - slot])]
+        return Matrix(self.field, tuple(zip(*cols)))
 
     def precompose_slot(self, slot: int, m: Matrix) -> "MultiTensor":
         """Feed slot ``slot`` through ``m`` first: T'(..., a, ...) = T(..., m a, ...)."""

@@ -9,16 +9,26 @@ Rota-Baxter operator R of weight kappa and a derivation d commuting with R:
     R . d = d . R
 
 A :class:`Bimodule` over a pair carries left/right actions plus operators
-(R_M, d_M) satisfying the compatible module-level identities.  All checks run
-exhaustively over basis tuples and report residual witnesses.
+(R_M, d_M) satisfying the compatible module-level identities.
+
+Every identity check builds one residual tensor, zero exactly where the
+identity holds, and :func:`residual_failures` lists its nonzero entries as
+witnesses in lexicographic order of basis tuples.  The residual builders are
+:func:`operator_residual` (modified Rota-Baxter shape),
+:func:`rota_baxter_residual`, :func:`derivation_residual`,
+:func:`multiplicative_residual` and :func:`associator_slice`; trilinear
+identities go through :func:`sliced_failures` one first-index slice at a
+time, so no residual outgrows the maps it checks.  Commutation residuals are
+``matrix_as_tensor(A B - B A)``, witnessed column by column.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .fields import Field
-from .linalg import Matrix, MultiTensor, ShapeError
+from .linalg import Matrix, MultiTensor, ShapeError, matrix_as_tensor
 
 
 class InvalidStructure(ValueError):
@@ -62,16 +72,8 @@ def unit_vector(field: Field, n: int, i: int) -> tuple:
     return tuple(v)
 
 
-def _vadd(F, a, b):
-    return tuple(F.add(x, y) for x, y in zip(a, b))
-
-
 def _vsub(F, a, b):
     return tuple(F.sub(x, y) for x, y in zip(a, b))
-
-
-def _vscale(F, c, a):
-    return tuple(F.mul(c, x) for x in a)
 
 
 def _is_zero_vec(F, a):
@@ -159,65 +161,79 @@ class Bimodule:
         return self.left.dims[0]
 
 
+# ---------------------------------------------------------------------------
+# residuals: each identity is one tensor that vanishes exactly when it holds
+
+
+def residual_failures(identity: str, res: MultiTensor, prefix: tuple = ()) -> list:
+    """One failure per basis tuple where ``res`` is nonzero, in lexicographic order."""
+    F, cod, ent = res.field, res.cod, res.entries
+    fails = []
+    for k, idx in enumerate(product(*map(range, res.dims))):
+        v = ent[k * cod:(k + 1) * cod]
+        if not _is_zero_vec(F, v):
+            fails.append(CheckFailure(identity, prefix + idx, v))
+    return fails
+
+
+def sliced_failures(identity: str, dim: int, slice_at, prefix: tuple = ()) -> list:
+    """Failures of a trilinear identity built one first-index slice at a time."""
+    return [f for a in range(dim)
+            for f in residual_failures(identity, slice_at(a), prefix + (a,))]
+
+
+def associator_slice(a: int, xy: MultiTensor, xy_z: MultiTensor,
+                     yz: MultiTensor, x_yz: MultiTensor) -> MultiTensor:
+    """(x y) z - x (y z) at x = e_a, as a bilinear map of (y, z); each of the
+    four products is its own bilinear tensor."""
+    return xy_z.precompose_slot(0, xy.partial_map(0, a)) - yz.postcompose(x_yz.partial_map(0, a))
+
+
+def operator_residual(beta: MultiTensor, Rx: Matrix, Ry: Matrix, Rz: Matrix,
+                      kappa) -> MultiTensor:
+    """beta(Rx x, Ry y) - Rz(beta(Rx x, y) + beta(x, Ry y)) - kappa*beta(x, y)."""
+    b_rx = beta.precompose_slot(0, Rx)
+    inner = b_rx + beta.precompose_slot(1, Ry)
+    return b_rx.precompose_slot(1, Ry) - inner.postcompose(Rz) - beta.scale(kappa)
+
+
+def rota_baxter_residual(beta: MultiTensor, Px: Matrix, Py: Matrix, Pz: Matrix,
+                         lam) -> MultiTensor:
+    """beta(Px x, Py y) - Pz(beta(Px x, y) + beta(x, Py y) + lam*beta(x, y))."""
+    return (operator_residual(beta, Px, Py, Pz, beta.field.zero)
+            - beta.postcompose(Pz).scale(lam))
+
+
+def derivation_residual(beta: MultiTensor, dx: Matrix, dy: Matrix, dz: Matrix) -> MultiTensor:
+    """dz(beta(x, y)) - beta(dx x, y) - beta(x, dy y)."""
+    return beta.postcompose(dz) - beta.precompose_slot(0, dx) - beta.precompose_slot(1, dy)
+
+
+def multiplicative_residual(f: Matrix, src: MultiTensor, dst: MultiTensor) -> MultiTensor:
+    """f(src(x, y)) - dst(f x, f y)."""
+    return src.postcompose(f) - dst.precompose_slot(0, f).precompose_slot(1, f)
+
+
 def check_associativity(alg: Algebra) -> CheckReport:
     """mu(mu(a,b),c) = mu(a,mu(b,c)) on all basis triples."""
-    F, n, mu = alg.field, alg.dim, alg.mu
-    fails = []
-    for i in range(n):
-        for j in range(n):
-            mij = mu.value_at(i, j)
-            for k in range(n):
-                lhs = mu.eval([mij, unit_vector(F, n, k)])
-                rhs = mu.eval([unit_vector(F, n, i), mu.value_at(j, k)])
-                res = _vsub(F, lhs, rhs)
-                if not _is_zero_vec(F, res):
-                    fails.append(CheckFailure("assoc", (i, j, k), res))
-    return _report(fails)
+    mu = alg.mu
+    return _report(sliced_failures("assoc", alg.dim,
+                                   lambda i: associator_slice(i, mu, mu, mu, mu)))
 
 
 def check_modified_rb(alg: Algebra, R: Matrix, kappa) -> CheckReport:
     """mu(Ra,Rb) = R(mu(Ra,b) + mu(a,Rb)) + kappa*mu(a,b) on basis pairs."""
-    F, n, mu = alg.field, alg.dim, alg.mu
-    fails = []
-    Rcols = [R.apply(unit_vector(F, n, i)) for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            ei, ej = unit_vector(F, n, i), unit_vector(F, n, j)
-            lhs = mu.eval([Rcols[i], Rcols[j]])
-            inner = _vadd(F, mu.eval([Rcols[i], ej]), mu.eval([ei, Rcols[j]]))
-            rhs = _vadd(F, R.apply(inner), _vscale(F, kappa, mu.value_at(i, j)))
-            res = _vsub(F, lhs, rhs)
-            if not _is_zero_vec(F, res):
-                fails.append(CheckFailure("mrb", (i, j), res))
-    return _report(fails)
+    return _report(residual_failures("mrb", operator_residual(alg.mu, R, R, R, kappa)))
 
 
 def check_derivation(alg: Algebra, d: Matrix) -> CheckReport:
     """d(mu(a,b)) = mu(da,b) + mu(a,db) on basis pairs."""
-    F, n, mu = alg.field, alg.dim, alg.mu
-    fails = []
-    dcols = [d.apply(unit_vector(F, n, i)) for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            lhs = d.apply(mu.value_at(i, j))
-            rhs = _vadd(F, mu.eval([dcols[i], unit_vector(F, n, j)]),
-                        mu.eval([unit_vector(F, n, i), dcols[j]]))
-            res = _vsub(F, lhs, rhs)
-            if not _is_zero_vec(F, res):
-                fails.append(CheckFailure("derivation", (i, j), res))
-    return _report(fails)
+    return _report(residual_failures("derivation", derivation_residual(alg.mu, d, d, d)))
 
 
 def check_commutation(R: Matrix, d: Matrix, name: str = "commute") -> CheckReport:
     """R.d = d.R, witnessed column by column."""
-    F = R.field
-    diff = R * d - d * R
-    fails = []
-    for j in range(diff.ncols):
-        col = tuple(diff.rows[i][j] for i in range(diff.nrows))
-        if not _is_zero_vec(F, col):
-            fails.append(CheckFailure(name, (j,), col))
-    return _report(fails)
+    return _report(residual_failures(name, matrix_as_tensor(R * d - d * R)))
 
 
 def verify_pair(pair: MRBDerPair) -> CheckReport:
@@ -240,78 +256,23 @@ def check_bimodule(pair: MRBDerPair, bim: Bimodule) -> CheckReport:
 
     the two derivation compatibilities, and R_M . d_M = d_M . R_M.
     """
-    F = pair.field
     n, m = pair.dim, bim.dim_m
     if bim.dim_a != n:
         raise ShapeError("bimodule algebra slot dim %d, pair dim %d" % (bim.dim_a, n))
     mu, left, right = pair.mu, bim.left, bim.right
     R, d, kappa = pair.R, pair.d, pair.kappa
     R_M, d_M = bim.R_M, bim.d_M
-    ea = [unit_vector(F, n, i) for i in range(n)]
-    em = [unit_vector(F, m, u) for u in range(m)]
-    Rcols = [R.apply(v) for v in ea]
-    dcols = [d.apply(v) for v in ea]
-    RMcols = [R_M.apply(v) for v in em]
-    dMcols = [d_M.apply(v) for v in em]
-    fails = []
-
-    for i in range(n):
-        for j in range(n):
-            mij = mu.value_at(i, j)
-            for u in range(m):
-                res = _vsub(F, left.eval([mij, em[u]]),
-                            left.eval([ea[i], left.value_at(j, u)]))
-                if not _is_zero_vec(F, res):
-                    fails.append(CheckFailure("module-left", (i, j, u), res))
-    for i in range(n):
-        for u in range(m):
-            for j in range(n):
-                res = _vsub(F, right.eval([left.value_at(i, u), ea[j]]),
-                            left.eval([ea[i], right.value_at(u, j)]))
-                if not _is_zero_vec(F, res):
-                    fails.append(CheckFailure("module-mixed", (i, u, j), res))
-    for u in range(m):
-        for i in range(n):
-            mui = right.value_at(u, i)
-            for j in range(n):
-                res = _vsub(F, right.eval([em[u], mu.value_at(i, j)]),
-                            right.eval([mui, ea[j]]))
-                if not _is_zero_vec(F, res):
-                    fails.append(CheckFailure("module-right", (u, i, j), res))
-
-    for i in range(n):
-        for u in range(m):
-            lhs = left.eval([Rcols[i], RMcols[u]])
-            inner = _vadd(F, left.eval([Rcols[i], em[u]]), left.eval([ea[i], RMcols[u]]))
-            rhs = _vadd(F, R_M.apply(inner), _vscale(F, kappa, left.value_at(i, u)))
-            res = _vsub(F, lhs, rhs)
-            if not _is_zero_vec(F, res):
-                fails.append(CheckFailure("op-left", (i, u), res))
-    for u in range(m):
-        for i in range(n):
-            lhs = right.eval([RMcols[u], Rcols[i]])
-            inner = _vadd(F, right.eval([RMcols[u], ea[i]]), right.eval([em[u], Rcols[i]]))
-            rhs = _vadd(F, R_M.apply(inner), _vscale(F, kappa, right.value_at(u, i)))
-            res = _vsub(F, lhs, rhs)
-            if not _is_zero_vec(F, res):
-                fails.append(CheckFailure("op-right", (u, i), res))
-
-    for i in range(n):
-        for u in range(m):
-            lhs = d_M.apply(left.value_at(i, u))
-            rhs = _vadd(F, left.eval([dcols[i], em[u]]), left.eval([ea[i], dMcols[u]]))
-            res = _vsub(F, lhs, rhs)
-            if not _is_zero_vec(F, res):
-                fails.append(CheckFailure("der-left", (i, u), res))
-    for u in range(m):
-        for i in range(n):
-            lhs = d_M.apply(right.value_at(u, i))
-            rhs = _vadd(F, right.eval([dMcols[u], ea[i]]), right.eval([em[u], dcols[i]]))
-            res = _vsub(F, lhs, rhs)
-            if not _is_zero_vec(F, res):
-                fails.append(CheckFailure("der-right", (u, i), res))
-
-    fails.extend(check_commutation(R_M, d_M, "op-der-commute").failures)
+    fails = sliced_failures("module-left", n,
+                            lambda i: associator_slice(i, mu, left, left, left))
+    fails += sliced_failures("module-mixed", n,
+                             lambda i: associator_slice(i, left, right, right, left))
+    fails += sliced_failures("module-right", m,
+                             lambda u: -associator_slice(u, right, right, mu, right))
+    fails += residual_failures("op-left", operator_residual(left, R, R_M, R_M, kappa))
+    fails += residual_failures("op-right", operator_residual(right, R_M, R, R_M, kappa))
+    fails += residual_failures("der-left", derivation_residual(left, d, d_M, d_M))
+    fails += residual_failures("der-right", derivation_residual(right, d_M, d, d_M))
+    fails += check_commutation(R_M, d_M, "op-der-commute").failures
     return _report(fails)
 
 
@@ -328,20 +289,9 @@ def is_homomorphism(f: Matrix, src: MRBDerPair, dst: MRBDerPair) -> CheckReport:
     fails = []
     if src.kappa != dst.kappa:
         fails.append(CheckFailure("kappa", (), (F.sub(src.kappa, dst.kappa),)))
-    n = src.dim
-    fcols = [f.apply(unit_vector(F, n, i)) for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            res = _vsub(F, f.apply(src.mu.value_at(i, j)), dst.mu.eval([fcols[i], fcols[j]]))
-            if not _is_zero_vec(F, res):
-                fails.append(CheckFailure("multiplicative", (i, j), res))
-    for name, a, b in (("operator-intertwine", f * src.R, dst.R * f),
-                       ("derivation-intertwine", f * src.d, dst.d * f)):
-        diff = a - b
-        for j in range(diff.ncols):
-            col = tuple(diff.rows[i][j] for i in range(diff.nrows))
-            if not _is_zero_vec(F, col):
-                fails.append(CheckFailure(name, (j,), col))
+    fails += residual_failures("multiplicative", multiplicative_residual(f, src.mu, dst.mu))
+    fails += residual_failures("operator-intertwine", matrix_as_tensor(f * src.R - dst.R * f))
+    fails += residual_failures("derivation-intertwine", matrix_as_tensor(f * src.d - dst.d * f))
     return _report(fails)
 
 

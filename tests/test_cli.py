@@ -38,6 +38,10 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def canonical(obj):
+    return json.dumps(obj, sort_keys=True, indent=2, separators=(",", ": ")) + "\n"
+
+
 def write_json(tmp_path, name, data):
     path = tmp_path / name
     path.write_text(json.dumps(data))
@@ -131,6 +135,31 @@ class TestVerify:
             assert time.perf_counter() - start < 1.0
             assert code == USAGE_EXIT and out == ""
             assert err.startswith("error: prime too large")
+
+    def test_broken_products_witness_bytes(self, capsys, tmp_path):
+        # stdout recorded from the loop-based checks: counts and first witnesses
+        data = json.loads(Path(FIXD).read_text())
+        data["mu"][2] = [1, 0, ["0", "2"]]
+        data["bimodule"]["l"][1] = [0, 1, ["1", "1"]]
+        path = write_json(tmp_path, "broken_products.json", data)
+        code, out, err = run(capsys, "verify", path)
+        assert code == CHECK_FAILED_EXIT and err == ""
+        assert out == canonical({"command": "verify", "ok": False, "checks": [
+            {"check": "pair", "ok": False, "failures": 1,
+             "witness": {"identity": "assoc", "args": [1, 0, 0], "residual": ["0", "2"]}},
+            {"check": "bimodule", "ok": False, "failures": 8,
+             "witness": {"identity": "module-left", "args": [0, 0, 1],
+                         "residual": ["-1", "0"]}},
+        ]})
+
+    def test_oversized_dim_fails_before_allocating(self, capsys, tmp_path):
+        path = tmp_path / "huge_dim.json"
+        path.write_text('{"field":"Q","dim":100000,"kappa":0,"R":[],"d":[]}')
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", str(path))
+        assert time.perf_counter() - start < 1.0
+        assert code == USAGE_EXIT and out == ""
+        assert "exceeds cap" in err
 
     def test_float_scalar(self, capsys, tmp_path):
         data = json.loads(Path(FIXD).read_text())
@@ -243,6 +272,19 @@ class TestDeformation:
         assert report["ok"] is True
         assert report["order"] == 3
         assert {c["check"] for c in report["checks"]} == {"pair", "deformation"}
+
+    def test_deform_check_witness_bytes(self, capsys, tmp_path):
+        # stdout recorded from the loop-based checks for a broken order-2 term
+        data = json.loads(Path(D_SCALING).read_text())
+        data["deformation"]["mu"][1] = [[1, 1, ["1", "0"]]]
+        path = write_json(tmp_path, "broken_order2.json", data)
+        code, out, err = run(capsys, "deform-check", path)
+        assert code == CHECK_FAILED_EXIT and err == ""
+        assert out == canonical({"command": "deform-check", "ok": False, "order": 3, "checks": [
+            {"check": "pair", "ok": True},
+            {"check": "deformation", "ok": False, "failures": 3,
+             "witness": {"identity": "deform-mrb", "args": [2, 1, 1], "residual": ["4", "0"]}},
+        ]})
 
     def test_deform_check_needs_block(self, capsys):
         code, _, err = run(capsys, "deform-check", FIXD)

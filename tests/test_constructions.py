@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from mrbder.constructions import (KappaMismatch, bimodule_rb_to_mrb,
+from mrbder.constructions import (KappaMismatch, LiePair, bimodule_rb_to_mrb,
                                   check_lie_pair, check_rota_baxter,
                                   commutator_bracket, commutator_lie_pair,
                                   direct_sum, induced_algebra,
@@ -215,6 +215,54 @@ class TestRotaBaxter:
         assert out.R_M.rows == dual_q.R.rows
         pair = rb_to_mrb(dual_q.algebra, P, QQ.parse(-1), dual_q.d)
         assert check_bimodule(pair, out).ok
+
+
+class TestGoldenFailures:
+    """Full failure tuples, in report order, recorded from the loop-based checks."""
+
+    def test_lie_pair_with_representation(self, edited, failure_list):
+        ut = upper_triangular_pair(QQ, QQ.one)
+        lp = rho_representation(ut, adjoint_bimodule(ut))
+        bad = LiePair(QQ, 3, edited(lp.bracket, {5: "1", 12: "1"}),
+                      edited(lp.R, {(2, 2): "2"}), lp.d, lp.kappa,
+                      edited(lp.rho, {4: "1"}), edited(lp.R_M, {(2, 1): "1"}), lp.d_M)
+        assert failure_list(check_lie_pair(bad)) == [
+            ("alternating", (1,), ("1", "0", "0")),
+            ("antisymmetry", (0, 1), ("0", "0", "1")),
+            ("jacobi", (0, 1, 1), ("0", "-1", "0")),
+            ("jacobi", (1, 0, 1), ("0", "-1", "0")),
+            ("jacobi", (1, 1, 0), ("0", "-1", "0")),
+            ("jacobi", (1, 1, 1), ("0", "3", "3")),
+            ("mrb-lie", (0, 1), ("0", "0", "-2")),
+            ("bracket-derivation", (0, 1), ("0", "0", "-1")),
+            ("bracket-derivation", (1, 1), ("-2", "0", "0")),
+            ("rep-bracket", (0, 1, 1), ("0", "-1", "0")),
+            ("rep-bracket", (1, 1, 1), ("0", "1", "0")),
+            ("rep-op", (0, 1), ("0", "0", "-2")),
+            ("rep-op", (1, 0), ("0", "0", "2")),
+            ("rep-op", (1, 1), ("0", "0", "-1")),
+            ("rep-op", (1, 2), ("0", "0", "-2")),
+            ("rep-op", (2, 1), ("0", "0", "3")),
+            ("rep-op-der-commute", (1,), ("0", "0", "1")),
+        ]
+
+    def test_rota_baxter_data(self, dual_q, edited, failure_list):
+        # P = diag(0, -1) is Rota-Baxter of weight 1 and gives R = Id + 2P
+        P = Matrix.from_rows(QQ, [[QQ.zero, QQ.zero], [QQ.zero, QQ.parse(-1)]])
+        assert failure_list(check_rota_baxter(dual_q.algebra, edited(P, {(0, 1): "1"}),
+                                              QQ.one)) == [
+            ("rota-baxter", (1, 1), ("-1", "0")),
+        ]
+        adj = adjoint_bimodule(dual_q)
+        with pytest.raises(InvalidStructure) as err:
+            bimodule_rb_to_mrb(dual_q.algebra, P, QQ.one, dual_q.d,
+                               edited(adj.left, {2: "1"}), adj.right,
+                               edited(P, {(1, 0): "1"}), dual_q.d)
+        assert failure_list(err.value.report) == [
+            ("rb-module-left", (0, 0), ("0", "-1")),
+            ("rb-der-left", (0, 1), ("-1", "0")),
+            ("rb-op-der-commute", (0,), ("0", "-1")),
+        ]
 
 
 def test_unit_vector():

@@ -122,6 +122,22 @@ class TestCoefficientEquations:
             return
         raise AssertionError("never sampled a non-cocycle")
 
+    def test_golden_failures_of_a_broken_order_two_term(self, dual_q, edited, failure_list):
+        # full failure tuples, in report order, recorded from the loop-based check;
+        # mu_2(1, x) gains a 1 and R_2 sends 1 to x
+        base = derivation_scaling_deformation(dual_q, 2)
+        defo = Deformation(dual_q, 2, (base.mu_terms[0], edited(base.mu_terms[1], {2: "1"})),
+                           (base.R_terms[0], edited(base.R_terms[1], {(1, 0): "1"})),
+                           base.d_terms)
+        assert failure_list(check_deformation(defo)) == [
+            ("deform-assoc", (2, 0, 0, 1), ("-1", "0")),
+            ("deform-assoc", (2, 0, 1, 1), ("0", "1")),
+            ("deform-assoc", (2, 1, 0, 1), ("0", "-1")),
+            ("deform-mrb", (2, 0, 0), ("0", "2")),
+            ("deform-der", (2, 0, 1), ("-1", "0")),
+            ("deform-comm", (2,), ("0", "0", "-1", "0")),
+        ]
+
     def test_infinitesimal_components(self, dual_q):
         defo = derivation_scaling_deformation(dual_q, 2)
         c = infinitesimal(defo)

@@ -13,7 +13,8 @@ from mrbder.extension import (CLASS_ENUMERATION_CAP, Extension,
 from mrbder.fields import Field, QQ
 from mrbder.linalg import (Matrix, MultiTensor, ShapeError, matrix_as_tensor,
                            rank_and_kernel)
-from mrbder.structures import (Algebra, InvalidStructure, MRBDerPair,
+from mrbder.constructions import semidirect_product
+from mrbder.structures import (Algebra, Bimodule, InvalidStructure, MRBDerPair,
                                adjoint_bimodule, dual_pair, verify_pair)
 
 F5 = Field.prime(5)
@@ -310,3 +311,33 @@ class TestValidation:
         rep = check_extension(pair, bim, ext)
         assert not rep.ok
         assert "exact-comp" in {f.identity for f in rep.failures}
+
+    def test_golden_failures(self, edited, failure_list):
+        # full failure tuples, in report order, recorded from the loop-based check;
+        # the action witnesses interleave per (a, w): left (a, w) before right (w, a)
+        base = dual_pair(QQ)
+        adj = adjoint_bimodule(base)
+        sd = semidirect_product(base, adj)
+        z, o = QQ.zero, QQ.one
+        i = Matrix.from_rows(QQ, [[z, z], [z, z], [o, z], [z, o]])
+        p = Matrix.from_rows(QQ, [[o, z, z, z], [z, o, z, z]])
+        total = MRBDerPair(Algebra(QQ, 4, edited(sd.mu, {sd.mu.offset((3, 3)) + 3: "1"})),
+                           sd.R, sd.d, sd.kappa)
+        pair = MRBDerPair(Algebra(QQ, 2, edited(base.mu, {6: "1"})), base.R, base.d, z)
+        bim = Bimodule(2, edited(adj.left, {1: "1", 6: "2"}), edited(adj.right, {4: "1", 7: "1"}),
+                       edited(adj.R_M, {(0, 1): "1"}), adj.d_M)
+        assert failure_list(check_extension(pair, bim, Extension(total, i, p))) == [
+            ("assoc", (1, 2, 3), ("0", "0", "0", "1")),
+            ("assoc", (2, 1, 3), ("0", "0", "0", "1")),
+            ("assoc", (3, 1, 2), ("0", "0", "0", "-1")),
+            ("assoc", (3, 2, 1), ("0", "0", "0", "-1")),
+            ("derivation", (3, 3), ("0", "0", "0", "-1")),
+            ("kappa", (), ("1",)),
+            ("ideal-square", (1, 1), ("0", "0", "0", "1")),
+            ("proj-multiplicative", (1, 1), ("-1", "0")),
+            ("incl-operator", (), ()),
+            ("action-left", (0, 0), ("0", "0", "0", "-1")),
+            ("action-right", (1, 0), ("0", "0", "-1", "0")),
+            ("action-left", (1, 1), ("0", "0", "-2", "0")),
+            ("action-right", (1, 1), ("0", "0", "0", "-1")),
+        ]

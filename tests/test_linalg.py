@@ -262,3 +262,25 @@ def test_entry_cap(monkeypatch):
         MultiTensor.zeros(QQ, (4, 4), 4)
     finally:
         set_max_tensor_entries(old)
+
+
+def test_from_map_checks_the_cap_before_filling():
+    def fn(*idx):
+        raise AssertionError("from_map evaluated an entry of an oversized tensor")
+
+    with pytest.raises(EntryCapExceeded, match="exceeds cap"):
+        MultiTensor.from_map(QQ, (10 ** 5, 10 ** 5), 10 ** 5, fn)
+
+
+def test_partial_map_fixes_one_argument():
+    t = MultiTensor(QQ, (2, 3), 2, tuple(QQ.parse(k) for k in range(12)))
+    left = t.partial_map(0, 1)
+    assert (left.nrows, left.ncols) == (2, 3)
+    for j in range(3):
+        assert left.apply(tuple(QQ.one if k == j else QQ.zero for k in range(3))) == t.value_at(1, j)
+    right = t.partial_map(1, 2)
+    assert (right.nrows, right.ncols) == (2, 2)
+    for i in range(2):
+        assert right.apply(tuple(QQ.one if k == i else QQ.zero for k in range(2))) == t.value_at(i, 2)
+    with pytest.raises(ShapeError):
+        t.partial_map(2, 0)

@@ -1,7 +1,8 @@
 import pytest
 
+from mrbder.constructions import direct_sum
 from mrbder.fields import Field, QQ
-from mrbder.linalg import Matrix, ShapeError
+from mrbder.linalg import Matrix, ShapeError, max_tensor_entries, set_max_tensor_entries
 from mrbder.structures import (Algebra, Bimodule, CheckReport, MRBDerPair,
                                adjoint_bimodule, check_associativity,
                                check_bimodule, check_commutation,
@@ -237,3 +238,48 @@ class TestConstructors:
         good = CheckReport(True, ())
         assert good.first is None
         assert CheckReport.combine([good, good]).ok
+
+
+class TestGoldenFailures:
+    """Full failure tuples, in report order, recorded from the loop-based checks."""
+
+    def test_perturbed_pair_bimodule_and_homomorphism(self, dual_q, edited, failure_list):
+        bad = MRBDerPair(Algebra(QQ, 2, edited(dual_q.mu, {0: "2", 1: "2"})),
+                         edited(dual_q.R, {(0, 1): "2"}), dual_q.d, dual_q.kappa)
+        assert failure_list(verify_pair(bad)) == [
+            ("assoc", (0, 0, 1), ("0", "1")),
+            ("assoc", (1, 0, 0), ("0", "-1")),
+            ("mrb", (0, 0), ("-8", "8")),
+            ("mrb", (0, 1), ("-8", "8")),
+            ("mrb", (1, 0), ("-8", "8")),
+            ("mrb", (1, 1), ("0", "8")),
+            ("derivation", (0, 0), ("0", "2")),
+            ("commute", (1,), ("2", "0")),
+        ]
+        adj = adjoint_bimodule(dual_q)
+        bim = Bimodule(2, edited(adj.left, {4: "3"}), adj.right,
+                       edited(adj.R_M, {(1, 0): "1"}), edited(adj.d_M, {(0, 0): "1"}))
+        assert failure_list(check_bimodule(dual_q, bim)) == [
+            ("module-left", (1, 1, 0), ("-9", "-3")),
+            ("module-mixed", (1, 0, 1), ("0", "3")),
+            ("der-left", (1, 0), ("-3", "-1")),
+            ("der-right", (0, 1), ("0", "-1")),
+        ]
+        f = Matrix.from_rows(QQ, [[QQ.one, QQ.one], [QQ.zero, QQ.one]])
+        assert failure_list(is_homomorphism(f, dual_q, dual_q)) == [
+            ("multiplicative", (1, 1), ("-1", "-2")),
+            ("operator-intertwine", (1,), ("-2", "0")),
+            ("derivation-intertwine", (1,), ("1", "0")),
+        ]
+
+
+def test_checks_fit_under_a_cap_equal_to_the_largest_input():
+    # mu of dual + dual has exactly 4 * 4 * 4 = 64 entries; no residual may need more
+    pair = direct_sum(dual_pair(QQ), dual_pair(QQ))
+    old = max_tensor_entries()
+    try:
+        set_max_tensor_entries(64)
+        assert verify_pair(pair).ok
+        assert check_bimodule(pair, adjoint_bimodule(pair)).ok
+    finally:
+        set_max_tensor_entries(old)
