@@ -25,8 +25,8 @@ from .extension import (build_extension, check_extension, classify, derive_base,
                         extract_cocycle)
 from .fuzzing import check_instance, random_instances
 from .serialize import (Instance, bimodule_to_json, cocycle_to_json,
-                        dumps_canonical, instance_to_json, load_instance_file,
-                        matrix_to_json, pair_to_json)
+                        dumps_canonical, load_instance_file, matrix_to_json,
+                        pair_to_json)
 
 USAGE_EXIT = 2
 CHECK_FAILED_EXIT = 1

@@ -47,6 +47,13 @@ The differentials (all squaring to zero):
 * ``pair_delta``: PC^n -> PC^{n+1}, (f, g, h, k) |-> (operator_delta(f, g),
   operator_delta(h, k) + (-1)^n (Delta f, Delta g)).
 
+``differential_matrix`` flattens each of these maps to a matrix without
+evaluating it: every term is identities tensored with one structure map
+(mu, l, r, R, R_M, d, d_M), so each basis cochain's image is written down
+one entry per nonzero structure constant, and the OC^n / PC^n differentials
+are stacked from the C^n blocks with the signs of the formulas above.  The
+tests check the result against the cochain-level maps entry for entry.
+
 Cohomology is computed from RREF rank/kernel data with canonical (RREF)
 representatives, and ``primitive`` solves D^1 h = c for a degree-2 cochain c.
 The Lie-side complex (Chevalley-Eilenberg of the commutator bracket) shares
@@ -61,8 +68,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .fields import Field
-from .linalg import (Matrix, MultiTensor, ShapeError, TensorSpace, _index_tuples,
-                     operator_matrix, rank_and_kernel, rref_vectors, solve_linear,
+from .linalg import (Matrix, MultiTensor, ShapeError, TensorSpace, _checked_size,
+                     _index_tuples, rank_and_kernel, rref_vectors, solve_linear,
                      tensor_as_matrix)
 from .structures import Bimodule, MRBDerPair
 from .constructions import LiePair
@@ -459,8 +466,184 @@ def PairSpace(field: Field, dim_a: int, dim_m: int, degree: int) -> CochainSpace
     return CochainSpace(field, dim_a, dim_m, cochain_arities(degree, 4))
 
 
+# ---------------------------------------------------------------------------
+# sparse assembly of D_n: one entry per nonzero structure constant
+#
+# A basis cochain of C^n sends e_{j_1..j_n} to e_s and every other basis
+# tuple to 0; it is column J*m + s, where J is (j_1..j_n) read in base
+# dim_a, which is also the flat order of MultiTensor.  Each map below lists,
+# for every such column, the (row, column, value) entries of its image.
+
+
+def _nonzeros(t: MultiTensor) -> list:
+    """(index tuple, value) of each nonzero entry of ``t``, codomain index last."""
+    F, cod = t.field, t.cod
+    return [(idx + (q,), v) for b, idx in enumerate(_index_tuples(t.dims))
+            for q, v in enumerate(t.entries[b * cod:(b + 1) * cod]) if not F.is_zero(v)]
+
+
+def _signed(F, plus: bool):
+    return F.one if plus else F.neg(F.one)
+
+
+def _coboundary_entries(F, nA: int, m: int, mu: MultiTensor, left: MultiTensor,
+                        right: MultiTensor, n: int):
+    """The coboundary C^n -> C^{n+1} of :func:`hochschild_delta` over (mu, left,
+    right): an l-column, an r-column and, for each slot, mu's preimages of the
+    slot's index."""
+    mul = F.mul
+    first = _signed(F, _sign_is_plus(n + 1))
+    l_terms = [[] for _ in range(m)]          # s -> (row offset, value) of l(e_x, e_s)
+    for (x, s, t), c in _nonzeros(left):
+        l_terms[s].append((x * nA ** n * m + t, mul(first, c)))
+    r_terms = [[] for _ in range(m)]          # s -> (row offset, value) of r(e_s, e_y)
+    for (s, y, t), c in _nonzeros(right):
+        r_terms[s].append((y * m + t, c))
+    # slot p (0-based) replaces j_p by every (x, y) with mu(e_x, e_y)_{j_p} != 0
+    mu_nonzeros = _nonzeros(mu)
+    mu_terms = []
+    for p in range(n):
+        lo = nA ** (n - 1 - p)
+        sign = _signed(F, _sign_is_plus(p + n))
+        by_q = [[] for _ in range(nA)]
+        for (x, y, q), c in mu_nonzeros:
+            by_q[q].append(((x * nA + y) * lo * m, mul(sign, c)))
+        mu_terms.append((lo, by_q))
+    for J in range(nA ** n):
+        slots = []
+        for lo, by_q in mu_terms:
+            head, rest = divmod(J, lo * nA)
+            jp, tail = divmod(rest, lo)
+            slots.append(((head * nA * nA * lo + tail) * m, by_q[jp]))
+        for s in range(m):
+            col = J * m + s
+            for off, v in l_terms[s]:
+                yield J * m + off, col, v
+            for off, v in r_terms[s]:
+                yield J * nA * m + off, col, v
+            for base, terms in slots:
+                for off, v in terms:
+                    yield base + off + s, col, v
+
+
+def _operator_map_entries(F, nA: int, m: int, R: Matrix, R_M: Matrix, kappa, n: int,
+                          convention: OperatorMapConvention):
+    """phi on C^n (see :func:`operator_map`): for each set of bare slots, R in
+    the other slots, then the term's coefficient and R_M on the output."""
+    mul, add, one = F.mul, F.add, F.one
+    neg_kappa = F.neg(kappa)
+    coeffs = [(one, False)]                 # |bare| -> (coefficient, R_M applied)
+    for r in range(1, n + 1):
+        if r % 2 == 1:
+            coeffs.append((F.neg(F.pow(neg_kappa, (r - 1) // 2)), True))
+        else:
+            e = r // 2 + convention.even_shift
+            if e < 0:
+                raise ValueError("convention exponent went negative")
+            c = F.pow(neg_kappa, e)
+            coeffs.append((F.neg(c) if convention.even_sign < 0 else c, convention.even_rm))
+    r_rows = [[(k, v) for k, v in enumerate(row) if not F.is_zero(v)] for row in R.rows]
+    rm_cols = [[(t, R_M.rows[t][s]) for t in range(m) if not F.is_zero(R_M.rows[t][s])]
+               for s in range(m)]
+    places = [nA ** (n - 1 - p) for p in range(n)]
+    for J in range(nA ** n):
+        digits = [(J // lo) % nA for lo in places]
+        images = ({}, {})                     # K -> value, without and with R_M
+        for bare in range(1 << n):
+            coeff, rm = coeffs[bare.bit_count()]
+            acc = images[rm]
+            opts = [[(j, one)] if bare >> (n - 1 - p) & 1 else r_rows[j]
+                    for p, j in enumerate(digits)]
+            for combo in itertools.product(*opts):
+                K, v = 0, coeff
+                for (k, c), lo in zip(combo, places):
+                    K += k * lo
+                    v = mul(v, c)
+                acc[K] = add(acc[K], v) if K in acc else v
+        plain, via_rm = images
+        for s in range(m):
+            col = J * m + s
+            for K, v in plain.items():
+                yield K * m + s, col, v
+            for K, v in via_rm.items():
+                for t, c in rm_cols[s]:
+                    yield K * m + t, col, mul(v, c)
+
+
+def _defect_entries(F, nA: int, m: int, d: Matrix, d_M: Matrix, n: int):
+    """Delta on C^n (see :func:`derivation_defect`): d in each slot, minus d_M
+    on the output."""
+    d_rows = [[(k, v) for k, v in enumerate(row) if not F.is_zero(v)] for row in d.rows]
+    neg_dm = [[(t, F.neg(d_M.rows[t][s])) for t in range(m) if not F.is_zero(d_M.rows[t][s])]
+              for s in range(m)]
+    places = [nA ** (n - 1 - p) for p in range(n)]
+    for J in range(nA ** n):
+        moves = [((J + (k - (J // lo) % nA) * lo) * m, v)
+                 for lo in places for k, v in d_rows[(J // lo) % nA]]
+        for s in range(m):
+            col = J * m + s
+            for base, v in moves:
+                yield base + s, col, v
+            for t, v in neg_dm[s]:
+                yield J * m + t, col, v
+
+
+def _graded_blocks(n: int, layers: int) -> list:
+    """The differential of OC^n (layers = 2) or PC^n (layers = 4) as blocks
+    (row part, column part, sign is plus, map, arity): the sum of
+    :func:`_graded_delta`, term by term."""
+    def op(part, arity):
+        # (f, g) at parts (part, part + 1) |-> (delta f, -delta_R g - phi f)
+        out = [(part, part, True, "delta", arity), (part + 1, part, False, "phi", arity)]
+        if arity > 1:
+            out.append((part + 1, part + 1, False, "mdelta", arity - 1))
+        return out
+
+    blocks = op(0, n)
+    if layers == 4:
+        plus = _sign_is_plus(n)
+        blocks += [(2 + i, i, plus, "defect", n - i) for i in range(min(n, 2))]
+        if n > 1:
+            blocks += op(2, n - 1)
+    return blocks
+
+
+def _assemble(F, nA: int, m: int, row_arities: tuple, col_arities: tuple, blocks) -> Matrix:
+    """The dense matrix of a map between cochain spaces whose parts have the
+    given arities, from sparse blocks (row part, column part, sign is plus,
+    entries)."""
+    def offsets(arities):
+        out = [0]
+        for a in arities:
+            out.append(out[-1] + nA ** a * m)
+        return out
+
+    row_off, col_off = offsets(row_arities), offsets(col_arities)
+    add, neg = F.add, F.neg
+    srows = [{} for _ in range(row_off[-1])]
+    for i, j, plus, entries in blocks:
+        ro, co = row_off[i], col_off[j]
+        for r, c, v in entries:
+            row = srows[ro + r]
+            c += co
+            if not plus:
+                v = neg(v)
+            row[c] = add(row[c], v) if c in row else v
+    zero, ncols = F.zero, col_off[-1]
+    out = []
+    for srow in srows:
+        row = [zero] * ncols
+        for c, v in srow.items():
+            row[c] = v
+        out.append(tuple(row))
+    return Matrix(F, tuple(out))
+
+
 _MATRIX_KINDS = ("hochschild", "modified", "operator_map", "derivation_defect",
                  "operator", "operator_defect", "pair")
+# the kinds that act on C^n, and the block map each one is
+_CN_MAPS = {"hochschild": "delta", "modified": "mdelta",
+            "operator_map": "phi", "derivation_defect": "defect"}
 
 
 def differential_matrix(pair: MRBDerPair, bim: Bimodule, n: int, which: str,
@@ -468,33 +651,50 @@ def differential_matrix(pair: MRBDerPair, bim: Bimodule, n: int, which: str,
     """Flatten one of the structure maps at degree n to a matrix.
 
     ``which``: hochschild, modified, operator_map, derivation_defect act on
-    C^n; operator, operator_defect act on OC^n; pair acts on PC^n.
+    C^n; operator, operator_defect act on OC^n; pair acts on PC^n.  The
+    matrix is assembled from the structure constants, one entry per nonzero
+    constant; it equals ``operator_matrix`` of the cochain-level map.
     """
     if which not in _MATRIX_KINDS:
         raise ValueError("unknown map %r" % (which,))
     if not (1 <= n <= MAX_MATRIX_DEGREE):
         raise DegreeCapExceeded("matrices are supported for degrees 1..%d" % MAX_MATRIX_DEGREE)
     F, nA, m = pair.field, pair.dim, bim.dim_m
-    if which in ("hochschild", "modified", "operator_map", "derivation_defect"):
-        dom = hom_space(nA, m, n, F)
-        if which == "hochschild":
-            return operator_matrix(dom, hom_space(nA, m, n + 1, F),
-                                   lambda f: hochschild_delta(pair, bim, f))
-        if which == "modified":
-            return operator_matrix(dom, hom_space(nA, m, n + 1, F),
-                                   lambda f: modified_delta(pair, bim, f))
-        if which == "operator_map":
-            return operator_matrix(dom, dom, lambda f: operator_map(pair, bim, f, convention))
-        return operator_matrix(dom, dom, lambda f: derivation_defect(pair, bim, f))
-    if which == "pair":
-        return operator_matrix(PairSpace(F, nA, m, n), PairSpace(F, nA, m, n + 1),
-                               lambda c: pair_delta(pair, bim, c, convention))
-    dom = CochainSpace(F, nA, m, cochain_arities(n, 2))
-    if which == "operator":
-        return operator_matrix(dom, CochainSpace(F, nA, m, cochain_arities(n + 1, 2)),
-                               lambda c: operator_delta(pair, bim, c, convention))
-    return operator_matrix(dom, dom, lambda c: Cochain(
-        n, tuple(derivation_defect(pair, bim, p) for p in c.parts)))
+    if which in _CN_MAPS:
+        kind = _CN_MAPS[which]
+        cols = (n,)
+        rows = (n + 1,) if kind in ("delta", "mdelta") else cols
+        blocks = [(0, 0, True, kind, n)]
+    elif which == "operator_defect":
+        rows = cols = cochain_arities(n, 2)
+        blocks = [(i, i, True, "defect", a) for i, a in enumerate(cols)]
+    else:
+        layers = 4 if which == "pair" else 2
+        cols, rows = cochain_arities(n, layers), cochain_arities(n + 1, layers)
+        blocks = _graded_blocks(n, layers)
+    # the entry cap, in the order the cochain-level maps would meet it: a
+    # domain cochain, the induced structures (first for "modified"), a
+    # C^{n+1} cochain, the induced structures (otherwise)
+    _checked_size((nA,) * n, m)
+    induced = None
+    if which == "modified":
+        induced = (induced_mu(pair),) + induced_actions(pair, bim)
+    if rows[0] == n + 1:
+        _checked_size((nA,) * (n + 1), m)
+    if induced is None and any(block[3] == "mdelta" for block in blocks):
+        induced = (induced_mu(pair),) + induced_actions(pair, bim)
+
+    def entries(kind, arity):
+        if kind == "delta":
+            return _coboundary_entries(F, nA, m, pair.mu, bim.left, bim.right, arity)
+        if kind == "mdelta":
+            return _coboundary_entries(F, nA, m, *induced, arity)
+        if kind == "phi":
+            return _operator_map_entries(F, nA, m, pair.R, bim.R_M, pair.kappa, arity, convention)
+        return _defect_entries(F, nA, m, pair.d, bim.d_M, arity)
+
+    return _assemble(F, nA, m, rows, cols,
+                     [(i, j, plus, entries(kind, arity)) for i, j, plus, kind, arity in blocks])
 
 
 @dataclass(frozen=True)
@@ -524,9 +724,7 @@ def cohomology(pair: MRBDerPair, bim: Bimodule, n: int,
         b_basis, b_pivots = [], []
     else:
         d_prev = differential_matrix(pair, bim, n - 1, "pair", convention)
-        cols = [tuple(d_prev.rows[i][j] for i in range(d_prev.nrows))
-                for j in range(d_prev.ncols)]
-        b_basis, b_pivots = rref_vectors(F, cols)
+        b_basis, b_pivots = rref_vectors(F, d_prev.transpose().rows)
     if not set(b_pivots) <= set(z_pivots):
         # would mean the differential does not square to zero
         raise AssertionError("coboundaries escape the cocycles; complex is broken")

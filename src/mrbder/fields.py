@@ -20,6 +20,10 @@ class ParseError(ValueError):
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MAX_PRIME = 3_317_044_064_679_887_385_961_981
 
+# Over Q every ``zero`` is this one (immutable) object, so a scan for nonzero
+# entries can pass over most zeros with an identity test; see linalg.
+_Q_ZERO = Fraction(0)
+
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, exact for n < MAX_PRIME."""
@@ -91,7 +95,7 @@ class Field:
 
     @property
     def zero(self):
-        return Fraction(0) if self.p is None else 0
+        return _Q_ZERO if self.p is None else 0
 
     @property
     def one(self):

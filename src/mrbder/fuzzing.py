@@ -28,8 +28,7 @@ from .linalg import Matrix, MultiTensor, rank_and_kernel
 from .structures import (Algebra, Bimodule, MRBDerPair, adjoint_bimodule,
                          check_bimodule, derivation_residual, dual_pair,
                          operator_residual, verify_pair)
-from .constructions import (direct_sum, induced_algebra, induced_bimodule,
-                            semidirect_product)
+from .constructions import direct_sum, induced_algebra, induced_bimodule
 
 
 @dataclass(frozen=True)

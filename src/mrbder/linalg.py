@@ -4,12 +4,22 @@ Everything is immutable after construction (tuples inside frozen dataclasses).
 Kernel bases, solutions and canonical subspace bases all come from reduced row
 echelon form with first-nonzero pivoting, so results are deterministic and
 basis choices are reproducible across runs.
+
+Matrices are stored dense, but elimination and products touch only nonzero
+entries.  ``rref`` keeps, per column, the rows that may be nonzero there and
+reduces each such row against the pivot row's nonzeros alone; since RREF is
+unique, the result is the one a sweep over every entry gives.  Zeros are
+found by identity with the field's shared zero object first, at C speed, and
+only the other entries go through ``Field.is_zero``
+(:func:`_nonzero_positions`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress, islice, repeat
+from operator import is_not
 from typing import Callable, Iterable, Sequence
 
 from .fields import Field
@@ -118,15 +128,13 @@ class Matrix:
         F = self.field
         add, mul, zero = F.add, F.mul, F.zero
         out = [[zero] * other.ncols for _ in range(self.nrows)]
+        other_nz = [[(j, brow[j]) for j in _nonzero_positions(F, brow)] for brow in other.rows]
         for i, row in enumerate(self.rows):
             acc = out[i]
-            for k, a in enumerate(row):
-                if F.is_zero(a):
-                    continue
-                brow = other.rows[k]
-                for j, b in enumerate(brow):
-                    if not F.is_zero(b):
-                        acc[j] = add(acc[j], mul(a, b))
+            for k in _nonzero_positions(F, row):
+                a = row[k]
+                for j, b in other_nz[k]:
+                    acc[j] = add(acc[j], mul(a, b))
         return Matrix(F, tuple(tuple(r) for r in out))
 
     def apply(self, vec: Sequence) -> tuple:
@@ -159,8 +167,7 @@ class Matrix:
         return Matrix(F, tuple(tuple(row[n:]) for row in aug))
 
     def is_zero(self) -> bool:
-        F = self.field
-        return all(F.is_zero(a) for r in self.rows for a in r)
+        return not any(_nonzero_positions(self.field, r) for r in self.rows)
 
     def block_diag(self, other: "Matrix") -> "Matrix":
         F = self.field
@@ -174,37 +181,69 @@ class Matrix:
             raise ShapeError("shape mismatch")
 
 
+def _nonzero_positions(field: Field, values: Sequence, start: int = 0) -> list:
+    """Indices i >= ``start`` of the nonzero entries of ``values``.
+
+    Entries that are the field's shared ``zero`` object are passed over at C
+    speed; only the others go through ``field.is_zero``.
+    """
+    is_zero = field.is_zero
+    maybe = compress(range(start, len(values)),
+                     map(is_not, islice(values, start, None), repeat(field.zero)))
+    return [i for i in maybe if not is_zero(values[i])]
+
+
 def rref(field: Field, rows: list) -> tuple:
     """Reduce ``rows`` (list of lists, modified in place) to RREF.
 
-    Returns the list of pivot column indices.  Pivoting picks the first row
-    with a nonzero entry in the current column, so the result is canonical.
+    Returns the list of pivot column indices.  The pivot of each column is
+    the lowest-index row with a nonzero there that is not yet a pivot row;
+    since RREF is unique, any such choice gives the same rows.
+
+    Only nonzero entries are touched.  ``col_rows[j]`` lists every row whose
+    entry in column j is not the field's shared zero object, so the rows to
+    reduce at a pivot are read from it rather than from a scan of the column.
+    The pivot row is scaled on its nonzeros, and each other row is reduced
+    against them; they all lie at or after the pivot column.
     """
     nr = len(rows)
     nc = len(rows[0]) if nr else 0
-    pivots = []
-    r = 0
+    sub, mul, is_zero, zero = field.sub, field.mul, field.is_zero, field.zero
+    col_rows = [[] for _ in range(nc)]
+    for i, row in enumerate(rows):
+        for j in compress(range(nc), map(is_not, row, repeat(zero))):
+            col_rows[j].append(i)
+    free = [True] * nr                    # not a pivot row yet
+    order, pivots = [], []
     for c in range(nc):
-        pr = None
-        for i in range(r, nr):
-            if not field.is_zero(rows[i][c]):
-                pr = i
-                break
+        # a set: over F_p an entry can return to the shared zero and be listed again
+        hits = sorted({i for i in col_rows[c] if not is_zero(rows[i][c])})
+        col_rows[c] = None
+        pr = next((i for i in hits if free[i]), None)
         if pr is None:
             continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = field.inv(rows[r][c])
+        prow = rows[pr]
+        nz = _nonzero_positions(field, prow, c)
+        inv = field.inv(prow[c])
         if inv != field.one:
-            rows[r] = [field.mul(inv, x) for x in rows[r]]
-        prow = rows[r]
-        for i in range(nr):
-            if i != r and not field.is_zero(rows[i][c]):
-                f = rows[i][c]
-                rows[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(rows[i], prow)]
+            for j in nz:
+                prow[j] = mul(inv, prow[j])
+        terms = [(j, prow[j]) for j in nz]
+        for i in hits:
+            if i != pr:
+                row = rows[i]
+                f = row[c]
+                for j, y in terms:
+                    x = row[j]
+                    if x is zero:
+                        col_rows[j].append(i)
+                    row[j] = sub(x, mul(f, y))
+        free[pr] = False
+        order.append(pr)
         pivots.append(c)
-        r += 1
-        if r == nr:
+        if len(pivots) == nr:
             break
+    rows[:] = [rows[i] for i in order] + [row for i, row in enumerate(rows) if free[i]]
     return pivots
 
 
@@ -247,8 +286,8 @@ def rank_and_kernel(m: Matrix) -> tuple:
     for c in free:
         v = [F.zero] * m.ncols
         v[c] = F.one
-        for k, pc in enumerate(pivots):
-            v[pc] = F.neg(rows[k][c])
+        for k in _nonzero_positions(F, [row[c] for row in rows[:rank]]):
+            v[pivots[k]] = F.neg(rows[k][c])
         basis.append(tuple(v))
     return rank, basis
 
@@ -426,17 +465,20 @@ class MultiTensor:
         if m.ncols != self.cod:
             raise ShapeError("matrix cols %d, codomain dim %d" % (m.ncols, self.cod))
         F = self.field
-        add, mul = F.add, F.mul
-        ent = self.entries
-        blocks = len(ent) // self.cod
+        add, mul, is_zero = F.add, F.mul, F.is_zero
+        ent, cod = self.entries, self.cod
+        zero_block = (F.zero,) * m.nrows
         out = []
-        for b in range(blocks):
-            base = b * self.cod
-            vec = ent[base:base + self.cod]
+        for b in range(len(ent) // cod):
+            vec = [(k, v) for k, v in enumerate(ent[b * cod:(b + 1) * cod]) if not is_zero(v)]
+            if not vec:
+                out.extend(zero_block)
+                continue
             for row in m.rows:
                 s = F.zero
-                for a, v in zip(row, vec):
-                    if not (F.is_zero(a) or F.is_zero(v)):
+                for k, v in vec:
+                    a = row[k]
+                    if not is_zero(a):
                         s = add(s, mul(a, v))
                 out.append(s)
         return MultiTensor(F, self.dims, m.nrows, tuple(out))

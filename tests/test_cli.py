@@ -263,6 +263,24 @@ class TestComplexCheck:
         assert err.startswith("error:")
         assert "exceeds cap" in err
 
+    # Exit codes and stderr bytes recorded with the cochain-by-cochain build
+    # of D_n.  Caps 8 and 10 stop the axiom checks; cap 16 stops the build of
+    # D_3, whose codomain holds 32-entry cochains.
+    @pytest.mark.parametrize("cap,err", [
+        ("8", "error: tensor with 16 entries exceeds cap 8\n"),
+        ("10", "error: tensor with 16 entries exceeds cap 10\n"),
+        ("16", "error: tensor with 32 entries exceeds cap 16\n"),
+        ("64", ""),
+    ])
+    @pytest.mark.parametrize("command", [("complex-check",), ("cohomology", "--degree", "3")])
+    def test_entry_cap_goldens(self, capsys, cap, err, command):
+        code, out, got = run(capsys, "--max-entries", cap, *command, FIXD)
+        assert got == err
+        if err:
+            assert (code, out) == (USAGE_EXIT, "")
+        else:
+            assert (code, out) == run(capsys, *command, FIXD)[:2]
+
 
 class TestDeformation:
     def test_deform_check(self, capsys):

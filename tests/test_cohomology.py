@@ -12,10 +12,10 @@ from mrbder.cohomology import (DEFAULT_CONVENTION, MAX_COHOMOLOGY_DEGREE,
                                modified_delta, modified_delta_via_induced,
                                operator_delta, operator_map, pair_delta,
                                skew_cochain, skew_symmetrize)
-from mrbder.constructions import rho_representation
+from mrbder.constructions import direct_sum, rho_representation
 from mrbder.fields import Field, QQ
 from mrbder.fuzzing import random_instances
-from mrbder.linalg import Matrix, MultiTensor, ShapeError, matrix_as_tensor
+from mrbder.linalg import Matrix, MultiTensor, ShapeError, matrix_as_tensor, rref_vectors
 from mrbder.structures import (Algebra, MRBDerPair, adjoint_bimodule,
                                dual_pair, scalar_pair, dual_algebra,
                                upper_triangular_pair, verify_pair)
@@ -387,6 +387,31 @@ class TestCohomologyGroups:
                     kernel_count += 1
             assert kernel_count == 2 ** (space.dim - rank)
             assert len(image) == 2 ** rank
+
+
+class TestLadderScale:
+    """ut (+) dual with adjoint coefficients, a = 5, degree 3: D_3 is 4500 x 900."""
+
+    def test_degree_three_over_q_and_f5(self):
+        z = {}
+        for F in (QQ, F5):
+            pair = direct_sum(upper_triangular_pair(F, F.one), dual_pair(F))
+            bim = adjoint_bimodule(pair)
+            res = cohomology(pair, bim, 3)
+            # (Z, B, H) as the cochain-by-cochain build of D_n gave them
+            assert (res.dim_cocycles, res.dim_coboundaries, res.dim_h) == (150, 149, 1)
+            d2 = differential_matrix(pair, bim, 2, "pair")
+            d3 = differential_matrix(pair, bim, 3, "pair")
+            assert (d3.nrows, d3.ncols) == (4500, 900)
+            assert (d3 * d2).is_zero()
+            # rank D_3 from its columns, an elimination separate from the kernel's
+            rank = len(rref_vectors(F, d3.transpose().rows)[1])
+            assert res.dim_cocycles + rank == PairSpace(F, 5, 5, 3).dim
+            space = PairSpace(F, 5, 5, 3)
+            assert all(not any(d3.apply(space.flatten(r))) for r in res.representatives)
+            z[F.name] = res.dim_cocycles
+        # the instance is integral, so reducing mod 5 can only add cocycles
+        assert z["Fp:5"] >= z["Q"]
 
 
 class TestCalibration:
