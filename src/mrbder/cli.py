@@ -310,8 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    set_max_tensor_entries(args.max_entries)
     try:
+        set_max_tensor_entries(args.max_entries)
         return args.fn(args)
     except (ParseError, DegreeCapExceeded, EntryCapExceeded, ValueError) as e:
         if isinstance(e, InvalidStructure):

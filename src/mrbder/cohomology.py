@@ -23,9 +23,7 @@ The differentials (all squaring to zero):
 
 * ``modified_delta``: the same coboundary taken over the induced
   multiplication mu_R(a,b) = mu(Ra,b)+mu(a,Rb) with the induced actions
-  l~(a,m) = l(Ra,m) - R_M l(a,m), r~(m,a) = r(m,Ra) - R_M r(m,a).  Shipped
-  twice: a direct transcription and the composition through the induced
-  structures; tests assert they agree everywhere.
+  l~(a,m) = l(Ra,m) - R_M l(a,m), r~(m,a) = r(m,Ra) - R_M r(m,a).
 
 * ``operator_map`` (phi): the degree-preserving chain map comparing the two
   Hochschild complexes.  For each nonempty subset S of the n slots let f_S be
@@ -37,8 +35,9 @@ The differentials (all squaring to zero):
 
   The even-|S| coefficient is fixed by the calibration harness in
   tools/calibrate_phi.py (see docs/phi_calibration.md): it is the unique
-  convention among the candidate family making phi a chain map and killing
-  phi(mu) on adjoint coefficients.
+  convention among a family of twelve candidates, kept with the tests in
+  tests/oracles.py, making phi a chain map and killing phi(mu) on adjoint
+  coefficients.
 
 * ``derivation_defect`` (Delta): Delta(f) = sum_j f.(Id x..x d x..x Id) - d_M . f,
   the failure of f to commute with the derivation.
@@ -47,18 +46,20 @@ The differentials (all squaring to zero):
 * ``pair_delta``: PC^n -> PC^{n+1}, (f, g, h, k) |-> (operator_delta(f, g),
   operator_delta(h, k) + (-1)^n (Delta f, Delta g)).
 
-``differential_matrix`` flattens each of these maps to a matrix without
-evaluating it: every term is identities tensored with one structure map
-(mu, l, r, R, R_M, d, d_M), so each basis cochain's image is written down
-one entry per nonzero structure constant, and the OC^n / PC^n differentials
-are stacked from the C^n blocks with the signs of the formulas above.  The
-tests check the result against the cochain-level maps entry for entry.
+Each map is implemented once, as an entry list: every term is identities
+tensored with one structure map (mu, l, r, R, R_M, d, d_M), so the image of
+each basis cochain is written down one entry per nonzero structure constant,
+and the OC^n / PC^n differentials are stacked from the C^n blocks with the
+signs of the formulas above.  ``differential_matrix`` sums the entries into
+the matrix D_n; the cochain-level functions apply them to one cochain and
+never build the matrix.  Literal transcriptions of the formulas are kept in
+tests/oracles.py, and the tests hold both uses equal to them.
 
 Cohomology is computed from RREF rank/kernel data with canonical (RREF)
 representatives, and ``primitive`` solves D^1 h = c for a degree-2 cochain c.
 The Lie-side complex (Chevalley-Eilenberg of the commutator bracket) shares
-the generic differential, and the skew-symmetrization chain maps live here
-too.
+the entry lists of phi and Delta and the graded stacking, and the
+skew-symmetrization chain maps live here too.
 """
 
 from __future__ import annotations
@@ -66,11 +67,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 from .fields import Field
 from .linalg import (Matrix, MultiTensor, ShapeError, TensorSpace, _checked_size,
-                     _index_tuples, rank_and_kernel, rref_vectors, solve_linear,
-                     tensor_as_matrix)
+                     _index_tuples, _nonzero_positions, rank_and_kernel,
+                     rref_vectors, solve_linear, tensor_as_matrix)
 from .structures import Bimodule, MRBDerPair
 from .constructions import LiePair
 
@@ -87,92 +89,6 @@ def _sign_is_plus(k: int) -> bool:
     return k % 2 == 0
 
 
-def _vacc(F, acc, vec, plus: bool):
-    if plus:
-        for t, v in enumerate(vec):
-            if not F.is_zero(v):
-                acc[t] = F.add(acc[t], v)
-    else:
-        for t, v in enumerate(vec):
-            if not F.is_zero(v):
-                acc[t] = F.sub(acc[t], v)
-
-
-def _act_left(F, left, i, vec):
-    """l(e_i, vec) for a codomain vector ``vec``."""
-    m = left.cod
-    acc = [F.zero] * m
-    for s, c in enumerate(vec):
-        if F.is_zero(c):
-            continue
-        w = left.value_at(i, s)
-        for t in range(m):
-            if not F.is_zero(w[t]):
-                acc[t] = F.add(acc[t], F.mul(c, w[t]))
-    return acc
-
-
-def _act_right(F, right, vec, j):
-    m = right.cod
-    acc = [F.zero] * m
-    for s, c in enumerate(vec):
-        if F.is_zero(c):
-            continue
-        w = right.value_at(s, j)
-        for t in range(m):
-            if not F.is_zero(w[t]):
-                acc[t] = F.add(acc[t], F.mul(c, w[t]))
-    return acc
-
-
-def _eval_slot_vec(F, f, rest, pos, vec):
-    """f on basis indices ``rest`` with a coordinate vector spliced in at ``pos``."""
-    m = f.cod
-    acc = [F.zero] * m
-    for s, c in enumerate(vec):
-        if F.is_zero(c):
-            continue
-        w = f.value_at(*rest[:pos], s, *rest[pos:])
-        for t in range(m):
-            if not F.is_zero(w[t]):
-                acc[t] = F.add(acc[t], F.mul(c, w[t]))
-    return acc
-
-
-def _check_cochain_shape(pair: MRBDerPair, bim: Bimodule, f: MultiTensor):
-    n, m = pair.dim, bim.dim_m
-    if f.dims != (n,) * f.arity or f.cod != m:
-        raise ShapeError("cochain must map A^%d -> M" % f.arity)
-    if f.arity < 1:
-        raise ShapeError("cochain degree must be >= 1")
-
-
-def _hochschild_delta_core(F, nA, mu, left, right, f) -> MultiTensor:
-    n = f.arity
-    m = f.cod
-    if f.is_zero():
-        return MultiTensor.zeros(F, (nA,) * (n + 1), m)
-    first_plus = _sign_is_plus(n + 1)
-    out = []
-    for idx in _index_tuples((nA,) * (n + 1)):
-        acc = [F.zero] * m
-        _vacc(F, acc, _act_left(F, left, idx[0], f.value_at(*idx[1:])), first_plus)
-        _vacc(F, acc, _act_right(F, right, f.value_at(*idx[:n]), idx[n]), True)
-        for i in range(1, n + 1):
-            vec = mu.value_at(idx[i - 1], idx[i])
-            rest = idx[:i - 1] + idx[i + 1:]
-            term = _eval_slot_vec(F, f, rest, i - 1, vec)
-            _vacc(F, acc, term, _sign_is_plus(i + n + 1))
-        out.extend(acc)
-    return MultiTensor(F, (nA,) * (n + 1), m, tuple(out))
-
-
-def hochschild_delta(pair: MRBDerPair, bim: Bimodule, f: MultiTensor) -> MultiTensor:
-    """Hochschild coboundary C^n -> C^{n+1} with bimodule coefficients."""
-    _check_cochain_shape(pair, bim, f)
-    return _hochschild_delta_core(pair.field, pair.dim, pair.mu, bim.left, bim.right, f)
-
-
 def induced_mu(pair: MRBDerPair) -> MultiTensor:
     return pair.mu.precompose_slot(0, pair.R) + pair.mu.precompose_slot(1, pair.R)
 
@@ -181,125 +97,6 @@ def induced_actions(pair: MRBDerPair, bim: Bimodule) -> tuple:
     lt = bim.left.precompose_slot(0, pair.R) - bim.left.postcompose(bim.R_M)
     rt = bim.right.precompose_slot(1, pair.R) - bim.right.postcompose(bim.R_M)
     return lt, rt
-
-
-def modified_delta(pair: MRBDerPair, bim: Bimodule, f: MultiTensor) -> MultiTensor:
-    """Coboundary over the induced multiplication and actions, written out
-    directly:
-
-        (d_R f)(a_1..a_{n+1}) =
-            (-1)^{n+1} [ l(R a_1, f(..)) - R_M l(a_1, f(..)) ]
-            + r(f(..), R a_{n+1}) - R_M r(f(..), a_{n+1})
-            + sum_i (-1)^{i+n+1} f(.., mu(R a_i, a_{i+1}) + mu(a_i, R a_{i+1}), ..)
-    """
-    _check_cochain_shape(pair, bim, f)
-    F, nA = pair.field, pair.dim
-    n, m = f.arity, f.cod
-    if f.is_zero():
-        return MultiTensor.zeros(F, (nA,) * (n + 1), m)
-    mu_r = induced_mu(pair)
-    lR = bim.left.precompose_slot(0, pair.R)
-    rR = bim.right.precompose_slot(1, pair.R)
-    R_M = bim.R_M
-    first_plus = _sign_is_plus(n + 1)
-    out = []
-    for idx in _index_tuples((nA,) * (n + 1)):
-        acc = [F.zero] * m
-        fv = f.value_at(*idx[1:])
-        _vacc(F, acc, _act_left(F, lR, idx[0], fv), first_plus)
-        _vacc(F, acc, R_M.apply(_act_left(F, bim.left, idx[0], fv)), not first_plus)
-        fv = f.value_at(*idx[:n])
-        _vacc(F, acc, _act_right(F, rR, fv, idx[n]), True)
-        _vacc(F, acc, R_M.apply(_act_right(F, bim.right, fv, idx[n])), False)
-        for i in range(1, n + 1):
-            vec = mu_r.value_at(idx[i - 1], idx[i])
-            rest = idx[:i - 1] + idx[i + 1:]
-            term = _eval_slot_vec(F, f, rest, i - 1, vec)
-            _vacc(F, acc, term, _sign_is_plus(i + n + 1))
-        out.extend(acc)
-    return MultiTensor(F, (nA,) * (n + 1), m, tuple(out))
-
-
-def modified_delta_via_induced(pair: MRBDerPair, bim: Bimodule, f: MultiTensor) -> MultiTensor:
-    """Same map computed through the induced structures; cross-check twin of
-    :func:`modified_delta`."""
-    _check_cochain_shape(pair, bim, f)
-    lt, rt = induced_actions(pair, bim)
-    return _hochschild_delta_core(pair.field, pair.dim, induced_mu(pair), lt, rt, f)
-
-
-@dataclass(frozen=True)
-class OperatorMapConvention:
-    """Coefficient convention for the even-|S| terms of ``operator_map``.
-
-    even exponent on (-kappa) is |S|/2 + even_shift; even_sign flips the term;
-    even_rm applies R_M to it.  The default is the calibrated winner."""
-
-    even_shift: int = 0
-    even_sign: int = 1
-    even_rm: bool = False
-
-
-DEFAULT_CONVENTION = OperatorMapConvention()
-
-
-def convention_candidates() -> list:
-    return [OperatorMapConvention(sh, sg, rm)
-            for sh in (1, 0, -1) for sg in (-1, 1) for rm in (True, False)]
-
-
-def _operator_map_core(F, R: Matrix, R_M: Matrix, kappa, f: MultiTensor,
-                       convention: OperatorMapConvention) -> MultiTensor:
-    n = f.arity
-    if f.is_zero():
-        return MultiTensor.zeros(F, f.dims, f.cod)
-    full = (1 << n) - 1
-    # g[mask] = f with R fed into every slot of mask
-    g = [None] * (full + 1)
-    g[0] = f
-    for mask in range(1, full + 1):
-        low = (mask & -mask).bit_length() - 1
-        g[mask] = g[mask & (mask - 1)].precompose_slot(low, R)
-    neg_kappa = F.neg(kappa)
-    acc = g[full]
-    for bare in range(1, full + 1):
-        r = bare.bit_count()
-        t = g[full ^ bare]
-        if r % 2 == 1:
-            coeff = F.neg(F.pow(neg_kappa, (r - 1) // 2))
-            term = t.postcompose(R_M).scale(coeff)
-        else:
-            e = r // 2 + convention.even_shift
-            if e < 0:
-                raise ValueError("convention exponent went negative")
-            coeff = F.pow(neg_kappa, e)
-            if convention.even_sign < 0:
-                coeff = F.neg(coeff)
-            term = (t.postcompose(R_M) if convention.even_rm else t).scale(coeff)
-        acc = acc + term
-    return acc
-
-
-def operator_map(pair: MRBDerPair, bim: Bimodule, f: MultiTensor,
-                 convention: OperatorMapConvention = DEFAULT_CONVENTION) -> MultiTensor:
-    """The chain map phi: C^n -> C^n built from (R, R_M, kappa)."""
-    _check_cochain_shape(pair, bim, f)
-    return _operator_map_core(pair.field, pair.R, bim.R_M, pair.kappa, f, convention)
-
-
-def _derivation_defect_core(F, d: Matrix, d_M: Matrix, f: MultiTensor) -> MultiTensor:
-    if f.is_zero():
-        return MultiTensor.zeros(F, f.dims, f.cod)
-    acc = -(f.postcompose(d_M))
-    for j in range(f.arity):
-        acc = acc + f.precompose_slot(j, d)
-    return acc
-
-
-def derivation_defect(pair: MRBDerPair, bim: Bimodule, f: MultiTensor) -> MultiTensor:
-    """Delta(f) = sum_j f(.., d(.), ..) - d_M . f."""
-    _check_cochain_shape(pair, bim, f)
-    return _derivation_defect_core(pair.field, pair.d, bim.d_M, f)
 
 
 # ---------------------------------------------------------------------------
@@ -356,59 +153,7 @@ class Cochain:
 
 
 # ---------------------------------------------------------------------------
-# assembled differentials
-
-
-def _graded_delta(delta, mdelta, phi, defect, c: Cochain) -> Cochain:
-    """The differential of OC^n built from (delta, delta_R, phi), or of PC^n
-    when the derivation defect Delta is given too:
-
-        OC: (f, g)       |-> (delta f, -delta_R g - phi f)
-        PC: (f, g, h, k) |-> (D(f, g), D(h, k) + (-1)^n (Delta f, Delta g))
-
-    where every term in an absent (arity-0) part is left out.
-    """
-    layers = 2 if defect is None else 4
-    if c.arities != cochain_arities(c.degree, layers):
-        raise ShapeError("expected a cochain in %s^%d"
-                         % ("OC" if defect is None else "PC", c.degree))
-
-    def op(f, g):
-        return [delta(f), -phi(f) if g is None else -(mdelta(g)) - phi(f)]
-
-    f, g, h, k = c.parts + (None,) * (4 - len(c.parts))
-    out = op(f, g)
-    if defect is not None:
-        shift = [defect(x) for x in (f, g) if x is not None]
-        if not _sign_is_plus(c.degree):
-            shift = [-x for x in shift]
-        out += shift if h is None else [a + b for a, b in zip(op(h, k), shift)]
-    return Cochain(c.degree + 1, tuple(out))
-
-
-def operator_delta(pair: MRBDerPair, bim: Bimodule, c: Cochain,
-                   convention: OperatorMapConvention = DEFAULT_CONVENTION) -> Cochain:
-    """OC^n -> OC^{n+1}: (f, g) |-> (delta f, -modified_delta g - phi f)."""
-    return _graded_delta(
-        lambda f: hochschild_delta(pair, bim, f),
-        lambda g: modified_delta(pair, bim, g),
-        lambda f: operator_map(pair, bim, f, convention),
-        None, c)
-
-
-def pair_delta(pair: MRBDerPair, bim: Bimodule, c: Cochain,
-               convention: OperatorMapConvention = DEFAULT_CONVENTION) -> Cochain:
-    """PC^n -> PC^{n+1}, the full differential of the pair complex."""
-    return _graded_delta(
-        lambda f: hochschild_delta(pair, bim, f),
-        lambda g: modified_delta(pair, bim, g),
-        lambda f: operator_map(pair, bim, f, convention),
-        lambda f: derivation_defect(pair, bim, f),
-        c)
-
-
-# ---------------------------------------------------------------------------
-# flat spaces and matrices
+# flat spaces
 
 
 def hom_space(pair_dim: int, bim_dim: int, n: int, field: Field) -> TensorSpace:
@@ -467,7 +212,7 @@ def PairSpace(field: Field, dim_a: int, dim_m: int, degree: int) -> CochainSpace
 
 
 # ---------------------------------------------------------------------------
-# sparse assembly of D_n: one entry per nonzero structure constant
+# the structure maps as entry lists: one entry per nonzero structure constant
 #
 # A basis cochain of C^n sends e_{j_1..j_n} to e_s and every other basis
 # tuple to 0; it is column J*m + s, where J is (j_1..j_n) read in base
@@ -526,22 +271,50 @@ def _coboundary_entries(F, nA: int, m: int, mu: MultiTensor, left: MultiTensor,
                     yield base + off + s, col, v
 
 
-def _operator_map_entries(F, nA: int, m: int, R: Matrix, R_M: Matrix, kappa, n: int,
-                          convention: OperatorMapConvention):
+def _ce_entries(F, nA: int, m: int, bracket: MultiTensor, rho: MultiTensor, n: int):
+    """The Chevalley-Eilenberg coboundary C^n -> C^{n+1} of :func:`ce_delta`
+    over (bracket, rho): rho(a_p) applied to f without a_p, for each output
+    slot p, and f([a_p, a_q], ..) without a_p, a_q, for each pair p < q."""
+    mul = F.mul
+    rho_terms = [[] for _ in range(m)]        # s -> (x, t, value) of rho(e_x, e_s)
+    for (x, s, t), c in _nonzeros(rho):
+        rho_terms[s].append((x, t, c))
+    br_by_q = [[] for _ in range(nA)]         # q -> (x, y, value) of [e_x, e_y]_q
+    for (x, y, q), c in _nonzeros(bracket):
+        br_by_q[q].append((x, y, c))
+    # 0-based slots; the global (-1)^{n+1} is folded into every sign
+    places = [nA ** (n - p) for p in range(n + 1)]
+    rho_slots = [(lo, _signed(F, _sign_is_plus(n + 1 + p))) for p, lo in enumerate(places)]
+    slot_pairs = [(p, q, _signed(F, _sign_is_plus(n + 1 + p + q)))
+                  for p in range(n + 1) for q in range(p + 1, n + 1)]
+    for J in range(nA ** n):
+        digits = [(J // nA ** (n - 1 - p)) % nA for p in range(n)]
+        br_rows = []                          # (row offset, value), the same for every s
+        for p, q, sign in slot_pairs:
+            for x, y, c in br_by_q[digits[0]]:
+                idx = digits[1:]
+                idx.insert(p, x)
+                idx.insert(q, y)
+                br_rows.append((sum(i * lo for i, lo in zip(idx, places)) * m, mul(sign, c)))
+        for s in range(m):
+            col = J * m + s
+            for lo, sign in rho_slots:
+                head, tail = divmod(J, lo)
+                for x, t, c in rho_terms[s]:
+                    yield ((head * nA + x) * lo + tail) * m + t, col, mul(sign, c)
+            for off, v in br_rows:
+                yield off + s, col, v
+
+
+def _operator_map_entries(F, nA: int, m: int, R: Matrix, R_M: Matrix, kappa, n: int):
     """phi on C^n (see :func:`operator_map`): for each set of bare slots, R in
     the other slots, then the term's coefficient and R_M on the output."""
     mul, add, one = F.mul, F.add, F.one
     neg_kappa = F.neg(kappa)
     coeffs = [(one, False)]                 # |bare| -> (coefficient, R_M applied)
     for r in range(1, n + 1):
-        if r % 2 == 1:
-            coeffs.append((F.neg(F.pow(neg_kappa, (r - 1) // 2)), True))
-        else:
-            e = r // 2 + convention.even_shift
-            if e < 0:
-                raise ValueError("convention exponent went negative")
-            c = F.pow(neg_kappa, e)
-            coeffs.append((F.neg(c) if convention.even_sign < 0 else c, convention.even_rm))
+        c = F.pow(neg_kappa, r // 2)
+        coeffs.append((F.neg(c), True) if r % 2 == 1 else (c, False))
     r_rows = [[(k, v) for k, v in enumerate(row) if not F.is_zero(v)] for row in R.rows]
     rm_cols = [[(t, R_M.rows[t][s]) for t in range(m) if not F.is_zero(R_M.rows[t][s])]
                for s in range(m)]
@@ -590,8 +363,12 @@ def _defect_entries(F, nA: int, m: int, d: Matrix, d_M: Matrix, n: int):
 
 def _graded_blocks(n: int, layers: int) -> list:
     """The differential of OC^n (layers = 2) or PC^n (layers = 4) as blocks
-    (row part, column part, sign is plus, map, arity): the sum of
-    :func:`_graded_delta`, term by term."""
+    (row part, column part, sign is plus, map, arity):
+
+        OC: (f, g)       |-> (delta f, -delta_R g - phi f)
+        PC: (f, g, h, k) |-> (D(f, g), D(h, k) + (-1)^n (Delta f, Delta g))
+
+    where every term in an absent (arity-0) part is left out."""
     def op(part, arity):
         # (f, g) at parts (part, part + 1) |-> (delta f, -delta_R g - phi f)
         out = [(part, part, True, "delta", arity), (part + 1, part, False, "phi", arity)]
@@ -608,17 +385,95 @@ def _graded_blocks(n: int, layers: int) -> list:
     return blocks
 
 
-def _assemble(F, nA: int, m: int, row_arities: tuple, col_arities: tuple, blocks) -> Matrix:
-    """The dense matrix of a map between cochain spaces whose parts have the
-    given arities, from sparse blocks (row part, column part, sign is plus,
-    entries)."""
+@dataclass(frozen=True)
+class _Complex:
+    """The structure maps one complex's entry lists are written from: the
+    coboundary's entry list and its maps, a builder of the induced maps the
+    modified coboundary runs on, (R, R_M, kappa) for phi and (d, d_M) for
+    Delta."""
+
+    field: Field
+    dim_a: int
+    dim_m: int
+    coboundary: Callable
+    maps: tuple
+    induce: Callable
+    R: Matrix
+    R_M: Matrix
+    kappa: object
+    d: Matrix
+    d_M: Matrix
+
+
+def _pair_complex(pair: MRBDerPair, bim: Bimodule) -> _Complex:
+    return _Complex(pair.field, pair.dim, bim.dim_m, _coboundary_entries,
+                    (pair.mu, bim.left, bim.right),
+                    lambda: (induced_mu(pair),) + induced_actions(pair, bim),
+                    pair.R, bim.R_M, pair.kappa, pair.d, bim.d_M)
+
+
+_MATRIX_KINDS = ("hochschild", "modified", "operator_map", "derivation_defect",
+                 "operator", "operator_defect", "pair")
+# the kinds that act on C^n, and the block map each one is
+_CN_MAPS = {"hochschild": "delta", "modified": "mdelta",
+            "operator_map": "phi", "derivation_defect": "defect"}
+
+
+def _blocks(cx: _Complex, n: int, which: str) -> tuple:
+    """The map ``which`` at degree n as (row arities, column arities, blocks),
+    each block (row part, column part, sign is plus, entries).
+
+    The entry cap is checked before any entry is listed, in the order the
+    cochain-by-cochain build of D_n met it: a domain cochain, the induced
+    structures (first for "modified"), a C^{n+1} cochain, the induced
+    structures (otherwise)."""
+    if which in _CN_MAPS:
+        kind = _CN_MAPS[which]
+        cols = (n,)
+        rows = (n + 1,) if kind in ("delta", "mdelta") else cols
+        layout = [(0, 0, True, kind, n)]
+    elif which == "operator_defect":
+        rows = cols = cochain_arities(n, 2)
+        layout = [(i, i, True, "defect", a) for i, a in enumerate(cols)]
+    else:
+        layers = 4 if which == "pair" else 2
+        cols, rows = cochain_arities(n, layers), cochain_arities(n + 1, layers)
+        layout = _graded_blocks(n, layers)
+    F, nA, m = cx.field, cx.dim_a, cx.dim_m
+    _checked_size((nA,) * n, m)
+    induced = None
+    if which == "modified":
+        induced = cx.induce()
+    if rows[0] == n + 1:
+        _checked_size((nA,) * (n + 1), m)
+    if induced is None and any(block[3] == "mdelta" for block in layout):
+        induced = cx.induce()
+
+    def entries(kind, arity):
+        if kind == "delta":
+            return cx.coboundary(F, nA, m, *cx.maps, arity)
+        if kind == "mdelta":
+            return cx.coboundary(F, nA, m, *induced, arity)
+        if kind == "phi":
+            return _operator_map_entries(F, nA, m, cx.R, cx.R_M, cx.kappa, arity)
+        return _defect_entries(F, nA, m, cx.d, cx.d_M, arity)
+
+    return rows, cols, [(i, j, plus, entries(kind, arity)) for i, j, plus, kind, arity in layout]
+
+
+def _assemble(cx: _Complex, n: int, which: str) -> Matrix:
+    """The dense matrix of the map ``which`` at degree n, summed from its
+    blocks."""
+    F, nA, m = cx.field, cx.dim_a, cx.dim_m
+    rows, cols, blocks = _blocks(cx, n, which)
+
     def offsets(arities):
         out = [0]
         for a in arities:
             out.append(out[-1] + nA ** a * m)
         return out
 
-    row_off, col_off = offsets(row_arities), offsets(col_arities)
+    row_off, col_off = offsets(rows), offsets(cols)
     add, neg = F.add, F.neg
     srows = [{} for _ in range(row_off[-1])]
     for i, j, plus, entries in blocks:
@@ -639,62 +494,102 @@ def _assemble(F, nA: int, m: int, row_arities: tuple, col_arities: tuple, blocks
     return Matrix(F, tuple(out))
 
 
-_MATRIX_KINDS = ("hochschild", "modified", "operator_map", "derivation_defect",
-                 "operator", "operator_defect", "pair")
-# the kinds that act on C^n, and the block map each one is
-_CN_MAPS = {"hochschild": "delta", "modified": "mdelta",
-            "operator_map": "phi", "derivation_defect": "defect"}
+def _evaluate(cx: _Complex, n: int, which: str, parts: tuple) -> tuple:
+    """The parts of the image of the cochain with these parts under the map
+    ``which`` at degree n: each block adds v * x[c] to row r for every entry
+    (r, c, v) with x[c] nonzero.  The matrix is never built, and a block
+    whose column part is zero lists no entries."""
+    F, nA, m = cx.field, cx.dim_a, cx.dim_m
+    rows, _, blocks = _blocks(cx, n, which)
+    out = [[F.zero] * (nA ** a * m) for a in rows]
+    live = [{c: p.entries[c] for c in _nonzero_positions(F, p.entries)} for p in parts]
+    mul = F.mul
+    for i, j, plus, entries in blocks:
+        if not live[j]:
+            continue
+        acc, op = out[i], (F.add if plus else F.sub)
+        for r, c, v in entries:
+            xc = live[j].get(c)
+            if xc is not None:
+                acc[r] = op(acc[r], mul(v, xc))
+    return tuple(MultiTensor(F, (nA,) * a, m, tuple(acc)) for a, acc in zip(rows, out))
 
 
-def differential_matrix(pair: MRBDerPair, bim: Bimodule, n: int, which: str,
-                        convention: OperatorMapConvention = DEFAULT_CONVENTION) -> Matrix:
+def _check_cochain_shape(cx: _Complex, f: MultiTensor):
+    n, m = cx.dim_a, cx.dim_m
+    if f.dims != (n,) * f.arity or f.cod != m:
+        raise ShapeError("cochain must map A^%d -> M" % f.arity)
+    if f.arity < 1:
+        raise ShapeError("cochain degree must be >= 1")
+
+
+def _apply(cx: _Complex, which: str, f: MultiTensor) -> MultiTensor:
+    """A map on C^n applied to one Hochschild cochain."""
+    _check_cochain_shape(cx, f)
+    return _evaluate(cx, f.arity, which, (f,))[0]
+
+
+def _apply_graded(cx: _Complex, layers: int, c: Cochain) -> Cochain:
+    """The differential of OC^n (layers = 2) or PC^n (layers = 4) applied to
+    one cochain."""
+    if c.arities != cochain_arities(c.degree, layers):
+        raise ShapeError("expected a cochain in %s^%d"
+                         % ("OC" if layers == 2 else "PC", c.degree))
+    for p in c.parts:
+        _check_cochain_shape(cx, p)
+    which = "operator" if layers == 2 else "pair"
+    return Cochain(c.degree + 1, _evaluate(cx, c.degree, which, c.parts))
+
+
+def hochschild_delta(pair: MRBDerPair, bim: Bimodule, f: MultiTensor) -> MultiTensor:
+    """Hochschild coboundary C^n -> C^{n+1} with bimodule coefficients."""
+    return _apply(_pair_complex(pair, bim), "hochschild", f)
+
+
+def modified_delta(pair: MRBDerPair, bim: Bimodule, f: MultiTensor) -> MultiTensor:
+    """Coboundary C^n -> C^{n+1} over the induced multiplication and actions:
+
+        (d_R f)(a_1..a_{n+1}) =
+            (-1)^{n+1} [ l(R a_1, f(..)) - R_M l(a_1, f(..)) ]
+            + r(f(..), R a_{n+1}) - R_M r(f(..), a_{n+1})
+            + sum_i (-1)^{i+n+1} f(.., mu(R a_i, a_{i+1}) + mu(a_i, R a_{i+1}), ..)
+    """
+    return _apply(_pair_complex(pair, bim), "modified", f)
+
+
+def operator_map(pair: MRBDerPair, bim: Bimodule, f: MultiTensor) -> MultiTensor:
+    """The chain map phi: C^n -> C^n built from (R, R_M, kappa)."""
+    return _apply(_pair_complex(pair, bim), "operator_map", f)
+
+
+def derivation_defect(pair: MRBDerPair, bim: Bimodule, f: MultiTensor) -> MultiTensor:
+    """Delta(f) = sum_j f(.., d(.), ..) - d_M . f."""
+    return _apply(_pair_complex(pair, bim), "derivation_defect", f)
+
+
+def operator_delta(pair: MRBDerPair, bim: Bimodule, c: Cochain) -> Cochain:
+    """OC^n -> OC^{n+1}: (f, g) |-> (delta f, -modified_delta g - phi f)."""
+    return _apply_graded(_pair_complex(pair, bim), 2, c)
+
+
+def pair_delta(pair: MRBDerPair, bim: Bimodule, c: Cochain) -> Cochain:
+    """PC^n -> PC^{n+1}, the full differential of the pair complex."""
+    return _apply_graded(_pair_complex(pair, bim), 4, c)
+
+
+def differential_matrix(pair: MRBDerPair, bim: Bimodule, n: int, which: str) -> Matrix:
     """Flatten one of the structure maps at degree n to a matrix.
 
     ``which``: hochschild, modified, operator_map, derivation_defect act on
     C^n; operator, operator_defect act on OC^n; pair acts on PC^n.  The
     matrix is assembled from the structure constants, one entry per nonzero
-    constant; it equals ``operator_matrix`` of the cochain-level map.
+    constant.
     """
     if which not in _MATRIX_KINDS:
         raise ValueError("unknown map %r" % (which,))
     if not (1 <= n <= MAX_MATRIX_DEGREE):
         raise DegreeCapExceeded("matrices are supported for degrees 1..%d" % MAX_MATRIX_DEGREE)
-    F, nA, m = pair.field, pair.dim, bim.dim_m
-    if which in _CN_MAPS:
-        kind = _CN_MAPS[which]
-        cols = (n,)
-        rows = (n + 1,) if kind in ("delta", "mdelta") else cols
-        blocks = [(0, 0, True, kind, n)]
-    elif which == "operator_defect":
-        rows = cols = cochain_arities(n, 2)
-        blocks = [(i, i, True, "defect", a) for i, a in enumerate(cols)]
-    else:
-        layers = 4 if which == "pair" else 2
-        cols, rows = cochain_arities(n, layers), cochain_arities(n + 1, layers)
-        blocks = _graded_blocks(n, layers)
-    # the entry cap, in the order the cochain-level maps would meet it: a
-    # domain cochain, the induced structures (first for "modified"), a
-    # C^{n+1} cochain, the induced structures (otherwise)
-    _checked_size((nA,) * n, m)
-    induced = None
-    if which == "modified":
-        induced = (induced_mu(pair),) + induced_actions(pair, bim)
-    if rows[0] == n + 1:
-        _checked_size((nA,) * (n + 1), m)
-    if induced is None and any(block[3] == "mdelta" for block in blocks):
-        induced = (induced_mu(pair),) + induced_actions(pair, bim)
-
-    def entries(kind, arity):
-        if kind == "delta":
-            return _coboundary_entries(F, nA, m, pair.mu, bim.left, bim.right, arity)
-        if kind == "mdelta":
-            return _coboundary_entries(F, nA, m, *induced, arity)
-        if kind == "phi":
-            return _operator_map_entries(F, nA, m, pair.R, bim.R_M, pair.kappa, arity, convention)
-        return _defect_entries(F, nA, m, pair.d, bim.d_M, arity)
-
-    return _assemble(F, nA, m, rows, cols,
-                     [(i, j, plus, entries(kind, arity)) for i, j, plus, kind, arity in blocks])
+    return _assemble(_pair_complex(pair, bim), n, which)
 
 
 @dataclass(frozen=True)
@@ -706,8 +601,7 @@ class CohomologyResult:
     representatives: tuple  # PC^n cochains spanning a complement of B in Z
 
 
-def cohomology(pair: MRBDerPair, bim: Bimodule, n: int,
-               convention: OperatorMapConvention = DEFAULT_CONVENTION) -> CohomologyResult:
+def cohomology(pair: MRBDerPair, bim: Bimodule, n: int) -> CohomologyResult:
     """H^n of the pair complex; B^1 = 0 by convention.
 
     Representatives are canonical: RREF rows of the cocycle space whose pivots
@@ -717,13 +611,13 @@ def cohomology(pair: MRBDerPair, bim: Bimodule, n: int,
         raise DegreeCapExceeded("cohomology is supported for degrees 1..%d" % MAX_COHOMOLOGY_DEGREE)
     F = pair.field
     space = PairSpace(F, pair.dim, bim.dim_m, n)
-    d_n = differential_matrix(pair, bim, n, "pair", convention)
+    d_n = differential_matrix(pair, bim, n, "pair")
     _, kernel = rank_and_kernel(d_n)
     z_basis, z_pivots = rref_vectors(F, kernel)
     if n == 1:
         b_basis, b_pivots = [], []
     else:
-        d_prev = differential_matrix(pair, bim, n - 1, "pair", convention)
+        d_prev = differential_matrix(pair, bim, n - 1, "pair")
         b_basis, b_pivots = rref_vectors(F, d_prev.transpose().rows)
     if not set(b_pivots) <= set(z_pivots):
         # would mean the differential does not square to zero
@@ -783,41 +677,6 @@ def _rho_of(lp: LiePair):
     return lp.bracket, lp.R, lp.d
 
 
-def ce_delta(lp: LiePair, f: MultiTensor) -> MultiTensor:
-    """Chevalley-Eilenberg coboundary with the same global (-1)^{n+1}
-    normalization as :func:`hochschild_delta`:
-
-        (d f)(a_1..a_{n+1}) = (-1)^{n+1} * [
-            sum_i (-1)^{i+1} rho(a_i) f(.. a_i^ ..)
-            + sum_{i<j} (-1)^{i+j} f([a_i,a_j], .. a_i^ .. a_j^ ..) ]
-    """
-    F, nA = lp.field, lp.dim
-    rho, _, _ = _rho_of(lp)
-    m = rho.dims[1]
-    n = f.arity
-    if f.dims != (nA,) * n or f.cod != m:
-        raise ShapeError("cochain must map A^%d -> M" % n)
-    if f.is_zero():
-        return MultiTensor.zeros(F, (nA,) * (n + 1), m)
-    out = []
-    norm_plus = _sign_is_plus(n + 1)
-    for idx in _index_tuples((nA,) * (n + 1)):
-        acc = [F.zero] * m
-        for i in range(1, n + 2):
-            rest = idx[:i - 1] + idx[i:]
-            fv = f.value_at(*rest)
-            term = _act_left(F, rho, idx[i - 1], fv)
-            _vacc(F, acc, term, _sign_is_plus(i + 1) == norm_plus)
-        for i in range(1, n + 2):
-            for j in range(i + 1, n + 2):
-                vec = lp.bracket.value_at(idx[i - 1], idx[j - 1])
-                rest = idx[:i - 1] + idx[i:j - 1] + idx[j:]
-                term = _eval_slot_vec(F, f, rest, 0, vec)
-                _vacc(F, acc, term, _sign_is_plus(i + j) == norm_plus)
-        out.extend(acc)
-    return MultiTensor(F, (nA,) * (n + 1), m, tuple(out))
-
-
 def induced_lie_pair(lp: LiePair) -> LiePair:
     """Bracket [a,b]_R = [Ra,b] + [a,Rb] with rho~(a) = rho(Ra) - R_M rho(a)."""
     br = lp.bracket.precompose_slot(0, lp.R) + lp.bracket.precompose_slot(1, lp.R)
@@ -826,25 +685,37 @@ def induced_lie_pair(lp: LiePair) -> LiePair:
     return LiePair(lp.field, lp.dim, br, lp.R, lp.d, lp.kappa, rho_t, R_M, d_M)
 
 
-def lie_operator_map(lp: LiePair, f: MultiTensor,
-                     convention: OperatorMapConvention = DEFAULT_CONVENTION) -> MultiTensor:
-    _, R_M, _ = _rho_of(lp)
-    return _operator_map_core(lp.field, lp.R, R_M, lp.kappa, f, convention)
+def _lie_complex(lp: LiePair) -> _Complex:
+    rho, R_M, d_M = _rho_of(lp)
+
+    def induce():
+        ind = induced_lie_pair(lp)
+        return ind.bracket, ind.rho
+
+    return _Complex(lp.field, lp.dim, rho.dims[1], _ce_entries, (lp.bracket, rho), induce,
+                    lp.R, R_M, lp.kappa, lp.d, d_M)
+
+
+def ce_delta(lp: LiePair, f: MultiTensor) -> MultiTensor:
+    """Chevalley-Eilenberg coboundary with the same global (-1)^{n+1}
+    normalization as :func:`hochschild_delta`:
+
+        (d f)(a_1..a_{n+1}) = (-1)^{n+1} * [
+            sum_i (-1)^{i+1} rho(a_i) f(.. a_i^ ..)
+            + sum_{i<j} (-1)^{i+j} f([a_i,a_j], .. a_i^ .. a_j^ ..) ]
+    """
+    return _apply(_lie_complex(lp), "hochschild", f)
+
+
+def lie_operator_map(lp: LiePair, f: MultiTensor) -> MultiTensor:
+    return _apply(_lie_complex(lp), "operator_map", f)
 
 
 def lie_derivation_defect(lp: LiePair, f: MultiTensor) -> MultiTensor:
-    _, _, d_M = _rho_of(lp)
-    return _derivation_defect_core(lp.field, lp.d, d_M, f)
+    return _apply(_lie_complex(lp), "derivation_defect", f)
 
 
-def lie_pair_delta(lp: LiePair, c: Cochain,
-                   convention: OperatorMapConvention = DEFAULT_CONVENTION) -> Cochain:
+def lie_pair_delta(lp: LiePair, c: Cochain) -> Cochain:
     """The pair differential with the CE coboundaries of ``lp`` and of its
     induced Lie pair in place of the Hochschild ones."""
-    ind = induced_lie_pair(lp)
-    return _graded_delta(
-        lambda f: ce_delta(lp, f),
-        lambda g: ce_delta(ind, g),
-        lambda f: lie_operator_map(lp, f, convention),
-        lambda f: lie_derivation_defect(lp, f),
-        c)
+    return _apply_graded(_lie_complex(lp), 4, c)

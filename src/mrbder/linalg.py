@@ -566,17 +566,3 @@ class TensorSpace:
             ent[k] = F.one
             yield MultiTensor(F, self.dims, self.cod, tuple(ent))
 
-
-def operator_matrix(dom, cod, fn: Callable) -> Matrix:
-    """Matrix of a linear map given by its action on basis elements.
-
-    ``dom``/``cod`` expose dim, basis(), flatten(); column j of the result is
-    cod.flatten(fn(j-th basis element)).
-    """
-    F = dom.field
-    cols = []
-    for b in dom.basis():
-        cols.append(cod.flatten(fn(b)))
-    nrows = cod.dim
-    rows = tuple(tuple(col[i] for col in cols) for i in range(nrows))
-    return Matrix(F, rows)

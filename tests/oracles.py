@@ -4,18 +4,28 @@
   zeros included, and rebuilds each row it touches.  ``dense_rank_and_kernel``,
   ``dense_rref_vectors``, ``dense_solve_linear`` and ``dense_inverse`` are the
   solvers of ``mrbder.linalg`` written on top of it.
-* ``cochain_map``: a structure map as the cochain-level function
-  (``hochschild_delta``, ``modified_delta``, ``operator_map``,
-  ``derivation_defect``, ``operator_delta``, ``pair_delta``) with its domain
-  and codomain spaces, so that ``operator_matrix`` builds its matrix one
-  basis cochain at a time.
+* The structure maps of the complex as literal transcriptions of their
+  formulas, evaluated on one cochain at a time: ``hochschild_delta``, the
+  twins ``modified_delta`` (written out) and ``modified_delta_via_induced``
+  (the coboundary over the induced structures), ``operator_map``,
+  ``derivation_defect``, the graded ``operator_delta`` and ``pair_delta``,
+  and on the Lie side ``ce_delta``, ``lie_operator_map``,
+  ``lie_derivation_defect`` and ``lie_pair_delta``.  The engine implements
+  each of them once, as the entry lists of ``mrbder.cohomology``.
+* The family of twelve ``OperatorMapConvention`` candidates for the even-|S|
+  coefficient of phi, which ``tools/calibrate_phi.py`` calibrates; the
+  engine hard-codes the winner, ``DEFAULT_CONVENTION``.
+* ``operator_matrix`` builds the matrix of a map one basis element at a
+  time, and ``cochain_map`` gives the transcription of each kind of
+  ``differential_matrix`` with its domain and codomain spaces.
 """
 
-from mrbder.cohomology import (DEFAULT_CONVENTION, Cochain, CochainSpace, PairSpace,
-                               cochain_arities, derivation_defect, hochschild_delta,
-                               hom_space, modified_delta, operator_delta, operator_map,
-                               pair_delta)
-from mrbder.linalg import Matrix, ShapeError
+from dataclasses import dataclass
+from typing import Callable
+
+from mrbder.cohomology import (Cochain, CochainSpace, PairSpace, _rho_of, cochain_arities,
+                               hom_space, induced_actions, induced_lie_pair, induced_mu)
+from mrbder.linalg import Matrix, MultiTensor, ShapeError, _index_tuples
 
 
 def dense_rref(field, rows):
@@ -107,10 +117,352 @@ def dense_inverse(m: Matrix) -> Matrix:
     return Matrix(F, tuple(tuple(row[n:]) for row in aug))
 
 
+
+def operator_matrix(dom, cod, fn: Callable) -> Matrix:
+    """Matrix of a linear map given by its action on basis elements.
+
+    ``dom``/``cod`` expose dim, basis(), flatten(); column j of the result is
+    cod.flatten(fn(j-th basis element)).
+    """
+    F = dom.field
+    cols = []
+    for b in dom.basis():
+        cols.append(cod.flatten(fn(b)))
+    nrows = cod.dim
+    rows = tuple(tuple(col[i] for col in cols) for i in range(nrows))
+    return Matrix(F, rows)
+
+
+# ---------------------------------------------------------------------------
+# the structure maps, transcribed from their formulas
+
+
+def _sign_is_plus(k: int) -> bool:
+    # true when (-1)^k = +1
+    return k % 2 == 0
+
+
+def _vacc(F, acc, vec, plus: bool):
+    if plus:
+        for t, v in enumerate(vec):
+            if not F.is_zero(v):
+                acc[t] = F.add(acc[t], v)
+    else:
+        for t, v in enumerate(vec):
+            if not F.is_zero(v):
+                acc[t] = F.sub(acc[t], v)
+
+
+def _act_left(F, left, i, vec):
+    """l(e_i, vec) for a codomain vector ``vec``."""
+    m = left.cod
+    acc = [F.zero] * m
+    for s, c in enumerate(vec):
+        if F.is_zero(c):
+            continue
+        w = left.value_at(i, s)
+        for t in range(m):
+            if not F.is_zero(w[t]):
+                acc[t] = F.add(acc[t], F.mul(c, w[t]))
+    return acc
+
+
+def _act_right(F, right, vec, j):
+    m = right.cod
+    acc = [F.zero] * m
+    for s, c in enumerate(vec):
+        if F.is_zero(c):
+            continue
+        w = right.value_at(s, j)
+        for t in range(m):
+            if not F.is_zero(w[t]):
+                acc[t] = F.add(acc[t], F.mul(c, w[t]))
+    return acc
+
+
+def _eval_slot_vec(F, f, rest, pos, vec):
+    """f on basis indices ``rest`` with a coordinate vector spliced in at ``pos``."""
+    m = f.cod
+    acc = [F.zero] * m
+    for s, c in enumerate(vec):
+        if F.is_zero(c):
+            continue
+        w = f.value_at(*rest[:pos], s, *rest[pos:])
+        for t in range(m):
+            if not F.is_zero(w[t]):
+                acc[t] = F.add(acc[t], F.mul(c, w[t]))
+    return acc
+
+
+def _check_cochain_shape(pair, bim, f: MultiTensor):
+    n, m = pair.dim, bim.dim_m
+    if f.dims != (n,) * f.arity or f.cod != m:
+        raise ShapeError("cochain must map A^%d -> M" % f.arity)
+    if f.arity < 1:
+        raise ShapeError("cochain degree must be >= 1")
+
+
+def _hochschild_delta_core(F, nA, mu, left, right, f) -> MultiTensor:
+    n = f.arity
+    m = f.cod
+    if f.is_zero():
+        return MultiTensor.zeros(F, (nA,) * (n + 1), m)
+    first_plus = _sign_is_plus(n + 1)
+    out = []
+    for idx in _index_tuples((nA,) * (n + 1)):
+        acc = [F.zero] * m
+        _vacc(F, acc, _act_left(F, left, idx[0], f.value_at(*idx[1:])), first_plus)
+        _vacc(F, acc, _act_right(F, right, f.value_at(*idx[:n]), idx[n]), True)
+        for i in range(1, n + 1):
+            vec = mu.value_at(idx[i - 1], idx[i])
+            rest = idx[:i - 1] + idx[i + 1:]
+            term = _eval_slot_vec(F, f, rest, i - 1, vec)
+            _vacc(F, acc, term, _sign_is_plus(i + n + 1))
+        out.extend(acc)
+    return MultiTensor(F, (nA,) * (n + 1), m, tuple(out))
+
+
+def hochschild_delta(pair, bim, f: MultiTensor) -> MultiTensor:
+    """Hochschild coboundary C^n -> C^{n+1} with bimodule coefficients."""
+    _check_cochain_shape(pair, bim, f)
+    return _hochschild_delta_core(pair.field, pair.dim, pair.mu, bim.left, bim.right, f)
+
+
+def modified_delta(pair, bim, f: MultiTensor) -> MultiTensor:
+    """Coboundary over the induced multiplication and actions, written out
+    directly:
+
+        (d_R f)(a_1..a_{n+1}) =
+            (-1)^{n+1} [ l(R a_1, f(..)) - R_M l(a_1, f(..)) ]
+            + r(f(..), R a_{n+1}) - R_M r(f(..), a_{n+1})
+            + sum_i (-1)^{i+n+1} f(.., mu(R a_i, a_{i+1}) + mu(a_i, R a_{i+1}), ..)
+    """
+    _check_cochain_shape(pair, bim, f)
+    F, nA = pair.field, pair.dim
+    n, m = f.arity, f.cod
+    if f.is_zero():
+        return MultiTensor.zeros(F, (nA,) * (n + 1), m)
+    mu_r = induced_mu(pair)
+    lR = bim.left.precompose_slot(0, pair.R)
+    rR = bim.right.precompose_slot(1, pair.R)
+    R_M = bim.R_M
+    first_plus = _sign_is_plus(n + 1)
+    out = []
+    for idx in _index_tuples((nA,) * (n + 1)):
+        acc = [F.zero] * m
+        fv = f.value_at(*idx[1:])
+        _vacc(F, acc, _act_left(F, lR, idx[0], fv), first_plus)
+        _vacc(F, acc, R_M.apply(_act_left(F, bim.left, idx[0], fv)), not first_plus)
+        fv = f.value_at(*idx[:n])
+        _vacc(F, acc, _act_right(F, rR, fv, idx[n]), True)
+        _vacc(F, acc, R_M.apply(_act_right(F, bim.right, fv, idx[n])), False)
+        for i in range(1, n + 1):
+            vec = mu_r.value_at(idx[i - 1], idx[i])
+            rest = idx[:i - 1] + idx[i + 1:]
+            term = _eval_slot_vec(F, f, rest, i - 1, vec)
+            _vacc(F, acc, term, _sign_is_plus(i + n + 1))
+        out.extend(acc)
+    return MultiTensor(F, (nA,) * (n + 1), m, tuple(out))
+
+
+def modified_delta_via_induced(pair, bim, f: MultiTensor) -> MultiTensor:
+    """Same map computed through the induced structures; cross-check twin of
+    :func:`modified_delta`."""
+    _check_cochain_shape(pair, bim, f)
+    lt, rt = induced_actions(pair, bim)
+    return _hochschild_delta_core(pair.field, pair.dim, induced_mu(pair), lt, rt, f)
+
+
+@dataclass(frozen=True)
+class OperatorMapConvention:
+    """Coefficient convention for the even-|S| terms of ``operator_map``.
+
+    even exponent on (-kappa) is |S|/2 + even_shift; even_sign flips the term;
+    even_rm applies R_M to it.  The default is the calibrated winner."""
+
+    even_shift: int = 0
+    even_sign: int = 1
+    even_rm: bool = False
+
+
+DEFAULT_CONVENTION = OperatorMapConvention()
+
+
+def convention_candidates() -> list:
+    return [OperatorMapConvention(sh, sg, rm)
+            for sh in (1, 0, -1) for sg in (-1, 1) for rm in (True, False)]
+
+
+def _operator_map_core(F, R: Matrix, R_M: Matrix, kappa, f: MultiTensor,
+                       convention: OperatorMapConvention) -> MultiTensor:
+    n = f.arity
+    if f.is_zero():
+        return MultiTensor.zeros(F, f.dims, f.cod)
+    full = (1 << n) - 1
+    # g[mask] = f with R fed into every slot of mask
+    g = [None] * (full + 1)
+    g[0] = f
+    for mask in range(1, full + 1):
+        low = (mask & -mask).bit_length() - 1
+        g[mask] = g[mask & (mask - 1)].precompose_slot(low, R)
+    neg_kappa = F.neg(kappa)
+    acc = g[full]
+    for bare in range(1, full + 1):
+        r = bare.bit_count()
+        t = g[full ^ bare]
+        if r % 2 == 1:
+            coeff = F.neg(F.pow(neg_kappa, (r - 1) // 2))
+            term = t.postcompose(R_M).scale(coeff)
+        else:
+            e = r // 2 + convention.even_shift
+            if e < 0:
+                raise ValueError("convention exponent went negative")
+            coeff = F.pow(neg_kappa, e)
+            if convention.even_sign < 0:
+                coeff = F.neg(coeff)
+            term = (t.postcompose(R_M) if convention.even_rm else t).scale(coeff)
+        acc = acc + term
+    return acc
+
+
+def operator_map(pair, bim, f: MultiTensor,
+                 convention: OperatorMapConvention = DEFAULT_CONVENTION) -> MultiTensor:
+    """The chain map phi: C^n -> C^n built from (R, R_M, kappa)."""
+    _check_cochain_shape(pair, bim, f)
+    return _operator_map_core(pair.field, pair.R, bim.R_M, pair.kappa, f, convention)
+
+
+def _derivation_defect_core(F, d: Matrix, d_M: Matrix, f: MultiTensor) -> MultiTensor:
+    if f.is_zero():
+        return MultiTensor.zeros(F, f.dims, f.cod)
+    acc = -(f.postcompose(d_M))
+    for j in range(f.arity):
+        acc = acc + f.precompose_slot(j, d)
+    return acc
+
+
+def derivation_defect(pair, bim, f: MultiTensor) -> MultiTensor:
+    """Delta(f) = sum_j f(.., d(.), ..) - d_M . f."""
+    _check_cochain_shape(pair, bim, f)
+    return _derivation_defect_core(pair.field, pair.d, bim.d_M, f)
+
+
+def _graded_delta(delta, mdelta, phi, defect, c: Cochain) -> Cochain:
+    """The differential of OC^n built from (delta, delta_R, phi), or of PC^n
+    when the derivation defect Delta is given too:
+
+        OC: (f, g)       |-> (delta f, -delta_R g - phi f)
+        PC: (f, g, h, k) |-> (D(f, g), D(h, k) + (-1)^n (Delta f, Delta g))
+
+    where every term in an absent (arity-0) part is left out.
+    """
+    layers = 2 if defect is None else 4
+    if c.arities != cochain_arities(c.degree, layers):
+        raise ShapeError("expected a cochain in %s^%d"
+                         % ("OC" if defect is None else "PC", c.degree))
+
+    def op(f, g):
+        return [delta(f), -phi(f) if g is None else -(mdelta(g)) - phi(f)]
+
+    f, g, h, k = c.parts + (None,) * (4 - len(c.parts))
+    out = op(f, g)
+    if defect is not None:
+        shift = [defect(x) for x in (f, g) if x is not None]
+        if not _sign_is_plus(c.degree):
+            shift = [-x for x in shift]
+        out += shift if h is None else [a + b for a, b in zip(op(h, k), shift)]
+    return Cochain(c.degree + 1, tuple(out))
+
+
+def operator_delta(pair, bim, c: Cochain,
+                   convention: OperatorMapConvention = DEFAULT_CONVENTION) -> Cochain:
+    """OC^n -> OC^{n+1}: (f, g) |-> (delta f, -modified_delta g - phi f)."""
+    return _graded_delta(
+        lambda f: hochschild_delta(pair, bim, f),
+        lambda g: modified_delta(pair, bim, g),
+        lambda f: operator_map(pair, bim, f, convention),
+        None, c)
+
+
+def pair_delta(pair, bim, c: Cochain,
+               convention: OperatorMapConvention = DEFAULT_CONVENTION) -> Cochain:
+    """PC^n -> PC^{n+1}, the full differential of the pair complex."""
+    return _graded_delta(
+        lambda f: hochschild_delta(pair, bim, f),
+        lambda g: modified_delta(pair, bim, g),
+        lambda f: operator_map(pair, bim, f, convention),
+        lambda f: derivation_defect(pair, bim, f),
+        c)
+
+
+def ce_delta(lp, f: MultiTensor) -> MultiTensor:
+    """Chevalley-Eilenberg coboundary with the same global (-1)^{n+1}
+    normalization as :func:`hochschild_delta`:
+
+        (d f)(a_1..a_{n+1}) = (-1)^{n+1} * [
+            sum_i (-1)^{i+1} rho(a_i) f(.. a_i^ ..)
+            + sum_{i<j} (-1)^{i+j} f([a_i,a_j], .. a_i^ .. a_j^ ..) ]
+    """
+    F, nA = lp.field, lp.dim
+    rho, _, _ = _rho_of(lp)
+    m = rho.dims[1]
+    n = f.arity
+    if f.dims != (nA,) * n or f.cod != m:
+        raise ShapeError("cochain must map A^%d -> M" % n)
+    if f.is_zero():
+        return MultiTensor.zeros(F, (nA,) * (n + 1), m)
+    out = []
+    norm_plus = _sign_is_plus(n + 1)
+    for idx in _index_tuples((nA,) * (n + 1)):
+        acc = [F.zero] * m
+        for i in range(1, n + 2):
+            rest = idx[:i - 1] + idx[i:]
+            fv = f.value_at(*rest)
+            term = _act_left(F, rho, idx[i - 1], fv)
+            _vacc(F, acc, term, _sign_is_plus(i + 1) == norm_plus)
+        for i in range(1, n + 2):
+            for j in range(i + 1, n + 2):
+                vec = lp.bracket.value_at(idx[i - 1], idx[j - 1])
+                rest = idx[:i - 1] + idx[i:j - 1] + idx[j:]
+                term = _eval_slot_vec(F, f, rest, 0, vec)
+                _vacc(F, acc, term, _sign_is_plus(i + j) == norm_plus)
+        out.extend(acc)
+    return MultiTensor(F, (nA,) * (n + 1), m, tuple(out))
+
+
+def lie_operator_map(lp, f: MultiTensor,
+                     convention: OperatorMapConvention = DEFAULT_CONVENTION) -> MultiTensor:
+    _, R_M, _ = _rho_of(lp)
+    return _operator_map_core(lp.field, lp.R, R_M, lp.kappa, f, convention)
+
+
+def lie_derivation_defect(lp, f: MultiTensor) -> MultiTensor:
+    _, _, d_M = _rho_of(lp)
+    return _derivation_defect_core(lp.field, lp.d, d_M, f)
+
+
+def lie_pair_delta(lp, c: Cochain,
+                   convention: OperatorMapConvention = DEFAULT_CONVENTION) -> Cochain:
+    """The pair differential with the CE coboundaries of ``lp`` and of its
+    induced Lie pair in place of the Hochschild ones."""
+    ind = induced_lie_pair(lp)
+    return _graded_delta(
+        lambda f: ce_delta(lp, f),
+        lambda g: ce_delta(ind, g),
+        lambda f: lie_operator_map(lp, f, convention),
+        lambda f: lie_derivation_defect(lp, f),
+        c)
+
+
+# ---------------------------------------------------------------------------
+# the kinds of differential_matrix as cochain maps
+
+
 def cochain_map(pair, bim, n, which, convention=DEFAULT_CONVENTION):
     """(domain, codomain, map) of the structure map ``which`` at degree n, the
-    map acting on cochains; ``operator_matrix`` of it is the oracle for
-    ``differential_matrix(pair, bim, n, which, convention)``."""
+    transcription acting on cochains; ``operator_matrix`` of it is the oracle
+    for ``differential_matrix(pair, bim, n, which)`` when ``convention`` is
+    ``DEFAULT_CONVENTION``."""
     F, nA, m = pair.field, pair.dim, bim.dim_m
     if which in ("hochschild", "modified", "operator_map", "derivation_defect"):
         dom = hom_space(nA, m, n, F)

@@ -11,8 +11,7 @@ import random
 import time
 from pathlib import Path
 
-from mrbder.cohomology import (DEFAULT_CONVENTION, Cochain, PairSpace,
-                               ce_delta, cohomology, convention_candidates,
+from mrbder.cohomology import (Cochain, PairSpace, ce_delta, cohomology,
                                differential_matrix, hochschild_delta,
                                hom_space, lie_pair_delta, operator_map,
                                pair_delta, skew_cochain, skew_symmetrize)
@@ -32,6 +31,8 @@ from mrbder.linalg import (Matrix, MultiTensor, matrix_as_tensor,
 from mrbder.structures import (Algebra, MRBDerPair, adjoint_bimodule,
                                check_bimodule, dual_algebra, dual_pair,
                                scalar_pair, verify_pair, zero_pair)
+
+from oracles import DEFAULT_CONVENTION, cochain_map, convention_candidates, operator_matrix
 
 F5 = Field.prime(5)
 F2 = Field.prime(2)
@@ -190,17 +191,21 @@ def test_03_operator_map_calibration():
               scalar_pair(dual_algebra(QQ), QQ.zero), dual_pair(F5)):
         panel.append((p, adjoint_bimodule(p)))
 
+    # candidate matrices from the transcribed phi and pair maps
+    def candidate(pair, bim, n, which, conv):
+        return operator_matrix(*cochain_map(pair, bim, n, which, conv))
+
     winners = []
     for conv in convention_candidates():
         ok = True
         for pair, bim in panel:
             for n in (1, 2):
-                phi_n = differential_matrix(pair, bim, n, "operator_map", conv)
-                phi_next = differential_matrix(pair, bim, n + 1, "operator_map", conv)
+                phi_n = candidate(pair, bim, n, "operator_map", conv)
+                phi_next = candidate(pair, bim, n + 1, "operator_map", conv)
                 hoch = differential_matrix(pair, bim, n, "hochschild")
                 mod = differential_matrix(pair, bim, n, "modified")
-                d_n = differential_matrix(pair, bim, n, "pair", conv)
-                d_next = differential_matrix(pair, bim, n + 1, "pair", conv)
+                d_n = candidate(pair, bim, n, "pair", conv)
+                d_next = candidate(pair, bim, n + 1, "pair", conv)
                 if not (phi_next * hoch - mod * phi_n).is_zero():
                     ok = False
                     break
@@ -212,6 +217,13 @@ def test_03_operator_map_calibration():
         if ok:
             winners.append(conv)
     assert winners == [DEFAULT_CONVENTION]
+
+    # the engine hard-codes the winner: its phi and pair matrices are the winner's
+    for pair, bim in panel:
+        for n in (1, 2, 3):
+            for which in ("operator_map", "pair"):
+                assert (differential_matrix(pair, bim, n, which).rows
+                        == candidate(pair, bim, n, which, winners[0]).rows), (n, which)
 
     # the winner stays a chain map on random instances, and it kills the
     # product cochain on adjoint coefficients

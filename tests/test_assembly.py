@@ -1,21 +1,22 @@
-"""The sparse assembly of D_n against the cochain-level maps.
+"""The sparse assembly of D_n against the transcribed cochain-level maps.
 
 ``differential_matrix`` writes each structure map down from the structure
 constants; the oracle builds the same matrix one basis cochain at a time
-through ``hochschild_delta``, ``modified_delta``, ``operator_map``,
-``derivation_defect``, ``operator_delta`` and ``pair_delta``.
+through the transcriptions of ``hochschild_delta``, ``modified_delta``,
+``operator_map``, ``derivation_defect``, ``operator_delta`` and
+``pair_delta`` in ``oracles``.
 """
 
 import pytest
 
-from mrbder.cohomology import DEFAULT_CONVENTION, convention_candidates, differential_matrix
+from mrbder.cohomology import differential_matrix
 from mrbder.constructions import direct_sum
 from mrbder.fields import Field, QQ
 from mrbder.fuzzing import random_instances
-from mrbder.linalg import operator_matrix
-from mrbder.structures import adjoint_bimodule, dual_pair, upper_triangular_pair
+from mrbder.structures import (adjoint_bimodule, dual_algebra, dual_pair, scalar_pair,
+                               upper_triangular_pair)
 
-from oracles import cochain_map
+from oracles import DEFAULT_CONVENTION, cochain_map, convention_candidates, operator_matrix
 
 F5 = Field.prime(5)
 FIELDS = {"Q": QQ, "F5": F5}
@@ -35,10 +36,10 @@ def fixture_pair(F, name):
             "dual+dual": direct_sum(dual, dual)}[name]
 
 
-def assert_matches_oracle(pair, bim, n, which, convention=DEFAULT_CONVENTION, stride=1):
+def assert_matches_oracle(pair, bim, n, which, stride=1):
     F = pair.field
-    got = differential_matrix(pair, bim, n, which, convention)
-    dom, cod, fn = cochain_map(pair, bim, n, which, convention)
+    got = differential_matrix(pair, bim, n, which)
+    dom, cod, fn = cochain_map(pair, bim, n, which)
     assert {type(x) for row in got.rows for x in row} <= {type(F.zero)}
     if stride == 1:
         want = operator_matrix(dom, cod, fn)
@@ -73,10 +74,13 @@ def test_random_instances(field, n):
 
 @pytest.mark.parametrize("index", range(12))
 def test_operator_map_conventions(index):
+    # on scalar2/Q (kappa = -4) the twelve candidates give twelve different
+    # matrices, so the engine's equal candidate i's exactly when i wins
     convention = convention_candidates()[index]
-    pair = dual_pair(QQ)
+    pair = scalar_pair(dual_algebra(QQ), QQ.parse(2))
     bim = adjoint_bimodule(pair)
-    for n in (1, 2, 3):
+    for n in (2, 3):
         for which in ("operator_map", "pair"):
-            assert_matches_oracle(pair, bim, n, which, convention)
-
+            want = operator_matrix(*cochain_map(pair, bim, n, which, convention))
+            got = differential_matrix(pair, bim, n, which)
+            assert (got.rows == want.rows) == (convention == DEFAULT_CONVENTION), (n, which)

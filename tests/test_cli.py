@@ -196,6 +196,11 @@ class TestUsage:
             main(["fuzz", "--field", "Fp:5", "--dim", "3"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_nonpositive_cap_is_a_usage_error(self, capsys, cap):
+        assert run(capsys, "--max-entries", cap, "verify", FIXD) == (
+            USAGE_EXIT, "", "error: cap must be positive\n")
+
 
 class TestCohomology:
     def test_degree_two_dims(self, capsys):
@@ -280,6 +285,44 @@ class TestComplexCheck:
             assert (code, out) == (USAGE_EXIT, "")
         else:
             assert (code, out) == run(capsys, *command, FIXD)[:2]
+
+    # The commands that evaluate pair_delta on a cochain, on each instance
+    # carrying the block they need; stderr bytes at caps 8, 16 and 64,
+    # recorded with the cochain maps transcribed from their formulas.  At
+    # cap 8 on dim 2 the cocycle check meets the 16-entry image of a
+    # 2-cochain.
+    @pytest.mark.parametrize("command,name,errs", [
+        (("verify",), "extension_build", ("", "", "")),
+        (("deform-check",), "deform_d_scaling", ("", "", "")),
+        (("deform-check",), "deform_rigid_f5", ("", "", "")),
+        (("infinitesimal",), "deform_d_scaling",
+         ("error: tensor with 16 entries exceeds cap 8\n", "", "")),
+        (("infinitesimal",), "deform_rigid_f5", ("", "", "")),
+        (("trivialize",), "deform_d_scaling",
+         ("error: tensor with 16 entries exceeds cap 8\n", "", "")),
+        (("trivialize",), "deform_rigid_f5", ("", "", "")),
+        (("extend", "build"), "extension_build", ("", "", "")),
+        (("extend", "classify"), "deform_d_scaling",
+         ("error: tensor with 16 entries exceeds cap 8\n", "", "")),
+        (("extend", "classify"), "deform_rigid_f5", ("", "", "")),
+        (("extend", "classify"), "extension_build", ("", "", "")),
+        (("extend", "classify"), "extension_total",
+         ("error: tensor with 16 entries exceeds cap 8\n", "", "")),
+        (("extend", "classify"), "fix0", ("", "", "")),
+        (("extend", "classify"), "fixd",
+         ("error: tensor with 16 entries exceeds cap 8\n", "", "")),
+        (("extend", "classify"), "upper_triangular",
+         ("error: tensor with 27 entries exceeds cap 8\n",
+          "error: tensor with 27 entries exceeds cap 16\n",
+          "error: tensor with 81 entries exceeds cap 64\n")),
+    ])
+    def test_entry_cap_goldens_of_cochain_maps(self, capsys, command, name, errs):
+        path = str(INSTANCES / (name + ".json"))
+        uncapped = run(capsys, *command, path)
+        for cap, err in zip(("8", "16", "64"), errs):
+            code, out, got = run(capsys, "--max-entries", cap, *command, path)
+            assert got == err, cap
+            assert (code, out) == ((USAGE_EXIT, "") if err else uncapped[:2]), cap
 
 
 class TestDeformation:
