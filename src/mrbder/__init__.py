@@ -14,8 +14,8 @@ from .linalg import (EntryCapExceeded, Matrix, MultiTensor, ShapeError,
                      rank_and_kernel, rref_vectors, set_max_tensor_entries,
                      solve_linear, tensor_as_matrix)
 from .structures import (Algebra, Bimodule, CheckFailure, CheckReport,
-                         InvalidStructure, MRBDerPair, adjoint_bimodule,
-                         check_associativity, check_bimodule, check_commutation,
+                         InternalError, InvalidStructure, MRBDerPair,
+                         adjoint_bimodule, check_associativity, check_bimodule, check_commutation,
                          check_derivation, check_modified_rb, dual_algebra,
                          dual_pair, is_homomorphism, scalar_pair,
                          upper_triangular_pair, verify_pair, zero_pair)

@@ -6,7 +6,8 @@ ordering, so identical inputs give byte-identical output.
 
 Exit codes: 0 = success (including negative but well-posed answers such as
 "not trivializable"); 1 = a verification or property check failed; 2 = usage,
-parse, or capacity errors.
+parse, or capacity errors; 3 = an internal error: a result failed the
+engine's own consistency check, or an unexpected exception escaped.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import sys
 
 from .fields import Field, ParseError
 from .linalg import EntryCapExceeded, set_max_tensor_entries
-from .structures import (CheckReport, InvalidStructure, check_bimodule,
+from .structures import (CheckReport, InternalError, InvalidStructure, check_bimodule,
                          adjoint_bimodule, verify_pair)
 from .cohomology import (DegreeCapExceeded, MAX_MATRIX_DEGREE, PairSpace,
                          cohomology, differential_matrix, pair_delta, primitive)
@@ -30,6 +31,7 @@ from .serialize import (Instance, bimodule_to_json, cocycle_to_json,
 
 USAGE_EXIT = 2
 CHECK_FAILED_EXIT = 1
+INTERNAL_EXIT = 3
 
 
 def _witness(report: CheckReport):
@@ -319,6 +321,10 @@ def main(argv=None) -> int:
             return CHECK_FAILED_EXIT
         sys.stderr.write("error: %s\n" % e)
         return USAGE_EXIT
+    except Exception as e:
+        what = str(e) if isinstance(e, InternalError) else "%s: %s" % (type(e).__name__, e)
+        sys.stderr.write("error: internal: %s\n" % " ".join(what.split()))
+        return INTERNAL_EXIT
 
 
 if __name__ == "__main__":

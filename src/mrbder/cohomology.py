@@ -73,7 +73,7 @@ from .fields import Field
 from .linalg import (Matrix, MultiTensor, ShapeError, TensorSpace, _checked_size,
                      _index_tuples, _nonzero_positions, rank_and_kernel,
                      rref_vectors, solve_linear, tensor_as_matrix)
-from .structures import Bimodule, MRBDerPair
+from .structures import Bimodule, InternalError, MRBDerPair
 from .constructions import LiePair
 
 MAX_MATRIX_DEGREE = 4
@@ -621,7 +621,7 @@ def cohomology(pair: MRBDerPair, bim: Bimodule, n: int) -> CohomologyResult:
         b_basis, b_pivots = rref_vectors(F, d_prev.transpose().rows)
     if not set(b_pivots) <= set(z_pivots):
         # would mean the differential does not square to zero
-        raise AssertionError("coboundaries escape the cocycles; complex is broken")
+        raise InternalError("coboundaries escape the cocycles; complex is broken")
     bset = set(b_pivots)
     reps = tuple(space.unflatten(v) for v, p in zip(z_basis, z_pivots) if p not in bset)
     return CohomologyResult(n, len(z_basis), len(b_basis), len(z_basis) - len(b_basis), reps)

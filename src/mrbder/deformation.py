@@ -37,7 +37,7 @@ from operator import add
 
 from .fields import Field
 from .linalg import Matrix, MultiTensor, ShapeError, matrix_as_tensor
-from .structures import (CheckFailure, CheckReport, InvalidStructure, MRBDerPair,
+from .structures import (CheckFailure, CheckReport, InternalError, InvalidStructure, MRBDerPair,
                          _report, adjoint_bimodule, associator_slice, derivation_residual,
                          residual_failures, sliced_failures)
 from .cohomology import Cochain, pair_delta, primitive
@@ -288,7 +288,7 @@ def trivialize(defo: Deformation, max_order: int | None = None) -> Gauge | None:
         step = single_term_gauge(pair, k, psi, defo.order)
         current = apply_gauge(current, step)
         if current.lowest_nonzero() == k:
-            raise AssertionError("gauge step failed to clear order %d" % k)
+            raise InternalError("gauge step failed to clear order %d" % k)
         total = total.compose(step, defo.order)
 
 

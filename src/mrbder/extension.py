@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from .linalg import (Matrix, MultiTensor, ShapeError, rank_and_kernel,
                      solve_linear, tensor_as_matrix)
 from .structures import (Algebra, Bimodule, CheckFailure, CheckReport,
-                         InvalidStructure, MRBDerPair, _report, _vsub,
+                         InternalError, InvalidStructure, MRBDerPair, _report, _vsub,
                          multiplicative_residual, residual_failures, unit_vector,
                          verify_pair)
 from .cohomology import Cochain, PairSpace, pair_delta, primitive
@@ -266,7 +266,7 @@ def extensions_equivalent(pair: MRBDerPair, bim: Bimodule,
         return None
     gamma = equivalence_map(ext1, ext2, h)
     if not _is_equivalence(pair, ext1, ext2, gamma):
-        raise AssertionError("comparison cochain did not induce an equivalence")
+        raise InternalError("comparison cochain did not induce an equivalence")
     return gamma
 
 

@@ -39,6 +39,11 @@ class InvalidStructure(ValueError):
         self.report = report
 
 
+class InternalError(RuntimeError):
+    """A result failed the engine's own consistency check: a defect of the
+    engine, not of the input."""
+
+
 @dataclass(frozen=True)
 class CheckFailure:
     identity: str

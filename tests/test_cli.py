@@ -4,6 +4,7 @@ Everything runs in process through main(argv) so exit codes and report
 bytes are checked directly; one subprocess test covers the -m entry point.
 """
 
+import importlib
 import json
 import subprocess
 import sys
@@ -12,8 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from mrbder.cli import CHECK_FAILED_EXIT, USAGE_EXIT, main
-from mrbder.linalg import set_max_tensor_entries
+from mrbder.cli import CHECK_FAILED_EXIT, INTERNAL_EXIT, USAGE_EXIT, main
+from mrbder.linalg import Matrix, set_max_tensor_entries
 
 ROOT = Path(__file__).resolve().parents[1]
 INSTANCES = ROOT / "instances"
@@ -200,6 +201,44 @@ class TestUsage:
     def test_nonpositive_cap_is_a_usage_error(self, capsys, cap):
         assert run(capsys, "--max-entries", cap, "verify", FIXD) == (
             USAGE_EXIT, "", "error: cap must be positive\n")
+
+
+class TestInternalErrors:
+    """A broken map inside the engine exits 3 with one ``error: internal:``
+    line and no traceback, never 1, the code of a failed check."""
+
+    def test_coboundaries_escape_the_cocycles(self, capsys, monkeypatch):
+        mod = importlib.import_module("mrbder.cohomology")
+        real = mod.differential_matrix
+
+        def broken(pair, bim, n, which):
+            d = real(pair, bim, n, which)
+            if n != 2:
+                return d
+            # injective, so Z^2 = 0 while B^2 is not
+            F = d.field
+            return Matrix(F, tuple(tuple(F.one if i == j else F.zero for j in range(d.ncols))
+                                   for i in range(d.nrows)))
+
+        monkeypatch.setattr(mod, "differential_matrix", broken)
+        assert run(capsys, "cohomology", FIXD, "--degree", "2") == (
+            INTERNAL_EXIT, "", "error: internal: coboundaries escape the cocycles; complex is broken\n")
+
+    def test_gauge_step_that_clears_nothing(self, capsys, monkeypatch):
+        mod = importlib.import_module("mrbder.deformation")
+        monkeypatch.setattr(mod, "apply_gauge", lambda defo, gauge: defo)
+        assert run(capsys, "trivialize", RIGID_F5) == (
+            INTERNAL_EXIT, "", "error: internal: gauge step failed to clear order 1\n")
+
+    def test_unexpected_exception(self, capsys, monkeypatch):
+        mod = importlib.import_module("mrbder.cli")
+
+        def boom(*args):
+            raise KeyError("boom")
+
+        monkeypatch.setattr(mod, "cohomology", boom)
+        assert run(capsys, "cohomology", FIXD, "--degree", "1") == (
+            INTERNAL_EXIT, "", "error: internal: KeyError: 'boom'\n")
 
 
 class TestCohomology:

@@ -12,7 +12,7 @@ from mrbder.cohomology import (MAX_COHOMOLOGY_DEGREE, MAX_MATRIX_DEGREE,
                                skew_cochain, skew_symmetrize)
 from mrbder.constructions import direct_sum, rho_representation
 from mrbder.fields import Field, QQ
-from mrbder.fuzzing import random_instances
+from mrbder.fuzzing import conjugate_pair, random_instances, random_invertible
 from mrbder.linalg import Matrix, MultiTensor, ShapeError, matrix_as_tensor, rref_vectors
 from mrbder.structures import (Algebra, MRBDerPair, adjoint_bimodule,
                                dual_pair, scalar_pair, dual_algebra,
@@ -395,7 +395,7 @@ class TestCohomologyGroups:
 
 
 class TestLadderScale:
-    """ut (+) dual with adjoint coefficients, a = 5, degree 3: D_3 is 4500 x 900."""
+    """ut (+) dual with adjoint coefficients, a = 5: D_3 is 4500 x 900."""
 
     def test_degree_three_over_q_and_f5(self):
         z = {}
@@ -417,6 +417,20 @@ class TestLadderScale:
             z[F.name] = res.dim_cocycles
         # the instance is integral, so reducing mod 5 can only add cocycles
         assert z["Fp:5"] >= z["Q"]
+
+    def test_conjugated_degree_two_over_q(self):
+        # after a random basis change D_2 is 900 x 175 with growing fractions
+        pair = direct_sum(upper_triangular_pair(QQ, QQ.one), dual_pair(QQ))
+        pair = conjugate_pair(pair, random_invertible(random.Random(0), QQ, 5))
+        bim = adjoint_bimodule(pair)
+        res = cohomology(pair, bim, 2)
+        assert (res.dim_cocycles, res.dim_coboundaries, res.dim_h) == (26, 23, 3)
+        d1 = differential_matrix(pair, bim, 1, "pair")
+        d2 = differential_matrix(pair, bim, 2, "pair")
+        assert (d2.nrows, d2.ncols) == (900, 175)
+        assert (d2 * d1).is_zero()
+        space = PairSpace(QQ, 5, 5, 2)
+        assert all(not any(d2.apply(space.flatten(r))) for r in res.representatives)
 
 
 class TestCalibration:

@@ -1,16 +1,32 @@
 """The elimination in ``mrbder.linalg`` against the dense reference in ``oracles``.
 
-RREF is unique, so reducing only over nonzeros must leave every pivot and
-every entry exactly where the dense sweep leaves them.
+RREF is unique, so reducing only over nonzeros, and over Q modulo primes,
+must leave every pivot and every entry exactly where the dense sweep over
+Fractions leaves them.  Over Q the inputs include the dense ladder's
+matrices, whose fractions grow, and primes forced to fail in each way a
+prime can: unlucky pivots, a reconstruction that is wrong but looks right,
+and a denominator the prime divides.
 """
 
+import functools
+import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from itertools import chain, islice
+from pathlib import Path
 
 import pytest
 
-from mrbder.fields import Field, QQ
+from mrbder.cohomology import differential_matrix
+from mrbder.constructions import direct_sum
+from mrbder.fields import Field, QQ, is_prime
+from mrbder.fuzzing import conjugate_pair, random_invertible
+from mrbder import linalg
 from mrbder.linalg import Matrix, rank_and_kernel, rref, rref_vectors, solve_linear
+from mrbder.structures import adjoint_bimodule, dual_pair, upper_triangular_pair
 
 from oracles import (dense_inverse, dense_rank_and_kernel, dense_rref, dense_rref_vectors,
                      dense_solve_linear)
@@ -100,3 +116,165 @@ def test_inverse(field, k):
                 m.inverse()
             continue
         assert m.inverse() == want
+
+
+# ---------------------------------------------------------------------------
+# the Q path on inputs whose fractions grow: the dense ladder's matrices
+
+LADDER_DENSE = [("dual", 1), ("dual", 2), ("dual", 3), ("ut", 1), ("ut", 2), ("dual+dual", 1)]
+
+
+@functools.lru_cache(maxsize=None)
+def ladder_dense_matrix(name, n):
+    """D_n of a fixture after a random basis change, as the dense ladder of
+    the benchmark builds it: one basis drawn per fixture from Random(0), in
+    the order dual, ut, dual+dual."""
+    rng = random.Random(0)
+    dual, ut = dual_pair(QQ), upper_triangular_pair(QQ, QQ.one)
+    for key, pair in (("dual", dual), ("ut", ut), ("dual+dual", direct_sum(dual, dual))):
+        conj = conjugate_pair(pair, random_invertible(rng, QQ, pair.dim))
+        if key == name:
+            return differential_matrix(conj, adjoint_bimodule(conj), n, "pair")
+
+
+def invertible_block(m):
+    """The square submatrix of ``m`` on a basis of its rows and one of its columns."""
+    cols = dense_rref_vectors(QQ, m.rows)[1]
+    rows = dense_rref_vectors(QQ, m.transpose().rows)[1]
+    return Matrix(QQ, tuple(tuple(m.rows[i][j] for j in cols) for i in rows))
+
+
+@pytest.mark.parametrize("name,n", LADDER_DENSE)
+def test_ladder_dense_matches_the_oracle(name, n):
+    m = ladder_dense_matrix(name, n)
+    assert rank_and_kernel(m) == dense_rank_and_kernel(m)
+    mt = m.transpose().rows
+    assert rref_vectors(QQ, mt) == dense_rref_vectors(QQ, mt)
+    rng = random.Random(n)
+    consistent = m.apply([QQ.random(rng) for _ in range(m.ncols)])
+    inconsistent = tuple(QQ.random(rng) for _ in range(m.nrows))
+    assert dense_solve_linear(m, inconsistent) is None
+    for b in (consistent, inconsistent):
+        assert solve_linear(m, b) == dense_solve_linear(m, b)
+    block = invertible_block(m)
+    assert block.inverse() == dense_inverse(block)
+    square = Matrix(QQ, tuple(r[:m.ncols] for r in m.rows[:m.ncols]))
+    with pytest.raises(ValueError, match="singular"):
+        dense_inverse(square)
+    with pytest.raises(ValueError, match="singular"):
+        square.inverse()
+
+
+# ---------------------------------------------------------------------------
+# the prime source of the Q path, replaced to force each way a prime can fail
+
+class Trace:
+    """Records the moduli the Q path reconstructs over and the certificates it checks."""
+
+    def __init__(self, monkeypatch):
+        self.events = []
+        reconstruct, certified, rref_mod = linalg._reconstruct, linalg._certified, linalg._rref_mod
+
+        def spy_reconstruct(acc, m):
+            out = reconstruct(acc, m)
+            self.events.append(("reconstruct", m, out is not None))
+            return out
+
+        def spy_certified(*args):
+            ok = certified(*args)
+            self.events.append(("certificate", ok))
+            return ok
+
+        def spy_rref_mod(p, rows):
+            out = rref_mod(p, rows)
+            self.events.append(("pivots", p, out[0]))
+            return out
+
+        monkeypatch.setattr(linalg, "_reconstruct", spy_reconstruct)
+        monkeypatch.setattr(linalg, "_certified", spy_certified)
+        monkeypatch.setattr(linalg, "_rref_mod", spy_rref_mod)
+
+    def certificates(self):
+        return [e[1] for e in self.events if e[0] == "certificate"]
+
+    def accepted_modulus(self):
+        """The modulus of the last reconstruction, whose certificate held."""
+        ms = [e[1] for e in self.events if e[0] == "reconstruct" and e[2]]
+        assert self.certificates()[-1] is True
+        return ms[-1]
+
+
+def draw_first(monkeypatch, primes):
+    """Make the Q path draw ``primes`` before the primes of its own source."""
+    real = linalg._primes
+    monkeypatch.setattr(linalg, "_primes", lambda: chain(primes, real()))
+
+
+def small_primes(below):
+    return [p for p in range(3, below) if is_prime(p)]
+
+
+def assert_matches_oracle(m):
+    assert rank_and_kernel(m) == dense_rank_and_kernel(m)
+    assert rref_vectors(QQ, m.rows) == dense_rref_vectors(QQ, m.rows)
+
+
+Q_PRIME = 1_000_003
+
+
+def test_first_prime_with_unlucky_pivots_is_rejected(monkeypatch):
+    # column 0 becomes a multiple of the first prime, so modulo that prime
+    # it vanishes and the pivots come out later than over Q
+    assert is_prime(Q_PRIME)
+    d = ladder_dense_matrix("dual", 2)
+    m = Matrix(QQ, tuple((r[0] * Q_PRIME,) + r[1:] for r in d.rows))
+    draw_first(monkeypatch, [Q_PRIME])
+    trace = Trace(monkeypatch)
+    assert rank_and_kernel(m) == dense_rank_and_kernel(m)
+    first = trace.events[0]
+    assert first[:2] == ("pivots", Q_PRIME) and 0 not in first[2]
+    # the answer was built from other primes only
+    assert trace.accepted_modulus() % Q_PRIME != 0
+    assert_matches_oracle(m)
+
+
+def test_early_wrong_reconstruction_is_rejected(monkeypatch):
+    # V = 1 modulo 3 * 5 * ... * 23: over tiny primes the entry -V reads as -1
+    # long before it is right, and only the certificate tells
+    v = 1 + math.prod(small_primes(24))
+    m = Matrix(QQ, ((QQ.one, QQ.zero, Fraction(-v)), (QQ.zero, QQ.one, Fraction(7, 3))))
+    draw_first(monkeypatch, small_primes(200))
+    trace = Trace(monkeypatch)
+    basis, _ = rref_vectors(QQ, m.rows)
+    assert (basis, [0, 1]) == dense_rref_vectors(QQ, m.rows) and basis[0][2] == -v
+    certificates = trace.certificates()
+    assert False in certificates and certificates[-1] is True
+    # and on a dense input, where tiny primes are also often unlucky
+    trace.events.clear()
+    assert_matches_oracle(ladder_dense_matrix("dual", 2))
+    assert trace.certificates()[-1] is True
+
+
+def test_denominator_divisible_by_the_first_prime(monkeypatch):
+    d = ladder_dense_matrix("dual", 2)
+    third = Fraction(1, 3 * Q_PRIME)
+    m = Matrix(QQ, (tuple(x * third for x in d.rows[0]),) + d.rows[1:])
+    assert any(x.denominator % Q_PRIME == 0 for x in m.rows[0])
+    draw_first(monkeypatch, [Q_PRIME])
+    assert_matches_oracle(m)
+    b = m.apply([Fraction(k, 5) for k in range(m.ncols)])
+    assert solve_linear(m, b) == dense_solve_linear(m, b)
+
+
+def test_prime_source():
+    primes = list(islice(linalg._primes(), 8))
+    assert all(is_prime(p) and p < linalg._PRIME_TOP <= 2**62 for p in primes)
+    assert all(a > b for a, b in zip(primes, primes[1:]))
+
+
+def test_no_prime_is_made_at_import():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = "import mrbder, mrbder.linalg as L; print(L._prime.cache_info().currsize)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout == "0\n"

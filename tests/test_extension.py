@@ -1,3 +1,4 @@
+import importlib
 import random
 
 import pytest
@@ -14,7 +15,7 @@ from mrbder.fields import Field, QQ
 from mrbder.linalg import (Matrix, MultiTensor, ShapeError, matrix_as_tensor,
                            rank_and_kernel)
 from mrbder.constructions import semidirect_product
-from mrbder.structures import (Algebra, Bimodule, InvalidStructure, MRBDerPair,
+from mrbder.structures import (Algebra, Bimodule, InternalError, InvalidStructure, MRBDerPair,
                                adjoint_bimodule, dual_pair, verify_pair)
 
 F5 = Field.prime(5)
@@ -223,6 +224,16 @@ class TestEquivalence:
         e1 = build_extension(pair, bim, space.zero())
         e2 = build_extension(pair, bim, c)
         assert extensions_equivalent(pair, bim, e1, e2) is None
+
+    def test_broken_comparison_map_is_an_internal_error(self, monkeypatch):
+        ext = dual_over_line(QQ)
+        pair, bim = derive_base(ext)
+        built = build_extension(pair, bim, extract_cocycle(pair, bim, ext))
+        mod = importlib.import_module("mrbder.extension")
+        monkeypatch.setattr(mod, "equivalence_map",
+                            lambda e1, e2, h: Matrix.zeros(QQ, e2.total.dim, e1.total.dim))
+        with pytest.raises(InternalError, match="did not induce an equivalence"):
+            extensions_equivalent(pair, bim, ext, built)
 
     def test_equivalence_map_shape(self):
         ext = dual_over_line(QQ)
