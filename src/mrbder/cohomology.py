@@ -51,12 +51,22 @@ tensored with one structure map (mu, l, r, R, R_M, d, d_M), so the image of
 each basis cochain is written down one entry per nonzero structure constant,
 and the OC^n / PC^n differentials are stacked from the C^n blocks with the
 signs of the formulas above.  ``differential_matrix`` sums the entries into
-the matrix D_n; the cochain-level functions apply them to one cochain and
-never build the matrix.  Literal transcriptions of the formulas are kept in
+the matrix D_n; the cochain-level functions list the entries of the basis
+tuples where one cochain is nonzero, apply them to it, and never build the
+matrix.  Literal transcriptions of the formulas are kept in
 tests/oracles.py, and the tests hold both uses equal to them.
 
+The complex of a (pair, bimodule) is one object, ``_Complex``: the
+structure maps its entry lists are written from, the induced maps, and each
+matrix D_n it has built, as sparse rows.  The pair keeps it, keyed by the
+bimodule object's identity, for as long as the pair lives, so equal but
+distinct inputs never share one, and ``differential_matrix``, ``cohomology``
+and ``primitive`` build each D_n once per pair and bimodule.  A call served
+from it still checks the entry cap in the order a fresh build would.
+
 Cohomology is computed from RREF rank/kernel data with canonical (RREF)
-representatives, and ``primitive`` solves D^1 h = c for a degree-2 cochain c.
+representatives, after a check that D_n D_{n-1} = 0, and ``primitive``
+solves D^1 h = c for a degree-2 cochain c.
 The Lie-side complex (Chevalley-Eilenberg of the commutator bracket) shares
 the entry lists of phi and Delta and the graded stacking, and the
 skew-symmetrization chain maps live here too.
@@ -64,6 +74,7 @@ skew-symmetrization chain maps live here too.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
@@ -90,12 +101,21 @@ def _sign_is_plus(k: int) -> bool:
 
 
 def induced_mu(pair: MRBDerPair) -> MultiTensor:
-    return pair.mu.precompose_slot(0, pair.R) + pair.mu.precompose_slot(1, pair.R)
+    return _induced_product(pair.mu, pair.R)
+
+
+def _induced_product(mu: MultiTensor, R: Matrix) -> MultiTensor:
+    """mu_R(a, b) = mu(Ra, b) + mu(a, Rb); over a bracket, [a, b]_R."""
+    return mu.precompose_slot(0, R) + mu.precompose_slot(1, R)
 
 
 def induced_actions(pair: MRBDerPair, bim: Bimodule) -> tuple:
-    lt = bim.left.precompose_slot(0, pair.R) - bim.left.postcompose(bim.R_M)
-    rt = bim.right.precompose_slot(1, pair.R) - bim.right.postcompose(bim.R_M)
+    return _induced_actions(pair.R, bim)
+
+
+def _induced_actions(R: Matrix, bim: Bimodule) -> tuple:
+    lt = bim.left.precompose_slot(0, R) - bim.left.postcompose(bim.R_M)
+    rt = bim.right.precompose_slot(1, R) - bim.right.postcompose(bim.R_M)
     return lt, rt
 
 
@@ -232,10 +252,11 @@ def _signed(F, plus: bool):
 
 
 def _coboundary_entries(F, nA: int, m: int, mu: MultiTensor, left: MultiTensor,
-                        right: MultiTensor, n: int):
+                        right: MultiTensor, n: int, Js):
     """The coboundary C^n -> C^{n+1} of :func:`hochschild_delta` over (mu, left,
     right): an l-column, an r-column and, for each slot, mu's preimages of the
-    slot's index."""
+    slot's index.  Like every entry list, it lists the columns of the basis
+    tuples J in ``Js`` only."""
     mul = F.mul
     first = _signed(F, _sign_is_plus(n + 1))
     l_terms = [[] for _ in range(m)]          # s -> (row offset, value) of l(e_x, e_s)
@@ -254,7 +275,7 @@ def _coboundary_entries(F, nA: int, m: int, mu: MultiTensor, left: MultiTensor,
         for (x, y, q), c in mu_nonzeros:
             by_q[q].append(((x * nA + y) * lo * m, mul(sign, c)))
         mu_terms.append((lo, by_q))
-    for J in range(nA ** n):
+    for J in Js:
         slots = []
         for lo, by_q in mu_terms:
             head, rest = divmod(J, lo * nA)
@@ -271,7 +292,7 @@ def _coboundary_entries(F, nA: int, m: int, mu: MultiTensor, left: MultiTensor,
                     yield base + off + s, col, v
 
 
-def _ce_entries(F, nA: int, m: int, bracket: MultiTensor, rho: MultiTensor, n: int):
+def _ce_entries(F, nA: int, m: int, bracket: MultiTensor, rho: MultiTensor, n: int, Js):
     """The Chevalley-Eilenberg coboundary C^n -> C^{n+1} of :func:`ce_delta`
     over (bracket, rho): rho(a_p) applied to f without a_p, for each output
     slot p, and f([a_p, a_q], ..) without a_p, a_q, for each pair p < q."""
@@ -287,7 +308,7 @@ def _ce_entries(F, nA: int, m: int, bracket: MultiTensor, rho: MultiTensor, n: i
     rho_slots = [(lo, _signed(F, _sign_is_plus(n + 1 + p))) for p, lo in enumerate(places)]
     slot_pairs = [(p, q, _signed(F, _sign_is_plus(n + 1 + p + q)))
                   for p in range(n + 1) for q in range(p + 1, n + 1)]
-    for J in range(nA ** n):
+    for J in Js:
         digits = [(J // nA ** (n - 1 - p)) % nA for p in range(n)]
         br_rows = []                          # (row offset, value), the same for every s
         for p, q, sign in slot_pairs:
@@ -306,7 +327,7 @@ def _ce_entries(F, nA: int, m: int, bracket: MultiTensor, rho: MultiTensor, n: i
                 yield off + s, col, v
 
 
-def _operator_map_entries(F, nA: int, m: int, R: Matrix, R_M: Matrix, kappa, n: int):
+def _operator_map_entries(F, nA: int, m: int, R: Matrix, R_M: Matrix, kappa, n: int, Js):
     """phi on C^n (see :func:`operator_map`): for each set of bare slots, R in
     the other slots, then the term's coefficient and R_M on the output."""
     mul, add, one = F.mul, F.add, F.one
@@ -319,7 +340,7 @@ def _operator_map_entries(F, nA: int, m: int, R: Matrix, R_M: Matrix, kappa, n: 
     rm_cols = [[(t, R_M.rows[t][s]) for t in range(m) if not F.is_zero(R_M.rows[t][s])]
                for s in range(m)]
     places = [nA ** (n - 1 - p) for p in range(n)]
-    for J in range(nA ** n):
+    for J in Js:
         digits = [(J // lo) % nA for lo in places]
         images = ({}, {})                     # K -> value, without and with R_M
         for bare in range(1 << n):
@@ -343,14 +364,14 @@ def _operator_map_entries(F, nA: int, m: int, R: Matrix, R_M: Matrix, kappa, n: 
                     yield K * m + t, col, mul(v, c)
 
 
-def _defect_entries(F, nA: int, m: int, d: Matrix, d_M: Matrix, n: int):
+def _defect_entries(F, nA: int, m: int, d: Matrix, d_M: Matrix, n: int, Js):
     """Delta on C^n (see :func:`derivation_defect`): d in each slot, minus d_M
     on the output."""
     d_rows = [[(k, v) for k, v in enumerate(row) if not F.is_zero(v)] for row in d.rows]
     neg_dm = [[(t, F.neg(d_M.rows[t][s])) for t in range(m) if not F.is_zero(d_M.rows[t][s])]
               for s in range(m)]
     places = [nA ** (n - 1 - p) for p in range(n)]
-    for J in range(nA ** n):
+    for J in Js:
         moves = [((J + (k - (J // lo) % nA) * lo) * m, v)
                  for lo in places for k, v in d_rows[(J // lo) % nA]]
         for s in range(m):
@@ -385,12 +406,17 @@ def _graded_blocks(n: int, layers: int) -> list:
     return blocks
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class _Complex:
-    """The structure maps one complex's entry lists are written from: the
-    coboundary's entry list and its maps, a builder of the induced maps the
-    modified coboundary runs on, (R, R_M, kappa) for phi and (d, d_M) for
-    Delta."""
+    """One complex: the structure maps its entry lists are written from, and
+    the matrices built from them.
+
+    The maps are the coboundary's entry list and its maps, a function that
+    makes the induced maps the modified coboundary runs on, (R, R_M, kappa)
+    for phi and (d, d_M) for Delta.  The induced maps and each matrix are built on
+    first use and kept.  Two threads that build the same one keep equal
+    values, so no lock is needed.
+    """
 
     field: Field
     dim_a: int
@@ -403,13 +429,45 @@ class _Complex:
     kappa: object
     d: Matrix
     d_M: Matrix
+    _induced: tuple | None = dataclasses.field(default=None, init=False)
+    _matrices: dict = dataclasses.field(default_factory=dict, init=False)
+
+    def induced(self) -> tuple:
+        """The induced maps.  Building them checks the entry cap on each one
+        in turn; once they are kept, the same checks run in the same order."""
+        if self._induced is None:
+            self._induced = self.induce()
+        else:
+            for t in self._induced:
+                _checked_size(t.dims, t.cod)
+        return self._induced
+
+    def matrix(self, n: int, which: str) -> Matrix:
+        """The sparse matrix of the map ``which`` at degree n, built once.
+        The entry cap is checked on every call, as if it were built anew."""
+        rows, cols, blocks = _blocks(self, n, which)
+        m = self._matrices.get((n, which))
+        if m is None:
+            m = self._matrices[n, which] = _assemble(self, rows, cols, blocks)
+        return m
 
 
 def _pair_complex(pair: MRBDerPair, bim: Bimodule) -> _Complex:
-    return _Complex(pair.field, pair.dim, bim.dim_m, _coboundary_entries,
-                    (pair.mu, bim.left, bim.right),
-                    lambda: (induced_mu(pair),) + induced_actions(pair, bim),
-                    pair.R, bim.R_M, pair.kappa, pair.d, bim.d_M)
+    """The complex of (pair, bim), kept on the pair for each bimodule object:
+    equal but distinct pairs or bimodules get complexes of their own."""
+    store = pair._complexes
+    hit = store.get(id(bim))
+    if hit is None:
+        # ``induce`` holds the maps, not the pair, so no reference cycle
+        # runs through the pair's store
+        mu, R = pair.mu, pair.R
+        cx = _Complex(pair.field, pair.dim, bim.dim_m, _coboundary_entries,
+                      (mu, bim.left, bim.right),
+                      lambda: (_induced_product(mu, R),) + _induced_actions(R, bim),
+                      R, bim.R_M, pair.kappa, pair.d, bim.d_M)
+        # the entry holds bim, so no other object can take its id meanwhile
+        hit = store[id(bim)] = (bim, cx)
+    return hit[1]
 
 
 _MATRIX_KINDS = ("hochschild", "modified", "operator_map", "derivation_defect",
@@ -419,9 +477,11 @@ _CN_MAPS = {"hochschild": "delta", "modified": "mdelta",
             "operator_map": "phi", "derivation_defect": "defect"}
 
 
-def _blocks(cx: _Complex, n: int, which: str) -> tuple:
+def _blocks(cx: _Complex, n: int, which: str, support: list | None = None) -> tuple:
     """The map ``which`` at degree n as (row arities, column arities, blocks),
-    each block (row part, column part, sign is plus, entries).
+    each block (row part, column part, sign is plus, entries).  The entries
+    of column part j are listed for the basis tuples J in ``support[j]``
+    only, or for all of them when ``support`` is None.
 
     The entry cap is checked before any entry is listed, in the order the
     cochain-by-cochain build of D_n met it: a domain cochain, the induced
@@ -443,29 +503,30 @@ def _blocks(cx: _Complex, n: int, which: str) -> tuple:
     _checked_size((nA,) * n, m)
     induced = None
     if which == "modified":
-        induced = cx.induce()
+        induced = cx.induced()
     if rows[0] == n + 1:
         _checked_size((nA,) * (n + 1), m)
     if induced is None and any(block[3] == "mdelta" for block in layout):
-        induced = cx.induce()
+        induced = cx.induced()
 
-    def entries(kind, arity):
+    def entries(kind, arity, Js):
         if kind == "delta":
-            return cx.coboundary(F, nA, m, *cx.maps, arity)
+            return cx.coboundary(F, nA, m, *cx.maps, arity, Js)
         if kind == "mdelta":
-            return cx.coboundary(F, nA, m, *induced, arity)
+            return cx.coboundary(F, nA, m, *induced, arity, Js)
         if kind == "phi":
-            return _operator_map_entries(F, nA, m, cx.R, cx.R_M, cx.kappa, arity)
-        return _defect_entries(F, nA, m, cx.d, cx.d_M, arity)
+            return _operator_map_entries(F, nA, m, cx.R, cx.R_M, cx.kappa, arity, Js)
+        return _defect_entries(F, nA, m, cx.d, cx.d_M, arity, Js)
 
-    return rows, cols, [(i, j, plus, entries(kind, arity)) for i, j, plus, kind, arity in layout]
+    return rows, cols, [(i, j, plus, entries(kind, arity, range(nA ** arity) if support is None
+                                             else support[j]))
+                        for i, j, plus, kind, arity in layout]
 
 
-def _assemble(cx: _Complex, n: int, which: str) -> Matrix:
-    """The dense matrix of the map ``which`` at degree n, summed from its
-    blocks."""
+def _assemble(cx: _Complex, rows: tuple, cols: tuple, blocks: list) -> Matrix:
+    """The sparse matrix summed from the blocks of one map (see
+    :func:`_blocks`), entries that sum to zero left out."""
     F, nA, m = cx.field, cx.dim_a, cx.dim_m
-    rows, cols, blocks = _blocks(cx, n, which)
 
     def offsets(arities):
         out = [0]
@@ -484,25 +545,20 @@ def _assemble(cx: _Complex, n: int, which: str) -> Matrix:
             if not plus:
                 v = neg(v)
             row[c] = add(row[c], v) if c in row else v
-    zero, ncols = F.zero, col_off[-1]
-    out = []
-    for srow in srows:
-        row = [zero] * ncols
-        for c, v in srow.items():
-            row[c] = v
-        out.append(tuple(row))
-    return Matrix(F, tuple(out))
+    srows = [row if all(row.values()) else {c: v for c, v in row.items() if v} for row in srows]
+    return Matrix.from_sparse(F, srows, col_off[-1])
 
 
 def _evaluate(cx: _Complex, n: int, which: str, parts: tuple) -> tuple:
     """The parts of the image of the cochain with these parts under the map
     ``which`` at degree n: each block adds v * x[c] to row r for every entry
-    (r, c, v) with x[c] nonzero.  The matrix is never built, and a block
-    whose column part is zero lists no entries."""
+    (r, c, v) with x[c] nonzero.  The matrix is never built, and each block
+    lists only the columns of the basis tuples where its column part has a
+    nonzero, so the cost follows the cochain's support."""
     F, nA, m = cx.field, cx.dim_a, cx.dim_m
-    rows, _, blocks = _blocks(cx, n, which)
-    out = [[F.zero] * (nA ** a * m) for a in rows]
     live = [{c: p.entries[c] for c in _nonzero_positions(F, p.entries)} for p in parts]
+    rows, _, blocks = _blocks(cx, n, which, [sorted({c // m for c in x}) for x in live])
+    out = [[F.zero] * (nA ** a * m) for a in rows]
     mul = F.mul
     for i, j, plus, entries in blocks:
         if not live[j]:
@@ -583,13 +639,14 @@ def differential_matrix(pair: MRBDerPair, bim: Bimodule, n: int, which: str) -> 
     ``which``: hochschild, modified, operator_map, derivation_defect act on
     C^n; operator, operator_defect act on OC^n; pair acts on PC^n.  The
     matrix is assembled from the structure constants, one entry per nonzero
-    constant.
+    constant, as sparse rows; it is built once per (pair, bim) objects and
+    returned again on later calls.
     """
     if which not in _MATRIX_KINDS:
         raise ValueError("unknown map %r" % (which,))
     if not (1 <= n <= MAX_MATRIX_DEGREE):
         raise DegreeCapExceeded("matrices are supported for degrees 1..%d" % MAX_MATRIX_DEGREE)
-    return _assemble(_pair_complex(pair, bim), n, which)
+    return _pair_complex(pair, bim).matrix(n, which)
 
 
 @dataclass(frozen=True)
@@ -605,7 +662,9 @@ def cohomology(pair: MRBDerPair, bim: Bimodule, n: int) -> CohomologyResult:
     """H^n of the pair complex; B^1 = 0 by convention.
 
     Representatives are canonical: RREF rows of the cocycle space whose pivots
-    are not pivots of the coboundary space.
+    are not pivots of the coboundary space.  Before answering, it checks
+    that B^n lies in Z^n on the pivots and that D_n D_{n-1} = 0; either
+    failure is an :class:`InternalError`.
     """
     if not (1 <= n <= MAX_COHOMOLOGY_DEGREE):
         raise DegreeCapExceeded("cohomology is supported for degrees 1..%d" % MAX_COHOMOLOGY_DEGREE)
@@ -618,10 +677,12 @@ def cohomology(pair: MRBDerPair, bim: Bimodule, n: int) -> CohomologyResult:
         b_basis, b_pivots = [], []
     else:
         d_prev = differential_matrix(pair, bim, n - 1, "pair")
-        b_basis, b_pivots = rref_vectors(F, d_prev.transpose().rows)
+        b_basis, b_pivots = rref_vectors(F, d_prev.columns())
     if not set(b_pivots) <= set(z_pivots):
         # would mean the differential does not square to zero
         raise InternalError("coboundaries escape the cocycles; complex is broken")
+    if n > 1 and not (d_n * d_prev).is_zero():
+        raise InternalError("D_%d D_%d is not zero; complex is broken" % (n, n - 1))
     bset = set(b_pivots)
     reps = tuple(space.unflatten(v) for v, p in zip(z_basis, z_pivots) if p not in bset)
     return CohomologyResult(n, len(z_basis), len(b_basis), len(z_basis) - len(b_basis), reps)
@@ -679,7 +740,7 @@ def _rho_of(lp: LiePair):
 
 def induced_lie_pair(lp: LiePair) -> LiePair:
     """Bracket [a,b]_R = [Ra,b] + [a,Rb] with rho~(a) = rho(Ra) - R_M rho(a)."""
-    br = lp.bracket.precompose_slot(0, lp.R) + lp.bracket.precompose_slot(1, lp.R)
+    br = _induced_product(lp.bracket, lp.R)
     rho, R_M, d_M = _rho_of(lp)
     rho_t = rho.precompose_slot(0, lp.R) - rho.postcompose(R_M)
     return LiePair(lp.field, lp.dim, br, lp.R, lp.d, lp.kappa, rho_t, R_M, d_M)

@@ -1,35 +1,50 @@
-"""Dense exact matrices, multilinear tensors, and RREF-based linear solving.
+"""Exact matrices, multilinear tensors, and RREF-based linear solving.
 
-Everything is immutable after construction (tuples inside frozen dataclasses).
-Kernel bases, solutions and canonical subspace bases all come from reduced row
-echelon form with first-nonzero pivoting, so results are deterministic and
-basis choices are reproducible across runs.
+Everything is immutable after construction (tuples inside frozen dataclasses,
+and matrices whose two forms are built once and kept).  Kernel bases,
+solutions and canonical subspace bases all come from reduced row echelon
+form with first-nonzero pivoting, so results are deterministic and basis
+choices are reproducible across runs.
 
-Matrices are stored dense, but elimination and products touch only nonzero
-entries.  Every elimination runs through one integer kernel, ``_rref_mod``,
-which reduces rows of residues modulo a prime in place: it keeps, per column,
-the rows that may be nonzero there and reduces each such row against the
-pivot row's nonzeros alone.  Over F_p it reduces the field's own residues.
-Over Q, ``_rref_rational`` scales each row to integers, runs the kernel
-modulo primes below 2**30, and rebuilds the RREF from the residues by CRT
-and rational reconstruction.  It accepts the result only under an exact
+A :class:`Matrix` holds dense rows, sparse rows ({column: nonzero} dicts) or
+both: whichever form it was made from, the other is built the first time it
+is read.  Equality, hashing and ``repr`` are those of the dense rows.
+Elimination and products read the sparse rows, so a matrix made sparse (such
+as a differential D_n, which is mostly zeros) is never expanded unless a
+caller reads ``rows``.
+
+Every elimination runs through one integer kernel, ``_rref_mod``, which
+reduces rows of residues modulo a prime in place: it keeps, per column, the
+rows that may be nonzero there and reduces each such row against the pivot
+row's nonzeros alone.  Over F_p it reduces the field's own residues.  Over Q,
+``_rref_rational`` scales each row to integers, runs the kernel modulo
+primes below 2**30, and rebuilds the RREF from the residues by CRT and
+rational reconstruction.  It accepts the result only under an exact
 certificate: every kernel vector read off the candidate RREF is annihilated,
 over the integers, by every row of the matrix.  The rank mod p is at most
 the rank over Q and RREF is unique, so a certified result is the RREF over
-Q, whichever primes gave it.  Products find zeros by identity with the
-field's shared zero object first, at C speed, and only the other entries go
-through ``Field.is_zero`` (:func:`_nonzero_positions`).
+Q, whichever primes gave it.
+
+Products are integer products too (:func:`_packed_product`).  Over Q each
+left row is scaled to integers by the lcm of its denominators and the right
+factor by one common lcm.  Each right row is packed into one integer, a
+fixed number of bits per column (Kronecker substitution), so a result row is
+one integer multiply-add per nonzero of the left row, unpacked into signed
+digits at the end.  Over F_p the residues are lifted to integers of least
+absolute value and the digits reduced mod p.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, count, islice, repeat
 from operator import is_not, mul
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from .fields import _Q_ZERO, Field, is_prime
 
@@ -65,21 +80,34 @@ def _checked_size(dims: Sequence[int], cod: int) -> int:
     return size
 
 
-@dataclass(frozen=True)
 class Matrix:
-    """Dense matrix over ``field``; ``rows`` is a tuple of row tuples.
+    """Matrix over ``field``, made from dense or from sparse rows.
+
+    ``Matrix(field, rows)`` takes the rows as a tuple of row tuples;
+    :meth:`from_sparse` takes one {column: nonzero} dict per row.  ``rows``
+    and ``sparse_rows`` give either form; the one the matrix was not made
+    from is built on first use and kept.  A matrix with no rows has no
+    columns.
 
     Column convention: ``apply`` sends a coordinate vector v to M v, so the
     j-th column is the image of the j-th basis vector.
     """
 
-    field: Field
-    rows: tuple
+    __slots__ = ("field", "_rows", "_sparse", "_ncols")
 
-    def __post_init__(self):
-        w = len(self.rows[0]) if self.rows else 0
-        if any(len(r) != w for r in self.rows):
+    def __init__(self, field: Field, rows: tuple):
+        w = len(rows[0]) if rows else 0
+        if any(len(r) != w for r in rows):
             raise ShapeError("ragged rows")
+        self.field, self._rows, self._sparse, self._ncols = field, rows, None, w
+
+    @staticmethod
+    def from_sparse(field: Field, rows: list, ncols: int) -> "Matrix":
+        """The matrix with one {column: nonzero} dict per row; the dicts are
+        kept, not copied, and must hold no zeros."""
+        m = Matrix.__new__(Matrix)
+        m.field, m._rows, m._sparse, m._ncols = field, None, rows, ncols if rows else 0
+        return m
 
     @staticmethod
     def from_rows(field: Field, rows: Iterable[Sequence]) -> "Matrix":
@@ -101,12 +129,43 @@ class Matrix:
         return Matrix(field, tuple(tuple(c if i == j else z for j in range(n)) for i in range(n)))
 
     @property
+    def rows(self) -> tuple:
+        """The rows as a tuple of row tuples, zeros stored as ``field.zero``."""
+        if self._rows is None:
+            zero, nc = self.field.zero, self._ncols
+            self._rows = tuple(tuple(_densify(r, nc, zero)) for r in self._sparse)
+        return self._rows
+
+    @property
+    def sparse_rows(self) -> list:
+        """The rows as {column: nonzero} dicts; callers must not change them."""
+        if self._sparse is None:
+            F = self.field
+            self._sparse = [{j: row[j] for j in _nonzero_positions(F, row)} for row in self._rows]
+        return self._sparse
+
+    @property
     def nrows(self) -> int:
-        return len(self.rows)
+        return len(self._rows if self._rows is not None else self._sparse)
 
     @property
     def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
+        return self._ncols
+
+    def __eq__(self, other):
+        if other.__class__ is not Matrix:
+            return NotImplemented
+        if self.field != other.field:
+            return False
+        if self._sparse is not None and other._sparse is not None:
+            return self._ncols == other._ncols and self._sparse == other._sparse
+        return self.rows == other.rows
+
+    def __hash__(self):
+        return hash((self.field, self.rows))
+
+    def __repr__(self):
+        return "Matrix(field=%r, rows=%r)" % (self.field, self.rows)
 
     def entry(self, i: int, j: int):
         return self.rows[i][j]
@@ -135,16 +194,8 @@ class Matrix:
         if self.ncols != other.nrows:
             raise ShapeError("matmul %dx%d by %dx%d" % (self.nrows, self.ncols, other.nrows, other.ncols))
         F = self.field
-        add, mul, zero = F.add, F.mul, F.zero
-        out = [[zero] * other.ncols for _ in range(self.nrows)]
-        other_nz = [[(j, brow[j]) for j in _nonzero_positions(F, brow)] for brow in other.rows]
-        for i, row in enumerate(self.rows):
-            acc = out[i]
-            for k in _nonzero_positions(F, row):
-                a = row[k]
-                for j, b in other_nz[k]:
-                    acc[j] = add(acc[j], mul(a, b))
-        return Matrix(F, tuple(tuple(r) for r in out))
+        return Matrix.from_sparse(
+            F, _packed_product(F, self.sparse_rows, other.sparse_rows, other.ncols), other.ncols)
 
     def apply(self, vec: Sequence) -> tuple:
         if len(vec) != self.ncols:
@@ -161,22 +212,31 @@ class Matrix:
         return tuple(out)
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, tuple(zip(*self.rows)) if self.rows else ())
+        cols = [{} for _ in range(self.ncols)]
+        for i, row in enumerate(self.sparse_rows):
+            for j, v in row.items():
+                cols[j][i] = v
+        return Matrix.from_sparse(self.field, cols, self.nrows)
+
+    def columns(self) -> list:
+        """The columns as read-only sequences backed by sparse vectors."""
+        zero, n = self.field.zero, self.nrows
+        return [SparseVector(col, n, zero) for col in self.transpose().sparse_rows]
 
     def inverse(self) -> "Matrix":
         """Inverse of a square matrix, by row reduction of [self | I]."""
         F, n = self.field, self.nrows
         if n != self.ncols:
             raise ShapeError("only square matrices invert")
-        aug = ((*row, *(F.one if j == i else F.zero for j in range(n)))
-               for i, row in enumerate(self.rows))
+        aug = [{**row, n + i: F.one} for i, row in enumerate(self.sparse_rows)]
         pivots, red = _echelon(F, aug, 2 * n)
         if pivots != list(range(n)):
             raise ValueError("matrix is singular")
-        return Matrix(F, tuple(tuple(row[n:]) for row in red))
+        return Matrix.from_sparse(F, [{c - n: v for c, v in row.items() if c >= n}
+                                      for row in red], n)
 
     def is_zero(self) -> bool:
-        return not any(_nonzero_positions(self.field, r) for r in self.rows)
+        return not any(self.sparse_rows)
 
     def block_diag(self, other: "Matrix") -> "Matrix":
         F = self.field
@@ -188,6 +248,32 @@ class Matrix:
     def _same_shape(self, other: "Matrix") -> None:
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ShapeError("shape mismatch")
+
+
+class SparseVector(Sequence):
+    """A read-only vector of length ``n`` held as {index: nonzero}; it reads as
+    the dense sequence, and elimination reads ``entries`` directly."""
+
+    __slots__ = ("entries", "n", "zero")
+
+    def __init__(self, entries: dict, n: int, zero):
+        self.entries, self.n, self.zero = entries, n, zero
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, j: int):
+        if not -self.n <= j < self.n:
+            raise IndexError("vector index out of range")
+        return self.entries.get(j % self.n, self.zero)
+
+
+def _densify(row: dict, n: int, zero) -> list:
+    """The dense list of length ``n`` of the {column: value} dict ``row``."""
+    out = [zero] * n
+    for c, v in row.items():
+        out[c] = v
+    return out
 
 
 def _nonzero_positions(field: Field, values: Sequence, start: int = 0) -> list:
@@ -279,16 +365,14 @@ def _primes():
     return map(_prime, count())
 
 
-def _integer_rows(rows) -> list:
-    """The nonzero rows of ``rows`` over Q as (columns, values), each row
-    scaled by the lcm of its denominators, so the values are ints."""
+def _integer_rows(rows: list) -> list:
+    """The {column: nonzero} rows over Q as (columns, values), each row scaled
+    by the lcm of its denominators, so the values are ints."""
     out = []
     for row in rows:
-        cols = [j for j in compress(range(len(row)), map(is_not, row, repeat(_Q_ZERO))) if row[j]]
-        if cols:
-            xs = [row[j] for j in cols]
-            den = math.lcm(*(x.denominator for x in xs))
-            out.append((cols, [x.numerator * (den // x.denominator) for x in xs]))
+        xs = row.values()
+        den = math.lcm(*(x.denominator for x in xs))
+        out.append((list(row), [x.numerator * (den // x.denominator) for x in xs]))
     return out
 
 
@@ -390,8 +474,9 @@ def _certified(A: list, nc: int, pivots: list, values: list) -> bool:
     return not any(sum(map(mul, vals, map(packed.__getitem__, cols))) for cols, vals in A)
 
 
-def _rref_rational(rows, nc: int) -> tuple:
-    """(pivots, RREF rows) of ``rows`` over Q, which are left as they are.
+def _rref_rational(rows: list, nc: int) -> tuple:
+    """(pivots, RREF rows as {column: nonzero}) of the nonzero {column:
+    nonzero} ``rows`` over Q, which are left as they are.
 
     The rows are scaled to integers and reduced modulo primes from
     ``_primes``.  The first prime runs over all rows and fixes the pivots and
@@ -437,24 +522,28 @@ def _rref_rational(rows, nc: int) -> tuple:
         if _certified(A, nc, pivots, values):
             break
         run = range(len(A))
-    one, red = Fraction(1), []
-    for pc, vals in zip(pivots, values):
-        row = [_Q_ZERO] * nc
-        row[pc] = one
-        for c, x in vals.items():
-            row[c] = x
-        red.append(row)
-    return pivots, red
+    one = Fraction(1)
+    return pivots, [{pc: one, **vals} for pc, vals in zip(pivots, values)]
 
 
-def _echelon(field: Field, rows, nc: int) -> tuple:
-    """(pivots, RREF rows as lists) of ``rows``, an iterable of sequences of
-    length ``nc`` over ``field``; the sequences are left as they are."""
+def _echelon(field: Field, rows: Iterable[dict], nc: int) -> tuple:
+    """(pivots, RREF rows as {column: nonzero}) of ``rows``, {column:
+    nonzero} dicts of a matrix with ``nc`` columns, which are left as they
+    are."""
+    rows = [r for r in rows if r]
     if field.p is None:
         return _rref_rational(rows, nc)
-    work = [list(r) for r in rows]
+    work = _residue_rows(field.p, [(r, r.values()) for r in rows], nc)
     pivots, _ = _rref_mod(field.p, work)
-    return pivots, work[:len(pivots)]
+    return pivots, [{j: row[j] for j in compress(range(pc, nc), islice(row, pc, None))}
+                    for pc, row in zip(pivots, work)]
+
+
+def _sparse_vectors(field: Field, vectors: Iterable[Sequence]) -> list:
+    """Each vector as {index: nonzero}: the entries of a :class:`SparseVector`
+    as they are, the nonzeros of any other sequence."""
+    return [v.entries if isinstance(v, SparseVector)
+            else {j: v[j] for j in _nonzero_positions(field, v)} for v in vectors]
 
 
 def rref(field: Field, rows: list) -> tuple:
@@ -468,8 +557,9 @@ def rref(field: Field, rows: list) -> tuple:
     if field.p is not None:
         return _rref_mod(field.p, rows)[0]
     nc = len(rows[0]) if rows else 0
-    pivots, red = _rref_rational(rows, nc)
-    rows[:] = red + [[_Q_ZERO] * nc for _ in range(len(rows) - len(red))]
+    pivots, red = _echelon(field, _sparse_vectors(field, rows), nc)
+    rows[:] = [_densify(r, nc, _Q_ZERO) for r in red] + [
+        [_Q_ZERO] * nc for _ in range(len(rows) - len(red))]
     return pivots
 
 
@@ -477,13 +567,15 @@ def rref_vectors(field: Field, vectors: Iterable[Sequence]) -> tuple:
     """Canonical (RREF) basis of the span of ``vectors``.
 
     Returns (basis, pivots): basis rows in RREF with unit leading entries,
-    pivots their leading-column indices.
+    pivots their leading-column indices.  A :class:`SparseVector` is read
+    through its nonzeros.
     """
     rows = list(vectors)
     if not rows:
         return [], []
-    pivots, red = _echelon(field, rows, len(rows[0]))
-    return [tuple(r) for r in red], pivots
+    nc = len(rows[0])
+    pivots, red = _echelon(field, _sparse_vectors(field, rows), nc)
+    return [tuple(_densify(r, nc, field.zero)) for r in red], pivots
 
 
 def rank_and_kernel(m: Matrix) -> tuple:
@@ -494,19 +586,18 @@ def rank_and_kernel(m: Matrix) -> tuple:
     the negated RREF coefficients at pivot columns.
     """
     F, n = m.field, m.ncols
-    pivots, red = _echelon(F, m.rows, n)
+    pivots, red = _echelon(F, m.sparse_rows, n)
     pivot_set = set(pivots)
-    basis = []
+    kernel = {}
     for c in range(n):
-        if c in pivot_set:
-            continue
-        v = [F.zero] * n
-        v[c] = F.one
-        for pc, row in zip(pivots, red):
-            if row[c]:
-                v[pc] = F.neg(row[c])
-        basis.append(tuple(v))
-    return len(pivots), basis
+        if c not in pivot_set:
+            kernel[c] = v = [F.zero] * n
+            v[c] = F.one
+    for pc, row in zip(pivots, red):
+        for c, x in row.items():
+            if c != pc:
+                kernel[c][pc] = F.neg(x)
+    return len(pivots), [tuple(v) for v in kernel.values()]
 
 
 def solve_linear(m: Matrix, b: Sequence):
@@ -519,15 +610,85 @@ def solve_linear(m: Matrix, b: Sequence):
         raise ShapeError("rhs length %d for %dx%d system" % (len(b), m.nrows, m.ncols))
     F = m.field
     n = m.ncols
-    if not m.rows:
+    if not m.nrows:
         return tuple()
-    pivots, red = _echelon(F, ((*r, bv) for r, bv in zip(m.rows, b)), n + 1)
+    aug = [{**row, n: bv} if not F.is_zero(bv) else row for row, bv in zip(m.sparse_rows, b)]
+    pivots, red = _echelon(F, aug, n + 1)
     if pivots and pivots[-1] == n:
         return None
     x = [F.zero] * n
     for pc, row in zip(pivots, red):
-        x[pc] = row[n]
+        x[pc] = row.get(n, F.zero)
     return tuple(x)
+
+
+def _packed_product(F: Field, A: list, B: list, nc: int) -> list:
+    """The {column: nonzero} rows of A B, for {column: nonzero} rows A and B,
+    B with ``nc`` columns.
+
+    Over Q each row of A is scaled to integers by the lcm of its
+    denominators, and B by the lcm of all of its denominators.  Over F_p the
+    residues are lifted to integers of least absolute value, so a product of
+    matrices with small integer entries, such as D_{n+1} D_n, is zero over
+    the integers and not only mod p.  Each row of B is packed into one
+    integer, ``w`` bits per column (Kronecker substitution); a row of A times
+    the packed rows is then one integer multiply-add per nonzero, and its
+    digits, read as signed w-bit numbers, are the entries of the integer
+    product.  No digit can carry: ``w`` holds the largest possible |entry|,
+    the largest absolute row sum of A times the largest |entry| of B, with
+    the sign bit to spare.
+    """
+    if F.p is None:
+        den = math.lcm(*(x.denominator for row in B for x in row.values()))
+        B = [{j: x.numerator * (den // x.denominator) for j, x in row.items()} for row in B]
+        left = []
+        for row in A:
+            xs = row.values()
+            d = math.lcm(*(x.denominator for x in xs))
+            left.append((d * den, row.keys(), [x.numerator * (d // x.denominator) for x in xs]))
+    else:
+        p = F.p
+        h = p >> 1
+        B = [{j: v - p if v > h else v for j, v in row.items()} for row in B]
+        left = [(1, row.keys(), [v - p if v > h else v for v in row.values()]) for row in A]
+    bound = (max((sum(map(abs, vals)) for _, _, vals in left), default=0)
+             * max((abs(v) for row in B for v in row.values()), default=0))
+    w = _digit_width(bound)
+    packed = [sum(v << (j * w) for j, v in row.items()) for row in B]
+    offset = (1 << (w - 1)) * (((1 << (nc * w)) - 1) // ((1 << w) - 1))
+    out = []
+    for scale, cols, vals in left:
+        s = sum(map(mul, vals, map(packed.__getitem__, cols)))
+        out.append(_unpack(F, s + offset, w, nc, scale) if s else {})
+    return out
+
+
+def _digit_width(bound: int) -> int:
+    """Bits per column of a packed row whose entries are at most ``bound`` in
+    absolute value: bound.bit_length() and a sign bit, rounded up to whole
+    bytes so that the digits can be read off the packed integer's bytes."""
+    return (bound.bit_length() + 8) // 8 * 8
+
+
+# the array codes of unsigned digits of 1, 2, 4 and 8 bytes
+_DIGIT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def _unpack(F: Field, u: int, w: int, nc: int, scale: int) -> dict:
+    """The {column: nonzero} entries of a packed product row, given as ``u``,
+    the row plus 2**(w-1) in every digit, so each digit is unsigned; over Q
+    each entry is divided by ``scale``, over F_p reduced mod p."""
+    nb, half = w // 8, 1 << (w - 1)
+    raw = u.to_bytes(nc * nb, sys.byteorder)
+    if nb in _DIGIT_CODES:
+        digits = memoryview(raw).cast(_DIGIT_CODES[nb]).tolist()
+    else:
+        digits = [int.from_bytes(raw[k:k + nb], sys.byteorder) for k in range(0, nc * nb, nb)]
+    cols = compress(range(nc), map(half.__ne__, digits))
+    if F.p is None:
+        return {j: Fraction(digits[j] - half, scale) for j in cols}
+    p = F.p
+    return {j: r for j in cols if (r := (digits[j] - half) % p)}
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ time, so no residual outgrows the maps it checks.  Commutation residuals are
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from itertools import product
 
@@ -118,6 +119,10 @@ class MRBDerPair:
     R: Matrix
     d: Matrix
     kappa: object
+    # the cochain complexes of this pair, one per bimodule object, filled by
+    # mrbder.cohomology; not part of the pair's value
+    _complexes: dict = dataclasses.field(default_factory=dict, init=False, repr=False,
+                                         compare=False)
 
     def __post_init__(self):
         n = self.algebra.dim

@@ -4,6 +4,9 @@
   zeros included, and rebuilds each row it touches.  ``dense_rank_and_kernel``,
   ``dense_rref_vectors``, ``dense_solve_linear`` and ``dense_inverse`` are the
   solvers of ``mrbder.linalg`` written on top of it.
+* The entry-by-entry product ``dense_matmul``: each nonzero of a left row
+  times each nonzero of the matching right row, added into the result with
+  the field's own operations.
 * The structure maps of the complex as literal transcriptions of their
   formulas, evaluated on one cochain at a time: ``hochschild_delta``, the
   twins ``modified_delta`` (written out) and ``modified_delta_via_induced``
@@ -25,7 +28,7 @@ from typing import Callable
 
 from mrbder.cohomology import (Cochain, CochainSpace, PairSpace, _rho_of, cochain_arities,
                                hom_space, induced_actions, induced_lie_pair, induced_mu)
-from mrbder.linalg import Matrix, MultiTensor, ShapeError, _index_tuples
+from mrbder.linalg import Matrix, MultiTensor, ShapeError, _index_tuples, _nonzero_positions
 
 
 def dense_rref(field, rows):
@@ -116,6 +119,21 @@ def dense_inverse(m: Matrix) -> Matrix:
         raise ValueError("matrix is singular")
     return Matrix(F, tuple(tuple(row[n:]) for row in aug))
 
+
+def dense_matmul(a: Matrix, b: Matrix) -> Matrix:
+    if a.ncols != b.nrows:
+        raise ShapeError("matmul %dx%d by %dx%d" % (a.nrows, a.ncols, b.nrows, b.ncols))
+    F = a.field
+    add, mul, zero = F.add, F.mul, F.zero
+    out = [[zero] * b.ncols for _ in range(a.nrows)]
+    b_nz = [[(j, brow[j]) for j in _nonzero_positions(F, brow)] for brow in b.rows]
+    for i, row in enumerate(a.rows):
+        acc = out[i]
+        for k in _nonzero_positions(F, row):
+            x = row[k]
+            for j, y in b_nz[k]:
+                acc[j] = add(acc[j], mul(x, y))
+    return Matrix(F, tuple(tuple(r) for r in out))
 
 
 def operator_matrix(dom, cod, fn: Callable) -> Matrix:

@@ -14,7 +14,9 @@ from pathlib import Path
 import pytest
 
 from mrbder.cli import CHECK_FAILED_EXIT, INTERNAL_EXIT, USAGE_EXIT, main
+from mrbder.fields import QQ
 from mrbder.linalg import Matrix, set_max_tensor_entries
+from mrbder.structures import InternalError, adjoint_bimodule, dual_pair
 
 ROOT = Path(__file__).resolve().parents[1]
 INSTANCES = ROOT / "instances"
@@ -223,6 +225,26 @@ class TestInternalErrors:
         monkeypatch.setattr(mod, "differential_matrix", broken)
         assert run(capsys, "cohomology", FIXD, "--degree", "2") == (
             INTERNAL_EXIT, "", "error: internal: coboundaries escape the cocycles; complex is broken\n")
+
+    def test_differential_that_does_not_square_to_zero(self, capsys, monkeypatch):
+        # with delta f negated at every degree, B^2 still lies in Z^2 on the
+        # pivots; only the product D_2 D_1 shows the complex is broken
+        mod = importlib.import_module("mrbder.cohomology")
+        real = mod._graded_blocks
+
+        def flipped(n, layers):
+            blocks = real(n, layers)
+            i, j, plus, kind, arity = blocks[0]
+            assert kind == "delta"
+            blocks[0] = (i, j, not plus, kind, arity)
+            return blocks
+
+        monkeypatch.setattr(mod, "_graded_blocks", flipped)
+        pair = dual_pair(QQ)
+        with pytest.raises(InternalError, match="D_2 D_1 is not zero"):
+            mod.cohomology(pair, adjoint_bimodule(pair), 2)
+        assert run(capsys, "cohomology", FIXD, "--degree", "2") == (
+            INTERNAL_EXIT, "", "error: internal: D_2 D_1 is not zero; complex is broken\n")
 
     def test_gauge_step_that_clears_nothing(self, capsys, monkeypatch):
         mod = importlib.import_module("mrbder.deformation")

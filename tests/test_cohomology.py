@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -13,8 +14,9 @@ from mrbder.cohomology import (MAX_COHOMOLOGY_DEGREE, MAX_MATRIX_DEGREE,
 from mrbder.constructions import direct_sum, rho_representation
 from mrbder.fields import Field, QQ
 from mrbder.fuzzing import conjugate_pair, random_instances, random_invertible
-from mrbder.linalg import Matrix, MultiTensor, ShapeError, matrix_as_tensor, rref_vectors
-from mrbder.structures import (Algebra, MRBDerPair, adjoint_bimodule,
+from mrbder.linalg import (EntryCapExceeded, Matrix, MultiTensor, ShapeError, matrix_as_tensor,
+                           rref_vectors, set_max_tensor_entries)
+from mrbder.structures import (Algebra, Bimodule, MRBDerPair, adjoint_bimodule,
                                dual_pair, scalar_pair, dual_algebra,
                                upper_triangular_pair, verify_pair)
 
@@ -263,11 +265,77 @@ class TestPairComplex:
         want = target.flatten(pair_delta(pair, bim, space.unflatten(vec)))
         assert mat.apply(vec) == want
 
+    @pytest.mark.parametrize("F", [QQ, F5], ids=["Q", "F5"])
+    def test_entries_that_cancel_are_left_out(self, F):
+        # on the one-dimensional unital algebra the two mu-terms of the
+        # degree-2 coboundary cancel, and so do the l- and r-terms
+        pair = rigid_pair_f5() if F is F5 else MRBDerPair(
+            Algebra.from_table(QQ, 1, {(0, 0): (QQ.one,)}), Matrix.scalar(QQ, 1, QQ.parse(2)),
+            Matrix.zeros(QQ, 1, 1), QQ.parse(-4))
+        d = differential_matrix(pair, adjoint_bimodule(pair), 2, "hochschild")
+        assert d.sparse_rows == [{}] and d.is_zero() and d == Matrix.zeros(F, 1, 1)
+
     def test_differential_matrix_deterministic(self, dual_q_adj):
         pair, bim = dual_q_adj
         a = differential_matrix(pair, bim, 2, "pair")
         b = differential_matrix(pair, bim, 2, "pair")
         assert a.rows == b.rows
+
+
+KINDS = ("hochschild", "modified", "operator_map", "derivation_defect",
+         "operator", "operator_defect", "pair")
+
+
+class TestComplexCache:
+    """One complex per (pair, bimodule) objects, kept on the pair."""
+
+    def test_kept_per_object_not_per_value(self):
+        p1, p2 = dual_pair(QQ), dual_pair(QQ)
+        b1, b2 = adjoint_bimodule(p1), adjoint_bimodule(p1)
+        assert p1 == p2 and b1 == b2
+        d = differential_matrix(p1, b1, 2, "pair")
+        assert differential_matrix(p1, b1, 2, "pair") is d
+        # equal but distinct pairs, or bimodules, build their own
+        for pair, bim in ((p2, b1), (p1, b2)):
+            other = differential_matrix(pair, bim, 2, "pair")
+            assert other is not d and other == d
+        assert differential_matrix(p1, b1, 2, "operator") is not d
+        # a new pair made from the old one starts empty
+        p3 = dataclasses.replace(p1)
+        assert differential_matrix(p3, b1, 2, "pair") is not d
+
+    @pytest.mark.parametrize("which", KINDS)
+    @pytest.mark.parametrize("dim_m", [None, 3], ids=["adjoint", "trivial3"])
+    def test_lowered_cap_after_a_cached_build(self, which, dim_m):
+        # a hit checks the cap as a fresh build does, with the same message;
+        # on a 3-dimensional module the induced actions (18 entries) are
+        # larger than the induced product (8) and than C^2 (12)
+        def make():
+            pair = dual_pair(QQ)
+            if dim_m is None:
+                return pair, adjoint_bimodule(pair)
+            z = MultiTensor.zeros(QQ, (2, dim_m), dim_m)
+            return pair, Bimodule(dim_m, z, z.permute_slots([1, 0]),
+                                  Matrix.zeros(QQ, dim_m, dim_m), Matrix.zeros(QQ, dim_m, dim_m))
+
+        def outcome(pair, bim, n):
+            try:
+                return differential_matrix(pair, bim, n, which).rows
+            except EntryCapExceeded as e:
+                return str(e)
+
+        cached = make()
+        for n in (1, 2, 3):
+            differential_matrix(*cached, n, which)
+        try:
+            for cap in range(1, 60):
+                fresh = make()
+                set_max_tensor_entries(cap)
+                for n in (1, 2, 3):
+                    assert outcome(*cached, n) == outcome(*fresh, n)
+                set_max_tensor_entries(10 ** 6)
+        finally:
+            set_max_tensor_entries(10 ** 6)
 
 
 class TestSpaces:

@@ -71,6 +71,30 @@ class TestMatrix:
             assert (m * m.inverse() - Matrix.identity(F5, 3)).is_zero()
 
 
+    @pytest.mark.parametrize("F", [QQ, F5], ids=["Q", "F5"])
+    def test_sparse_rows_read_as_the_dense_matrix(self, F):
+        z, c = F.zero, F.from_int
+        dense = Matrix(F, ((z, c(2), z, z), (z, z, z, z), (c(-1), z, z, c(3))))
+        rows = [{1: c(2)}, {}, {3: c(3), 0: c(-1)}]
+        sparse = Matrix.from_sparse(F, rows, 4)
+        assert sparse.rows == dense.rows and repr(sparse) == repr(dense)
+        assert sparse.rows is sparse.rows          # built once, then kept
+        assert (sparse.nrows, sparse.ncols) == (dense.nrows, dense.ncols) == (3, 4)
+        assert sparse == dense and dense == sparse and hash(sparse) == hash(dense)
+        assert dense.sparse_rows == rows and sparse.sparse_rows is rows
+        # equal with both sparse forms at hand, and unequal on one entry
+        assert Matrix.from_sparse(F, [dict(r) for r in rows], 4) == dense
+        changed = Matrix.from_sparse(F, [{1: c(2)}, {}, {3: c(4), 0: c(-1)}], 4)
+        assert changed != sparse and changed != dense and dense != changed
+        assert Matrix.from_sparse(F, rows, 5) != sparse
+        assert sparse.transpose() == dense.transpose()
+        assert [tuple(v) for v in sparse.columns()] == list(dense.transpose().rows)
+        assert {sparse, dense} == {dense}
+        # a matrix with no rows has no columns, however it was made
+        assert Matrix.from_sparse(F, [], 5) == Matrix(F, ())
+        assert Matrix.from_sparse(F, [], 5).ncols == 0
+
+
 class TestRref:
     def test_known_form(self):
         rows = [[QQ.parse(x) for x in r] for r in ([2, 4, 6], [1, 2, 4])]
