@@ -64,9 +64,10 @@ distinct inputs never share one, and ``differential_matrix``, ``cohomology``
 and ``primitive`` build each D_n once per pair and bimodule.  A call served
 from it still checks the entry cap in the order a fresh build would.
 
-Cohomology is computed from RREF rank/kernel data with canonical (RREF)
-representatives, after a check that D_n D_{n-1} = 0, and ``primitive``
-solves D^1 h = c for a degree-2 cochain c.
+Cohomology is computed from two RREF bases, Z^n from one elimination of D_n
+with its columns reversed and B^n from the columns of D_{n-1}, with
+canonical (RREF) representatives, after a check that D_n D_{n-1} = 0, and
+``primitive`` solves D^1 h = c for a degree-2 cochain c.
 The Lie-side complex (Chevalley-Eilenberg of the commutator bracket) shares
 the entry lists of phi and Delta and the graded stacking, and the
 skew-symmetrization chain maps live here too.
@@ -82,7 +83,7 @@ from typing import Callable
 
 from .fields import Field
 from .linalg import (Matrix, MultiTensor, ShapeError, TensorSpace, _checked_size,
-                     _index_tuples, _nonzero_positions, rank_and_kernel,
+                     _index_tuples, _nonzero_positions, kernel_rref,
                      rref_vectors, solve_linear, tensor_as_matrix)
 from .structures import Bimodule, InternalError, MRBDerPair
 from .constructions import LiePair
@@ -662,7 +663,9 @@ def cohomology(pair: MRBDerPair, bim: Bimodule, n: int) -> CohomologyResult:
     """H^n of the pair complex; B^1 = 0 by convention.
 
     Representatives are canonical: RREF rows of the cocycle space whose pivots
-    are not pivots of the coboundary space.  Before answering, it checks
+    are not pivots of the coboundary space.  Z^n's RREF basis is read off one
+    elimination of D_n with its columns reversed (``linalg.kernel_rref``),
+    B^n's is the RREF of the columns of D_{n-1}.  Before answering, it checks
     that B^n lies in Z^n on the pivots and that D_n D_{n-1} = 0; either
     failure is an :class:`InternalError`.
     """
@@ -671,8 +674,7 @@ def cohomology(pair: MRBDerPair, bim: Bimodule, n: int) -> CohomologyResult:
     F = pair.field
     space = PairSpace(F, pair.dim, bim.dim_m, n)
     d_n = differential_matrix(pair, bim, n, "pair")
-    _, kernel = rank_and_kernel(d_n)
-    z_basis, z_pivots = rref_vectors(F, kernel)
+    z_basis, z_pivots = kernel_rref(d_n)
     if n == 1:
         b_basis, b_pivots = [], []
     else:

@@ -263,9 +263,13 @@ def trivialize(defo: Deformation, max_order: int | None = None) -> Gauge | None:
     """Gauge the deformation to zero order by order.
 
     Returns the composite gauge, or None when some surviving coefficient is a
-    cocycle that is not a coboundary (an essential deformation).  Raises
-    InvalidStructure if the input fails its own coefficient equations.
+    cocycle that is not a coboundary (an essential deformation).  Only the
+    orders up to ``max_order`` (default: all) are gauged; a ``max_order``
+    below 1 gauges nothing and raises ShapeError.  Raises InvalidStructure
+    if the input fails its own coefficient equations.
     """
+    if max_order is not None and max_order < 1:
+        raise ShapeError("max_order must be at least 1, got %d" % max_order)
     rep = check_deformation(defo)
     if not rep.ok:
         raise InvalidStructure("not a deformation: %s" % (rep.first,), rep)

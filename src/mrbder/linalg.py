@@ -600,6 +600,29 @@ def rank_and_kernel(m: Matrix) -> tuple:
     return len(pivots), [tuple(v) for v in kernel.values()]
 
 
+def kernel_rref(m: Matrix) -> tuple:
+    """(basis, pivots): the RREF basis of the kernel of ``m`` and its pivots,
+    from one elimination.
+
+    The columns are reversed (j -> N-1-j) and :func:`rank_and_kernel` gives
+    the free-column kernel basis of the reversed matrix.  Read back in the
+    original columns, the vector of free column c' has its 1 at N-1-c', 0 at
+    the other free columns, and its other nonzeros after N-1-c': in reverse
+    order, these vectors are the RREF basis of ker m, which is unique.  A
+    vector's pivot is its first entry that is not the ``field.zero`` object,
+    which ``rank_and_kernel`` fills its vectors with.
+    """
+    n = m.ncols
+    flipped = Matrix.from_sparse(
+        m.field, [{n - 1 - j: v for j, v in row.items()} for row in m.sparse_rows], n)
+    _, basis = rank_and_kernel(flipped)
+    basis.reverse()
+    for i, v in enumerate(basis):
+        basis[i] = v[::-1]
+    zero = m.field.zero
+    return basis, [next(compress(count(), map(is_not, v, repeat(zero)))) for v in basis]
+
+
 def solve_linear(m: Matrix, b: Sequence):
     """One solution of M x = b, or None if inconsistent.
 

@@ -4,6 +4,10 @@
   zeros included, and rebuilds each row it touches.  ``dense_rank_and_kernel``,
   ``dense_rref_vectors``, ``dense_solve_linear`` and ``dense_inverse`` are the
   solvers of ``mrbder.linalg`` written on top of it.
+* ``two_step_kernel_rref``: the RREF basis of a kernel in two eliminations,
+  the free-column basis of ``rank_and_kernel`` reduced again by
+  ``rref_vectors``, as ``cohomology`` once found Z^n; ``linalg.kernel_rref``
+  finds it in one.
 * The entry-by-entry product ``dense_matmul``: each nonzero of a left row
   times each nonzero of the matching right row, added into the result with
   the field's own operations.
@@ -28,7 +32,8 @@ from typing import Callable
 
 from mrbder.cohomology import (Cochain, CochainSpace, PairSpace, _rho_of, cochain_arities,
                                hom_space, induced_actions, induced_lie_pair, induced_mu)
-from mrbder.linalg import Matrix, MultiTensor, ShapeError, _index_tuples, _nonzero_positions
+from mrbder.linalg import (Matrix, MultiTensor, ShapeError, _index_tuples, _nonzero_positions,
+                           rank_and_kernel, rref_vectors)
 
 
 def dense_rref(field, rows):
@@ -90,6 +95,12 @@ def dense_rank_and_kernel(m: Matrix):
             v[pc] = F.neg(rows[k][c])
         basis.append(tuple(v))
     return len(pivots), basis
+
+
+def two_step_kernel_rref(m: Matrix):
+    """(basis, pivots) of ker m in RREF: the kernel in its free-column basis,
+    then that basis eliminated again."""
+    return rref_vectors(m.field, rank_and_kernel(m)[1])
 
 
 def dense_solve_linear(m: Matrix, b):

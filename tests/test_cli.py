@@ -450,6 +450,13 @@ class TestDeformation:
         assert gauge[0] == [["2"]]
         assert gauge[1:] == [[["0"]], [["0"]]]
 
+    @pytest.mark.parametrize("max_order", ["0", "-1"])
+    def test_trivialize_max_order_below_one(self, capsys, max_order):
+        code, out, err = run(capsys, "trivialize", RIGID_F5, "--max-order", max_order)
+        assert code == USAGE_EXIT
+        assert out == ""
+        assert err == "error: max_order must be at least 1, got %s\n" % max_order
+
     def test_trivialize_needs_block(self, capsys):
         code, _, err = run(capsys, "trivialize", FIXD)
         assert code == USAGE_EXIT

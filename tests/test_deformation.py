@@ -258,6 +258,17 @@ class TestTrivialize:
         assert g is not None
         assert all(t.is_zero() for t in g.terms)
 
+    @pytest.mark.parametrize("max_order", [0, -1])
+    def test_max_order_below_one_raises(self, max_order):
+        # nothing would be gauged: no all-zero gauge may come back as an answer
+        pair = rigid_pair_f5(2)
+        g0 = single_term_gauge(pair, 1, Matrix.scalar(F5, 1, F5.parse(3)), 3)
+        defo = apply_gauge(zero_deformation(pair, 3), g0)
+        with pytest.raises(ShapeError, match="max_order must be at least 1"):
+            trivialize(defo, max_order=max_order)
+        with pytest.raises(ShapeError):
+            trivialize(zero_deformation(pair, 3), max_order)
+
     def test_invalid_input_raises(self, dual_q):
         bad = deformation_from_cochain(
             dual_q,

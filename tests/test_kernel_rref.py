@@ -1,0 +1,132 @@
+"""Z^n in one elimination: ``linalg.kernel_rref`` against the two-step oracle.
+
+``kernel_rref`` reads the RREF basis of a kernel off one elimination of the
+matrix with its columns reversed.  RREF is unique, so the basis and pivots
+must equal those of the old two-step path, ``two_step_kernel_rref`` in
+``oracles``, entry for entry and type for type.  The inputs are every D_n of
+the benchmark ladders' fixtures (standard basis and after a random basis
+change, over Q and F_5), the D_n of sixteen random instances, the
+conjugated ut+dual D_2, edge shapes and the random shapes of the
+elimination tests.  A spy on ``linalg._echelon`` holds ``cohomology`` to one
+elimination for Z^n.
+"""
+
+import random
+
+import pytest
+
+from mrbder import linalg
+from mrbder.cohomology import cohomology, differential_matrix
+from mrbder.constructions import direct_sum
+from mrbder.fields import Field, QQ
+from mrbder.fuzzing import conjugate_pair, random_instances, random_invertible
+from mrbder.linalg import Matrix, kernel_rref
+from mrbder.structures import adjoint_bimodule, dual_pair, upper_triangular_pair
+
+from oracles import two_step_kernel_rref
+from test_elimination import CASES, cases
+
+F5 = Field.prime(5)
+FIELDS = {"Q": QQ, "F5": F5}
+
+# (fixture, top degree) of the benchmark's ladders
+SPARSE_TOPS = (("dual", 3), ("ut", 3), ("dual+dual", 3), ("ut+dual", 2))
+DENSE_TOPS = (("dual", 3), ("ut", 3), ("dual+dual", 2))
+
+
+def fixtures(F):
+    dual, ut = dual_pair(F), upper_triangular_pair(F, F.one)
+    return {"dual": dual, "ut": ut, "dual+dual": direct_sum(dual, dual),
+            "ut+dual": direct_sum(ut, dual)}
+
+
+def assert_matches_two_step(m):
+    got, want = kernel_rref(m), two_step_kernel_rref(m)
+    assert got == want
+    assert repr(got) == repr(want)
+    basis = got[0]
+    if basis:
+        assert (m * Matrix(m.field, tuple(zip(*basis)))).is_zero()
+
+
+@pytest.mark.parametrize("field", ["Q", "F5"])
+@pytest.mark.parametrize("name,top", SPARSE_TOPS)
+def test_sparse_ladder(field, name, top):
+    F = FIELDS[field]
+    pair = fixtures(F)[name]
+    bim = adjoint_bimodule(pair)
+    for n in range(1, top + 1):
+        assert_matches_two_step(differential_matrix(pair, bim, n, "pair"))
+
+
+@pytest.mark.parametrize("field", ["Q", "F5"])
+def test_dense_ladder(field):
+    # one basis change per fixture from Random(0), in the ladder's order
+    F = FIELDS[field]
+    rng, pairs = random.Random(0), fixtures(F)
+    for name, top in DENSE_TOPS:
+        conj = conjugate_pair(pairs[name], random_invertible(rng, F, pairs[name].dim))
+        bim = adjoint_bimodule(conj)
+        for n in range(1, top + 1):
+            assert_matches_two_step(differential_matrix(conj, bim, n, "pair"))
+
+
+@pytest.mark.parametrize("field", ["Q", "F5"])
+def test_random_instances(field):
+    for inst in random_instances(FIELDS[field], 2, 8, seed=11):
+        for n in (1, 2, 3):
+            assert_matches_two_step(differential_matrix(inst.pair, inst.bim, n, "pair"))
+
+
+@pytest.mark.parametrize("field", ["Q", "F5"])
+def test_conjugated_ut_dual_d2(field):
+    F = FIELDS[field]
+    pair = fixtures(F)["ut+dual"]
+    conj = conjugate_pair(pair, random_invertible(random.Random(0), F, pair.dim))
+    m = differential_matrix(conj, adjoint_bimodule(conj), 2, "pair")
+    assert (m.nrows, m.ncols) == (900, 175)
+    assert_matches_two_step(m)
+
+
+@pytest.mark.parametrize("field", ["Q", "F5"])
+def test_edge_shapes(field):
+    F = FIELDS[field]
+    z, o = F.zero, F.one
+    zero = Matrix.zeros(F, 3, 4)
+    assert kernel_rref(zero) == ([tuple(o if i == j else z for j in range(4)) for i in range(4)],
+                                 [0, 1, 2, 3])
+    full_rank = Matrix.from_rows(F, [[o, z, z], [o, o, z], [z, o, o], [o, z, o]])
+    assert kernel_rref(full_rank) == ([], [])
+    with_zero_rows = Matrix.from_rows(F, [[z] * 5, [o, o, z, z, z], [z] * 5, [z, z, o, z, o], [z] * 5])
+    assert kernel_rref(with_zero_rows) == (
+        [(o, F.neg(o), z, z, z), (z, z, o, z, F.neg(o)), (z, z, z, o, z)], [0, 2, 3])
+    for m in (zero, full_rank, with_zero_rows, Matrix.zeros(F, 2, 0), Matrix.zeros(F, 0, 3),
+              Matrix.from_sparse(F, [{}, {}], 3)):
+        assert_matches_two_step(m)
+
+
+@pytest.mark.parametrize("field,k", CASES)
+def test_random_shapes(field, k):
+    for F, _, rows in cases(field, k):
+        assert_matches_two_step(Matrix(F, tuple(tuple(r) for r in rows)))
+
+
+@pytest.mark.parametrize("n,eliminations", [(1, 1), (2, 2), (3, 2)])
+def test_cohomology_eliminates_once_for_the_cocycles(monkeypatch, n, eliminations):
+    # Z^n takes one elimination of D_n, B^n one of D_{n-1}^T
+    pair = dual_pair(F5)
+    bim = adjoint_bimodule(pair)
+    for k in range(1, n + 1):
+        differential_matrix(pair, bim, k, "pair")
+    calls = []
+    echelon = linalg._echelon
+
+    def spy(*args):
+        calls.append(args[2])
+        return echelon(*args)
+
+    monkeypatch.setattr(linalg, "_echelon", spy)
+    r = cohomology(pair, bim, n)
+    assert len(calls) == eliminations
+    assert calls[0] == differential_matrix(pair, bim, n, "pair").ncols
+    assert len(r.representatives) == r.dim_h
