@@ -16,7 +16,7 @@ import argparse
 import sys
 
 from .fields import Field, ParseError
-from .linalg import EntryCapExceeded, set_max_tensor_entries
+from .linalg import EntryCapExceeded, max_tensor_entries, set_max_tensor_entries
 from .structures import (CheckReport, InternalError, InvalidStructure, check_bimodule,
                          adjoint_bimodule, verify_pair)
 from .cohomology import (DegreeCapExceeded, MAX_MATRIX_DEGREE, PairSpace,
@@ -312,6 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    cap = max_tensor_entries()
     try:
         set_max_tensor_entries(args.max_entries)
         return args.fn(args)
@@ -325,6 +326,9 @@ def main(argv=None) -> int:
         what = str(e) if isinstance(e, InternalError) else "%s: %s" % (type(e).__name__, e)
         sys.stderr.write("error: internal: %s\n" % " ".join(what.split()))
         return INTERNAL_EXIT
+    finally:
+        # the cap is process-wide: leave it as the caller had it
+        set_max_tensor_entries(cap)
 
 
 if __name__ == "__main__":

@@ -86,7 +86,7 @@ from .linalg import (Matrix, MultiTensor, ShapeError, TensorSpace, _checked_size
                      _index_tuples, _nonzero_positions, kernel_rref,
                      rref_vectors, solve_linear, tensor_as_matrix)
 from .structures import Bimodule, InternalError, MRBDerPair
-from .constructions import LiePair
+from .constructions import LiePair, induced_action, induced_product
 
 MAX_MATRIX_DEGREE = 4
 MAX_COHOMOLOGY_DEGREE = 3
@@ -99,25 +99,6 @@ class DegreeCapExceeded(ValueError):
 def _sign_is_plus(k: int) -> bool:
     # true when (-1)^k = +1
     return k % 2 == 0
-
-
-def induced_mu(pair: MRBDerPair) -> MultiTensor:
-    return _induced_product(pair.mu, pair.R)
-
-
-def _induced_product(mu: MultiTensor, R: Matrix) -> MultiTensor:
-    """mu_R(a, b) = mu(Ra, b) + mu(a, Rb); over a bracket, [a, b]_R."""
-    return mu.precompose_slot(0, R) + mu.precompose_slot(1, R)
-
-
-def induced_actions(pair: MRBDerPair, bim: Bimodule) -> tuple:
-    return _induced_actions(pair.R, bim)
-
-
-def _induced_actions(R: Matrix, bim: Bimodule) -> tuple:
-    lt = bim.left.precompose_slot(0, R) - bim.left.postcompose(bim.R_M)
-    rt = bim.right.precompose_slot(1, R) - bim.right.postcompose(bim.R_M)
-    return lt, rt
 
 
 # ---------------------------------------------------------------------------
@@ -461,11 +442,12 @@ def _pair_complex(pair: MRBDerPair, bim: Bimodule) -> _Complex:
     if hit is None:
         # ``induce`` holds the maps, not the pair, so no reference cycle
         # runs through the pair's store
-        mu, R = pair.mu, pair.R
+        mu, R, R_M = pair.mu, pair.R, bim.R_M
         cx = _Complex(pair.field, pair.dim, bim.dim_m, _coboundary_entries,
                       (mu, bim.left, bim.right),
-                      lambda: (_induced_product(mu, R),) + _induced_actions(R, bim),
-                      R, bim.R_M, pair.kappa, pair.d, bim.d_M)
+                      lambda: (induced_product(mu, R), induced_action(bim.left, 0, R, R_M),
+                               induced_action(bim.right, 1, R, R_M)),
+                      R, R_M, pair.kappa, pair.d, bim.d_M)
         # the entry holds bim, so no other object can take its id meanwhile
         hit = store[id(bim)] = (bim, cx)
     return hit[1]
@@ -742,9 +724,9 @@ def _rho_of(lp: LiePair):
 
 def induced_lie_pair(lp: LiePair) -> LiePair:
     """Bracket [a,b]_R = [Ra,b] + [a,Rb] with rho~(a) = rho(Ra) - R_M rho(a)."""
-    br = _induced_product(lp.bracket, lp.R)
+    br = induced_product(lp.bracket, lp.R)
     rho, R_M, d_M = _rho_of(lp)
-    rho_t = rho.precompose_slot(0, lp.R) - rho.postcompose(R_M)
+    rho_t = induced_action(rho, 0, lp.R, R_M)
     return LiePair(lp.field, lp.dim, br, lp.R, lp.d, lp.kappa, rho_t, R_M, d_M)
 
 

@@ -1,9 +1,16 @@
 """Constructions on pairs and bimodules.
 
-Direct sums, semidirect products, the induced ("descendent") multiplication
-mu_R(a,b) = mu(Ra,b) + mu(a,Rb) with its induced bimodule actions, passage to
-the commutator Lie bracket, and the embedding of ordinary Rota-Baxter
-operators of weight lambda via R = lam*Id + 2P, kappa = -lam^2.
+Direct sums and semidirect products, whose product tables are written from
+their blocks by ``MultiTensor.from_blocks``; the induced ("descendent")
+structures; passage to the commutator Lie bracket; and the embedding of
+ordinary Rota-Baxter operators of weight lambda via R = lam*Id + 2P,
+kappa = -lam^2.
+
+This module owns the induced formulas: :func:`induced_product` gives
+mu_R(a,b) = mu(Ra,b) + mu(a,Rb) (and [a,b]_R over a bracket), and
+:func:`induced_action` gives l~, r~ and, on a Lie pair, rho~.  The induced
+pair and bimodule, the modified coboundary of ``cohomology`` and its
+``induced_lie_pair`` all call them.
 """
 
 from __future__ import annotations
@@ -30,18 +37,8 @@ def direct_sum(p1: MRBDerPair, p2: MRBDerPair) -> MRBDerPair:
         raise ShapeError("summands over different fields")
     if p1.kappa != p2.kappa:
         raise KappaMismatch("kappa mismatch: %s vs %s" % (F.to_str(p1.kappa), F.to_str(p2.kappa)))
-    n1, n2 = p1.dim, p2.dim
-    n = n1 + n2
-    z = (F.zero,) * n
-
-    def fn(i, j):
-        if i < n1 and j < n1:
-            return p1.mu.value_at(i, j) + (F.zero,) * n2
-        if i >= n1 and j >= n1:
-            return (F.zero,) * n1 + p2.mu.value_at(i - n1, j - n1)
-        return z
-
-    alg = Algebra(F, n, MultiTensor.from_map(F, (n, n), n, fn))
+    mu = MultiTensor.from_blocks(F, (p1.dim, p2.dim), {(0, 0, 0): p1.mu, (1, 1, 1): p2.mu})
+    alg = Algebra(F, p1.dim + p2.dim, mu)
     return MRBDerPair(alg, p1.R.block_diag(p2.R), p1.d.block_diag(p2.d), p1.kappa)
 
 
@@ -54,46 +51,44 @@ def semidirect_product(pair: MRBDerPair, bim: Bimodule) -> MRBDerPair:
     rep = check_bimodule(pair, bim)
     if not rep.ok:
         raise InvalidStructure("not a bimodule: first failure %r" % (rep.first,), rep)
-    F = pair.field
-    n, m = pair.dim, bim.dim_m
-    N = n + m
-
-    def fn(i, j):
-        if i < n and j < n:
-            return pair.mu.value_at(i, j) + (F.zero,) * m
-        if i < n and j >= n:
-            return (F.zero,) * n + bim.left.value_at(i, j - n)
-        if i >= n and j < n:
-            return (F.zero,) * n + bim.right.value_at(i - n, j)
-        return (F.zero,) * N
-
-    alg = Algebra(F, N, MultiTensor.from_map(F, (N, N), N, fn))
+    F, n, m = pair.field, pair.dim, bim.dim_m
+    mu = MultiTensor.from_blocks(
+        F, (n, m), {(0, 0, 0): pair.mu, (0, 1, 1): bim.left, (1, 0, 1): bim.right})
+    alg = Algebra(F, n + m, mu)
     return MRBDerPair(alg, pair.R.block_diag(bim.R_M), pair.d.block_diag(bim.d_M), pair.kappa)
 
 
+def induced_product(mu: MultiTensor, R: Matrix) -> MultiTensor:
+    """mu_R(a, b) = mu(Ra, b) + mu(a, Rb); over a bracket, [a, b]_R."""
+    return mu.precompose_slot(0, R) + mu.precompose_slot(1, R)
+
+
+def induced_action(action: MultiTensor, slot: int, R: Matrix, R_M: Matrix) -> MultiTensor:
+    """The action with R fed into its algebra slot, less R_M after it:
+
+        l~(a, m) = l(Ra, m) - R_M(l(a, m))       (slot 0; also rho~ on a Lie pair)
+        r~(m, a) = r(m, Ra) - R_M(r(m, a))       (slot 1)
+    """
+    return action.precompose_slot(slot, R) - action.postcompose(R_M)
+
+
 def induced_algebra(pair: MRBDerPair) -> MRBDerPair:
-    """The pair (A, mu_R, R, d, kappa) with mu_R(a,b) = mu(Ra,b) + mu(a,Rb).
+    """The pair (A, mu_R, R, d, kappa) with mu_R of :func:`induced_product`.
 
     Precondition: ``pair`` verifies; raises :class:`InvalidStructure` otherwise.
     """
     rep = verify_pair(pair)
     if not rep.ok:
         raise InvalidStructure("pair does not verify: first failure %r" % (rep.first,), rep)
-    mu_r = pair.mu.precompose_slot(0, pair.R) + pair.mu.precompose_slot(1, pair.R)
+    mu_r = induced_product(pair.mu, pair.R)
     return MRBDerPair(Algebra(pair.field, pair.dim, mu_r), pair.R, pair.d, pair.kappa)
 
 
 def induced_bimodule(pair: MRBDerPair, bim: Bimodule) -> Bimodule:
-    """Actions for the induced pair:
-
-        l~(a, m) = l(Ra, m) - R_M(l(a, m))
-        r~(m, a) = r(m, Ra) - R_M(r(m, a))
-
-    with the same R_M, d_M.  A bimodule over :func:`induced_algebra` of the pair.
-    """
-    left = bim.left.precompose_slot(0, pair.R) - bim.left.postcompose(bim.R_M)
-    right = bim.right.precompose_slot(1, pair.R) - bim.right.postcompose(bim.R_M)
-    return Bimodule(bim.dim_m, left, right, bim.R_M, bim.d_M)
+    """The actions l~, r~ of :func:`induced_action` with the same R_M, d_M:
+    a bimodule over :func:`induced_algebra` of the pair."""
+    return Bimodule(bim.dim_m, induced_action(bim.left, 0, pair.R, bim.R_M),
+                    induced_action(bim.right, 1, pair.R, bim.R_M), bim.R_M, bim.d_M)
 
 
 @dataclass(frozen=True)

@@ -40,6 +40,7 @@ from .linalg import Matrix, MultiTensor, ShapeError, matrix_as_tensor
 from .structures import (CheckFailure, CheckReport, InternalError, InvalidStructure, MRBDerPair,
                          _report, adjoint_bimodule, associator_slice, derivation_residual,
                          residual_failures, sliced_failures)
+from .constructions import induced_product
 from .cohomology import Cochain, pair_delta, primitive
 
 MAX_DEFORMATION_ORDER = 6
@@ -137,7 +138,7 @@ def check_deformation(defo: Deformation) -> CheckReport:
             associator_slice(a, mu(j), mu(i), mu(j), mu(i)) for i, j in pairs)), (order,))
         mrb = reduce(add, (
             mu(i).precompose_slot(0, R(j)).precompose_slot(1, R(k))
-            - (mu(j).precompose_slot(0, R(k)) + mu(j).precompose_slot(1, R(k))).postcompose(R(i))
+            - induced_product(mu(j), R(k)).postcompose(R(i))
             for i, j, k in triples))
         failures += residual_failures("deform-mrb", mrb - mu(order).scale(kappa), (order,))
         failures += residual_failures("deform-der", reduce(add, (

@@ -25,13 +25,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import (Matrix, MultiTensor, ShapeError, rank_and_kernel,
+from .fields import CLASS_ENUMERATION_CAP
+from .linalg import (Matrix, MultiTensor, ShapeError, _contract, rank_and_kernel,
                      solve_linear, tensor_as_matrix)
 from .structures import (Algebra, Bimodule, CheckFailure, CheckReport,
                          InternalError, InvalidStructure, MRBDerPair, _report, _vsub,
                          multiplicative_residual, residual_failures, unit_vector,
                          verify_pair)
-from .cohomology import Cochain, PairSpace, pair_delta, primitive
+from .cohomology import Cochain, PairSpace, cohomology, pair_delta, primitive
 
 
 @dataclass(frozen=True)
@@ -199,29 +200,18 @@ def build_extension(pair: MRBDerPair, bim: Bimodule, cocycle: Cochain) -> Extens
     theta, xi, chi = cocycle.parts
     F = pair.field
     n, m = pair.dim, bim.dim_m
-    N = n + m
-    z_n, z_m = (F.zero,) * n, (F.zero,) * m
+    z_m = (F.zero,) * m
+    muh = MultiTensor.from_blocks(F, (n, m), {(0, 0, 0): pair.mu, (0, 0, 1): theta,
+                                              (0, 1, 1): bim.left, (1, 0, 1): bim.right})
 
-    def mu_hat(x, y):
-        if x < n and y < n:
-            top = pair.mu.value_at(x, y)
-            bot = theta.value_at(x, y)
-        elif x < n:
-            top, bot = z_n, bim.left.value_at(x, y - n)
-        elif y < n:
-            top, bot = z_n, bim.right.value_at(x - n, y)
-        else:
-            top, bot = z_n, z_m
-        return top + bot
+    def operator(base: Matrix, part: MultiTensor, fiber: Matrix) -> Matrix:
+        # the operator on A + M: base on A, fiber on M, and part from A to M
+        low = tensor_as_matrix(part)
+        return Matrix.from_rows(F, [tuple(r) + z_m for r in base.rows]
+                                + [tuple(x) + tuple(y) for x, y in zip(low.rows, fiber.rows)])
 
-    muh = MultiTensor.from_map(F, (N, N), N, mu_hat)
-    xi_m, chi_m = tensor_as_matrix(xi), tensor_as_matrix(chi)
-    Rh_rows = [tuple(pair.R.rows[a]) + z_m for a in range(n)]
-    Rh_rows += [tuple(xi_m.rows[w]) + tuple(bim.R_M.rows[w]) for w in range(m)]
-    dh_rows = [tuple(pair.d.rows[a]) + z_m for a in range(n)]
-    dh_rows += [tuple(chi_m.rows[w]) + tuple(bim.d_M.rows[w]) for w in range(m)]
-    total = MRBDerPair(Algebra(F, N, muh), Matrix.from_rows(F, Rh_rows),
-                       Matrix.from_rows(F, dh_rows), pair.kappa)
+    total = MRBDerPair(Algebra(F, n + m, muh), operator(pair.R, xi, bim.R_M),
+                       operator(pair.d, chi, bim.d_M), pair.kappa)
     i_rows = [z_m] * n + [unit_vector(F, m, w) for w in range(m)]
     p_rows = [unit_vector(F, n, a) + z_m for a in range(n)]
     return Extension(total, Matrix.from_rows(F, i_rows), Matrix.from_rows(F, p_rows))
@@ -278,9 +268,6 @@ class ExtensionClassification:
     complete: bool             # True when representatives cover every class
 
 
-CLASS_ENUMERATION_CAP = 4096
-
-
 def classify(pair: MRBDerPair, bim: Bimodule) -> ExtensionClassification:
     """Representatives for H^2 classes.
 
@@ -288,8 +275,6 @@ def classify(pair: MRBDerPair, bim: Bimodule) -> ExtensionClassification:
     listing is the zero class plus one representative per basis class of H^2;
     the count is infinite (None) when H^2 is nonzero.
     """
-    from .cohomology import cohomology
-
     F = pair.field
     space2 = PairSpace(F, pair.dim, bim.dim_m, 2)
     res = cohomology(pair, bim, 2)
@@ -301,16 +286,12 @@ def classify(pair: MRBDerPair, bim: Bimodule) -> ExtensionClassification:
     total = F.p ** res.dim_h
     if total > CLASS_ENUMERATION_CAP:
         raise ValueError("too many classes to enumerate (%d)" % total)
-    flats = [space2.flatten(r) for r in reps]
-    out = []
-    for digits in _tuples(F.p, res.dim_h):
-        flat = [F.zero] * space2.dim
-        for c, rep in zip(digits, flats):
-            if c == 0:
-                continue
-            for t, x in enumerate(rep):
-                flat[t] = F.add(flat[t], F.mul(c, x))
-        out.append(space2.unflatten(tuple(flat)))
+    # the class of digits c is sum_k c_k reps[k]: the stacked representatives
+    # with their index taken through c
+    stacked = [x for r in reps for x in space2.flatten(r)]
+    out = [space2.unflatten(tuple(_contract(F, stacked, 1, space2.dim,
+                                            [{0: c} if c else {} for c in digits], 1)))
+           for digits in _tuples(F.p, res.dim_h)]
     return ExtensionClassification(res.dim_h, total, tuple(out), True)
 
 

@@ -20,6 +20,11 @@ class ParseError(ValueError):
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MAX_PRIME = 3_317_044_064_679_887_385_961_981
 
+# The most objects over a finite field that are listed one by one: the H^2
+# classes of ``extension.classify``, and the p^4 candidate operators that
+# ``fuzzing`` enumerates for a 2-dimensional algebra.
+CLASS_ENUMERATION_CAP = 4096
+
 # Over Q every ``zero`` is this one (immutable) object, so a scan for nonzero
 # entries can pass over most zeros with an identity test; see linalg.
 _Q_ZERO = Fraction(0)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .fields import Field
+from .fields import CLASS_ENUMERATION_CAP, Field
 from .linalg import Matrix, MultiTensor, rank_and_kernel
 from .structures import (Algebra, Bimodule, MRBDerPair, adjoint_bimodule,
                          check_bimodule, derivation_residual, dual_pair,
@@ -276,6 +276,10 @@ def random_instance(rng: random.Random, field: Field, dim: int) -> FuzzInstance:
     """One valid pair + bimodule.  ``dim`` caps the algebra dimension."""
     if dim not in (1, 2):
         raise ValueError("supported dimensions: 1, 2")
+    # refused before any draw, so that no seed gets past it
+    if dim == 2 and field.p is not None and field.p ** 4 > CLASS_ENUMERATION_CAP:
+        raise ValueError("dimension 2 over %s would enumerate %d operators (cap %d)"
+                         % (field.name, field.p ** 4, CLASS_ENUMERATION_CAP))
     use_dim = rng.choice([1, dim])
     if use_dim == 1:
         pair, name = _dim1_pair(rng, field), "dim1"

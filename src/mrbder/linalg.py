@@ -32,6 +32,14 @@ fixed number of bits per column (Kronecker substitution), so a result row is
 one integer multiply-add per nonzero of the left row, unpacked into signed
 digits at the end.  Over F_p the residues are lifted to integers of least
 absolute value and the digits reduced mod p.
+
+Tensors meet matrices in one loop, ``_contract``: it takes the middle axis
+of a flat (pre, d, post) tensor through a matrix's sparse rows, one
+multiply-add per nonzero tensor entry and nonzero matrix entry.
+``precompose_slot`` (a slot through the matrix's rows), ``postcompose`` (the
+codomain through its columns), ``eval`` (one slot per argument vector) and
+``partial_map`` (a slot through a unit vector) are a shape check and calls
+of it; so is ``Matrix.apply``, a vector being a tensor with no slots.
 """
 
 from __future__ import annotations
@@ -46,7 +54,7 @@ from itertools import compress, count, islice, repeat
 from operator import is_not, mul
 from typing import Callable, Iterable
 
-from .fields import _Q_ZERO, Field, is_prime
+from .fields import Field, is_prime
 
 
 class ShapeError(ValueError):
@@ -120,8 +128,7 @@ class Matrix:
 
     @staticmethod
     def identity(field: Field, n: int) -> "Matrix":
-        z, o = field.zero, field.one
-        return Matrix(field, tuple(tuple(o if i == j else z for j in range(n)) for i in range(n)))
+        return Matrix.scalar(field, n, field.one)
 
     @staticmethod
     def scalar(field: Field, n: int, c) -> "Matrix":
@@ -171,16 +178,10 @@ class Matrix:
         return self.rows[i][j]
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
-        add = self.field.add
-        return Matrix(self.field, tuple(
-            tuple(add(a, b) for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows)))
+        return self._entrywise(self.field.add, other)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
-        sub = self.field.sub
-        return Matrix(self.field, tuple(
-            tuple(sub(a, b) for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows)))
+        return self._entrywise(self.field.sub, other)
 
     def __neg__(self) -> "Matrix":
         neg = self.field.neg
@@ -200,16 +201,8 @@ class Matrix:
     def apply(self, vec: Sequence) -> tuple:
         if len(vec) != self.ncols:
             raise ShapeError("apply %dx%d to vector of length %d" % (self.nrows, self.ncols, len(vec)))
-        F = self.field
-        add, mul, zero = F.add, F.mul, F.zero
-        out = []
-        for row in self.rows:
-            s = zero
-            for a, v in zip(row, vec):
-                if not (F.is_zero(a) or F.is_zero(v)):
-                    s = add(s, mul(a, v))
-            out.append(s)
-        return tuple(out)
+        # the vector is a tensor with no slots, its codomain taken through the columns
+        return tuple(_contract(self.field, vec, 1, 1, self.transpose().sparse_rows, self.nrows))
 
     def transpose(self) -> "Matrix":
         cols = [{} for _ in range(self.ncols)]
@@ -245,9 +238,11 @@ class Matrix:
         bot = [(z,) * self.ncols + tuple(r) for r in other.rows]
         return Matrix(F, tuple(top + bot))
 
-    def _same_shape(self, other: "Matrix") -> None:
+    def _entrywise(self, op: Callable, other: "Matrix") -> "Matrix":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ShapeError("shape mismatch")
+        return Matrix(self.field, tuple(
+            tuple(map(op, ra, rb)) for ra, rb in zip(self.rows, other.rows)))
 
 
 class SparseVector(Sequence):
@@ -546,23 +541,6 @@ def _sparse_vectors(field: Field, vectors: Iterable[Sequence]) -> list:
             else {j: v[j] for j in _nonzero_positions(field, v)} for v in vectors]
 
 
-def rref(field: Field, rows: list) -> tuple:
-    """Reduce ``rows`` (list of lists, replaced in place) to RREF.
-
-    Returns the list of pivot column indices; ``rows`` becomes the RREF rows
-    in pivot order followed by the zero rows, zeros stored as ``field.zero``.
-    Over F_p the int kernel ``_rref_mod`` reduces the rows themselves; over Q
-    ``_rref_rational`` computes the RREF modulo primes and certifies it.
-    """
-    if field.p is not None:
-        return _rref_mod(field.p, rows)[0]
-    nc = len(rows[0]) if rows else 0
-    pivots, red = _echelon(field, _sparse_vectors(field, rows), nc)
-    rows[:] = [_densify(r, nc, _Q_ZERO) for r in red] + [
-        [_Q_ZERO] * nc for _ in range(len(rows) - len(red))]
-    return pivots
-
-
 def rref_vectors(field: Field, vectors: Iterable[Sequence]) -> tuple:
     """Canonical (RREF) basis of the span of ``vectors``.
 
@@ -587,17 +565,23 @@ def rank_and_kernel(m: Matrix) -> tuple:
     """
     F, n = m.field, m.ncols
     pivots, red = _echelon(F, m.sparse_rows, n)
+    # the entries at the pivots of each free column's vector
     pivot_set = set(pivots)
-    kernel = {}
-    for c in range(n):
-        if c not in pivot_set:
-            kernel[c] = v = [F.zero] * n
-            v[c] = F.one
+    support = {c: [] for c in range(n) if c not in pivot_set}
     for pc, row in zip(pivots, red):
         for c, x in row.items():
             if c != pc:
-                kernel[c][pc] = F.neg(x)
-    return len(pivots), [tuple(v) for v in kernel.values()]
+                support[c].append((pc, F.neg(x)))
+    # each vector is made as a list and kept as a tuple, one at a time, so
+    # the kernel is not held twice
+    kernel = []
+    for c, entries in support.items():
+        v = [F.zero] * n
+        v[c] = F.one
+        for pc, x in entries:
+            v[pc] = x
+        kernel.append(tuple(v))
+    return len(pivots), kernel
 
 
 def kernel_rref(m: Matrix) -> tuple:
@@ -714,6 +698,27 @@ def _unpack(F: Field, u: int, w: int, nc: int, scale: int) -> dict:
     return {j: r for j in cols if (r := (digits[j] - half) % p)}
 
 
+def _contract(F: Field, entries: Sequence, pre: int, post: int, maps: list, d_new: int) -> list:
+    """The flat (pre, d_new, post) tensor out[a, i, t] = sum_s maps[s][i] *
+    entries[a, s, t]: the middle axis of the flat (pre, len(maps), post)
+    tensor ``entries`` taken through ``maps``, one {new index: nonzero} dict
+    per old index, such as a matrix's ``sparse_rows``.
+
+    Only nonzero entries are multiplied.  This is the one loop that
+    multiplies tensor entries by matrix entries.
+    """
+    add, mul, d_old = F.add, F.mul, len(maps)
+    out = [F.zero] * (pre * d_new * post)
+    for k in _nonzero_positions(F, entries):
+        b, t = divmod(k, post)
+        a, s = divmod(b, d_old)
+        e, base = entries[k], a * d_new * post + t
+        for i, c in maps[s].items():
+            j = base + i * post
+            out[j] = add(out[j], mul(c, e))
+    return out
+
+
 @dataclass(frozen=True)
 class MultiTensor:
     """Multilinear map V_1 x ... x V_k -> W in coordinates.
@@ -756,6 +761,20 @@ class MultiTensor:
             entries.extend(v)
         return MultiTensor(field, dims, cod, tuple(entries))
 
+    @staticmethod
+    def from_blocks(field: Field, dims: Sequence[int], blocks: dict) -> "MultiTensor":
+        """The bilinear map on the direct sum V_0 + V_1 + ... (dim V_i =
+        dims[i]) whose part V_i x V_j -> V_k is the tensor blocks[i, j, k];
+        the parts not listed are zero."""
+        N = sum(dims)
+        out = [field.zero] * _checked_size((N, N), N)
+        start = [sum(dims[:i]) for i in range(len(dims))]
+        for (i, j, k), t in blocks.items():
+            for x, y in _index_tuples((dims[i], dims[j])):
+                dst = ((start[i] + x) * N + start[j] + y) * N + start[k]
+                out[dst:dst + dims[k]] = t.value_at(x, y)
+        return MultiTensor(field, (N, N), N, tuple(out))
+
     def offset(self, idx: tuple) -> int:
         off = 0
         for i, d in zip(idx, self.dims):
@@ -771,37 +790,20 @@ class MultiTensor:
         """Full multilinear evaluation on coordinate vectors."""
         if len(args) != self.arity:
             raise ShapeError("expected %d arguments" % self.arity)
-        F = self.field
-        cur = list(self.entries)
-        dims = list(self.dims)
-        for a in args:
-            d = dims.pop(0)
-            if len(a) != d:
-                raise ShapeError("argument of length %d, expected %d" % (len(a), d))
-            block = math.prod(dims) * self.cod
-            nxt = [F.zero] * block
-            for i, c in enumerate(a):
-                if F.is_zero(c):
-                    continue
-                base = i * block
-                for t in range(block):
-                    e = cur[base + t]
-                    if not F.is_zero(e):
-                        nxt[t] = F.add(nxt[t], F.mul(c, e))
-            cur = nxt
+        F, cur = self.field, self.entries
+        for k, a in enumerate(args):
+            if len(a) != self.dims[k]:
+                raise ShapeError("argument of length %d, expected %d" % (len(a), self.dims[k]))
+            # the first remaining slot through the 1 x d matrix a
+            post = math.prod(self.dims[k + 1:]) * self.cod
+            cur = _contract(F, cur, 1, post, [{0: c} if not F.is_zero(c) else {} for c in a], 1)
         return tuple(cur)
 
     def __add__(self, other: "MultiTensor") -> "MultiTensor":
-        self._same_shape(other)
-        add = self.field.add
-        return MultiTensor(self.field, self.dims, self.cod,
-                           tuple(add(a, b) for a, b in zip(self.entries, other.entries)))
+        return self._entrywise(self.field.add, other)
 
     def __sub__(self, other: "MultiTensor") -> "MultiTensor":
-        self._same_shape(other)
-        sub = self.field.sub
-        return MultiTensor(self.field, self.dims, self.cod,
-                           tuple(sub(a, b) for a, b in zip(self.entries, other.entries)))
+        return self._entrywise(self.field.sub, other)
 
     def __neg__(self) -> "MultiTensor":
         neg = self.field.neg
@@ -825,9 +827,12 @@ class MultiTensor:
         T(e_i, .) for slot 0, T(., e_i) for slot 1."""
         if self.arity != 2 or slot not in (0, 1):
             raise ShapeError("partial maps need a bilinear tensor and slot 0 or 1")
-        cols = [self.value_at(i, j) if slot == 0 else self.value_at(j, i)
-                for j in range(self.dims[1 - slot])]
-        return Matrix(self.field, tuple(zip(*cols)))
+        F, cod = self.field, self.cod
+        unit = [{0: F.one} if s == i else {} for s in range(self.dims[slot])]
+        pre, post = (1, self.dims[1] * cod) if slot == 0 else (self.dims[0], cod)
+        flat = _contract(F, self.entries, pre, post, unit, 1)
+        return Matrix(F, tuple(zip(*(flat[j * cod:(j + 1) * cod]
+                                     for j in range(self.dims[1 - slot])))))
 
     def precompose_slot(self, slot: int, m: Matrix) -> "MultiTensor":
         """Feed slot ``slot`` through ``m`` first: T'(..., a, ...) = T(..., m a, ...)."""
@@ -835,53 +840,19 @@ class MultiTensor:
             raise ShapeError("slot out of range")
         if m.nrows != self.dims[slot]:
             raise ShapeError("matrix rows %d, slot dim %d" % (m.nrows, self.dims[slot]))
-        F = self.field
-        d_old = self.dims[slot]
-        d_new = m.ncols
-        pre = math.prod(self.dims[:slot])
-        post = math.prod(self.dims[slot + 1:]) * self.cod
-        ent = self.entries
-        out = [F.zero] * (pre * d_new * post)
-        add, mul = F.add, F.mul
-        for s in range(d_old):
-            col_base = s * post
-            mrow = None
-            for i in range(d_new):
-                c = m.rows[s][i]
-                if F.is_zero(c):
-                    continue
-                for a in range(pre):
-                    src = (a * d_old) * post + col_base
-                    dst = (a * d_new + i) * post
-                    for t in range(post):
-                        e = ent[src + t]
-                        if not F.is_zero(e):
-                            out[dst + t] = add(out[dst + t], mul(c, e))
-        dims = self.dims[:slot] + (d_new,) + self.dims[slot + 1:]
-        return MultiTensor(F, dims, self.cod, tuple(out))
+        dims = self.dims[:slot] + (m.ncols,) + self.dims[slot + 1:]
+        _checked_size(dims, self.cod)
+        pre, post = math.prod(self.dims[:slot]), math.prod(self.dims[slot + 1:]) * self.cod
+        return MultiTensor(self.field, dims, self.cod, tuple(
+            _contract(self.field, self.entries, pre, post, m.sparse_rows, m.ncols)))
 
     def postcompose(self, m: Matrix) -> "MultiTensor":
         """Apply ``m`` to the output: T' = m . T."""
         if m.ncols != self.cod:
             raise ShapeError("matrix cols %d, codomain dim %d" % (m.ncols, self.cod))
-        F = self.field
-        add, mul, is_zero = F.add, F.mul, F.is_zero
-        ent, cod = self.entries, self.cod
-        zero_block = (F.zero,) * m.nrows
-        out = []
-        for b in range(len(ent) // cod):
-            vec = [(k, v) for k, v in enumerate(ent[b * cod:(b + 1) * cod]) if not is_zero(v)]
-            if not vec:
-                out.extend(zero_block)
-                continue
-            for row in m.rows:
-                s = F.zero
-                for k, v in vec:
-                    a = row[k]
-                    if not is_zero(a):
-                        s = add(s, mul(a, v))
-                out.append(s)
-        return MultiTensor(F, self.dims, m.nrows, tuple(out))
+        _checked_size(self.dims, m.nrows)
+        return MultiTensor(self.field, self.dims, m.nrows, tuple(_contract(
+            self.field, self.entries, math.prod(self.dims), 1, m.transpose().sparse_rows, m.nrows)))
 
     def permute_slots(self, perm: Sequence[int]) -> "MultiTensor":
         """Route argument i of the result into slot perm[i] of this tensor.
@@ -904,9 +875,11 @@ class MultiTensor:
             out[off:off + cod] = self.entries[src:src + cod]
         return MultiTensor(F, new_dims, cod, tuple(out))
 
-    def _same_shape(self, other: "MultiTensor") -> None:
+    def _entrywise(self, op: Callable, other: "MultiTensor") -> "MultiTensor":
         if (self.dims, self.cod) != (other.dims, other.cod):
             raise ShapeError("tensor shape mismatch")
+        return MultiTensor(self.field, self.dims, self.cod,
+                           tuple(map(op, self.entries, other.entries)))
 
 
 def matrix_as_tensor(m: Matrix) -> "MultiTensor":

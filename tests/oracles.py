@@ -31,7 +31,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 from mrbder.cohomology import (Cochain, CochainSpace, PairSpace, _rho_of, cochain_arities,
-                               hom_space, induced_actions, induced_lie_pair, induced_mu)
+                               hom_space, induced_lie_pair)
+from mrbder.constructions import induced_action, induced_product
 from mrbder.linalg import (Matrix, MultiTensor, ShapeError, _index_tuples, _nonzero_positions,
                            rank_and_kernel, rref_vectors)
 
@@ -271,7 +272,7 @@ def modified_delta(pair, bim, f: MultiTensor) -> MultiTensor:
     n, m = f.arity, f.cod
     if f.is_zero():
         return MultiTensor.zeros(F, (nA,) * (n + 1), m)
-    mu_r = induced_mu(pair)
+    mu_r = induced_product(pair.mu, pair.R)
     lR = bim.left.precompose_slot(0, pair.R)
     rR = bim.right.precompose_slot(1, pair.R)
     R_M = bim.R_M
@@ -298,8 +299,9 @@ def modified_delta_via_induced(pair, bim, f: MultiTensor) -> MultiTensor:
     """Same map computed through the induced structures; cross-check twin of
     :func:`modified_delta`."""
     _check_cochain_shape(pair, bim, f)
-    lt, rt = induced_actions(pair, bim)
-    return _hochschild_delta_core(pair.field, pair.dim, induced_mu(pair), lt, rt, f)
+    lt = induced_action(bim.left, 0, pair.R, bim.R_M)
+    rt = induced_action(bim.right, 1, pair.R, bim.R_M)
+    return _hochschild_delta_core(pair.field, pair.dim, induced_product(pair.mu, pair.R), lt, rt, f)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,13 @@
 """End-to-end CLI tests.
 
 Everything runs in process through main(argv) so exit codes and report
-bytes are checked directly; one subprocess test covers the -m entry point.
+bytes are checked directly; subprocess tests cover the -m entry point and a
+run that must stop before it starts its work.
 """
 
 import importlib
 import json
+import resource
 import subprocess
 import sys
 import time
@@ -15,7 +17,7 @@ import pytest
 
 from mrbder.cli import CHECK_FAILED_EXIT, INTERNAL_EXIT, USAGE_EXIT, main
 from mrbder.fields import QQ
-from mrbder.linalg import Matrix, set_max_tensor_entries
+from mrbder.linalg import Matrix, max_tensor_entries, set_max_tensor_entries
 from mrbder.structures import InternalError, adjoint_bimodule, dual_pair
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -26,13 +28,6 @@ D_SCALING = str(INSTANCES / "deform_d_scaling.json")
 RIGID_F5 = str(INSTANCES / "deform_rigid_f5.json")
 EXT_TOTAL = str(INSTANCES / "extension_total.json")
 EXT_BUILD = str(INSTANCES / "extension_build.json")
-
-
-@pytest.fixture(autouse=True)
-def _restore_entry_cap():
-    # main() sets the global cap from --max-entries; put the default back
-    yield
-    set_max_tensor_entries(10 ** 6)
 
 
 def run(capsys, *argv):
@@ -203,6 +198,20 @@ class TestUsage:
     def test_nonpositive_cap_is_a_usage_error(self, capsys, cap):
         assert run(capsys, "--max-entries", cap, "verify", FIXD) == (
             USAGE_EXIT, "", "error: cap must be positive\n")
+
+    @pytest.mark.parametrize("argv,code", [
+        (("--max-entries", "8", "verify", FIXD), 0),
+        (("--max-entries", "8", "cohomology", FIXD, "--degree", "2"), USAGE_EXIT),
+        (("--max-entries", "0", "verify", FIXD), USAGE_EXIT),
+    ], ids=["exit-0", "exit-2-cap", "exit-2-bad-cap"])
+    def test_cap_is_restored_on_return(self, capsys, argv, code):
+        # --max-entries holds for the one call; the caller's cap is back after
+        set_max_tensor_entries(12345)
+        try:
+            assert run(capsys, *argv)[0] == code
+            assert max_tensor_entries() == 12345
+        finally:
+            set_max_tensor_entries(10 ** 6)
 
 
 class TestInternalErrors:
@@ -582,6 +591,23 @@ class TestFuzz:
         code, _, err = run(capsys, "fuzz", "--field", "Fp:5", "--count", "0")
         assert code == USAGE_EXIT
         assert "--count must be positive" in err
+
+
+@pytest.mark.parametrize("seed", ["1", "2"])
+def test_fuzz_dim2_over_a_large_prime_is_refused_at_once(seed):
+    # p^4 = 104060401 candidate operators: refused before any draw, whatever
+    # the seed.  The child gets 1 GB of address space, so that an enumeration
+    # fails fast instead of filling the machine's memory.
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run([sys.executable, "-m", "mrbder", "fuzz", "--field", "Fp:101",
+                           "--dim", "2", "--count", "3", "--seed", seed],
+                          capture_output=True, text=True, cwd=ROOT, timeout=60,
+                          preexec_fn=limit)
+    assert (proc.returncode, proc.stdout) == (USAGE_EXIT, "")
+    assert proc.stderr == ("error: dimension 2 over Fp:101 would enumerate "
+                           "104060401 operators (cap 4096)\n")
 
 
 def test_module_entry_point():

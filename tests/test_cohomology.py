@@ -7,11 +7,11 @@ from mrbder.cohomology import (MAX_COHOMOLOGY_DEGREE, MAX_MATRIX_DEGREE,
                                DegreeCapExceeded, Cochain, CochainSpace,
                                PairSpace, ce_delta, cochain_arities, cohomology,
                                derivation_defect, differential_matrix,
-                               hochschild_delta, hom_space, induced_actions,
-                               induced_mu, lie_pair_delta, modified_delta,
+                               hochschild_delta, hom_space, lie_pair_delta, modified_delta,
                                operator_delta, operator_map, pair_delta,
                                skew_cochain, skew_symmetrize)
-from mrbder.constructions import direct_sum, rho_representation
+from mrbder.constructions import (direct_sum, induced_action, induced_product,
+                                  rho_representation)
 from mrbder.fields import Field, QQ
 from mrbder.fuzzing import conjugate_pair, random_instances, random_invertible
 from mrbder.linalg import (EntryCapExceeded, Matrix, MultiTensor, ShapeError, matrix_as_tensor,
@@ -105,9 +105,10 @@ class TestModifiedDelta:
 
     def test_induced_structures(self, dual_q_adj):
         pair, bim = dual_q_adj
-        mu_r = induced_mu(pair)
+        mu_r = induced_product(pair.mu, pair.R)
         assert mu_r.value_at(0, 0) == (QQ.parse(2), QQ.zero)
-        lt, rt = induced_actions(pair, bim)
+        lt = induced_action(bim.left, 0, pair.R, bim.R_M)
+        rt = induced_action(bim.right, 1, pair.R, bim.R_M)
         assert lt.value_at(0, 1) == (QQ.zero, QQ.parse(2))
         assert rt.value_at(1, 0) == (QQ.zero, QQ.parse(2))
 

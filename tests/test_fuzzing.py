@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from mrbder.fields import Field, QQ
+from mrbder.fields import CLASS_ENUMERATION_CAP, Field, QQ
 from mrbder.fuzzing import (check_instance, conjugate_bimodule, conjugate_pair,
                             random_instance, random_instances,
                             random_invertible, random_kernel_element,
@@ -61,6 +61,20 @@ class TestGenerators:
     def test_dim_guard(self):
         with pytest.raises(ValueError):
             random_instance(random.Random(0), F5, 3)
+
+    @pytest.mark.parametrize("p", [11, 13])
+    def test_dim2_enumeration_cap(self, p):
+        # over F_p, dimension 2 enumerates p^4 operators; above the cap the
+        # request is refused for every seed, before a draw decides the dimension
+        F = Field.prime(p)
+        assert p ** 4 > CLASS_ENUMERATION_CAP
+        for seed in range(5):
+            rng = random.Random(seed)
+            state = rng.getstate()
+            with pytest.raises(ValueError, match="would enumerate %d operators" % p ** 4):
+                random_instance(rng, F, 2)
+            assert rng.getstate() == state
+        assert len(random_instances(F, 1, 3, seed=0)) == 3
 
 
 class TestBasisChange:

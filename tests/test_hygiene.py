@@ -1,0 +1,83 @@
+"""Dead code in ``src/mrbder``, found by a scan of its syntax trees.
+
+* No module imports a name it never uses.  ``__init__`` is left out: its
+  imports are the package's public names.
+* Every top-level private (``_``-prefixed) name is used somewhere in
+  ``src/``, outside its own definition.  A private helper that only tests
+  call belongs with the tests.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "mrbder"
+MODULES = {p.stem: ast.parse(p.read_text(), str(p)) for p in sorted(SRC.glob("*.py"))}
+
+
+def _used_names(node) -> Counter:
+    """Names read below ``node``: bare names, attribute names, and the names
+    a ``from`` import takes from another module."""
+    used = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+            used[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            used[n.attr] += 1
+        elif isinstance(n, ast.ImportFrom):
+            used.update(a.name for a in n.names)
+    return used
+
+
+def _bound_by_imports(tree) -> list:
+    names = []
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Import):
+            names += [(a.asname or a.name).split(".")[0] for a in n.names]
+        elif isinstance(n, ast.ImportFrom) and n.module != "__future__":
+            names += [a.asname or a.name for a in n.names]
+    return names
+
+
+@pytest.mark.parametrize("module", sorted(m for m in MODULES if m != "__init__"))
+def test_no_unused_imports(module):
+    tree = MODULES[module]
+    read = Counter()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+            read[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            for base in ast.walk(n.value):
+                if isinstance(base, ast.Name):
+                    read[base.id] += 1
+    assert [name for name in _bound_by_imports(tree) if not read[name]] == []
+
+
+def _private_definitions(tree):
+    """(name, node) of each top-level private name the module defines."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = [t.id for t in (node.targets if isinstance(node, ast.Assign)
+                                      else [node.target]) if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def test_every_private_name_is_used():
+    used = sum((_used_names(tree) for tree in MODULES.values()), Counter())
+    unused = []
+    for module, tree in MODULES.items():
+        for name, node in _private_definitions(tree):
+            # a use inside the definition itself (recursion) does not count
+            inside = _used_names(node)[name] if isinstance(node, (ast.FunctionDef,
+                                                                  ast.ClassDef)) else 0
+            if used[name] - inside < 1:
+                unused.append("%s.%s" % (module, name))
+    assert unused == []

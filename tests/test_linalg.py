@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from mrbder.fields import Field, QQ
 from mrbder.linalg import (EntryCapExceeded, Matrix, MultiTensor, ShapeError,
                            TensorSpace, matrix_as_tensor, max_tensor_entries,
-                           rank_and_kernel, rref, rref_vectors,
+                           rank_and_kernel, rref_vectors,
                            set_max_tensor_entries, solve_linear, tensor_as_matrix)
 
 from oracles import operator_matrix
@@ -97,21 +98,17 @@ class TestMatrix:
 
 class TestRref:
     def test_known_form(self):
-        rows = [[QQ.parse(x) for x in r] for r in ([2, 4, 6], [1, 2, 4])]
-        pivots = rref(QQ, rows)
+        rows = [tuple(QQ.parse(x) for x in r) for r in ([2, 4, 6], [1, 2, 4])]
+        basis, pivots = rref_vectors(QQ, rows)
         assert pivots == [0, 2]
-        assert rows[0] == [QQ.one, QQ.parse(2), QQ.zero]
-        assert rows[1] == [QQ.zero, QQ.zero, QQ.one]
+        assert basis == [(QQ.one, QQ.parse(2), QQ.zero), (QQ.zero, QQ.zero, QQ.one)]
 
     def test_idempotent(self):
         rng = random.Random(3)
         for _ in range(25):
-            rows = [[F5.random(rng) for _ in range(4)] for _ in range(3)]
-            first = [r[:] for r in rows]
-            rref(F5, first)
-            again = [r[:] for r in first]
-            rref(F5, again)
-            assert first == again
+            rows = [tuple(F5.random(rng) for _ in range(4)) for _ in range(3)]
+            first = rref_vectors(F5, rows)
+            assert rref_vectors(F5, first[0]) == first
 
     def test_rref_vectors_canonical(self):
         # same span listed in different orders reduces identically
@@ -245,6 +242,71 @@ class TestMultiTensor:
         assert z.is_zero()
         assert (t + t).entries == t.scale(QQ.parse(2)).entries
         assert (-t).entries == t.scale(QQ.parse(-1)).entries
+
+    @pytest.mark.parametrize("F", [QQ, F5], ids=["Q", "F5"])
+    def test_contraction_against_the_index_formula(self, F):
+        # every operation that takes a slot through a matrix, on sparse
+        # random tensors with three slots, against the sum written per index
+        rng = random.Random(7)
+
+        def draw():
+            return F.random(rng) if rng.random() < 0.4 else F.zero
+
+        for dims, cod in (((2, 3, 2), 2), ((3, 1, 2), 3)):
+            t = MultiTensor.from_map(F, dims, cod, lambda *_: tuple(draw() for _ in range(cod)))
+            for slot, d in enumerate(dims):
+                m = Matrix.from_rows(F, [[draw() for _ in range(2)] for _ in range(d)])
+                got = t.precompose_slot(slot, m)
+                for idx in itertools.product(*map(range, got.dims)):
+                    want = [F.zero] * cod
+                    for s in range(d):
+                        c = m.entry(s, idx[slot])
+                        v = t.value_at(*idx[:slot], s, *idx[slot + 1:])
+                        want = [F.add(w, F.mul(c, x)) for w, x in zip(want, v)]
+                    assert got.value_at(*idx) == tuple(want)
+            m = Matrix.from_rows(F, [[draw() for _ in range(cod)] for _ in range(4)])
+            got = t.postcompose(m)
+            args = [tuple(draw() for _ in range(d)) for d in dims]
+            want = [F.zero] * cod
+            for idx in itertools.product(*map(range, dims)):
+                c = F.one
+                for a, i in zip(args, idx):
+                    c = F.mul(c, a[i])
+                want = [F.add(w, F.mul(c, x)) for w, x in zip(want, t.value_at(*idx))]
+                assert got.value_at(*idx) == m.apply(t.value_at(*idx))
+            assert t.eval(args) == tuple(want)
+        b = MultiTensor.from_map(F, (2, 3), 2, lambda *_: (draw(), draw()))
+        for i in range(2):
+            assert b.partial_map(0, i).rows == tuple(zip(*(b.value_at(i, j) for j in range(3))))
+        for i in range(3):
+            assert b.partial_map(1, i).rows == tuple(zip(*(b.value_at(j, i) for j in range(2))))
+
+    def test_from_blocks(self):
+        # V_0 + V_1 of dims 2 and 1, three distinct blocks, one left out
+        F = QQ
+        blocks = {(0, 0, 0): MultiTensor.from_map(F, (2, 2), 2, lambda i, j: (F.parse(i + 1), F.parse(j + 2))),
+                  (0, 1, 1): MultiTensor.from_map(F, (2, 1), 1, lambda i, j: (F.parse(10 + i),)),
+                  (1, 0, 0): MultiTensor.from_map(F, (1, 2), 2, lambda i, j: (F.parse(20 + j), F.parse(30)))}
+        t = MultiTensor.from_blocks(F, (2, 1), blocks)
+        assert (t.dims, t.cod) == ((3, 3), 3)
+        part = [(0, 2), (2, 3)]
+        for x, y in itertools.product(range(3), repeat=2):
+            want = [F.zero] * 3
+            i, j = int(x >= 2), int(y >= 2)
+            for k in (0, 1):
+                if (i, j, k) in blocks:
+                    lo, hi = part[k]
+                    want[lo:hi] = blocks[i, j, k].value_at(x - part[i][0], y - part[j][0])
+            assert t.value_at(x, y) == tuple(want)
+
+    def test_zero_dimensional_codomain(self):
+        # a map into the zero space: no entries, and nothing to divide by
+        t = MultiTensor.zeros(QQ, (2, 0), 0)
+        empty = Matrix(QQ, ())
+        assert t.postcompose(empty) == t
+        assert t.precompose_slot(1, empty) == t
+        assert t.partial_map(0, 1) == empty
+        assert t.eval([(QQ.one, QQ.one), ()]) == ()
 
     def test_matrix_tensor_round_trip(self):
         m = qmat([[1, 2, 3], [4, 5, 6]])
