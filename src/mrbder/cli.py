@@ -99,23 +99,25 @@ def cmd_cohomology(args) -> int:
         return bad
     bim = _active_bimodule(inst)
     res = cohomology(inst.pair, bim, args.degree)
+    space = PairSpace(inst.pair.field, inst.pair.dim, bim.dim_m, res.degree)
     _emit({
         "command": "cohomology",
         "degree": res.degree,
         "dim_cocycles": res.dim_cocycles,
         "dim_coboundaries": res.dim_coboundaries,
         "dim_h": res.dim_h,
-        "representatives": [cocycle_to_json(r) if res.degree == 2 else _flat_cochain(inst, r)
+        "representatives": [cocycle_to_json(r) if res.degree == 2 else _flat_cochain(space, r)
                             for r in res.representatives],
     })
     return 0
 
 
-def _flat_cochain(inst: Instance, c) -> dict:
-    bim = _active_bimodule(inst)
-    F = inst.pair.field
-    space = PairSpace(F, inst.pair.dim, bim.dim_m, c.degree)
-    return {"degree": c.degree, "flat": [F.to_str(x) for x in space.flatten(c)]}
+def _flat_cochain(space, c) -> dict:
+    # every entry that is the field's zero object shares one string
+    F = space.field
+    zero, to_str = F.zero, F.to_str
+    z = to_str(zero)
+    return {"degree": c.degree, "flat": [z if x is zero else to_str(x) for x in space.flatten(c)]}
 
 
 def cmd_complex_check(args) -> int:

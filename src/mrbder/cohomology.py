@@ -75,13 +75,11 @@ skew-symmetrization chain maps live here too.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
-from .fields import Field
+from .fields import Field, Value
 from .linalg import (Matrix, MultiTensor, ShapeError, TensorSpace, _checked_size,
                      _index_tuples, _nonzero_positions, kernel_rref,
                      rref_vectors, solve_linear, tensor_as_matrix)
@@ -111,8 +109,7 @@ def cochain_arities(n: int, k: int) -> tuple:
     return tuple(a for a in (n, n - 1, n - 1, n - 2)[:k] if a > 0)
 
 
-@dataclass(frozen=True)
-class Cochain:
+class Cochain(Value):
     """Element of OC^n = C^n + C^{n-1} or of PC^n = OC^n x OC^{n-1}.
 
     ``parts`` are Hochschild cochains of arities :func:`cochain_arities`:
@@ -120,13 +117,12 @@ class Cochain:
     in OC^{n-1}.  So OC^1 = PC^1 = C^1 and PC^2 has the three parts (f, g, h).
     """
 
-    degree: int
-    parts: tuple
+    __slots__ = ("degree", "parts")
 
-    def __post_init__(self):
-        if self.degree < 1:
+    def __init__(self, degree: int, parts: tuple):
+        if degree < 1:
             raise ShapeError("degree must be >= 1")
-        object.__setattr__(self, "parts", tuple(self.parts))
+        self._init(degree, tuple(parts))
         if self.arities not in (cochain_arities(self.degree, 2),
                                 cochain_arities(self.degree, 4)):
             raise ShapeError("parts of arities %s form neither OC^%d nor PC^%d"
@@ -162,25 +158,20 @@ def hom_space(pair_dim: int, bim_dim: int, n: int, field: Field) -> TensorSpace:
     return TensorSpace(field, (pair_dim,) * n, bim_dim)
 
 
-@dataclass(frozen=True)
-class CochainSpace:
+class CochainSpace(Value):
     """The cochains with parts of the given arities, flattened by
     concatenating the parts' entries in order."""
 
-    field: Field
-    dim_a: int
-    dim_m: int
-    arities: tuple
+    # _slices: (space, start, stop) of each part in the flat vector
+    __slots__ = ("field", "dim_a", "dim_m", "arities", "_slices")
 
-    @cached_property
-    def _slices(self) -> tuple:
-        """(space, start, stop) of each part in the flat vector."""
+    def __init__(self, field: Field, dim_a: int, dim_m: int, arities: tuple):
         out, start = [], 0
-        for a in self.arities:
-            sp = hom_space(self.dim_a, self.dim_m, a, self.field)
+        for a in arities:
+            sp = hom_space(dim_a, dim_m, a, field)
             out.append((sp, start, start + sp.dim))
             start += sp.dim
-        return tuple(out)
+        self._init(field, dim_a, dim_m, arities, tuple(out))
 
     @property
     def dim(self) -> int:
@@ -388,7 +379,6 @@ def _graded_blocks(n: int, layers: int) -> list:
     return blocks
 
 
-@dataclass(eq=False)
 class _Complex:
     """One complex: the structure maps its entry lists are written from, and
     the matrices built from them.
@@ -400,19 +390,12 @@ class _Complex:
     values, so no lock is needed.
     """
 
-    field: Field
-    dim_a: int
-    dim_m: int
-    coboundary: Callable
-    maps: tuple
-    induce: Callable
-    R: Matrix
-    R_M: Matrix
-    kappa: object
-    d: Matrix
-    d_M: Matrix
-    _induced: tuple | None = dataclasses.field(default=None, init=False)
-    _matrices: dict = dataclasses.field(default_factory=dict, init=False)
+    def __init__(self, field: Field, dim_a: int, dim_m: int, coboundary: Callable, maps: tuple,
+                 induce: Callable, R: Matrix, R_M: Matrix, kappa, d: Matrix, d_M: Matrix):
+        self.field, self.dim_a, self.dim_m = field, dim_a, dim_m
+        self.coboundary, self.maps, self.induce = coboundary, maps, induce
+        self.R, self.R_M, self.kappa, self.d, self.d_M = R, R_M, kappa, d, d_M
+        self._induced, self._matrices = None, {}
 
     def induced(self) -> tuple:
         """The induced maps.  Building them checks the entry cap on each one
@@ -632,6 +615,8 @@ def differential_matrix(pair: MRBDerPair, bim: Bimodule, n: int, which: str) -> 
     return _pair_complex(pair, bim).matrix(n, which)
 
 
+# the one dataclass in the package: callers rebuild results with
+# dataclasses.replace
 @dataclass(frozen=True)
 class CohomologyResult:
     degree: int

@@ -15,9 +15,7 @@ pair and bimodule, the modified coboundary of ``cohomology`` and its
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .fields import Field
+from .fields import Field, Value
 from .linalg import Matrix, MultiTensor, ShapeError
 from .structures import (Algebra, Bimodule, CheckReport, InvalidStructure, MRBDerPair,
                          _report, associator_slice, check_bimodule, check_commutation,
@@ -91,21 +89,17 @@ def induced_bimodule(pair: MRBDerPair, bim: Bimodule) -> Bimodule:
                     induced_action(bim.right, 1, pair.R, bim.R_M), bim.R_M, bim.d_M)
 
 
-@dataclass(frozen=True)
-class LiePair:
+class LiePair(Value):
     """Lie algebra with bracket tensor, modified Rota-Baxter operator R of
     weight kappa, derivation d, and optionally a representation
     (rho: A x M -> M, R_M, d_M)."""
 
-    field: Field
-    dim: int
-    bracket: MultiTensor
-    R: Matrix
-    d: Matrix
-    kappa: object
-    rho: MultiTensor | None = None
-    R_M: Matrix | None = None
-    d_M: Matrix | None = None
+    __slots__ = ("field", "dim", "bracket", "R", "d", "kappa", "rho", "R_M", "d_M")
+
+    def __init__(self, field: Field, dim: int, bracket: MultiTensor, R: Matrix, d: Matrix,
+                 kappa, rho: MultiTensor | None = None, R_M: Matrix | None = None,
+                 d_M: Matrix | None = None):
+        self._init(field, dim, bracket, R, d, kappa, rho, R_M, d_M)
 
     @property
     def dim_m(self):

@@ -31,11 +31,10 @@ Id + t^k psi exactly when it is the coboundary of -psi.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from operator import add
 
-from .fields import Field
+from .fields import Field, Value
 from .linalg import Matrix, MultiTensor, ShapeError, matrix_as_tensor
 from .structures import (CheckFailure, CheckReport, InternalError, InvalidStructure, MRBDerPair,
                          _report, adjoint_bimodule, associator_slice, derivation_residual,
@@ -46,27 +45,24 @@ from .cohomology import Cochain, pair_delta, primitive
 MAX_DEFORMATION_ORDER = 6
 
 
-@dataclass(frozen=True)
-class Deformation:
+class Deformation(Value):
     """Order-N truncated deformation; index k of each tuple holds the order
     k+1 coefficient (the order-0 parts live on ``pair``)."""
 
-    pair: MRBDerPair
-    order: int
-    mu_terms: tuple
-    R_terms: tuple
-    d_terms: tuple
+    __slots__ = ("pair", "order", "mu_terms", "R_terms", "d_terms")
 
-    def __post_init__(self):
-        if not (1 <= self.order <= MAX_DEFORMATION_ORDER):
+    def __init__(self, pair: MRBDerPair, order: int, mu_terms: tuple, R_terms: tuple,
+                 d_terms: tuple):
+        self._init(pair, order, mu_terms, R_terms, d_terms)
+        if not (1 <= order <= MAX_DEFORMATION_ORDER):
             raise ShapeError("order must be in 1..%d" % MAX_DEFORMATION_ORDER)
-        if not (len(self.mu_terms) == len(self.R_terms) == len(self.d_terms) == self.order):
-            raise ShapeError("need exactly %d coefficients per family" % self.order)
-        n = self.pair.dim
-        for t in self.mu_terms:
+        if not (len(mu_terms) == len(R_terms) == len(d_terms) == order):
+            raise ShapeError("need exactly %d coefficients per family" % order)
+        n = pair.dim
+        for t in mu_terms:
             if t.dims != (n, n) or t.cod != n:
                 raise ShapeError("mu coefficients must be bilinear maps on A")
-        for m in self.R_terms + self.d_terms:
+        for m in R_terms + d_terms:
             if m.nrows != n or m.ncols != n:
                 raise ShapeError("operator coefficients must be %dx%d" % (n, n))
 
@@ -159,13 +155,14 @@ def infinitesimal(defo: Deformation) -> Cochain:
 # gauges
 
 
-@dataclass(frozen=True)
-class Gauge:
-    """Truncated formal automorphism Id + t phi_1 + .. + t^N phi_N."""
+class Gauge(Value):
+    """Truncated formal automorphism Id + t phi_1 + .. + t^N phi_N; ``terms``
+    holds orders 1..N."""
 
-    field: Field
-    dim: int
-    terms: tuple  # orders 1..N
+    __slots__ = ("field", "dim", "terms")
+
+    def __init__(self, field: Field, dim: int, terms: tuple):
+        self._init(field, dim, terms)
 
     def term_at(self, k: int) -> Matrix:
         if k == 0:

@@ -23,9 +23,7 @@ assembles the total structure on A + M.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .fields import CLASS_ENUMERATION_CAP
+from .fields import CLASS_ENUMERATION_CAP, Value
 from .linalg import (Matrix, MultiTensor, ShapeError, _contract, rank_and_kernel,
                      solve_linear, tensor_as_matrix)
 from .structures import (Algebra, Bimodule, CheckFailure, CheckReport,
@@ -35,19 +33,17 @@ from .structures import (Algebra, Bimodule, CheckFailure, CheckReport,
 from .cohomology import Cochain, PairSpace, cohomology, pair_delta, primitive
 
 
-@dataclass(frozen=True)
-class Extension:
+class Extension(Value):
     """Total pair with the inclusion of the fiber and projection to the base."""
 
-    total: MRBDerPair
-    i: Matrix
-    p: Matrix
+    __slots__ = ("total", "i", "p")
 
-    def __post_init__(self):
-        N = self.total.dim
-        if self.i.nrows != N or self.p.ncols != N:
+    def __init__(self, total: MRBDerPair, i: Matrix, p: Matrix):
+        self._init(total, i, p)
+        N = total.dim
+        if i.nrows != N or p.ncols != N:
             raise ShapeError("inclusion/projection do not match the total dimension")
-        if self.i.ncols + self.p.nrows != N:
+        if i.ncols + p.nrows != N:
             raise ShapeError("fiber and base dimensions must sum to the total")
 
     @property
@@ -260,12 +256,14 @@ def extensions_equivalent(pair: MRBDerPair, bim: Bimodule,
     return gamma
 
 
-@dataclass(frozen=True)
-class ExtensionClassification:
-    dim_h2: int
-    count: int | None          # number of classes; None when infinite
-    representatives: tuple     # one closed cochain per listed class
-    complete: bool             # True when representatives cover every class
+class ExtensionClassification(Value):
+    """``count`` classes (None when infinite), one closed cochain per listed
+    class in ``representatives``; ``complete`` when they cover every class."""
+
+    __slots__ = ("dim_h2", "count", "representatives", "complete")
+
+    def __init__(self, dim_h2: int, count: int | None, representatives: tuple, complete: bool):
+        self._init(dim_h2, count, representatives, complete)
 
 
 def classify(pair: MRBDerPair, bim: Bimodule) -> ExtensionClassification:

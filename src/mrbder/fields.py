@@ -7,7 +7,6 @@ operations; containers store raw scalars plus the field.  No floats anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -55,17 +54,67 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Field:
+class Value:
+    """Base of the package's immutable values, written once instead of the
+    methods a frozen dataclass compiles anew in every process.
+
+    A subclass names its slots in ``__slots__``; those without a leading
+    ``_`` are its fields, in constructor order, and the others are kept
+    outside its value.  Its ``__init__`` stores every slot with :meth:`_init`
+    and then runs its checks.  As for a frozen dataclass: instances of one
+    class are equal when their fields are (other classes get
+    ``NotImplemented``), the hash is that of the tuple of fields, ``repr`` is
+    ``Name(field=value, ...)`` and attributes can be neither assigned nor
+    deleted.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(n for n in cls.__slots__ if not n.startswith("_"))
+
+    def _init(self, *values):
+        """Store ``values`` in the slots, in the order of ``__slots__``."""
+        for name, v in zip(self.__slots__, values):
+            object.__setattr__(self, name, v)
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return "%s(%s)" % (self.__class__.__qualname__,
+                           ", ".join("%s=%r" % (f, getattr(self, f)) for f in self._fields))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % (name,))
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % (name,))
+
+    def __reduce__(self):
+        # copy and pickle rebuild the value through __init__
+        return self.__class__, self._values()
+
+
+class Field(Value):
     """Ground field: Q when ``p`` is None, otherwise F_p with p prime."""
 
-    p: int | None = None
+    __slots__ = ("p",)
 
-    def __post_init__(self):
-        if self.p is not None and self.p >= MAX_PRIME:
-            raise ParseError("prime too large: %d (the limit is %d)" % (self.p, MAX_PRIME))
-        if self.p is not None and not is_prime(self.p):
-            raise ParseError("not a prime: %r" % (self.p,))
+    def __init__(self, p: int | None = None):
+        self._init(p)
+        if p is not None and p >= MAX_PRIME:
+            raise ParseError("prime too large: %d (the limit is %d)" % (p, MAX_PRIME))
+        if p is not None and not is_prime(p):
+            raise ParseError("not a prime: %r" % (p,))
 
     @staticmethod
     def rationals() -> "Field":

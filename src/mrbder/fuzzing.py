@@ -21,9 +21,8 @@ induced structures.  A final optional conjugation exercises basis freedom.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
-from .fields import CLASS_ENUMERATION_CAP, Field
+from .fields import CLASS_ENUMERATION_CAP, Field, Value
 from .linalg import Matrix, MultiTensor, rank_and_kernel
 from .structures import (Algebra, Bimodule, MRBDerPair, adjoint_bimodule,
                          check_bimodule, derivation_residual, dual_pair,
@@ -31,11 +30,11 @@ from .structures import (Algebra, Bimodule, MRBDerPair, adjoint_bimodule,
 from .constructions import direct_sum, induced_algebra, induced_bimodule
 
 
-@dataclass(frozen=True)
-class FuzzInstance:
-    pair: MRBDerPair
-    bim: Bimodule
-    label: str
+class FuzzInstance(Value):
+    __slots__ = ("pair", "bim", "label")
+
+    def __init__(self, pair: MRBDerPair, bim: Bimodule, label: str):
+        self._init(pair, bim, label)
 
 
 # ---------------------------------------------------------------------------

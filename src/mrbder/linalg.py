@@ -1,6 +1,6 @@
 """Exact matrices, multilinear tensors, and RREF-based linear solving.
 
-Everything is immutable after construction (tuples inside frozen dataclasses,
+Everything is immutable after construction (tuples inside frozen values,
 and matrices whose two forms are built once and kept).  Kernel bases,
 solutions and canonical subspace bases all come from reduced row echelon
 form with first-nonzero pivoting, so results are deterministic and basis
@@ -48,13 +48,12 @@ import functools
 import math
 import sys
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, count, islice, repeat
 from operator import is_not, mul
 from typing import Callable, Iterable
 
-from .fields import Field, is_prime
+from .fields import Field, Value, is_prime
 
 
 class ShapeError(ValueError):
@@ -719,8 +718,7 @@ def _contract(F: Field, entries: Sequence, pre: int, post: int, maps: list, d_ne
     return out
 
 
-@dataclass(frozen=True)
-class MultiTensor:
+class MultiTensor(Value):
     """Multilinear map V_1 x ... x V_k -> W in coordinates.
 
     ``dims`` are the domain dimensions per slot, ``cod`` the codomain
@@ -729,15 +727,18 @@ class MultiTensor:
     just a vector of length ``cod``.
     """
 
-    field: Field
-    dims: tuple
-    cod: int
-    entries: tuple
+    __slots__ = ("field", "dims", "cod", "entries")
 
-    def __post_init__(self):
-        size = _checked_size(self.dims, self.cod)
-        if len(self.entries) != size:
-            raise ShapeError("entry count %d, expected %d" % (len(self.entries), size))
+    def __init__(self, field: Field, dims: tuple, cod: int, entries: tuple):
+        # built once per tensor operation, so the slots are set directly
+        put = object.__setattr__
+        put(self, "field", field)
+        put(self, "dims", dims)
+        put(self, "cod", cod)
+        put(self, "entries", entries)
+        size = _checked_size(dims, cod)
+        if len(entries) != size:
+            raise ShapeError("entry count %d, expected %d" % (len(entries), size))
 
     @property
     def arity(self) -> int:
@@ -908,13 +909,13 @@ def _index_tuples(dims: Sequence[int]):
             yield (i,) + tail
 
 
-@dataclass(frozen=True)
-class TensorSpace:
+class TensorSpace(Value):
     """The space of all MultiTensors of a fixed shape, with a flat basis."""
 
-    field: Field
-    dims: tuple
-    cod: int
+    __slots__ = ("field", "dims", "cod")
+
+    def __init__(self, field: Field, dims: tuple, cod: int):
+        self._init(field, dims, cod)
 
     @property
     def dim(self) -> int:

@@ -28,9 +28,8 @@ separators, no timestamps.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
-from .fields import Field, ParseError
+from .fields import Field, ParseError, Value
 from .linalg import Matrix, MultiTensor, matrix_as_tensor, tensor_as_matrix
 from .structures import Algebra, Bimodule, MRBDerPair
 from .cohomology import Cochain
@@ -38,13 +37,13 @@ from .deformation import Deformation
 from .extension import Extension
 
 
-@dataclass(frozen=True)
-class Instance:
-    pair: MRBDerPair
-    bim: Bimodule | None = None
-    deformation: Deformation | None = None
-    extension: Extension | None = None
-    cocycle: Cochain | None = None
+class Instance(Value):
+    __slots__ = ("pair", "bim", "deformation", "extension", "cocycle")
+
+    def __init__(self, pair: MRBDerPair, bim: Bimodule | None = None,
+                 deformation: Deformation | None = None, extension: Extension | None = None,
+                 cocycle: Cochain | None = None):
+        self._init(pair, bim, deformation, extension, cocycle)
 
 
 def _reject_float(text):

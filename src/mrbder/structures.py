@@ -24,11 +24,9 @@ time, so no residual outgrows the maps it checks.  Commutation residuals are
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
 from itertools import product
 
-from .fields import Field
+from .fields import Field, Value
 from .linalg import Matrix, MultiTensor, ShapeError, matrix_as_tensor
 
 
@@ -45,17 +43,18 @@ class InternalError(RuntimeError):
     engine, not of the input."""
 
 
-@dataclass(frozen=True)
-class CheckFailure:
-    identity: str
-    args: tuple
-    residual: tuple
+class CheckFailure(Value):
+    __slots__ = ("identity", "args", "residual")
+
+    def __init__(self, identity: str, args: tuple, residual: tuple):
+        self._init(identity, args, residual)
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    ok: bool
-    failures: tuple
+class CheckReport(Value):
+    __slots__ = ("ok", "failures")
+
+    def __init__(self, ok: bool, failures: tuple):
+        self._init(ok, failures)
 
     @property
     def first(self):
@@ -86,16 +85,14 @@ def _is_zero_vec(F, a):
     return all(F.is_zero(x) for x in a)
 
 
-@dataclass(frozen=True)
-class Algebra:
+class Algebra(Value):
     """Associative algebra by structure constants: mu has shape (n, n) -> n."""
 
-    field: Field
-    dim: int
-    mu: MultiTensor
+    __slots__ = ("field", "dim", "mu")
 
-    def __post_init__(self):
-        if self.mu.dims != (self.dim, self.dim) or self.mu.cod != self.dim:
+    def __init__(self, field: Field, dim: int, mu: MultiTensor):
+        self._init(field, dim, mu)
+        if mu.dims != (dim, dim) or mu.cod != dim:
             raise ShapeError("mu must map A x A -> A")
 
     @staticmethod
@@ -110,23 +107,18 @@ class Algebra:
         return self.mu.eval([u, v])
 
 
-@dataclass(frozen=True)
-class MRBDerPair:
+class MRBDerPair(Value):
     """Modified Rota-Baxter pair: algebra + (R, d, kappa).  Not validated on
     construction; run :func:`verify_pair`."""
 
-    algebra: Algebra
-    R: Matrix
-    d: Matrix
-    kappa: object
-    # the cochain complexes of this pair, one per bimodule object, filled by
-    # mrbder.cohomology; not part of the pair's value
-    _complexes: dict = dataclasses.field(default_factory=dict, init=False, repr=False,
-                                         compare=False)
+    # _complexes: the cochain complexes of this pair, one per bimodule
+    # object, filled by mrbder.cohomology; not part of the pair's value
+    __slots__ = ("algebra", "R", "d", "kappa", "_complexes")
 
-    def __post_init__(self):
-        n = self.algebra.dim
-        for m in (self.R, self.d):
+    def __init__(self, algebra: Algebra, R: Matrix, d: Matrix, kappa):
+        self._init(algebra, R, d, kappa, {})
+        n = algebra.dim
+        for m in (R, d):
             if (m.nrows, m.ncols) != (n, n):
                 raise ShapeError("operator must be %dx%d" % (n, n))
 
@@ -143,26 +135,23 @@ class MRBDerPair:
         return self.algebra.mu
 
 
-@dataclass(frozen=True)
-class Bimodule:
+class Bimodule(Value):
     """Bimodule data over a pair: actions left: A x M -> M, right: M x A -> M,
     plus compatible operators R_M, d_M on M."""
 
-    dim_m: int
-    left: MultiTensor
-    right: MultiTensor
-    R_M: Matrix
-    d_M: Matrix
+    __slots__ = ("dim_m", "left", "right", "R_M", "d_M")
 
-    def __post_init__(self):
-        m = self.dim_m
-        if self.left.cod != m or self.right.cod != m:
+    def __init__(self, dim_m: int, left: MultiTensor, right: MultiTensor, R_M: Matrix,
+                 d_M: Matrix):
+        self._init(dim_m, left, right, R_M, d_M)
+        m = dim_m
+        if left.cod != m or right.cod != m:
             raise ShapeError("actions must land in M")
-        if self.left.dims[1] != m or self.right.dims[0] != m:
+        if left.dims[1] != m or right.dims[0] != m:
             raise ShapeError("action module slots must have dim %d" % m)
-        if self.left.dims[0] != self.right.dims[1]:
+        if left.dims[0] != right.dims[1]:
             raise ShapeError("action algebra slots disagree")
-        for mat in (self.R_M, self.d_M):
+        for mat in (R_M, d_M):
             if (mat.nrows, mat.ncols) != (m, m):
                 raise ShapeError("module operator must be %dx%d" % (m, m))
 

@@ -25,9 +25,14 @@
 * ``operator_matrix`` builds the matrix of a map one basis element at a
   time, and ``cochain_map`` gives the transcription of each kind of
   ``differential_matrix`` with its domain and codomain spaces.
+* ``VALUE_TWINS``: for each value class of the package (a subclass of
+  ``fields.Value``), the frozen dataclass with the same name, fields, field
+  order and defaults, whose generated ``__eq__``, ``__hash__`` and
+  ``__repr__`` the value class must reproduce.
 """
 
-from dataclasses import dataclass
+import dataclasses
+from dataclasses import dataclass, make_dataclass
 from typing import Callable
 
 from mrbder.cohomology import (Cochain, CochainSpace, PairSpace, _rho_of, cochain_arities,
@@ -511,3 +516,45 @@ def cochain_map(pair, bim, n, which, convention=DEFAULT_CONVENTION):
         return (dom, CochainSpace(F, nA, m, cochain_arities(n + 1, 2)),
                 lambda c: operator_delta(pair, bim, c, convention))
     return dom, dom, lambda c: Cochain(n, tuple(derivation_defect(pair, bim, p) for p in c.parts))
+
+
+# ---------------------------------------------------------------------------
+# frozen-dataclass twins of the value classes
+
+
+def _twin(name: str, *fields) -> type:
+    """The frozen dataclass ``name``; each field is a bare name or (name,
+    default), the default a value or a ``dataclasses.field``."""
+    spec = []
+    for f in fields:
+        if isinstance(f, str):
+            spec.append((f, object))
+        else:
+            default = f[1] if isinstance(f[1], dataclasses.Field) else dataclasses.field(default=f[1])
+            spec.append((f[0], object, default))
+    return make_dataclass(name, spec, frozen=True)
+
+
+VALUE_TWINS = {t.__name__: t for t in (
+    _twin("Field", ("p", None)),
+    _twin("MultiTensor", "field", "dims", "cod", "entries"),
+    _twin("TensorSpace", "field", "dims", "cod"),
+    _twin("CheckFailure", "identity", "args", "residual"),
+    _twin("CheckReport", "ok", "failures"),
+    _twin("Algebra", "field", "dim", "mu"),
+    _twin("MRBDerPair", "algebra", "R", "d", "kappa",
+          ("_complexes", dataclasses.field(default_factory=dict, init=False, repr=False,
+                                           compare=False))),
+    _twin("Bimodule", "dim_m", "left", "right", "R_M", "d_M"),
+    _twin("LiePair", "field", "dim", "bracket", "R", "d", "kappa",
+          ("rho", None), ("R_M", None), ("d_M", None)),
+    _twin("Cochain", "degree", "parts"),
+    _twin("CochainSpace", "field", "dim_a", "dim_m", "arities"),
+    _twin("Deformation", "pair", "order", "mu_terms", "R_terms", "d_terms"),
+    _twin("Gauge", "field", "dim", "terms"),
+    _twin("Extension", "total", "i", "p"),
+    _twin("ExtensionClassification", "dim_h2", "count", "representatives", "complete"),
+    _twin("Instance", "pair", ("bim", None), ("deformation", None), ("extension", None),
+          ("cocycle", None)),
+    _twin("FuzzInstance", "pair", "bim", "label"),
+)}

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -302,7 +301,7 @@ class TestComplexCache:
             assert other is not d and other == d
         assert differential_matrix(p1, b1, 2, "operator") is not d
         # a new pair made from the old one starts empty
-        p3 = dataclasses.replace(p1)
+        p3 = MRBDerPair(p1.algebra, p1.R, p1.d, p1.kappa)
         assert differential_matrix(p3, b1, 2, "pair") is not d
 
     @pytest.mark.parametrize("which", KINDS)

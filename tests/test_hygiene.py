@@ -5,6 +5,8 @@
 * Every top-level private (``_``-prefixed) name is used somewhere in
   ``src/``, outside its own definition.  A private helper that only tests
   call belongs with the tests.
+* ``@dataclass`` decorates ``CohomologyResult`` alone: every other value
+  class is a ``fields.Value``, which compiles no code when it is imported.
 """
 
 import ast
@@ -81,3 +83,16 @@ def test_every_private_name_is_used():
             if used[name] - inside < 1:
                 unused.append("%s.%s" % (module, name))
     assert unused == []
+
+
+def test_dataclass_decorates_only_the_cohomology_result():
+    decorated = []
+    for tree in MODULES.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                for d in node.decorator_list:
+                    f = d.func if isinstance(d, ast.Call) else d
+                    if (f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)) \
+                            == "dataclass":
+                        decorated.append(node.name)
+    assert decorated == ["CohomologyResult"]
