@@ -67,7 +67,7 @@ from it still checks the entry cap in the order a fresh build would.
 Cohomology is computed from two RREF bases, Z^n from one elimination of D_n
 with its columns reversed and B^n from the columns of D_{n-1}, with
 canonical (RREF) representatives, after a check that D_n D_{n-1} = 0, and
-``primitive`` solves D^1 h = c for a degree-2 cochain c.
+``primitive`` solves D^1 h = c for a degree-2 cochain c and checks it.
 The Lie-side complex (Chevalley-Eilenberg of the commutator bracket) shares
 the entry lists of phi and Delta and the graded stacking, and the
 skew-symmetrization chain maps live here too.
@@ -81,8 +81,8 @@ from typing import Callable
 
 from .fields import Field, Value
 from .linalg import (Matrix, MultiTensor, ShapeError, TensorSpace, _checked_size,
-                     _index_tuples, _nonzero_positions, kernel_rref,
-                     rref_vectors, solve_linear, tensor_as_matrix)
+                     _nonzero_positions, kernel_rref, rref_vectors, solve_linear,
+                     tensor_as_matrix)
 from .structures import Bimodule, InternalError, MRBDerPair
 from .constructions import LiePair, induced_action, induced_product
 
@@ -216,7 +216,7 @@ def PairSpace(field: Field, dim_a: int, dim_m: int, degree: int) -> CochainSpace
 def _nonzeros(t: MultiTensor) -> list:
     """(index tuple, value) of each nonzero entry of ``t``, codomain index last."""
     F, cod = t.field, t.cod
-    return [(idx + (q,), v) for b, idx in enumerate(_index_tuples(t.dims))
+    return [(idx + (q,), v) for b, idx in enumerate(itertools.product(*map(range, t.dims)))
             for q, v in enumerate(t.entries[b * cod:(b + 1) * cod]) if not F.is_zero(v)]
 
 
@@ -309,9 +309,8 @@ def _operator_map_entries(F, nA: int, m: int, R: Matrix, R_M: Matrix, kappa, n: 
     for r in range(1, n + 1):
         c = F.pow(neg_kappa, r // 2)
         coeffs.append((F.neg(c), True) if r % 2 == 1 else (c, False))
-    r_rows = [[(k, v) for k, v in enumerate(row) if not F.is_zero(v)] for row in R.rows]
-    rm_cols = [[(t, R_M.rows[t][s]) for t in range(m) if not F.is_zero(R_M.rows[t][s])]
-               for s in range(m)]
+    r_rows = [list(row.items()) for row in R.sparse_rows]
+    rm_cols = [list(col.items()) for col in R_M.transpose().sparse_rows]
     places = [nA ** (n - 1 - p) for p in range(n)]
     for J in Js:
         digits = [(J // lo) % nA for lo in places]
@@ -340,9 +339,8 @@ def _operator_map_entries(F, nA: int, m: int, R: Matrix, R_M: Matrix, kappa, n: 
 def _defect_entries(F, nA: int, m: int, d: Matrix, d_M: Matrix, n: int, Js):
     """Delta on C^n (see :func:`derivation_defect`): d in each slot, minus d_M
     on the output."""
-    d_rows = [[(k, v) for k, v in enumerate(row) if not F.is_zero(v)] for row in d.rows]
-    neg_dm = [[(t, F.neg(d_M.rows[t][s])) for t in range(m) if not F.is_zero(d_M.rows[t][s])]
-              for s in range(m)]
+    d_rows = [row.items() for row in d.sparse_rows]
+    neg_dm = [[(t, F.neg(v)) for t, v in col.items()] for col in d_M.transpose().sparse_rows]
     places = [nA ** (n - 1 - p) for p in range(n)]
     for J in Js:
         moves = [((J + (k - (J // lo) % nA) * lo) * m, v)
@@ -662,15 +660,19 @@ def primitive(pair: MRBDerPair, bim: Bimodule, c: Cochain) -> Matrix | None:
     degree-2 cochain c is not a coboundary.
 
     h is the RREF particular solution (free variables zero), which is linear
-    in c.
+    in c.  It is returned only once D^1 h = c holds, checked as one product
+    of D^1 with the flat h.
     """
     if c.degree != 2:
         raise ShapeError("expecting a degree-2 cochain")
     F = pair.field
     d1 = differential_matrix(pair, bim, 1, "pair")
-    sol = solve_linear(d1, PairSpace(F, pair.dim, bim.dim_m, 2).flatten(c))
+    flat = PairSpace(F, pair.dim, bim.dim_m, 2).flatten(c)
+    sol = solve_linear(d1, flat)
     if sol is None:
         return None
+    if d1 * Matrix.from_rows(F, zip(sol)) != Matrix.from_rows(F, zip(flat)):
+        raise InternalError("primitive h does not satisfy D^1 h = c")
     return tensor_as_matrix(hom_space(pair.dim, bim.dim_m, 1, F).unflatten(sol))
 
 

@@ -23,11 +23,13 @@ assembles the total structure on A + M.
 
 from __future__ import annotations
 
+import itertools
+
 from .fields import CLASS_ENUMERATION_CAP, Value
-from .linalg import (Matrix, MultiTensor, ShapeError, _contract, rank_and_kernel,
-                     solve_linear, tensor_as_matrix)
+from .linalg import (Matrix, MultiTensor, ShapeError, _contract, matrix_as_tensor,
+                     rank_and_kernel, solve_linear, tensor_as_matrix)
 from .structures import (Algebra, Bimodule, CheckFailure, CheckReport,
-                         InternalError, InvalidStructure, MRBDerPair, _report, _vsub,
+                         InternalError, InvalidStructure, MRBDerPair, _report,
                          multiplicative_residual, residual_failures, unit_vector,
                          verify_pair)
 from .cohomology import Cochain, PairSpace, cohomology, pair_delta, primitive
@@ -55,64 +57,51 @@ class Extension(Value):
         return self.i.ncols
 
 
+def _right_inverse(m: Matrix, message: str) -> list:
+    """The columns of a right inverse of ``m``: column k is the RREF solution
+    of m x = e_k.  Raises ``InvalidStructure(message)`` when m is not onto."""
+    F, n = m.field, m.nrows
+    cols = [solve_linear(m, unit_vector(F, n, k)) for k in range(n)]
+    if None in cols:
+        raise InvalidStructure(message)
+    return cols
+
+
 def canonical_section(ext: Extension) -> Matrix:
     """The section of p with zero coordinates on the free columns."""
-    F, N, n = ext.total.field, ext.total.dim, ext.dim_base
-    cols = []
-    for k in range(n):
-        x = solve_linear(ext.p, unit_vector(F, n, k))
-        if x is None:
-            raise InvalidStructure("projection is not surjective")
-        cols.append(x)
-    return Matrix.from_rows(F, [[cols[k][row] for k in range(n)] for row in range(N)])
+    cols = _right_inverse(ext.p, "projection is not surjective")
+    return Matrix.from_rows(ext.total.field, zip(*cols))
 
 
 def fiber_retraction(ext: Extension) -> Matrix:
     """A left inverse L of i (L i = Id on the fiber)."""
-    F, m = ext.total.field, ext.dim_fiber
-    it = ext.i.transpose()
-    rows = []
-    for k in range(m):
-        x = solve_linear(it, unit_vector(F, m, k))
-        if x is None:
-            raise InvalidStructure("inclusion is not injective")
-        rows.append(x)
-    return Matrix.from_rows(F, rows)
+    return Matrix.from_rows(ext.total.field,
+                            _right_inverse(ext.i.transpose(), "inclusion is not injective"))
 
 
-def _pull_to_fiber(ext: Extension, L: Matrix, vec) -> tuple:
-    """Coordinates of ``vec`` in the fiber; rejects vectors outside im(i)."""
-    out = L.apply(vec)
-    if ext.i.apply(out) != tuple(vec):
+def _to_fiber(ext: Extension, L: Matrix, t: MultiTensor) -> MultiTensor:
+    """L t, the values of ``t`` in fiber coordinates; rejects a ``t`` with a
+    value outside im(i)."""
+    out = t.postcompose(L)
+    if out.postcompose(ext.i) != t:
         raise InvalidStructure("vector does not lie in the fiber")
     return out
 
 
 def derive_base(ext: Extension) -> tuple:
-    """Recover (pair, bimodule) on A and M from the total structure alone."""
-    F = ext.total.field
-    n, m = ext.dim_base, ext.dim_fiber
+    """Recover (pair, bimodule) on A and M from the total structure alone:
+    mu = p mu'(s, s), the actions L mu'(s, i) and L mu'(i, s), the operators
+    p R' s and L R' i (d likewise), for the section s and retraction L."""
     s = canonical_section(ext)
     L = fiber_retraction(ext)
+    i, p = ext.i, ext.p
     muh, Rh, dh = ext.total.mu, ext.total.R, ext.total.d
-    mu = MultiTensor.from_map(
-        F, (n, n), n,
-        lambda a, b: ext.p.apply(muh.eval([s.apply(unit_vector(F, n, a)),
-                                           s.apply(unit_vector(F, n, b))])))
-    R = ext.p * Rh * s
-    d = ext.p * dh * s
-    pair = MRBDerPair(Algebra(F, n, mu), R, d, ext.total.kappa)
-    left = MultiTensor.from_map(
-        F, (n, m), m,
-        lambda a, w: _pull_to_fiber(ext, L, muh.eval([s.apply(unit_vector(F, n, a)),
-                                                      ext.i.apply(unit_vector(F, m, w))])))
-    right = MultiTensor.from_map(
-        F, (m, n), m,
-        lambda w, a: _pull_to_fiber(ext, L, muh.eval([ext.i.apply(unit_vector(F, m, w)),
-                                                      s.apply(unit_vector(F, n, a))])))
-    R_M = L * Rh * ext.i
-    d_M = L * dh * ext.i
-    return pair, Bimodule(m, left, right, R_M, d_M)
+    mu_s = muh.precompose_slot(0, s)
+    base = Algebra(ext.total.field, ext.dim_base, mu_s.precompose_slot(1, s).postcompose(p))
+    pair = MRBDerPair(base, p * Rh * s, p * dh * s, ext.total.kappa)
+    left = _to_fiber(ext, L, mu_s.precompose_slot(1, i))
+    right = _to_fiber(ext, L, muh.precompose_slot(0, i).precompose_slot(1, s))
+    return pair, Bimodule(ext.dim_fiber, left, right, L * Rh * i, L * dh * i)
 
 
 def check_extension(pair: MRBDerPair, bim: Bimodule, ext: Extension) -> CheckReport:
@@ -163,28 +152,17 @@ def check_extension(pair: MRBDerPair, bim: Bimodule, ext: Extension) -> CheckRep
 
 def extract_cocycle(pair: MRBDerPair, bim: Bimodule, ext: Extension,
                     section: Matrix | None = None) -> Cochain:
-    """The degree-2 cochain measured by a section (canonical if omitted)."""
-    F = ext.total.field
-    n, m = ext.dim_base, ext.dim_fiber
+    """The degree-2 cochain measured by a section (canonical if omitted):
+    theta = L(mu'(s, s) - s mu), xi = L(R' s - s R), chi = L(d' s - s d)."""
+    total = ext.total
     s = canonical_section(ext) if section is None else section
-    if not (ext.p * s - Matrix.identity(F, n)).is_zero():
+    if not (ext.p * s - Matrix.identity(total.field, ext.dim_base)).is_zero():
         raise InvalidStructure("not a section of the projection")
     L = fiber_retraction(ext)
-    muh, Rh, dh = ext.total.mu, ext.total.R, ext.total.d
-    scols = [s.apply(unit_vector(F, n, a)) for a in range(n)]
-    theta = MultiTensor.from_map(
-        F, (n, n), m,
-        lambda a, b: _pull_to_fiber(ext, L, _vsub(F, muh.eval([scols[a], scols[b]]),
-                                                  s.apply(pair.mu.value_at(a, b)))))
-    xi = MultiTensor.from_map(
-        F, (n,), m,
-        lambda a: _pull_to_fiber(ext, L, _vsub(F, Rh.apply(scols[a]),
-                                               s.apply(pair.R.apply(unit_vector(F, n, a))))))
-    chi = MultiTensor.from_map(
-        F, (n,), m,
-        lambda a: _pull_to_fiber(ext, L, _vsub(F, dh.apply(scols[a]),
-                                               s.apply(pair.d.apply(unit_vector(F, n, a))))))
-    return Cochain(2, (theta, xi, chi))
+    theta = total.mu.precompose_slot(0, s).precompose_slot(1, s) - pair.mu.postcompose(s)
+    return Cochain(2, (_to_fiber(ext, L, theta),
+                       _to_fiber(ext, L, matrix_as_tensor(total.R * s - s * pair.R)),
+                       _to_fiber(ext, L, matrix_as_tensor(total.d * s - s * pair.d))))
 
 
 def build_extension(pair: MRBDerPair, bim: Bimodule, cocycle: Cochain) -> Extension:
@@ -289,14 +267,5 @@ def classify(pair: MRBDerPair, bim: Bimodule) -> ExtensionClassification:
     stacked = [x for r in reps for x in space2.flatten(r)]
     out = [space2.unflatten(tuple(_contract(F, stacked, 1, space2.dim,
                                             [{0: c} if c else {} for c in digits], 1)))
-           for digits in _tuples(F.p, res.dim_h)]
+           for digits in itertools.product(range(F.p), repeat=res.dim_h)]
     return ExtensionClassification(res.dim_h, total, tuple(out), True)
-
-
-def _tuples(base: int, length: int):
-    if length == 0:
-        yield ()
-        return
-    for rest in _tuples(base, length - 1):
-        for digit in range(base):
-            yield rest + (digit,)

@@ -20,13 +20,14 @@ induced structures.  A final optional conjugation exercises basis freedom.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from .fields import CLASS_ENUMERATION_CAP, Field, Value
 from .linalg import Matrix, MultiTensor, rank_and_kernel
 from .structures import (Algebra, Bimodule, MRBDerPair, adjoint_bimodule,
                          check_bimodule, derivation_residual, dual_pair,
-                         operator_residual, verify_pair)
+                         operator_residual, unit_vector, verify_pair)
 from .constructions import direct_sum, induced_algebra, induced_bimodule
 
 
@@ -47,20 +48,9 @@ def _mat_from_flat(field: Field, n: int, flat) -> Matrix:
 
 def _kernel_matrices(field: Field, n: int, constraint_fn) -> list:
     """Kernel of a linear map Mat_n -> k^s given by its values on the E_ij basis."""
-    cols = []
-    for k in range(n * n):
-        flat = [field.zero] * (n * n)
-        flat[k] = field.one
-        cols.append(constraint_fn(_mat_from_flat(field, n, flat)))
-    if not cols[0]:
-        rows = []
-    else:
-        rows = [[cols[k][r] for k in range(n * n)] for r in range(len(cols[0]))]
-    if not rows:
-        basis_flat = [[field.one if i == k else field.zero for i in range(n * n)]
-                      for k in range(n * n)]
-    else:
-        _, basis_flat = rank_and_kernel(Matrix.from_rows(field, rows))
+    cols = [constraint_fn(_mat_from_flat(field, n, unit_vector(field, n * n, k)))
+            for k in range(n * n)]
+    _, basis_flat = rank_and_kernel(Matrix.from_rows(field, zip(*cols)))
     return [_mat_from_flat(field, n, v) for v in basis_flat]
 
 
@@ -140,24 +130,14 @@ def _dim1_pair(rng: random.Random, field: Field) -> MRBDerPair:
 
 def _dim2_tables(field: Field) -> dict:
     F = field
-    z = (F.zero, F.zero)
-    e0 = (F.one, F.zero)
-    e1 = (F.zero, F.one)
-
-    def tensor(table):
-        flat = []
-        for i in range(2):
-            for j in range(2):
-                flat.extend(table.get((i, j), z))
-        return MultiTensor(F, (2, 2), 2, tuple(flat))
-
-    return {
-        "zero": tensor({}),
-        "dual": tensor({(0, 0): e0, (0, 1): e1, (1, 0): e1}),
-        "split": tensor({(0, 0): e0, (1, 1): e1}),
-        "leftunit": tensor({(0, 0): e0, (0, 1): e1}),
-        "nilp": tensor({(0, 0): e1}),
-    }
+    e0, e1 = (F.one, F.zero), (F.zero, F.one)
+    return {name: Algebra.from_table(F, 2, table) for name, table in (
+        ("zero", {}),
+        ("dual", {(0, 0): e0, (0, 1): e1, (1, 0): e1}),
+        ("split", {(0, 0): e0, (1, 1): e1}),
+        ("leftunit", {(0, 0): e0, (0, 1): e1}),
+        ("nilp", {(0, 0): e1}),
+    )}
 
 
 _MRB_CACHE: dict = {}
@@ -172,42 +152,15 @@ def _mrb_options(field: Field, alg: Algebra) -> list:
         return _MRB_CACHE[key]
     F, n, mu = field, alg.dim, alg.mu
     elems = F.elements()
+    first = next((k for k, w in enumerate(mu.entries) if not F.is_zero(w)), None)
     out = []
-    flat_indices = list(range(n * n))
-    def all_matrices():
-        stack = [[]]
-        for _ in flat_indices:
-            stack = [s + [e] for s in stack for e in elems]
-        for flat in stack:
-            yield _mat_from_flat(F, n, flat)
-    for R in all_matrices():
+    for flat in itertools.product(elems, repeat=n * n):
+        R = _mat_from_flat(F, n, flat)
         res = operator_residual(mu, R, R, R, F.zero)
-        kappa = None
-        consistent = True
-        # v = kappa * w is required for every basis pair
-        pending = [(res.value_at(i, j), mu.value_at(i, j)) for i in range(n) for j in range(n)]
-        for v, w in pending:
-            wt = next((t for t in range(n) if not F.is_zero(w[t])), None)
-            if wt is None:
-                if any(not F.is_zero(x) for x in v):
-                    consistent = False
-                    break
-                continue
-            k = F.div(v[wt], w[wt])
-            if kappa is None:
-                kappa = k
-            elif kappa != k:
-                consistent = False
-                break
-            if any(F.sub(v[t], F.mul(k, w[t])) != F.zero for t in range(n)):
-                consistent = False
-                break
-        if not consistent:
-            continue
-        if kappa is None:
-            out.extend((R, kv) for kv in elems)
-        else:
-            out.append((R, kappa))
+        # the identity holds at kappa when res = kappa mu: kappa is read off
+        # the first nonzero entry of mu, and any kappa does when mu is zero
+        kappas = elems if first is None else (F.div(res.entries[first], mu.entries[first]),)
+        out.extend((R, kappa) for kappa in kappas if res == mu.scale(kappa))
     _MRB_CACHE[key] = out
     return out
 
@@ -215,7 +168,7 @@ def _mrb_options(field: Field, alg: Algebra) -> list:
 def _dim2_pair_fp(rng: random.Random, field: Field) -> tuple:
     tables = _dim2_tables(field)
     name = rng.choice(sorted(tables))
-    alg = Algebra(field, 2, tables[name])
+    alg = tables[name]
     options = _mrb_options(field, alg)
     R, kappa = options[rng.randrange(len(options))]
     basis = _kernel_matrices(field, 2, _derivation_constraints(alg, R))
@@ -233,7 +186,7 @@ def _dim2_pair_q(rng: random.Random, field: Field) -> tuple:
     if kind == "scalar":
         tables = _dim2_tables(F)
         name = rng.choice(sorted(tables))
-        alg = Algebra(F, 2, tables[name])
+        alg = tables[name]
         lam = F.parse(rng.randint(-3, 3))
         R = Matrix.scalar(F, 2, lam)
         basis = _kernel_matrices(F, 2, _derivation_constraints(alg, R))

@@ -49,7 +49,7 @@ import math
 import sys
 from collections.abc import Sequence
 from fractions import Fraction
-from itertools import compress, count, islice, repeat
+from itertools import compress, count, islice, product, repeat
 from operator import is_not, mul
 from typing import Callable, Iterable
 
@@ -755,7 +755,7 @@ class MultiTensor(Value):
         dims = tuple(dims)
         _checked_size(dims, cod)
         entries = []
-        for idx in _index_tuples(dims):
+        for idx in product(*map(range, dims)):
             v = fn(*idx)
             if len(v) != cod:
                 raise ShapeError("value of length %d, expected %d" % (len(v), cod))
@@ -771,7 +771,7 @@ class MultiTensor(Value):
         out = [field.zero] * _checked_size((N, N), N)
         start = [sum(dims[:i]) for i in range(len(dims))]
         for (i, j, k), t in blocks.items():
-            for x, y in _index_tuples((dims[i], dims[j])):
+            for x, y in product(range(dims[i]), range(dims[j])):
                 dst = ((start[i] + x) * N + start[j] + y) * N + start[k]
                 out[dst:dst + dims[k]] = t.value_at(x, y)
         return MultiTensor(field, (N, N), N, tuple(out))
@@ -867,7 +867,7 @@ class MultiTensor(Value):
         new_dims = tuple(self.dims[p] for p in perm)
         out = [F.zero] * len(self.entries)
         cod = self.cod
-        for idx in _index_tuples(new_dims):
+        for idx in product(*map(range, new_dims)):
             src = self.offset(tuple(idx[perm.index(s)] for s in range(self.arity)))
             off = 0
             for i, d in zip(idx, new_dims):
@@ -897,16 +897,6 @@ def tensor_as_matrix(t: "MultiTensor") -> Matrix:
         raise ShapeError("expected an arity-1 tensor")
     n, m = t.dims[0], t.cod
     return Matrix.from_rows(t.field, [[t.value_at(j)[i] for j in range(n)] for i in range(m)])
-
-
-def _index_tuples(dims: Sequence[int]):
-    if not dims:
-        yield ()
-        return
-    head, rest = dims[0], dims[1:]
-    for i in range(head):
-        for tail in _index_tuples(rest):
-            yield (i,) + tail
 
 
 class TensorSpace(Value):

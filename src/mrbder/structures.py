@@ -77,10 +77,6 @@ def unit_vector(field: Field, n: int, i: int) -> tuple:
     return tuple(v)
 
 
-def _vsub(F, a, b):
-    return tuple(F.sub(x, y) for x, y in zip(a, b))
-
-
 def _is_zero_vec(F, a):
     return all(F.is_zero(x) for x in a)
 

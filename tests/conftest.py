@@ -49,3 +49,21 @@ def failure_list():
     """A report's failures as (identity, args, residual strings), in report order."""
     return lambda report: [(f.identity, f.args, tuple(str(x) for x in f.residual))
                            for f in report.failures]
+
+
+@pytest.fixture
+def one_entry_off():
+    """``solve_linear`` made wrong: one is added to the first unknown of a
+    solution that its matrix does not ignore."""
+
+    def make(real):
+        def wrong(m, b):
+            sol = real(m, b)
+            if sol is None:
+                return None
+            j = next(j for j, col in enumerate(m.transpose().sparse_rows) if col)
+            F = m.field
+            return sol[:j] + (F.add(sol[j], F.one),) + sol[j + 1:]
+        return wrong
+
+    return make

@@ -25,6 +25,15 @@
 * ``operator_matrix`` builds the matrix of a map one basis element at a
   time, and ``cochain_map`` gives the transcription of each kind of
   ``differential_matrix`` with its domain and codomain spaces.
+* The extension maps one basis vector at a time, as ``mrbder.extension``
+  once built them: ``pointwise_section`` and ``pointwise_retraction`` (one
+  ``solve_linear`` per unit vector), ``pointwise_derive_base`` and
+  ``pointwise_extract_cocycle`` (each product, action and operator value
+  evaluated through s, i, p and L, and pulled back to the fiber entry by
+  entry).  The engine writes them as composites of tensors and matrices.
+* ``pairwise_mrb_options``: the operators R of a dimension-n product table
+  over F_p with their kappa, solved from the identity basis pair by basis
+  pair, as ``fuzzing._mrb_options`` once did.
 * ``VALUE_TWINS``: for each value class of the package (a subclass of
   ``fields.Value``), the frozen dataclass with the same name, fields, field
   order and defaults, whose generated ``__eq__``, ``__hash__`` and
@@ -32,14 +41,17 @@
 """
 
 import dataclasses
+import itertools
 from dataclasses import dataclass, make_dataclass
 from typing import Callable
 
 from mrbder.cohomology import (Cochain, CochainSpace, PairSpace, _rho_of, cochain_arities,
                                hom_space, induced_lie_pair)
 from mrbder.constructions import induced_action, induced_product
-from mrbder.linalg import (Matrix, MultiTensor, ShapeError, _index_tuples, _nonzero_positions,
-                           rank_and_kernel, rref_vectors)
+from mrbder.linalg import (Matrix, MultiTensor, ShapeError, _nonzero_positions,
+                           rank_and_kernel, rref_vectors, solve_linear)
+from mrbder.structures import (Algebra, Bimodule, InvalidStructure, MRBDerPair,
+                               operator_residual, unit_vector)
 
 
 def dense_rref(field, rows):
@@ -244,7 +256,7 @@ def _hochschild_delta_core(F, nA, mu, left, right, f) -> MultiTensor:
         return MultiTensor.zeros(F, (nA,) * (n + 1), m)
     first_plus = _sign_is_plus(n + 1)
     out = []
-    for idx in _index_tuples((nA,) * (n + 1)):
+    for idx in itertools.product(range(nA), repeat=n + 1):
         acc = [F.zero] * m
         _vacc(F, acc, _act_left(F, left, idx[0], f.value_at(*idx[1:])), first_plus)
         _vacc(F, acc, _act_right(F, right, f.value_at(*idx[:n]), idx[n]), True)
@@ -283,7 +295,7 @@ def modified_delta(pair, bim, f: MultiTensor) -> MultiTensor:
     R_M = bim.R_M
     first_plus = _sign_is_plus(n + 1)
     out = []
-    for idx in _index_tuples((nA,) * (n + 1)):
+    for idx in itertools.product(range(nA), repeat=n + 1):
         acc = [F.zero] * m
         fv = f.value_at(*idx[1:])
         _vacc(F, acc, _act_left(F, lR, idx[0], fv), first_plus)
@@ -449,7 +461,7 @@ def ce_delta(lp, f: MultiTensor) -> MultiTensor:
         return MultiTensor.zeros(F, (nA,) * (n + 1), m)
     out = []
     norm_plus = _sign_is_plus(n + 1)
-    for idx in _index_tuples((nA,) * (n + 1)):
+    for idx in itertools.product(range(nA), repeat=n + 1):
         acc = [F.zero] * m
         for i in range(1, n + 2):
             rest = idx[:i - 1] + idx[i:]
@@ -516,6 +528,135 @@ def cochain_map(pair, bim, n, which, convention=DEFAULT_CONVENTION):
         return (dom, CochainSpace(F, nA, m, cochain_arities(n + 1, 2)),
                 lambda c: operator_delta(pair, bim, c, convention))
     return dom, dom, lambda c: Cochain(n, tuple(derivation_defect(pair, bim, p) for p in c.parts))
+
+
+# ---------------------------------------------------------------------------
+# extensions, one basis vector at a time
+
+
+def _vsub(F, a, b):
+    return tuple(F.sub(x, y) for x, y in zip(a, b))
+
+
+def pointwise_section(ext) -> Matrix:
+    """The section of p whose column k is the RREF solution of p x = e_k."""
+    F, N, n = ext.total.field, ext.total.dim, ext.dim_base
+    cols = []
+    for k in range(n):
+        x = solve_linear(ext.p, unit_vector(F, n, k))
+        if x is None:
+            raise InvalidStructure("projection is not surjective")
+        cols.append(x)
+    return Matrix.from_rows(F, [[cols[k][row] for k in range(n)] for row in range(N)])
+
+
+def pointwise_retraction(ext) -> Matrix:
+    """The left inverse of i whose row k is the RREF solution of i^T x = e_k."""
+    F, m = ext.total.field, ext.dim_fiber
+    it = ext.i.transpose()
+    rows = []
+    for k in range(m):
+        x = solve_linear(it, unit_vector(F, m, k))
+        if x is None:
+            raise InvalidStructure("inclusion is not injective")
+        rows.append(x)
+    return Matrix.from_rows(F, rows)
+
+
+def _pull_to_fiber(ext, L: Matrix, vec) -> tuple:
+    """Coordinates of ``vec`` in the fiber; rejects vectors outside im(i)."""
+    out = L.apply(vec)
+    if ext.i.apply(out) != tuple(vec):
+        raise InvalidStructure("vector does not lie in the fiber")
+    return out
+
+
+def pointwise_derive_base(ext) -> tuple:
+    """(pair, bimodule) on A and M, each product and action evaluated on one
+    pair of basis vectors at a time through s, i, p and L."""
+    F = ext.total.field
+    n, m = ext.dim_base, ext.dim_fiber
+    s = pointwise_section(ext)
+    L = pointwise_retraction(ext)
+    muh, Rh, dh = ext.total.mu, ext.total.R, ext.total.d
+    mu = MultiTensor.from_map(
+        F, (n, n), n,
+        lambda a, b: ext.p.apply(muh.eval([s.apply(unit_vector(F, n, a)),
+                                           s.apply(unit_vector(F, n, b))])))
+    pair = MRBDerPair(Algebra(F, n, mu), ext.p * Rh * s, ext.p * dh * s, ext.total.kappa)
+    left = MultiTensor.from_map(
+        F, (n, m), m,
+        lambda a, w: _pull_to_fiber(ext, L, muh.eval([s.apply(unit_vector(F, n, a)),
+                                                      ext.i.apply(unit_vector(F, m, w))])))
+    right = MultiTensor.from_map(
+        F, (m, n), m,
+        lambda w, a: _pull_to_fiber(ext, L, muh.eval([ext.i.apply(unit_vector(F, m, w)),
+                                                      s.apply(unit_vector(F, n, a))])))
+    return pair, Bimodule(m, left, right, L * Rh * ext.i, L * dh * ext.i)
+
+
+def pointwise_extract_cocycle(pair, bim, ext, section: Matrix | None = None) -> Cochain:
+    """theta(a, b) = L(mu'(s a, s b) - s mu(a, b)), xi(a) = L(R' s a - s R a)
+    and chi(a) = L(d' s a - s d a), one basis vector at a time."""
+    F = ext.total.field
+    n, m = ext.dim_base, ext.dim_fiber
+    s = pointwise_section(ext) if section is None else section
+    if not (ext.p * s - Matrix.identity(F, n)).is_zero():
+        raise InvalidStructure("not a section of the projection")
+    L = pointwise_retraction(ext)
+    muh, Rh, dh = ext.total.mu, ext.total.R, ext.total.d
+    scols = [s.apply(unit_vector(F, n, a)) for a in range(n)]
+    theta = MultiTensor.from_map(
+        F, (n, n), m,
+        lambda a, b: _pull_to_fiber(ext, L, _vsub(F, muh.eval([scols[a], scols[b]]),
+                                                  s.apply(pair.mu.value_at(a, b)))))
+    xi = MultiTensor.from_map(
+        F, (n,), m,
+        lambda a: _pull_to_fiber(ext, L, _vsub(F, Rh.apply(scols[a]),
+                                               s.apply(pair.R.apply(unit_vector(F, n, a))))))
+    chi = MultiTensor.from_map(
+        F, (n,), m,
+        lambda a: _pull_to_fiber(ext, L, _vsub(F, dh.apply(scols[a]),
+                                               s.apply(pair.d.apply(unit_vector(F, n, a))))))
+    return Cochain(2, (theta, xi, chi))
+
+
+def pairwise_mrb_options(field, alg) -> list:
+    """Every (R, kappa) with the operator identity over F_p, kappa solved
+    basis pair by basis pair: v = kappa w for v = res(e_i, e_j) at kappa = 0
+    and w = mu(e_i, e_j); any kappa when every w and v is zero."""
+    F, n, mu = field, alg.dim, alg.mu
+    elems = F.elements()
+    out = []
+    for flat in itertools.product(elems, repeat=n * n):
+        R = Matrix.from_rows(F, [flat[i * n:(i + 1) * n] for i in range(n)])
+        res = operator_residual(mu, R, R, R, F.zero)
+        kappa = None
+        consistent = True
+        for i, j in itertools.product(range(n), repeat=2):
+            v, w = res.value_at(i, j), mu.value_at(i, j)
+            wt = next((t for t in range(n) if not F.is_zero(w[t])), None)
+            if wt is None:
+                if any(not F.is_zero(x) for x in v):
+                    consistent = False
+                    break
+                continue
+            k = F.div(v[wt], w[wt])
+            if kappa is None:
+                kappa = k
+            elif kappa != k:
+                consistent = False
+                break
+            if any(F.sub(v[t], F.mul(k, w[t])) != F.zero for t in range(n)):
+                consistent = False
+                break
+        if not consistent:
+            continue
+        if kappa is None:
+            out.extend((R, kv) for kv in elems)
+        else:
+            out.append((R, kappa))
+    return out
 
 
 # ---------------------------------------------------------------------------

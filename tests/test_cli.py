@@ -102,6 +102,19 @@ class TestVerify:
         assert out == ""
         assert err.startswith("invalid structure:")
 
+    @pytest.mark.parametrize("argv", [["verify"], ["extend", "extract"], ["extend", "classify"]],
+                             ids=["verify", "extract", "classify"])
+    def test_products_outside_the_fiber(self, capsys, tmp_path, argv):
+        # the dual numbers with the unit line as the fiber: exact, but the
+        # unit times the fiber leaves it
+        data = {"field": "Q", "dim": 2, "kappa": "-1",
+                "mu": [[0, 0, ["1", "0"]], [0, 1, ["0", "1"]], [1, 0, ["0", "1"]]],
+                "R": [["1", "0"], ["0", "-1"]], "d": [["0", "0"], ["0", "1"]],
+                "extension": {"i": [["1"], ["0"]], "p": [["0", "1"]]}}
+        path = write_json(tmp_path, "unit_fiber.json", data)
+        assert run(capsys, *argv, path) == (
+            CHECK_FAILED_EXIT, "", "invalid structure: vector does not lie in the fiber\n")
+
     def test_missing_file(self, capsys):
         code, out, err = run(capsys, "verify", str(INSTANCES / "nope.json"))
         assert code == USAGE_EXIT
@@ -260,6 +273,14 @@ class TestInternalErrors:
         monkeypatch.setattr(mod, "apply_gauge", lambda defo, gauge: defo)
         assert run(capsys, "trivialize", RIGID_F5) == (
             INTERNAL_EXIT, "", "error: internal: gauge step failed to clear order 1\n")
+
+    def test_primitive_that_misses_the_cocycle(self, capsys, monkeypatch, one_entry_off):
+        mod = importlib.import_module("mrbder.cohomology")
+        code, out, _ = run(capsys, "infinitesimal", RIGID_F5)
+        assert code == 0 and json.loads(out)["exact"] is True
+        monkeypatch.setattr(mod, "solve_linear", one_entry_off(mod.solve_linear))
+        assert run(capsys, "infinitesimal", RIGID_F5) == (
+            INTERNAL_EXIT, "", "error: internal: primitive h does not satisfy D^1 h = c\n")
 
     def test_unexpected_exception(self, capsys, monkeypatch):
         mod = importlib.import_module("mrbder.cli")

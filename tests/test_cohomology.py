@@ -1,3 +1,4 @@
+import importlib
 import random
 
 import pytest
@@ -7,7 +8,7 @@ from mrbder.cohomology import (MAX_COHOMOLOGY_DEGREE, MAX_MATRIX_DEGREE,
                                PairSpace, ce_delta, cochain_arities, cohomology,
                                derivation_defect, differential_matrix,
                                hochschild_delta, hom_space, lie_pair_delta, modified_delta,
-                               operator_delta, operator_map, pair_delta,
+                               operator_delta, operator_map, pair_delta, primitive,
                                skew_cochain, skew_symmetrize)
 from mrbder.constructions import (direct_sum, induced_action, induced_product,
                                   rho_representation)
@@ -15,7 +16,7 @@ from mrbder.fields import Field, QQ
 from mrbder.fuzzing import conjugate_pair, random_instances, random_invertible
 from mrbder.linalg import (EntryCapExceeded, Matrix, MultiTensor, ShapeError, matrix_as_tensor,
                            rref_vectors, set_max_tensor_entries)
-from mrbder.structures import (Algebra, Bimodule, MRBDerPair, adjoint_bimodule,
+from mrbder.structures import (Algebra, Bimodule, InternalError, MRBDerPair, adjoint_bimodule,
                                dual_pair, scalar_pair, dual_algebra,
                                upper_triangular_pair, verify_pair)
 
@@ -637,3 +638,30 @@ class TestSkewAndLie:
         lp = rho_representation(dual_q, adjoint_bimodule(dual_q))
         f = matrix_as_tensor(dual_q.d)
         assert ce_delta(lp, f).is_zero()
+
+
+class TestPrimitiveCertificate:
+    """``primitive`` returns h only once D^1 h = c is checked."""
+
+    @pytest.mark.parametrize("field", [QQ, F5], ids=["Q", "F5"])
+    def test_primitive_of_a_random_coboundary(self, field):
+        rng = random.Random(4)
+        for inst in random_instances(field, 2, 6, seed=4):
+            pair, bim = inst.pair, inst.bim
+            h = MultiTensor(field, (pair.dim,), bim.dim_m,
+                            tuple(field.random(rng) for _ in range(pair.dim * bim.dim_m)))
+            c = pair_delta(pair, bim, Cochain(1, (h,)))
+            got = primitive(pair, bim, c)
+            assert (pair_delta(pair, bim, Cochain(1, (matrix_as_tensor(got),))) - c).is_zero()
+
+    @pytest.mark.parametrize("field", [QQ, F5], ids=["Q", "F5"])
+    def test_wrong_solution_is_an_internal_error(self, field, monkeypatch, one_entry_off):
+        mod = importlib.import_module("mrbder.cohomology")
+        pair = dual_pair(field)
+        bim = adjoint_bimodule(pair)
+        h = MultiTensor(field, (2,), 2, tuple(field.parse(k + 1) for k in range(4)))
+        c = pair_delta(pair, bim, Cochain(1, (h,)))
+        assert not c.is_zero()
+        monkeypatch.setattr(mod, "solve_linear", one_entry_off(mod.solve_linear))
+        with pytest.raises(InternalError, match="does not satisfy D\\^1 h = c"):
+            primitive(pair, bim, c)

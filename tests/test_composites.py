@@ -1,0 +1,134 @@
+"""The extension maps and the operator enumeration against their point-by-point
+transcriptions in ``oracles``, compared exactly (``==`` and ``repr``).
+
+* Random extensions over Q and F_5: ``build_extension`` of a random closed
+  degree-2 cochain of a fuzzing instance, a random section s + i h, and a
+  random invertible change of basis of the total space.
+* Every operator of the five dimension-2 product tables over F_2, F_3 and
+  F_5 (over F_2, -1 = 1).
+"""
+
+import random
+
+import pytest
+
+from mrbder import fuzzing
+from mrbder.cohomology import PairSpace, differential_matrix
+from mrbder.extension import (Extension, build_extension, canonical_section, derive_base,
+                              extract_cocycle, fiber_retraction)
+from mrbder.fields import Field, QQ
+from mrbder.fuzzing import conjugate_pair, random_instances, random_invertible, random_matrix
+from mrbder.linalg import Matrix, rank_and_kernel
+from mrbder.structures import InvalidStructure, dual_pair
+
+from oracles import (pairwise_mrb_options, pointwise_derive_base, pointwise_extract_cocycle,
+                     pointwise_retraction, pointwise_section)
+
+F5 = Field.prime(5)
+
+
+def same(a, b):
+    return a == b and repr(a) == repr(b)
+
+
+def random_closed_cochain(rng, pair, bim):
+    """A random vector of the kernel of D_2, as a degree-2 cochain."""
+    F, space = pair.field, PairSpace(pair.field, pair.dim, bim.dim_m, 2)
+    _, basis = rank_and_kernel(differential_matrix(pair, bim, 2, "pair"))
+    flat = [F.zero] * space.dim
+    for v in basis:
+        c = F.random(rng)
+        flat = [F.add(x, F.mul(c, y)) for x, y in zip(flat, v)]
+    return space.unflatten(flat)
+
+
+def conjugated(rng, ext, s):
+    """The extension and section after the base change x |-> T x of the total
+    space, T random and invertible."""
+    F = ext.total.field
+    T = random_invertible(rng, F, ext.total.dim)
+    Ti = T.inverse()
+    return Extension(conjugate_pair(ext.total, T), Ti * ext.i, ext.p * T), Ti * s
+
+
+def random_extensions(field, count, seed):
+    rng = random.Random(seed)
+    for k, inst in enumerate(random_instances(field, 2, count, seed)):
+        c = random_closed_cochain(rng, inst.pair, inst.bim)
+        ext = build_extension(inst.pair, inst.bim, c)
+        h = random_matrix(rng, field, inst.bim.dim_m, inst.pair.dim)
+        yield "%d:%s" % (k, inst.label), conjugated(rng, ext, canonical_section(ext) + ext.i * h)
+
+
+@pytest.mark.parametrize("field", [QQ, F5], ids=["Q", "F5"])
+def test_extension_maps_match_the_pointwise_transcriptions(field):
+    seen = 0
+    for label, (ext, s) in random_extensions(field, 12, seed=11):
+        assert same(canonical_section(ext), pointwise_section(ext)), label
+        assert same(fiber_retraction(ext), pointwise_retraction(ext)), label
+        base = derive_base(ext)
+        assert same(base, pointwise_derive_base(ext)), label
+        pair, bim = base
+        for section in (None, s):
+            c = extract_cocycle(pair, bim, ext, section)
+            assert same(c, pointwise_extract_cocycle(pair, bim, ext, section)), label
+            seen += not c.is_zero()
+    # the sections and base changes must give nonzero cochains to compare
+    assert seen > 0
+
+
+def _non_ideal(F):
+    # the unit line of the dual numbers: the products escape the fiber
+    one, zero = F.one, F.zero
+    return Extension(dual_pair(F), Matrix.from_rows(F, [[one], [zero]]),
+                     Matrix.from_rows(F, [[zero, one]]))
+
+
+def _not_onto(F):
+    one, zero = F.one, F.zero
+    return Extension(dual_pair(F), Matrix.from_rows(F, [[zero], [one]]),
+                     Matrix.from_rows(F, [[zero, zero]]))
+
+
+def _not_injective(F):
+    one, zero = F.one, F.zero
+    return Extension(dual_pair(F), Matrix.from_rows(F, [[zero], [zero]]),
+                     Matrix.from_rows(F, [[one, zero]]))
+
+
+@pytest.mark.parametrize("field", [QQ, F5], ids=["Q", "F5"])
+@pytest.mark.parametrize("make,message", [
+    (_non_ideal, "vector does not lie in the fiber"),
+    (_not_onto, "projection is not surjective"),
+    (_not_injective, "inclusion is not injective"),
+], ids=["non-ideal", "not-onto", "not-injective"])
+def test_derive_base_refuses_as_the_transcription_does(field, make, message):
+    ext = make(field)
+    for fn in (derive_base, pointwise_derive_base):
+        with pytest.raises(InvalidStructure) as err:
+            fn(ext)
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize("field", [QQ, F5], ids=["Q", "F5"])
+def test_extract_cocycle_refuses_values_outside_the_fiber(field):
+    # the base and fiber of the line extension, measured on the non-ideal one
+    ext = _non_ideal(field)
+    line = Extension(ext.total, Matrix.from_rows(field, [[field.zero], [field.one]]),
+                     Matrix.from_rows(field, [[field.one, field.zero]]))
+    pair, bim = derive_base(line)
+    for fn in (extract_cocycle, pointwise_extract_cocycle):
+        with pytest.raises(InvalidStructure) as err:
+            fn(pair, bim, ext)
+        assert str(err.value) == "vector does not lie in the fiber"
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_operator_enumeration_matches_the_pairwise_solve(p, monkeypatch):
+    F = Field.prime(p)
+    monkeypatch.setattr(fuzzing, "_MRB_CACHE", {})
+    for name, alg in sorted(fuzzing._dim2_tables(F).items()):
+        got = fuzzing._mrb_options(F, alg)
+        assert same(got, pairwise_mrb_options(F, alg)), name
+        assert got, name
+

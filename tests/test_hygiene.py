@@ -7,6 +7,10 @@
   call belongs with the tests.
 * ``@dataclass`` decorates ``CohomologyResult`` alone: every other value
   class is a ``fields.Value``, which compiles no code when it is imported.
+* No ``MultiTensor.from_map`` callback calls ``.apply(`` or ``.eval(``: a
+  structure map that is a composite of others is built with
+  ``precompose_slot``, ``postcompose`` and matrix products, not evaluated
+  again one basis vector at a time.
 """
 
 import ast
@@ -96,3 +100,41 @@ def test_dataclass_decorates_only_the_cohomology_result():
                             == "dataclass":
                         decorated.append(node.name)
     assert decorated == ["CohomologyResult"]
+
+
+def _from_map_callbacks(tree):
+    """(line, callback node) of each ``MultiTensor.from_map`` call; a named
+    callback is every function of that name in the enclosing function, or in
+    the module when the call is at module level."""
+    parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    for call in ast.walk(tree):
+        f = call.func if isinstance(call, ast.Call) else None
+        if not (isinstance(f, ast.Attribute) and f.attr == "from_map"
+                and isinstance(f.value, ast.Name) and f.value.id == "MultiTensor"):
+            continue
+        fns = call.args[3:] + [k.value for k in call.keywords if k.arg == "fn"]
+        for fn in fns:
+            if isinstance(fn, ast.Name):
+                scope = parent[call]
+                while not isinstance(scope, (ast.FunctionDef, ast.Module)):
+                    scope = parent[scope]
+                yield from ((call.lineno, d) for d in ast.walk(scope)
+                            if isinstance(d, ast.FunctionDef) and d.name == fn.id)
+            else:
+                yield call.lineno, fn
+
+
+def test_from_map_callbacks_evaluate_no_structure_map():
+    offenders = []
+    for module, tree in MODULES.items():
+        for line, fn in _from_map_callbacks(tree):
+            if any(isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                   and n.func.attr in ("apply", "eval") for n in ast.walk(fn)):
+                offenders.append("%s:%d" % (module, line))
+    assert offenders == []
+
+
+def test_the_from_map_scan_resolves_lambdas_and_named_callbacks():
+    found = {(module, type(fn).__name__) for module, tree in MODULES.items()
+             for _, fn in _from_map_callbacks(tree)}
+    assert {("serialize", "Lambda"), ("structures", "FunctionDef")} <= found
