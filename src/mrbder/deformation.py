@@ -32,6 +32,7 @@ Id + t^k psi exactly when it is the coboundary of -psi.
 from __future__ import annotations
 
 from functools import reduce
+from itertools import product
 from operator import add
 
 from .fields import Field, Value
@@ -43,6 +44,20 @@ from .constructions import induced_product
 from .cohomology import Cochain, pair_delta, primitive
 
 MAX_DEFORMATION_ORDER = 6
+
+
+def _orders(k: int, n: int) -> list:
+    """The k-tuples of orders >= 0 that sum to n, in lexicographic order: the
+    terms of the t^n coefficient of a product of k series."""
+    return [t + (n - sum(t),) for t in product(range(n + 1), repeat=k - 1) if sum(t) <= n]
+
+
+def _coefficient(k: int, zeroth, terms: tuple, zero):
+    """The t^k coefficient of zeroth + t terms[0] + t^2 terms[1] + ..;
+    ``zero()`` past the last term."""
+    if k == 0:
+        return zeroth
+    return terms[k - 1] if k <= len(terms) else zero()
 
 
 class Deformation(Value):
@@ -67,30 +82,21 @@ class Deformation(Value):
                 raise ShapeError("operator coefficients must be %dx%d" % (n, n))
 
     def mu_at(self, k: int) -> MultiTensor:
-        if k == 0:
-            return self.pair.mu
-        if k <= self.order:
-            return self.mu_terms[k - 1]
-        return MultiTensor.zeros(self.pair.field, (self.pair.dim,) * 2, self.pair.dim)
+        F, n = self.pair.field, self.pair.dim
+        return _coefficient(k, self.pair.mu, self.mu_terms,
+                            lambda: MultiTensor.zeros(F, (n, n), n))
 
     def R_at(self, k: int) -> Matrix:
-        if k == 0:
-            return self.pair.R
-        if k <= self.order:
-            return self.R_terms[k - 1]
-        return Matrix.zeros(self.pair.field, self.pair.dim, self.pair.dim)
+        return _coefficient(k, self.pair.R, self.R_terms, self._zero_map)
 
     def d_at(self, k: int) -> Matrix:
-        if k == 0:
-            return self.pair.d
-        if k <= self.order:
-            return self.d_terms[k - 1]
+        return _coefficient(k, self.pair.d, self.d_terms, self._zero_map)
+
+    def _zero_map(self) -> Matrix:
         return Matrix.zeros(self.pair.field, self.pair.dim, self.pair.dim)
 
     def is_zero(self) -> bool:
-        return (all(t.is_zero() for t in self.mu_terms)
-                and all(m.is_zero() for m in self.R_terms)
-                and all(m.is_zero() for m in self.d_terms))
+        return self.lowest_nonzero() is None
 
     def truncate(self, order: int) -> "Deformation":
         if order > self.order:
@@ -115,11 +121,8 @@ def zero_deformation(pair: MRBDerPair, order: int) -> Deformation:
 
 def derivation_scaling_deformation(pair: MRBDerPair, order: int) -> Deformation:
     """The family (mu, R, (1+t) d): only d moves, linearly in t."""
-    F, n = pair.field, pair.dim
-    z2 = MultiTensor.zeros(F, (n, n), n)
-    zm = Matrix.zeros(F, n, n)
-    d_terms = (pair.d,) + (zm,) * (order - 1)
-    return Deformation(pair, order, (z2,) * order, (zm,) * order, d_terms)
+    zero = zero_deformation(pair, order)
+    return Deformation(pair, order, zero.mu_terms, zero.R_terms, (pair.d,) + zero.d_terms[1:])
 
 
 def check_deformation(defo: Deformation) -> CheckReport:
@@ -128,8 +131,7 @@ def check_deformation(defo: Deformation) -> CheckReport:
     mu, R, d = defo.mu_at, defo.R_at, defo.d_at
     failures = []
     for order in range(1, defo.order + 1):
-        pairs = [(i, order - i) for i in range(order + 1)]
-        triples = [(i, j, order - i - j) for i in range(order + 1) for j in range(order + 1 - i)]
+        pairs, triples = _orders(2, order), _orders(3, order)
         failures += sliced_failures("deform-assoc", n, lambda a: reduce(add, (
             associator_slice(a, mu(j), mu(i), mu(j), mu(i)) for i, j in pairs)), (order,))
         mrb = reduce(add, (
@@ -165,11 +167,8 @@ class Gauge(Value):
         self._init(field, dim, terms)
 
     def term_at(self, k: int) -> Matrix:
-        if k == 0:
-            return Matrix.identity(self.field, self.dim)
-        if k <= len(self.terms):
-            return self.terms[k - 1]
-        return Matrix.zeros(self.field, self.dim, self.dim)
+        F, n = self.field, self.dim
+        return _coefficient(k, Matrix.identity(F, n), self.terms, lambda: Matrix.zeros(F, n, n))
 
     @property
     def order(self) -> int:
@@ -179,21 +178,15 @@ class Gauge(Value):
         """psi_0..psi_order with (sum psi_i t^i)(sum phi_j t^j) = Id + O(t^{order+1})."""
         psi = [Matrix.identity(self.field, self.dim)]
         for k in range(1, order + 1):
-            acc = Matrix.zeros(self.field, self.dim, self.dim)
-            for i in range(1, k + 1):
-                acc = acc + self.term_at(i) * psi[k - i]
-            psi.append(-acc)
+            # the t^k coefficient of phi_t psi_t, less its term phi_0 psi_k = psi_k
+            psi.append(-reduce(add, (self.term_at(i) * psi[j] for i, j in _orders(2, k)[1:])))
         return psi
 
     def compose(self, other: "Gauge", order: int) -> "Gauge":
         """(self . other)_t = self_t other_t, truncated."""
-        terms = []
-        for k in range(1, order + 1):
-            acc = Matrix.zeros(self.field, self.dim, self.dim)
-            for i in range(k + 1):
-                acc = acc + self.term_at(i) * other.term_at(k - i)
-            terms.append(acc)
-        return Gauge(self.field, self.dim, tuple(terms))
+        return Gauge(self.field, self.dim, tuple(
+            reduce(add, (self.term_at(i) * other.term_at(j) for i, j in _orders(2, k)))
+            for k in range(1, order + 1)))
 
 
 def identity_gauge(pair: MRBDerPair, order: int) -> Gauge:
@@ -212,34 +205,18 @@ def single_term_gauge(pair: MRBDerPair, k: int, psi: Matrix, order: int) -> Gaug
 
 def apply_gauge(defo: Deformation, gauge: Gauge) -> Deformation:
     """Transport the deformation along the gauge, truncating at its order."""
-    pair = defo.pair
-    F, n, N = pair.field, pair.dim, defo.order
+    N = defo.order
     psi = gauge.inverse_terms(N)
+    phi = [gauge.term_at(k) for k in range(N + 1)]
 
-    def psi_at(k):
-        return psi[k]
+    def conjugated(op_at):
+        return tuple(reduce(add, (psi[i] * op_at(j) * phi[k] for i, j, k in _orders(3, n)))
+                     for n in range(1, N + 1))
 
-    mu_terms, R_terms, d_terms = [], [], []
-    for order in range(1, N + 1):
-        acc_mu = MultiTensor.zeros(F, (n, n), n)
-        for i in range(order + 1):
-            for j in range(order + 1 - i):
-                for k in range(order + 1 - i - j):
-                    l = order - i - j - k
-                    t = (defo.mu_at(j).precompose_slot(0, gauge.term_at(k))
-                         .precompose_slot(1, gauge.term_at(l)).postcompose(psi_at(i)))
-                    acc_mu = acc_mu + t
-        mu_terms.append(acc_mu)
-        acc_R = Matrix.zeros(F, n, n)
-        acc_d = Matrix.zeros(F, n, n)
-        for i in range(order + 1):
-            for j in range(order + 1 - i):
-                k = order - i - j
-                acc_R = acc_R + psi_at(i) * defo.R_at(j) * gauge.term_at(k)
-                acc_d = acc_d + psi_at(i) * defo.d_at(j) * gauge.term_at(k)
-        R_terms.append(acc_R)
-        d_terms.append(acc_d)
-    return Deformation(pair, N, tuple(mu_terms), tuple(R_terms), tuple(d_terms))
+    mu_terms = tuple(reduce(add, (
+        defo.mu_at(j).precompose_slot(0, phi[k]).precompose_slot(1, phi[l]).postcompose(psi[i])
+        for i, j, k, l in _orders(4, n))) for n in range(1, N + 1))
+    return Deformation(defo.pair, N, mu_terms, conjugated(defo.R_at), conjugated(defo.d_at))
 
 
 def equivalent_infinitesimals(def1: Deformation, def2: Deformation) -> Matrix | None:
@@ -248,11 +225,8 @@ def equivalent_infinitesimals(def1: Deformation, def2: Deformation) -> Matrix | 
     None means the two infinitesimals lie in distinct second-cohomology
     classes, so no gauge can match the deformations even at first order.
     """
-    p1, p2 = def1.pair, def2.pair
-    same_base = (p1.field.name == p2.field.name and p1.dim == p2.dim
-                 and p1.mu == p2.mu and p1.R == p2.R and p1.d == p2.d
-                 and p1.kappa == p2.kappa)
-    if not same_base:
+    p1 = def1.pair
+    if p1 != def2.pair:
         raise ShapeError("deformations do not share a base pair")
     return primitive(p1, adjoint_bimodule(p1), infinitesimal(def1) - infinitesimal(def2))
 

@@ -16,6 +16,8 @@ section s of p produces a degree-2 pair cochain
 
 which is closed in the pair complex.  Changing the section shifts the cochain
 by a coboundary, so extensions up to equivalence correspond to classes in H^2.
+The canonical section and the retraction L of i each come from one row
+reduction (``Matrix.right_inverse``), which an extension keeps.
 
 ``build_extension`` inverts the recipe: from a closed degree-2 cochain it
 assembles the total structure on A + M.
@@ -27,7 +29,7 @@ import itertools
 
 from .fields import CLASS_ENUMERATION_CAP, Value
 from .linalg import (Matrix, MultiTensor, ShapeError, _contract, matrix_as_tensor,
-                     rank_and_kernel, solve_linear, tensor_as_matrix)
+                     rank_and_kernel, tensor_as_matrix)
 from .structures import (Algebra, Bimodule, CheckFailure, CheckReport,
                          InternalError, InvalidStructure, MRBDerPair, _report,
                          multiplicative_residual, residual_failures, unit_vector,
@@ -38,10 +40,13 @@ from .cohomology import Cochain, PairSpace, cohomology, pair_delta, primitive
 class Extension(Value):
     """Total pair with the inclusion of the fiber and projection to the base."""
 
-    __slots__ = ("total", "i", "p")
+    # _splitting: the right inverses of p (the canonical section) and of i^T
+    # (the transposed retraction) once they are found; not part of the
+    # extension's value
+    __slots__ = ("total", "i", "p", "_splitting")
 
     def __init__(self, total: MRBDerPair, i: Matrix, p: Matrix):
-        self._init(total, i, p)
+        self._init(total, i, p, {})
         N = total.dim
         if i.nrows != N or p.ncols != N:
             raise ShapeError("inclusion/projection do not match the total dimension")
@@ -57,26 +62,27 @@ class Extension(Value):
         return self.i.ncols
 
 
-def _right_inverse(m: Matrix, message: str) -> list:
-    """The columns of a right inverse of ``m``: column k is the RREF solution
-    of m x = e_k.  Raises ``InvalidStructure(message)`` when m is not onto."""
-    F, n = m.field, m.nrows
-    cols = [solve_linear(m, unit_vector(F, n, k)) for k in range(n)]
-    if None in cols:
-        raise InvalidStructure(message)
-    return cols
+def _kept_right_inverse(ext: Extension, key: str, m: Matrix, message: str) -> Matrix:
+    """``m.right_inverse()``, found once per extension and kept under ``key``;
+    raises ``InvalidStructure(message)`` when m is not onto."""
+    found = ext._splitting
+    if key not in found:
+        inv = m.right_inverse()
+        if inv is None:
+            raise InvalidStructure(message)
+        found[key] = inv
+    return found[key]
 
 
 def canonical_section(ext: Extension) -> Matrix:
-    """The section of p with zero coordinates on the free columns."""
-    cols = _right_inverse(ext.p, "projection is not surjective")
-    return Matrix.from_rows(ext.total.field, zip(*cols))
+    """The section of p whose column k is the RREF solution of p x = e_k."""
+    return _kept_right_inverse(ext, "s", ext.p, "projection is not surjective")
 
 
 def fiber_retraction(ext: Extension) -> Matrix:
-    """A left inverse L of i (L i = Id on the fiber)."""
-    return Matrix.from_rows(ext.total.field,
-                            _right_inverse(ext.i.transpose(), "inclusion is not injective"))
+    """A left inverse L of i (L i = Id on the fiber): the transpose of the
+    right inverse of i^T."""
+    return _kept_right_inverse(ext, "L^T", ext.i.transpose(), "inclusion is not injective").transpose()
 
 
 def _to_fiber(ext: Extension, L: Matrix, t: MultiTensor) -> MultiTensor:
@@ -128,18 +134,15 @@ def check_extension(pair: MRBDerPair, bim: Bimodule, ext: Extension) -> CheckRep
         failures.append(CheckFailure("kappa", (), (F.sub(pair.kappa, ext.total.kappa),)))
     failures += residual_failures("ideal-square",
                                   muh.precompose_slot(0, ext.i).precompose_slot(1, ext.i))
-    # the projection is a homomorphism of pairs
+    # the projection is a homomorphism of pairs; the inclusion intertwines
+    # the fiber operators
     failures += residual_failures("proj-multiplicative",
                                   multiplicative_residual(ext.p, muh, pair.mu))
-    if not (ext.p * Rh - pair.R * ext.p).is_zero():
-        failures.append(CheckFailure("proj-operator", (), ()))
-    if not (ext.p * dh - pair.d * ext.p).is_zero():
-        failures.append(CheckFailure("proj-derivation", (), ()))
-    # the inclusion intertwines fiber operators
-    if not (Rh * ext.i - ext.i * bim.R_M).is_zero():
-        failures.append(CheckFailure("incl-operator", (), ()))
-    if not (dh * ext.i - ext.i * bim.d_M).is_zero():
-        failures.append(CheckFailure("incl-derivation", (), ()))
+    failures += [CheckFailure(name, (), ()) for name, residual in (
+        ("proj-operator", ext.p * Rh - pair.R * ext.p),
+        ("proj-derivation", ext.p * dh - pair.d * ext.p),
+        ("incl-operator", Rh * ext.i - ext.i * bim.R_M),
+        ("incl-derivation", dh * ext.i - ext.i * bim.d_M)) if not residual.is_zero()]
     # actions induced on the fiber agree with the bimodule
     s = canonical_section(ext)
     left = muh.precompose_slot(0, s).precompose_slot(1, ext.i) - bim.left.postcompose(ext.i)
@@ -202,22 +205,15 @@ def equivalence_map(ext1: Extension, ext2: Extension, h: Matrix) -> Matrix:
     F, N = ext1.total.field, ext1.total.dim
     s1, s2 = canonical_section(ext1), canonical_section(ext2)
     L1 = fiber_retraction(ext1)
-    gamma = (s2 + ext2.i * h) * ext1.p + ext2.i * L1 * (Matrix.identity(F, N) - s1 * ext1.p)
-    return gamma
+    return (s2 + ext2.i * h) * ext1.p + ext2.i * L1 * (Matrix.identity(F, N) - s1 * ext1.p)
 
 
 def _is_equivalence(pair: MRBDerPair, ext1: Extension, ext2: Extension,
                     gamma: Matrix) -> bool:
-    if not (gamma * ext1.i - ext2.i).is_zero():
-        return False
-    if not (ext2.p * gamma - ext1.p).is_zero():
-        return False
     t1, t2 = ext1.total, ext2.total
-    if not (gamma * t1.R - t2.R * gamma).is_zero():
-        return False
-    if not (gamma * t1.d - t2.d * gamma).is_zero():
-        return False
-    return multiplicative_residual(gamma, t1.mu, t2.mu).is_zero()
+    return all(r.is_zero() for r in [gamma * ext1.i - ext2.i, ext2.p * gamma - ext1.p,
+                                     gamma * t1.R - t2.R * gamma, gamma * t1.d - t2.d * gamma,
+                                     multiplicative_residual(gamma, t1.mu, t2.mu)])
 
 
 def extensions_equivalent(pair: MRBDerPair, bim: Bimodule,

@@ -20,6 +20,7 @@ induced structures.  A final optional conjugation exercises basis freedom.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 
@@ -86,6 +87,13 @@ def random_kernel_element(rng: random.Random, field: Field, basis: list):
     return acc
 
 
+def _random_kernel_matrix(rng: random.Random, field: Field, n: int, constraint_fn) -> Matrix:
+    """A random n x n matrix in the kernel of ``constraint_fn``, or zero when
+    that kernel is."""
+    d = random_kernel_element(rng, field, _kernel_matrices(field, n, constraint_fn))
+    return Matrix.zeros(field, n, n) if d is None else d
+
+
 # ---------------------------------------------------------------------------
 # basis change
 
@@ -110,18 +118,20 @@ def conjugate_bimodule(bim: Bimodule, T: Matrix, S: Matrix) -> Bimodule:
 # dimension-1 family
 
 
+def _line_pair(field: Field, c, r, s, kappa) -> MRBDerPair:
+    """The pair on a line: mu(x, x) = c x, R = r, d = s and weight kappa."""
+    F = field
+    return MRBDerPair(Algebra(F, 1, MultiTensor(F, (1, 1), 1, (c,))), Matrix.from_rows(F, [[r]]),
+                      Matrix.from_rows(F, [[s]]), kappa)
+
+
 def _dim1_pair(rng: random.Random, field: Field) -> MRBDerPair:
     F = field
     c = F.random(rng)
-    mu = MultiTensor(F, (1, 1), 1, (c,))
     if F.is_zero(c):
-        r, s, kappa = F.random(rng), F.random(rng), F.random(rng)
-    else:
-        r = F.random(rng)
-        s = F.zero
-        kappa = F.neg(F.mul(r, r))
-    return MRBDerPair(Algebra(F, 1, mu), Matrix.from_rows(F, [[r]]),
-                      Matrix.from_rows(F, [[s]]), kappa)
+        return _line_pair(F, c, F.random(rng), F.random(rng), F.random(rng))
+    r = F.random(rng)
+    return _line_pair(F, c, r, F.zero, F.neg(F.mul(r, r)))
 
 
 # ---------------------------------------------------------------------------
@@ -140,16 +150,12 @@ def _dim2_tables(field: Field) -> dict:
     )}
 
 
-_MRB_CACHE: dict = {}
-
-
+@functools.cache
 def _mrb_options(field: Field, alg: Algebra) -> list:
-    """All (R, kappa) with the operator identity, enumerated over F_p."""
+    """All (R, kappa) with the operator identity, enumerated over F_p once
+    per field and table."""
     if field.p is None:
         raise ValueError("enumeration needs a finite field")
-    key = (field.p, alg.mu.entries)
-    if key in _MRB_CACHE:
-        return _MRB_CACHE[key]
     F, n, mu = field, alg.dim, alg.mu
     elems = F.elements()
     first = next((k for k, w in enumerate(mu.entries) if not F.is_zero(w)), None)
@@ -161,7 +167,6 @@ def _mrb_options(field: Field, alg: Algebra) -> list:
         # the first nonzero entry of mu, and any kappa does when mu is zero
         kappas = elems if first is None else (F.div(res.entries[first], mu.entries[first]),)
         out.extend((R, kappa) for kappa in kappas if res == mu.scale(kappa))
-    _MRB_CACHE[key] = out
     return out
 
 
@@ -171,10 +176,7 @@ def _dim2_pair_fp(rng: random.Random, field: Field) -> tuple:
     alg = tables[name]
     options = _mrb_options(field, alg)
     R, kappa = options[rng.randrange(len(options))]
-    basis = _kernel_matrices(field, 2, _derivation_constraints(alg, R))
-    d = random_kernel_element(rng, field, basis)
-    if d is None:
-        d = Matrix.zeros(field, 2, 2)
+    d = _random_kernel_matrix(rng, field, 2, _derivation_constraints(alg, R))
     return MRBDerPair(alg, R, d, kappa), name
 
 
@@ -189,8 +191,7 @@ def _dim2_pair_q(rng: random.Random, field: Field) -> tuple:
         alg = tables[name]
         lam = F.parse(rng.randint(-3, 3))
         R = Matrix.scalar(F, 2, lam)
-        basis = _kernel_matrices(F, 2, _derivation_constraints(alg, R))
-        d = random_kernel_element(rng, F, basis) or Matrix.zeros(F, 2, 2)
+        d = _random_kernel_matrix(rng, F, 2, _derivation_constraints(alg, R))
         return MRBDerPair(alg, R, d, F.neg(F.mul(lam, lam))), "scalar/" + name
     if kind == "sum":
         return _matched_sum(rng, F, _dim1_pair(rng, F)), "sum"
@@ -199,15 +200,10 @@ def _dim2_pair_q(rng: random.Random, field: Field) -> tuple:
 
 
 def _matched_sum(rng: random.Random, field: Field, p1: MRBDerPair) -> MRBDerPair:
-    """A second dim-1 pair with the same kappa, then the direct sum."""
+    """A second dim-1 pair with the same kappa, which c = 0 allows, then the
+    direct sum."""
     F = field
-    kappa = p1.kappa
-    # with c = 0 any kappa is allowed
-    mu = MultiTensor(F, (1, 1), 1, (F.zero,))
-    r, s = F.random(rng), F.random(rng)
-    p2 = MRBDerPair(Algebra(F, 1, mu), Matrix.from_rows(F, [[r]]),
-                    Matrix.from_rows(F, [[s]]), kappa)
-    return direct_sum(p1, p2)
+    return direct_sum(p1, _line_pair(F, F.zero, F.random(rng), F.random(rng), p1.kappa))
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +215,8 @@ def _trivial_bimodule(rng: random.Random, pair: MRBDerPair, dim_m: int) -> Bimod
     left = MultiTensor.zeros(F, (pair.dim, dim_m), dim_m)
     right = MultiTensor.zeros(F, (dim_m, pair.dim), dim_m)
     R_M = random_matrix(rng, F, dim_m)
-    basis = _kernel_matrices(F, dim_m, lambda D: [x for row in (R_M * D - D * R_M).rows for x in row])
-    d_M = random_kernel_element(rng, F, basis) or Matrix.zeros(F, dim_m, dim_m)
+    d_M = _random_kernel_matrix(rng, F, dim_m,
+                                lambda D: [x for row in (R_M * D - D * R_M).rows for x in row])
     return Bimodule(dim_m, left, right, R_M, d_M)
 
 

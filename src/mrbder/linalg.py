@@ -215,17 +215,29 @@ class Matrix:
         zero, n = self.field.zero, self.nrows
         return [SparseVector(col, n, zero) for col in self.transpose().sparse_rows]
 
+    def right_inverse(self) -> "Matrix | None":
+        """The X with self X = I whose column k is the RREF solution of
+        self x = e_k (free variables at zero), from one row reduction of
+        [self | I]; None unless ``self`` is onto, that is unless every pivot
+        lies left of the I block, which holds each pivot variable's values."""
+        F, r, c = self.field, self.nrows, self.ncols
+        aug = [{**row, c + i: F.one} for i, row in enumerate(self.sparse_rows)]
+        pivots, red = _echelon(F, aug, c + r)
+        if pivots and pivots[-1] >= c:
+            return None
+        rows = [{} for _ in range(c)]
+        for pc, row in zip(pivots, red):
+            rows[pc] = {k - c: v for k, v in row.items() if k >= c}
+        return Matrix.from_sparse(F, rows, r)
+
     def inverse(self) -> "Matrix":
-        """Inverse of a square matrix, by row reduction of [self | I]."""
-        F, n = self.field, self.nrows
-        if n != self.ncols:
+        """Inverse of a square matrix: its right inverse."""
+        if self.nrows != self.ncols:
             raise ShapeError("only square matrices invert")
-        aug = [{**row, n + i: F.one} for i, row in enumerate(self.sparse_rows)]
-        pivots, red = _echelon(F, aug, 2 * n)
-        if pivots != list(range(n)):
+        inv = self.right_inverse()
+        if inv is None:
             raise ValueError("matrix is singular")
-        return Matrix.from_sparse(F, [{c - n: v for c, v in row.items() if c >= n}
-                                      for row in red], n)
+        return inv
 
     def is_zero(self) -> bool:
         return not any(self.sparse_rows)

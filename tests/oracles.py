@@ -31,6 +31,14 @@
   ``pointwise_extract_cocycle`` (each product, action and operator value
   evaluated through s, i, p and L, and pulled back to the fiber entry by
   entry).  The engine writes them as composites of tensors and matrices.
+* The truncated products of the deformation theory as nested index loops,
+  as ``mrbder.deformation`` once wrote them: ``nested_inverse_terms`` and
+  ``nested_compose`` for gauges, and ``nested_apply_gauge``, a 4-fold loop
+  for the mu terms and a 3-fold one for the R and d terms.  The engine runs
+  every such sum over the tuples of orders of ``deformation._orders``.
+* ``columnwise_right_inverse``: a right inverse one ``solve_linear`` per
+  column, as ``mrbder.extension`` once found its splittings;
+  ``Matrix.right_inverse`` reduces [m | I] once.
 * ``pairwise_mrb_options``: the operators R of a dimension-n product table
   over F_p with their kappa, solved from the identity basis pair by basis
   pair, as ``fuzzing._mrb_options`` once did.
@@ -48,6 +56,7 @@ from typing import Callable
 from mrbder.cohomology import (Cochain, CochainSpace, PairSpace, _rho_of, cochain_arities,
                                hom_space, induced_lie_pair)
 from mrbder.constructions import induced_action, induced_product
+from mrbder.deformation import Deformation, Gauge
 from mrbder.linalg import (Matrix, MultiTensor, ShapeError, _nonzero_positions,
                            rank_and_kernel, rref_vectors, solve_linear)
 from mrbder.structures import (Algebra, Bimodule, InvalidStructure, MRBDerPair,
@@ -660,6 +669,70 @@ def pairwise_mrb_options(field, alg) -> list:
 
 
 # ---------------------------------------------------------------------------
+# truncated products as nested index loops
+
+
+def nested_inverse_terms(gauge, order: int) -> list:
+    """psi_0..psi_order with (sum psi_i t^i)(sum phi_j t^j) = Id + O(t^{order+1})."""
+    psi = [Matrix.identity(gauge.field, gauge.dim)]
+    for k in range(1, order + 1):
+        acc = Matrix.zeros(gauge.field, gauge.dim, gauge.dim)
+        for i in range(1, k + 1):
+            acc = acc + gauge.term_at(i) * psi[k - i]
+        psi.append(-acc)
+    return psi
+
+
+def nested_compose(g1, g2, order: int):
+    """(g1 . g2)_t = g1_t g2_t, truncated."""
+    terms = []
+    for k in range(1, order + 1):
+        acc = Matrix.zeros(g1.field, g1.dim, g1.dim)
+        for i in range(k + 1):
+            acc = acc + g1.term_at(i) * g2.term_at(k - i)
+        terms.append(acc)
+    return Gauge(g1.field, g1.dim, tuple(terms))
+
+
+def nested_apply_gauge(defo, gauge):
+    """The deformation transported along the gauge, truncated at its order."""
+    pair = defo.pair
+    F, n, N = pair.field, pair.dim, defo.order
+    psi = nested_inverse_terms(gauge, N)
+    mu_terms, R_terms, d_terms = [], [], []
+    for order in range(1, N + 1):
+        acc_mu = MultiTensor.zeros(F, (n, n), n)
+        for i in range(order + 1):
+            for j in range(order + 1 - i):
+                for k in range(order + 1 - i - j):
+                    l = order - i - j - k
+                    t = (defo.mu_at(j).precompose_slot(0, gauge.term_at(k))
+                         .precompose_slot(1, gauge.term_at(l)).postcompose(psi[i]))
+                    acc_mu = acc_mu + t
+        mu_terms.append(acc_mu)
+        acc_R = Matrix.zeros(F, n, n)
+        acc_d = Matrix.zeros(F, n, n)
+        for i in range(order + 1):
+            for j in range(order + 1 - i):
+                k = order - i - j
+                acc_R = acc_R + psi[i] * defo.R_at(j) * gauge.term_at(k)
+                acc_d = acc_d + psi[i] * defo.d_at(j) * gauge.term_at(k)
+        R_terms.append(acc_R)
+        d_terms.append(acc_d)
+    return Deformation(pair, N, tuple(mu_terms), tuple(R_terms), tuple(d_terms))
+
+
+def columnwise_right_inverse(m: Matrix):
+    """The right inverse of ``m`` whose column k is ``solve_linear(m, e_k)``,
+    or None when some e_k is out of reach."""
+    F, n = m.field, m.nrows
+    cols = [solve_linear(m, unit_vector(F, n, k)) for k in range(n)]
+    if None in cols:
+        return None
+    return Matrix.from_rows(F, zip(*cols))
+
+
+# ---------------------------------------------------------------------------
 # frozen-dataclass twins of the value classes
 
 
@@ -693,7 +766,9 @@ VALUE_TWINS = {t.__name__: t for t in (
     _twin("CochainSpace", "field", "dim_a", "dim_m", "arities"),
     _twin("Deformation", "pair", "order", "mu_terms", "R_terms", "d_terms"),
     _twin("Gauge", "field", "dim", "terms"),
-    _twin("Extension", "total", "i", "p"),
+    _twin("Extension", "total", "i", "p",
+          ("_splitting", dataclasses.field(default_factory=dict, init=False, repr=False,
+                                           compare=False))),
     _twin("ExtensionClassification", "dim_h2", "count", "representatives", "complete"),
     _twin("Instance", "pair", ("bim", None), ("deformation", None), ("extension", None),
           ("cocycle", None)),

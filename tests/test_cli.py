@@ -28,6 +28,8 @@ D_SCALING = str(INSTANCES / "deform_d_scaling.json")
 RIGID_F5 = str(INSTANCES / "deform_rigid_f5.json")
 EXT_TOTAL = str(INSTANCES / "extension_total.json")
 EXT_BUILD = str(INSTANCES / "extension_build.json")
+INVALID_PAIR = str(INSTANCES / "invalid_pair.json")
+NOT_SQUARE_ZERO = str(INSTANCES / "extension_not_square_zero.json")
 
 
 def run(capsys, *argv):
@@ -179,6 +181,36 @@ class TestVerify:
         code, _, err = run(capsys, "verify", path)
         assert code == USAGE_EXIT
         assert err.startswith("error: inexact-scalar")
+
+
+class TestShippedFailures:
+    """The instances that must fail: fixd with e0 e0 = 2 e0, and dual + dual
+    over the projection to its first summand, whose fiber (the second
+    summand) is an ideal that does not square to zero."""
+
+    @pytest.mark.parametrize("argv", [["verify"], ["cohomology", "--degree", "2"],
+                                      ["complex-check"], ["extend", "classify"]],
+                             ids=["verify", "cohomology", "complex-check", "classify"])
+    def test_invalid_pair(self, capsys, argv):
+        code, out, err = run(capsys, *argv, INVALID_PAIR)
+        assert (code, err) == (CHECK_FAILED_EXIT, "")
+        report = json.loads(out)
+        assert report["ok"] is False
+        assert report["checks"][0] == {
+            "check": "pair", "ok": False, "failures": 2,
+            "witness": {"identity": "assoc", "args": [0, 0, 1], "residual": ["0", "1"]}}
+
+    @pytest.mark.parametrize("argv", [["verify"], ["extend", "extract"]],
+                             ids=["verify", "extract"])
+    def test_fiber_that_does_not_square_to_zero(self, capsys, argv):
+        code, out, err = run(capsys, *argv, NOT_SQUARE_ZERO)
+        assert (code, err) == (CHECK_FAILED_EXIT, "")
+        report = json.loads(out)
+        assert report["ok"] is False
+        assert report["checks"][-1] == {
+            "check": "extension", "ok": False, "failures": 3,
+            "witness": {"identity": "ideal-square", "args": [0, 0],
+                        "residual": ["0", "0", "1", "0"]}}
 
 
 class TestUsage:

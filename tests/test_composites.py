@@ -6,13 +6,19 @@ transcriptions in ``oracles``, compared exactly (``==`` and ``repr``).
   random invertible change of basis of the total space.
 * Every operator of the five dimension-2 product tables over F_2, F_3 and
   F_5 (over F_2, -1 = 1).
+
+A spy on ``linalg._echelon`` counts the row reductions: an extension finds
+its section and its retraction with one each, whatever the dimensions, and
+keeps them for every later step.
 """
 
 import random
+from pathlib import Path
 
 import pytest
 
-from mrbder import fuzzing
+from mrbder import fuzzing, linalg
+from mrbder.cli import main
 from mrbder.cohomology import PairSpace, differential_matrix
 from mrbder.extension import (Extension, build_extension, canonical_section, derive_base,
                               extract_cocycle, fiber_retraction)
@@ -25,6 +31,7 @@ from oracles import (pairwise_mrb_options, pointwise_derive_base, pointwise_extr
                      pointwise_retraction, pointwise_section)
 
 F5 = Field.prime(5)
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def same(a, b):
@@ -124,11 +131,55 @@ def test_extract_cocycle_refuses_values_outside_the_fiber(field):
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
-def test_operator_enumeration_matches_the_pairwise_solve(p, monkeypatch):
+def test_operator_enumeration_matches_the_pairwise_solve(p):
     F = Field.prime(p)
-    monkeypatch.setattr(fuzzing, "_MRB_CACHE", {})
+    fuzzing._mrb_options.cache_clear()
     for name, alg in sorted(fuzzing._dim2_tables(F).items()):
         got = fuzzing._mrb_options(F, alg)
         assert same(got, pairwise_mrb_options(F, alg)), name
         assert got, name
 
+
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    """The list of row reductions run from now on, one entry per call of
+    ``linalg._echelon``."""
+    calls = []
+    real = linalg._echelon
+
+    def spy(field, rows, nc):
+        calls.append(nc)
+        return real(field, rows, nc)
+
+    monkeypatch.setattr(linalg, "_echelon", spy)
+    return calls
+
+
+@pytest.mark.parametrize("field", [QQ, F5], ids=["Q", "F5"])
+def test_the_splitting_costs_two_eliminations(field, eliminations):
+    dims = set()
+    for label, (ext, s) in random_extensions(field, 12, seed=11):
+        ext = Extension(ext.total, ext.i, ext.p)
+        del eliminations[:]
+        section, retraction = canonical_section(ext), fiber_retraction(ext)
+        assert len(eliminations) == 2, label
+        pair, bim = derive_base(ext)
+        extract_cocycle(pair, bim, ext)
+        extract_cocycle(pair, bim, ext, s)
+        assert canonical_section(ext) is section and fiber_retraction(ext) == retraction
+        assert len(eliminations) == 2, label
+        dims.add(ext.dim_base)
+    # one elimination finds a section of every width
+    assert max(dims) >= 2
+
+
+@pytest.mark.parametrize("argv,count", [
+    (["extend", "extract", "instances/extension_total.json"], 4),
+    (["verify", "instances/extension_total.json"], 4),
+], ids=["extract", "verify"])
+def test_cli_eliminations(argv, count, eliminations, monkeypatch, capsys):
+    # the rank of i and of p, the section and the retraction
+    monkeypatch.chdir(ROOT)
+    assert main(argv) == 0
+    assert len(eliminations) == count

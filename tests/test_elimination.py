@@ -28,8 +28,8 @@ from mrbder import linalg
 from mrbder.linalg import Matrix, rank_and_kernel, rref_vectors, solve_linear
 from mrbder.structures import adjoint_bimodule, dual_pair, upper_triangular_pair
 
-from oracles import (dense_inverse, dense_rank_and_kernel, dense_rref_vectors,
-                     dense_solve_linear)
+from oracles import (columnwise_right_inverse, dense_inverse, dense_rank_and_kernel,
+                     dense_rref_vectors, dense_solve_linear)
 
 F5 = Field.prime(5)
 
@@ -113,6 +113,23 @@ def test_inverse(field, k):
                 m.inverse()
             continue
         assert m.inverse() == want
+
+
+@pytest.mark.parametrize("field,k", CASES)
+def test_right_inverse(field, k):
+    # each draw and its transpose, so that wide, tall and square shapes, onto
+    # or not, all occur
+    onto = 0
+    for F, _, rows in cases(field, k):
+        m = Matrix(F, tuple(tuple(r) for r in rows))
+        for a in (m, m.transpose()):
+            got, want = a.right_inverse(), columnwise_right_inverse(a)
+            assert got == want and repr(got) == repr(want)
+            if got is not None:
+                onto += 1
+                assert a * got == Matrix.identity(F, a.nrows)
+    # the dense full-rank shapes are onto one way round
+    assert onto or k not in (0, 1)
 
 
 # ---------------------------------------------------------------------------

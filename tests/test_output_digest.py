@@ -1,4 +1,14 @@
-"""Smoke test of ``tools/output_digest.py`` on one instance."""
+"""``tools/output_digest.py``: a smoke test on one instance, and the full
+grid against the committed ``tests/output_digest.golden``.
+
+The golden file holds the digest of every call of the grid, so any change to
+the bytes, the exit code or the grid itself fails here.  When a change of
+output is intended, regenerate it from the root of the checkout with
+
+    python3 tools/output_digest.py --src . > tests/output_digest.golden
+
+and say in the change why the bytes moved.
+"""
 
 import hashlib
 import re
@@ -9,6 +19,7 @@ from pathlib import Path
 from mrbder.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "output_digest.golden"
 LINE = re.compile(r"^([0-9a-f]{64}) ([0-9a-f]{64}) (-?\d+) (.+)$")
 
 
@@ -30,3 +41,16 @@ def test_digest_of_one_instance(capsys, monkeypatch):
     out, err = capsys.readouterr()
     assert lines[0].groups()[:3] == (hashlib.sha256(out.encode()).hexdigest(),
                                      hashlib.sha256(err.encode()).hexdigest(), str(code))
+
+
+def test_full_grid_matches_the_golden_digest():
+    done = subprocess.run([sys.executable, str(ROOT / "tools" / "output_digest.py"), "--src",
+                           str(ROOT)], capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0 and done.stderr == ""
+    got, want = done.stdout.splitlines(), GOLDEN.read_text().splitlines()
+    # line by line: the argv of every call whose digest moved
+    moved = [w.split(" ", 3)[3] for g, w in zip(got, want) if g != w]
+    assert moved == []
+    assert len(got) == len(want)
+    # the grid reaches every exit code of a check: passed, failed and refused
+    assert {w.split(" ")[2] for w in want} == {"0", "1", "2"}

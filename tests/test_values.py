@@ -21,7 +21,8 @@ from mrbder.cohomology import Cochain, CochainSpace, PairSpace, cohomology, hom_
 from mrbder.constructions import LiePair, commutator_lie_pair, rho_representation
 from mrbder.deformation import (Deformation, Gauge, derivation_scaling_deformation,
                                 identity_gauge, zero_deformation)
-from mrbder.extension import Extension, ExtensionClassification, build_extension, classify
+from mrbder.extension import (Extension, ExtensionClassification, build_extension,
+                              canonical_section, classify, fiber_retraction)
 from mrbder.fields import MAX_PRIME, Field, ParseError, QQ, Value
 from mrbder.fuzzing import FuzzInstance, random_instances
 from mrbder.linalg import EntryCapExceeded, Matrix, MultiTensor, ShapeError, TensorSpace
@@ -149,6 +150,19 @@ def test_pair_keeps_its_complexes_outside_its_value():
     assert pair == dual_pair(QQ) and hash(pair) == hash(dual_pair(QQ))
     assert "_complexes" not in repr(pair) and pair._fields == ("algebra", "R", "d", "kappa")
     assert not copy.copy(pair)._complexes
+
+
+def test_extension_keeps_its_splitting_outside_its_value():
+    pair = dual_pair(QQ)
+    bim = adjoint_bimodule(pair)
+    ext = build_extension(pair, bim, PairSpace(QQ, 2, 2, 2).zero())
+    fresh = build_extension(pair, bim, PairSpace(QQ, 2, 2, 2).zero())
+    s = canonical_section(ext)
+    assert canonical_section(ext) is s and fiber_retraction(ext) == fiber_retraction(ext)
+    assert ext._splitting and not fresh._splitting
+    assert ext == fresh and hash(ext) == hash(fresh)
+    assert "_splitting" not in repr(ext) and ext._fields == ("total", "i", "p")
+    assert not copy.copy(ext)._splitting
 
 
 def _bad_constructions():
