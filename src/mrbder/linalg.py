@@ -47,7 +47,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from collections.abc import Sequence
+from collections.abc import Collection, Sequence
 from fractions import Fraction
 from itertools import compress, count, islice, product, repeat
 from operator import is_not, mul
@@ -218,17 +218,10 @@ class Matrix:
     def right_inverse(self) -> "Matrix | None":
         """The X with self X = I whose column k is the RREF solution of
         self x = e_k (free variables at zero), from one row reduction of
-        [self | I]; None unless ``self`` is onto, that is unless every pivot
-        lies left of the I block, which holds each pivot variable's values."""
-        F, r, c = self.field, self.nrows, self.ncols
-        aug = [{**row, c + i: F.one} for i, row in enumerate(self.sparse_rows)]
-        pivots, red = _echelon(F, aug, c + r)
-        if pivots and pivots[-1] >= c:
-            return None
-        rows = [{} for _ in range(c)]
-        for pc, row in zip(pivots, red):
-            rows[pc] = {k - c: v for k, v in row.items() if k >= c}
-        return Matrix.from_sparse(F, rows, r)
+        [self | I]; None unless ``self`` is onto."""
+        F, r = self.field, self.nrows
+        rows = _solve_block(self, [{i: F.one} for i in range(r)], r)
+        return None if rows is None else Matrix.from_sparse(F, rows, r)
 
     def inverse(self) -> "Matrix":
         """Inverse of a square matrix: its right inverse."""
@@ -282,16 +275,21 @@ def _densify(row: dict, n: int, zero) -> list:
     return out
 
 
-def _nonzero_positions(field: Field, values: Sequence, start: int = 0) -> list:
-    """Indices i >= ``start`` of the nonzero entries of ``values``.
+def _nonzero_positions(field: Field, values: Sequence) -> list:
+    """Indices of the nonzero entries of ``values``.
 
     Entries that are the field's shared ``zero`` object are passed over at C
     speed; only the others go through ``field.is_zero``.
     """
     is_zero = field.is_zero
-    maybe = compress(range(start, len(values)),
-                     map(is_not, islice(values, start, None), repeat(field.zero)))
+    maybe = compress(count(), map(is_not, values, repeat(field.zero)))
     return [i for i in maybe if not is_zero(values[i])]
+
+
+def _row_from(row: list, start: int) -> dict:
+    """{column: nonzero} of the residue list ``row`` from column ``start`` on."""
+    cs = list(compress(range(start, len(row)), islice(row, start, None)))
+    return dict(zip(cs, map(row.__getitem__, cs)))
 
 
 def _rref_mod(p: int, rows: list) -> tuple:
@@ -371,15 +369,32 @@ def _primes():
     return map(_prime, count())
 
 
-def _integer_rows(rows: list) -> list:
-    """The {column: nonzero} rows over Q as (columns, values), each row scaled
-    by the lcm of its denominators, so the values are ints."""
-    out = []
-    for row in rows:
-        xs = row.values()
-        den = math.lcm(*(x.denominator for x in xs))
-        out.append((list(row), [x.numerator * (den // x.denominator) for x in xs]))
-    return out
+def _scaled(xs: Collection) -> tuple:
+    """(d, [d x for x in xs]): the rationals ``xs`` scaled to integers by d,
+    the lcm of their denominators."""
+    d = math.lcm(*(x.denominator for x in xs))
+    return d, [x.numerator * (d // x.denominator) for x in xs]
+
+
+def _free_columns(nc: int, pivots: list, rows: list) -> dict:
+    """{free column c: [(pivot, R[k][c]), ...]} of the reduced {column:
+    nonzero} rows R, with or without their pivot entries."""
+    pset = set(pivots)
+    support = {c: [] for c in range(nc) if c not in pset}
+    for pc, row in zip(pivots, rows):
+        for c, x in row.items():
+            if c != pc:
+                support[c].append((pc, x))
+    return support
+
+
+def _packed_dots(rows: list, packs: Iterable, w: int) -> list:
+    """Each (columns, int values) row of ``rows`` times the integers sum v
+    2**(t w) over the (t, v) pairs of each pack (Kronecker substitution):
+    digit t of a result is the row times the vector of the t-th digits."""
+    packed = [sum(v << (t * w) for t, v in pack) for pack in packs]
+    get = packed.__getitem__
+    return [sum(map(mul, vals, map(get, cols))) for cols, vals in rows]
 
 
 def _residue_rows(p: int, A: list, nc: int) -> list:
@@ -453,31 +468,23 @@ def _certified(A: list, nc: int, pivots: list, values: list) -> bool:
     """Whether each v_c (1 at the free column c, -R[k][c] at pivot k, 0
     elsewhere) satisfies A v_c = 0 exactly, on every row of ``A``.
 
-    ``values[k]`` holds the nonzero R[k][c] at free columns c.  Each v_c is
-    scaled to integers, and the vectors are packed into one integer per
-    column of A, ``width`` bits per free column: a row of A times the packed
-    columns gives every entry of A v_c at once.  Each entry is below
-    2**(width - 1) in absolute value, so the sum is zero only when all are.
+    ``values[k]`` holds the nonzero R[k][c] at free columns c.  Each -v_c is
+    scaled to integers and is one digit of the integers packed per column of
+    A, so a row of A times them gives every entry of A v_c at once.  The
+    digits hold each entry with its sign: the sum is zero only when all are.
     """
-    pset = set(pivots)
-    support = {c: [] for c in range(nc) if c not in pset}
+    support = _free_columns(nc, pivots, values)
     if not support or not A:
         return True
-    for pc, row in zip(pivots, values):
-        for c, x in row.items():
-            support[c].append((pc, x))
-    vecs, wmax = [], 1
-    for c, col in support.items():
-        d = math.lcm(*(x.denominator for _, x in col))
-        w = [(c, d)] + [(pc, -x.numerator * (d // x.denominator)) for pc, x in col]
-        wmax = max(wmax, max(abs(v) for _, v in w))
-        vecs.append(w)
-    width = max(sum(map(abs, vals)) for _, vals in A).bit_length() + wmax.bit_length() + 1
-    packed = [0] * nc
-    for t, w in enumerate(vecs):
-        for j, v in w:
-            packed[j] += v << (t * width)
-    return not any(sum(map(mul, vals, map(packed.__getitem__, cols))) for cols, vals in A)
+    packs, wmax = [[] for _ in range(nc)], 1
+    for t, (c, col) in enumerate(support.items()):
+        d, ints = _scaled([x for _, x in col])
+        packs[c].append((t, -d))
+        for (pc, _), v in zip(col, ints):
+            packs[pc].append((t, v))
+        wmax = max(wmax, d, *map(abs, ints))
+    w = _digit_width(max(sum(map(abs, vals)) for _, vals in A) * wmax)
+    return not any(_packed_dots(A, packs, w))
 
 
 def _rref_rational(rows: list, nc: int) -> tuple:
@@ -499,7 +506,7 @@ def _rref_rational(rows: list, nc: int) -> tuple:
     over Q.  Since the rank mod p is at most the rank over Q, the pivots are
     the same, and since RREF is unique the rows are the RREF over Q.
     """
-    A = _integer_rows(rows)
+    A = [(list(row), _scaled(row.values())[1]) for row in rows]
     if not A:
         return [], []
     best = None                        # (-rank, pivots) of the best prime so far
@@ -511,10 +518,7 @@ def _rref_rational(rows: list, nc: int) -> tuple:
         if best is not None and key > best:
             continue
         # the nonzeros of each RREF row after its pivot, all at free columns
-        residues = []
-        for pc, row in zip(pivots, res):
-            cs = list(compress(range(pc + 1, nc), islice(row, pc + 1, None)))
-            residues.append(dict(zip(cs, map(row.__getitem__, cs))))
+        residues = [_row_from(row, pc + 1) for pc, row in zip(pivots, res)]
         del res
         if best is None or key < best:
             best, m, acc, basis_rows = key, p, residues, [run[i] for i in order]
@@ -541,8 +545,7 @@ def _echelon(field: Field, rows: Iterable[dict], nc: int) -> tuple:
         return _rref_rational(rows, nc)
     work = _residue_rows(field.p, [(r, r.values()) for r in rows], nc)
     pivots, _ = _rref_mod(field.p, work)
-    return pivots, [{j: row[j] for j in compress(range(pc, nc), islice(row, pc, None))}
-                    for pc, row in zip(pivots, work)]
+    return pivots, [_row_from(row, pc) for pc, row in zip(pivots, work)]
 
 
 def _sparse_vectors(field: Field, vectors: Iterable[Sequence]) -> list:
@@ -576,21 +579,14 @@ def rank_and_kernel(m: Matrix) -> tuple:
     """
     F, n = m.field, m.ncols
     pivots, red = _echelon(F, m.sparse_rows, n)
-    # the entries at the pivots of each free column's vector
-    pivot_set = set(pivots)
-    support = {c: [] for c in range(n) if c not in pivot_set}
-    for pc, row in zip(pivots, red):
-        for c, x in row.items():
-            if c != pc:
-                support[c].append((pc, F.neg(x)))
     # each vector is made as a list and kept as a tuple, one at a time, so
     # the kernel is not held twice
     kernel = []
-    for c, entries in support.items():
+    for c, entries in _free_columns(n, pivots, red).items():
         v = [F.zero] * n
         v[c] = F.one
         for pc, x in entries:
-            v[pc] = x
+            v[pc] = F.neg(x)
         kernel.append(tuple(v))
     return len(pivots), kernel
 
@@ -618,6 +614,23 @@ def kernel_rref(m: Matrix) -> tuple:
     return basis, [next(compress(count(), map(is_not, v, repeat(zero)))) for v in basis]
 
 
+def _solve_block(m: Matrix, B: list, nb: int):
+    """The {column: nonzero} rows of the X with m X = B and its free
+    variables at zero, B given as one {column: nonzero} dict per row of m and
+    ``nb`` columns, from one row reduction of [m | B]; None when a pivot falls
+    in the B block, so that m X = B has no solution."""
+    F, n = m.field, m.ncols
+    aug = [{**row, **{n + k: v for k, v in rhs.items()}} if rhs else row
+           for row, rhs in zip(m.sparse_rows, B)]
+    pivots, red = _echelon(F, aug, n + nb)
+    if pivots and pivots[-1] >= n:
+        return None
+    X = [{} for _ in range(n)]
+    for pc, row in zip(pivots, red):
+        X[pc] = {k - n: v for k, v in row.items() if k >= n}
+    return X
+
+
 def solve_linear(m: Matrix, b: Sequence):
     """One solution of M x = b, or None if inconsistent.
 
@@ -627,17 +640,8 @@ def solve_linear(m: Matrix, b: Sequence):
     if len(b) != m.nrows:
         raise ShapeError("rhs length %d for %dx%d system" % (len(b), m.nrows, m.ncols))
     F = m.field
-    n = m.ncols
-    if not m.nrows:
-        return tuple()
-    aug = [{**row, n: bv} if not F.is_zero(bv) else row for row, bv in zip(m.sparse_rows, b)]
-    pivots, red = _echelon(F, aug, n + 1)
-    if pivots and pivots[-1] == n:
-        return None
-    x = [F.zero] * n
-    for pc, row in zip(pivots, red):
-        x[pc] = row.get(n, F.zero)
-    return tuple(x)
+    X = _solve_block(m, [{} if F.is_zero(bv) else {0: bv} for bv in b], 1)
+    return None if X is None else tuple(row.get(0, F.zero) for row in X)
 
 
 def _packed_product(F: Field, A: list, B: list, nc: int) -> list:
@@ -649,9 +653,8 @@ def _packed_product(F: Field, A: list, B: list, nc: int) -> list:
     residues are lifted to integers of least absolute value, so a product of
     matrices with small integer entries, such as D_{n+1} D_n, is zero over
     the integers and not only mod p.  Each row of B is packed into one
-    integer, ``w`` bits per column (Kronecker substitution); a row of A times
-    the packed rows is then one integer multiply-add per nonzero, and its
-    digits, read as signed w-bit numbers, are the entries of the integer
+    integer, ``w`` bits per column (``_packed_dots``), and the digits of a
+    result, read as signed w-bit numbers, are the entries of the integer
     product.  No digit can carry: ``w`` holds the largest possible |entry|,
     the largest absolute row sum of A times the largest |entry| of B, with
     the sign bit to spare.
@@ -659,26 +662,21 @@ def _packed_product(F: Field, A: list, B: list, nc: int) -> list:
     if F.p is None:
         den = math.lcm(*(x.denominator for row in B for x in row.values()))
         B = [{j: x.numerator * (den // x.denominator) for j, x in row.items()} for row in B]
-        left = []
-        for row in A:
-            xs = row.values()
-            d = math.lcm(*(x.denominator for x in xs))
-            left.append((d * den, row.keys(), [x.numerator * (d // x.denominator) for x in xs]))
+        scaled = [_scaled(row.values()) for row in A]
+        scales = [d * den for d, _ in scaled]
+        left = [(row.keys(), ints) for row, (_, ints) in zip(A, scaled)]
     else:
         p = F.p
         h = p >> 1
         B = [{j: v - p if v > h else v for j, v in row.items()} for row in B]
-        left = [(1, row.keys(), [v - p if v > h else v for v in row.values()]) for row in A]
-    bound = (max((sum(map(abs, vals)) for _, _, vals in left), default=0)
+        scales = repeat(1)
+        left = [(row.keys(), [v - p if v > h else v for v in row.values()]) for row in A]
+    bound = (max((sum(map(abs, vals)) for _, vals in left), default=0)
              * max((abs(v) for row in B for v in row.values()), default=0))
     w = _digit_width(bound)
-    packed = [sum(v << (j * w) for j, v in row.items()) for row in B]
     offset = (1 << (w - 1)) * (((1 << (nc * w)) - 1) // ((1 << w) - 1))
-    out = []
-    for scale, cols, vals in left:
-        s = sum(map(mul, vals, map(packed.__getitem__, cols)))
-        out.append(_unpack(F, s + offset, w, nc, scale) if s else {})
-    return out
+    return [_unpack(F, s + offset, w, nc, scale) if s else {}
+            for scale, s in zip(scales, _packed_dots(left, (row.items() for row in B), w))]
 
 
 def _digit_width(bound: int) -> int:

@@ -95,8 +95,6 @@ def _read_matrix(field: Field, obj, nrows: int, ncols: int, where: str) -> Matri
 
 
 def _read_triples(field: Field, obj, dim0: int, dim1: int, cod: int, where: str) -> MultiTensor:
-    if obj is None:
-        obj = []
     if not isinstance(obj, list):
         raise ParseError("%s: expected a list of [i, j, vector] triples" % where)
     values = {}
@@ -138,7 +136,7 @@ def load_instance(text: str) -> Instance:
     if dim < 1:
         raise ParseError("dim must be positive")
     kappa = field.parse(data["kappa"])
-    mu = _read_triples(field, data.get("mu"), dim, dim, dim, "mu")
+    mu = _read_triples(field, data.get("mu", []), dim, dim, dim, "mu")
     R = _read_matrix(field, data["R"], dim, dim, "R")
     d = _read_matrix(field, data["d"], dim, dim, "d")
     pair = MRBDerPair(Algebra(field, dim, mu), R, d, kappa)
@@ -154,8 +152,8 @@ def load_instance(text: str) -> Instance:
         m = _expect_int(b["dim_m"], "bimodule.dim_m")
         if m < 1:
             raise ParseError("bimodule.dim_m must be positive")
-        left = _read_triples(field, b.get("l"), dim, m, m, "bimodule.l")
-        right = _read_triples(field, b.get("r"), m, dim, m, "bimodule.r")
+        left = _read_triples(field, b.get("l", []), dim, m, m, "bimodule.l")
+        right = _read_triples(field, b.get("r", []), m, dim, m, "bimodule.r")
         R_M = _read_matrix(field, b.get("R_M"), m, m, "bimodule.R_M") \
             if "R_M" in b else Matrix.zeros(field, m, m)
         d_M = _read_matrix(field, b.get("d_M"), m, m, "bimodule.d_M") \
@@ -210,7 +208,7 @@ def load_instance(text: str) -> Instance:
         if extra:
             raise ParseError("cocycle: unknown keys: %s" % ", ".join(sorted(extra)))
         m = bim.dim_m if bim is not None else dim
-        theta = _read_triples(field, c.get("theta"), dim, dim, m, "cocycle.theta")
+        theta = _read_triples(field, c.get("theta", []), dim, dim, m, "cocycle.theta")
         xi_m = _read_matrix(field, c.get("xi"), m, dim, "cocycle.xi") \
             if "xi" in c else Matrix.zeros(field, m, dim)
         chi_m = _read_matrix(field, c.get("chi"), m, dim, "cocycle.chi") \

@@ -1,5 +1,6 @@
 import pytest
 
+from mrbder import linalg
 from mrbder.fields import Field, QQ
 from mrbder.linalg import Matrix, MultiTensor
 from mrbder.structures import adjoint_bimodule, dual_pair
@@ -67,3 +68,18 @@ def one_entry_off():
         return wrong
 
     return make
+
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    """The list of row reductions run from now on, one entry per call of
+    ``linalg._echelon``."""
+    calls = []
+    real = linalg._echelon
+
+    def spy(field, rows, nc):
+        calls.append(nc)
+        return real(field, rows, nc)
+
+    monkeypatch.setattr(linalg, "_echelon", spy)
+    return calls

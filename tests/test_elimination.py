@@ -15,7 +15,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain, islice, product
 from pathlib import Path
 
 import pytest
@@ -130,6 +130,68 @@ def test_right_inverse(field, k):
                 assert a * got == Matrix.identity(F, a.nrows)
     # the dense full-rank shapes are onto one way round
     assert onto or k not in (0, 1)
+
+
+@pytest.mark.parametrize("field", ["Q", "F5"])
+def test_each_solve_is_one_elimination(field, eliminations):
+    F = FIELDS[field]
+    rng = random.Random(17)
+    for nr, nc, rank in ((4, 6, None), (6, 4, None), (5, 5, None), (5, 5, 3)):
+        m = Matrix(F, tuple(map(tuple, random_rows(rng, F, nr, nc, 0.6, rank))))
+        for run in (lambda: solve_linear(m, tuple(F.random(rng) for _ in range(nr))),
+                    m.right_inverse, m.transpose().right_inverse):
+            del eliminations[:]
+            run()
+            assert len(eliminations) == 1
+        if nr == nc:
+            del eliminations[:]
+            try:
+                m.inverse()
+            except ValueError:            # singular: the one reduction tells
+                pass
+            assert len(eliminations) == 1
+
+
+def certificate_at_the_edge(w):
+    """(A, R): integer rows A of rank 2 with three free columns, as
+    (columns, values) pairs, and the RREF R of A, whose certificate bound,
+    the largest row sum of A times the largest entry of a scaled kernel
+    vector, is 2**(w-1) - Y for Y = 2**(w // 4): the digit width is exactly
+    w, and a partial sum of A v reaches half the bound.
+
+    R has rows (1, 0, Y_2, Y_3, Y_4) and (0, 1, Y_2, Y_3, Y_4), so each
+    kernel vector has -Y_c at both pivots and 1 at its free column c.  A has
+    the rows (K, 1 - K, Y_2, Y_3, Y_4) and (1, -1, 0, 0, 0): the first, with
+    its two large entries of opposite signs, times the vector of Y_c sums to
+    -K Y_c after one term.
+    """
+    s = w // 4
+    ys = (2**s, 2**s - 1, 2**s - 3)
+    k = (2**(w - 1 - s) - sum(ys)) // 2
+    rows = [[k, 1 - k, *ys], [1, -1, 0, 0, 0]]
+    A = [([j for j, x in enumerate(r) if x], [x for x in r if x]) for r in rows]
+    bound = max(sum(map(abs, r)) for r in rows) * max(ys)
+    assert bound == 2**(w - 1) - ys[0] and linalg._digit_width(bound) == w
+    assert (k * ys[0]).bit_length() == (bound // 2).bit_length() == w - 2
+    return A, dense_rref_vectors(QQ, [[Fraction(x) for x in r] for r in rows])
+
+
+@pytest.mark.parametrize("w", [16, 24, 32, 64, 72])
+def test_certificate_at_the_edge_of_the_width(w):
+    A, (R, pivots) = certificate_at_the_edge(w)
+    assert pivots == [0, 1]
+    values = [{c: x for c, x in enumerate(r) if c not in pivots and x} for r in R]
+    assert linalg._certified(A, 5, pivots, values)
+    for k, c in product(range(2), range(2, 5)):
+        wrong = [dict(v) for v in values]
+        wrong[k][c] += 1
+        assert not linalg._certified(A, 5, pivots, wrong), (k, c)
+    # two errors in adjacent digits that cancel in a packing w bits wide:
+    # the width is read off the candidate's own entries, so it is wider
+    wrong = [dict(v) for v in values]
+    wrong[0][2] += 2**w
+    wrong[0][3] -= 1
+    assert not linalg._certified(A, 5, pivots, wrong)
 
 
 # ---------------------------------------------------------------------------

@@ -323,6 +323,23 @@ class TestValidation:
         assert not rep.ok
         assert "exact-comp" in {f.identity for f in rep.failures}
 
+    @pytest.mark.parametrize("i_rows,p_rows,want", [
+        ([[0, 0], [0, 0], [1, 2], [0, 0]], [[1, 0, 0, 0], [0, 1, 0, 0]],
+         [("exact-rank-i", (1,), ())]),
+        ([[0, 0], [0, 0], [1, 0], [0, 1]], [[1, 0, 0, 0], [2, 0, 0, 0]],
+         [("exact-rank-p", (1,), ())]),
+        ([[0, 0], [0, 0], [0, 0], [0, 0]], [[0, 0, 0, 0], [0, 0, 0, 0]],
+         [("exact-rank-i", (0,), ()), ("exact-rank-p", (0,), ())]),
+    ], ids=["i-not-injective", "p-not-onto", "both"])
+    def test_exactness_witnesses(self, failure_list, i_rows, p_rows, want):
+        # p i = 0 throughout, so only the ranks fail, each with its rank
+        base = dual_pair(QQ)
+        total = semidirect_product(base, adjoint_bimodule(base))
+        ext = Extension(total, Matrix.from_rows(QQ, [[QQ.from_int(x) for x in r] for r in i_rows]),
+                        Matrix.from_rows(QQ, [[QQ.from_int(x) for x in r] for r in p_rows]))
+        assert (ext.p * ext.i).is_zero()
+        assert failure_list(check_extension(base, adjoint_bimodule(base), ext)) == want
+
     def test_golden_failures(self, edited, failure_list):
         # full failure tuples, in report order, recorded from the loop-based check;
         # the action witnesses interleave per (a, w): left (a, w) before right (w, a)

@@ -11,6 +11,11 @@
   structure map that is a composite of others is built with
   ``precompose_slot``, ``postcompose`` and matrix products, not evaluated
   again one basis vector at a time.
+* Each step of the exact linear algebra is written once: ``_echelon`` is
+  called only by ``rank_and_kernel``, ``rref_vectors`` and the [m | B]
+  reader ``_solve_block``, and ``math.lcm`` in ``linalg`` only by the
+  scaling helper ``_scaled`` and for the right factor of
+  ``_packed_product``.
 """
 
 import ast
@@ -138,3 +143,64 @@ def test_the_from_map_scan_resolves_lambdas_and_named_callbacks():
     found = {(module, type(fn).__name__) for module, tree in MODULES.items()
              for _, fn in _from_map_callbacks(tree)}
     assert {("serialize", "Lambda"), ("structures", "FunctionDef")} <= found
+
+
+def _dotted(node):
+    """The dotted name of a callee such as ``math.lcm``, or None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        base = _dotted(node.value)
+        return base and base + "." + node.attr
+    return None
+
+
+def _callers(tree, name) -> list:
+    """(enclosing function, line) of each call of ``name`` in ``tree``, also
+    when called through a module (``linalg._echelon``); "<module>" for a
+    call outside every function."""
+    out = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if isinstance(node, ast.Call):
+            callee = _dotted(node.func) or ""
+            if callee == name or callee.endswith("." + name):
+                out.append((scope, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "<module>")
+    return out
+
+
+PLANTED = """\
+import math
+from mrbder import linalg
+
+def helper(F, rows):
+    return linalg._echelon(F, rows, 3), math.lcm(2, 3)
+
+class Planted:
+    def method(self, F):
+        return _echelon(F, [], 0)
+
+X = math.lcm(4, 6)
+"""
+
+
+def test_the_call_scan_finds_planted_calls():
+    tree = ast.parse(PLANTED)
+    assert _callers(tree, "_echelon") == [("helper", 5), ("method", 9)]
+    assert _callers(tree, "math.lcm") == [("helper", 5), ("<module>", 11)]
+
+
+def test_one_elimination_entry_per_reduction():
+    callers = {f for tree in MODULES.values() for f, _ in _callers(tree, "_echelon")}
+    assert callers == {"rank_and_kernel", "rref_vectors", "_solve_block"}
+
+
+def test_one_lcm_scaling():
+    callers = sorted(f for f, _ in _callers(MODULES["linalg"], "math.lcm"))
+    assert callers == ["_packed_product", "_scaled"]

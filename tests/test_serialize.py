@@ -148,6 +148,26 @@ class TestRejection:
         inst = load_instance(json.dumps(data))
         assert inst.pair.mu.is_zero()
 
+    @pytest.mark.parametrize("overrides,where", [
+        ({"mu": None}, "mu"),
+        ({"bimodule": {"dim_m": 1, "l": None}}, "bimodule.l"),
+        ({"bimodule": {"dim_m": 1, "r": None}}, "bimodule.r"),
+        ({"cocycle": {"theta": None}}, "cocycle.theta"),
+        ({"deformation": {"order": 1, "mu": [None], "R": [[["0", "0"], ["0", "0"]]],
+                          "d": [[["0", "0"], ["0", "0"]]]}}, "deformation.mu\\[0\\]"),
+    ], ids=["mu", "l", "r", "theta", "deformation.mu"])
+    def test_null_triples_rejected(self, overrides, where):
+        # a null is refused where a list of triples is expected, as it is
+        # where a matrix is expected; only an absent key means zero
+        with pytest.raises(ParseError, match="^%s: expected a list of \\[i, j, vector\\] triples$"
+                           % where):
+            load_instance(minimal(**overrides))
+
+    def test_absent_triples_mean_zero(self):
+        inst = load_instance(minimal(bimodule={"dim_m": 1}, cocycle={}))
+        assert inst.bim.left.is_zero() and inst.bim.right.is_zero()
+        assert inst.cocycle.parts[0].is_zero()
+
     def test_scientific_notation_rejected(self):
         with pytest.raises(ParseError, match="inexact-scalar"):
             load_instance(minimal(kappa=1e3))
