@@ -50,27 +50,29 @@ Each map is implemented once, as an entry list: every term is identities
 tensored with one structure map (mu, l, r, R, R_M, d, d_M), so the image of
 each basis cochain is written down one entry per nonzero structure constant,
 and the OC^n / PC^n differentials are stacked from the C^n blocks with the
-signs of the formulas above.  ``differential_matrix`` sums the entries into
-the matrix D_n; the cochain-level functions list the entries of the basis
-tuples where one cochain is nonzero, apply them to it, and never build the
-matrix.  Literal transcriptions of the formulas are kept in
-tests/oracles.py, and the tests hold both uses equal to them.
+signs of the formulas above.  The entries are read in one place: they are
+summed into the sparse matrix D_n, and every map, ``differential_matrix``
+and the cochain-level functions alike, is that matrix, applied to a
+cochain by ``Matrix.apply``.  Literal transcriptions of the formulas are
+kept in tests/oracles.py, and the tests hold the maps equal to them.
 
 The complex of a (pair, bimodule) is one object, ``_Complex``: the
 structure maps its entry lists are written from, the induced maps, and each
 matrix D_n it has built, as sparse rows.  The pair keeps it, keyed by the
 bimodule object's identity, for as long as the pair lives, so equal but
-distinct inputs never share one, and ``differential_matrix``, ``cohomology``
-and ``primitive`` build each D_n once per pair and bimodule.  A call served
-from it still checks the entry cap in the order a fresh build would.
+distinct inputs never share one, and each D_n is built once per pair and
+bimodule, whichever of ``differential_matrix``, ``cohomology``,
+``primitive`` and the cochain-level maps asks first.  A call served from it
+still checks the entry cap in the order a fresh build would.
 
 Cohomology is computed from two RREF bases, Z^n from one elimination of D_n
 with its columns reversed and B^n from the columns of D_{n-1}, with
 canonical (RREF) representatives, after a check that D_n D_{n-1} = 0, and
 ``primitive`` solves D^1 h = c for a degree-2 cochain c and checks it.
 The Lie-side complex (Chevalley-Eilenberg of the commutator bracket) shares
-the entry lists of phi and Delta and the graded stacking, and the
-skew-symmetrization chain maps live here too.
+the entry lists of phi and Delta and the graded stacking, and is kept on
+its Lie pair as a pair's complexes are; the skew-symmetrization chain maps
+live here too.
 """
 
 from __future__ import annotations
@@ -81,8 +83,7 @@ from typing import Callable
 
 from .fields import Field, Value
 from .linalg import (Matrix, MultiTensor, ShapeError, TensorSpace, _checked_size,
-                     _nonzero_positions, kernel_rref, rref_vectors, solve_linear,
-                     tensor_as_matrix)
+                     kernel_rref, rref_vectors, solve_linear, tensor_as_matrix)
 from .structures import Bimodule, InternalError, MRBDerPair
 from .constructions import LiePair, induced_action, induced_product
 
@@ -215,9 +216,9 @@ def PairSpace(field: Field, dim_a: int, dim_m: int, degree: int) -> CochainSpace
 
 def _nonzeros(t: MultiTensor) -> list:
     """(index tuple, value) of each nonzero entry of ``t``, codomain index last."""
-    F, cod = t.field, t.cod
-    return [(idx + (q,), v) for b, idx in enumerate(itertools.product(*map(range, t.dims)))
-            for q, v in enumerate(t.entries[b * cod:(b + 1) * cod]) if not F.is_zero(v)]
+    is_zero = t.field.is_zero
+    return [(idx + (q,), v) for idx, vec in t.nonzero_values()
+            for q, v in enumerate(vec) if not is_zero(v)]
 
 
 def _signed(F, plus: bool):
@@ -225,11 +226,10 @@ def _signed(F, plus: bool):
 
 
 def _coboundary_entries(F, nA: int, m: int, mu: MultiTensor, left: MultiTensor,
-                        right: MultiTensor, n: int, Js):
+                        right: MultiTensor, n: int):
     """The coboundary C^n -> C^{n+1} of :func:`hochschild_delta` over (mu, left,
     right): an l-column, an r-column and, for each slot, mu's preimages of the
-    slot's index.  Like every entry list, it lists the columns of the basis
-    tuples J in ``Js`` only."""
+    slot's index."""
     mul = F.mul
     first = _signed(F, _sign_is_plus(n + 1))
     l_terms = [[] for _ in range(m)]          # s -> (row offset, value) of l(e_x, e_s)
@@ -248,7 +248,7 @@ def _coboundary_entries(F, nA: int, m: int, mu: MultiTensor, left: MultiTensor,
         for (x, y, q), c in mu_nonzeros:
             by_q[q].append(((x * nA + y) * lo * m, mul(sign, c)))
         mu_terms.append((lo, by_q))
-    for J in Js:
+    for J in range(nA ** n):
         slots = []
         for lo, by_q in mu_terms:
             head, rest = divmod(J, lo * nA)
@@ -265,7 +265,7 @@ def _coboundary_entries(F, nA: int, m: int, mu: MultiTensor, left: MultiTensor,
                     yield base + off + s, col, v
 
 
-def _ce_entries(F, nA: int, m: int, bracket: MultiTensor, rho: MultiTensor, n: int, Js):
+def _ce_entries(F, nA: int, m: int, bracket: MultiTensor, rho: MultiTensor, n: int):
     """The Chevalley-Eilenberg coboundary C^n -> C^{n+1} of :func:`ce_delta`
     over (bracket, rho): rho(a_p) applied to f without a_p, for each output
     slot p, and f([a_p, a_q], ..) without a_p, a_q, for each pair p < q."""
@@ -281,7 +281,7 @@ def _ce_entries(F, nA: int, m: int, bracket: MultiTensor, rho: MultiTensor, n: i
     rho_slots = [(lo, _signed(F, _sign_is_plus(n + 1 + p))) for p, lo in enumerate(places)]
     slot_pairs = [(p, q, _signed(F, _sign_is_plus(n + 1 + p + q)))
                   for p in range(n + 1) for q in range(p + 1, n + 1)]
-    for J in Js:
+    for J in range(nA ** n):
         digits = [(J // nA ** (n - 1 - p)) % nA for p in range(n)]
         br_rows = []                          # (row offset, value), the same for every s
         for p, q, sign in slot_pairs:
@@ -300,7 +300,7 @@ def _ce_entries(F, nA: int, m: int, bracket: MultiTensor, rho: MultiTensor, n: i
                 yield off + s, col, v
 
 
-def _operator_map_entries(F, nA: int, m: int, R: Matrix, R_M: Matrix, kappa, n: int, Js):
+def _operator_map_entries(F, nA: int, m: int, R: Matrix, R_M: Matrix, kappa, n: int):
     """phi on C^n (see :func:`operator_map`): for each set of bare slots, R in
     the other slots, then the term's coefficient and R_M on the output."""
     mul, add, one = F.mul, F.add, F.one
@@ -312,7 +312,7 @@ def _operator_map_entries(F, nA: int, m: int, R: Matrix, R_M: Matrix, kappa, n: 
     r_rows = [list(row.items()) for row in R.sparse_rows]
     rm_cols = [list(col.items()) for col in R_M.transpose().sparse_rows]
     places = [nA ** (n - 1 - p) for p in range(n)]
-    for J in Js:
+    for J in range(nA ** n):
         digits = [(J // lo) % nA for lo in places]
         images = ({}, {})                     # K -> value, without and with R_M
         for bare in range(1 << n):
@@ -336,13 +336,13 @@ def _operator_map_entries(F, nA: int, m: int, R: Matrix, R_M: Matrix, kappa, n: 
                     yield K * m + t, col, mul(v, c)
 
 
-def _defect_entries(F, nA: int, m: int, d: Matrix, d_M: Matrix, n: int, Js):
+def _defect_entries(F, nA: int, m: int, d: Matrix, d_M: Matrix, n: int):
     """Delta on C^n (see :func:`derivation_defect`): d in each slot, minus d_M
     on the output."""
     d_rows = [row.items() for row in d.sparse_rows]
     neg_dm = [[(t, F.neg(v)) for t, v in col.items()] for col in d_M.transpose().sparse_rows]
     places = [nA ** (n - 1 - p) for p in range(n)]
-    for J in Js:
+    for J in range(nA ** n):
         moves = [((J + (k - (J // lo) % nA) * lo) * m, v)
                  for lo in places for k, v in d_rows[(J // lo) % nA]]
         for s in range(m):
@@ -441,11 +441,9 @@ _CN_MAPS = {"hochschild": "delta", "modified": "mdelta",
             "operator_map": "phi", "derivation_defect": "defect"}
 
 
-def _blocks(cx: _Complex, n: int, which: str, support: list | None = None) -> tuple:
+def _blocks(cx: _Complex, n: int, which: str) -> tuple:
     """The map ``which`` at degree n as (row arities, column arities, blocks),
-    each block (row part, column part, sign is plus, entries).  The entries
-    of column part j are listed for the basis tuples J in ``support[j]``
-    only, or for all of them when ``support`` is None.
+    each block (row part, column part, sign is plus, entries).
 
     The entry cap is checked before any entry is listed, in the order the
     cochain-by-cochain build of D_n met it: a domain cochain, the induced
@@ -473,18 +471,16 @@ def _blocks(cx: _Complex, n: int, which: str, support: list | None = None) -> tu
     if induced is None and any(block[3] == "mdelta" for block in layout):
         induced = cx.induced()
 
-    def entries(kind, arity, Js):
+    def entries(kind, arity):
         if kind == "delta":
-            return cx.coboundary(F, nA, m, *cx.maps, arity, Js)
+            return cx.coboundary(F, nA, m, *cx.maps, arity)
         if kind == "mdelta":
-            return cx.coboundary(F, nA, m, *induced, arity, Js)
+            return cx.coboundary(F, nA, m, *induced, arity)
         if kind == "phi":
-            return _operator_map_entries(F, nA, m, cx.R, cx.R_M, cx.kappa, arity, Js)
-        return _defect_entries(F, nA, m, cx.d, cx.d_M, arity, Js)
+            return _operator_map_entries(F, nA, m, cx.R, cx.R_M, cx.kappa, arity)
+        return _defect_entries(F, nA, m, cx.d, cx.d_M, arity)
 
-    return rows, cols, [(i, j, plus, entries(kind, arity, range(nA ** arity) if support is None
-                                             else support[j]))
-                        for i, j, plus, kind, arity in layout]
+    return rows, cols, [(i, j, plus, entries(kind, arity)) for i, j, plus, kind, arity in layout]
 
 
 def _assemble(cx: _Complex, rows: tuple, cols: tuple, blocks: list) -> Matrix:
@@ -513,28 +509,6 @@ def _assemble(cx: _Complex, rows: tuple, cols: tuple, blocks: list) -> Matrix:
     return Matrix.from_sparse(F, srows, col_off[-1])
 
 
-def _evaluate(cx: _Complex, n: int, which: str, parts: tuple) -> tuple:
-    """The parts of the image of the cochain with these parts under the map
-    ``which`` at degree n: each block adds v * x[c] to row r for every entry
-    (r, c, v) with x[c] nonzero.  The matrix is never built, and each block
-    lists only the columns of the basis tuples where its column part has a
-    nonzero, so the cost follows the cochain's support."""
-    F, nA, m = cx.field, cx.dim_a, cx.dim_m
-    live = [{c: p.entries[c] for c in _nonzero_positions(F, p.entries)} for p in parts]
-    rows, _, blocks = _blocks(cx, n, which, [sorted({c // m for c in x}) for x in live])
-    out = [[F.zero] * (nA ** a * m) for a in rows]
-    mul = F.mul
-    for i, j, plus, entries in blocks:
-        if not live[j]:
-            continue
-        acc, op = out[i], (F.add if plus else F.sub)
-        for r, c, v in entries:
-            xc = live[j].get(c)
-            if xc is not None:
-                acc[r] = op(acc[r], mul(v, xc))
-    return tuple(MultiTensor(F, (nA,) * a, m, tuple(acc)) for a, acc in zip(rows, out))
-
-
 def _check_cochain_shape(cx: _Complex, f: MultiTensor):
     n, m = cx.dim_a, cx.dim_m
     if f.dims != (n,) * f.arity or f.cod != m:
@@ -544,9 +518,12 @@ def _check_cochain_shape(cx: _Complex, f: MultiTensor):
 
 
 def _apply(cx: _Complex, which: str, f: MultiTensor) -> MultiTensor:
-    """A map on C^n applied to one Hochschild cochain."""
+    """A map on C^n applied to one Hochschild cochain: its kept matrix times
+    the cochain's entries."""
     _check_cochain_shape(cx, f)
-    return _evaluate(cx, f.arity, which, (f,))[0]
+    arity = f.arity + (which in ("hochschild", "modified"))
+    return hom_space(cx.dim_a, cx.dim_m, arity, cx.field).unflatten(
+        cx.matrix(f.arity, which).apply(f.entries))
 
 
 def _apply_graded(cx: _Complex, layers: int, c: Cochain) -> Cochain:
@@ -557,8 +534,10 @@ def _apply_graded(cx: _Complex, layers: int, c: Cochain) -> Cochain:
                          % ("OC" if layers == 2 else "PC", c.degree))
     for p in c.parts:
         _check_cochain_shape(cx, p)
-    which = "operator" if layers == 2 else "pair"
-    return Cochain(c.degree + 1, _evaluate(cx, c.degree, which, c.parts))
+    flat = CochainSpace(cx.field, cx.dim_a, cx.dim_m, c.arities).flatten(c)
+    image = cx.matrix(c.degree, "operator" if layers == 2 else "pair").apply(flat)
+    return CochainSpace(cx.field, cx.dim_a, cx.dim_m,
+                        cochain_arities(c.degree + 1, layers)).unflatten(image)
 
 
 def hochschild_delta(pair: MRBDerPair, bim: Bimodule, f: MultiTensor) -> MultiTensor:
@@ -718,14 +697,18 @@ def induced_lie_pair(lp: LiePair) -> LiePair:
 
 
 def _lie_complex(lp: LiePair) -> _Complex:
-    rho, R_M, d_M = _rho_of(lp)
-
-    def induce():
-        ind = induced_lie_pair(lp)
-        return ind.bracket, ind.rho
-
-    return _Complex(lp.field, lp.dim, rho.dims[1], _ce_entries, (lp.bracket, rho), induce,
-                    lp.R, R_M, lp.kappa, lp.d, d_M)
+    """The complex of ``lp``, kept on it as :func:`_pair_complex` keeps a
+    pair's: equal but distinct Lie pairs get complexes of their own."""
+    if not lp._complex:
+        # ``induce`` holds the maps of induced_lie_pair, not the Lie pair, so
+        # no reference cycle runs through its slot
+        rho, R_M, d_M = _rho_of(lp)
+        br, R = lp.bracket, lp.R
+        lp._complex.append(_Complex(
+            lp.field, lp.dim, rho.dims[1], _ce_entries, (br, rho),
+            lambda: (induced_product(br, R), induced_action(rho, 0, R, R_M)),
+            R, R_M, lp.kappa, lp.d, d_M))
+    return lp._complex[0]
 
 
 def ce_delta(lp: LiePair, f: MultiTensor) -> MultiTensor:

@@ -94,12 +94,14 @@ class LiePair(Value):
     weight kappa, derivation d, and optionally a representation
     (rho: A x M -> M, R_M, d_M)."""
 
-    __slots__ = ("field", "dim", "bracket", "R", "d", "kappa", "rho", "R_M", "d_M")
+    # _complex: [its cochain complex] once mrbder.cohomology has built it;
+    # not part of the Lie pair's value
+    __slots__ = ("field", "dim", "bracket", "R", "d", "kappa", "rho", "R_M", "d_M", "_complex")
 
     def __init__(self, field: Field, dim: int, bracket: MultiTensor, R: Matrix, d: Matrix,
                  kappa, rho: MultiTensor | None = None, R_M: Matrix | None = None,
                  d_M: Matrix | None = None):
-        self._init(field, dim, bracket, R, d, kappa, rho, R_M, d_M)
+        self._init(field, dim, bracket, R, d, kappa, rho, R_M, d_M, [])
 
     @property
     def dim_m(self):

@@ -566,6 +566,8 @@ def rref_vectors(field: Field, vectors: Iterable[Sequence]) -> tuple:
     if not rows:
         return [], []
     nc = len(rows[0])
+    if any(len(r) != nc for r in rows):
+        raise ShapeError("ragged vectors")
     pivots, red = _echelon(field, _sparse_vectors(field, rows), nc)
     return [tuple(_densify(r, nc, field.zero)) for r in red], pivots
 
@@ -796,6 +798,15 @@ class MultiTensor(Value):
         """Value on basis elements: a codomain coordinate vector."""
         off = self.offset(idx)
         return self.entries[off:off + self.cod]
+
+    def nonzero_values(self):
+        """(index tuple, value) of each basis tuple with a nonzero value, in
+        lexicographic order."""
+        is_zero, cod, ent = self.field.is_zero, self.cod, self.entries
+        for k, idx in enumerate(product(*map(range, self.dims))):
+            v = ent[k * cod:(k + 1) * cod]
+            if not all(map(is_zero, v)):
+                yield idx, v
 
     def eval(self, args: Sequence[Sequence]) -> tuple:
         """Full multilinear evaluation on coordinate vectors."""

@@ -236,14 +236,8 @@ def matrix_to_json(m: Matrix) -> list:
 
 
 def triples_to_json(t: MultiTensor) -> list:
-    F = t.field
-    out = []
-    for i in range(t.dims[0]):
-        for j in range(t.dims[1]):
-            vec = t.value_at(i, j)
-            if any(not F.is_zero(x) for x in vec):
-                out.append([i, j, [F.to_str(x) for x in vec]])
-    return out
+    to_str = t.field.to_str
+    return [[i, j, [to_str(x) for x in vec]] for (i, j), vec in t.nonzero_values()]
 
 
 def pair_to_json(pair: MRBDerPair) -> dict:

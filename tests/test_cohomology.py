@@ -7,7 +7,8 @@ from mrbder.cohomology import (MAX_COHOMOLOGY_DEGREE, MAX_MATRIX_DEGREE,
                                DegreeCapExceeded, Cochain, CochainSpace,
                                PairSpace, ce_delta, cochain_arities, cohomology,
                                derivation_defect, differential_matrix,
-                               hochschild_delta, hom_space, lie_pair_delta, modified_delta,
+                               hochschild_delta, hom_space, lie_derivation_defect,
+                               lie_pair_delta, modified_delta,
                                operator_delta, operator_map, pair_delta, primitive,
                                skew_cochain, skew_symmetrize)
 from mrbder.constructions import (direct_sum, induced_action, induced_product,
@@ -285,6 +286,37 @@ class TestPairComplex:
 
 KINDS = ("hochschild", "modified", "operator_map", "derivation_defect",
          "operator", "operator_defect", "pair")
+# the cochain-level map of each kind but operator_defect, and the number of
+# parts of the cochains it takes (0: a Hochschild cochain)
+COCHAIN_MAPS = {"hochschild": (hochschild_delta, 0), "modified": (modified_delta, 0),
+                "operator_map": (operator_map, 0), "derivation_defect": (derivation_defect, 0),
+                "operator": (operator_delta, 2), "pair": (pair_delta, 4)}
+
+
+def _cap_instance(dim_m):
+    """The dual pair over Q with its adjoint bimodule (dim_m None) or with a
+    trivial one of dimension ``dim_m``."""
+    pair = dual_pair(QQ)
+    if dim_m is None:
+        return pair, adjoint_bimodule(pair)
+    z = MultiTensor.zeros(QQ, (2, dim_m), dim_m)
+    return pair, Bimodule(dim_m, z, z.permute_slots([1, 0]),
+                          Matrix.zeros(QQ, dim_m, dim_m), Matrix.zeros(QQ, dim_m, dim_m))
+
+
+def _random_cochain(rng, dim_m, n, layers):
+    """A random cochain of C^n (layers 0), OC^n (2) or PC^n (4) on the dual
+    pair, with ``dim_m``-dimensional coefficients."""
+    m = 2 if dim_m is None else dim_m
+    if layers == 0:
+        sp = hom_space(2, m, n, QQ)
+    else:
+        sp = CochainSpace(QQ, 2, m, cochain_arities(n, layers))
+    return sp.unflatten(tuple(QQ.random(rng) for _ in range(sp.dim)))
+
+
+def _flat(c):
+    return c.entries if isinstance(c, MultiTensor) else sum((p.entries for p in c.parts), ())
 
 
 class TestComplexCache:
@@ -311,32 +343,85 @@ class TestComplexCache:
         # a hit checks the cap as a fresh build does, with the same message;
         # on a 3-dimensional module the induced actions (18 entries) are
         # larger than the induced product (8) and than C^2 (12)
-        def make():
-            pair = dual_pair(QQ)
-            if dim_m is None:
-                return pair, adjoint_bimodule(pair)
-            z = MultiTensor.zeros(QQ, (2, dim_m), dim_m)
-            return pair, Bimodule(dim_m, z, z.permute_slots([1, 0]),
-                                  Matrix.zeros(QQ, dim_m, dim_m), Matrix.zeros(QQ, dim_m, dim_m))
-
         def outcome(pair, bim, n):
             try:
                 return differential_matrix(pair, bim, n, which).rows
             except EntryCapExceeded as e:
                 return str(e)
 
-        cached = make()
+        cached = _cap_instance(dim_m)
         for n in (1, 2, 3):
             differential_matrix(*cached, n, which)
         try:
             for cap in range(1, 60):
-                fresh = make()
+                fresh = _cap_instance(dim_m)
                 set_max_tensor_entries(cap)
                 for n in (1, 2, 3):
                     assert outcome(*cached, n) == outcome(*fresh, n)
                 set_max_tensor_entries(10 ** 6)
         finally:
             set_max_tensor_entries(10 ** 6)
+
+
+    @pytest.mark.parametrize("which", sorted(COCHAIN_MAPS))
+    @pytest.mark.parametrize("dim_m", [None, 3], ids=["adjoint", "trivial3"])
+    def test_lowered_cap_on_the_cochain_maps(self, which, dim_m):
+        # under every cap a cochain-level map gives D_n times the cochain, or
+        # the message that differential_matrix of its kind gives, on fresh
+        # inputs and on ones whose complex has built the matrix
+        apply, layers = COCHAIN_MAPS[which]
+        rng = random.Random(12)
+        cochains = {n: _random_cochain(rng, dim_m, n, layers) for n in (1, 2, 3)}
+        cached = _cap_instance(dim_m)
+        for n, c in cochains.items():
+            apply(*cached, c)
+
+        def outcome(call):
+            try:
+                return call()
+            except EntryCapExceeded as e:
+                return str(e)
+
+        try:
+            for cap in range(1, 60):
+                a, b = _cap_instance(dim_m), _cap_instance(dim_m)
+                set_max_tensor_entries(cap)
+                for n, c in cochains.items():
+                    want = outcome(lambda: differential_matrix(*a, n, which).apply(_flat(c)))
+                    assert outcome(lambda: _flat(apply(*b, c))) == want
+                    assert outcome(lambda: _flat(apply(*cached, c))) == want
+                set_max_tensor_entries(10 ** 6)
+        finally:
+            set_max_tensor_entries(10 ** 6)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_pair_delta_builds_the_kept_matrix(self, n, monkeypatch):
+        mod = importlib.import_module("mrbder.cohomology")
+        real, built = mod._assemble, []
+        monkeypatch.setattr(mod, "_assemble", lambda *args: built.append(1) or real(*args))
+        pair = dual_pair(QQ)
+        bim = adjoint_bimodule(pair)
+        c = _random_cochain(random.Random(n), None, n, 4)
+        image = pair_delta(pair, bim, c)
+        assert len(built) == 1
+        d = differential_matrix(pair, bim, n, "pair")
+        assert len(built) == 1 and d.apply(_flat(c)) == _flat(image)
+        pair_delta(pair, bim, c)
+        assert len(built) == 1
+
+    def test_lie_maps_build_each_matrix_once(self, monkeypatch):
+        mod = importlib.import_module("mrbder.cohomology")
+        real, built = mod._assemble, []
+        monkeypatch.setattr(mod, "_assemble", lambda cx, *args: built.append(cx) or real(cx, *args))
+        pair = upper_triangular_pair(QQ, QQ.parse(2))
+        lp = rho_representation(pair, adjoint_bimodule(pair))
+        rng = random.Random(13)
+        fs = [MultiTensor(QQ, (3, 3), 3, tuple(QQ.random(rng) for _ in range(27)))
+              for _ in range(2)]
+        for f in fs:
+            ce_delta(lp, f)
+            lie_derivation_defect(lp, f)
+        assert len(built) == 2 and built[0] is built[1] is lp._complex[0]
 
 
 class TestSpaces:

@@ -16,6 +16,9 @@
   reader ``_solve_block``, and ``math.lcm`` in ``linalg`` only by the
   scaling helper ``_scaled`` and for the right factor of
   ``_packed_product``.
+* The entry lists of the structure maps have one reader: ``_blocks`` is
+  called only by ``_Complex.matrix``, so every cochain map is its kept
+  matrix.
 """
 
 import ast
@@ -204,3 +207,12 @@ def test_one_elimination_entry_per_reduction():
 def test_one_lcm_scaling():
     callers = sorted(f for f, _ in _callers(MODULES["linalg"], "math.lcm"))
     assert callers == ["_packed_product", "_scaled"]
+
+
+def test_entry_lists_have_one_reader():
+    callers = [(module, f) for module, tree in MODULES.items()
+               for f, _ in _callers(tree, "_blocks")]
+    complex_class = next(node for node in MODULES["cohomology"].body
+                         if isinstance(node, ast.ClassDef) and node.name == "_Complex")
+    assert callers == [("cohomology", "matrix")]
+    assert [f for f, _ in _callers(complex_class, "_blocks")] == ["matrix"]

@@ -118,6 +118,14 @@ class TestRref:
         b2, p2 = rref_vectors(QQ, v2)
         assert b1 == b2 and p1 == p2
 
+    @pytest.mark.parametrize("F", [QQ, F5], ids=["Q", "F5"])
+    @pytest.mark.parametrize("lengths", [(1, 2), (2, 1), (3, 3, 2)])
+    def test_ragged_vectors_are_refused(self, F, lengths):
+        # a shorter vector is not padded with zeros, nor a longer one cut
+        vectors = [tuple(F.from_int(k + 1) for k in range(n)) for n in lengths]
+        with pytest.raises(ShapeError, match="ragged vectors"):
+            rref_vectors(F, vectors)
+
 
 class TestKernelSolve:
     def test_rank_deficient_kernel(self):
@@ -176,6 +184,18 @@ class TestMultiTensor:
         # f(e_i, e_j) = (i + j, i * j) over Q
         return MultiTensor.from_map(QQ, (2, 3), 2,
                                     lambda i, j: (QQ.parse(i + j), QQ.parse(i * j)))
+
+    @pytest.mark.parametrize("F", [QQ, F5], ids=["Q", "F5"])
+    def test_nonzero_values(self, F):
+        # lexicographic order; a value with one nonzero coordinate counts
+        t = MultiTensor.from_map(F, (2, 3), 2, lambda i, j: (
+            F.from_int(i * j % 2), F.from_int(5 * (i + j) if i == 0 else 0)))
+        want = [((i, j), t.value_at(i, j)) for i in range(2) for j in range(3)
+                if not all(map(F.is_zero, t.value_at(i, j)))]
+        assert list(t.nonzero_values()) == want
+        assert [idx for idx, _ in want] == ([(0, 1), (0, 2), (1, 1)] if F is QQ else [(1, 1)])
+        assert list(MultiTensor.zeros(F, (2, 2), 3).nonzero_values()) == []
+        assert list(MultiTensor(F, (), 2, (F.zero, F.one)).nonzero_values()) == [((), (F.zero, F.one))]
 
     def test_value_eval_agree(self):
         t = self.bilinear()

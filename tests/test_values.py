@@ -17,7 +17,7 @@ import sys
 
 import pytest
 
-from mrbder.cohomology import Cochain, CochainSpace, PairSpace, cohomology, hom_space
+from mrbder.cohomology import Cochain, CochainSpace, PairSpace, ce_delta, cohomology, hom_space
 from mrbder.constructions import LiePair, commutator_lie_pair, rho_representation
 from mrbder.deformation import (Deformation, Gauge, derivation_scaling_deformation,
                                 identity_gauge, zero_deformation)
@@ -150,6 +150,20 @@ def test_pair_keeps_its_complexes_outside_its_value():
     assert pair == dual_pair(QQ) and hash(pair) == hash(dual_pair(QQ))
     assert "_complexes" not in repr(pair) and pair._fields == ("algebra", "R", "d", "kappa")
     assert not copy.copy(pair)._complexes
+
+
+def test_lie_pair_keeps_its_complex_outside_its_value():
+    def make():
+        pair = dual_pair(QQ)
+        return rho_representation(pair, adjoint_bimodule(pair))
+
+    lp = make()
+    ce_delta(lp, hom_space(2, 2, 1, QQ).zero())
+    assert lp._complex and not make()._complex
+    assert lp == make() and hash(lp) == hash(make())
+    assert "_complex" not in repr(lp)
+    assert lp._fields == ("field", "dim", "bracket", "R", "d", "kappa", "rho", "R_M", "d_M")
+    assert not copy.copy(lp)._complex
 
 
 def test_extension_keeps_its_splitting_outside_its_value():
