@@ -8,22 +8,26 @@ choices are reproducible across runs.
 
 A :class:`Matrix` holds dense rows, sparse rows ({column: nonzero} dicts) or
 both: whichever form it was made from, the other is built the first time it
-is read.  Equality, hashing and ``repr`` are those of the dense rows.
-Elimination and products read the sparse rows, so a matrix made sparse (such
-as a differential D_n, which is mostly zeros) is never expanded unless a
-caller reads ``rows``.
+is read, as is its transpose.  Equality, hashing and ``repr`` are those of
+the dense rows.  Elimination and products read the sparse rows, so a matrix
+made sparse (such as a differential D_n, which is mostly zeros) is never
+expanded unless a caller reads ``rows``.
 
 Every elimination runs through one integer kernel, ``_rref_mod``, which
-reduces rows of residues modulo a prime in place: it keeps, per column, the
-rows that may be nonzero there and reduces each such row against the pivot
-row's nonzeros alone.  Over F_p it reduces the field's own residues.  Over Q,
-``_rref_rational`` scales each row to integers, runs the kernel modulo
-primes below 2**30, and rebuilds the RREF from the residues by CRT and
-rational reconstruction.  It accepts the result only under an exact
-certificate: every kernel vector read off the candidate RREF is annihilated,
-over the integers, by every row of the matrix.  The rank mod p is at most
-the rank over Q and RREF is unique, so a certified result is the RREF over
-Q, whichever primes gave it.
+reduces rows of residues modulo a prime in place, each row against the pivot
+row's nonzeros alone.  It runs once per connected component of the column
+graph (two columns are joined when a row holds both; a D_n in the standard
+basis has hundreds), on rows as wide as the component: a component's rows
+are zero off its columns, so their RREF rows are RREF rows of the whole
+matrix, and RREF is unique.  A matrix of at most 32 columns is reduced
+whole.  Over F_p the kernel reduces the field's own residues.  Over Q,
+``_rref_rational`` scales each row to integers, splits the matrix once,
+runs the kernel modulo primes below 2**30, and rebuilds the RREF from the
+residues by CRT and rational reconstruction.  It accepts the result only
+under an exact certificate: every kernel vector read off the candidate RREF
+is annihilated, over the integers, by every row of the matrix.  The rank
+mod p is at most the rank over Q and RREF is unique, so a certified result
+is the RREF over Q, whichever primes gave it.
 
 Products are integer products too (:func:`_packed_product`).  Over Q each
 left row is scaled to integers by the lcm of its denominators and the right
@@ -100,13 +104,13 @@ class Matrix:
     j-th column is the image of the j-th basis vector.
     """
 
-    __slots__ = ("field", "_rows", "_sparse", "_ncols")
+    __slots__ = ("field", "_rows", "_sparse", "_ncols", "_transpose")
 
     def __init__(self, field: Field, rows: tuple):
         w = len(rows[0]) if rows else 0
         if any(len(r) != w for r in rows):
             raise ShapeError("ragged rows")
-        self.field, self._rows, self._sparse, self._ncols = field, rows, None, w
+        self.field, self._rows, self._sparse, self._ncols, self._transpose = field, rows, None, w, None
 
     @staticmethod
     def from_sparse(field: Field, rows: list, ncols: int) -> "Matrix":
@@ -114,6 +118,7 @@ class Matrix:
         kept, not copied, and must hold no zeros."""
         m = Matrix.__new__(Matrix)
         m.field, m._rows, m._sparse, m._ncols = field, None, rows, ncols if rows else 0
+        m._transpose = None
         return m
 
     @staticmethod
@@ -204,11 +209,14 @@ class Matrix:
         return tuple(_contract(self.field, vec, 1, 1, self.transpose().sparse_rows, self.nrows))
 
     def transpose(self) -> "Matrix":
-        cols = [{} for _ in range(self.ncols)]
-        for i, row in enumerate(self.sparse_rows):
-            for j, v in row.items():
-                cols[j][i] = v
-        return Matrix.from_sparse(self.field, cols, self.nrows)
+        """The transpose, built on first use and kept."""
+        if self._transpose is None:
+            cols = [{} for _ in range(self.ncols)]
+            for i, row in enumerate(self.sparse_rows):
+                for j, v in row.items():
+                    cols[j][i] = v
+            self._transpose = Matrix.from_sparse(self.field, cols, self.nrows)
+        return self._transpose
 
     def columns(self) -> list:
         """The columns as read-only sequences backed by sparse vectors."""
@@ -284,12 +292,6 @@ def _nonzero_positions(field: Field, values: Sequence) -> list:
     is_zero = field.is_zero
     maybe = compress(count(), map(is_not, values, repeat(field.zero)))
     return [i for i in maybe if not is_zero(values[i])]
-
-
-def _row_from(row: list, start: int) -> dict:
-    """{column: nonzero} of the residue list ``row`` from column ``start`` on."""
-    cs = list(compress(range(start, len(row)), islice(row, start, None)))
-    return dict(zip(cs, map(row.__getitem__, cs)))
 
 
 def _rref_mod(p: int, rows: list) -> tuple:
@@ -397,15 +399,69 @@ def _packed_dots(rows: list, packs: Iterable, w: int) -> list:
     return [sum(map(mul, vals, map(get, cols))) for cols, vals in rows]
 
 
-def _residue_rows(p: int, A: list, nc: int) -> list:
-    """Dense rows of residues mod ``p`` of the sparse int rows ``A``."""
-    rows = []
-    for cols, vals in A:
-        row = [0] * nc
-        for j, a in zip(cols, vals):
-            row[j] = a % p
-        rows.append(row)
-    return rows
+# A matrix with at most this many columns is reduced whole: on such D_n,
+# finding the components cost more than reducing them apart saved.
+_SPLIT_MIN_COLUMNS = 32
+
+
+def _partition(A: list, nc: int) -> tuple:
+    """(labels, rows, columns) of the column components of the (columns, int
+    values) rows ``A``, two columns joined when a row holds both: each row's
+    component, the rows with each column renumbered within its component,
+    and each component's columns in increasing order.  One component, or at
+    most ``_SPLIT_MIN_COLUMNS`` columns, gives (None, A, [range(nc)]); the
+    scan stops once every column is joined."""
+    if nc <= _SPLIT_MIN_COLUMNS:
+        return None, A, [range(nc)]
+    comp, members = list(range(nc)), [[c] for c in range(nc)]
+    for cols, _ in A:
+        ids = set(map(comp.__getitem__, cols)) if len(cols) > 1 else ()
+        if len(ids) > 1:
+            big = max(map(members.__getitem__, ids), key=len)
+            root = comp[big[0]]
+            for k in ids - {root}:
+                for c in members[k]:
+                    comp[c] = root
+                big += members[k]
+            if len(big) == nc:
+                break
+    else:
+        labels = [comp[next(iter(cols))] for cols, _ in A]
+        if len(set(labels)) > 1:
+            members = {k: sorted(members[k]) for k in set(labels)}
+            local = {c: j for cols in members.values() for j, c in enumerate(cols)}
+            return labels, [(list(map(local.__getitem__, cols)), vals) for cols, vals in A], members
+    return None, A, [range(nc)]
+
+
+def _reduce(p: int, run: Sequence, parts: tuple) -> list:
+    """[pivots, order, rest] of the RREF mod the prime ``p`` of the rows
+    ``run`` of a matrix split by :func:`_partition`: the pivot columns, each
+    pivot's row, and each RREF row's {column: residue} after its pivot.
+    Each component's rows, zero off its columns, are reduced on their own by
+    ``_rref_mod``, so their RREF rows are RREF rows of the whole matrix."""
+    labels, A, members = parts
+    groups = {0: run}
+    if labels:
+        groups = {}
+        for i in run:
+            groups.setdefault(labels[i], []).append(i)
+    out = []
+    for k, rows in groups.items():
+        cols = members[k]
+        work = []
+        for i in rows:
+            row = [0] * len(cols)
+            for j, a in zip(*A[i]):
+                row[j] = a % p
+            work.append(row)
+        pivots, order = _rref_mod(p, work)
+        for pc, o, row in zip(pivots, order, work):
+            js = list(compress(range(pc + 1, len(cols)), islice(row, pc + 1, None)))
+            rest = dict(zip(map(cols.__getitem__, js), map(row.__getitem__, js)))
+            out.append((cols[pc], rows[o], rest))
+    out.sort()
+    return [list(t) for t in zip(*out)] or [[], [], []]
 
 
 def _crt(acc: list, m: int, residues: list, p: int) -> list:
@@ -511,17 +567,15 @@ def _rref_rational(rows: list, nc: int) -> tuple:
         return [], []
     best = None                        # (-rank, pivots) of the best prime so far
     run = range(len(A))                # the rows the next prime reduces
+    parts = _partition(A, nc)
     for p in _primes():
-        res = _residue_rows(p, [A[i] for i in run], nc)
-        pivots, order = _rref_mod(p, res)
+        # the nonzeros of each RREF row after its pivot, all at free columns
+        pivots, order, residues = _reduce(p, run, parts)
         key = (-len(pivots), pivots)
         if best is not None and key > best:
             continue
-        # the nonzeros of each RREF row after its pivot, all at free columns
-        residues = [_row_from(row, pc + 1) for pc, row in zip(pivots, res)]
-        del res
         if best is None or key < best:
-            best, m, acc, basis_rows = key, p, residues, [run[i] for i in order]
+            best, m, acc, basis_rows = key, p, residues, order
         else:
             acc = _crt(acc, m, residues, p)
             m *= p
@@ -543,9 +597,9 @@ def _echelon(field: Field, rows: Iterable[dict], nc: int) -> tuple:
     rows = [r for r in rows if r]
     if field.p is None:
         return _rref_rational(rows, nc)
-    work = _residue_rows(field.p, [(r, r.values()) for r in rows], nc)
-    pivots, _ = _rref_mod(field.p, work)
-    return pivots, [_row_from(row, pc) for pc, row in zip(pivots, work)]
+    parts = _partition([(r, r.values()) for r in rows], nc)
+    pivots, _, rest = _reduce(field.p, range(len(rows)), parts)
+    return pivots, [{pc: 1, **row} for pc, row in zip(pivots, rest)]
 
 
 def _sparse_vectors(field: Field, vectors: Iterable[Sequence]) -> list:

@@ -152,3 +152,21 @@ def test_kernel_is_held_once(field):
             tracemalloc.stop()
         assert len(out[1 if solve is rank_and_kernel else 0]) == 1764
         assert (peak - before) / (after - before) < 1.2, solve.__name__
+
+
+def test_d4_of_ut_dual_is_eliminated_per_component():
+    # D_4 of ut+dual (a = 5) is 22500 x 4500 with about 25 000 nonzeros in
+    # 1719 column components of at most 35 columns.  Dense rows of residues
+    # for the whole matrix alone would take about 600 MB; per component the
+    # whole elimination peaks near 32 MB, most of it the 750 kernel vectors
+    pair = fixtures(F5)["ut+dual"]
+    m = differential_matrix(pair, adjoint_bimodule(pair), 4, "pair")
+    assert (m.nrows, m.ncols) == (22500, 4500)
+    tracemalloc.start()
+    try:
+        basis, pivots = kernel_rref(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 2**20
+    assert len(basis) == 750 and (basis, pivots) == two_step_kernel_rref(m)
