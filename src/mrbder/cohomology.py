@@ -65,10 +65,11 @@ bimodule, whichever of ``differential_matrix``, ``cohomology``,
 ``primitive`` and the cochain-level maps asks first.  A call served from it
 still checks the entry cap in the order a fresh build would.
 
-Cohomology is computed from two RREF bases, Z^n from one elimination of D_n
-with its columns reversed and B^n from the columns of D_{n-1}, with
-canonical (RREF) representatives, after a check that D_n D_{n-1} = 0, and
-``primitive`` solves D^1 h = c for a degree-2 cochain c and checks it.
+Cohomology takes the RREF basis of Z^n from one elimination of D_n with its
+columns reversed.  After a check that D_n D_{n-1} = 0 it reads the pivots
+of B^n in the coordinates of Z^n (the columns of D_{n-1} at the Z pivots),
+and its canonical representatives are the Z rows whose pivot is not a B
+pivot.  ``primitive`` solves D^1 h = c for a degree-2 cochain c and checks it.
 The Lie-side complex (Chevalley-Eilenberg of the commutator bracket) shares
 the entry lists of phi and Delta and the graded stacking, and is kept on
 its Lie pair as a pair's complexes are; the skew-symmetrization chain maps
@@ -607,11 +608,14 @@ def cohomology(pair: MRBDerPair, bim: Bimodule, n: int) -> CohomologyResult:
     """H^n of the pair complex; B^1 = 0 by convention.
 
     Representatives are canonical: RREF rows of the cocycle space whose pivots
-    are not pivots of the coboundary space.  Z^n's RREF basis is read off one
-    elimination of D_n with its columns reversed (``linalg.kernel_rref``),
-    B^n's is the RREF of the columns of D_{n-1}.  Before answering, it checks
-    that B^n lies in Z^n on the pivots and that D_n D_{n-1} = 0; either
-    failure is an :class:`InternalError`.
+    are not pivots of the coboundary space.  Z^n's RREF basis z_k is read off
+    one elimination of D_n with its columns reversed (``linalg.kernel_rref``).
+    For n > 1 it first checks that D_n D_{n-1} = 0, an :class:`InternalError`
+    otherwise, so that B^n lies in Z^n.  Each z_k has 1 at its pivot, 0 at the
+    other Z pivots and nothing before its pivot, so a column of D_{n-1} has
+    its entries at the Z pivots as its Z-coordinates, and sum c_k z_k leads
+    at the pivot of the first k with c_k != 0: the pivots of B^n are the Z
+    pivots picked out by the RREF of the columns restricted to the Z pivots.
     """
     if not (1 <= n <= MAX_COHOMOLOGY_DEGREE):
         raise DegreeCapExceeded("cohomology is supported for degrees 1..%d" % MAX_COHOMOLOGY_DEGREE)
@@ -619,19 +623,19 @@ def cohomology(pair: MRBDerPair, bim: Bimodule, n: int) -> CohomologyResult:
     space = PairSpace(F, pair.dim, bim.dim_m, n)
     d_n = differential_matrix(pair, bim, n, "pair")
     z_basis, z_pivots = kernel_rref(d_n)
-    if n == 1:
-        b_basis, b_pivots = [], []
-    else:
+    b_pivots = []
+    if n > 1:
         d_prev = differential_matrix(pair, bim, n - 1, "pair")
-        b_basis, b_pivots = rref_vectors(F, d_prev.columns())
-    if not set(b_pivots) <= set(z_pivots):
-        # would mean the differential does not square to zero
-        raise InternalError("coboundaries escape the cocycles; complex is broken")
-    if n > 1 and not (d_n * d_prev).is_zero():
-        raise InternalError("D_%d D_%d is not zero; complex is broken" % (n, n - 1))
+        if not (d_n * d_prev).is_zero():
+            raise InternalError("D_%d D_%d is not zero; complex is broken" % (n, n - 1))
+        zero, at = F.zero, set(z_pivots)
+        # a column with no entry at a Z pivot is zero, since it lies in Z^n
+        coords = [[col.get(p, zero) for p in z_pivots]
+                  for col in d_prev.transpose().sparse_rows if not at.isdisjoint(col)]
+        b_pivots = rref_vectors(F, coords)[1]  # indices into the Z basis
     bset = set(b_pivots)
-    reps = tuple(space.unflatten(v) for v, p in zip(z_basis, z_pivots) if p not in bset)
-    return CohomologyResult(n, len(z_basis), len(b_basis), len(z_basis) - len(b_basis), reps)
+    reps = tuple(space.unflatten(v) for k, v in enumerate(z_basis) if k not in bset)
+    return CohomologyResult(n, len(z_basis), len(b_pivots), len(z_basis) - len(b_pivots), reps)
 
 
 def primitive(pair: MRBDerPair, bim: Bimodule, c: Cochain) -> Matrix | None:

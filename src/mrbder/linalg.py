@@ -218,11 +218,6 @@ class Matrix:
             self._transpose = Matrix.from_sparse(self.field, cols, self.nrows)
         return self._transpose
 
-    def columns(self) -> list:
-        """The columns as read-only sequences backed by sparse vectors."""
-        zero, n = self.field.zero, self.nrows
-        return [SparseVector(col, n, zero) for col in self.transpose().sparse_rows]
-
     def right_inverse(self) -> "Matrix | None":
         """The X with self X = I whose column k is the RREF solution of
         self x = e_k (free variables at zero), from one row reduction of
@@ -255,24 +250,6 @@ class Matrix:
             raise ShapeError("shape mismatch")
         return Matrix(self.field, tuple(
             tuple(map(op, ra, rb)) for ra, rb in zip(self.rows, other.rows)))
-
-
-class SparseVector(Sequence):
-    """A read-only vector of length ``n`` held as {index: nonzero}; it reads as
-    the dense sequence, and elimination reads ``entries`` directly."""
-
-    __slots__ = ("entries", "n", "zero")
-
-    def __init__(self, entries: dict, n: int, zero):
-        self.entries, self.n, self.zero = entries, n, zero
-
-    def __len__(self) -> int:
-        return self.n
-
-    def __getitem__(self, j: int):
-        if not -self.n <= j < self.n:
-            raise IndexError("vector index out of range")
-        return self.entries.get(j % self.n, self.zero)
 
 
 def _densify(row: dict, n: int, zero) -> list:
@@ -602,19 +579,11 @@ def _echelon(field: Field, rows: Iterable[dict], nc: int) -> tuple:
     return pivots, [{pc: 1, **row} for pc, row in zip(pivots, rest)]
 
 
-def _sparse_vectors(field: Field, vectors: Iterable[Sequence]) -> list:
-    """Each vector as {index: nonzero}: the entries of a :class:`SparseVector`
-    as they are, the nonzeros of any other sequence."""
-    return [v.entries if isinstance(v, SparseVector)
-            else {j: v[j] for j in _nonzero_positions(field, v)} for v in vectors]
-
-
 def rref_vectors(field: Field, vectors: Iterable[Sequence]) -> tuple:
     """Canonical (RREF) basis of the span of ``vectors``.
 
     Returns (basis, pivots): basis rows in RREF with unit leading entries,
-    pivots their leading-column indices.  A :class:`SparseVector` is read
-    through its nonzeros.
+    pivots their leading-column indices.
     """
     rows = list(vectors)
     if not rows:
@@ -622,7 +591,8 @@ def rref_vectors(field: Field, vectors: Iterable[Sequence]) -> tuple:
     nc = len(rows[0])
     if any(len(r) != nc for r in rows):
         raise ShapeError("ragged vectors")
-    pivots, red = _echelon(field, _sparse_vectors(field, rows), nc)
+    pivots, red = _echelon(field, [{j: v[j] for j in _nonzero_positions(field, v)}
+                                   for v in rows], nc)
     return [tuple(_densify(r, nc, field.zero)) for r in red], pivots
 
 

@@ -8,6 +8,10 @@
   the free-column basis of ``rank_and_kernel`` reduced again by
   ``rref_vectors``, as ``cohomology`` once found Z^n; ``linalg.kernel_rref``
   finds it in one.
+* ``columns_cohomology``: H^n with B^n eliminated in PC^n coordinates, as
+  ``cohomology`` once found it: the RREF of the columns of D_{n-1}, held
+  inside Z^n on the pivots.  ``cohomology`` reads B^n in the coordinates of
+  Z^n instead, one RREF as wide as dim Z^n.
 * The entry-by-entry product ``dense_matmul``: each nonzero of a left row
   times each nonzero of the matching right row, added into the result with
   the field's own operations.
@@ -53,13 +57,14 @@ import itertools
 from dataclasses import dataclass, make_dataclass
 from typing import Callable
 
-from mrbder.cohomology import (Cochain, CochainSpace, PairSpace, _rho_of, cochain_arities,
-                               hom_space, induced_lie_pair)
+from mrbder.cohomology import (Cochain, CochainSpace, CohomologyResult, PairSpace, _rho_of,
+                               cochain_arities, differential_matrix, hom_space,
+                               induced_lie_pair)
 from mrbder.constructions import induced_action, induced_product
 from mrbder.deformation import Deformation, Gauge
-from mrbder.linalg import (Matrix, MultiTensor, ShapeError, _nonzero_positions,
+from mrbder.linalg import (Matrix, MultiTensor, ShapeError, _nonzero_positions, kernel_rref,
                            rank_and_kernel, rref_vectors, solve_linear)
-from mrbder.structures import (Algebra, Bimodule, InvalidStructure, MRBDerPair,
+from mrbder.structures import (Algebra, Bimodule, InternalError, InvalidStructure, MRBDerPair,
                                operator_residual, unit_vector)
 
 
@@ -128,6 +133,24 @@ def two_step_kernel_rref(m: Matrix):
     """(basis, pivots) of ker m in RREF: the kernel in its free-column basis,
     then that basis eliminated again."""
     return rref_vectors(m.field, rank_and_kernel(m)[1])
+
+
+def columns_cohomology(pair, bim, n: int) -> CohomologyResult:
+    """H^n with B^n's RREF basis eliminated from the columns of D_{n-1} in
+    all dim PC^n coordinates; the representatives are the Z rows whose pivot
+    is not a B pivot."""
+    F = pair.field
+    z_basis, z_pivots = kernel_rref(differential_matrix(pair, bim, n, "pair"))
+    b_pivots = []
+    if n > 1:
+        columns = differential_matrix(pair, bim, n - 1, "pair").transpose().rows
+        b_pivots = rref_vectors(F, columns)[1]
+    bset = set(b_pivots)
+    if not bset <= set(z_pivots):
+        raise InternalError("coboundaries escape the cocycles; complex is broken")
+    space = PairSpace(F, pair.dim, bim.dim_m, n)
+    reps = tuple(space.unflatten(v) for v, p in zip(z_basis, z_pivots) if p not in bset)
+    return CohomologyResult(n, len(z_basis), len(bset), len(z_basis) - len(bset), reps)
 
 
 def dense_solve_linear(m: Matrix, b):

@@ -263,7 +263,7 @@ class TestInternalErrors:
     """A broken map inside the engine exits 3 with one ``error: internal:``
     line and no traceback, never 1, the code of a failed check."""
 
-    def test_coboundaries_escape_the_cocycles(self, capsys, monkeypatch):
+    def test_injective_differential_fails_the_product_check(self, capsys, monkeypatch):
         mod = importlib.import_module("mrbder.cohomology")
         real = mod.differential_matrix
 
@@ -271,18 +271,18 @@ class TestInternalErrors:
             d = real(pair, bim, n, which)
             if n != 2:
                 return d
-            # injective, so Z^2 = 0 while B^2 is not
+            # injective, so Z^2 = 0 while B^2 is not, and D_2 D_1 cannot be zero
             F = d.field
             return Matrix(F, tuple(tuple(F.one if i == j else F.zero for j in range(d.ncols))
                                    for i in range(d.nrows)))
 
         monkeypatch.setattr(mod, "differential_matrix", broken)
         assert run(capsys, "cohomology", FIXD, "--degree", "2") == (
-            INTERNAL_EXIT, "", "error: internal: coboundaries escape the cocycles; complex is broken\n")
+            INTERNAL_EXIT, "", "error: internal: D_2 D_1 is not zero; complex is broken\n")
 
     def test_differential_that_does_not_square_to_zero(self, capsys, monkeypatch):
-        # with delta f negated at every degree, B^2 still lies in Z^2 on the
-        # pivots; only the product D_2 D_1 shows the complex is broken
+        # with delta f negated at every degree, D_2 is not injective, and the
+        # product D_2 D_1 alone shows the complex is broken
         mod = importlib.import_module("mrbder.cohomology")
         real = mod._graded_blocks
 

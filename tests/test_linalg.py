@@ -89,7 +89,6 @@ class TestMatrix:
         assert changed != sparse and changed != dense and dense != changed
         assert Matrix.from_sparse(F, rows, 5) != sparse
         assert sparse.transpose() == dense.transpose()
-        assert [tuple(v) for v in sparse.columns()] == list(dense.transpose().rows)
         assert {sparse, dense} == {dense}
         # a matrix with no rows has no columns, however it was made
         assert Matrix.from_sparse(F, [], 5) == Matrix(F, ())
