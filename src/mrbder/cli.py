@@ -4,6 +4,11 @@ All subcommands read a JSON instance file (except ``fuzz``) and write one
 deterministic JSON report to stdout: sorted keys, no timestamps, stable
 ordering, so identical inputs give byte-identical output.
 
+Each command maps the parsed arguments to (report, ok) and checks the range
+of its options before ``_load`` reads its file, so usage errors are reported
+before any verification.  ``main`` is the one exit path: it emits the report,
+or the failed-check report of a refused file, and sets the exit code.
+
 Exit codes: 0 = success (including negative but well-posed answers such as
 "not trivializable"); 1 = a verification or property check failed; 2 = usage,
 parse, or capacity errors; 3 = an internal error: a result failed the
@@ -16,12 +21,12 @@ import argparse
 import sys
 
 from .fields import Field, ParseError
-from .linalg import EntryCapExceeded, max_tensor_entries, set_max_tensor_entries
+from .linalg import max_tensor_entries, set_max_tensor_entries
 from .structures import (CheckReport, InternalError, InvalidStructure, check_bimodule,
                          adjoint_bimodule, verify_pair)
-from .cohomology import (DegreeCapExceeded, MAX_MATRIX_DEGREE, PairSpace,
+from .cohomology import (DegreeCapExceeded, MAX_MATRIX_DEGREE, PairSpace, check_cohomology_degree,
                          cohomology, differential_matrix, pair_delta, primitive)
-from .deformation import check_deformation, infinitesimal, trivialize
+from .deformation import check_deformation, check_max_order, infinitesimal, trivialize
 from .extension import (build_extension, check_extension, classify, derive_base,
                         extract_cocycle)
 from .fuzzing import check_instance, random_instances
@@ -34,19 +39,14 @@ CHECK_FAILED_EXIT = 1
 INTERNAL_EXIT = 3
 
 
-def _witness(report: CheckReport):
-    f = report.first
-    if f is None:
-        return None
-    return {"identity": f.identity, "args": list(f.args),
-            "residual": [str(x) for x in f.residual]}
-
-
 def _report_entry(name: str, report: CheckReport) -> dict:
+    """A check's entry in a report: a failed one gives its first failure."""
     entry = {"check": name, "ok": report.ok}
     if not report.ok:
+        f = report.first
         entry["failures"] = len(report.failures)
-        entry["witness"] = _witness(report)
+        entry["witness"] = {"identity": f.identity, "args": list(f.args),
+                            "residual": [str(x) for x in f.residual]}
     return entry
 
 
@@ -58,7 +58,8 @@ def _active_bimodule(inst: Instance):
     return inst.bim if inst.bim is not None else adjoint_bimodule(inst.pair)
 
 
-def _verify_instance(inst: Instance) -> list:
+def _verification(inst: Instance, command: str) -> dict:
+    """The report of ``command`` on the checks of every block present."""
     checks = [_report_entry("pair", verify_pair(inst.pair))]
     if inst.bim is not None:
         checks.append(_report_entry("bimodule", check_bimodule(inst.pair, inst.bim)))
@@ -68,39 +69,42 @@ def _verify_instance(inst: Instance) -> list:
         base, fiber = derive_base(inst.extension)
         checks.append(_report_entry("extension", check_extension(base, fiber, inst.extension)))
     if inst.cocycle is not None:
-        bim = _active_bimodule(inst)
-        closed = pair_delta(inst.pair, bim, inst.cocycle).is_zero()
-        entry = {"check": "cocycle-closed", "ok": closed}
-        checks.append(entry)
-    return checks
+        closed = pair_delta(inst.pair, _active_bimodule(inst), inst.cocycle).is_zero()
+        checks.append({"check": "cocycle-closed", "ok": closed})
+    return {"command": command, "ok": all(c["ok"] for c in checks), "checks": checks}
 
 
-def _require_valid(inst: Instance, command: str) -> int | None:
-    """Emit a failure report and return an exit code unless the instance verifies."""
-    checks = _verify_instance(inst)
-    if all(c["ok"] for c in checks):
-        return None
-    _emit({"command": command, "ok": False, "checks": checks})
-    return CHECK_FAILED_EXIT
+class _Refusal(Exception):
+    """A block of the instance failed verification; args[0] is the report."""
 
 
-def cmd_verify(args) -> int:
+def _load(args, command: str, needs: str | None = None, verify: bool = True) -> Instance:
+    """The instance of ``args.file`` for ``command``.  A ParseError when it
+    lacks the block ``needs``; with ``verify``, a :class:`_Refusal` carrying
+    the failed-check report when any block fails verification."""
     inst = load_instance_file(args.file)
-    checks = _verify_instance(inst)
-    ok = all(c["ok"] for c in checks)
-    _emit({"command": "verify", "ok": ok, "checks": checks})
-    return 0 if ok else CHECK_FAILED_EXIT
+    if needs is not None and getattr(inst, needs) is None:
+        raise ParseError("%s needs %s %s block"
+                         % (command, "an" if needs[0] in "aeiou" else "a", needs))
+    if verify:
+        report = _verification(inst, command.replace(" ", "-"))
+        if not report["ok"]:
+            raise _Refusal(report)
+    return inst
 
 
-def cmd_cohomology(args) -> int:
-    inst = load_instance_file(args.file)
-    bad = _require_valid(inst, "cohomology")
-    if bad is not None:
-        return bad
+def cmd_verify(args) -> tuple:
+    report = _verification(_load(args, "verify", verify=False), "verify")
+    return report, report["ok"]
+
+
+def cmd_cohomology(args) -> tuple:
+    check_cohomology_degree(args.degree)
+    inst = _load(args, "cohomology")
     bim = _active_bimodule(inst)
     res = cohomology(inst.pair, bim, args.degree)
     space = PairSpace(inst.pair.field, inst.pair.dim, bim.dim_m, res.degree)
-    _emit({
+    return {
         "command": "cohomology",
         "degree": res.degree,
         "dim_cocycles": res.dim_cocycles,
@@ -108,8 +112,7 @@ def cmd_cohomology(args) -> int:
         "dim_h": res.dim_h,
         "representatives": [cocycle_to_json(r) if res.degree == 2 else _flat_cochain(space, r)
                             for r in res.representatives],
-    })
-    return 0
+    }, True
 
 
 def _flat_cochain(space, c) -> dict:
@@ -120,144 +123,103 @@ def _flat_cochain(space, c) -> dict:
     return {"degree": c.degree, "flat": [z if x is zero else to_str(x) for x in space.flatten(c)]}
 
 
-def cmd_complex_check(args) -> int:
-    inst = load_instance_file(args.file)
-    bad = _require_valid(inst, "complex-check")
-    if bad is not None:
-        return bad
+def cmd_complex_check(args) -> tuple:
     if not (2 <= args.max_degree <= MAX_MATRIX_DEGREE):
         raise DegreeCapExceeded("--max-degree must be in 2..%d" % MAX_MATRIX_DEGREE)
+    inst = _load(args, "complex-check")
     bim = _active_bimodule(inst)
     mats = {n: differential_matrix(inst.pair, bim, n, "pair")
             for n in range(1, args.max_degree + 1)}
-    products = []
-    ok = True
-    for n in range(1, args.max_degree):
-        zero = (mats[n + 1] * mats[n]).is_zero()
-        ok = ok and zero
-        products.append({"degrees": [n + 1, n], "zero": zero})
-    _emit({"command": "complex-check", "ok": ok, "max_degree": args.max_degree,
-           "products": products})
-    return 0 if ok else CHECK_FAILED_EXIT
+    products = [{"degrees": [n + 1, n], "zero": (mats[n + 1] * mats[n]).is_zero()}
+                for n in range(1, args.max_degree)]
+    ok = all(p["zero"] for p in products)
+    return {"command": "complex-check", "ok": ok, "max_degree": args.max_degree,
+            "products": products}, ok
 
 
-def cmd_deform_check(args) -> int:
-    inst = load_instance_file(args.file)
-    if inst.deformation is None:
-        raise ParseError("deform-check needs a deformation block")
+def cmd_deform_check(args) -> tuple:
+    inst = _load(args, "deform-check", needs="deformation", verify=False)
     base_rep = verify_pair(inst.pair)
     rep = check_deformation(inst.deformation)
     checks = [_report_entry("pair", base_rep), _report_entry("deformation", rep)]
     ok = base_rep.ok and rep.ok
-    _emit({"command": "deform-check", "ok": ok, "order": inst.deformation.order,
-           "checks": checks})
-    return 0 if ok else CHECK_FAILED_EXIT
+    return {"command": "deform-check", "ok": ok, "order": inst.deformation.order,
+            "checks": checks}, ok
 
 
-def cmd_infinitesimal(args) -> int:
-    inst = load_instance_file(args.file)
-    if inst.deformation is None:
-        raise ParseError("infinitesimal needs a deformation block")
-    bad = _require_valid(inst, "infinitesimal")
-    if bad is not None:
-        return bad
+def cmd_infinitesimal(args) -> tuple:
+    inst = _load(args, "infinitesimal", needs="deformation")
     bim = adjoint_bimodule(inst.pair)
     c = infinitesimal(inst.deformation)
     closed = pair_delta(inst.pair, bim, c).is_zero()
     h = primitive(inst.pair, bim, c) if closed else None
-    _emit({
+    return {
         "command": "infinitesimal",
         "cocycle": cocycle_to_json(c),
         "closed": closed,
         "exact": h is not None,
         "primitive": matrix_to_json(h) if h is not None else None,
-    })
-    return 0
+    }, True
 
 
-def cmd_trivialize(args) -> int:
-    inst = load_instance_file(args.file)
-    if inst.deformation is None:
-        raise ParseError("trivialize needs a deformation block")
-    bad = _require_valid(inst, "trivialize")
-    if bad is not None:
-        return bad
+def cmd_trivialize(args) -> tuple:
+    check_max_order(args.max_order)
+    inst = _load(args, "trivialize", needs="deformation")
     gauge = trivialize(inst.deformation, args.max_order)
-    _emit({
+    return {
         "command": "trivialize",
         "order": inst.deformation.order,
         "max_order": args.max_order,
         "trivializable": gauge is not None,
         "gauge": [matrix_to_json(m) for m in gauge.terms] if gauge is not None else None,
-    })
-    return 0
+    }, True
 
 
-def cmd_extend(args) -> int:
-    inst = load_instance_file(args.file)
-    if args.action == "build":
-        if inst.cocycle is None:
-            raise ParseError("extend build needs a cocycle block")
-        bad = _require_valid(inst, "extend-build")
-        if bad is not None:
-            return bad
-        bim = _active_bimodule(inst)
-        ext = build_extension(inst.pair, bim, inst.cocycle)
-        out = pair_to_json(ext.total)
-        out["extension"] = {"i": matrix_to_json(ext.i), "p": matrix_to_json(ext.p)}
-        _emit(out)
-        return 0
+def cmd_extend(args) -> tuple:
     if args.action == "extract":
-        if inst.extension is None:
-            raise ParseError("extend extract needs an extension block")
+        inst = _load(args, "extend extract", needs="extension", verify=False)
         base, fiber = derive_base(inst.extension)
         rep = check_extension(base, fiber, inst.extension)
         if not rep.ok:
-            _emit({"command": "extend-extract", "ok": False,
-                   "checks": [_report_entry("extension", rep)]})
-            return CHECK_FAILED_EXIT
+            return {"command": "extend-extract", "ok": False,
+                    "checks": [_report_entry("extension", rep)]}, False
         c = extract_cocycle(base, fiber, inst.extension)
-        out = pair_to_json(base)
-        out["bimodule"] = bimodule_to_json(fiber)
-        out["cocycle"] = cocycle_to_json(c)
-        _emit(out)
-        return 0
-    # classify
-    bad = _require_valid(inst, "extend-classify")
-    if bad is not None:
-        return bad
+        return {**pair_to_json(base), "bimodule": bimodule_to_json(fiber),
+                "cocycle": cocycle_to_json(c)}, True
+    inst = _load(args, "extend " + args.action, needs="cocycle" if args.action == "build" else None)
     bim = _active_bimodule(inst)
+    if args.action == "build":
+        ext = build_extension(inst.pair, bim, inst.cocycle)
+        return {**pair_to_json(ext.total),
+                "extension": {"i": matrix_to_json(ext.i), "p": matrix_to_json(ext.p)}}, True
     cls = classify(inst.pair, bim)
-    _emit({
+    return {
         "command": "extend-classify",
         "dim_h2": cls.dim_h2,
         "count": cls.count,
         "complete": cls.complete,
         "representatives": [cocycle_to_json(r) for r in cls.representatives],
-    })
-    return 0
+    }, True
 
 
-def cmd_fuzz(args) -> int:
+def cmd_fuzz(args) -> tuple:
     field = Field.from_name(args.field)
     if args.count < 1:
         raise ParseError("--count must be positive")
     insts = random_instances(field, args.dim, args.count, args.seed)
     rows = []
-    all_ok = True
     for inst in insts:
         valid = check_instance(inst)
         d1 = differential_matrix(inst.pair, inst.bim, 1, "pair")
         d2 = differential_matrix(inst.pair, inst.bim, 2, "pair")
         complex_ok = (d2 * d1).is_zero()
-        all_ok = all_ok and valid and complex_ok
         rows.append({"label": inst.label, "dim": inst.pair.dim,
                      "dim_m": inst.bim.dim_m, "valid": valid,
                      "complex_ok": complex_ok})
-    _emit({"command": "fuzz", "field": field.name, "dim": args.dim,
-           "count": args.count, "seed": args.seed, "all_ok": all_ok,
-           "instances": rows})
-    return 0 if all_ok else CHECK_FAILED_EXIT
+    all_ok = all(r["valid"] and r["complex_ok"] for r in rows)
+    return {"command": "fuzz", "field": field.name, "dim": args.dim,
+            "count": args.count, "seed": args.seed, "all_ok": all_ok,
+            "instances": rows}, all_ok
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -312,13 +274,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     cap = max_tensor_entries()
     try:
         set_max_tensor_entries(args.max_entries)
-        return args.fn(args)
-    except (ParseError, DegreeCapExceeded, EntryCapExceeded, ValueError) as e:
+        try:
+            report, ok = args.fn(args)
+        except _Refusal as refusal:
+            report, ok = refusal.args[0], False
+        _emit(report)
+        return 0 if ok else CHECK_FAILED_EXIT
+    except ValueError as e:
         if isinstance(e, InvalidStructure):
             sys.stderr.write("invalid structure: %s\n" % e)
             return CHECK_FAILED_EXIT

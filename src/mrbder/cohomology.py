@@ -62,8 +62,8 @@ matrix D_n it has built, as sparse rows.  The pair keeps it, keyed by the
 bimodule object's identity, for as long as the pair lives, so equal but
 distinct inputs never share one, and each D_n is built once per pair and
 bimodule, whichever of ``differential_matrix``, ``cohomology``,
-``primitive`` and the cochain-level maps asks first.  A call served from it
-still checks the entry cap in the order a fresh build would.
+``primitive`` and the cochain-level maps asks first.  The entry cap is
+checked on sizes, so a call served from it refuses as a fresh build would.
 
 Cohomology takes the RREF basis of Z^n from one elimination of D_n with its
 columns reversed.  After a check that D_n D_{n-1} = 0 it reads the pivots
@@ -397,13 +397,9 @@ class _Complex:
         self._induced, self._matrices = None, {}
 
     def induced(self) -> tuple:
-        """The induced maps.  Building them checks the entry cap on each one
-        in turn; once they are kept, the same checks run in the same order."""
+        """The induced maps, built once."""
         if self._induced is None:
             self._induced = self.induce()
-        else:
-            for t in self._induced:
-                _checked_size(t.dims, t.cod)
         return self._induced
 
     def matrix(self, n: int, which: str) -> Matrix:
@@ -446,10 +442,10 @@ def _blocks(cx: _Complex, n: int, which: str) -> tuple:
     """The map ``which`` at degree n as (row arities, column arities, blocks),
     each block (row part, column part, sign is plus, entries).
 
-    The entry cap is checked before any entry is listed, in the order the
-    cochain-by-cochain build of D_n met it: a domain cochain, the induced
-    structures (first for "modified"), a C^{n+1} cochain, the induced
-    structures (otherwise)."""
+    The entry cap is checked on sizes, before any entry is listed, in the
+    order the cochain-by-cochain build of D_n met it: a domain cochain, the
+    induced structures, which have the shapes of the maps (first for
+    "modified"), a C^{n+1} cochain, the induced structures (otherwise)."""
     if which in _CN_MAPS:
         kind = _CN_MAPS[which]
         cols = (n,)
@@ -463,20 +459,17 @@ def _blocks(cx: _Complex, n: int, which: str) -> tuple:
         cols, rows = cochain_arities(n, layers), cochain_arities(n + 1, layers)
         layout = _graded_blocks(n, layers)
     F, nA, m = cx.field, cx.dim_a, cx.dim_m
-    _checked_size((nA,) * n, m)
-    induced = None
-    if which == "modified":
-        induced = cx.induced()
-    if rows[0] == n + 1:
-        _checked_size((nA,) * (n + 1), m)
-    if induced is None and any(block[3] == "mdelta" for block in layout):
-        induced = cx.induced()
+    induced = [(t.dims, t.cod) for t in cx.maps] if any(b[3] == "mdelta" for b in layout) else []
+    target = [((nA,) * (n + 1), m)] if rows[0] == n + 1 else []
+    later = induced + target if which == "modified" else target + induced
+    for dims, cod in [((nA,) * n, m)] + later:
+        _checked_size(dims, cod)
 
     def entries(kind, arity):
         if kind == "delta":
             return cx.coboundary(F, nA, m, *cx.maps, arity)
         if kind == "mdelta":
-            return cx.coboundary(F, nA, m, *induced, arity)
+            return cx.coboundary(F, nA, m, *cx.induced(), arity)
         if kind == "phi":
             return _operator_map_entries(F, nA, m, cx.R, cx.R_M, cx.kappa, arity)
         return _defect_entries(F, nA, m, cx.d, cx.d_M, arity)
@@ -604,6 +597,12 @@ class CohomologyResult:
     representatives: tuple  # PC^n cochains spanning a complement of B in Z
 
 
+def check_cohomology_degree(n: int) -> None:
+    """Refuse a degree :func:`cohomology` does not support, before any work."""
+    if not (1 <= n <= MAX_COHOMOLOGY_DEGREE):
+        raise DegreeCapExceeded("cohomology is supported for degrees 1..%d" % MAX_COHOMOLOGY_DEGREE)
+
+
 def cohomology(pair: MRBDerPair, bim: Bimodule, n: int) -> CohomologyResult:
     """H^n of the pair complex; B^1 = 0 by convention.
 
@@ -617,8 +616,7 @@ def cohomology(pair: MRBDerPair, bim: Bimodule, n: int) -> CohomologyResult:
     at the pivot of the first k with c_k != 0: the pivots of B^n are the Z
     pivots picked out by the RREF of the columns restricted to the Z pivots.
     """
-    if not (1 <= n <= MAX_COHOMOLOGY_DEGREE):
-        raise DegreeCapExceeded("cohomology is supported for degrees 1..%d" % MAX_COHOMOLOGY_DEGREE)
+    check_cohomology_degree(n)
     F = pair.field
     space = PairSpace(F, pair.dim, bim.dim_m, n)
     d_n = differential_matrix(pair, bim, n, "pair")

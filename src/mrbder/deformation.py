@@ -231,6 +231,12 @@ def equivalent_infinitesimals(def1: Deformation, def2: Deformation) -> Matrix | 
     return primitive(p1, adjoint_bimodule(p1), infinitesimal(def1) - infinitesimal(def2))
 
 
+def check_max_order(max_order: int | None) -> None:
+    """Refuse a ``max_order`` of :func:`trivialize` below 1, before any work."""
+    if max_order is not None and max_order < 1:
+        raise ShapeError("max_order must be at least 1, got %d" % max_order)
+
+
 def trivialize(defo: Deformation, max_order: int | None = None) -> Gauge | None:
     """Gauge the deformation to zero order by order.
 
@@ -240,8 +246,7 @@ def trivialize(defo: Deformation, max_order: int | None = None) -> Gauge | None:
     below 1 gauges nothing and raises ShapeError.  Raises InvalidStructure
     if the input fails its own coefficient equations.
     """
-    if max_order is not None and max_order < 1:
-        raise ShapeError("max_order must be at least 1, got %d" % max_order)
+    check_max_order(max_order)
     rep = check_deformation(defo)
     if not rep.ok:
         raise InvalidStructure("not a deformation: %s" % (rep.first,), rep)

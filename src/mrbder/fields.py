@@ -117,10 +117,6 @@ class Field(Value):
             raise ParseError("not a prime: %r" % (p,))
 
     @staticmethod
-    def rationals() -> "Field":
-        return Field(None)
-
-    @staticmethod
     def prime(p: int) -> "Field":
         return Field(p)
 

@@ -119,6 +119,24 @@ def _read_triples(field: Field, obj, dim0: int, dim1: int, cod: int, where: str)
                                 lambda a, b: values.get((a, b), zero))
 
 
+def _block(data: dict, name: str, keys: set):
+    """The optional block ``name`` of an instance, None when it is absent."""
+    if name not in data:
+        return None
+    block = _expect_dict(data[name], name)
+    extra = set(block) - keys
+    if extra:
+        raise ParseError("%s: unknown keys: %s" % (name, ", ".join(sorted(extra))))
+    return block
+
+
+def _matrix_or_zeros(field: Field, block: dict, name: str, key: str, nrows: int, ncols: int):
+    """The matrix ``key`` of the block ``name``, zeros when the key is absent."""
+    if key not in block:
+        return Matrix.zeros(field, nrows, ncols)
+    return _read_matrix(field, block[key], nrows, ncols, "%s.%s" % (name, key))
+
+
 def load_instance(text: str) -> Instance:
     """Parse and validate the shape of an instance file (no axiom checks)."""
     data = _expect_dict(loads_json(text), "instance")
@@ -142,11 +160,8 @@ def load_instance(text: str) -> Instance:
     pair = MRBDerPair(Algebra(field, dim, mu), R, d, kappa)
 
     bim = None
-    if "bimodule" in data:
-        b = _expect_dict(data["bimodule"], "bimodule")
-        extra = set(b) - {"dim_m", "l", "r", "R_M", "d_M"}
-        if extra:
-            raise ParseError("bimodule: unknown keys: %s" % ", ".join(sorted(extra)))
+    b = _block(data, "bimodule", {"dim_m", "l", "r", "R_M", "d_M"})
+    if b is not None:
         if "dim_m" not in b:
             raise ParseError("bimodule: missing dim_m")
         m = _expect_int(b["dim_m"], "bimodule.dim_m")
@@ -154,42 +169,29 @@ def load_instance(text: str) -> Instance:
             raise ParseError("bimodule.dim_m must be positive")
         left = _read_triples(field, b.get("l", []), dim, m, m, "bimodule.l")
         right = _read_triples(field, b.get("r", []), m, dim, m, "bimodule.r")
-        R_M = _read_matrix(field, b.get("R_M"), m, m, "bimodule.R_M") \
-            if "R_M" in b else Matrix.zeros(field, m, m)
-        d_M = _read_matrix(field, b.get("d_M"), m, m, "bimodule.d_M") \
-            if "d_M" in b else Matrix.zeros(field, m, m)
+        R_M, d_M = (_matrix_or_zeros(field, b, "bimodule", k, m, m) for k in ("R_M", "d_M"))
         bim = Bimodule(m, left, right, R_M, d_M)
 
     defo = None
-    if "deformation" in data:
-        dd = _expect_dict(data["deformation"], "deformation")
-        extra = set(dd) - {"order", "mu", "R", "d"}
-        if extra:
-            raise ParseError("deformation: unknown keys: %s" % ", ".join(sorted(extra)))
+    dd = _block(data, "deformation", {"order", "mu", "R", "d"})
+    if dd is not None:
         order = _expect_int(dd.get("order", 0), "deformation.order")
         if order < 1:
             raise ParseError("deformation.order must be >= 1")
-        mus = dd.get("mu", [])
-        rs = dd.get("R", [])
-        ds = dd.get("d", [])
-        for name, lst in (("mu", mus), ("R", rs), ("d", ds)):
+        terms = {name: dd.get(name, []) for name in ("mu", "R", "d")}
+        for name, lst in terms.items():
             if not isinstance(lst, list) or len(lst) != order:
                 raise ParseError("deformation.%s: expected %d entries (one per order)"
                                  % (name, order))
-        mu_terms = tuple(_read_triples(field, mus[k], dim, dim, dim,
-                                       "deformation.mu[%d]" % k) for k in range(order))
-        R_terms = tuple(_read_matrix(field, rs[k], dim, dim,
-                                     "deformation.R[%d]" % k) for k in range(order))
-        d_terms = tuple(_read_matrix(field, ds[k], dim, dim,
-                                     "deformation.d[%d]" % k) for k in range(order))
+        mu_terms = tuple(_read_triples(field, t, dim, dim, dim, "deformation.mu[%d]" % k)
+                         for k, t in enumerate(terms["mu"]))
+        R_terms, d_terms = (tuple(_read_matrix(field, t, dim, dim, "deformation.%s[%d]" % (name, k))
+                                  for k, t in enumerate(terms[name])) for name in ("R", "d"))
         defo = Deformation(pair, order, mu_terms, R_terms, d_terms)
 
     ext = None
-    if "extension" in data:
-        e = _expect_dict(data["extension"], "extension")
-        extra = set(e) - {"i", "p"}
-        if extra:
-            raise ParseError("extension: unknown keys: %s" % ", ".join(sorted(extra)))
+    e = _block(data, "extension", {"i", "p"})
+    if e is not None:
         if "i" not in e or "p" not in e:
             raise ParseError("extension: both i and p are required")
         if not (isinstance(e["i"], list) and e["i"] and isinstance(e["i"][0], list)):
@@ -202,17 +204,11 @@ def load_instance(text: str) -> Instance:
         ext = Extension(pair, i_m, p_m)
 
     coc = None
-    if "cocycle" in data:
-        c = _expect_dict(data["cocycle"], "cocycle")
-        extra = set(c) - {"theta", "xi", "chi"}
-        if extra:
-            raise ParseError("cocycle: unknown keys: %s" % ", ".join(sorted(extra)))
+    c = _block(data, "cocycle", {"theta", "xi", "chi"})
+    if c is not None:
         m = bim.dim_m if bim is not None else dim
         theta = _read_triples(field, c.get("theta", []), dim, dim, m, "cocycle.theta")
-        xi_m = _read_matrix(field, c.get("xi"), m, dim, "cocycle.xi") \
-            if "xi" in c else Matrix.zeros(field, m, dim)
-        chi_m = _read_matrix(field, c.get("chi"), m, dim, "cocycle.chi") \
-            if "chi" in c else Matrix.zeros(field, m, dim)
+        xi_m, chi_m = (_matrix_or_zeros(field, c, "cocycle", k, m, dim) for k in ("xi", "chi"))
         coc = Cochain(2, (theta, matrix_as_tensor(xi_m), matrix_as_tensor(chi_m)))
 
     return Instance(pair, bim, defo, ext, coc)

@@ -259,6 +259,27 @@ class TestUsage:
             set_max_tensor_entries(10 ** 6)
 
 
+class TestUsageBeforeVerification:
+    """An out-of-range option is a usage error whatever the file holds: on a
+    file that fails verification it exits 2 with the stderr a valid file gets."""
+
+    @pytest.mark.parametrize("argv", [["cohomology", "--degree", "9"],
+                                      ["complex-check", "--max-degree", "9"]],
+                             ids=["degree", "max-degree"])
+    def test_degree_options(self, capsys, argv):
+        assert run(capsys, *argv, INVALID_PAIR)[0] == USAGE_EXIT
+        assert run(capsys, *argv, INVALID_PAIR) == run(capsys, *argv, FIXD)
+
+    def test_max_order(self, capsys, tmp_path):
+        data = json.loads(Path(D_SCALING).read_text())
+        data["kappa"] = "5"
+        bad = write_json(tmp_path, "bad_kappa.json", data)
+        assert run(capsys, "trivialize", bad)[0] == CHECK_FAILED_EXIT
+        want = (USAGE_EXIT, "", "error: max_order must be at least 1, got 0\n")
+        assert run(capsys, "trivialize", "--max-order", "0", bad) == want
+        assert run(capsys, "trivialize", "--max-order", "0", D_SCALING) == want
+
+
 class TestInternalErrors:
     """A broken map inside the engine exits 3 with one ``error: internal:``
     line and no traceback, never 1, the code of a failed check."""
@@ -313,6 +334,16 @@ class TestInternalErrors:
         monkeypatch.setattr(mod, "solve_linear", one_entry_off(mod.solve_linear))
         assert run(capsys, "infinitesimal", RIGID_F5) == (
             INTERNAL_EXIT, "", "error: internal: primitive h does not satisfy D^1 h = c\n")
+
+    def test_exception_while_writing_the_report(self, capsys, monkeypatch):
+        # the report is written inside main's guard, so a failed write is
+        # one line on stderr, not a traceback
+        def full(obj):
+            raise OSError("no space left")
+
+        monkeypatch.setattr(importlib.import_module("mrbder.cli"), "_emit", full)
+        assert run(capsys, "verify", FIXD) == (
+            INTERNAL_EXIT, "", "error: internal: OSError: no space left\n")
 
     def test_unexpected_exception(self, capsys, monkeypatch):
         mod = importlib.import_module("mrbder.cli")

@@ -337,6 +337,24 @@ class TestComplexCache:
         p3 = MRBDerPair(p1.algebra, p1.R, p1.d, p1.kappa)
         assert differential_matrix(p3, b1, 2, "pair") is not d
 
+    @pytest.mark.parametrize("which,n,err", [
+        ("modified", 1, "tensor with 18 entries exceeds cap 10"),
+        ("operator", 2, "tensor with 24 entries exceeds cap 16"),
+    ])
+    def test_order_of_the_cap_checks(self, which, n, err):
+        # the order of the cochain-by-cochain build: on the trivial
+        # 3-dimensional module the induced actions have 18 entries, C^1 6,
+        # C^2 12 and C^3 24; "modified" met the induced maps before C^{n+1},
+        # the graded maps after it
+        pair, bim = _cap_instance(3)
+        cap = int(err.split()[-1])
+        set_max_tensor_entries(cap)
+        try:
+            with pytest.raises(EntryCapExceeded, match="^%s$" % err):
+                differential_matrix(pair, bim, n, which)
+        finally:
+            set_max_tensor_entries(10 ** 6)
+
     @pytest.mark.parametrize("which", KINDS)
     @pytest.mark.parametrize("dim_m", [None, 3], ids=["adjoint", "trivial3"])
     def test_lowered_cap_after_a_cached_build(self, which, dim_m):

@@ -163,10 +163,29 @@ class TestRejection:
                            % where):
             load_instance(minimal(**overrides))
 
+    @pytest.mark.parametrize("block", ["bimodule", "deformation", "extension", "cocycle"])
+    def test_optional_block_shape(self, block):
+        # the full text of both refusals every optional block shares
+        with pytest.raises(ParseError, match="^%s: expected an object$" % block):
+            load_instance(minimal(**{block: []}))
+        with pytest.raises(ParseError, match="^%s: unknown keys: w, z$" % block):
+            load_instance(minimal(**{block: {"z": 0, "w": 0}}))
+
+    @pytest.mark.parametrize("block,key,rows", [("bimodule", "R_M", 1), ("bimodule", "d_M", 1),
+                                                ("cocycle", "xi", 2), ("cocycle", "chi", 2)])
+    def test_null_optional_matrix_rejected(self, block, key, rows):
+        # only an absent key means zeros; a null matrix is refused
+        present = {"dim_m": 1} if block == "bimodule" else {}
+        with pytest.raises(ParseError, match="^%s\\.%s: expected %d rows$" % (block, key, rows)):
+            load_instance(minimal(**{block: {**present, key: None}}))
+
     def test_absent_triples_mean_zero(self):
         inst = load_instance(minimal(bimodule={"dim_m": 1}, cocycle={}))
         assert inst.bim.left.is_zero() and inst.bim.right.is_zero()
         assert inst.cocycle.parts[0].is_zero()
+        # and so do absent optional matrices
+        assert inst.bim.R_M.is_zero() and inst.bim.d_M.is_zero()
+        assert inst.cocycle.parts[1].is_zero() and inst.cocycle.parts[2].is_zero()
 
     def test_scientific_notation_rejected(self):
         with pytest.raises(ParseError, match="inexact-scalar"):

@@ -15,7 +15,8 @@ The grid: the twelve command forms of ``FORMS`` on each instance file
 (``instances/*.json`` of DIR unless files are named), with the default
 entry cap and with ``--max-entries`` 8, 16 and 64; then ``fuzz`` over the
 fields of ``FUZZ_FIELDS`` at dims 1 and 2, seeds 0-5 (``--no-fuzz`` leaves
-these out).
+these out); then, when no files are named, each malformed call of ``USAGE``
+once, so the messages and exit codes of refused calls are pinned too.
 """
 
 import argparse
@@ -43,9 +44,22 @@ FORMS = (
 CAPS = ([], ["--max-entries", "8"], ["--max-entries", "16"], ["--max-entries", "64"])
 FUZZ_FIELDS = ("Q", "Fp:2", "Fp:3", "Fp:5", "Fp:7")
 FUZZ_COUNT = 10
+# calls the CLI must refuse with exit 2: no subcommand, a missing argument and
+# an unknown action (argparse), a bad cap, out-of-range options on a file that
+# fails verification, and fuzz requests out of range
+USAGE = (
+    ["--max-entries", "64"],
+    ["cohomology", "instances/fixd.json"],
+    ["extend", "merge", "instances/fixd.json"],
+    ["--max-entries", "0", "verify", "instances/fixd.json"],
+    ["cohomology", "--degree", "9", "instances/invalid_pair.json"],
+    ["complex-check", "--max-degree", "9", "instances/invalid_pair.json"],
+    ["fuzz", "--field", "Fp:11", "--dim", "2", "--count", "1"],
+    ["fuzz", "--field", "Q", "--count", "0"],
+)
 
 
-def grid(instances: list, fuzz: bool):
+def grid(instances: list, fuzz: bool, usage: bool):
     """The argv of every call, in order."""
     for path in instances:
         for cap in CAPS:
@@ -57,6 +71,8 @@ def grid(instances: list, fuzz: bool):
                 for seed in range(6):
                     yield ["fuzz", "--field", field, "--dim", dim,
                            "--count", str(FUZZ_COUNT), "--seed", str(seed)]
+    if usage:
+        yield from USAGE
 
 
 def run(main, argv: list) -> str:
@@ -84,7 +100,7 @@ def main(argv=None) -> int:
         sys.exit("mrbder was imported from %s, not from %s" % (cli.__file__, root))
     os.chdir(root)
     instances = args.instances or sorted(str(p) for p in Path("instances").glob("*.json"))
-    for call in grid(instances, not args.no_fuzz):
+    for call in grid(instances, not args.no_fuzz, not args.instances):
         print(run(cli.main, call), flush=True)
     return 0
 
