@@ -626,13 +626,15 @@ def cohomology(pair: MRBDerPair, bim: Bimodule, n: int) -> CohomologyResult:
         d_prev = differential_matrix(pair, bim, n - 1, "pair")
         if not (d_n * d_prev).is_zero():
             raise InternalError("D_%d D_%d is not zero; complex is broken" % (n, n - 1))
-        zero, at = F.zero, set(z_pivots)
+        index = {p: k for k, p in enumerate(z_pivots)}
+        coords = ({index[j]: v for j, v in col.items() if j in index}
+                  for col in d_prev.transpose().sparse_rows)
         # a column with no entry at a Z pivot is zero, since it lies in Z^n
-        coords = [[col.get(p, zero) for p in z_pivots]
-                  for col in d_prev.transpose().sparse_rows if not at.isdisjoint(col)]
+        coords = Matrix.from_sparse(F, [c for c in coords if c], len(z_pivots)).rows
         b_pivots = rref_vectors(F, coords)[1]  # indices into the Z basis
     bset = set(b_pivots)
-    reps = tuple(space.unflatten(v) for k, v in enumerate(z_basis) if k not in bset)
+    kept = [z for k, z in enumerate(z_basis) if k not in bset]
+    reps = tuple(map(space.unflatten, Matrix.from_sparse(F, kept, space.dim).rows))
     return CohomologyResult(n, len(z_basis), len(b_pivots), len(z_basis) - len(b_pivots), reps)
 
 

@@ -7,7 +7,8 @@
 * ``two_step_kernel_rref``: the RREF basis of a kernel in two eliminations,
   the free-column basis of ``rank_and_kernel`` reduced again by
   ``rref_vectors``, as ``cohomology`` once found Z^n; ``linalg.kernel_rref``
-  finds it in one.
+  finds it in one, as {column: nonzero} rows, which ``densified`` writes
+  out as dense tuples.
 * ``columns_cohomology``: H^n with B^n eliminated in PC^n coordinates, as
   ``cohomology`` once found it: the RREF of the columns of D_{n-1}, held
   inside Z^n on the pivots.  ``cohomology`` reads B^n in the coordinates of
@@ -135,12 +136,26 @@ def two_step_kernel_rref(m: Matrix):
     return rref_vectors(m.field, rank_and_kernel(m)[1])
 
 
+def densified(field, rows, n: int) -> list:
+    """The {column: value} dicts ``rows`` as tuples of length ``n``, zeros
+    stored as ``field.zero``."""
+    out = []
+    for row in rows:
+        v = [field.zero] * n
+        for c, x in row.items():
+            v[c] = x
+        out.append(tuple(v))
+    return out
+
+
 def columns_cohomology(pair, bim, n: int) -> CohomologyResult:
     """H^n with B^n's RREF basis eliminated from the columns of D_{n-1} in
     all dim PC^n coordinates; the representatives are the Z rows whose pivot
     is not a B pivot."""
     F = pair.field
-    z_basis, z_pivots = kernel_rref(differential_matrix(pair, bim, n, "pair"))
+    d_n = differential_matrix(pair, bim, n, "pair")
+    z_basis, z_pivots = kernel_rref(d_n)
+    z_basis = densified(F, z_basis, d_n.ncols)
     b_pivots = []
     if n > 1:
         columns = differential_matrix(pair, bim, n - 1, "pair").transpose().rows

@@ -1,13 +1,13 @@
 """Elimination per column component against whole-matrix elimination.
 
-``linalg._echelon`` splits a matrix of more than ``_SPLIT_MIN_COLUMNS``
-columns into the connected components of its column graph (two columns are
-joined when one row holds both) and reduces each component's rows on their
-own.  RREF is unique, so the pivots and rows must be exactly those of one
+``linalg._echelon`` splits a matrix of more than ``_SPLIT_MIN_ENTRIES``
+entries (nonzero rows times columns) into the connected components of its
+column graph (two columns are joined when one row holds both) and reduces
+each component's rows on their own.  RREF is unique, so the pivots and rows must be exactly those of one
 elimination of the whole matrix.  The inputs are seeded random
 block-diagonal matrices under random row and column permutations, with zero
 rows, zero columns and single-column components, over Q and F_5, split at
-the default width and at every width; the references are ``_rref_mod`` run
+the default size and at every size; the references are ``_rref_mod`` run
 once over the whole matrix and the dense sweeps of ``oracles``.
 """
 
@@ -20,17 +20,18 @@ from mrbder import linalg
 from mrbder.fields import Field, QQ
 from mrbder.linalg import Matrix, _partition, kernel_rref, rank_and_kernel, rref_vectors
 
-from oracles import dense_rank_and_kernel, dense_rref_vectors
+from oracles import dense_rank_and_kernel, dense_rref_vectors, densified
+from test_kernel_rref import assert_sparse_rref
 
 F5 = Field.prime(5)
 FIELDS = {"Q": QQ, "F5": F5}
-SPLIT_ABOVE = {"default": linalg._SPLIT_MIN_COLUMNS, "any": 0}
+SPLIT_ABOVE = {"default": linalg._SPLIT_MIN_ENTRIES, "any": 0}
 
 
 @pytest.fixture
-def split_any_width(monkeypatch):
-    """Matrices of every width split into their components."""
-    monkeypatch.setattr(linalg, "_SPLIT_MIN_COLUMNS", 0)
+def split_any_size(monkeypatch):
+    """Matrices of every size split into their components."""
+    monkeypatch.setattr(linalg, "_SPLIT_MIN_ENTRIES", 0)
 
 
 def block_diagonal(rng, F, blocks, zero_rows=0, zero_cols=0, entry=None):
@@ -68,7 +69,9 @@ def assert_matches_whole(m):
     assert rank_and_kernel(m) == dense_rank_and_kernel(m)
     assert rref_vectors(F, m.rows) == dense_rref_vectors(F, m.rows)
     want = dense_rref_vectors(F, dense_rank_and_kernel(m)[1])
-    got = kernel_rref(m)
+    basis, pivots = kernel_rref(m)
+    assert_sparse_rref(F, basis, pivots)
+    got = (densified(F, basis, m.ncols), pivots)
     assert got == want and repr(got) == repr(want)
     if F.p is not None:
         assert rref_vectors(F, m.rows) == whole_matrix_rref(F, m)
@@ -82,7 +85,7 @@ SHAPES = [
     ([(4, 3, 1.0), (3, 4, 1.0), (1, 6, 1.0), (6, 1, 1.0)], 1, 0),
     ([(8, 6, 0.3), (7, 5, 0.3), (2, 3, 0.5), (3, 2, 0.5)], 4, 3),
     ([(2, 2, 0.0), (3, 3, 1.0)], 2, 2),            # an empty block
-    ([(6, 5, 0.5)] * 14 + [(1, 1, 1.0)] * 6, 3, 2),  # split at the default width
+    ([(6, 5, 0.5)] * 4 + [(1, 1, 1.0)] * 190, 3, 2),  # split at the default size
 ]
 
 
@@ -90,18 +93,19 @@ SHAPES = [
 @pytest.mark.parametrize("field", ["Q", "F5"])
 @pytest.mark.parametrize("k", range(len(SHAPES)))
 def test_block_diagonal_matches_the_whole_matrix(field, k, split, monkeypatch):
-    monkeypatch.setattr(linalg, "_SPLIT_MIN_COLUMNS", SPLIT_ABOVE[split])
+    monkeypatch.setattr(linalg, "_SPLIT_MIN_ENTRIES", SPLIT_ABOVE[split])
     F = FIELDS[field]
     blocks, zero_rows, zero_cols = SHAPES[k]
     for seed in range(4):
         rng = random.Random(100 * k + seed)
         m, live = block_diagonal(rng, F, blocks, zero_rows, zero_cols)
-        labels = _partition([(r, r.values()) for r in m.sparse_rows if r], m.ncols)[0]
+        A = [(r, r.values()) for r in m.sparse_rows if r]
+        labels = _partition(A, m.ncols)[0]
         # each block with a nonzero is one component or more
-        if m.ncols > SPLIT_ABOVE[split] and live > 1:
+        if len(A) * m.ncols > SPLIT_ABOVE[split] and live > 1:
             assert len(set(labels)) >= live
         if k == len(SHAPES) - 1:
-            assert m.ncols > linalg._SPLIT_MIN_COLUMNS and labels is not None
+            assert len(A) * m.ncols > linalg._SPLIT_MIN_ENTRIES and labels is not None
         assert_matches_whole(m)
 
 
@@ -113,7 +117,7 @@ def test_empty_and_zero_matrices(field):
         assert_matches_whole(m)
 
 
-def test_q_components_that_need_several_primes(monkeypatch, split_any_width):
+def test_q_components_that_need_several_primes(monkeypatch, split_any_size):
     # 40-bit numerators and denominators: no single prime below 2**30 can
     # reconstruct the RREF, so the components are reduced once per prime
     primes = []
@@ -146,7 +150,7 @@ class Untouchable:
         raise AssertionError("the scan went past the row that joined every column")
 
 
-def test_one_component_stops_the_scan(split_any_width):
+def test_one_component_stops_the_scan(split_any_size):
     # the first row joins every column; the rest are not read, and the
     # matrix keeps its rows and columns as they are
     A = [([0, 1, 2, 3], [1, 2, 3, 4]), (Untouchable(), [])]
@@ -160,7 +164,7 @@ def test_one_component_stops_the_scan(split_any_width):
     assert labels is None and rows is A
 
 
-def test_components_are_renumbered_in_increasing_order(split_any_width):
+def test_components_are_renumbered_in_increasing_order(split_any_size):
     A = [([4, 1], [1, 2]), ([3], [5]), ([1, 0], [3, 4])]
     labels, rows, members = _partition(A, 5)
     assert labels[0] == labels[2] != labels[1]
@@ -168,21 +172,21 @@ def test_components_are_renumbered_in_increasing_order(split_any_width):
     assert rows == [([2, 1], [1, 2]), ([0], [5]), ([1, 0], [3, 4])]
 
 
-def test_narrow_matrices_are_not_scanned(monkeypatch):
-    # a matrix of at most _SPLIT_MIN_COLUMNS columns is reduced whole
-    # without a scan; one column more and it is split
-    w = linalg._SPLIT_MIN_COLUMNS
+def test_small_matrices_are_not_scanned(monkeypatch):
+    # a matrix of at most _SPLIT_MIN_ENTRIES entries (nonzero rows times
+    # columns) is reduced whole without a scan; one entry more and it is split
+    size = linalg._SPLIT_MIN_ENTRIES
     A = [(Untouchable(), [])]
-    assert _partition(A, w) == (None, A, [range(w)])
+    assert _partition(A, size) == (None, A, [range(size)])
     A = [([4, 1], [1, 2]), ([3], [5]), ([1, 0], [3, 4])]
-    monkeypatch.setattr(linalg, "_SPLIT_MIN_COLUMNS", 4)
+    monkeypatch.setattr(linalg, "_SPLIT_MIN_ENTRIES", 14)
     assert sorted(_partition(A, 5)[2].values()) == [[0, 1, 4], [3]]
-    monkeypatch.setattr(linalg, "_SPLIT_MIN_COLUMNS", 5)
+    monkeypatch.setattr(linalg, "_SPLIT_MIN_ENTRIES", 15)
     assert _partition(A, 5) == (None, A, [range(5)])
 
 
 @pytest.mark.parametrize("field", ["Q", "F5"])
-def test_one_component_matrix(field, monkeypatch, split_any_width):
+def test_one_component_matrix(field, monkeypatch, split_any_size):
     # a dense matrix is one component: each prime reduces all its columns at once
     F = FIELDS[field]
     m, _ = block_diagonal(random.Random(3), F, [(6, 5, 1.0)], zero_rows=1)

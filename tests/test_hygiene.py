@@ -12,10 +12,10 @@
   ``precompose_slot``, ``postcompose`` and matrix products, not evaluated
   again one basis vector at a time.
 * Each step of the exact linear algebra is written once: ``_echelon`` is
-  called only by ``rank_and_kernel``, ``rref_vectors`` and the [m | B]
-  reader ``_solve_block``, and ``math.lcm`` in ``linalg`` only by the
-  scaling helper ``_scaled`` and for the right factor of
-  ``_packed_product``.
+  called only by ``rank_and_kernel``, ``kernel_rref``, ``rref_vectors`` and
+  the [m | B] reader ``_solve_block``, and ``math.lcm`` in ``linalg`` only
+  by the scaling helper ``_scaled`` and for the right factor of
+  ``_product``.
 * The entry lists of the structure maps have one reader: ``_blocks`` is
   called only by ``_Complex.matrix``, so every cochain map is its kept
   matrix.
@@ -201,12 +201,12 @@ def test_the_call_scan_finds_planted_calls():
 
 def test_one_elimination_entry_per_reduction():
     callers = {f for tree in MODULES.values() for f, _ in _callers(tree, "_echelon")}
-    assert callers == {"rank_and_kernel", "rref_vectors", "_solve_block"}
+    assert callers == {"rank_and_kernel", "kernel_rref", "rref_vectors", "_solve_block"}
 
 
 def test_one_lcm_scaling():
     callers = sorted(f for f, _ in _callers(MODULES["linalg"], "math.lcm"))
-    assert callers == ["_packed_product", "_scaled"]
+    assert callers == ["_product", "_scaled"]
 
 
 def test_entry_lists_have_one_reader():

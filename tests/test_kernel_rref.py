@@ -1,15 +1,17 @@
 """Z^n in one elimination: ``linalg.kernel_rref`` against the two-step oracle.
 
 ``kernel_rref`` reads the RREF basis of a kernel off one elimination of the
-matrix with its columns reversed.  RREF is unique, so the basis and pivots
-must equal those of the old two-step path, ``two_step_kernel_rref`` in
-``oracles``, entry for entry and type for type.  The inputs are every D_n of
-the benchmark ladders' fixtures (standard basis and after a random basis
-change, over Q and F_5), the D_n of sixteen random instances, the
-conjugated ut+dual D_2, edge shapes and the random shapes of the
-elimination tests.  A spy on ``linalg._echelon`` holds ``cohomology`` to one
-elimination for Z^n, and tracemalloc holds the kernel to one copy of each
-vector.
+matrix with its columns reversed, as {column: nonzero} rows.  Each row must
+hold no zero, and its pivot must be its smallest column.  RREF is unique,
+so the rows, written out dense, and the pivots must equal those of the old
+two-step path, ``two_step_kernel_rref`` in ``oracles``, entry for entry and
+type for type.  The inputs are every D_n of the benchmark ladders' fixtures
+(standard basis and after a random basis change, over Q and F_5), the D_n of
+sixteen random instances, the conjugated ut+dual D_2, edge shapes and the
+random shapes of the elimination tests.  A spy on ``linalg._echelon`` holds ``cohomology`` to one
+elimination for Z^n, and tracemalloc holds the dense kernel of
+``rank_and_kernel`` to one copy of each vector and the sparse one of
+``kernel_rref`` to its nonzeros.
 """
 
 import random
@@ -25,7 +27,7 @@ from mrbder.fuzzing import conjugate_pair, random_instances, random_invertible
 from mrbder.linalg import Matrix, kernel_rref, rank_and_kernel
 from mrbder.structures import adjoint_bimodule, dual_pair, upper_triangular_pair, zero_pair
 
-from oracles import two_step_kernel_rref
+from oracles import densified, two_step_kernel_rref
 from test_elimination import CASES, cases
 
 F5 = Field.prime(5)
@@ -42,13 +44,23 @@ def fixtures(F):
             "ut+dual": direct_sum(ut, dual)}
 
 
+def assert_sparse_rref(F, basis, pivots):
+    """Rows that store no zero, each with a 1 at its pivot, its smallest
+    column."""
+    assert len(basis) == len(pivots)
+    for row, pc in zip(basis, pivots):
+        assert not any(map(F.is_zero, row.values()))
+        assert min(row) == pc and row[pc] == F.one
+
+
 def assert_matches_two_step(m):
-    got, want = kernel_rref(m), two_step_kernel_rref(m)
+    basis, pivots = kernel_rref(m)
+    assert_sparse_rref(m.field, basis, pivots)
+    got, want = (densified(m.field, basis, m.ncols), pivots), two_step_kernel_rref(m)
     assert got == want
     assert repr(got) == repr(want)
-    basis = got[0]
     if basis:
-        assert (m * Matrix(m.field, tuple(zip(*basis)))).is_zero()
+        assert (m * Matrix(m.field, tuple(zip(*got[0])))).is_zero()
 
 
 @pytest.mark.parametrize("field", ["Q", "F5"])
@@ -95,13 +107,12 @@ def test_edge_shapes(field):
     F = FIELDS[field]
     z, o = F.zero, F.one
     zero = Matrix.zeros(F, 3, 4)
-    assert kernel_rref(zero) == ([tuple(o if i == j else z for j in range(4)) for i in range(4)],
-                                 [0, 1, 2, 3])
+    assert kernel_rref(zero) == ([{i: o} for i in range(4)], [0, 1, 2, 3])
     full_rank = Matrix.from_rows(F, [[o, z, z], [o, o, z], [z, o, o], [o, z, o]])
     assert kernel_rref(full_rank) == ([], [])
     with_zero_rows = Matrix.from_rows(F, [[z] * 5, [o, o, z, z, z], [z] * 5, [z, z, o, z, o], [z] * 5])
     assert kernel_rref(with_zero_rows) == (
-        [(o, F.neg(o), z, z, z), (z, z, o, z, F.neg(o)), (z, z, z, o, z)], [0, 2, 3])
+        [{0: o, 1: F.neg(o)}, {2: o, 4: F.neg(o)}, {3: o}], [0, 2, 3])
     for m in (zero, full_rank, with_zero_rows, Matrix.zeros(F, 2, 0), Matrix.zeros(F, 0, 3),
               Matrix.from_sparse(F, [{}, {}], 3)):
         assert_matches_two_step(m)
@@ -137,8 +148,9 @@ def test_cohomology_eliminates_once_for_the_cocycles(monkeypatch, n, elimination
 @pytest.mark.parametrize("field", ["Q", "F5"])
 def test_kernel_is_held_once(field):
     # D_3 of the dim-6 zero algebra is a 10584 x 1764 zero matrix, so its
-    # kernel is 1764 dense vectors of 1764 entries: the peak above the
-    # starting point stays within 20 % of what the result keeps
+    # kernel is 1764 unit vectors.  As dense vectors of 1764 entries, the
+    # peak above the starting point stays within 20 % of what the result
+    # keeps; as sparse rows, the whole peak stays under 2 MB
     pair = zero_pair(FIELDS[field], 6)
     m = differential_matrix(pair, adjoint_bimodule(pair), 3, "pair")
     assert (m.nrows, m.ncols) == (10584, 1764)
@@ -150,15 +162,20 @@ def test_kernel_is_held_once(field):
             after, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(out[1 if solve is rank_and_kernel else 0]) == 1764
-        assert (peak - before) / (after - before) < 1.2, solve.__name__
+        if solve is rank_and_kernel:
+            assert len(out[1]) == 1764
+            assert (peak - before) / (after - before) < 1.2
+        else:
+            assert len(out[0]) == 1764
+            assert peak - before < 2 * 2**20
 
 
 def test_d4_of_ut_dual_is_eliminated_per_component():
     # D_4 of ut+dual (a = 5) is 22500 x 4500 with about 25 000 nonzeros in
     # 1719 column components of at most 35 columns.  Dense rows of residues
-    # for the whole matrix alone would take about 600 MB; per component the
-    # whole elimination peaks near 32 MB, most of it the 750 kernel vectors
+    # for the whole matrix alone would take about 600 MB; per component, with
+    # the 750 kernel vectors kept as sparse rows, the elimination peaks near
+    # 10 MB
     pair = fixtures(F5)["ut+dual"]
     m = differential_matrix(pair, adjoint_bimodule(pair), 4, "pair")
     assert (m.nrows, m.ncols) == (22500, 4500)
@@ -168,5 +185,7 @@ def test_d4_of_ut_dual_is_eliminated_per_component():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 100 * 2**20
-    assert len(basis) == 750 and (basis, pivots) == two_step_kernel_rref(m)
+    assert peak < 20 * 2**20
+    assert len(basis) == 750
+    assert_sparse_rref(F5, basis, pivots)
+    assert (densified(F5, basis, m.ncols), pivots) == two_step_kernel_rref(m)

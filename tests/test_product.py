@@ -1,8 +1,13 @@
-"""The packed integer product ``Matrix.__mul__`` against the entry-by-entry
+"""The integer product ``Matrix.__mul__`` against the entry-by-entry
 reference ``oracles.dense_matmul``, over Q and F_5.
 
-Every comparison is by ``repr``, so the entries, their types and the shape
-all have to match, not only the values.
+The product has two inner loops: it walks the rows of a right factor with at
+most two nonzeros per row on average and packs them otherwise.  A spy on
+both loops checks which one a product took, on each side of the rule and
+exactly at it, and on the differentials of the dual pair in the standard
+basis (walked) and after a basis change (packed).  Every comparison is by
+``repr``, so the entries, their types and the shape all have to match, not
+only the values.
 """
 
 import random
@@ -10,8 +15,12 @@ from fractions import Fraction
 
 import pytest
 
+from mrbder import linalg
+from mrbder.cohomology import differential_matrix
 from mrbder.fields import Field, QQ
+from mrbder.fuzzing import conjugate_pair, random_invertible
 from mrbder.linalg import Matrix, ShapeError, _digit_width
+from mrbder.structures import adjoint_bimodule, dual_pair
 
 from oracles import dense_matmul
 
@@ -31,6 +40,26 @@ def big_entry(rng, F):
 def random_matrix(rng, F, nr, nc, density):
     return Matrix.from_rows(F, [[big_entry(rng, F) if rng.random() < density else F.zero
                                  for _ in range(nc)] for _ in range(nr)])
+
+
+def right_factor(rng, F, nk, nc, nnz):
+    """An nk x nc matrix with exactly ``nnz`` nonzeros at random places off
+    its first row, which is empty."""
+    cells = set(rng.sample(range(nc, nk * nc), nnz))
+    return Matrix.from_rows(F, [[big_entry(rng, F) if i * nc + j in cells else F.zero
+                                 for j in range(nc)] for i in range(nk)])
+
+
+@pytest.fixture
+def loops(monkeypatch):
+    """The inner loop each product takes, "walk" or "packed", in order."""
+    taken = []
+    for name, loop in (("_walked_rows", "walk"), ("_packed_dots", "packed")):
+        def spy(*args, inner=getattr(linalg, name), loop=loop):
+            taken.append(loop)
+            return inner(*args)
+        monkeypatch.setattr(linalg, name, spy)
+    return taken
 
 
 def sparse_copy(m):
@@ -71,8 +100,55 @@ def test_zero_rows_and_columns(F):
     assert (a * Matrix.zeros(F, 7, 2)).is_zero()
 
 
+# (nonzeros per row of the right factor above 2 on average, the loop)
+SIDES = {"below": (-1, "walk"), "at": (0, "walk"), "above": (1, "packed")}
+
+
 @pytest.mark.parametrize("F", FIELDS)
-def test_empty_shapes(F):
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("side", SIDES)
+def test_each_side_of_the_rule(F, seed, side, loops):
+    rng = random.Random(seed)
+    extra, loop = SIDES[side]
+    a = random_matrix(rng, F, 10, 12, 0.5)
+    b = right_factor(rng, F, 12, 9, 2 * 12 + extra)
+    assert_same_product(a, b)
+    assert set(loops) == {loop}
+
+
+@pytest.mark.parametrize("F", FIELDS)
+@pytest.mark.parametrize("side", SIDES)
+def test_products_that_cancel_in_either_loop(F, side, loops):
+    # [a | a] times [b ; -b]: every entry of the integer product cancels
+    rng = random.Random(8)
+    extra, loop = SIDES[side]
+    a = random_matrix(rng, F, 8, 6, 0.5)
+    b = right_factor(rng, F, 6, 5, 2 * 6 + extra)
+    neg = Matrix(F, tuple(tuple(F.neg(x) for x in r) for r in b.rows))
+    stacked, both = Matrix(F, tuple(r + r for r in a.rows)), Matrix(F, b.rows + neg.rows)
+    assert (stacked * both).is_zero()
+    assert_same_product(stacked, both)
+    assert set(loops) == {loop}
+
+
+@pytest.mark.parametrize("F", FIELDS)
+def test_differentials_pick_their_loop(F, loops):
+    # D_3 D_2 of the dual pair: D_2 has under one nonzero per row in the
+    # standard basis and more than two after a basis change
+    std = dual_pair(F)
+    conj = conjugate_pair(std, random_invertible(random.Random(0), F, std.dim))
+    for pair, loop in ((std, "walk"), (conj, "packed")):
+        bim = adjoint_bimodule(pair)
+        d3, d2 = (differential_matrix(pair, bim, n, "pair") for n in (3, 2))
+        del loops[:]
+        assert (d3 * d2).is_zero()
+        assert loops == [loop]
+        assert repr(d3 * d2) == repr(dense_matmul(d3, d2))
+
+
+@pytest.mark.parametrize("F", FIELDS)
+def test_empty_shapes(F, loops):
+    # a right factor with no nonzeros is walked
     rng = random.Random(6)
     n_by_0 = Matrix(F, ((),) * 3)
     no_rows = Matrix(F, ())           # a matrix with no rows has no columns
@@ -83,6 +159,7 @@ def test_empty_shapes(F):
     assert ((n_by_0 * no_rows).nrows, (n_by_0 * no_rows).ncols) == (3, 0)
     with pytest.raises(ShapeError):
         no_rows * a
+    assert set(loops) == {"walk"}
 
 
 @pytest.mark.parametrize("F", FIELDS)
@@ -99,8 +176,9 @@ def test_products_that_cancel(F):
 
 @pytest.mark.parametrize("F", FIELDS)
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 8, 9])
-def test_digits_at_the_edge_of_the_width(F, k):
-    # widths of 8, 16, 32 and 64 bits are read as machine words, 24 and 72
+def test_digits_at_the_edge_of_the_width(F, k, loops):
+    # the right factor has four nonzeros per row, so the product packs them.
+    # Widths of 8, 16, 32 and 64 bits are read as machine words, 24 and 72
     # bits byte by byte.  With |entry| <= bound = 2**(8k-1) - 1 the width is
     # w = 8k bits, and entries of +-(2**(w-1) - 1), the largest a digit holds,
     # sit next to each other, so a borrow out of one digit reaches the next.
@@ -118,3 +196,4 @@ def test_digits_at_the_edge_of_the_width(F, k):
     if F.p is None:
         got = (Matrix.from_rows(F, [[F.from_int(x), F.from_int(y)]]) * right).rows[0]
         assert got == (2**(w - 1) - 1, 1 - 2**(w - 1), 1, 0, -1)
+    assert set(loops) == {"packed"}
