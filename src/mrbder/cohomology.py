@@ -63,13 +63,14 @@ bimodule object's identity, for as long as the pair lives, so equal but
 distinct inputs never share one, and each D_n is built once per pair and
 bimodule, whichever of ``differential_matrix``, ``cohomology``,
 ``primitive`` and the cochain-level maps asks first.  The entry cap is
-checked on sizes, so a call served from it refuses as a fresh build would.
+checked when a matrix is built, not when a kept one is returned.
 
 Cohomology takes the RREF basis of Z^n from one elimination of D_n with its
-columns reversed.  After a check that D_n D_{n-1} = 0 it reads the pivots
-of B^n in the coordinates of Z^n (the columns of D_{n-1} at the Z pivots),
-and its canonical representatives are the Z rows whose pivot is not a B
-pivot.  ``primitive`` solves D^1 h = c for a degree-2 cochain c and checks it.
+columns reversed.  After a check that D_n D_{n-1} = 0 it eliminates the
+columns of D_{n-1} at the Z pivots, as sparse rows: dim B^n is their rank,
+and the canonical representatives, alone made dense, are the Z rows at
+their free columns.  ``primitive`` solves D^1 h = c for a degree-2 cochain
+c and checks it.
 The Lie-side complex (Chevalley-Eilenberg of the commutator bracket) shares
 the entry lists of phi and Delta and the graded stacking, and is kept on
 its Lie pair as a pair's complexes are; the skew-symmetrization chain maps
@@ -84,7 +85,7 @@ from typing import Callable
 
 from .fields import Field, Value
 from .linalg import (Matrix, MultiTensor, ShapeError, TensorSpace, _checked_size,
-                     kernel_rref, rref_vectors, solve_linear, tensor_as_matrix)
+                     kernel_rref, rank_and_kernel, solve_linear, tensor_as_matrix)
 from .structures import Bimodule, InternalError, MRBDerPair
 from .constructions import LiePair, induced_action, induced_product
 
@@ -385,8 +386,8 @@ class _Complex:
     The maps are the coboundary's entry list and its maps, a function that
     makes the induced maps the modified coboundary runs on, (R, R_M, kappa)
     for phi and (d, d_M) for Delta.  The induced maps and each matrix are built on
-    first use and kept.  Two threads that build the same one keep equal
-    values, so no lock is needed.
+    first use and kept; only a build checks the entry cap.  Two threads that
+    build the same one keep equal values, so no lock is needed.
     """
 
     def __init__(self, field: Field, dim_a: int, dim_m: int, coboundary: Callable, maps: tuple,
@@ -403,12 +404,11 @@ class _Complex:
         return self._induced
 
     def matrix(self, n: int, which: str) -> Matrix:
-        """The sparse matrix of the map ``which`` at degree n, built once.
-        The entry cap is checked on every call, as if it were built anew."""
-        rows, cols, blocks = _blocks(self, n, which)
+        """The sparse matrix of the map ``which`` at degree n, built on first
+        use and then returned as it is kept."""
         m = self._matrices.get((n, which))
         if m is None:
-            m = self._matrices[n, which] = _assemble(self, rows, cols, blocks)
+            m = self._matrices[n, which] = _assemble(self, *_blocks(self, n, which))
         return m
 
 
@@ -442,10 +442,10 @@ def _blocks(cx: _Complex, n: int, which: str) -> tuple:
     """The map ``which`` at degree n as (row arities, column arities, blocks),
     each block (row part, column part, sign is plus, entries).
 
-    The entry cap is checked on sizes, before any entry is listed, in the
-    order the cochain-by-cochain build of D_n met it: a domain cochain, the
-    induced structures, which have the shapes of the maps (first for
-    "modified"), a C^{n+1} cochain, the induced structures (otherwise)."""
+    The entry cap is checked on the sizes of C^n and then of the first row
+    part (C^{n+1}, or C^n for the maps that keep the degree), before any
+    entry is listed; the induced maps check their own sizes when they are
+    built."""
     if which in _CN_MAPS:
         kind = _CN_MAPS[which]
         cols = (n,)
@@ -459,11 +459,8 @@ def _blocks(cx: _Complex, n: int, which: str) -> tuple:
         cols, rows = cochain_arities(n, layers), cochain_arities(n + 1, layers)
         layout = _graded_blocks(n, layers)
     F, nA, m = cx.field, cx.dim_a, cx.dim_m
-    induced = [(t.dims, t.cod) for t in cx.maps] if any(b[3] == "mdelta" for b in layout) else []
-    target = [((nA,) * (n + 1), m)] if rows[0] == n + 1 else []
-    later = induced + target if which == "modified" else target + induced
-    for dims, cod in [((nA,) * n, m)] + later:
-        _checked_size(dims, cod)
+    for arity in (cols[0], rows[0]):
+        _checked_size((nA,) * arity, m)
 
     def entries(kind, arity):
         if kind == "delta":
@@ -614,14 +611,17 @@ def cohomology(pair: MRBDerPair, bim: Bimodule, n: int) -> CohomologyResult:
     other Z pivots and nothing before its pivot, so a column of D_{n-1} has
     its entries at the Z pivots as its Z-coordinates, and sum c_k z_k leads
     at the pivot of the first k with c_k != 0: the pivots of B^n are the Z
-    pivots picked out by the RREF of the columns restricted to the Z pivots.
+    pivots picked out by the RREF of those columns, and the kept z_k are its
+    free columns.  One sparse elimination (``linalg.rank_and_kernel``) gives
+    dim B^n as its rank and each free column k as the last nonzero of its
+    kernel vector; when no column meets a Z pivot, B^n = 0.
     """
     check_cohomology_degree(n)
     F = pair.field
     space = PairSpace(F, pair.dim, bim.dim_m, n)
     d_n = differential_matrix(pair, bim, n, "pair")
     z_basis, z_pivots = kernel_rref(d_n)
-    b_pivots = []
+    dim_b, kept = 0, z_basis
     if n > 1:
         d_prev = differential_matrix(pair, bim, n - 1, "pair")
         if not (d_n * d_prev).is_zero():
@@ -630,12 +630,12 @@ def cohomology(pair: MRBDerPair, bim: Bimodule, n: int) -> CohomologyResult:
         coords = ({index[j]: v for j, v in col.items() if j in index}
                   for col in d_prev.transpose().sparse_rows)
         # a column with no entry at a Z pivot is zero, since it lies in Z^n
-        coords = Matrix.from_sparse(F, [c for c in coords if c], len(z_pivots)).rows
-        b_pivots = rref_vectors(F, coords)[1]  # indices into the Z basis
-    bset = set(b_pivots)
-    kept = [z for k, z in enumerate(z_basis) if k not in bset]
+        coords = [c for c in coords if c]
+        if coords:
+            dim_b, kernel = rank_and_kernel(Matrix.from_sparse(F, coords, len(z_pivots)))
+            kept = [z_basis[max(k for k, x in enumerate(v) if x)] for v in kernel]
     reps = tuple(map(space.unflatten, Matrix.from_sparse(F, kept, space.dim).rows))
-    return CohomologyResult(n, len(z_basis), len(b_pivots), len(z_basis) - len(b_pivots), reps)
+    return CohomologyResult(n, len(z_basis), dim_b, len(kept), reps)
 
 
 def primitive(pair: MRBDerPair, bim: Bimodule, c: Cochain) -> Matrix | None:

@@ -223,11 +223,11 @@ class Field(Value):
             raise ValueError("Q is not enumerable")
         return [i for i in range(self.p)]
 
-    def random(self, rng, bound: int = 9):
+    def random(self, rng):
         """Uniform residue over F_p; small random fraction over Q."""
         if self.p is not None:
             return rng.randrange(self.p)
-        return Fraction(rng.randint(-bound, bound), rng.randint(1, 4))
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
 
 
 QQ = Field(None)

@@ -935,18 +935,10 @@ class MultiTensor(Value):
         """
         if sorted(perm) != list(range(self.arity)):
             raise ShapeError("not a permutation")
-        F = self.field
-        new_dims = tuple(self.dims[p] for p in perm)
-        out = [F.zero] * len(self.entries)
-        cod = self.cod
-        for idx in product(*map(range, new_dims)):
-            src = self.offset(tuple(idx[perm.index(s)] for s in range(self.arity)))
-            off = 0
-            for i, d in zip(idx, new_dims):
-                off = off * d + i
-            off *= cod
-            out[off:off + cod] = self.entries[src:src + cod]
-        return MultiTensor(F, new_dims, cod, tuple(out))
+        # inv[s] is the argument routed into slot s
+        inv = sorted(range(self.arity), key=perm.__getitem__)
+        return MultiTensor.from_map(self.field, [self.dims[p] for p in perm], self.cod,
+                                    lambda *idx: self.value_at(*(idx[i] for i in inv)))
 
     def _entrywise(self, op: Callable, other: "MultiTensor") -> "MultiTensor":
         if (self.dims, self.cod) != (other.dims, other.cod):

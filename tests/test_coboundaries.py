@@ -12,6 +12,9 @@ Along a ladder of degrees, rank D_n comes out of two separate eliminations:
 dim PC^n - dim Z^n from the kernel of D_n, and dim B^{n+1} from the
 restricted columns at degree n + 1.  They must agree.
 
+On the zero pair every D_n is zero, so no column of D_{n-1} meets a Z pivot:
+B^n = 0 is read without an elimination, and every z_k is kept.
+
 Both sides read Z^n from ``linalg.kernel_rref`` of the same kept D_n, and
 the test is of the B step, so each kernel is computed once and shared.
 """
@@ -26,8 +29,9 @@ from mrbder.cohomology import PairSpace, cohomology
 from mrbder.constructions import direct_sum
 from mrbder.fields import Field, QQ
 from mrbder.fuzzing import conjugate_pair, random_instances, random_invertible
-from mrbder.linalg import kernel_rref
-from mrbder.structures import adjoint_bimodule, dual_pair, upper_triangular_pair
+from mrbder.linalg import Matrix, MultiTensor, kernel_rref
+from mrbder.structures import (Bimodule, adjoint_bimodule, dual_pair, upper_triangular_pair,
+                               zero_pair)
 
 from oracles import columns_cohomology
 
@@ -84,3 +88,24 @@ def test_fixture_ladder(field, conj, name):
 def test_fuzz_instances(field):
     for inst in random_instances(FIELDS[field], 2, 10, 1606):
         assert_same_and_ranks_agree(inst.pair, inst.bim, 3)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("coefficients", ["adjoint", "trivial"])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_zero_pair_has_no_coboundaries(field, coefficients, dim, monkeypatch):
+    F = FIELDS[field]
+    pair = zero_pair(F, dim)
+    if coefficients == "adjoint":
+        bim = adjoint_bimodule(pair)
+    else:
+        z = MultiTensor.zeros(F, (dim, 2), 2)
+        bim = Bimodule(2, z, z.permute_slots([1, 0]), Matrix.zeros(F, 2, 2), Matrix.zeros(F, 2, 2))
+    eliminated = []
+    monkeypatch.setattr(engine, "rank_and_kernel", lambda m: eliminated.append(m))
+    for n in (2, 3):
+        res = cohomology(pair, bim, n)
+        assert res == columns_cohomology(pair, bim, n)
+        assert res.dim_coboundaries == 0
+        assert res.dim_h == res.dim_cocycles == PairSpace(F, dim, bim.dim_m, n).dim
+    assert eliminated == []

@@ -338,14 +338,13 @@ class TestComplexCache:
         assert differential_matrix(p3, b1, 2, "pair") is not d
 
     @pytest.mark.parametrize("which,n,err", [
-        ("modified", 1, "tensor with 18 entries exceeds cap 10"),
+        ("modified", 1, "tensor with 12 entries exceeds cap 10"),
         ("operator", 2, "tensor with 24 entries exceeds cap 16"),
     ])
     def test_order_of_the_cap_checks(self, which, n, err):
-        # the order of the cochain-by-cochain build: on the trivial
-        # 3-dimensional module the induced actions have 18 entries, C^1 6,
-        # C^2 12 and C^3 24; "modified" met the induced maps before C^{n+1},
-        # the graded maps after it
+        # on the trivial 3-dimensional module C^1 has 6 entries, C^2 12 and
+        # C^3 24, and the induced actions 18: a build checks C^n, then
+        # C^{n+1}, and builds the induced maps only after both
         pair, bim = _cap_instance(3)
         cap = int(err.split()[-1])
         set_max_tensor_entries(cap)
@@ -358,41 +357,43 @@ class TestComplexCache:
     @pytest.mark.parametrize("which", KINDS)
     @pytest.mark.parametrize("dim_m", [None, 3], ids=["adjoint", "trivial3"])
     def test_lowered_cap_after_a_cached_build(self, which, dim_m):
-        # a hit checks the cap as a fresh build does, with the same message;
-        # on a 3-dimensional module the induced actions (18 entries) are
-        # larger than the induced product (8) and than C^2 (12)
-        def outcome(pair, bim, n):
-            try:
-                return differential_matrix(pair, bim, n, which).rows
-            except EntryCapExceeded as e:
-                return str(e)
-
+        # a kept matrix is returned as the same object under any later cap;
+        # a fresh build refuses with the size of C^n, then with that of
+        # C^{n+1} (C^n again for the maps that keep the degree)
+        m = 2 if dim_m is None else dim_m
+        step = which not in ("operator_map", "derivation_defect", "operator_defect")
         cached = _cap_instance(dim_m)
-        for n in (1, 2, 3):
-            differential_matrix(*cached, n, which)
+        kept = {n: differential_matrix(*cached, n, which) for n in (1, 2, 3)}
         try:
             for cap in range(1, 60):
                 fresh = _cap_instance(dim_m)
                 set_max_tensor_entries(cap)
                 for n in (1, 2, 3):
-                    assert outcome(*cached, n) == outcome(*fresh, n)
+                    assert differential_matrix(*cached, n, which) is kept[n]
+                    over = [s for s in (2 ** n * m, 2 ** (n + step) * m) if s > cap]
+                    if over:
+                        with pytest.raises(EntryCapExceeded, match="^tensor with %d entries "
+                                           "exceeds cap %d$" % (over[0], cap)):
+                            differential_matrix(*fresh, n, which)
                 set_max_tensor_entries(10 ** 6)
         finally:
             set_max_tensor_entries(10 ** 6)
 
-
     @pytest.mark.parametrize("which", sorted(COCHAIN_MAPS))
     @pytest.mark.parametrize("dim_m", [None, 3], ids=["adjoint", "trivial3"])
     def test_lowered_cap_on_the_cochain_maps(self, which, dim_m):
-        # under every cap a cochain-level map gives D_n times the cochain, or
-        # the message that differential_matrix of its kind gives, on fresh
-        # inputs and on ones whose complex has built the matrix
+        # under every cap a cochain-level map on inputs whose complex has
+        # built the matrix gives D_n times the cochain, or refuses with the
+        # size of the largest part of its image, the first one it allocates;
+        # on fresh inputs it gives what differential_matrix of its kind gives
+        m = 2 if dim_m is None else dim_m
         apply, layers = COCHAIN_MAPS[which]
+        step = which not in ("operator_map", "derivation_defect")
         rng = random.Random(12)
         cochains = {n: _random_cochain(rng, dim_m, n, layers) for n in (1, 2, 3)}
         cached = _cap_instance(dim_m)
-        for n, c in cochains.items():
-            apply(*cached, c)
+        images = {n: differential_matrix(*cached, n, which).apply(_flat(c))
+                  for n, c in cochains.items()}
 
         def outcome(call):
             try:
@@ -405,12 +406,26 @@ class TestComplexCache:
                 a, b = _cap_instance(dim_m), _cap_instance(dim_m)
                 set_max_tensor_entries(cap)
                 for n, c in cochains.items():
-                    want = outcome(lambda: differential_matrix(*a, n, which).apply(_flat(c)))
-                    assert outcome(lambda: _flat(apply(*b, c))) == want
+                    size = 2 ** (n + step) * m
+                    want = images[n] if size <= cap else \
+                        "tensor with %d entries exceeds cap %d" % (size, cap)
                     assert outcome(lambda: _flat(apply(*cached, c))) == want
+                    fresh = outcome(lambda: differential_matrix(*a, n, which).apply(_flat(c)))
+                    assert outcome(lambda: _flat(apply(*b, c))) == fresh
                 set_max_tensor_entries(10 ** 6)
         finally:
             set_max_tensor_entries(10 ** 6)
+
+    @pytest.mark.parametrize("which", KINDS)
+    def test_a_repeated_call_lists_no_blocks(self, which, monkeypatch):
+        mod = importlib.import_module("mrbder.cohomology")
+        real, listed = mod._blocks, []
+        monkeypatch.setattr(mod, "_blocks", lambda *args: listed.append(args) or real(*args))
+        pair = dual_pair(QQ)
+        bim = adjoint_bimodule(pair)
+        d = differential_matrix(pair, bim, 2, which)
+        assert len(listed) == 1
+        assert differential_matrix(pair, bim, 2, which) is d and len(listed) == 1
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_pair_delta_builds_the_kept_matrix(self, n, monkeypatch):

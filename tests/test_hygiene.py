@@ -16,6 +16,9 @@
   the [m | B] reader ``_solve_block``, and ``math.lcm`` in ``linalg`` only
   by the scaling helper ``_scaled`` and for the right factor of
   ``_product``.
+* No function in ``src/`` calls ``rref_vectors``, which takes dense
+  vectors: every elimination of the engine starts from sparse rows.  It
+  stays public for the tests and the benchmark's tracer.
 * The entry lists of the structure maps have one reader: ``_blocks`` is
   called only by ``_Complex.matrix``, so every cochain map is its kept
   matrix.
@@ -202,6 +205,11 @@ def test_the_call_scan_finds_planted_calls():
 def test_one_elimination_entry_per_reduction():
     callers = {f for tree in MODULES.values() for f, _ in _callers(tree, "_echelon")}
     assert callers == {"rank_and_kernel", "kernel_rref", "rref_vectors", "_solve_block"}
+
+
+def test_no_engine_elimination_of_dense_vectors():
+    assert [(module, f) for module, tree in MODULES.items()
+            for f, _ in _callers(tree, "rref_vectors")] == []
 
 
 def test_one_lcm_scaling():
