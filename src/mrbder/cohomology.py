@@ -50,20 +50,26 @@ Each map is implemented once, as an entry list: every term is identities
 tensored with one structure map (mu, l, r, R, R_M, d, d_M), so the image of
 each basis cochain is written down one entry per nonzero structure constant,
 and the OC^n / PC^n differentials are stacked from the C^n blocks with the
-signs of the formulas above.  The entries are read in one place: they are
-summed into the sparse matrix D_n, and every map, ``differential_matrix``
-and the cochain-level functions alike, is that matrix, applied to a
-cochain by ``Matrix.apply``.  Literal transcriptions of the formulas are
-kept in tests/oracles.py, and the tests hold the maps equal to them.
+signs of the formulas above.  The lists run on plain ints: the maps times
+D, the lcm of their denominators and kappa's (1 over F_p), and the induced
+maps times D^2, so delta and Delta carry D, delta_R D^2 and phi at arity a
+D^a.  They are read in one place, the only one where values enter the
+field: summed into the sparse matrix D_n at the largest power D^E, each sum
+v becomes v / D^E over Q and v mod p over F_p.  Every map,
+``differential_matrix`` and the cochain-level functions alike, is that
+matrix, applied to a cochain by ``Matrix.apply``.  Transcriptions of the
+formulas, and the build of D_n in the field's arithmetic, are kept in
+tests/oracles.py, and the tests hold the maps equal to them.
 
 The complex of a (pair, bimodule) is one object, ``_Complex``: the
-structure maps its entry lists are written from, the induced maps, and each
-matrix D_n it has built, as sparse rows.  The pair keeps it, keyed by the
-bimodule object's identity, for as long as the pair lives, so equal but
-distinct inputs never share one, and each D_n is built once per pair and
-bimodule, whichever of ``differential_matrix``, ``cohomology``,
-``primitive`` and the cochain-level maps asks first.  The entry cap is
-checked when a matrix is built, not when a kept one is returned.
+structure maps its entry lists are written from, their integer copies and
+those of the induced maps, and each matrix D_n it has built, as sparse
+rows.  The pair keeps it, keyed by the bimodule object's identity, for as
+long as the pair lives, so equal but distinct inputs never share one, and
+each D_n is built once per pair and bimodule, whichever of
+``differential_matrix``, ``cohomology``, ``primitive`` and the
+cochain-level maps asks first.  The entry cap is checked when a matrix is
+built, not when a kept one is returned.
 
 Cohomology takes the RREF basis of Z^n from one elimination of D_n with its
 columns reversed.  After a check that D_n D_{n-1} = 0 it eliminates the
@@ -81,10 +87,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable
 
 from .fields import Field, Value
-from .linalg import (Matrix, MultiTensor, ShapeError, TensorSpace, _checked_size,
+from .linalg import (Matrix, MultiTensor, ShapeError, TensorSpace, _checked_size, _scaled,
                      kernel_rref, rank_and_kernel, solve_linear, tensor_as_matrix)
 from .structures import Bimodule, InternalError, MRBDerPair
 from .constructions import LiePair, induced_action, induced_product
@@ -213,7 +220,8 @@ def PairSpace(field: Field, dim_a: int, dim_m: int, degree: int) -> CochainSpace
 # A basis cochain of C^n sends e_{j_1..j_n} to e_s and every other basis
 # tuple to 0; it is column J*m + s, where J is (j_1..j_n) read in base
 # dim_a, which is also the flat order of MultiTensor.  Each map below lists,
-# for every such column, the (row, column, value) entries of its image.
+# for every such column, the (row, column, value) entries of its image, as
+# plain ints, from the maps of ``_Complex.scaled``.
 
 
 def _nonzeros(t: MultiTensor) -> list:
@@ -223,32 +231,25 @@ def _nonzeros(t: MultiTensor) -> list:
             for q, v in enumerate(vec) if not is_zero(v)]
 
 
-def _signed(F, plus: bool):
-    return F.one if plus else F.neg(F.one)
-
-
-def _coboundary_entries(F, nA: int, m: int, mu: MultiTensor, left: MultiTensor,
-                        right: MultiTensor, n: int):
+def _coboundary_entries(nA: int, m: int, mu: list, left: list, right: list, n: int):
     """The coboundary C^n -> C^{n+1} of :func:`hochschild_delta` over (mu, left,
     right): an l-column, an r-column and, for each slot, mu's preimages of the
     slot's index."""
-    mul = F.mul
-    first = _signed(F, _sign_is_plus(n + 1))
+    first = (-1) ** (n + 1)
     l_terms = [[] for _ in range(m)]          # s -> (row offset, value) of l(e_x, e_s)
-    for (x, s, t), c in _nonzeros(left):
-        l_terms[s].append((x * nA ** n * m + t, mul(first, c)))
+    for (x, s, t), c in left:
+        l_terms[s].append((x * nA ** n * m + t, first * c))
     r_terms = [[] for _ in range(m)]          # s -> (row offset, value) of r(e_s, e_y)
-    for (s, y, t), c in _nonzeros(right):
+    for (s, y, t), c in right:
         r_terms[s].append((y * m + t, c))
     # slot p (0-based) replaces j_p by every (x, y) with mu(e_x, e_y)_{j_p} != 0
-    mu_nonzeros = _nonzeros(mu)
     mu_terms = []
     for p in range(n):
         lo = nA ** (n - 1 - p)
-        sign = _signed(F, _sign_is_plus(p + n))
+        sign = (-1) ** (p + n)
         by_q = [[] for _ in range(nA)]
-        for (x, y, q), c in mu_nonzeros:
-            by_q[q].append(((x * nA + y) * lo * m, mul(sign, c)))
+        for (x, y, q), c in mu:
+            by_q[q].append(((x * nA + y) * lo * m, sign * c))
         mu_terms.append((lo, by_q))
     for J in range(nA ** n):
         slots = []
@@ -267,21 +268,20 @@ def _coboundary_entries(F, nA: int, m: int, mu: MultiTensor, left: MultiTensor,
                     yield base + off + s, col, v
 
 
-def _ce_entries(F, nA: int, m: int, bracket: MultiTensor, rho: MultiTensor, n: int):
+def _ce_entries(nA: int, m: int, bracket: list, rho: list, n: int):
     """The Chevalley-Eilenberg coboundary C^n -> C^{n+1} of :func:`ce_delta`
     over (bracket, rho): rho(a_p) applied to f without a_p, for each output
     slot p, and f([a_p, a_q], ..) without a_p, a_q, for each pair p < q."""
-    mul = F.mul
     rho_terms = [[] for _ in range(m)]        # s -> (x, t, value) of rho(e_x, e_s)
-    for (x, s, t), c in _nonzeros(rho):
+    for (x, s, t), c in rho:
         rho_terms[s].append((x, t, c))
     br_by_q = [[] for _ in range(nA)]         # q -> (x, y, value) of [e_x, e_y]_q
-    for (x, y, q), c in _nonzeros(bracket):
+    for (x, y, q), c in bracket:
         br_by_q[q].append((x, y, c))
     # 0-based slots; the global (-1)^{n+1} is folded into every sign
     places = [nA ** (n - p) for p in range(n + 1)]
-    rho_slots = [(lo, _signed(F, _sign_is_plus(n + 1 + p))) for p, lo in enumerate(places)]
-    slot_pairs = [(p, q, _signed(F, _sign_is_plus(n + 1 + p + q)))
+    rho_slots = [(lo, (-1) ** (n + 1 + p)) for p, lo in enumerate(places)]
+    slot_pairs = [(p, q, (-1) ** (n + 1 + p + q))
                   for p in range(n + 1) for q in range(p + 1, n + 1)]
     for J in range(nA ** n):
         digits = [(J // nA ** (n - 1 - p)) % nA for p in range(n)]
@@ -291,28 +291,27 @@ def _ce_entries(F, nA: int, m: int, bracket: MultiTensor, rho: MultiTensor, n: i
                 idx = digits[1:]
                 idx.insert(p, x)
                 idx.insert(q, y)
-                br_rows.append((sum(i * lo for i, lo in zip(idx, places)) * m, mul(sign, c)))
+                br_rows.append((sum(i * lo for i, lo in zip(idx, places)) * m, sign * c))
         for s in range(m):
             col = J * m + s
             for lo, sign in rho_slots:
                 head, tail = divmod(J, lo)
                 for x, t, c in rho_terms[s]:
-                    yield ((head * nA + x) * lo + tail) * m + t, col, mul(sign, c)
+                    yield ((head * nA + x) * lo + tail) * m + t, col, sign * c
             for off, v in br_rows:
                 yield off + s, col, v
 
 
-def _operator_map_entries(F, nA: int, m: int, R: Matrix, R_M: Matrix, kappa, n: int):
+def _operator_map_entries(nA: int, m: int, R: list, R_M: list, kappa: int, n: int):
     """phi on C^n (see :func:`operator_map`): for each set of bare slots, R in
-    the other slots, then the term's coefficient and R_M on the output."""
-    mul, add, one = F.mul, F.add, F.one
-    neg_kappa = F.neg(kappa)
-    coeffs = [(one, False)]                 # |bare| -> (coefficient, R_M applied)
+    the other slots, then the term's coefficient and R_M on the output.
+    ``kappa`` is kappa times D^2 (see :meth:`_Complex.scaled`)."""
+    coeffs = [(1, False)]                     # |bare| -> (coefficient, R_M applied)
     for r in range(1, n + 1):
-        c = F.pow(neg_kappa, r // 2)
-        coeffs.append((F.neg(c), True) if r % 2 == 1 else (c, False))
-    r_rows = [list(row.items()) for row in R.sparse_rows]
-    rm_cols = [list(col.items()) for col in R_M.transpose().sparse_rows]
+        c = (-kappa) ** (r // 2)
+        coeffs.append((-c, True) if r % 2 == 1 else (c, False))
+    r_rows = [list(row.items()) for row in R]
+    rm_cols = [list(col.items()) for col in R_M]
     places = [nA ** (n - 1 - p) for p in range(n)]
     for J in range(nA ** n):
         digits = [(J // lo) % nA for lo in places]
@@ -320,14 +319,14 @@ def _operator_map_entries(F, nA: int, m: int, R: Matrix, R_M: Matrix, kappa, n: 
         for bare in range(1 << n):
             coeff, rm = coeffs[bare.bit_count()]
             acc = images[rm]
-            opts = [[(j, one)] if bare >> (n - 1 - p) & 1 else r_rows[j]
+            opts = [[(j, 1)] if bare >> (n - 1 - p) & 1 else r_rows[j]
                     for p, j in enumerate(digits)]
             for combo in itertools.product(*opts):
                 K, v = 0, coeff
                 for (k, c), lo in zip(combo, places):
                     K += k * lo
-                    v = mul(v, c)
-                acc[K] = add(acc[K], v) if K in acc else v
+                    v *= c
+                acc[K] = acc[K] + v if K in acc else v
         plain, via_rm = images
         for s in range(m):
             col = J * m + s
@@ -335,14 +334,14 @@ def _operator_map_entries(F, nA: int, m: int, R: Matrix, R_M: Matrix, kappa, n: 
                 yield K * m + s, col, v
             for K, v in via_rm.items():
                 for t, c in rm_cols[s]:
-                    yield K * m + t, col, mul(v, c)
+                    yield K * m + t, col, v * c
 
 
-def _defect_entries(F, nA: int, m: int, d: Matrix, d_M: Matrix, n: int):
+def _defect_entries(nA: int, m: int, d: list, d_M: list, n: int):
     """Delta on C^n (see :func:`derivation_defect`): d in each slot, minus d_M
     on the output."""
-    d_rows = [row.items() for row in d.sparse_rows]
-    neg_dm = [[(t, F.neg(v)) for t, v in col.items()] for col in d_M.transpose().sparse_rows]
+    d_rows = [row.items() for row in d]
+    neg_dm = [[(t, -v) for t, v in col.items()] for col in d_M]
     places = [nA ** (n - 1 - p) for p in range(n)]
     for J in range(nA ** n):
         moves = [((J + (k - (J // lo) % nA) * lo) * m, v)
@@ -380,14 +379,16 @@ def _graded_blocks(n: int, layers: int) -> list:
 
 
 class _Complex:
-    """One complex: the structure maps its entry lists are written from, and
-    the matrices built from them.
+    """One complex: the structure maps its entry lists are written from, their
+    integer copies, and the matrices built from them.
 
     The maps are the coboundary's entry list and its maps, a function that
     makes the induced maps the modified coboundary runs on, (R, R_M, kappa)
-    for phi and (d, d_M) for Delta.  The induced maps and each matrix are built on
-    first use and kept; only a build checks the entry cap.  Two threads that
-    build the same one keep equal values, so no lock is needed.
+    for phi and (d, d_M) for Delta.  :meth:`scaled` makes them integers, times
+    their common denominator D, and :meth:`induced` the induced maps, times
+    D^2; both are built on first use and kept, as is each matrix.  Only a
+    build of a matrix checks the entry cap.  Two threads that build the same
+    one keep equal values, so no lock is needed.
     """
 
     def __init__(self, field: Field, dim_a: int, dim_m: int, coboundary: Callable, maps: tuple,
@@ -395,12 +396,33 @@ class _Complex:
         self.field, self.dim_a, self.dim_m = field, dim_a, dim_m
         self.coboundary, self.maps, self.induce = coboundary, maps, induce
         self.R, self.R_M, self.kappa, self.d, self.d_M = R, R_M, kappa, d, d_M
-        self._induced, self._matrices = None, {}
+        self._scaled, self._induced, self._matrices = None, None, {}
+
+    def scaled(self) -> tuple:
+        """(D, the coboundary's maps, (R, R_M, kappa, d, d_M)) as plain ints,
+        built once: each map times D, the lcm of the denominators of their
+        entries and kappa (1 over F_p: the ints are the residues), and kappa
+        times D^2.  Tensors are lists of their nonzeros, R and d sparse rows,
+        R_M and d_M sparse columns."""
+        if self._scaled is None:
+            tensors = [_nonzeros(t) for t in self.maps]
+            mats = [self.R.sparse_rows, self.R_M.transpose().sparse_rows,
+                    self.d.sparse_rows, self.d_M.transpose().sparse_rows]
+            D, ints = _scaled([self.kappa] + [v for nz in tensors for _, v in nz]
+                              + [v for rows in mats for row in rows for v in row.values()])
+            it = iter(ints)     # zip takes from the map first, so each takes its own ints
+            kappa = next(it) * D
+            tensors = tuple([(i, v) for (i, _), v in zip(nz, it)] for nz in tensors)
+            R, R_M, d, d_M = ([dict(zip(row, it)) for row in rows] for rows in mats)
+            self._scaled = D, tensors, (R, R_M, kappa, d, d_M)
+        return self._scaled
 
     def induced(self) -> tuple:
-        """The induced maps, built once."""
+        """The nonzeros of the induced maps times D^2, as plain ints, built once."""
         if self._induced is None:
-            self._induced = self.induce()
+            D2 = self.scaled()[0] ** 2
+            self._induced = tuple([(i, v.numerator * (D2 // v.denominator))
+                                   for i, v in _nonzeros(t)] for t in self.induce())
         return self._induced
 
     def matrix(self, n: int, which: str) -> Matrix:
@@ -440,12 +462,12 @@ _CN_MAPS = {"hochschild": "delta", "modified": "mdelta",
 
 def _blocks(cx: _Complex, n: int, which: str) -> tuple:
     """The map ``which`` at degree n as (row arities, column arities, blocks),
-    each block (row part, column part, sign is plus, entries).
+    each block (row part, column part, sign is plus, map, arity).
 
     The entry cap is checked on the sizes of C^n and then of the first row
-    part (C^{n+1}, or C^n for the maps that keep the degree), before any
-    entry is listed; the induced maps check their own sizes when they are
-    built."""
+    part (C^{n+1}, or C^n for the maps that keep the degree); the induced
+    maps, built only when a block lists their entries, check their own
+    sizes."""
     if which in _CN_MAPS:
         kind = _CN_MAPS[which]
         cols = (n,)
@@ -458,45 +480,43 @@ def _blocks(cx: _Complex, n: int, which: str) -> tuple:
         layers = 4 if which == "pair" else 2
         cols, rows = cochain_arities(n, layers), cochain_arities(n + 1, layers)
         layout = _graded_blocks(n, layers)
-    F, nA, m = cx.field, cx.dim_a, cx.dim_m
     for arity in (cols[0], rows[0]):
-        _checked_size((nA,) * arity, m)
-
-    def entries(kind, arity):
-        if kind == "delta":
-            return cx.coboundary(F, nA, m, *cx.maps, arity)
-        if kind == "mdelta":
-            return cx.coboundary(F, nA, m, *cx.induced(), arity)
-        if kind == "phi":
-            return _operator_map_entries(F, nA, m, cx.R, cx.R_M, cx.kappa, arity)
-        return _defect_entries(F, nA, m, cx.d, cx.d_M, arity)
-
-    return rows, cols, [(i, j, plus, entries(kind, arity)) for i, j, plus, kind, arity in layout]
+        _checked_size((cx.dim_a,) * arity, cx.dim_m)
+    return rows, cols, layout
 
 
-def _assemble(cx: _Complex, rows: tuple, cols: tuple, blocks: list) -> Matrix:
+def _assemble(cx: _Complex, rows: tuple, cols: tuple, layout: list) -> Matrix:
     """The sparse matrix summed from the blocks of one map (see
-    :func:`_blocks`), entries that sum to zero left out."""
+    :func:`_blocks`), entries that sum to zero left out: the one place where
+    values enter the field.
+
+    The blocks are listed over the integer maps of :meth:`_Complex.scaled`,
+    so the entries of delta and Delta carry D, those of delta_R D^2 and
+    those of phi at arity a D^a.  Each block is brought to the largest power
+    D^E as it is summed, and each sum v enters the field as v / D^E over Q
+    and v mod p over F_p."""
     F, nA, m = cx.field, cx.dim_a, cx.dim_m
-
-    def offsets(arities):
-        out = [0]
-        for a in arities:
-            out.append(out[-1] + nA ** a * m)
-        return out
-
-    row_off, col_off = offsets(rows), offsets(cols)
-    add, neg = F.add, F.neg
+    D, maps, (R, R_M, kappa, d, d_M) = cx.scaled()
+    lists = {"delta": lambda a: cx.coboundary(nA, m, *maps, a),
+             "mdelta": lambda a: cx.coboundary(nA, m, *cx.induced(), a),
+             "phi": lambda a: _operator_map_entries(nA, m, R, R_M, kappa, a),
+             "defect": lambda a: _defect_entries(nA, m, d, d_M, a)}
+    power = {"delta": 1, "mdelta": 2, "defect": 1}      # phi: its arity
+    top = max(power.get(kind, a) for _, _, _, kind, a in layout)
+    row_off, col_off = ([0, *itertools.accumulate(nA ** a * m for a in ar)] for ar in (rows, cols))
     srows = [{} for _ in range(row_off[-1])]
-    for i, j, plus, entries in blocks:
+    for i, j, plus, kind, arity in layout:
         ro, co = row_off[i], col_off[j]
-        for r, c, v in entries:
+        scale = D ** (top - power.get(kind, arity)) * (1 if plus else -1)
+        for r, c, v in lists[kind](arity):
             row = srows[ro + r]
             c += co
-            if not plus:
-                v = neg(v)
-            row[c] = add(row[c], v) if c in row else v
-    srows = [row if all(row.values()) else {c: v for c, v in row.items() if v} for row in srows]
+            v *= scale
+            row[c] = row[c] + v if c in row else v
+    values = {v for row in srows for v in row.values()}
+    enter = ({v: Fraction(v, D ** top) for v in values} if F.is_rational
+             else {v: v % F.p for v in values})
+    srows = [{c: x for c, v in row.items() if (x := enter[v])} for row in srows]
     return Matrix.from_sparse(F, srows, col_off[-1])
 
 

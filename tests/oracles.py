@@ -24,6 +24,12 @@
   and on the Lie side ``ce_delta``, ``lie_operator_map``,
   ``lie_derivation_defect`` and ``lie_pair_delta``.  The engine implements
   each of them once, as the entry lists of ``mrbder.cohomology``.
+* ``field_matrix``: D_n listed and summed in the field's own arithmetic,
+  through ``field_coboundary_entries``, ``field_ce_entries``,
+  ``field_operator_map_entries`` and ``field_defect_entries``, as
+  ``mrbder.cohomology`` once built it.  The engine lists the same entries as
+  plain ints over its scaled structure maps and enters the field once per
+  sum, in ``_assemble``.
 * The family of twelve ``OperatorMapConvention`` candidates for the even-|S|
   coefficient of phi, which ``tools/calibrate_phi.py`` calibrates; the
   engine hard-codes the winner, ``DEFAULT_CONVENTION``.
@@ -58,9 +64,9 @@ import itertools
 from dataclasses import dataclass, make_dataclass
 from typing import Callable
 
-from mrbder.cohomology import (Cochain, CochainSpace, CohomologyResult, PairSpace, _rho_of,
-                               cochain_arities, differential_matrix, hom_space,
-                               induced_lie_pair)
+from mrbder.cohomology import (Cochain, CochainSpace, CohomologyResult, PairSpace, _blocks,
+                               _ce_entries, _nonzeros, _rho_of, cochain_arities,
+                               differential_matrix, hom_space, induced_lie_pair)
 from mrbder.constructions import induced_action, induced_product
 from mrbder.deformation import Deformation, Gauge
 from mrbder.linalg import (Matrix, MultiTensor, ShapeError, _nonzero_positions, kernel_rref,
@@ -575,6 +581,187 @@ def cochain_map(pair, bim, n, which, convention=DEFAULT_CONVENTION):
         return (dom, CochainSpace(F, nA, m, cochain_arities(n + 1, 2)),
                 lambda c: operator_delta(pair, bim, c, convention))
     return dom, dom, lambda c: Cochain(n, tuple(derivation_defect(pair, bim, p) for p in c.parts))
+
+
+# ---------------------------------------------------------------------------
+# the assembly of D_n in the field's own arithmetic
+#
+# ``mrbder.cohomology`` once listed the entries of each structure map with
+# the field's operations and summed them with ``add`` and ``neg``; it now
+# lists them as plain ints over the scaled structure maps and enters the
+# field once per sum.  ``field_matrix`` is the former build, kept as the
+# oracle of the integer one: the same values, value types and key order of
+# every sparse row.
+
+
+def _signed(F, plus: bool):
+    return F.one if plus else F.neg(F.one)
+
+
+def field_coboundary_entries(F, nA: int, m: int, mu: MultiTensor, left: MultiTensor,
+                        right: MultiTensor, n: int):
+    """The coboundary C^n -> C^{n+1} of ``hochschild_delta`` over (mu, left,
+    right): an l-column, an r-column and, for each slot, mu's preimages of the
+    slot's index."""
+    mul = F.mul
+    first = _signed(F, _sign_is_plus(n + 1))
+    l_terms = [[] for _ in range(m)]          # s -> (row offset, value) of l(e_x, e_s)
+    for (x, s, t), c in _nonzeros(left):
+        l_terms[s].append((x * nA ** n * m + t, mul(first, c)))
+    r_terms = [[] for _ in range(m)]          # s -> (row offset, value) of r(e_s, e_y)
+    for (s, y, t), c in _nonzeros(right):
+        r_terms[s].append((y * m + t, c))
+    # slot p (0-based) replaces j_p by every (x, y) with mu(e_x, e_y)_{j_p} != 0
+    mu_nonzeros = _nonzeros(mu)
+    mu_terms = []
+    for p in range(n):
+        lo = nA ** (n - 1 - p)
+        sign = _signed(F, _sign_is_plus(p + n))
+        by_q = [[] for _ in range(nA)]
+        for (x, y, q), c in mu_nonzeros:
+            by_q[q].append(((x * nA + y) * lo * m, mul(sign, c)))
+        mu_terms.append((lo, by_q))
+    for J in range(nA ** n):
+        slots = []
+        for lo, by_q in mu_terms:
+            head, rest = divmod(J, lo * nA)
+            jp, tail = divmod(rest, lo)
+            slots.append(((head * nA * nA * lo + tail) * m, by_q[jp]))
+        for s in range(m):
+            col = J * m + s
+            for off, v in l_terms[s]:
+                yield J * m + off, col, v
+            for off, v in r_terms[s]:
+                yield J * nA * m + off, col, v
+            for base, terms in slots:
+                for off, v in terms:
+                    yield base + off + s, col, v
+
+
+def field_ce_entries(F, nA: int, m: int, bracket: MultiTensor, rho: MultiTensor, n: int):
+    """The Chevalley-Eilenberg coboundary C^n -> C^{n+1} of ``ce_delta``
+    over (bracket, rho): rho(a_p) applied to f without a_p, for each output
+    slot p, and f([a_p, a_q], ..) without a_p, a_q, for each pair p < q."""
+    mul = F.mul
+    rho_terms = [[] for _ in range(m)]        # s -> (x, t, value) of rho(e_x, e_s)
+    for (x, s, t), c in _nonzeros(rho):
+        rho_terms[s].append((x, t, c))
+    br_by_q = [[] for _ in range(nA)]         # q -> (x, y, value) of [e_x, e_y]_q
+    for (x, y, q), c in _nonzeros(bracket):
+        br_by_q[q].append((x, y, c))
+    # 0-based slots; the global (-1)^{n+1} is folded into every sign
+    places = [nA ** (n - p) for p in range(n + 1)]
+    rho_slots = [(lo, _signed(F, _sign_is_plus(n + 1 + p))) for p, lo in enumerate(places)]
+    slot_pairs = [(p, q, _signed(F, _sign_is_plus(n + 1 + p + q)))
+                  for p in range(n + 1) for q in range(p + 1, n + 1)]
+    for J in range(nA ** n):
+        digits = [(J // nA ** (n - 1 - p)) % nA for p in range(n)]
+        br_rows = []                          # (row offset, value), the same for every s
+        for p, q, sign in slot_pairs:
+            for x, y, c in br_by_q[digits[0]]:
+                idx = digits[1:]
+                idx.insert(p, x)
+                idx.insert(q, y)
+                br_rows.append((sum(i * lo for i, lo in zip(idx, places)) * m, mul(sign, c)))
+        for s in range(m):
+            col = J * m + s
+            for lo, sign in rho_slots:
+                head, tail = divmod(J, lo)
+                for x, t, c in rho_terms[s]:
+                    yield ((head * nA + x) * lo + tail) * m + t, col, mul(sign, c)
+            for off, v in br_rows:
+                yield off + s, col, v
+
+
+def field_operator_map_entries(F, nA: int, m: int, R: Matrix, R_M: Matrix, kappa, n: int):
+    """phi on C^n (see ``operator_map``): for each set of bare slots, R in
+    the other slots, then the term's coefficient and R_M on the output."""
+    mul, add, one = F.mul, F.add, F.one
+    neg_kappa = F.neg(kappa)
+    coeffs = [(one, False)]                 # |bare| -> (coefficient, R_M applied)
+    for r in range(1, n + 1):
+        c = F.pow(neg_kappa, r // 2)
+        coeffs.append((F.neg(c), True) if r % 2 == 1 else (c, False))
+    r_rows = [list(row.items()) for row in R.sparse_rows]
+    rm_cols = [list(col.items()) for col in R_M.transpose().sparse_rows]
+    places = [nA ** (n - 1 - p) for p in range(n)]
+    for J in range(nA ** n):
+        digits = [(J // lo) % nA for lo in places]
+        images = ({}, {})                     # K -> value, without and with R_M
+        for bare in range(1 << n):
+            coeff, rm = coeffs[bare.bit_count()]
+            acc = images[rm]
+            opts = [[(j, one)] if bare >> (n - 1 - p) & 1 else r_rows[j]
+                    for p, j in enumerate(digits)]
+            for combo in itertools.product(*opts):
+                K, v = 0, coeff
+                for (k, c), lo in zip(combo, places):
+                    K += k * lo
+                    v = mul(v, c)
+                acc[K] = add(acc[K], v) if K in acc else v
+        plain, via_rm = images
+        for s in range(m):
+            col = J * m + s
+            for K, v in plain.items():
+                yield K * m + s, col, v
+            for K, v in via_rm.items():
+                for t, c in rm_cols[s]:
+                    yield K * m + t, col, mul(v, c)
+
+
+def field_defect_entries(F, nA: int, m: int, d: Matrix, d_M: Matrix, n: int):
+    """Delta on C^n (see ``derivation_defect``): d in each slot, minus d_M
+    on the output."""
+    d_rows = [row.items() for row in d.sparse_rows]
+    neg_dm = [[(t, F.neg(v)) for t, v in col.items()] for col in d_M.transpose().sparse_rows]
+    places = [nA ** (n - 1 - p) for p in range(n)]
+    for J in range(nA ** n):
+        moves = [((J + (k - (J // lo) % nA) * lo) * m, v)
+                 for lo in places for k, v in d_rows[(J // lo) % nA]]
+        for s in range(m):
+            col = J * m + s
+            for base, v in moves:
+                yield base + s, col, v
+            for t, v in neg_dm[s]:
+                yield J * m + t, col, v
+
+
+def field_matrix(cx, n: int, which: str) -> Matrix:
+    """D_n of the map ``which`` on the complex ``cx`` (a ``_Complex``),
+    listed and summed in the arithmetic of its field; the layout of the
+    blocks is that of ``_blocks``."""
+    F, nA, m = cx.field, cx.dim_a, cx.dim_m
+    rows, cols, layout = _blocks(cx, n, which)
+    coboundary = field_ce_entries if cx.coboundary is _ce_entries else field_coboundary_entries
+
+    def entries(kind, arity):
+        if kind == "delta":
+            return coboundary(F, nA, m, *cx.maps, arity)
+        if kind == "mdelta":
+            return coboundary(F, nA, m, *cx.induce(), arity)
+        if kind == "phi":
+            return field_operator_map_entries(F, nA, m, cx.R, cx.R_M, cx.kappa, arity)
+        return field_defect_entries(F, nA, m, cx.d, cx.d_M, arity)
+
+    def offsets(arities):
+        out = [0]
+        for a in arities:
+            out.append(out[-1] + nA ** a * m)
+        return out
+
+    row_off, col_off = offsets(rows), offsets(cols)
+    add, neg = F.add, F.neg
+    srows = [{} for _ in range(row_off[-1])]
+    for i, j, plus, kind, arity in layout:
+        ro, co = row_off[i], col_off[j]
+        for r, c, v in entries(kind, arity):
+            row = srows[ro + r]
+            c += co
+            if not plus:
+                v = neg(v)
+            row[c] = add(row[c], v) if c in row else v
+    srows = [row if all(row.values()) else {c: v for c, v in row.items() if v} for row in srows]
+    return Matrix.from_sparse(F, srows, col_off[-1])
 
 
 # ---------------------------------------------------------------------------

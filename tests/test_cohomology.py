@@ -379,6 +379,63 @@ class TestComplexCache:
         finally:
             set_max_tensor_entries(10 ** 6)
 
+    def test_scaled_maps_are_built_once_per_complex(self, monkeypatch):
+        mod = importlib.import_module("mrbder.cohomology")
+        real, scaled = mod._scaled, []
+        monkeypatch.setattr(mod, "_scaled", lambda xs: scaled.append(1) or real(xs))
+        pair = conjugate_pair(dual_pair(QQ), random_invertible(random.Random(0), QQ, 2))
+        bims = adjoint_bimodule(pair), adjoint_bimodule(pair)
+        cx = mod._pair_complex(pair, bims[0])
+        induced, real_induce = [], cx.induce
+        cx.induce = lambda: induced.append(1) or real_induce()
+        for n in (1, 2, 3):
+            for which in KINDS:
+                differential_matrix(pair, bims[0], n, which)
+        pair_delta(pair, bims[0], _random_cochain(random.Random(4), None, 4, 4))
+        assert (len(scaled), len(induced)) == (1, 1)
+        assert cx.scaled() is cx.scaled() and cx.induced() is cx.induced()
+        assert cx.scaled()[0] > 1
+        # an equal but distinct bimodule gets a complex, and copies, of its own
+        differential_matrix(pair, bims[1], 1, "pair")
+        assert len(scaled) == 2
+
+    @pytest.mark.parametrize("which", KINDS)
+    @pytest.mark.parametrize("dim_m", [None, 3, "conjugated"])
+    def test_lowered_cap_after_the_maps_are_scaled(self, which, dim_m):
+        # scaling the maps checks no cap: a complex whose integer copies are
+        # built refuses under every cap as a fresh one does, with the size
+        # of C^n, then of C^{n+1} (C^n again for the maps that keep the
+        # degree), then of the induced maps
+        def instance():
+            if dim_m != "conjugated":
+                return _cap_instance(dim_m)
+            pair = conjugate_pair(dual_pair(QQ), random_invertible(random.Random(0), QQ, 2))
+            return pair, adjoint_bimodule(pair)
+
+        def outcome(pair_bim, n):
+            try:
+                return differential_matrix(*pair_bim, n, which)
+            except EntryCapExceeded as e:
+                return str(e)
+
+        m = 3 if dim_m == 3 else 2
+        step = which not in ("operator_map", "derivation_defect", "operator_defect")
+        mod = importlib.import_module("mrbder.cohomology")
+        try:
+            for cap in range(1, 60):
+                warm, fresh = instance(), instance()
+                mod._pair_complex(*warm).scaled()
+                set_max_tensor_entries(cap)
+                for n in (1, 2, 3):
+                    got = outcome(warm, n)
+                    assert got == outcome(fresh, n), (cap, n)
+                    over = [s for s in (2 ** n * m, 2 ** (n + step) * m) if s > cap]
+                    if over:
+                        assert got == "tensor with %d entries exceeds cap %d" % (over[0], cap)
+                set_max_tensor_entries(10 ** 6)
+        finally:
+            set_max_tensor_entries(10 ** 6)
+
     @pytest.mark.parametrize("which", sorted(COCHAIN_MAPS))
     @pytest.mark.parametrize("dim_m", [None, 3], ids=["adjoint", "trivial3"])
     def test_lowered_cap_on_the_cochain_maps(self, which, dim_m):

@@ -22,6 +22,10 @@
 * The entry lists of the structure maps have one reader: ``_blocks`` is
   called only by ``_Complex.matrix``, so every cochain map is its kept
   matrix.
+* The four entry lists (``_coboundary_entries``, ``_ce_entries``,
+  ``_operator_map_entries``, ``_defect_entries``) run on plain ints: none
+  takes a field argument or reads a ``Field`` method, so values enter the
+  field in ``_assemble`` alone.
 """
 
 import ast
@@ -224,3 +228,41 @@ def test_entry_lists_have_one_reader():
                          if isinstance(node, ast.ClassDef) and node.name == "_Complex")
     assert callers == [("cohomology", "matrix")]
     assert [f for f, _ in _callers(complex_class, "_blocks")] == ["matrix"]
+
+
+ENTRY_LISTS = ("_coboundary_entries", "_ce_entries", "_operator_map_entries", "_defect_entries")
+FIELD_METHODS = {node.name for cls in MODULES["fields"].body
+                 if isinstance(cls, ast.ClassDef) and cls.name == "Field"
+                 for node in cls.body
+                 if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+
+
+def _field_uses(fn) -> list:
+    """The field arguments of the function ``fn`` (named F or field, or
+    annotated Field) and the ``Field`` method names it reads as attributes."""
+    args = [a for a in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+            if a.arg in ("F", "field")
+            or (isinstance(a.annotation, ast.Name) and a.annotation.id == "Field")]
+    return [a.arg for a in args] + sorted({n.attr for n in ast.walk(fn)
+                                          if isinstance(n, ast.Attribute)
+                                          and n.attr in FIELD_METHODS})
+
+
+def _functions(tree) -> dict:
+    return {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+
+def test_entry_lists_run_on_plain_ints():
+    defs = _functions(MODULES["cohomology"])
+    assert {name: _field_uses(defs[name]) for name in ENTRY_LISTS} \
+        == {name: [] for name in ENTRY_LISTS}
+
+
+def test_the_field_scan_flags_the_field_arithmetic_build():
+    # the oracle's entry lists are the former ones, written with the field's
+    # own operations, so the rule must flag each of them
+    oracles = ast.parse((Path(__file__).parent / "oracles.py").read_text())
+    defs = _functions(oracles)
+    flagged = {name: _field_uses(defs["field_" + name.lstrip("_")]) for name in ENTRY_LISTS}
+    assert all(uses[0] == "F" and len(uses) > 1 for uses in flagged.values()), flagged
+    assert {"add", "mul", "neg", "pow", "one"} <= FIELD_METHODS
