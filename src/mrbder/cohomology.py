@@ -53,11 +53,10 @@ and the OC^n / PC^n differentials are stacked from the C^n blocks with the
 signs of the formulas above.  The lists run on plain ints: the maps times
 D, the lcm of their denominators and kappa's (1 over F_p), and the induced
 maps times D^2, so delta and Delta carry D, delta_R D^2 and phi at arity a
-D^a.  They are read in one place, the only one where values enter the
-field: summed into the sparse matrix D_n at the largest power D^E, each sum
-v becomes v / D^E over Q and v mod p over F_p.  Every map,
-``differential_matrix`` and the cochain-level functions alike, is that
-matrix, applied to a cochain by ``Matrix.apply``.  Transcriptions of the
+D^a.  They are read in one place, summed into the integer rows of D_n over
+the largest power D^E, which enter the field in ``Matrix.from_ints`` alone.
+Every map, ``differential_matrix`` and the cochain-level functions alike, is
+that matrix, applied to a cochain by ``Matrix.apply``.  Transcriptions of the
 formulas, and the build of D_n in the field's arithmetic, are kept in
 tests/oracles.py, and the tests hold the maps equal to them.
 
@@ -87,7 +86,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable
 
 from .fields import Field, Value
@@ -486,15 +484,14 @@ def _blocks(cx: _Complex, n: int, which: str) -> tuple:
 
 
 def _assemble(cx: _Complex, rows: tuple, cols: tuple, layout: list) -> Matrix:
-    """The sparse matrix summed from the blocks of one map (see
-    :func:`_blocks`), entries that sum to zero left out: the one place where
-    values enter the field.
+    """The matrix summed from the blocks of one map (see :func:`_blocks`), as
+    integer rows over a scale, entries that sum to zero left out.
 
     The blocks are listed over the integer maps of :meth:`_Complex.scaled`,
     so the entries of delta and Delta carry D, those of delta_R D^2 and
     those of phi at arity a D^a.  Each block is brought to the largest power
-    D^E as it is summed, and each sum v enters the field as v / D^E over Q
-    and v mod p over F_p."""
+    D^E as it is summed, and the sums, over the scale D^E, enter the field
+    in ``Matrix.from_ints``."""
     F, nA, m = cx.field, cx.dim_a, cx.dim_m
     D, maps, (R, R_M, kappa, d, d_M) = cx.scaled()
     lists = {"delta": lambda a: cx.coboundary(nA, m, *maps, a),
@@ -513,11 +510,8 @@ def _assemble(cx: _Complex, rows: tuple, cols: tuple, layout: list) -> Matrix:
             c += co
             v *= scale
             row[c] = row[c] + v if c in row else v
-    values = {v for row in srows for v in row.values()}
-    enter = ({v: Fraction(v, D ** top) for v in values} if F.is_rational
-             else {v: v % F.p for v in values})
-    srows = [{c: x for c, v in row.items() if (x := enter[v])} for row in srows]
-    return Matrix.from_sparse(F, srows, col_off[-1])
+    srows = [{c: v for c, v in row.items() if v} if 0 in row.values() else row for row in srows]
+    return Matrix.from_ints(F, srows, D ** top, col_off[-1])
 
 
 def _check_cochain_shape(cx: _Complex, f: MultiTensor):
@@ -647,12 +641,12 @@ def cohomology(pair: MRBDerPair, bim: Bimodule, n: int) -> CohomologyResult:
         if not (d_n * d_prev).is_zero():
             raise InternalError("D_%d D_%d is not zero; complex is broken" % (n, n - 1))
         index = {p: k for k, p in enumerate(z_pivots)}
-        coords = ({index[j]: v for j, v in col.items() if j in index}
-                  for col in d_prev.transpose().sparse_rows)
+        scale, cols = d_prev.transpose().int_rows()
+        coords = ({index[j]: v for j, v in col.items() if j in index} for col in cols)
         # a column with no entry at a Z pivot is zero, since it lies in Z^n
         coords = [c for c in coords if c]
         if coords:
-            dim_b, kernel = rank_and_kernel(Matrix.from_sparse(F, coords, len(z_pivots)))
+            dim_b, kernel = rank_and_kernel(Matrix.from_ints(F, coords, scale, len(z_pivots)))
             kept = [z_basis[max(k for k, x in enumerate(v) if x)] for v in kernel]
     reps = tuple(map(space.unflatten, Matrix.from_sparse(F, kept, space.dim).rows))
     return CohomologyResult(n, len(z_basis), dim_b, len(kept), reps)

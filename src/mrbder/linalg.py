@@ -1,17 +1,18 @@
 """Exact matrices, multilinear tensors, and RREF-based linear solving.
 
 Everything is immutable after construction (tuples inside frozen values,
-and matrices whose two forms are built once and kept).  Kernel bases,
+and matrices whose forms are built once and kept).  Kernel bases,
 solutions and canonical subspace bases all come from reduced row echelon
 form with first-nonzero pivoting, so results are deterministic and basis
 choices are reproducible across runs.
 
-A :class:`Matrix` holds dense rows, sparse rows ({column: nonzero} dicts) or
-both: whichever form it was made from, the other is built the first time it
-is read, as is its transpose.  Equality, hashing and ``repr`` are those of
-the dense rows.  Elimination and products read the sparse rows, so a matrix
-made sparse (such as a differential D_n, which is mostly zeros) is never
-expanded unless a caller reads ``rows``.
+A :class:`Matrix` has dense rows, sparse rows ({column: nonzero} dicts) and
+integer rows over a positive scale: whichever form it was made from, the
+others are built when first read and kept, as is its transpose.  Equality,
+hashing and ``repr`` are those of the dense rows.  Elimination and products
+read the integer rows, so a matrix made from ints, such as a differential
+D_n, is never expanded, nor over Q made into Fractions, unless a caller
+reads ``rows`` or ``sparse_rows``.
 
 Every elimination runs through one integer kernel, ``_rref_mod``, which
 reduces rows of residues modulo a prime in place, each row against the pivot
@@ -21,19 +22,21 @@ basis has hundreds), on rows as wide as the component: a component's rows
 are zero off its columns, so their RREF rows are RREF rows of the whole
 matrix, and RREF is unique.  A matrix of at most 32 000 entries (nonzero
 rows times columns) is reduced whole.  Over F_p the kernel reduces the
-field's own residues.  Over Q, ``_rref_rational`` scales each row to
-integers, splits the matrix once, runs the kernel modulo primes below 2**30,
-and rebuilds the RREF from the residues by CRT and rational reconstruction.
+field's own residues.  Over Q, ``_rref_rational`` takes the integer rows as
+they are (a scale does not change the RREF), splits the matrix once, runs
+the kernel modulo primes below 2**30, and rebuilds the RREF from the
+residues by CRT and rational reconstruction.
 It accepts the result only under an exact certificate: every kernel vector
 read off the candidate RREF is annihilated, over the integers, by every row
 of the matrix.  The rank mod p is at most the rank over Q and RREF is
 unique, so a certified result is the RREF over Q, whichever primes gave it.
 
-Products are integer products too (:func:`_product`).  A right factor with
-at most two nonzeros per row on average, such as a D_n in the standard
-basis, is walked row by row.  Any other is packed, each right row into one
-integer of a fixed number of bits per column (Kronecker substitution), so a
-result row is one integer multiply-add per nonzero of the left row.
+Products are integer products too (:func:`_product`), of the integer rows,
+over the product of the scales.  A right factor with at most two nonzeros
+per row on average, such as a D_n in the standard basis, is walked row by
+row.  Any other is packed, each right row into one integer of a fixed number
+of bits per column (Kronecker substitution), so a result row is one integer
+multiply-add per nonzero of the left row.
 
 Tensors meet matrices in one loop, ``_contract``: it takes the middle axis
 of a flat (pre, d, post) tensor through a matrix's sparse rows, one
@@ -90,33 +93,47 @@ def _checked_size(dims: Sequence[int], cod: int) -> int:
 
 
 class Matrix:
-    """Matrix over ``field``, made from dense or from sparse rows.
+    """Matrix over ``field``, made from dense, sparse or integer rows.
 
-    ``Matrix(field, rows)`` takes the rows as a tuple of row tuples;
-    :meth:`from_sparse` takes one {column: nonzero} dict per row.  ``rows``
-    and ``sparse_rows`` give either form; the one the matrix was not made
-    from is built on first use and kept.  A matrix with no rows has no
-    columns.
+    ``Matrix(field, rows)`` takes the rows as a tuple of row tuples,
+    :meth:`from_sparse` one {column: nonzero} dict per row and
+    :meth:`from_ints` integer rows over a scale.  ``rows``, ``sparse_rows``
+    and :meth:`int_rows` give each form; one the matrix was not made from is
+    built on first use and kept.  A matrix with no rows has no columns.
 
     Column convention: ``apply`` sends a coordinate vector v to M v, so the
     j-th column is the image of the j-th basis vector.
     """
 
-    __slots__ = ("field", "_rows", "_sparse", "_ncols", "_transpose")
+    __slots__ = ("field", "_rows", "_sparse", "_ints", "_ncols", "_transpose")
 
     def __init__(self, field: Field, rows: tuple):
         w = len(rows[0]) if rows else 0
         if any(len(r) != w for r in rows):
             raise ShapeError("ragged rows")
-        self.field, self._rows, self._sparse, self._ncols, self._transpose = field, rows, None, w, None
+        self.field, self._rows, self._sparse, self._ncols = field, rows, None, w
+        self._ints = self._transpose = None
 
     @staticmethod
     def from_sparse(field: Field, rows: list, ncols: int) -> "Matrix":
         """The matrix with one {column: nonzero} dict per row; the dicts are
         kept, not copied, and must hold no zeros."""
-        m = Matrix.__new__(Matrix)
-        m.field, m._rows, m._sparse, m._ncols = field, None, rows, ncols if rows else 0
-        m._transpose = None
+        m = Matrix(field, ())
+        m._rows, m._sparse, m._ncols = None, rows, ncols if rows else 0
+        return m
+
+    @staticmethod
+    def from_ints(field: Field, rows: list, scale: int, ncols: int) -> "Matrix":
+        """rows / scale, for {column: nonzero int} ``rows`` and an int scale > 0:
+        the one place where integers enter the field.  Over F_p the rows are
+        reduced to residues at once.  Over Q they are kept, not copied, and
+        the Fraction rows are built on first read, one per distinct int."""
+        if (p := field.p) is not None:
+            k = pow(scale, -1, p)
+            return Matrix.from_sparse(
+                field, [{j: r for j, v in row.items() if (r := v * k % p)} for row in rows], ncols)
+        m = Matrix(field, ())
+        m._rows, m._ints, m._ncols = None, (scale, rows), ncols if rows else 0
         return m
 
     @staticmethod
@@ -142,7 +159,7 @@ class Matrix:
         """The rows as a tuple of row tuples, zeros stored as ``field.zero``."""
         if self._rows is None:
             zero, nc, rows = self.field.zero, self._ncols, []
-            for r in self._sparse:
+            for r in self.sparse_rows:
                 row = [zero] * nc
                 for c, v in r.items():
                     row[c] = v
@@ -153,14 +170,32 @@ class Matrix:
     @property
     def sparse_rows(self) -> list:
         """The rows as {column: nonzero} dicts; callers must not change them."""
-        if self._sparse is None:
+        if self._sparse is None and self._ints is None:
             F = self.field
             self._sparse = [{j: row[j] for j in _nonzero_positions(F, row)} for row in self._rows]
+        elif self._sparse is None:
+            scale, ints = self._ints
+            enter = {v: Fraction(v, scale) for v in {v for row in ints for v in row.values()}}
+            self._sparse = [{c: enter[v] for c, v in row.items()} for row in ints]
         return self._sparse
+
+    def int_rows(self) -> tuple:
+        """(scale, rows): {column: nonzero int} rows, the matrix times the int
+        scale > 0, built once and kept; (1, ``sparse_rows``) over F_p, and
+        over Q the lcm of the denominators unless made from ints."""
+        if self.field.p is not None:
+            return 1, self.sparse_rows
+        if self._ints is None:
+            rows = self.sparse_rows
+            scale, ints = _scaled([v for row in rows for v in row.values()])
+            it = iter(ints)     # zip takes from the row first, so each row takes its own ints
+            self._ints = scale, [dict(zip(row, it)) for row in rows]
+        return self._ints
 
     @property
     def nrows(self) -> int:
-        return len(self._rows if self._rows is not None else self._sparse)
+        rows = self._sparse if self._rows is None else self._rows
+        return len(self._ints[1] if rows is None else rows)
 
     @property
     def ncols(self) -> int:
@@ -201,9 +236,8 @@ class Matrix:
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ShapeError("matmul %dx%d by %dx%d" % (self.nrows, self.ncols, other.nrows, other.ncols))
-        F = self.field
-        return Matrix.from_sparse(
-            F, _product(F, self.sparse_rows, other.sparse_rows, other.ncols), other.ncols)
+        F, (sa, A), (sb, B) = self.field, self.int_rows(), other.int_rows()
+        return Matrix.from_ints(F, _product(A, B, other.ncols, F.p), sa * sb, other.ncols)
 
     def apply(self, vec: Sequence) -> tuple:
         if len(vec) != self.ncols:
@@ -212,13 +246,15 @@ class Matrix:
         return tuple(_contract(self.field, vec, 1, 1, self.transpose().sparse_rows, self.nrows))
 
     def transpose(self) -> "Matrix":
-        """The transpose, built on first use and kept."""
+        """The transpose, built on first use and kept, from the ints if held."""
         if self._transpose is None:
+            scale, rows = self._ints or (None, self.sparse_rows)
             cols = [{} for _ in range(self.ncols)]
-            for i, row in enumerate(self.sparse_rows):
+            for i, row in enumerate(rows):
                 for j, v in row.items():
                     cols[j][i] = v
-            self._transpose = Matrix.from_sparse(self.field, cols, self.nrows)
+            self._transpose = (Matrix.from_sparse(self.field, cols, self.nrows) if scale is None
+                               else Matrix.from_ints(self.field, cols, scale, self.nrows))
         return self._transpose
 
     def right_inverse(self) -> "Matrix | None":
@@ -239,7 +275,7 @@ class Matrix:
         return inv
 
     def is_zero(self) -> bool:
-        return not any(self.sparse_rows)
+        return not any(self.sparse_rows if self._ints is None else self._ints[1])
 
     def block_diag(self, other: "Matrix") -> "Matrix":
         F = self.field
@@ -517,10 +553,11 @@ def _certified(A: list, nc: int, pivots: list, values: list) -> bool:
 
 
 def _rref_rational(rows: list, nc: int) -> tuple:
-    """(pivots, RREF rows as {column: nonzero}) of the nonzero {column:
-    nonzero} ``rows`` over Q, which are left as they are.
+    """(pivots, RREF rows as {column: nonzero}) over Q of the nonzero
+    {column: nonzero int} ``rows``, which are left as they are.
 
-    The rows are scaled to integers and reduced modulo primes from
+    Each row is divided by the gcd of its entries, which one scale for a
+    whole matrix can leave large, and the rows are reduced modulo primes from
     ``_primes``.  The first prime runs over all rows and fixes the pivots and
     a set of independent rows; later primes reduce only those rows.  A prime
     whose pivots are worse than the best seen (lower rank, or the same rank
@@ -535,9 +572,8 @@ def _rref_rational(rows: list, nc: int) -> tuple:
     over Q.  Since the rank mod p is at most the rank over Q, the pivots are
     the same, and since RREF is unique the rows are the RREF over Q.
     """
-    A = [(list(row), _scaled(row.values())[1]) for row in rows]
-    if not A:
-        return [], []
+    A = [(row, [v // g for v in row.values()] if (g := math.gcd(*row.values())) > 1
+           else row.values()) for row in rows]
     best = None                        # (-rank, pivots) of the best prime so far
     run = range(len(A))                # the rows the next prime reduces
     parts = _partition(A, nc)
@@ -564,9 +600,8 @@ def _rref_rational(rows: list, nc: int) -> tuple:
 
 
 def _echelon(field: Field, rows: Iterable[dict], nc: int) -> tuple:
-    """(pivots, RREF rows as {column: nonzero}) of ``rows``, {column:
-    nonzero} dicts of a matrix with ``nc`` columns, which are left as they
-    are."""
+    """(pivots, RREF rows as {column: nonzero}) of the {column: nonzero int}
+    ``rows`` of a matrix times a scale (residues over F_p), left as they are."""
     rows = [r for r in rows if r]
     if field.p is None:
         return _rref_rational(rows, nc)
@@ -582,13 +617,10 @@ def rref_vectors(field: Field, vectors: Iterable[Sequence]) -> tuple:
     pivots their leading-column indices.
     """
     rows = list(vectors)
-    if not rows:
-        return [], []
-    nc = len(rows[0])
+    nc = len(rows[0]) if rows else 0
     if any(len(r) != nc for r in rows):
         raise ShapeError("ragged vectors")
-    pivots, red = _echelon(field, [{j: v[j] for j in _nonzero_positions(field, v)}
-                                   for v in rows], nc)
+    pivots, red = _echelon(field, Matrix.from_rows(field, rows).int_rows()[1], nc)
     return list(Matrix.from_sparse(field, red, nc).rows), pivots
 
 
@@ -600,7 +632,7 @@ def rank_and_kernel(m: Matrix) -> tuple:
     the negated RREF coefficients at pivot columns.
     """
     F, n = m.field, m.ncols
-    pivots, red = _echelon(F, m.sparse_rows, n)
+    pivots, red = _echelon(F, m.int_rows()[1], n)
     # each vector is made as a list and kept as a tuple, one at a time, so
     # the kernel is not held twice
     kernel = []
@@ -626,7 +658,7 @@ def kernel_rref(m: Matrix) -> tuple:
     """
     F, n = m.field, m.ncols
     pivots, red = _echelon(
-        F, ({n - 1 - j: v for j, v in row.items()} for row in m.sparse_rows if row), n)
+        F, ({n - 1 - j: v for j, v in row.items()} for row in m.int_rows()[1] if row), n)
     free = _free_columns(n, pivots, red)
     basis = [{n - 1 - c: F.one, **{n - 1 - pc: F.neg(x) for pc, x in reversed(free[c])}}
              for c in reversed(free)]
@@ -636,11 +668,12 @@ def kernel_rref(m: Matrix) -> tuple:
 def _solve_block(m: Matrix, B: list, nb: int):
     """The {column: nonzero} rows of the X with m X = B and its free
     variables at zero, B given as one {column: nonzero} dict per row of m and
-    ``nb`` columns, from one row reduction of [m | B]; None when a pivot falls
-    in the B block, so that m X = B has no solution."""
+    ``nb`` columns, from one row reduction of the integer rows of [m | B]
+    (each row times both scales); None when a pivot falls in the B block."""
     F, n = m.field, m.ncols
-    aug = [{**row, **{n + k: v for k, v in rhs.items()}} if rhs else row
-           for row, rhs in zip(m.sparse_rows, B)]
+    (s, A), (d, C) = m.int_rows(), Matrix.from_sparse(F, B, nb).int_rows()
+    aug = [{**{j: v * d for j, v in row.items()}, **{n + k: v * s for k, v in rhs.items()}}
+           for row, rhs in zip(A, C)]
     pivots, red = _echelon(F, aug, n + nb)
     if pivots and pivots[-1] >= n:
         return None
@@ -663,71 +696,49 @@ def solve_linear(m: Matrix, b: Sequence):
     return None if X is None else tuple(row.get(0, F.zero) for row in X)
 
 
-def _product(F: Field, A: list, B: list, nc: int) -> list:
-    """The {column: nonzero} rows of A B, for {column: nonzero} rows A and B,
-    B with ``nc`` columns.
+def _product(A: list, B: list, nc: int, p: int | None) -> list:
+    """The {column: nonzero int} rows of the integer product A B, for such
+    rows A and B, B with ``nc`` columns; ``p`` is None or the prime of F_p,
+    whose residues are lifted to least absolute value when B is packed.
 
     When B holds at most 2 nonzeros per row on average, the rows of B are
-    walked (``_walked_rows``).  Otherwise they are packed: over Q each row of
-    A is scaled to integers by the lcm of its denominators, and B by the lcm
-    of all of its denominators; over F_p the residues are lifted to integers of least absolute value, so a product of
-    matrices with small integer entries, such as D_{n+1} D_n, is zero over
-    the integers and not only mod p.  Each row of B is packed into one
+    walked (``_walked_rows``).  Otherwise they are packed, each into one
     integer, ``w`` bits per column (``_packed_dots``), and the digits of a
     result, read as signed w-bit numbers, are the entries of the integer
     product.  No digit can carry: ``w`` holds the largest possible |entry|,
     the largest absolute row sum of A times the largest |entry| of B, with
-    the sign bit to spare.
+    the sign bit to spare.  The lift keeps ``w`` small, and a product of
+    matrices with small integer entries, such as D_{n+1} D_n, zero over the
+    integers and not only mod p.
     """
     # walking took 0.35-0.65 of the packed time on the standard-basis D_{n+1} D_n
     # (0.53-1.12 nonzeros per row of D_n), and 1.1-2.7 of it over Q after a
     # basis change (2.75-8.2 per row)
     if sum(map(len, B)) <= 2 * len(B):
-        return _walked_rows(F, A, B)
-    if F.p is None:
-        den = math.lcm(*(x.denominator for row in B for x in row.values()))
-        B = [{j: x.numerator * (den // x.denominator) for j, x in row.items()} for row in B]
-        scaled = [_scaled(row.values()) for row in A]
-        scales = [d * den for d, _ in scaled]
-        left = [(row.keys(), ints) for row, (_, ints) in zip(A, scaled)]
-    else:
-        p = F.p
-        h = p >> 1
-        B = [{j: v - p if v > h else v for j, v in row.items()} for row in B]
-        scales = repeat(1)
-        left = [(row.keys(), [v - p if v > h else v for v in row.values()]) for row in A]
+        return _walked_rows(A, B)
+    left = [(row.keys(), row.values()) for row in A]
+    if p is not None:
+        left = [(cols, [v - p if 2 * v > p else v for v in vals]) for cols, vals in left]
+        B = [{j: v - p if 2 * v > p else v for j, v in row.items()} for row in B]
     bound = (max((sum(map(abs, vals)) for _, vals in left), default=0)
              * max((abs(v) for row in B for v in row.values()), default=0))
     w = _digit_width(bound)
     offset = (1 << (w - 1)) * (((1 << (nc * w)) - 1) // ((1 << w) - 1))
-    return [_unpack(F, s + offset, w, nc, scale) if s else {}
-            for scale, s in zip(scales, _packed_dots(left, (row.items() for row in B), w))]
+    return [_unpack(s + offset, w, nc) if s else {}
+            for s in _packed_dots(left, (row.items() for row in B), w)]
 
 
-def _walked_rows(F: Field, A: list, B: list) -> list:
-    """The {column: nonzero} rows of A B: each nonzero a_k of a row of A
-    adds a_k times row k of B (Gustavson 1978).  Over F_p the residues are
-    multiplied as they are; over Q, A and B are each scaled to integers by
-    one common denominator."""
-    p, out = F.p, []
-    if p is None:
-        da, a_ints = _scaled([x for row in A for x in row.values()])
-        db, b_ints = _scaled([x for row in B for x in row.values()])
-        # zip takes from the row first, so each row takes its own integers
-        a_ints, b_ints, d = iter(a_ints), iter(b_ints), da * db
-        A, B = (zip(row, a_ints) for row in A), [dict(zip(row, b_ints)) for row in B]
-    else:
-        A = (row.items() for row in A)
-    for entries in A:
+def _walked_rows(A: list, B: list) -> list:
+    """The {column: nonzero int} rows of the integer product A B: each
+    nonzero a_k of a row of A adds a_k times row k of B (Gustavson 1978)."""
+    out = []
+    for row in A:
         acc = {}
         get = acc.get
-        for k, a in entries:
+        for k, a in row.items():
             for j, b in B[k].items():
                 acc[j] = get(j, 0) + a * b
-        if p is None:
-            row = {j: Fraction(x, d) for j, x in acc.items() if x}
-        else:
-            row = {j: r for j, x in acc.items() if (r := x % p)}
+        row = {j: x for j, x in acc.items() if x}
         out.append(dict(sorted(row.items())) if len(row) > 1 else row)
     return out
 
@@ -743,21 +754,16 @@ def _digit_width(bound: int) -> int:
 _DIGIT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
-def _unpack(F: Field, u: int, w: int, nc: int, scale: int) -> dict:
-    """The {column: nonzero} entries of a packed product row, given as ``u``,
-    the row plus 2**(w-1) in every digit, so each digit is unsigned; over Q
-    each entry is divided by ``scale``, over F_p reduced mod p."""
+def _unpack(u: int, w: int, nc: int) -> dict:
+    """The {column: nonzero int} entries of a packed product row, given as
+    ``u``, the row plus 2**(w-1) in every digit, so each digit is unsigned."""
     nb, half = w // 8, 1 << (w - 1)
     raw = u.to_bytes(nc * nb, sys.byteorder)
     if nb in _DIGIT_CODES:
         digits = memoryview(raw).cast(_DIGIT_CODES[nb]).tolist()
     else:
         digits = [int.from_bytes(raw[k:k + nb], sys.byteorder) for k in range(0, nc * nb, nb)]
-    cols = compress(range(nc), map(half.__ne__, digits))
-    if F.p is None:
-        return {j: Fraction(digits[j] - half, scale) for j in cols}
-    p = F.p
-    return {j: r for j in cols if (r := (digits[j] - half) % p)}
+    return {j: digits[j] - half for j in compress(range(nc), map(half.__ne__, digits))}
 
 
 def _contract(F: Field, entries: Sequence, pre: int, post: int, maps: list, d_new: int) -> list:

@@ -399,6 +399,24 @@ class TestComplexCache:
         differential_matrix(pair, bims[1], 1, "pair")
         assert len(scaled) == 2
 
+    def test_cohomology_over_q_builds_no_field_value_for_the_kept_matrices(self):
+        # the kernel of D_n, the check D_n D_{n-1} = 0 and the B step read the
+        # integer rows, so neither kept matrix, nor a transpose of one, gets
+        # Fraction (or dense) rows; the pair has D > 1, so the ints are not
+        # the values
+        mod = importlib.import_module("mrbder.cohomology")
+        pair = conjugate_pair(dual_pair(QQ), random_invertible(random.Random(0), QQ, 2))
+        bim = adjoint_bimodule(pair)
+        assert mod._pair_complex(pair, bim).scaled()[0] > 1
+        for n in (2, 3):
+            result = cohomology(pair, bim, n)
+            assert result.dim_coboundaries > 0
+            d_n, d_prev = (differential_matrix(pair, bim, k, "pair") for k in (n, n - 1))
+            assert d_prev._transpose is not None
+            kept = [m for d in (d_n, d_prev) for m in (d, d._transpose) if m is not None]
+            assert [(m._sparse, m._rows) for m in kept] == [(None, None)] * len(kept)
+            assert all(m.int_rows()[0] > 1 for m in kept)
+
     @pytest.mark.parametrize("which", KINDS)
     @pytest.mark.parametrize("dim_m", [None, 3, "conjugated"])
     def test_lowered_cap_after_the_maps_are_scaled(self, which, dim_m):

@@ -14,8 +14,7 @@
 * Each step of the exact linear algebra is written once: ``_echelon`` is
   called only by ``rank_and_kernel``, ``kernel_rref``, ``rref_vectors`` and
   the [m | B] reader ``_solve_block``, and ``math.lcm`` in ``linalg`` only
-  by the scaling helper ``_scaled`` and for the right factor of
-  ``_product``.
+  by the scaling helper ``_scaled``.
 * No function in ``src/`` calls ``rref_vectors``, which takes dense
   vectors: every elimination of the engine starts from sparse rows.  It
   stays public for the tests and the benchmark's tracer.
@@ -23,9 +22,11 @@
   called only by ``_Complex.matrix``, so every cochain map is its kept
   matrix.
 * The four entry lists (``_coboundary_entries``, ``_ce_entries``,
-  ``_operator_map_entries``, ``_defect_entries``) run on plain ints: none
-  takes a field argument or reads a ``Field`` method, so values enter the
-  field in ``_assemble`` alone.
+  ``_operator_map_entries``, ``_defect_entries``) and the product kernels
+  (``_product``, ``_walked_rows``, ``_unpack``, ``_packed_dots``) run on
+  plain ints: none takes a field argument or reads a ``Field`` method, so
+  the entries of D_n and of every product enter the field in
+  ``Matrix.from_ints`` alone.
 """
 
 import ast
@@ -218,7 +219,7 @@ def test_no_engine_elimination_of_dense_vectors():
 
 def test_one_lcm_scaling():
     callers = sorted(f for f, _ in _callers(MODULES["linalg"], "math.lcm"))
-    assert callers == ["_product", "_scaled"]
+    assert callers == ["_scaled"]
 
 
 def test_entry_lists_have_one_reader():
@@ -256,6 +257,15 @@ def test_entry_lists_run_on_plain_ints():
     defs = _functions(MODULES["cohomology"])
     assert {name: _field_uses(defs[name]) for name in ENTRY_LISTS} \
         == {name: [] for name in ENTRY_LISTS}
+
+
+PRODUCT_KERNELS = ("_product", "_walked_rows", "_unpack", "_packed_dots")
+
+
+def test_product_kernels_run_on_plain_ints():
+    defs = _functions(MODULES["linalg"])
+    assert {name: _field_uses(defs[name]) for name in PRODUCT_KERNELS} \
+        == {name: [] for name in PRODUCT_KERNELS}
 
 
 def test_the_field_scan_flags_the_field_arithmetic_build():

@@ -7,7 +7,9 @@ both loops checks which one a product took, on each side of the rule and
 exactly at it, and on the differentials of the dual pair in the standard
 basis (walked) and after a basis change (packed).  Every comparison is by
 ``repr``, so the entries, their types and the shape all have to match, not
-only the values.
+only the values.  Each product is also taken of factors made from their
+integer rows, as given and with both ints and scale tripled, so that the
+integer form runs through both loops too.
 """
 
 import random
@@ -67,10 +69,19 @@ def sparse_copy(m):
     return Matrix.from_sparse(m.field, [dict(r) for r in m.sparse_rows], m.ncols)
 
 
+def int_copy(m, k=1):
+    """The same matrix made from its integer rows, ints and scale times k."""
+    scale, rows = m.int_rows()
+    return Matrix.from_ints(m.field, [{j: k * v for j, v in r.items()} for r in rows],
+                            k * scale, m.ncols)
+
+
 def assert_same_product(a, b):
     want = repr(dense_matmul(a, b))
     assert repr(a * b) == want
     assert repr(sparse_copy(a) * sparse_copy(b)) == want
+    for k in (1, 3):
+        assert repr(int_copy(a, k) * int_copy(b, k)) == want
 
 
 @pytest.mark.parametrize("F", FIELDS)
