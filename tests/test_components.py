@@ -6,7 +6,8 @@ column graph (two columns are joined when one row holds both) and reduces
 each component's rows on their own.  RREF is unique, so the pivots and rows must be exactly those of one
 elimination of the whole matrix.  The inputs are seeded random
 block-diagonal matrices under random row and column permutations, with zero
-rows, zero columns and single-column components, over Q and F_5, split at
+rows, zero columns and single-column components (which the singleton peel
+takes before any split), over Q and F_5, split at
 the default size and at every size; the references are ``_rref_mod`` run
 once over the whole matrix and the dense sweeps of ``oracles``.
 """
@@ -131,8 +132,10 @@ def test_q_components_that_need_several_primes(monkeypatch, split_any_size):
     def big(r):
         return Fraction(r.randrange(1, 2**40), r.randrange(1, 2**40))
 
+    # full blocks with two columns or more: no row is a singleton, so the
+    # peel leaves all four components to the primes
     rng = random.Random(7)
-    m, live = block_diagonal(rng, QQ, [(3, 4, 1.0), (4, 3, 1.0), (2, 2, 1.0), (1, 1, 1.0)],
+    m, live = block_diagonal(rng, QQ, [(3, 4, 1.0), (4, 3, 1.0), (2, 2, 1.0), (2, 2, 1.0)],
                              zero_rows=2, zero_cols=1, entry=big)
     labels = _partition([(r, r.values()) for r in m.sparse_rows if r], m.ncols)[0]
     assert live == 4 and len(set(labels)) == 4

@@ -105,6 +105,12 @@ def test_the_integer_rows_are_kept(F):
         s = a.sparse_rows
         assert s[0][2] is s[0][0] is s[2][0] == Fraction(7, 3)
         assert a.int_rows()[1] is rows
+        # the dense rows are read straight off the ints: they share one
+        # Fraction per int, and no sparse Fraction rows are kept beside them
+        b = Matrix.from_ints(F, rows, 3, 3)
+        d = b.rows
+        assert d[0][2] is d[0][0] is d[2][0] == Fraction(7, 3) and d[2][1] == Fraction(-7, 3)
+        assert b._sparse is None and b.int_rows()[1] is rows
     else:
         assert a.int_rows()[0] == 1 and a.int_rows()[1] is a.sparse_rows
     # a later row that is nonzero over the integers, and zero mod 5 only
