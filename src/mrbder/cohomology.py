@@ -70,12 +70,12 @@ each D_n is built once per pair and bimodule, whichever of
 cochain-level maps asks first.  The entry cap is checked when a matrix is
 built, not when a kept one is returned.
 
-Cohomology takes the RREF basis of Z^n from one elimination of D_n with its
-columns reversed.  After a check that D_n D_{n-1} = 0 it eliminates the
-columns of D_{n-1} at the Z pivots, as sparse rows: dim B^n is their rank,
-and the canonical representatives, alone made dense, are the Z rows at
-their free columns.  ``primitive`` solves D^1 h = c for a degree-2 cochain
-c and checks it.
+Cohomology checks that D_n D_{n-1} = 0, then proves H^n = 0 by a rank
+balance or takes the RREF basis of Z^n from the same elimination of D_n,
+its columns reversed, and eliminates the columns of D_{n-1} at the Z pivots
+as sparse rows: dim B^n is their rank, and the canonical representatives,
+alone made dense, are the Z rows at their free columns.  ``primitive``
+solves D^1 h = c for a degree-2 cochain c and checks it.
 The Lie-side complex (Chevalley-Eilenberg of the commutator bracket) shares
 the entry lists of phi and Delta and the graded stacking, and is kept on
 its Lie pair as a pair's complexes are; the skew-symmetrization chain maps
@@ -90,7 +90,8 @@ from typing import Callable
 
 from .fields import Field, Value
 from .linalg import (Matrix, MultiTensor, ShapeError, TensorSpace, _checked_size, _scaled,
-                     kernel_rref, rank_and_kernel, solve_linear, tensor_as_matrix)
+                     kernel_rref, modular_rank, rank_and_kernel, solve_linear,
+                     tensor_as_matrix)
 from .structures import Bimodule, InternalError, MRBDerPair
 from .constructions import LiePair, induced_action, induced_product
 
@@ -618,28 +619,52 @@ def cohomology(pair: MRBDerPair, bim: Bimodule, n: int) -> CohomologyResult:
     """H^n of the pair complex; B^1 = 0 by convention.
 
     Representatives are canonical: RREF rows of the cocycle space whose pivots
-    are not pivots of the coboundary space.  Z^n's RREF basis z_k is read off
-    one elimination of D_n with its columns reversed (``linalg.kernel_rref``).
-    For n > 1 it first checks that D_n D_{n-1} = 0, an :class:`InternalError`
-    otherwise, so that B^n lies in Z^n.  Each z_k has 1 at its pivot, 0 at the
-    other Z pivots and nothing before its pivot, so a column of D_{n-1} has
-    its entries at the Z pivots as its Z-coordinates, and sum c_k z_k leads
-    at the pivot of the first k with c_k != 0: the pivots of B^n are the Z
-    pivots picked out by the RREF of those columns, and the kept z_k are its
-    free columns.  One sparse elimination (``linalg.rank_and_kernel``) gives
-    dim B^n as its rank and each free column k as the last nonzero of its
-    kernel vector; when no column meets a Z pivot, B^n = 0.
+    are not pivots of the coboundary space.  For n > 1 it first checks that
+    D_n D_{n-1} = 0, an :class:`InternalError` otherwise, so that B^n lies in
+    Z^n and rank D_n + rank D_{n-1} <= dim PC^n.  The target dim PC^n - r,
+    r the kept exact rank of D_{n-1} or over Q its rank modulo one prime
+    (0 at n = 1), then bounds rank D_n.  ``linalg.kernel_rref`` eliminates
+    D_n with its columns reversed and stops at its first prime if the rank
+    there reaches the target: both ranks are then exact and H^n = 0 (Dumas,
+    Heckenbach, Saunders & Welker 2003).  A rank above the target
+    contradicts the check, an :class:`InternalError`.  Over F_p a rank of
+    D_{n-1} that is not kept would cost a whole elimination, about what the
+    kernel and the B step cost, paid for nothing when H^n != 0; so there is
+    no target, and the kernel path runs.
+
+    Otherwise the same elimination goes on to the RREF basis z_k of Z^n.
+    Each z_k has 1 at its pivot, 0 at the other Z pivots and nothing before
+    its pivot, so a column of D_{n-1} has its entries at the Z pivots as its
+    Z-coordinates, and sum c_k z_k leads at the pivot of the first k with
+    c_k != 0: the pivots of B^n are the Z pivots picked out by the RREF of
+    those columns, and the kept z_k are its free columns.  One sparse
+    elimination (``linalg.rank_and_kernel``) gives dim B^n as its rank, which
+    must equal a kept exact rank of D_{n-1} and is kept as one, and each free
+    column k as the last nonzero of its kernel vector; when no column meets a
+    Z pivot, B^n = 0.
     """
     check_cohomology_degree(n)
     F = pair.field
     space = PairSpace(F, pair.dim, bim.dim_m, n)
     d_n = differential_matrix(pair, bim, n, "pair")
-    z_basis, z_pivots = kernel_rref(d_n)
-    dim_b, kept = 0, z_basis
+    rank_prev = 0
     if n > 1:
         d_prev = differential_matrix(pair, bim, n - 1, "pair")
         if not (d_n * d_prev).is_zero():
             raise InternalError("D_%d D_%d is not zero; complex is broken" % (n, n - 1))
+        rank_prev = modular_rank(d_prev)
+    target = None if rank_prev is None else space.dim - rank_prev
+    z = kernel_rref(d_n, target)
+    if isinstance(z, int):
+        if z > target:
+            raise InternalError("rank D_%d is at least %d, above dim PC^%d - rank D_%d = %d"
+                                % (n, z, n, n - 1, target))
+        if n > 1:
+            d_prev._rank = rank_prev        # exact, by the balance
+        return CohomologyResult(n, rank_prev, rank_prev, 0, ())
+    z_basis, z_pivots = z
+    dim_b, kept = 0, z_basis
+    if n > 1:
         index = {p: k for k, p in enumerate(z_pivots)}
         scale, cols = d_prev.transpose().int_rows()
         coords = ({index[j]: v for j, v in col.items() if j in index} for col in cols)
@@ -648,6 +673,9 @@ def cohomology(pair: MRBDerPair, bim: Bimodule, n: int) -> CohomologyResult:
         if coords:
             dim_b, kernel = rank_and_kernel(Matrix.from_ints(F, coords, scale, len(z_pivots)))
             kept = [z_basis[max(k for k, x in enumerate(v) if x)] for v in kernel]
+        if d_prev._rank not in (None, dim_b):
+            raise InternalError("dim B^%d is %d, but rank D_%d is %d" % (n, dim_b, n - 1, d_prev._rank))
+        d_prev._rank = dim_b
     reps = tuple(map(space.unflatten, Matrix.from_sparse(F, kept, space.dim).rows))
     return CohomologyResult(n, len(z_basis), dim_b, len(kept), reps)
 

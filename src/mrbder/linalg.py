@@ -8,13 +8,13 @@ choices are reproducible across runs.
 
 A :class:`Matrix` has dense rows, sparse rows ({column: nonzero} dicts) and
 integer rows over a positive scale: whichever form it was made from, the
-others are built when first read and kept, as is its transpose; the dense
-rows of a matrix made from ints over Q are read straight off the ints, and
-no sparse rows are kept for them.  Equality, hashing and ``repr`` are those
-of the dense rows.  Elimination and products read the integer rows, so a
-matrix made from ints, such as a differential D_n, is never expanded, nor
-over Q made into Fractions, unless a caller reads ``rows`` or
-``sparse_rows``.
+others are built when first read and kept, as are its transpose and, once
+proven, its rank; the dense rows of a matrix made from ints over Q are read
+straight off the ints, and no sparse rows are kept for them.  Equality,
+hashing and ``repr`` are those of the dense rows.  Elimination and products
+read the integer rows, so a matrix made from ints, such as a differential
+D_n, is never expanded, nor over Q made into Fractions, unless a caller
+reads ``rows`` or ``sparse_rows``.
 
 Every elimination enters at ``_echelon``, which first peels singleton rows,
 with no arithmetic (the first step of LaMacchia and Odlyzko's structured
@@ -40,6 +40,12 @@ It accepts the result only under an exact certificate: every kernel vector
 read off the candidate RREF is annihilated, over the integers, by every row
 of the matrix.  The rank mod p is at most the rank over Q and RREF is
 unique, so a certified result is the RREF over Q, whichever primes gave it.
+
+``kernel_rref`` takes an upper bound on the rank that its caller has
+proven, and stops at its first prime, with no kernel, once the rank there
+reaches it; ``modular_rank`` is a kept rank or, over Q, the rank at one
+prime alone.  These are the two ranks of the balance that proves H^n = 0 in
+``cohomology``.
 
 Products are integer products too (:func:`_product`), of the integer rows,
 over the product of the scales.  A right factor with at most two nonzeros
@@ -115,14 +121,14 @@ class Matrix:
     j-th column is the image of the j-th basis vector.
     """
 
-    __slots__ = ("field", "_rows", "_sparse", "_ints", "_ncols", "_transpose")
+    __slots__ = ("field", "_rows", "_sparse", "_ints", "_ncols", "_transpose", "_rank")
 
     def __init__(self, field: Field, rows: tuple):
         w = len(rows[0]) if rows else 0
         if any(len(r) != w for r in rows):
             raise ShapeError("ragged rows")
         self.field, self._rows, self._sparse, self._ncols = field, rows, None, w
-        self._ints = self._transpose = None
+        self._ints = self._transpose = self._rank = None
 
     @staticmethod
     def from_sparse(field: Field, rows: list, ncols: int) -> "Matrix":
@@ -574,9 +580,10 @@ def _certified(A: list, nc: int, pivots: list, values: list) -> bool:
     return not any(_packed_dots(A, packs, w))
 
 
-def _rref_rational(rows: list, nc: int) -> tuple:
+def _rref_rational(rows: list, nc: int, need: int | None = None) -> tuple:
     """(pivots, RREF rows as {column: nonzero}) over Q of the nonzero
-    {column: nonzero int} ``rows``, which are left as they are.
+    {column: nonzero int} ``rows``, which are left as they are; (pivots mod
+    the first prime, None) when they number at least ``need``.
 
     Each row is divided by the gcd of its entries, which one scale for a
     whole matrix can leave large, and the rows are reduced modulo primes from
@@ -602,6 +609,9 @@ def _rref_rational(rows: list, nc: int) -> tuple:
     for p in _primes():
         # the nonzeros of each RREF row after its pivot, all at free columns
         pivots, order, residues = _reduce(p, run, parts)
+        if need is not None and len(pivots) >= need:
+            return pivots, None
+        need = None                    # a bound is read at the first prime alone
         key = (-len(pivots), pivots)
         if best is not None and key > best:
             continue
@@ -660,7 +670,7 @@ def _peel(rows: list, nc: int):
     return sorted(peeled), rest, cols
 
 
-def _echelon(field: Field, rows: Iterable[dict], nc: int) -> tuple:
+def _echelon(field: Field, rows: Iterable[dict], nc: int, bound: int | None = None) -> tuple:
     """(pivots, RREF rows as {column: nonzero}) of the {column: nonzero int}
     ``rows`` of a matrix times a scale (residues over F_p), left as they are.
 
@@ -672,22 +682,32 @@ def _echelon(field: Field, rows: Iterable[dict], nc: int) -> tuple:
     pivot, are the other RREF rows.  They are reduced on the columns they
     touch alone, so the Q path's certificate never reads a peeled column as
     free.
+
+    A rank of at least ``bound`` modulo the first prime (the field's own over
+    F_p) ends the elimination there, with the pivots at that prime and None
+    for the rows; below it, the elimination goes on from that prime.
     """
     rows = [r for r in rows if r]
     peel = _peel(rows, nc)
     if peel is not None:
         peeled, rows, cols = peel
         nc = len(cols)
+        if bound is not None:
+            bound -= len(peeled)
     if not rows:
         pivots, red = [], []
     elif field.p is None:
-        pivots, red = _rref_rational(rows, nc)
+        pivots, red = _rref_rational(rows, nc, bound)
     else:
         parts = _partition([(r, r.values()) for r in rows], nc)
         pivots, _, rest = _reduce(field.p, range(len(rows)), parts)
         red = [{pc: 1, **row} for pc, row in zip(pivots, rest)]
+    if bound is not None and len(pivots) >= bound:
+        red = None
     if peel is None:
         return pivots, red
+    if red is None:
+        return sorted([*peeled, *map(cols.__getitem__, pivots)]), None
     one = field.one
     out = sorted([*((cols[pc], {cols[c]: v for c, v in row.items()}) for pc, row in zip(pivots, red)),
                   *((c, {c: one}) for c in peeled)], key=itemgetter(0))
@@ -729,9 +749,20 @@ def rank_and_kernel(m: Matrix) -> tuple:
     return len(pivots), kernel
 
 
-def kernel_rref(m: Matrix) -> tuple:
+def modular_rank(m: Matrix) -> int | None:
+    """The kept exact rank of ``m``, or over Q its rank modulo the first
+    prime, a lower bound, from an elimination that reads no kernel; over
+    F_p, where that elimination would cost as much as an exact one, None
+    unless a rank is kept."""
+    if m._rank is None and m.field.p is None:
+        return len(_echelon(m.field, m.int_rows()[1], m.ncols, 0)[0])
+    return m._rank
+
+
+def kernel_rref(m: Matrix, bound: int | None = None):
     """(basis, pivots): the RREF basis of the kernel of ``m``, one {column:
-    nonzero} dict per vector, and its pivots, from one elimination.
+    nonzero} dict per vector, and its pivots, from one elimination, whose
+    rank is exact and is kept on ``m``.
 
     The columns are reversed (j -> N-1-j) and reduced once.  The kernel
     vector of the reversed matrix's free column c has its 1 at c and -R[k][c]
@@ -739,10 +770,22 @@ def kernel_rref(m: Matrix) -> tuple:
     N-1-c, it is 0 at the other free columns and its other nonzeros come
     after N-1-c.  Ordered by decreasing c, these vectors are the RREF basis
     of ker m, which is unique, and the pivot of each is N-1-c.
+
+    ``bound`` is an upper bound on the rank of ``m`` that the caller has
+    proven.  When the kept rank or the rank modulo the first prime reaches
+    it, that rank, an int, is returned in place of a basis, with no kernel
+    read, and kept if equal to the bound, so exact.
     """
     F, n = m.field, m.ncols
+    if bound is not None and m._rank is not None and m._rank >= bound:
+        return m._rank
     pivots, red = _echelon(
-        F, ({n - 1 - j: v for j, v in row.items()} for row in m.int_rows()[1] if row), n)
+        F, ({n - 1 - j: v for j, v in row.items()} for row in m.int_rows()[1] if row), n, bound)
+    if red is None:
+        if len(pivots) == bound:
+            m._rank = bound
+        return len(pivots)
+    m._rank = len(pivots)
     free = _free_columns(n, pivots, red)
     basis = [{n - 1 - c: F.one, **{n - 1 - pc: F.neg(x) for pc, x in reversed(free[c])}}
              for c in reversed(free)]

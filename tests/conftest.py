@@ -77,9 +77,9 @@ def eliminations(monkeypatch):
     calls = []
     real = linalg._echelon
 
-    def spy(field, rows, nc):
+    def spy(field, rows, nc, bound=None):
         calls.append(nc)
-        return real(field, rows, nc)
+        return real(field, rows, nc, bound)
 
     monkeypatch.setattr(linalg, "_echelon", spy)
     return calls

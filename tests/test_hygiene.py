@@ -12,9 +12,10 @@
   ``precompose_slot``, ``postcompose`` and matrix products, not evaluated
   again one basis vector at a time.
 * Each step of the exact linear algebra is written once: ``_echelon`` is
-  called only by ``rank_and_kernel``, ``kernel_rref``, ``rref_vectors`` and
-  the [m | B] reader ``_solve_block``, and ``math.lcm`` in ``linalg`` only
-  by the scaling helper ``_scaled``.
+  called only by ``rank_and_kernel``, ``kernel_rref``, ``rref_vectors``,
+  the [m | B] reader ``_solve_block`` and ``modular_rank``, a rank that
+  reads no kernel, and ``math.lcm`` in ``linalg`` only by the scaling
+  helper ``_scaled``.
 * No function in ``src/`` calls ``rref_vectors``, which takes dense
   vectors: every elimination of the engine starts from sparse rows.  It
   stays public for the tests and the benchmark's tracer.
@@ -209,7 +210,8 @@ def test_the_call_scan_finds_planted_calls():
 
 def test_one_elimination_entry_per_reduction():
     callers = {f for tree in MODULES.values() for f, _ in _callers(tree, "_echelon")}
-    assert callers == {"rank_and_kernel", "kernel_rref", "rref_vectors", "_solve_block"}
+    assert callers == {"rank_and_kernel", "kernel_rref", "rref_vectors", "_solve_block",
+                       "modular_rank"}
 
 
 def test_no_engine_elimination_of_dense_vectors():
