@@ -130,7 +130,7 @@ def cmd_complex_check(args) -> tuple:
     bim = _active_bimodule(inst)
     mats = {n: differential_matrix(inst.pair, bim, n, "pair")
             for n in range(1, args.max_degree + 1)}
-    products = [{"degrees": [n + 1, n], "zero": (mats[n + 1] * mats[n]).is_zero()}
+    products = [{"degrees": [n + 1, n], "zero": mats[n + 1].product_is_zero(mats[n])}
                 for n in range(1, args.max_degree)]
     ok = all(p["zero"] for p in products)
     return {"command": "complex-check", "ok": ok, "max_degree": args.max_degree,
@@ -212,7 +212,7 @@ def cmd_fuzz(args) -> tuple:
         valid = check_instance(inst)
         d1 = differential_matrix(inst.pair, inst.bim, 1, "pair")
         d2 = differential_matrix(inst.pair, inst.bim, 2, "pair")
-        complex_ok = (d2 * d1).is_zero()
+        complex_ok = d2.product_is_zero(d1)
         rows.append({"label": inst.label, "dim": inst.pair.dim,
                      "dim_m": inst.bim.dim_m, "valid": valid,
                      "complex_ok": complex_ok})

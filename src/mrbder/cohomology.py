@@ -650,7 +650,7 @@ def cohomology(pair: MRBDerPair, bim: Bimodule, n: int) -> CohomologyResult:
     rank_prev = 0
     if n > 1:
         d_prev = differential_matrix(pair, bim, n - 1, "pair")
-        if not (d_n * d_prev).is_zero():
+        if not d_n.product_is_zero(d_prev):
             raise InternalError("D_%d D_%d is not zero; complex is broken" % (n, n - 1))
         rank_prev = modular_rank(d_prev)
     target = None if rank_prev is None else space.dim - rank_prev

@@ -35,24 +35,29 @@ are RREF rows of the whole matrix, and RREF is unique.  A matrix of at most
 kernel reduces the field's own residues.  Over Q, ``_rref_rational`` takes
 the integer rows as they are (a scale does not change the RREF), splits the
 matrix once, runs the kernel modulo primes below 2**30, and rebuilds the
-RREF from the residues by CRT and rational reconstruction.
+RREF from the residues by CRT and rational reconstruction.  A matrix of more
+than 32 000 entries is first reduced modulo a small prime (7, 11 or 13, one
+that does not divide its scale), and the primes below 2**30 reduce only the
+rows that prime picked as pivot rows, which are independent over Q.
 It accepts the result only under an exact certificate: every kernel vector
 read off the candidate RREF is annihilated, over the integers, by every row
 of the matrix.  The rank mod p is at most the rank over Q and RREF is
-unique, so a certified result is the RREF over Q, whichever primes gave it.
+unique, so a certified result is the RREF over Q, whichever primes gave it
+and whichever rows they reduced.
 
 ``kernel_rref`` takes an upper bound on the rank that its caller has
-proven, and stops at its first prime, with no kernel, once the rank there
-reaches it; ``modular_rank`` is a kept rank or, over Q, the rank at one
-prime alone.  These are the two ranks of the balance that proves H^n = 0 in
-``cohomology``.
+proven, and stops at its first prime (the small one, above 32 000 entries),
+with no kernel, once the rank there reaches it; ``modular_rank`` is a kept
+rank or, over Q, the rank at that first prime alone.  These are the two
+ranks of the balance that proves H^n = 0 in ``cohomology``.
 
 Products are integer products too (:func:`_product`), of the integer rows,
-over the product of the scales.  A right factor with at most two nonzeros
-per row on average, such as a D_n in the standard basis, is walked row by
-row.  Any other is packed, each right row into one integer of a fixed number
-of bits per column (Kronecker substitution), so a result row is one integer
-multiply-add per nonzero of the left row.
+over the product of the scales, made one row at a time.  A right factor
+with at most two nonzeros per row on average, such as a D_n in the standard
+basis, is walked row by row.  Any other is packed, each right row into one
+integer of a fixed number of bits per column (Kronecker substitution), so a
+result row is one integer multiply-add per nonzero of the left row.
+``Matrix.product_is_zero`` tests the rows as they are made and keeps none.
 
 Tensors meet matrices in one loop, ``_contract``: it takes the middle axis
 of a flat (pre, d, post) tensor through a matrix's sparse rows, one
@@ -262,10 +267,25 @@ class Matrix:
         return Matrix(self.field, tuple(tuple(mul(c, a) for a in r) for r in self.rows))
 
     def __mul__(self, other: "Matrix") -> "Matrix":
+        (sa, A), (sb, B) = self._factors(other)
+        F = self.field
+        return Matrix.from_ints(F, list(_product(A, B, other.ncols, F.p)), sa * sb, other.ncols)
+
+    def product_is_zero(self, other: "Matrix") -> bool:
+        """Whether self other = 0, from the rows of the integer product, each
+        made, tested and dropped; the test stops at the first nonzero row."""
+        (_, A), (_, B) = self._factors(other)
+        rows, p = _product(A, B, other.ncols, self.field.p), self.field.p
+        if p is None:
+            return not any(rows)
+        return not any(v % p for row in rows for v in row.values())
+
+    def _factors(self, other: "Matrix") -> tuple:
+        """The integer rows of ``self`` and ``other``, after a shape check
+        of their product."""
         if self.ncols != other.nrows:
             raise ShapeError("matmul %dx%d by %dx%d" % (self.nrows, self.ncols, other.nrows, other.ncols))
-        F, (sa, A), (sb, B) = self.field, self.int_rows(), other.int_rows()
-        return Matrix.from_ints(F, _product(A, B, other.ncols, F.p), sa * sb, other.ncols)
+        return self.int_rows(), other.int_rows()
 
     def apply(self, vec: Sequence) -> tuple:
         if len(vec) != self.ncols:
@@ -426,13 +446,14 @@ def _free_columns(nc: int, pivots: list, rows: list) -> dict:
     return support
 
 
-def _packed_dots(rows: list, packs: Iterable, w: int) -> list:
+def _packed_dots(rows: list, packs: Iterable, w: int) -> Iterable:
     """Each (columns, int values) row of ``rows`` times the integers sum v
-    2**(t w) over the (t, v) pairs of each pack (Kronecker substitution):
-    digit t of a result is the row times the vector of the t-th digits."""
+    2**(t w) over the (t, v) pairs of each pack (Kronecker substitution),
+    made one at a time: digit t of a result is the row times the vector of
+    the t-th digits."""
     packed = [sum(v << (t * w) for t, v in pack) for pack in packs]
     get = packed.__getitem__
-    return [sum(map(mul, vals, map(get, cols))) for cols, vals in rows]
+    return (sum(map(mul, vals, map(get, cols))) for cols, vals in rows)
 
 
 # A matrix with at most this many entries (nonzero rows times columns) is
@@ -580,21 +601,38 @@ def _certified(A: list, nc: int, pivots: list, values: list) -> bool:
     return not any(_packed_dots(A, packs, w))
 
 
-def _rref_rational(rows: list, nc: int, need: int | None = None) -> tuple:
+def _small_prime(scale: int) -> int | None:
+    """The first of 7, 11 and 13 that does not divide ``scale``, or None.
+
+    Modulo a prime below 16, every x + f y of ``_rref_mod`` is a small int
+    that Python keeps cached, and more entries cancel.  A prime that divides
+    the scale of a D_n zeroes each of its blocks of lower D-power: modulo
+    13 the dual D_2 after a basis change (D = 3120 = 2**4 3 5 13) has rank
+    9, not 12, once each row is divided by its gcd (2 before)."""
+    return next((q for q in (7, 11, 13) if scale % q), None)
+
+
+def _rref_rational(rows: list, nc: int, need: int | None = None, scale: int = 1) -> tuple:
     """(pivots, RREF rows as {column: nonzero}) over Q of the nonzero
-    {column: nonzero int} ``rows``, which are left as they are; (pivots mod
-    the first prime, None) when they number at least ``need``.
+    {column: nonzero int} ``rows`` of a matrix times ``scale``, which are
+    left as they are; (pivots modulo the first prime reduced, None) when
+    they number at least ``need``.
 
     Each row is divided by the gcd of its entries, which one scale for a
-    whole matrix can leave large, and the rows are reduced modulo primes from
-    ``_primes``.  The first prime runs over all rows and fixes the pivots and
-    a set of independent rows; later primes reduce only those rows.  A prime
-    whose pivots are worse than the best seen (lower rank, or the same rank
-    and lexicographically later) is dropped; one with better pivots starts
-    the accumulation anew.  The RREF entries at (pivot row, free column) are
-    combined by CRT and rationally reconstructed.  The result stands once the
-    certificate ``_certified`` holds on every row; when it fails, the next
-    prime runs over all rows again.
+    whole matrix can leave large.  A matrix of more than
+    ``_SPLIT_MIN_ENTRIES`` entries (rows times columns) is first reduced
+    modulo ``_small_prime(scale)``, which keeps only its pivots' rows: rows
+    independent mod p are independent over Q, so the rank there is a lower
+    bound, and those rows are the ones the primes from ``_primes`` start
+    from.  Otherwise the first of those primes runs over all rows and fixes
+    the pivots and a set of independent rows; later primes reduce only those
+    rows.  A prime whose pivots are worse than the best seen (lower rank, or
+    the same rank and lexicographically later) is dropped; one with better
+    pivots starts the accumulation anew.  The RREF entries at (pivot row,
+    free column) are combined by CRT and rationally reconstructed.  The
+    result stands once the certificate ``_certified`` holds on every row;
+    when it fails, the next prime runs over all rows again, so an unlucky
+    small prime costs time and not correctness.
 
     The certificate is a proof: each v_c is supported on c and on pivots
     before c, so A v_c = 0 over Q makes every column that is free mod p free
@@ -606,6 +644,11 @@ def _rref_rational(rows: list, nc: int, need: int | None = None) -> tuple:
     best = None                        # (-rank, pivots) of the best prime so far
     run = range(len(A))                # the rows the next prime reduces
     parts = _partition(A, nc)
+    if len(A) * nc > _SPLIT_MIN_ENTRIES and (q := _small_prime(scale)):
+        pivots, order = _reduce(q, run, parts)[:2]
+        if need is not None and len(pivots) >= need:
+            return pivots, None
+        run, need = sorted(order), None
     for p in _primes():
         # the nonzeros of each RREF row after its pivot, all at free columns
         pivots, order, residues = _reduce(p, run, parts)
@@ -631,7 +674,7 @@ def _rref_rational(rows: list, nc: int, need: int | None = None) -> tuple:
     return pivots, [{pc: one, **vals} for pc, vals in zip(pivots, values)]
 
 
-def _peel(rows: list, nc: int):
+def _peel(rows: list, nc: int, flip: bool = False):
     """(peeled, rest, cols) of the nonzero {column: nonzero} ``rows`` of a
     matrix with ``nc`` columns, which are left as they are, or None when no
     row is a singleton.
@@ -642,7 +685,10 @@ def _peel(rows: list, nc: int):
     Odlyzko 1990).  ``peeled`` lists the deleted columns in increasing
     order; ``rest`` holds the rows left with two nonzeros or more, their
     columns renumbered, and ``cols`` the old number of each new column, in
-    increasing order.
+    increasing order.  With ``flip`` the columns are those of the matrix
+    with its columns reversed (j -> nc-1-j), which is never built: the
+    peeled set does not depend on the order of the columns, and the rows
+    left over are renumbered in decreasing order of their columns.
     """
     left = list(map(len, rows))            # nonzeros not yet peeled, per row
     queue = [i for i, n in enumerate(left) if n == 1]
@@ -664,15 +710,21 @@ def _peel(rows: list, nc: int):
             if left[j] == 1:
                 queue.append(j)
     live = [row for row, n in zip(rows, left) if n]
-    cols = sorted({c for row in live for c in row} - peeled)
+    cols = sorted({c for row in live for c in row} - peeled, reverse=flip)
     local = dict(zip(cols, count()))
     rest = [{local[c]: v for c, v in row.items() if c in local} for row in live]
+    if flip:
+        peeled, cols = {nc - 1 - c for c in peeled}, [nc - 1 - c for c in cols]
     return sorted(peeled), rest, cols
 
 
-def _echelon(field: Field, rows: Iterable[dict], nc: int, bound: int | None = None) -> tuple:
-    """(pivots, RREF rows as {column: nonzero}) of the {column: nonzero int}
-    ``rows`` of a matrix times a scale (residues over F_p), left as they are.
+def _echelon(field: Field, scaled: tuple, nc: int, bound: int | None = None,
+              flip: bool = False) -> tuple:
+    """(pivots, RREF rows as {column: nonzero}) of the matrix whose (scale,
+    {column: nonzero int} rows) are ``scaled``, as ``Matrix.int_rows``
+    gives them (residues over F_p), left as they are; with ``flip``, of that
+    matrix with its columns reversed (j -> nc-1-j), whose rows are copied
+    only when none is a singleton.
 
     Singleton rows are peeled first (``_peel``), with no arithmetic.  A
     peeled column c has e_c in the row space, and every vector of the row
@@ -684,20 +736,24 @@ def _echelon(field: Field, rows: Iterable[dict], nc: int, bound: int | None = No
     free.
 
     A rank of at least ``bound`` modulo the first prime (the field's own over
-    F_p) ends the elimination there, with the pivots at that prime and None
-    for the rows; below it, the elimination goes on from that prime.
+    F_p; over Q the small prime of ``_rref_rational`` when it runs) ends the
+    elimination there, with the pivots at that prime and None for the rows;
+    below it, the elimination goes on from that prime.
     """
+    scale, rows = scaled
     rows = [r for r in rows if r]
-    peel = _peel(rows, nc)
+    peel = _peel(rows, nc, flip)
     if peel is not None:
         peeled, rows, cols = peel
         nc = len(cols)
         if bound is not None:
             bound -= len(peeled)
+    elif flip:
+        rows = [{nc - 1 - j: v for j, v in row.items()} for row in rows]
     if not rows:
         pivots, red = [], []
     elif field.p is None:
-        pivots, red = _rref_rational(rows, nc, bound)
+        pivots, red = _rref_rational(rows, nc, bound, scale)
     else:
         parts = _partition([(r, r.values()) for r in rows], nc)
         pivots, _, rest = _reduce(field.p, range(len(rows)), parts)
@@ -724,7 +780,7 @@ def rref_vectors(field: Field, vectors: Iterable[Sequence]) -> tuple:
     nc = len(rows[0]) if rows else 0
     if any(len(r) != nc for r in rows):
         raise ShapeError("ragged vectors")
-    pivots, red = _echelon(field, Matrix.from_rows(field, rows).int_rows()[1], nc)
+    pivots, red = _echelon(field, Matrix.from_rows(field, rows).int_rows(), nc)
     return list(Matrix.from_sparse(field, red, nc).rows), pivots
 
 
@@ -736,7 +792,7 @@ def rank_and_kernel(m: Matrix) -> tuple:
     the negated RREF coefficients at pivot columns.
     """
     F, n = m.field, m.ncols
-    pivots, red = _echelon(F, m.int_rows()[1], n)
+    pivots, red = _echelon(F, m.int_rows(), n)
     # each vector is made as a list and kept as a tuple, one at a time, so
     # the kernel is not held twice
     kernel = []
@@ -751,11 +807,12 @@ def rank_and_kernel(m: Matrix) -> tuple:
 
 def modular_rank(m: Matrix) -> int | None:
     """The kept exact rank of ``m``, or over Q its rank modulo the first
-    prime, a lower bound, from an elimination that reads no kernel; over
+    prime that reduces it (the small prime, above ``_SPLIT_MIN_ENTRIES``
+    entries), a lower bound, from an elimination that reads no kernel; over
     F_p, where that elimination would cost as much as an exact one, None
     unless a rank is kept."""
     if m._rank is None and m.field.p is None:
-        return len(_echelon(m.field, m.int_rows()[1], m.ncols, 0)[0])
+        return len(_echelon(m.field, m.int_rows(), m.ncols, 0)[0])
     return m._rank
 
 
@@ -764,7 +821,8 @@ def kernel_rref(m: Matrix, bound: int | None = None):
     nonzero} dict per vector, and its pivots, from one elimination, whose
     rank is exact and is kept on ``m``.
 
-    The columns are reversed (j -> N-1-j) and reduced once.  The kernel
+    The columns are reversed (j -> N-1-j), in the renumbering of the rows
+    left after the singleton peel alone, and reduced once.  The kernel
     vector of the reversed matrix's free column c has its 1 at c and -R[k][c]
     at the pivots before c; read back in the original columns, its 1 is at
     N-1-c, it is 0 at the other free columns and its other nonzeros come
@@ -772,15 +830,15 @@ def kernel_rref(m: Matrix, bound: int | None = None):
     of ker m, which is unique, and the pivot of each is N-1-c.
 
     ``bound`` is an upper bound on the rank of ``m`` that the caller has
-    proven.  When the kept rank or the rank modulo the first prime reaches
+    proven.  When the kept rank or the rank modulo the first prime (over Q,
+    the small prime, above ``_SPLIT_MIN_ENTRIES`` entries) reaches
     it, that rank, an int, is returned in place of a basis, with no kernel
     read, and kept if equal to the bound, so exact.
     """
     F, n = m.field, m.ncols
     if bound is not None and m._rank is not None and m._rank >= bound:
         return m._rank
-    pivots, red = _echelon(
-        F, ({n - 1 - j: v for j, v in row.items()} for row in m.int_rows()[1] if row), n, bound)
+    pivots, red = _echelon(F, m.int_rows(), n, bound, True)     # columns reversed
     if red is None:
         if len(pivots) == bound:
             m._rank = bound
@@ -801,7 +859,7 @@ def _solve_block(m: Matrix, B: list, nb: int):
     (s, A), (d, C) = m.int_rows(), Matrix.from_sparse(F, B, nb).int_rows()
     aug = [{**{j: v * d for j, v in row.items()}, **{n + k: v * s for k, v in rhs.items()}}
            for row, rhs in zip(A, C)]
-    pivots, red = _echelon(F, aug, n + nb)
+    pivots, red = _echelon(F, (s * d, aug), n + nb)
     if pivots and pivots[-1] >= n:
         return None
     X = [{} for _ in range(n)]
@@ -823,10 +881,11 @@ def solve_linear(m: Matrix, b: Sequence):
     return None if X is None else tuple(row.get(0, F.zero) for row in X)
 
 
-def _product(A: list, B: list, nc: int, p: int | None) -> list:
+def _product(A: list, B: list, nc: int, p: int | None) -> Iterable:
     """The {column: nonzero int} rows of the integer product A B, for such
-    rows A and B, B with ``nc`` columns; ``p`` is None or the prime of F_p,
-    whose residues are lifted to least absolute value when B is packed.
+    rows A and B, B with ``nc`` columns, made one at a time; ``p`` is None
+    or the prime of F_p, whose residues are lifted to least absolute value
+    when B is packed.
 
     When B holds at most 2 nonzeros per row on average, the rows of B are
     walked (``_walked_rows``).  Otherwise they are packed, each into one
@@ -851,14 +910,14 @@ def _product(A: list, B: list, nc: int, p: int | None) -> list:
              * max((abs(v) for row in B for v in row.values()), default=0))
     w = _digit_width(bound)
     offset = (1 << (w - 1)) * (((1 << (nc * w)) - 1) // ((1 << w) - 1))
-    return [_unpack(s + offset, w, nc) if s else {}
-            for s in _packed_dots(left, (row.items() for row in B), w)]
+    return (_unpack(s + offset, w, nc) if s else {}
+            for s in _packed_dots(left, (row.items() for row in B), w))
 
 
-def _walked_rows(A: list, B: list) -> list:
-    """The {column: nonzero int} rows of the integer product A B: each
-    nonzero a_k of a row of A adds a_k times row k of B (Gustavson 1978)."""
-    out = []
+def _walked_rows(A: list, B: list) -> Iterable:
+    """The {column: nonzero int} rows of the integer product A B, made one
+    at a time: each nonzero a_k of a row of A adds a_k times row k of B
+    (Gustavson 1978)."""
     for row in A:
         acc = {}
         get = acc.get
@@ -866,8 +925,7 @@ def _walked_rows(A: list, B: list) -> list:
             for j, b in B[k].items():
                 acc[j] = get(j, 0) + a * b
         row = {j: x for j, x in acc.items() if x}
-        out.append(dict(sorted(row.items())) if len(row) > 1 else row)
-    return out
+        yield dict(sorted(row.items())) if len(row) > 1 else row
 
 
 def _digit_width(bound: int) -> int:

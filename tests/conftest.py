@@ -77,9 +77,9 @@ def eliminations(monkeypatch):
     calls = []
     real = linalg._echelon
 
-    def spy(field, rows, nc, bound=None):
+    def spy(field, rows, nc, *args, **kwargs):
         calls.append(nc)
-        return real(field, rows, nc, bound)
+        return real(field, rows, nc, *args, **kwargs)
 
     monkeypatch.setattr(linalg, "_echelon", spy)
     return calls

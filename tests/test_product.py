@@ -10,19 +10,30 @@ basis (walked) and after a basis change (packed).  Every comparison is by
 only the values.  Each product is also taken of factors made from their
 integer rows, as given and with both ints and scale tripled, so that the
 integer form runs through both loops too.
+
+``Matrix.product_is_zero`` must agree with the product's ``is_zero`` on
+every one of these products, read an integer sum that is a nonzero
+multiple of p as zero over F_p, hold only a few KB where the product holds
+hundreds, and be the one test of D_{n+1} D_n = 0 in ``cohomology`` and
+``complex-check``.
 """
 
+import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from mrbder import linalg
-from mrbder.cohomology import differential_matrix
+from mrbder.cli import main
+from mrbder.cohomology import cohomology, differential_matrix
+from mrbder.constructions import direct_sum
 from mrbder.fields import Field, QQ
 from mrbder.fuzzing import conjugate_pair, random_invertible
 from mrbder.linalg import Matrix, ShapeError, _digit_width
-from mrbder.structures import adjoint_bimodule, dual_pair
+from mrbder.serialize import Instance, instance_to_json
+from mrbder.structures import adjoint_bimodule, dual_pair, upper_triangular_pair
 
 from oracles import dense_matmul
 
@@ -77,11 +88,12 @@ def int_copy(m, k=1):
 
 
 def assert_same_product(a, b):
-    want = repr(dense_matmul(a, b))
-    assert repr(a * b) == want
-    assert repr(sparse_copy(a) * sparse_copy(b)) == want
-    for k in (1, 3):
-        assert repr(int_copy(a, k) * int_copy(b, k)) == want
+    want = dense_matmul(a, b)
+    zero = want.is_zero()
+    for x, y in ((a, b), (sparse_copy(a), sparse_copy(b)), (int_copy(a), int_copy(b)),
+                 (int_copy(a, 3), int_copy(b, 3))):
+        assert repr(x * y) == repr(want)
+        assert x.product_is_zero(y) is zero
 
 
 @pytest.mark.parametrize("F", FIELDS)
@@ -137,7 +149,7 @@ def test_products_that_cancel_in_either_loop(F, side, loops):
     b = right_factor(rng, F, 6, 5, 2 * 6 + extra)
     neg = Matrix(F, tuple(tuple(F.neg(x) for x in r) for r in b.rows))
     stacked, both = Matrix(F, tuple(r + r for r in a.rows)), Matrix(F, b.rows + neg.rows)
-    assert (stacked * both).is_zero()
+    assert (stacked * both).is_zero() and stacked.product_is_zero(both)
     assert_same_product(stacked, both)
     assert set(loops) == {loop}
 
@@ -183,6 +195,7 @@ def test_products_that_cancel(F):
     neg = Matrix(F, tuple(tuple(F.neg(x) for x in r) for r in b.rows))
     stacked = Matrix(F, tuple(r + r for r in a.rows))
     assert (stacked * Matrix(F, b.rows + neg.rows)).is_zero()
+    assert stacked.product_is_zero(Matrix(F, b.rows + neg.rows))
 
 
 @pytest.mark.parametrize("F", FIELDS)
@@ -208,3 +221,58 @@ def test_digits_at_the_edge_of_the_width(F, k, loops):
         got = (Matrix.from_rows(F, [[F.from_int(x), F.from_int(y)]]) * right).rows[0]
         assert got == (2**(w - 1) - 1, 1 - 2**(w - 1), 1, 0, -1)
     assert set(loops) == {"packed"}
+
+
+@pytest.mark.parametrize("width, loop", [(2, "walk"), (3, "packed")])
+def test_the_zero_test_reads_integer_sums_modulo_p(width, loop, loops):
+    # over F_5, with right rows of ``width`` ones, each entry of the integer
+    # product is 5 or 10: not zero as an integer, zero as a residue; one
+    # more 1 in the left row makes it nonzero
+    one, zero = F5.one, F5.zero
+    b = Matrix(F5, ((one,) * width + (zero,) * (3 - width),) * 12)
+    for ones, is_zero in ((5, True), (10, True), (6, False)):
+        a = Matrix(F5, ((one,) * ones + (zero,) * (12 - ones),))
+        assert a.product_is_zero(b) is is_zero is (a * b).is_zero()
+    assert set(loops) == {loop}
+
+
+@pytest.mark.parametrize("F", FIELDS)
+def test_the_zero_test_keeps_no_product(F):
+    # D_3 D_2 of ut+dual (4500 x 175): the product holds 0.3-0.8 MB of rows,
+    # the zero test a few KB at its peak
+    pair = direct_sum(upper_triangular_pair(F, F.one), dual_pair(F))
+    bim = adjoint_bimodule(pair)
+    d3, d2 = (differential_matrix(pair, bim, n, "pair") for n in (3, 2))
+    d3.int_rows(), d2.int_rows()
+    tracemalloc.start()
+    try:
+        assert d3.product_is_zero(d2)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        assert (d3 * d2).is_zero()
+        product_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024 < product_peak
+
+
+@pytest.mark.parametrize("F", FIELDS)
+def test_the_product_checks_make_no_product(F, monkeypatch, tmp_path, capsys):
+    # cohomology and the complex-check command test D_{n+1} D_n = 0 with the
+    # zero test alone
+    made, checked, real_mul, real = [], [], Matrix.__mul__, Matrix.product_is_zero
+    monkeypatch.setattr(Matrix, "__mul__",
+                        lambda a, b: made.append((a.nrows, b.nrows)) or real_mul(a, b))
+    monkeypatch.setattr(Matrix, "product_is_zero",
+                        lambda a, b: checked.append((a.nrows, b.nrows)) or real(a, b))
+    pair = dual_pair(F)
+    bim = adjoint_bimodule(pair)
+    assert [cohomology(pair, bim, n).dim_h for n in (1, 2, 3)] == [1, 1, 0]
+    assert checked == [(36, 16), (72, 36)]
+    del checked[:]
+    path = tmp_path / "dual.json"
+    path.write_text(json.dumps(instance_to_json(Instance(pair, bim))))
+    assert main(["complex-check", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+    assert checked == [(36, 16), (72, 36)]
+    assert not set(made) & set(checked)
