@@ -16,40 +16,32 @@ read the integer rows, so a matrix made from ints, such as a differential
 D_n, is never expanded, nor over Q made into Fractions, unless a caller
 reads ``rows`` or ``sparse_rows``.
 
-Every elimination enters at ``_echelon``, which first peels singleton rows,
-with no arithmetic (the first step of LaMacchia and Odlyzko's structured
-Gaussian elimination).  A row whose one nonzero is at column c puts e_c in
-the row space, so c is a pivot and its RREF row is e_c; c is deleted from
-every other row, rows left with one nonzero are peeled in turn, and rows
-left with none are dropped.  A D_n in the standard basis loses about half
-its pivots so (162 of 320 on the dual+dual D_3); a matrix after a change of
-basis has no singleton and is passed on untouched.  The rows left over are
-renumbered onto the columns they touch and go to one integer kernel,
-``_rref_mod``, which reduces rows of residues modulo a prime in place, each
-row against the pivot row's nonzeros alone.  It runs once per connected
-component of the column graph (two columns are joined when a row holds
-both; a D_n in the standard basis has hundreds), on rows as wide as the
-component: a component's rows are zero off its columns, so their RREF rows
-are RREF rows of the whole matrix, and RREF is unique.  A matrix of at most
-32 000 entries (nonzero rows times columns) is reduced whole.  Over F_p the
-kernel reduces the field's own residues.  Over Q, ``_rref_rational`` takes
-the integer rows as they are (a scale does not change the RREF), splits the
-matrix once, runs the kernel modulo primes below 2**30, and rebuilds the
-RREF from the residues by CRT and rational reconstruction.  A matrix of more
-than 32 000 entries is first reduced modulo a small prime (7, 11 or 13, one
-that does not divide its scale), and the primes below 2**30 reduce only the
-rows that prime picked as pivot rows, which are independent over Q.
-It accepts the result only under an exact certificate: every kernel vector
-read off the candidate RREF is annihilated, over the integers, by every row
-of the matrix.  The rank mod p is at most the rank over Q and RREF is
-unique, so a certified result is the RREF over Q, whichever primes gave it
-and whichever rows they reduced.
+Every elimination enters at ``_echelon``, one pipeline for F_p and Q:
+peel, split, a first pass, one bound check, over Q a lift, and a merge.
+Singleton rows are peeled first, with no arithmetic (the first step of
+LaMacchia and Odlyzko's structured Gaussian elimination): a row whose one
+nonzero is at column c makes c a pivot with the RREF row e_c, and c is
+deleted from every other row, in a cascade.  A D_n in the standard basis
+loses about half its pivots so (162 of 320 on the dual+dual D_3).  The rows
+left over are renumbered onto the columns they touch and, above 32 000
+entries (nonzero rows times columns), split into the connected components
+of the column graph (two columns are joined when a row holds both; a D_n
+in the standard basis has hundreds).  A component's rows are zero off its
+columns, so their RREF rows are RREF rows of the whole matrix, and RREF is
+unique.  One integer kernel, ``_rref_mod``, reduces each component's rows
+once, modulo a prime, in place, each row against the pivot row's nonzeros
+alone: over F_p modulo p, which is the answer; over Q modulo a small prime
+(7, 11 or 13) for a component of more than 32 000 entries and the first
+prime below 2**30 for any other.  Over Q, ``_lift`` then takes each
+component on its own through the primes below 2**30 on the rows picked as
+pivot rows, CRT and rational reconstruction, and accepts the RREF only
+under an exact certificate over the integers on every row.
 
 ``kernel_rref`` takes an upper bound on the rank that its caller has
-proven, and stops at its first prime (the small one, above 32 000 entries),
-with no kernel, once the rank there reaches it; ``modular_rank`` is a kept
-rank or, over Q, the rank at that first prime alone.  These are the two
-ranks of the balance that proves H^n = 0 in ``cohomology``.
+proven, and stops after the first pass, with no kernel, once the peeled
+pivots and the ranks at the first primes reach it; ``modular_rank`` is a
+kept rank or, over Q, that rank after the first pass alone.  These are the
+two ranks of the balance that proves H^n = 0 in ``cohomology``.
 
 Products are integer products too (:func:`_product`), of the integer rows,
 over the product of the scales, made one row at a time.  A right factor
@@ -75,7 +67,7 @@ import math
 import sys
 from collections.abc import Collection, Sequence
 from fractions import Fraction
-from itertools import compress, count, islice, product, repeat
+from itertools import chain, compress, count, islice, product, repeat
 from operator import is_not, itemgetter, mul
 from typing import Callable, Iterable
 
@@ -456,24 +448,27 @@ def _packed_dots(rows: list, packs: Iterable, w: int) -> Iterable:
     return (sum(map(mul, vals, map(get, cols))) for cols, vals in rows)
 
 
-# A matrix with at most this many entries (nonzero rows times columns) is
-# reduced whole: on such D_n, finding the components cost more than reducing
-# them apart saved.
+# A matrix, and after the peel a column component, of at most this many
+# entries (nonzero rows times columns) is reduced whole and, over Q, from the
+# first prime below 2**30: on such D_n, finding the components cost more
+# than reducing them apart saved, and a pass at a small prime more than it
+# saved the later primes.
 _SPLIT_MIN_ENTRIES = 32_000
 
 
-def _partition(A: list, nc: int) -> tuple:
-    """(labels, rows, columns) of the column components of the (columns, int
-    values) rows ``A``, two columns joined when a row holds both: each row's
-    component, the rows with each column renumbered within its component,
-    and each component's columns in increasing order.  One component, or at
-    most ``_SPLIT_MIN_ENTRIES`` entries in ``A``, gives (None, A,
-    [range(nc)]); the scan stops once every column is joined."""
+def _partition(A: list, cols: list) -> list:
+    """The column components of the (columns, int values) rows ``A`` over
+    the columns ``cols``, two columns joined when a row holds both, as
+    (rows, columns) pairs: each component's rows with their columns
+    renumbered within it, and its columns, of ``cols``, in increasing order.
+    One component, or at most ``_SPLIT_MIN_ENTRIES`` entries in ``A``, gives
+    [(A, cols)], and no row []; the scan stops once every column is joined."""
+    nc = len(cols)
     if len(A) * nc <= _SPLIT_MIN_ENTRIES:
-        return None, A, [range(nc)]
+        return [(A, cols)] if A else []
     comp, members = list(range(nc)), [[c] for c in range(nc)]
-    for cols, _ in A:
-        ids = set(map(comp.__getitem__, cols)) if len(cols) > 1 else ()
+    for cs, _ in A:
+        ids = set(map(comp.__getitem__, cs)) if len(cs) > 1 else ()
         if len(ids) > 1:
             big = max(map(members.__getitem__, ids), key=len)
             root = comp[big[0]]
@@ -482,44 +477,38 @@ def _partition(A: list, nc: int) -> tuple:
                     comp[c] = root
                 big += members[k]
             if len(big) == nc:
-                break
-    else:
-        labels = [comp[next(iter(cols))] for cols, _ in A]
-        if len(set(labels)) > 1:
-            members = {k: sorted(members[k]) for k in set(labels)}
-            local = {c: j for cols in members.values() for j, c in enumerate(cols)}
-            return labels, [(list(map(local.__getitem__, cols)), vals) for cols, vals in A], members
-    return None, A, [range(nc)]
-
-
-def _reduce(p: int, run: Sequence, parts: tuple) -> list:
-    """[pivots, order, rest] of the RREF mod the prime ``p`` of the rows
-    ``run`` of a matrix split by :func:`_partition`: the pivot columns, each
-    pivot's row, and each RREF row's {column: residue} after its pivot.
-    Each component's rows, zero off its columns, are reduced on their own by
-    ``_rref_mod``, so their RREF rows are RREF rows of the whole matrix."""
-    labels, A, members = parts
-    groups = {0: run}
-    if labels:
-        groups = {}
-        for i in run:
-            groups.setdefault(labels[i], []).append(i)
-    out = []
+                return [(A, cols)]
+    groups = {}
+    for row in A:
+        groups.setdefault(comp[next(iter(row[0]))], []).append(row)
+    if len(groups) == 1:
+        return [(A, cols)]
+    parts = []
     for k, rows in groups.items():
-        cols = members[k]
-        work = []
-        for i in rows:
-            row = [0] * len(cols)
-            for j, a in zip(*A[i]):
-                row[j] = a % p
-            work.append(row)
-        pivots, order = _rref_mod(p, work)
-        for pc, o, row in zip(pivots, order, work):
-            js = list(compress(range(pc + 1, len(cols)), islice(row, pc + 1, None)))
-            rest = dict(zip(map(cols.__getitem__, js), map(row.__getitem__, js)))
-            out.append((cols[pc], rows[o], rest))
-    out.sort()
-    return [list(t) for t in zip(*out)] or [[], [], []]
+        own = sorted(members[k])
+        local = dict(zip(own, count()))
+        parts.append(([(list(map(local.__getitem__, cs)), vals) for cs, vals in rows],
+                      list(map(cols.__getitem__, own))))
+    return parts
+
+
+def _reduce(p: int, A: list, run: Sequence, nc: int) -> tuple:
+    """(pivots, order, rest) of the RREF mod the prime ``p`` of the rows
+    ``run`` of the (columns, int values) rows ``A``, ``nc`` columns wide:
+    the pivot columns, each pivot's row of ``A``, and each RREF row's
+    {column: residue} after its pivot."""
+    work = []
+    for i in run:
+        row = [0] * nc
+        for j, a in zip(*A[i]):
+            row[j] = a % p
+        work.append(row)
+    pivots, order = _rref_mod(p, work)
+    rest = []
+    for pc, row in zip(pivots, work):
+        js = list(compress(range(pc + 1, nc), islice(row, pc + 1, None)))
+        rest.append(dict(zip(js, map(row.__getitem__, js))))
+    return pivots, list(map(run.__getitem__, order)), rest
 
 
 def _crt(acc: list, m: int, residues: list, p: int) -> list:
@@ -612,107 +601,89 @@ def _small_prime(scale: int) -> int | None:
     return next((q for q in (7, 11, 13) if scale % q), None)
 
 
-def _rref_rational(rows: list, nc: int, need: int | None = None, scale: int = 1) -> tuple:
-    """(pivots, RREF rows as {column: nonzero}) over Q of the nonzero
-    {column: nonzero int} ``rows`` of a matrix times ``scale``, which are
-    left as they are; (pivots modulo the first prime reduced, None) when
-    they number at least ``need``.
+def _lift(A: list, nc: int, q: int, first: tuple) -> tuple:
+    """(pivots, each RREF row's {column: Fraction} after its pivot) over Q
+    of one column component, its (columns, int values) rows ``A`` ``nc``
+    columns wide, from ``first``, the ``_reduce`` of all of them modulo the
+    prime ``q``.
 
-    Each row is divided by the gcd of its entries, which one scale for a
-    whole matrix can leave large.  A matrix of more than
-    ``_SPLIT_MIN_ENTRIES`` entries (rows times columns) is first reduced
-    modulo ``_small_prime(scale)``, which keeps only its pivots' rows: rows
-    independent mod p are independent over Q, so the rank there is a lower
-    bound, and those rows are the ones the primes from ``_primes`` start
-    from.  Otherwise the first of those primes runs over all rows and fixes
-    the pivots and a set of independent rows; later primes reduce only those
-    rows.  A prime whose pivots are worse than the best seen (lower rank, or
-    the same rank and lexicographically later) is dropped; one with better
-    pivots starts the accumulation anew.  The RREF entries at (pivot row,
-    free column) are combined by CRT and rationally reconstructed.  The
-    result stands once the certificate ``_certified`` holds on every row;
-    when it fails, the next prime runs over all rows again, so an unlucky
-    small prime costs time and not correctness.
+    The primes of ``_primes`` other than q follow, each reducing only the
+    rows that the best prime so far picked, in increasing order: rows
+    independent mod p are independent over Q.  A prime whose pivots are
+    worse than the best seen (lower rank, or the same rank and
+    lexicographically later) is dropped; one with better pivots starts the
+    accumulation anew, and one with the same pivots, q's included, is
+    combined by CRT.  The entries at (pivot row, free column) are rationally
+    reconstructed.  The result stands once the certificate ``_certified``
+    holds on every row; when it fails, the next prime reduces all rows
+    again, so an unlucky prime costs time and not correctness.
 
     The certificate is a proof: each v_c is supported on c and on pivots
     before c, so A v_c = 0 over Q makes every column that is free mod p free
     over Q.  Since the rank mod p is at most the rank over Q, the pivots are
     the same, and since RREF is unique the rows are the RREF over Q.
     """
-    A = [(row, [v // g for v in row.values()] if (g := math.gcd(*row.values())) > 1
-           else row.values()) for row in rows]
-    best = None                        # (-rank, pivots) of the best prime so far
-    run = range(len(A))                # the rows the next prime reduces
-    parts = _partition(A, nc)
-    if len(A) * nc > _SPLIT_MIN_ENTRIES and (q := _small_prime(scale)):
-        pivots, order = _reduce(q, run, parts)[:2]
-        if need is not None and len(pivots) >= need:
-            return pivots, None
-        run, need = sorted(order), None
-    for p in _primes():
-        # the nonzeros of each RREF row after its pivot, all at free columns
-        pivots, order, residues = _reduce(p, run, parts)
-        if need is not None and len(pivots) >= need:
-            return pivots, None
-        need = None                    # a bound is read at the first prime alone
+    best, run = None, range(len(A))     # (-rank, pivots) of the best prime so far
+    # each later prime reduces ``run`` as it is when that prime is drawn
+    later = ((p, _reduce(p, A, run, nc)) for p in _primes() if p != q)
+    for p, (pivots, order, residues) in chain([(q, first)], later):
         key = (-len(pivots), pivots)
         if best is not None and key > best:
             continue
         if best is None or key < best:
-            best, m, acc, basis_rows = key, p, residues, order
+            best, m, acc, picked = key, p, residues, sorted(order)
         else:
             acc = _crt(acc, m, residues, p)
             m *= p
-        run = basis_rows
+        run = picked
         values = _reconstruct(acc, m)
         if values is None:
             continue
         if _certified(A, nc, pivots, values):
-            break
+            return pivots, values
         run = range(len(A))
-    one = Fraction(1)
-    return pivots, [{pc: one, **vals} for pc, vals in zip(pivots, values)]
 
 
-def _peel(rows: list, nc: int, flip: bool = False):
+def _peel(rows: list, nc: int, flip: bool = False) -> tuple:
     """(peeled, rest, cols) of the nonzero {column: nonzero} ``rows`` of a
-    matrix with ``nc`` columns, which are left as they are, or None when no
-    row is a singleton.
+    matrix with ``nc`` columns, which are left as they are.
 
     A row whose one nonzero is at column c puts e_c in the row space, so c
     is deleted from every row; rows that are left with one nonzero are
     peeled in turn, and rows left with none are dropped (LaMacchia &
     Odlyzko 1990).  ``peeled`` lists the deleted columns in increasing
-    order; ``rest`` holds the rows left with two nonzeros or more, their
-    columns renumbered, and ``cols`` the old number of each new column, in
-    increasing order.  With ``flip`` the columns are those of the matrix
-    with its columns reversed (j -> nc-1-j), which is never built: the
-    peeled set does not depend on the order of the columns, and the rows
-    left over are renumbered in decreasing order of their columns.
+    order; ``rest`` holds the rows left with two nonzeros or more (every
+    row, when none is a singleton), renumbered onto the columns they touch
+    (the rows themselves when no column changes its number), and ``cols``
+    the old number of each new column, in increasing order.  With ``flip``
+    the columns are those of the matrix with its columns reversed (j ->
+    nc-1-j), which is never built: the peeled set does not depend on the
+    order of the columns, and the rows left over are renumbered in
+    decreasing order of their columns.
     """
     left = list(map(len, rows))            # nonzeros not yet peeled, per row
     queue = [i for i, n in enumerate(left) if n == 1]
-    if not queue:
-        return None
-    where = [[] for _ in range(nc)]        # the rows that hold each column
-    for i, row in enumerate(rows):
-        for c in row:
-            where[c].append(i)
     peeled = set()
-    while queue:
-        i = queue.pop()
-        if left[i] != 1:                   # its last column was peeled from another row
-            continue
-        c = next(c for c in rows[i] if c not in peeled)
-        peeled.add(c)
-        for j in where[c]:
-            left[j] -= 1
-            if left[j] == 1:
-                queue.append(j)
+    if queue:
+        where = [[] for _ in range(nc)]    # the rows that hold each column
+        for i, row in enumerate(rows):
+            for c in row:
+                where[c].append(i)
+        while queue:
+            i = queue.pop()
+            if left[i] != 1:               # its last column was peeled from another row
+                continue
+            c = next(c for c in rows[i] if c not in peeled)
+            peeled.add(c)
+            for j in where[c]:
+                left[j] -= 1
+                if left[j] == 1:
+                    queue.append(j)
     live = [row for row, n in zip(rows, left) if n]
-    cols = sorted({c for row in live for c in row} - peeled, reverse=flip)
+    cols = sorted(set().union(*live) - peeled, reverse=flip)
     local = dict(zip(cols, count()))
-    rest = [{local[c]: v for c, v in row.items() if c in local} for row in live]
+    rest = live if len(cols) == nc and not flip else [
+        {local[c]: v for c, v in row.items() if c in local} for row in live]
     if flip:
         peeled, cols = {nc - 1 - c for c in peeled}, [nc - 1 - c for c in cols]
     return sorted(peeled), rest, cols
@@ -723,50 +694,50 @@ def _echelon(field: Field, scaled: tuple, nc: int, bound: int | None = None,
     """(pivots, RREF rows as {column: nonzero}) of the matrix whose (scale,
     {column: nonzero int} rows) are ``scaled``, as ``Matrix.int_rows``
     gives them (residues over F_p), left as they are; with ``flip``, of that
-    matrix with its columns reversed (j -> nc-1-j), whose rows are copied
-    only when none is a singleton.
+    matrix with its columns reversed (j -> nc-1-j), which is never built.
 
-    Singleton rows are peeled first (``_peel``), with no arithmetic.  A
-    peeled column c has e_c in the row space, and every vector of the row
-    space is fixed by its entries at the pivot columns, so the RREF row of
-    pivot c is e_c.  The rows left over, zero at the peeled columns, span
-    the rest of the row space, and their RREF rows, zero at every peeled
-    pivot, are the other RREF rows.  They are reduced on the columns they
-    touch alone, so the Q path's certificate never reads a peeled column as
+    One pipeline for both fields: peel, split, a first pass, one bound
+    check, over Q a lift, and a merge.  Singleton rows are peeled first
+    (``_peel``), with no arithmetic.  A peeled column c has e_c in the row
+    space, and every vector of the row space is fixed by its entries at the
+    pivot columns, so the RREF row of pivot c is e_c.  The rows left over,
+    zero at the peeled columns, span the rest of the row space, and their
+    RREF rows, zero at every peeled pivot, are the other RREF rows.  They
+    are split into column components (``_partition``): a component's rows
+    are zero off its columns, so their RREF rows are RREF rows of the whole
+    matrix.  Each component is reduced on its own columns alone, so the Q
+    certificate never reads a peeled column, or another component's, as
     free.
 
-    A rank of at least ``bound`` modulo the first prime (the field's own over
-    F_p; over Q the small prime of ``_rref_rational`` when it runs) ends the
-    elimination there, with the pivots at that prime and None for the rows;
-    below it, the elimination goes on from that prime.
+    A component's first prime is the field's own over F_p, where its RREF is
+    the answer.  Over Q each row is divided by the gcd of its entries, which
+    one scale for a whole matrix can leave large; the first prime is
+    ``_small_prime(scale)`` for a component of more than
+    ``_SPLIT_MIN_ENTRIES`` entries and the first of ``_primes`` for any
+    other, and ``_lift`` goes on from it.  A rank mod p is at most the rank
+    over Q, so when the peeled pivots and the first primes' ranks number at
+    least ``bound``, the elimination ends there, with those pivots and None
+    for the rows.
     """
     scale, rows = scaled
-    rows = [r for r in rows if r]
-    peel = _peel(rows, nc, flip)
-    if peel is not None:
-        peeled, rows, cols = peel
-        nc = len(cols)
-        if bound is not None:
-            bound -= len(peeled)
-    elif flip:
-        rows = [{nc - 1 - j: v for j, v in row.items()} for row in rows]
-    if not rows:
-        pivots, red = [], []
-    elif field.p is None:
-        pivots, red = _rref_rational(rows, nc, bound, scale)
-    else:
-        parts = _partition([(r, r.values()) for r in rows], nc)
-        pivots, _, rest = _reduce(field.p, range(len(rows)), parts)
-        red = [{pc: 1, **row} for pc, row in zip(pivots, rest)]
-    if bound is not None and len(pivots) >= bound:
-        red = None
-    if peel is None:
-        return pivots, red
-    if red is None:
-        return sorted([*peeled, *map(cols.__getitem__, pivots)]), None
+    peeled, rest, cols = _peel([r for r in rows if r], nc, flip)
+    p = field.p
+    A = [(r, [v // g for v in r.values()] if p is None and (g := math.gcd(*r.values())) > 1
+          else r.values()) for r in rest]
+    firsts = []
+    for B, own in _partition(A, cols):
+        large = len(B) * len(own) > _SPLIT_MIN_ENTRIES
+        q = p or (large and _small_prime(scale)) or next(_primes())
+        firsts.append((B, own, q, _reduce(q, B, range(len(B)), len(own))))
+    if bound is not None and len(peeled) + sum(len(f[0]) for *_, f in firsts) >= bound:
+        return sorted([*peeled, *(own[pc] for _, own, _, f in firsts for pc in f[0])]), None
     one = field.one
-    out = sorted([*((cols[pc], {cols[c]: v for c, v in row.items()}) for pc, row in zip(pivots, red)),
-                  *((c, {c: one}) for c in peeled)], key=itemgetter(0))
+    out = [(c, {c: one}) for c in peeled]
+    for B, own, q, first in firsts:
+        pivots, vals = (first[0], first[2]) if p else _lift(B, len(own), q, first)
+        out += ((own[pc], {own[pc]: one, **{own[c]: v for c, v in row.items()}})
+                for pc, row in zip(pivots, vals))
+    out.sort(key=itemgetter(0))
     return [pc for pc, _ in out], [row for _, row in out]
 
 
@@ -806,11 +777,11 @@ def rank_and_kernel(m: Matrix) -> tuple:
 
 
 def modular_rank(m: Matrix) -> int | None:
-    """The kept exact rank of ``m``, or over Q its rank modulo the first
-    prime that reduces it (the small prime, above ``_SPLIT_MIN_ENTRIES``
-    entries), a lower bound, from an elimination that reads no kernel; over
-    F_p, where that elimination would cost as much as an exact one, None
-    unless a rank is kept."""
+    """The kept exact rank of ``m``, or over Q a lower bound on it from
+    ``_echelon``'s first pass alone (the peeled pivots and each column
+    component's rank at its first prime), which reads no kernel; over F_p,
+    where that pass would cost as much as an exact elimination, None unless
+    a rank is kept."""
     if m._rank is None and m.field.p is None:
         return len(_echelon(m.field, m.int_rows(), m.ncols, 0)[0])
     return m._rank
@@ -830,10 +801,10 @@ def kernel_rref(m: Matrix, bound: int | None = None):
     of ker m, which is unique, and the pivot of each is N-1-c.
 
     ``bound`` is an upper bound on the rank of ``m`` that the caller has
-    proven.  When the kept rank or the rank modulo the first prime (over Q,
-    the small prime, above ``_SPLIT_MIN_ENTRIES`` entries) reaches
-    it, that rank, an int, is returned in place of a basis, with no kernel
-    read, and kept if equal to the bound, so exact.
+    proven.  When the kept rank, or the rank after ``_echelon``'s first pass
+    (the peeled pivots and each column component's rank at its first
+    prime), reaches it, that rank, an int, is returned in place of a basis,
+    with no kernel read, and kept if equal to the bound, so exact.
     """
     F, n = m.field, m.ncols
     if bound is not None and m._rank is not None and m._rank >= bound:

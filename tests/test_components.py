@@ -3,17 +3,22 @@
 ``linalg._echelon`` splits a matrix of more than ``_SPLIT_MIN_ENTRIES``
 entries (nonzero rows times columns) into the connected components of its
 column graph (two columns are joined when one row holds both) and reduces
-each component's rows on their own.  RREF is unique, so the pivots and rows must be exactly those of one
-elimination of the whole matrix.  The inputs are seeded random
+each component's rows on their own, over Q lifting each component through
+its own primes.  RREF is unique, so the pivots and rows must be exactly
+those of one elimination of the whole matrix.  The inputs are seeded random
 block-diagonal matrices under random row and column permutations, with zero
 rows, zero columns and single-column components (which the singleton peel
-takes before any split), over Q and F_5, split at
-the default size and at every size; the references are ``_rref_mod`` run
-once over the whole matrix and the dense sweeps of ``oracles``.
+takes before any split), over Q and F_5, split at the default size and at
+every size; the references are ``_rref_mod`` run once over the whole matrix
+and the dense sweeps of ``oracles``.  Spies on ``_reduce`` pin the lift:
+each component starts at its own first prime (the small prime above the
+gate, the first prime below 2**30 at or below it), and a component of small
+integers is done at one prime while one of 40-bit fractions takes several.
 """
 
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -101,12 +106,12 @@ def test_block_diagonal_matches_the_whole_matrix(field, k, split, monkeypatch):
         rng = random.Random(100 * k + seed)
         m, live = block_diagonal(rng, F, blocks, zero_rows, zero_cols)
         A = [(r, r.values()) for r in m.sparse_rows if r]
-        labels = _partition(A, m.ncols)[0]
+        parts = _partition(A, list(range(m.ncols)))
         # each block with a nonzero is one component or more
         if len(A) * m.ncols > SPLIT_ABOVE[split] and live > 1:
-            assert len(set(labels)) >= live
+            assert len(parts) >= live
         if k == len(SHAPES) - 1:
-            assert len(A) * m.ncols > linalg._SPLIT_MIN_ENTRIES and labels is not None
+            assert len(A) * m.ncols > linalg._SPLIT_MIN_ENTRIES and len(parts) > 1
         assert_matches_whole(m)
 
 
@@ -118,31 +123,112 @@ def test_empty_and_zero_matrices(field):
         assert_matches_whole(m)
 
 
-def test_q_components_that_need_several_primes(monkeypatch, split_any_size):
+def reductions(monkeypatch):
+    """(component, prime) of each ``_reduce`` call from now on, a component
+    being (the id of the rows it is given, their number)."""
+    calls, real = [], linalg._reduce
+
+    def spy(p, A, run, nc):
+        calls.append(((id(A), len(A)), p))
+        return real(p, A, run, nc)
+
+    monkeypatch.setattr(linalg, "_reduce", spy)
+    return calls
+
+
+def primes_per_component(calls):
+    """{component: its primes in the order drawn} of ``reductions`` calls."""
+    out = {}
+    for k, p in calls:
+        out.setdefault(k, []).append(p)
+    return out
+
+
+def big(r):
+    return Fraction(r.randrange(1, 2**40), r.randrange(1, 2**40))
+
+
+def test_q_components_that_need_several_primes(monkeypatch):
     # 40-bit numerators and denominators: no single prime below 2**30 can
-    # reconstruct the RREF, so the components are reduced once per prime
-    primes = []
-    rref_mod = linalg._rref_mod
-
-    def spy(p, rows):
-        primes.append(p)
-        return rref_mod(p, rows)
-
-    monkeypatch.setattr(linalg, "_rref_mod", spy)
-    def big(r):
-        return Fraction(r.randrange(1, 2**40), r.randrange(1, 2**40))
-
+    # reconstruct the RREF.  Each component is lifted on its own (this
+    # replaced one prime sequence shared by all components), so each draws
+    # the primes below 2**30 in order, several of them.  The whole matrix
+    # (11 x 11 after the peel) is split, and no component (at most 4 x 3)
+    # is above the gate, so none starts at a small prime
+    monkeypatch.setattr(linalg, "_SPLIT_MIN_ENTRIES", 12)
+    rng = random.Random(7)
     # full blocks with two columns or more: no row is a singleton, so the
     # peel leaves all four components to the primes
-    rng = random.Random(7)
     m, live = block_diagonal(rng, QQ, [(3, 4, 1.0), (4, 3, 1.0), (2, 2, 1.0), (2, 2, 1.0)],
                              zero_rows=2, zero_cols=1, entry=big)
-    labels = _partition([(r, r.values()) for r in m.sparse_rows if r], m.ncols)[0]
-    assert live == 4 and len(set(labels)) == 4
-    del primes[:]
+    assert live == 4 and len(_partition([(r, r.values()) for r in m.sparse_rows if r],
+                                        list(range(m.ncols)))) == 4
+    calls = reductions(monkeypatch)
     assert rank_and_kernel(m) == dense_rank_and_kernel(m)
-    # four components per prime, one partition for all of them
-    assert len(set(primes)) > 1 and len(primes) == 4 * len(set(primes))
+    runs = primes_per_component(calls)
+    assert len(runs) == 4
+    for primes in runs.values():
+        assert primes == list(islice(linalg._primes(), len(primes)))
+    # a block of rank 3 on 4 columns has a free column, and so several primes
+    assert max(map(len, runs.values())) > 1
+    assert_matches_whole(m)
+
+
+def two_blocks(F, first, second):
+    """The block-diagonal matrix over F of the rows ``first``, then the rows
+    ``second`` on the columns after theirs, all entries in F."""
+    w, z = len(first[0]), F.zero
+    return Matrix(F, tuple([tuple(r) + (z,) * len(second[0]) for r in first]
+                           + [(z,) * w + tuple(r) for r in second]))
+
+
+def test_a_small_block_is_lifted_at_one_prime_and_a_large_one_at_several(monkeypatch):
+    # 6 x 9 in all, split; blocks of 12 and 15 entries, each at or below
+    # the gate, so both start at the first prime below 2**30
+    monkeypatch.setattr(linalg, "_SPLIT_MIN_ENTRIES", 15)
+    rng = random.Random(11)
+    small = [[Fraction(rng.randrange(1, 9)) for _ in range(4)] for _ in range(3)]
+    large = [[big(rng) for _ in range(5)] for _ in range(3)]
+    m = two_blocks(QQ, small, large)
+    calls = reductions(monkeypatch)
+    assert rank_and_kernel(m) == dense_rank_and_kernel(m)
+    (_, one), (_, several) = sorted(primes_per_component(calls).items(), key=lambda kv: len(kv[1]))
+    assert one == [linalg._prime(0)]
+    assert several == list(islice(linalg._primes(), len(several))) and len(several) > 2
+    assert_matches_whole(m)
+
+
+def rank_three(rng, nr, nc):
+    """``nr`` rows of small ints on ``nc`` columns, of rank 3."""
+    basis = [[rng.randrange(-4, 5) for _ in range(nc)] for _ in range(3)]
+    coefficients = [[rng.randrange(-2, 3) for _ in basis] for _ in range(nr)]
+    return [[sum(k * b[j] for k, b in zip(ks, basis)) for j in range(nc)] for ks in coefficients]
+
+
+@pytest.mark.parametrize("field", ["Q", "F5"])
+@pytest.mark.parametrize("gate", [20, 30])
+def test_each_component_starts_at_its_own_first_prime(monkeypatch, field, gate):
+    # a 6 x 5 block (30 entries) and a 3 x 4 one (12), 81 entries in all:
+    # split at either gate.  Over Q a component above the gate starts at the
+    # small prime, one at or below it at the first prime below 2**30; over
+    # F_p every component is reduced at p alone
+    F = FIELDS[field]
+    rng = random.Random(gate)
+    while True:
+        large, small = ([[F.from_int(x) for x in r] for r in rank_three(rng, *shape)]
+                        for shape in ((6, 5), (3, 4)))
+        m = two_blocks(F, large, small)
+        if all(len(r) > 1 for r in m.sparse_rows) and dense_rank_and_kernel(m)[0] == 6:
+            break
+    monkeypatch.setattr(linalg, "_SPLIT_MIN_ENTRIES", gate)
+    calls = reductions(monkeypatch)
+    assert rank_and_kernel(m) == dense_rank_and_kernel(m)
+    runs = {rows: primes for (_, rows), primes in primes_per_component(calls).items()}
+    if F.p is not None:
+        assert runs == {6: [5], 3: [5]}
+    else:
+        # the scale is 1, so the small prime is 7
+        assert (runs[6][0], runs[3][0]) == (7 if gate < 30 else linalg._prime(0), linalg._prime(0))
     assert_matches_whole(m)
 
 
@@ -156,36 +242,39 @@ class Untouchable:
 def test_one_component_stops_the_scan(split_any_size):
     # the first row joins every column; the rest are not read, and the
     # matrix keeps its rows and columns as they are
-    A = [([0, 1, 2, 3], [1, 2, 3, 4]), (Untouchable(), [])]
-    labels, rows, members = _partition(A, 4)
-    assert labels is None and rows is A and list(members[0]) == [0, 1, 2, 3]
+    A, cols = [([0, 1, 2, 3], [1, 2, 3, 4]), (Untouchable(), [])], [2, 5, 6, 9]
+    ((rows, own),) = _partition(A, cols)
+    assert rows is A and own is cols
     # one component that a later row completes, and one with an unused column
     A = [([0, 1], [1, 1]), ([2, 3], [1, 1]), ([1, 2], [1, 1])]
-    assert _partition(A, 4)[0] is None
+    assert _partition(A, [0, 1, 2, 3]) == [(A, [0, 1, 2, 3])]
     A = [([0, 2], [1, 1]), ([2], [1])]
-    labels, rows, members = _partition(A, 3)
-    assert labels is None and rows is A
+    ((rows, own),) = _partition(A, [0, 1, 2])
+    assert rows is A and own == [0, 1, 2]
 
 
 def test_components_are_renumbered_in_increasing_order(split_any_size):
+    # each component's rows, renumbered onto its own columns, with those
+    # columns named as in ``cols`` (this replaced one label per row)
     A = [([4, 1], [1, 2]), ([3], [5]), ([1, 0], [3, 4])]
-    labels, rows, members = _partition(A, 5)
-    assert labels[0] == labels[2] != labels[1]
-    assert sorted(members[k] for k in set(labels)) == [[0, 1, 4], [3]]
-    assert rows == [([2, 1], [1, 2]), ([0], [5]), ([1, 0], [3, 4])]
+    parts = _partition(A, [10, 11, 12, 13, 14])
+    assert sorted(parts, key=lambda part: part[1]) == [
+        ([([2, 1], [1, 2]), ([1, 0], [3, 4])], [10, 11, 14]), ([([0], [5])], [13])]
+    assert _partition([], []) == []
 
 
 def test_small_matrices_are_not_scanned(monkeypatch):
     # a matrix of at most _SPLIT_MIN_ENTRIES entries (nonzero rows times
     # columns) is reduced whole without a scan; one entry more and it is split
     size = linalg._SPLIT_MIN_ENTRIES
-    A = [(Untouchable(), [])]
-    assert _partition(A, size) == (None, A, [range(size)])
+    A, cols = [(Untouchable(), [])], list(range(size))
+    ((rows, own),) = _partition(A, cols)
+    assert rows is A and own is cols
     A = [([4, 1], [1, 2]), ([3], [5]), ([1, 0], [3, 4])]
     monkeypatch.setattr(linalg, "_SPLIT_MIN_ENTRIES", 14)
-    assert sorted(_partition(A, 5)[2].values()) == [[0, 1, 4], [3]]
+    assert sorted(own for _, own in _partition(A, list(range(5)))) == [[0, 1, 4], [3]]
     monkeypatch.setattr(linalg, "_SPLIT_MIN_ENTRIES", 15)
-    assert _partition(A, 5) == (None, A, [range(5)])
+    assert _partition(A, list(range(5))) == [(A, list(range(5)))]
 
 
 @pytest.mark.parametrize("field", ["Q", "F5"])

@@ -16,6 +16,10 @@
   the [m | B] reader ``_solve_block`` and ``modular_rank``, a rank that
   reads no kernel, and ``math.lcm`` in ``linalg`` only by the scaling
   helper ``_scaled``.
+* The elimination is one pipeline: ``_rref_mod`` is called only by
+  ``_reduce``, ``_reduce`` only by ``_echelon`` (a first pass) and
+  ``_lift`` (the later primes over Q), and ``_crt``, ``_reconstruct`` and
+  ``_certified`` only by ``_lift``.
 * No function in ``src/`` calls ``rref_vectors``, which takes dense
   vectors: every elimination of the engine starts from sparse rows.  It
   stays public for the tests and the benchmark's tracer.
@@ -212,6 +216,17 @@ def test_one_elimination_entry_per_reduction():
     callers = {f for tree in MODULES.values() for f, _ in _callers(tree, "_echelon")}
     assert callers == {"rank_and_kernel", "kernel_rref", "rref_vectors", "_solve_block",
                        "modular_rank"}
+
+
+def _linalg_callers(name) -> list:
+    return sorted({f for tree in MODULES.values() for f, _ in _callers(tree, name)})
+
+
+def test_one_elimination_pipeline():
+    assert _linalg_callers("_rref_mod") == ["_reduce"]
+    assert _linalg_callers("_reduce") == ["_echelon", "_lift"]
+    for name in ("_crt", "_reconstruct", "_certified"):
+        assert _linalg_callers(name) == ["_lift"], name
 
 
 def test_no_engine_elimination_of_dense_vectors():

@@ -1,21 +1,24 @@
-"""Rows picked modulo a small prime before the primes below 2**30 over Q.
+"""The small prime: the first prime of a large column component over Q.
 
-Over Q, ``_rref_rational`` first reduces a matrix of more than
-``_SPLIT_MIN_ENTRIES`` entries (rows left after the peel times their
-columns) modulo ``_small_prime(scale)``: the first of 7, 11 and 13 that does
-not divide the matrix's scale.  Rows independent mod p are independent over
-Q, so the rank there bounds the rank over Q from below; if it reaches the
-caller's bound the elimination ends there, and otherwise the primes below
-2**30 start from the rows it picked.  Its residues are never kept, and an
-unlucky small prime costs a certificate that fails, after which all rows run
-again.  Here:
+Over Q, ``_echelon`` reduces each column component of more than
+``_SPLIT_MIN_ENTRIES`` entries (rows times columns) first modulo
+``_small_prime(scale)``: the first of 7, 11 and 13 that does not divide the
+matrix's scale.  Rows independent mod p are independent over Q, so the rank
+there bounds the rank over Q from below; if the ranks of the first primes
+reach the caller's bound the elimination ends there, and otherwise
+``_lift`` takes the component on through the primes below 2**30, which
+start from the rows it picked.  It is a first prime like any other: its
+residues are combined with those of a later prime whose pivots are the
+same, and an unlucky small prime costs a certificate that fails, after
+which all rows run again.  Here:
 
 * a small prime that divides column 0 gives the same RREF and the same
   CLI bytes;
 * the choice passes over a prime of the scale (13 on the conjugated dual,
   whose D is 3120), and with all three dividing it no small prime runs;
 * a balance rung above the gate is proven at the small prime alone;
-* no small-prime residue reaches ``_crt`` or ``_reconstruct``;
+* the small prime's residues are combined only with a prime of the same
+  pivots;
 * a matrix at or below the gate runs the primes below 2**30 alone, in
   order, the first over all rows;
 * ``kernel_rref``'s elimination with the columns reversed peels the rows
@@ -39,6 +42,7 @@ from mrbder.linalg import Matrix, kernel_rref, rank_and_kernel
 from mrbder.serialize import Instance, instance_to_json
 from mrbder.structures import adjoint_bimodule, dual_pair
 
+from oracles import dense_rank_and_kernel
 from test_peel import KINDS, made
 
 F5 = Field(5)
@@ -58,8 +62,8 @@ def reductions(monkeypatch):
     """(prime, rows reduced, pivots, residues) of each ``_reduce`` call from now on."""
     calls, real = [], linalg._reduce
 
-    def spy(p, run, parts):
-        out = real(p, run, parts)
+    def spy(p, A, run, nc):
+        out = real(p, A, run, nc)
         calls.append((p, len(run), out[0], out[2]))
         return out
 
@@ -151,8 +155,7 @@ def test_the_prime_choice_passes_over_primes_of_the_scale(monkeypatch):
     for rows, ranks in ((ints, [12, 12, 2]), ([{j: v // math.gcd(*r.values()) for j, v in r.items()}
                                                for r in ints], [12, 12, 9])):
         A = [(r, list(r.values())) for r in rows]
-        whole = (None, A, [range(d2.ncols)])
-        assert [len(linalg._reduce(p, range(len(A)), whole)[0]) for p in SMALL] == ranks
+        assert [len(linalg._reduce(p, A, range(len(A)), d2.ncols)[0]) for p in SMALL] == ranks
     # with 7, 11 and 13 all dividing the scale, the primes below 2**30 run alone
     d = differential_matrix(*conjugated("dual+dual"), 2, "pair")
     scale, rows = d.int_rows()
@@ -176,29 +179,34 @@ def test_a_balance_rung_above_the_gate_stops_at_the_small_prime(monkeypatch):
     assert (d2._rank, d3._rank) == (80, 320)
 
 
-def test_no_small_prime_residue_is_combined(monkeypatch):
+def test_the_small_prime_is_combined_only_when_its_pivots_match(monkeypatch):
+    # the small prime is a component's first prime like any other (this
+    # replaced a pass whose residues were never kept): its residues start
+    # the accumulation, a later prime with the same pivots is combined with
+    # them by CRT, and one with better pivots starts anew.  Every component
+    # here is above the gate, and the matrices have the scale 1
+    monkeypatch.setattr(linalg, "_SPLIT_MIN_ENTRIES", 0)
+    rng = random.Random(5)
+    basis = [[rng.randrange(1, 9) for _ in range(6)] for _ in range(3)]
+    coefficients = [[rng.randrange(1, 4) for _ in basis] for _ in range(7)]
+    rows = [{j: sum(k * b[j] for k, b in zip(ks, basis)) for j in range(6)} for ks in coefficients]
+    d = Matrix.from_ints(QQ, rows, 1, 6)
     calls = reductions(monkeypatch)
-    combined = []
-    for name in ("_crt", "_reconstruct"):
-        def spy(*args, real=getattr(linalg, name), name=name):
-            combined.append((name, args))
-            return real(*args)
-        monkeypatch.setattr(linalg, name, spy)
-    r = cohomology(*conjugated("dual+dual"), 2)
-    assert (r.dim_cocycles, r.dim_coboundaries, r.dim_h) == (16, 14, 2)
-    # the standard-basis dual+dual D_3 (344 x 224 after the peel) has the
-    # same pivots modulo 7 as over Q: same keys, and still no combination
-    pair = direct_sum(dual_pair(QQ), dual_pair(QQ))
-    assert len(kernel_rref(differential_matrix(pair, adjoint_bimodule(pair), 3, "pair"))[0]) == 80
-    small = [c for c in calls if c[0] in SMALL]
-    assert small and {name for name, _ in combined} == {"_crt", "_reconstruct"}
-    held = {id(x) for c in small for x in (c[3], *c[3])}
-    for name, args in combined:
-        # the moduli are products of primes below 2**30 alone
-        moduli = (args[1], args[3]) if name == "_crt" else (args[1],)
-        assert all(math.gcd(m, math.prod(SMALL)) == 1 for m in moduli)
-        lists = (args[0], args[2]) if name == "_crt" else (args[0],)
-        assert not {id(x) for rows in lists for x in (rows, *rows)} & held
+    combined, crt = [], linalg._crt
+    monkeypatch.setattr(linalg, "_crt", lambda acc, m, *a: combined.append((acc, m)) or crt(acc, m, *a))
+    for a, matched in ((d, True), (with_column_zero_mod(7, d), False)):
+        del calls[:], combined[:]
+        assert rank_and_kernel(a) == dense_rank_and_kernel(a) and calls[0][0] == 7
+        sevens = [pivots for p, _, pivots, _ in calls if p == 7]
+        later = [pivots for p, _, pivots, _ in calls if p != 7]
+        # rank 3 at 7; over Q the rank is 3, or 4 with the column 0 lost at 7
+        assert len(sevens) == 1 and len(sevens[0]) == 3 and dense_rank_and_kernel(a)[0] == 4 - matched
+        assert (later[0] == sevens[0]) is matched
+        if matched:
+            # 7's own residue lists, combined first with the next prime's
+            assert combined[0][0] is calls[0][3] and combined[0][1] == 7
+        else:
+            assert all(m % 7 for _, m in combined)
 
 
 def test_at_or_below_the_gate_the_parent_primes_run(monkeypatch):
@@ -235,7 +243,12 @@ def test_the_reversed_elimination_is_that_of_reversed_rows(monkeypatch, field, k
         scale, rows = m.int_rows()
         n = m.ncols
         reversed_rows = [{n - 1 - j: v for j, v in r.items()} for r in rows]
-        assert peel(rows, n, True) == peel([r for r in reversed_rows if r], n)
+        flipped = peel([r for r in rows if r], n, True)
+        assert flipped == peel([r for r in reversed_rows if r], n)
+        if kind == "no_singleton":
+            # no row is a singleton, and the peel still renumbers the rows in
+            # reversed order (this replaced a reversed copy made without it)
+            assert flipped[0] == [] and flipped[2] == sorted({n - 1 - c for r in rows for c in r})
         del peeled[:]
         got = linalg._echelon(F, (scale, rows), n, None, True)
         # the rows the peel reads are the matrix's own
