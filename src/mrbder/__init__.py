@@ -9,9 +9,8 @@ arithmetic is exact: Q or a prime field, never floats.
 """
 
 from .fields import Field, ParseError, QQ
-from .linalg import (EntryCapExceeded, Matrix, MultiTensor, ShapeError,
-                     TensorSpace, matrix_as_tensor, max_tensor_entries,
-                     rank_and_kernel, rref_vectors, set_max_tensor_entries,
+from .linalg import (MAX_ENTRIES, EntryCapExceeded, Matrix, MultiTensor, ShapeError,
+                     TensorSpace, matrix_as_tensor, rank_and_kernel, rref_vectors,
                      solve_linear, tensor_as_matrix)
 from .structures import (Algebra, Bimodule, CheckFailure, CheckReport,
                          InternalError, InvalidStructure, MRBDerPair,
@@ -24,14 +23,12 @@ from .constructions import (KappaMismatch, LiePair, bimodule_rb_to_mrb,
                             commutator_bracket, commutator_lie_pair, direct_sum,
                             induced_algebra, induced_bimodule, rb_to_mrb,
                             rho_representation, semidirect_product)
-from .cohomology import (Cochain, CochainSpace, CohomologyResult,
-                         DegreeCapExceeded, PairSpace, ce_delta,
-                         cochain_arities, cohomology, derivation_defect,
-                         differential_matrix, hochschild_delta, hom_space,
-                         induced_lie_pair, lie_derivation_defect,
-                         lie_operator_map, lie_pair_delta, modified_delta,
-                         operator_delta, operator_map, pair_delta, primitive,
-                         skew_cochain, skew_symmetrize)
+from .cohomology import (Cochain, CochainSpace, CohomologyResult, PairSpace, ce_delta,
+                         check_budget, cochain_arities, cohomology, derivation_defect,
+                         differential_matrix, hochschild_delta, hom_space, induced_lie_pair,
+                         lie_derivation_defect, lie_operator_map, lie_pair_delta, modified_delta,
+                         operator_delta, operator_map, pair_delta, primitive, skew_cochain,
+                         skew_symmetrize)
 from .deformation import (Deformation, Gauge, apply_gauge, check_deformation,
                           derivation_scaling_deformation, equivalent_infinitesimals,
                           identity_gauge, infinitesimal, single_term_gauge,

@@ -21,15 +21,15 @@ import argparse
 import sys
 
 from .fields import Field, ParseError
-from .linalg import max_tensor_entries, set_max_tensor_entries
 from .structures import (CheckReport, InternalError, InvalidStructure, check_bimodule,
                          adjoint_bimodule, verify_pair)
-from .cohomology import (DegreeCapExceeded, MAX_MATRIX_DEGREE, PairSpace, check_cohomology_degree,
-                         cohomology, differential_matrix, pair_delta, primitive)
+from .cohomology import (PairSpace, check_budget, cohomology, differential_matrix, pair_delta,
+                         primitive)
 from .deformation import check_deformation, check_max_order, infinitesimal, trivialize
 from .extension import (build_extension, check_extension, classify, derive_base,
                         extract_cocycle)
 from .fuzzing import check_instance, random_instances
+from .linalg import MAX_ENTRIES
 from .serialize import (Instance, bimodule_to_json, cocycle_to_json,
                         dumps_canonical, load_instance_file, matrix_to_json,
                         pair_to_json)
@@ -37,6 +37,9 @@ from .serialize import (Instance, bimodule_to_json, cocycle_to_json,
 USAGE_EXIT = 2
 CHECK_FAILED_EXIT = 1
 INTERNAL_EXIT = 3
+# argparse wraps a generated usage line differently across Python versions
+USAGE = ("%(prog)s [-h] [--max-entries N]\n              {verify,cohomology,complex-check,"
+         "deform-check,infinitesimal,trivialize,extend,fuzz}\n              ...")
 
 
 def _report_entry(name: str, report: CheckReport) -> dict:
@@ -58,7 +61,7 @@ def _active_bimodule(inst: Instance):
     return inst.bim if inst.bim is not None else adjoint_bimodule(inst.pair)
 
 
-def _verification(inst: Instance, command: str) -> dict:
+def _verification(inst: Instance, command: str, max_entries: int) -> dict:
     """The report of ``command`` on the checks of every block present."""
     checks = [_report_entry("pair", verify_pair(inst.pair))]
     if inst.bim is not None:
@@ -69,7 +72,8 @@ def _verification(inst: Instance, command: str) -> dict:
         base, fiber = derive_base(inst.extension)
         checks.append(_report_entry("extension", check_extension(base, fiber, inst.extension)))
     if inst.cocycle is not None:
-        closed = pair_delta(inst.pair, _active_bimodule(inst), inst.cocycle).is_zero()
+        closed = pair_delta(inst.pair, _active_bimodule(inst), inst.cocycle,
+                            max_entries=max_entries).is_zero()
         checks.append({"check": "cocycle-closed", "ok": closed})
     return {"command": command, "ok": all(c["ok"] for c in checks), "checks": checks}
 
@@ -82,27 +86,28 @@ def _load(args, command: str, needs: str | None = None, verify: bool = True) -> 
     """The instance of ``args.file`` for ``command``.  A ParseError when it
     lacks the block ``needs``; with ``verify``, a :class:`_Refusal` carrying
     the failed-check report when any block fails verification."""
-    inst = load_instance_file(args.file)
+    inst = load_instance_file(args.file, max_entries=args.max_entries)
     if needs is not None and getattr(inst, needs) is None:
         raise ParseError("%s needs %s %s block"
                          % (command, "an" if needs[0] in "aeiou" else "a", needs))
     if verify:
-        report = _verification(inst, command.replace(" ", "-"))
+        report = _verification(inst, command.replace(" ", "-"), args.max_entries)
         if not report["ok"]:
             raise _Refusal(report)
     return inst
 
 
 def cmd_verify(args) -> tuple:
-    report = _verification(_load(args, "verify", verify=False), "verify")
+    report = _verification(_load(args, "verify", verify=False), "verify", args.max_entries)
     return report, report["ok"]
 
 
 def cmd_cohomology(args) -> tuple:
-    check_cohomology_degree(args.degree)
+    if args.degree < 1:
+        raise ParseError("--degree must be at least 1")
     inst = _load(args, "cohomology")
     bim = _active_bimodule(inst)
-    res = cohomology(inst.pair, bim, args.degree)
+    res = cohomology(inst.pair, bim, args.degree, max_entries=args.max_entries)
     space = PairSpace(inst.pair.field, inst.pair.dim, bim.dim_m, res.degree)
     return {
         "command": "cohomology",
@@ -124,11 +129,13 @@ def _flat_cochain(space, c) -> dict:
 
 
 def cmd_complex_check(args) -> tuple:
-    if not (2 <= args.max_degree <= MAX_MATRIX_DEGREE):
-        raise DegreeCapExceeded("--max-degree must be in 2..%d" % MAX_MATRIX_DEGREE)
+    if args.max_degree < 2:
+        raise ParseError("--max-degree must be at least 2")
     inst = _load(args, "complex-check")
     bim = _active_bimodule(inst)
-    mats = {n: differential_matrix(inst.pair, bim, n, "pair")
+    for n in range(1, args.max_degree + 1):
+        check_budget(inst.pair, bim, n, "pair", max_entries=args.max_entries)
+    mats = {n: differential_matrix(inst.pair, bim, n, "pair", max_entries=args.max_entries)
             for n in range(1, args.max_degree + 1)}
     products = [{"degrees": [n + 1, n], "zero": mats[n + 1].product_is_zero(mats[n])}
                 for n in range(1, args.max_degree)]
@@ -151,8 +158,8 @@ def cmd_infinitesimal(args) -> tuple:
     inst = _load(args, "infinitesimal", needs="deformation")
     bim = adjoint_bimodule(inst.pair)
     c = infinitesimal(inst.deformation)
-    closed = pair_delta(inst.pair, bim, c).is_zero()
-    h = primitive(inst.pair, bim, c) if closed else None
+    closed = pair_delta(inst.pair, bim, c, max_entries=args.max_entries).is_zero()
+    h = primitive(inst.pair, bim, c, max_entries=args.max_entries) if closed else None
     return {
         "command": "infinitesimal",
         "cocycle": cocycle_to_json(c),
@@ -165,7 +172,7 @@ def cmd_infinitesimal(args) -> tuple:
 def cmd_trivialize(args) -> tuple:
     check_max_order(args.max_order)
     inst = _load(args, "trivialize", needs="deformation")
-    gauge = trivialize(inst.deformation, args.max_order)
+    gauge = trivialize(inst.deformation, args.max_order, max_entries=args.max_entries)
     return {
         "command": "trivialize",
         "order": inst.deformation.order,
@@ -189,10 +196,10 @@ def cmd_extend(args) -> tuple:
     inst = _load(args, "extend " + args.action, needs="cocycle" if args.action == "build" else None)
     bim = _active_bimodule(inst)
     if args.action == "build":
-        ext = build_extension(inst.pair, bim, inst.cocycle)
+        ext = build_extension(inst.pair, bim, inst.cocycle, max_entries=args.max_entries)
         return {**pair_to_json(ext.total),
                 "extension": {"i": matrix_to_json(ext.i), "p": matrix_to_json(ext.p)}}, True
-    cls = classify(inst.pair, bim)
+    cls = classify(inst.pair, bim, max_entries=args.max_entries)
     return {
         "command": "extend-classify",
         "dim_h2": cls.dim_h2,
@@ -210,8 +217,8 @@ def cmd_fuzz(args) -> tuple:
     rows = []
     for inst in insts:
         valid = check_instance(inst)
-        d1 = differential_matrix(inst.pair, inst.bim, 1, "pair")
-        d2 = differential_matrix(inst.pair, inst.bim, 2, "pair")
+        d1, d2 = (differential_matrix(inst.pair, inst.bim, n, "pair", max_entries=args.max_entries)
+                  for n in (1, 2))
         complex_ok = d2.product_is_zero(d1)
         rows.append({"label": inst.label, "dim": inst.pair.dim,
                      "dim_m": inst.bim.dim_m, "valid": valid,
@@ -224,60 +231,45 @@ def cmd_fuzz(args) -> tuple:
 
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
-        prog="mrbder",
+        prog="mrbder", usage=USAGE,
         description="exact verification, cohomology, deformations, and "
                     "extensions for algebra-operator-derivation triples")
-    top.add_argument("--max-entries", type=int, default=10 ** 6, metavar="N",
-                     help="cap on tensor entries per object (default 10^6)")
-    sub = top.add_subparsers(dest="command", required=True)
+    top.add_argument("--max-entries", type=int, default=MAX_ENTRIES, metavar="N",
+                     help="entry budget of each tensor and each build of D_n (default 10^6)")
+    sub = top.add_subparsers(dest="command", required=True, prog="mrbder")
 
-    p = sub.add_parser("verify", help="check every axiom of the blocks present")
-    p.add_argument("file")
-    p.set_defaults(fn=cmd_verify)
+    def command(name: str, fn, help: str, file: bool = True) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(fn=fn)
+        if file:
+            p.add_argument("file")
+        return p
 
-    p = sub.add_parser("cohomology", help="cohomology of the pair complex")
-    p.add_argument("file")
-    p.add_argument("--degree", type=int, required=True)
-    p.set_defaults(fn=cmd_cohomology)
-
-    p = sub.add_parser("complex-check", help="verify the differential squares to zero")
-    p.add_argument("file")
-    p.add_argument("--max-degree", type=int, default=3)
-    p.set_defaults(fn=cmd_complex_check)
-
-    p = sub.add_parser("deform-check", help="verify a truncated deformation")
-    p.add_argument("file")
-    p.set_defaults(fn=cmd_deform_check)
-
-    p = sub.add_parser("infinitesimal", help="first-order class of a deformation")
-    p.add_argument("file")
-    p.set_defaults(fn=cmd_infinitesimal)
-
-    p = sub.add_parser("trivialize", help="gauge a deformation to zero if possible")
-    p.add_argument("file")
-    p.add_argument("--max-order", type=int, default=None)
-    p.set_defaults(fn=cmd_trivialize)
-
-    p = sub.add_parser("extend", help="abelian extension workflows")
+    command("verify", cmd_verify, "check every axiom of the blocks present")
+    command("cohomology", cmd_cohomology, "cohomology of the pair complex").add_argument(
+        "--degree", type=int, required=True)
+    command("complex-check", cmd_complex_check, "verify the differential squares to zero"
+            ).add_argument("--max-degree", type=int, default=3)
+    command("deform-check", cmd_deform_check, "verify a truncated deformation")
+    command("infinitesimal", cmd_infinitesimal, "first-order class of a deformation")
+    command("trivialize", cmd_trivialize, "gauge a deformation to zero if possible").add_argument(
+        "--max-order", type=int, default=None)
+    p = command("extend", cmd_extend, "abelian extension workflows", file=False)
     p.add_argument("action", choices=["build", "extract", "classify"])
     p.add_argument("file")
-    p.set_defaults(fn=cmd_extend)
-
-    p = sub.add_parser("fuzz", help="generate and verify random instances")
+    p = command("fuzz", cmd_fuzz, "generate and verify random instances", file=False)
     p.add_argument("--field", required=True, help='"Q" or "fp:<prime>"')
     p.add_argument("--dim", type=int, default=2, choices=[1, 2])
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=cmd_fuzz)
-
     return top
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cap = max_tensor_entries()
     try:
-        set_max_tensor_entries(args.max_entries)
+        if args.max_entries < 1:
+            raise ParseError("cap must be positive")
         try:
             report, ok = args.fn(args)
         except _Refusal as refusal:
@@ -294,9 +286,6 @@ def main(argv=None) -> int:
         what = str(e) if isinstance(e, InternalError) else "%s: %s" % (type(e).__name__, e)
         sys.stderr.write("error: internal: %s\n" % " ".join(what.split()))
         return INTERNAL_EXIT
-    finally:
-        # the cap is process-wide: leave it as the caller had it
-        set_max_tensor_entries(cap)
 
 
 if __name__ == "__main__":

@@ -67,16 +67,15 @@ rows.  The pair keeps it, keyed by the bimodule object's identity, for as
 long as the pair lives, so equal but distinct inputs never share one, and
 each D_n is built once per pair and bimodule, whichever of
 ``differential_matrix``, ``cohomology``, ``primitive`` and the
-cochain-level maps asks first.  The entry cap is checked when a matrix is
-built, not when a kept one is returned.
+cochain-level maps asks first.  A build checks the entry budget, the
+keyword ``max_entries`` of ``differential_matrix``, ``cohomology``,
+``pair_delta`` and ``primitive`` (the default for the other maps), before it
+lists anything (see ``_blocks``); a kept matrix is returned unchecked.
 
-Cohomology checks that D_n D_{n-1} = 0, then proves H^n = 0 by a rank
-balance or takes the RREF basis of Z^n from the same elimination of D_n,
-its columns reversed, and eliminates the columns of D_{n-1} at the Z pivots
-as sparse rows: dim B^n is their rank, and the canonical representatives,
-alone made dense, are the Z rows at their free columns.  ``primitive``
-solves D^1 h = c for a degree-2 cochain c and checks it.
-The Lie-side complex (Chevalley-Eilenberg of the commutator bracket) shares
+``cohomology`` proves H^n = 0 by a rank balance, or reads Z^n, B^n and the
+canonical representatives off the eliminations of D_n and of D_{n-1} at the
+Z pivots; ``primitive`` solves D^1 h = c for a degree-2 cochain and checks
+it.  The Lie-side complex (Chevalley-Eilenberg of the commutator bracket) shares
 the entry lists of phi and Delta and the graded stacking, and is kept on
 its Lie pair as a pair's complexes are; the skew-symmetrization chain maps
 live here too.
@@ -89,18 +88,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .fields import Field, Value
-from .linalg import (Matrix, MultiTensor, ShapeError, TensorSpace, _checked_size, _scaled,
-                     kernel_rref, modular_rank, rank_and_kernel, solve_linear,
-                     tensor_as_matrix)
-from .structures import Bimodule, InternalError, MRBDerPair
+from .linalg import (MAX_ENTRIES, EntryCapExceeded, Matrix, MultiTensor, ShapeError,
+                     TensorSpace, _scaled, check_entries, kernel_rref, modular_rank,
+                     rank_and_kernel, solve_linear, tensor_as_matrix)
+from .structures import Bimodule, InternalError, MRBDerPair, unit_vector
 from .constructions import LiePair, induced_action, induced_product
-
-MAX_MATRIX_DEGREE = 4
-MAX_COHOMOLOGY_DEGREE = 3
-
-
-class DegreeCapExceeded(ValueError):
-    """Requested degree beyond the supported range."""
 
 
 def _sign_is_plus(k: int) -> bool:
@@ -200,12 +192,7 @@ class CochainSpace(Value):
                        tuple(sp.unflatten(vec[a:b]) for sp, a, b in self._slices))
 
     def basis(self):
-        F = self.field
-        n = self.dim
-        for k in range(n):
-            ent = [F.zero] * n
-            ent[k] = F.one
-            yield self.unflatten(tuple(ent))
+        return (self.unflatten(unit_vector(self.field, self.dim, k)) for k in range(self.dim))
 
 
 def PairSpace(field: Field, dim_a: int, dim_m: int, degree: int) -> CochainSpace:
@@ -267,6 +254,11 @@ def _coboundary_entries(nA: int, m: int, mu: list, left: list, right: list, n: i
                     yield base + off + s, col, v
 
 
+def _coboundary_count(nA: int, m: int, mu: list, left: list, right: list, n: int) -> int:
+    """The entries and loop steps of :func:`_coboundary_entries`."""
+    return nA ** n * (len(left) + len(right) + n + m * (n + 2)) + m * n * nA ** (n - 1) * len(mu)
+
+
 def _ce_entries(nA: int, m: int, bracket: list, rho: list, n: int):
     """The Chevalley-Eilenberg coboundary C^n -> C^{n+1} of :func:`ce_delta`
     over (bracket, rho): rho(a_p) applied to f without a_p, for each output
@@ -299,6 +291,12 @@ def _ce_entries(nA: int, m: int, bracket: list, rho: list, n: int):
                     yield ((head * nA + x) * lo + tail) * m + t, col, sign * c
             for off, v in br_rows:
                 yield off + s, col, v
+
+
+def _ce_count(nA: int, m: int, bracket: list, rho: list, n: int) -> int:
+    """A bound on the entries and loop steps of :func:`_ce_entries`: n + 1
+    times those of the Hochschild coboundary of (bracket, rho, rho)."""
+    return (n + 1) * _coboundary_count(nA, m, bracket, rho, rho, n)
 
 
 def _operator_map_entries(nA: int, m: int, R: list, R_M: list, kappa: int, n: int):
@@ -336,6 +334,14 @@ def _operator_map_entries(nA: int, m: int, R: list, R_M: list, kappa: int, n: in
                     yield K * m + t, col, v * c
 
 
+def _operator_map_count(nA: int, m: int, R: list, R_M: list, n: int) -> int:
+    """A bound on the entries and loop steps of :func:`_operator_map_entries`:
+    a column J lists at most prod_p |{j_p} + row j_p of R| rows K, m times
+    and once per entry of R_M, from its 2^n sets of bare slots."""
+    reach = sum(len(row.keys() | {j}) for j, row in enumerate(R))
+    return reach ** n * (m + sum(map(len, R_M))) + (nA + sum(map(len, R))) ** n + (2 * nA) ** n
+
+
 def _defect_entries(nA: int, m: int, d: list, d_M: list, n: int):
     """Delta on C^n (see :func:`derivation_defect`): d in each slot, minus d_M
     on the output."""
@@ -351,6 +357,11 @@ def _defect_entries(nA: int, m: int, d: list, d_M: list, n: int):
                 yield base + s, col, v
             for t, v in neg_dm[s]:
                 yield J * m + t, col, v
+
+
+def _defect_count(nA: int, m: int, d: list, d_M: list, n: int) -> int:
+    """The entries and loop steps of :func:`_defect_entries`."""
+    return nA ** n * (n + m + sum(map(len, d_M))) + m * n * nA ** (n - 1) * sum(map(len, d))
 
 
 def _graded_blocks(n: int, layers: int) -> list:
@@ -381,19 +392,19 @@ class _Complex:
     """One complex: the structure maps its entry lists are written from, their
     integer copies, and the matrices built from them.
 
-    The maps are the coboundary's entry list and its maps, a function that
-    makes the induced maps the modified coboundary runs on, (R, R_M, kappa)
-    for phi and (d, d_M) for Delta.  :meth:`scaled` makes them integers, times
-    their common denominator D, and :meth:`induced` the induced maps, times
-    D^2; both are built on first use and kept, as is each matrix.  Only a
-    build of a matrix checks the entry cap.  Two threads that build the same
-    one keep equal values, so no lock is needed.
+    The maps are the coboundary's entry list, its count and its maps, a
+    function that makes the induced maps the modified coboundary runs on,
+    (R, R_M, kappa) for phi and (d, d_M) for Delta.  :meth:`scaled` makes
+    them integers, times their common denominator D, and :meth:`induced` the
+    induced maps, times D^2; both are built on first use and kept, as is
+    each matrix.  Two threads that build the same one keep equal values, so
+    no lock is needed.
     """
 
-    def __init__(self, field: Field, dim_a: int, dim_m: int, coboundary: Callable, maps: tuple,
-                 induce: Callable, R: Matrix, R_M: Matrix, kappa, d: Matrix, d_M: Matrix):
+    def __init__(self, field: Field, dim_a: int, dim_m: int, coboundary: Callable, count: Callable,
+                 maps: tuple, induce: Callable, R: Matrix, R_M: Matrix, kappa, d: Matrix, d_M: Matrix):
         self.field, self.dim_a, self.dim_m = field, dim_a, dim_m
-        self.coboundary, self.maps, self.induce = coboundary, maps, induce
+        self.coboundary, self.count, self.maps, self.induce = coboundary, count, maps, induce
         self.R, self.R_M, self.kappa, self.d, self.d_M = R, R_M, kappa, d, d_M
         self._scaled, self._induced, self._matrices = None, None, {}
 
@@ -424,12 +435,12 @@ class _Complex:
                                    for i, v in _nonzeros(t)] for t in self.induce())
         return self._induced
 
-    def matrix(self, n: int, which: str) -> Matrix:
+    def matrix(self, n: int, which: str, max_entries: int) -> Matrix:
         """The sparse matrix of the map ``which`` at degree n, built on first
-        use and then returned as it is kept."""
+        use under the budget ``max_entries`` and then returned as it is kept."""
         m = self._matrices.get((n, which))
         if m is None:
-            m = self._matrices[n, which] = _assemble(self, *_blocks(self, n, which))
+            m = self._matrices[n, which] = _assemble(self, *_blocks(self, n, which, max_entries))
         return m
 
 
@@ -442,7 +453,7 @@ def _pair_complex(pair: MRBDerPair, bim: Bimodule) -> _Complex:
         # ``induce`` holds the maps, not the pair, so no reference cycle
         # runs through the pair's store
         mu, R, R_M = pair.mu, pair.R, bim.R_M
-        cx = _Complex(pair.field, pair.dim, bim.dim_m, _coboundary_entries,
+        cx = _Complex(pair.field, pair.dim, bim.dim_m, _coboundary_entries, _coboundary_count,
                       (mu, bim.left, bim.right),
                       lambda: (induced_product(mu, R), induced_action(bim.left, 0, R, R_M),
                                induced_action(bim.right, 1, R, R_M)),
@@ -459,14 +470,14 @@ _CN_MAPS = {"hochschild": "delta", "modified": "mdelta",
             "operator_map": "phi", "derivation_defect": "defect"}
 
 
-def _blocks(cx: _Complex, n: int, which: str) -> tuple:
+def _blocks(cx: _Complex, n: int, which: str, max_entries: int) -> tuple:
     """The map ``which`` at degree n as (row arities, column arities, blocks),
     each block (row part, column part, sign is plus, map, arity).
 
-    The entry cap is checked on the sizes of C^n and then of the first row
-    part (C^{n+1}, or C^n for the maps that keep the degree); the induced
-    maps, built only when a block lists their entries, check their own
-    sizes."""
+    The budget ``max_entries`` is checked on the sizes of C^n and then of
+    the first row part (C^{n+1}, or C^n for the maps that keep the degree),
+    then on the blocks' counts, bounds on the entries and loop steps of their
+    lists, held to at least the default: a million steps take under a second."""
     if which in _CN_MAPS:
         kind = _CN_MAPS[which]
         cols = (n,)
@@ -479,8 +490,21 @@ def _blocks(cx: _Complex, n: int, which: str) -> tuple:
         layers = 4 if which == "pair" else 2
         cols, rows = cochain_arities(n, layers), cochain_arities(n + 1, layers)
         layout = _graded_blocks(n, layers)
+    nA, m, limit = cx.dim_a, cx.dim_m, max(max_entries, MAX_ENTRIES)
+    over = EntryCapExceeded("the %s map at degree %d may list more than %d entries and steps"
+                            % (which, n, limit))
+    # past its bit length, nA^n > 1 columns or phi's 2^n sets are alone over the limit
+    if n > limit.bit_length() and (nA > 1 or any(kind == "phi" for *_, kind, _ in layout)):
+        raise over
     for arity in (cols[0], rows[0]):
-        _checked_size((cx.dim_a,) * arity, cx.dim_m)
+        check_entries(nA ** arity * m, max_entries)
+    _, maps, (R, R_M, _, d, d_M) = cx.scaled()
+    counts = {"delta": lambda a: cx.count(nA, m, *maps, a),
+              "mdelta": lambda a: cx.count(nA, m, *cx.induced(), a),
+              "phi": lambda a: _operator_map_count(nA, m, R, R_M, a),
+              "defect": lambda a: _defect_count(nA, m, d, d_M, a)}
+    if sum(counts[kind](arity) for *_, kind, arity in layout) > limit:
+        raise over
     return rows, cols, layout
 
 
@@ -529,10 +553,10 @@ def _apply(cx: _Complex, which: str, f: MultiTensor) -> MultiTensor:
     _check_cochain_shape(cx, f)
     arity = f.arity + (which in ("hochschild", "modified"))
     return hom_space(cx.dim_a, cx.dim_m, arity, cx.field).unflatten(
-        cx.matrix(f.arity, which).apply(f.entries))
+        cx.matrix(f.arity, which, MAX_ENTRIES).apply(f.entries))
 
 
-def _apply_graded(cx: _Complex, layers: int, c: Cochain) -> Cochain:
+def _apply_graded(cx: _Complex, layers: int, c: Cochain, max_entries: int = MAX_ENTRIES) -> Cochain:
     """The differential of OC^n (layers = 2) or PC^n (layers = 4) applied to
     one cochain."""
     if c.arities != cochain_arities(c.degree, layers):
@@ -541,7 +565,7 @@ def _apply_graded(cx: _Complex, layers: int, c: Cochain) -> Cochain:
     for p in c.parts:
         _check_cochain_shape(cx, p)
     flat = CochainSpace(cx.field, cx.dim_a, cx.dim_m, c.arities).flatten(c)
-    image = cx.matrix(c.degree, "operator" if layers == 2 else "pair").apply(flat)
+    image = cx.matrix(c.degree, "operator" if layers == 2 else "pair", max_entries).apply(flat)
     return CochainSpace(cx.field, cx.dim_a, cx.dim_m,
                         cochain_arities(c.degree + 1, layers)).unflatten(image)
 
@@ -577,12 +601,14 @@ def operator_delta(pair: MRBDerPair, bim: Bimodule, c: Cochain) -> Cochain:
     return _apply_graded(_pair_complex(pair, bim), 2, c)
 
 
-def pair_delta(pair: MRBDerPair, bim: Bimodule, c: Cochain) -> Cochain:
+def pair_delta(pair: MRBDerPair, bim: Bimodule, c: Cochain, *,
+               max_entries: int = MAX_ENTRIES) -> Cochain:
     """PC^n -> PC^{n+1}, the full differential of the pair complex."""
-    return _apply_graded(_pair_complex(pair, bim), 4, c)
+    return _apply_graded(_pair_complex(pair, bim), 4, c, max_entries)
 
 
-def differential_matrix(pair: MRBDerPair, bim: Bimodule, n: int, which: str) -> Matrix:
+def differential_matrix(pair: MRBDerPair, bim: Bimodule, n: int, which: str, *,
+                        max_entries: int = MAX_ENTRIES) -> Matrix:
     """Flatten one of the structure maps at degree n to a matrix.
 
     ``which``: hochschild, modified, operator_map, derivation_defect act on
@@ -593,9 +619,16 @@ def differential_matrix(pair: MRBDerPair, bim: Bimodule, n: int, which: str) -> 
     """
     if which not in _MATRIX_KINDS:
         raise ValueError("unknown map %r" % (which,))
-    if not (1 <= n <= MAX_MATRIX_DEGREE):
-        raise DegreeCapExceeded("matrices are supported for degrees 1..%d" % MAX_MATRIX_DEGREE)
-    return _pair_complex(pair, bim).matrix(n, which)
+    if n < 1:
+        raise ShapeError("degree must be >= 1")
+    return _pair_complex(pair, bim).matrix(n, which, max_entries)
+
+
+def check_budget(pair: MRBDerPair, bim: Bimodule, n: int, which: str, *,
+                 max_entries: int = MAX_ENTRIES) -> None:
+    """Raise what :func:`differential_matrix` would for a build over the budget,
+    building nothing: a caller of several degrees checks them all first."""
+    _blocks(_pair_complex(pair, bim), n, which, max_entries)
 
 
 # the one dataclass in the package: callers rebuild results with
@@ -609,13 +642,8 @@ class CohomologyResult:
     representatives: tuple  # PC^n cochains spanning a complement of B in Z
 
 
-def check_cohomology_degree(n: int) -> None:
-    """Refuse a degree :func:`cohomology` does not support, before any work."""
-    if not (1 <= n <= MAX_COHOMOLOGY_DEGREE):
-        raise DegreeCapExceeded("cohomology is supported for degrees 1..%d" % MAX_COHOMOLOGY_DEGREE)
-
-
-def cohomology(pair: MRBDerPair, bim: Bimodule, n: int) -> CohomologyResult:
+def cohomology(pair: MRBDerPair, bim: Bimodule, n: int, *,
+               max_entries: int = MAX_ENTRIES) -> CohomologyResult:
     """H^n of the pair complex; B^1 = 0 by convention.
 
     Representatives are canonical: RREF rows of the cocycle space whose pivots
@@ -641,15 +669,15 @@ def cohomology(pair: MRBDerPair, bim: Bimodule, n: int) -> CohomologyResult:
     elimination (``linalg.rank_and_kernel``) gives dim B^n as its rank, which
     must equal a kept exact rank of D_{n-1} and is kept as one, and each free
     column k as the last nonzero of its kernel vector; when no column meets a
-    Z pivot, B^n = 0.
+    Z pivot, B^n = 0.  The dense representatives are checked against the
+    larger of ``max_entries`` and the default before they are made.
     """
-    check_cohomology_degree(n)
+    d_n = differential_matrix(pair, bim, n, "pair", max_entries=max_entries)
     F = pair.field
     space = PairSpace(F, pair.dim, bim.dim_m, n)
-    d_n = differential_matrix(pair, bim, n, "pair")
     rank_prev = 0
     if n > 1:
-        d_prev = differential_matrix(pair, bim, n - 1, "pair")
+        d_prev = differential_matrix(pair, bim, n - 1, "pair", max_entries=max_entries)
         if not d_n.product_is_zero(d_prev):
             raise InternalError("D_%d D_%d is not zero; complex is broken" % (n, n - 1))
         rank_prev = modular_rank(d_prev)
@@ -676,11 +704,13 @@ def cohomology(pair: MRBDerPair, bim: Bimodule, n: int) -> CohomologyResult:
         if d_prev._rank not in (None, dim_b):
             raise InternalError("dim B^%d is %d, but rank D_%d is %d" % (n, dim_b, n - 1, d_prev._rank))
         d_prev._rank = dim_b
+    check_entries(len(kept) * space.dim, max(max_entries, MAX_ENTRIES))
     reps = tuple(map(space.unflatten, Matrix.from_sparse(F, kept, space.dim).rows))
     return CohomologyResult(n, len(z_basis), dim_b, len(kept), reps)
 
 
-def primitive(pair: MRBDerPair, bim: Bimodule, c: Cochain) -> Matrix | None:
+def primitive(pair: MRBDerPair, bim: Bimodule, c: Cochain, *,
+              max_entries: int = MAX_ENTRIES) -> Matrix | None:
     """A 1-cochain h: A -> M, as a matrix, with D^1 h = c; None when the
     degree-2 cochain c is not a coboundary.
 
@@ -691,7 +721,7 @@ def primitive(pair: MRBDerPair, bim: Bimodule, c: Cochain) -> Matrix | None:
     if c.degree != 2:
         raise ShapeError("expecting a degree-2 cochain")
     F = pair.field
-    d1 = differential_matrix(pair, bim, 1, "pair")
+    d1 = differential_matrix(pair, bim, 1, "pair", max_entries=max_entries)
     flat = PairSpace(F, pair.dim, bim.dim_m, 2).flatten(c)
     sol = solve_linear(d1, flat)
     if sol is None:
@@ -751,7 +781,7 @@ def _lie_complex(lp: LiePair) -> _Complex:
         rho, R_M, d_M = _rho_of(lp)
         br, R = lp.bracket, lp.R
         lp._complex.append(_Complex(
-            lp.field, lp.dim, rho.dims[1], _ce_entries, (br, rho),
+            lp.field, lp.dim, rho.dims[1], _ce_entries, _ce_count, (br, rho),
             lambda: (induced_product(br, R), induced_action(rho, 0, R, R_M)),
             R, R_M, lp.kappa, lp.d, d_M))
     return lp._complex[0]

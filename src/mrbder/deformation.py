@@ -36,7 +36,7 @@ from itertools import product
 from operator import add
 
 from .fields import Field, Value
-from .linalg import Matrix, MultiTensor, ShapeError, matrix_as_tensor
+from .linalg import MAX_ENTRIES, Matrix, MultiTensor, ShapeError, matrix_as_tensor
 from .structures import (CheckFailure, CheckReport, InternalError, InvalidStructure, MRBDerPair,
                          _report, adjoint_bimodule, associator_slice, derivation_residual,
                          residual_failures, sliced_failures)
@@ -237,7 +237,8 @@ def check_max_order(max_order: int | None) -> None:
         raise ShapeError("max_order must be at least 1, got %d" % max_order)
 
 
-def trivialize(defo: Deformation, max_order: int | None = None) -> Gauge | None:
+def trivialize(defo: Deformation, max_order: int | None = None, *,
+               max_entries: int = MAX_ENTRIES) -> Gauge | None:
     """Gauge the deformation to zero order by order.
 
     Returns the composite gauge, or None when some surviving coefficient is a
@@ -261,9 +262,9 @@ def trivialize(defo: Deformation, max_order: int | None = None) -> Gauge | None:
             return total
         c = _coefficient_cochain(current, k)
         # a surviving lowest coefficient is always closed for valid input
-        if not pair_delta(pair, bim, c).is_zero():
+        if not pair_delta(pair, bim, c, max_entries=max_entries).is_zero():
             raise InvalidStructure("lowest coefficient is not a 2-cocycle")
-        psi = primitive(pair, bim, -c)
+        psi = primitive(pair, bim, -c, max_entries=max_entries)
         if psi is None:
             return None
         step = single_term_gauge(pair, k, psi, defo.order)

@@ -28,8 +28,8 @@ from __future__ import annotations
 import itertools
 
 from .fields import CLASS_ENUMERATION_CAP, Value
-from .linalg import (Matrix, MultiTensor, ShapeError, _contract, matrix_as_tensor,
-                     rank_and_kernel, tensor_as_matrix)
+from .linalg import (MAX_ENTRIES, Matrix, MultiTensor, ShapeError, _contract, check_entries,
+                     matrix_as_tensor, rank_and_kernel, tensor_as_matrix)
 from .structures import (Algebra, Bimodule, CheckFailure, CheckReport,
                          InternalError, InvalidStructure, MRBDerPair, _report,
                          multiplicative_residual, residual_failures, unit_vector,
@@ -169,15 +169,17 @@ def extract_cocycle(pair: MRBDerPair, bim: Bimodule, ext: Extension,
                        _to_fiber(ext, L, matrix_as_tensor(total.d * s - s * pair.d))))
 
 
-def build_extension(pair: MRBDerPair, bim: Bimodule, cocycle: Cochain) -> Extension:
+def build_extension(pair: MRBDerPair, bim: Bimodule, cocycle: Cochain, *,
+                    max_entries: int = MAX_ENTRIES) -> Extension:
     """Assemble the total structure on A + M from a closed degree-2 cochain."""
     if cocycle.degree != 2:
         raise ShapeError("extensions are built from degree-2 cochains")
-    if not pair_delta(pair, bim, cocycle).is_zero():
+    if not pair_delta(pair, bim, cocycle, max_entries=max_entries).is_zero():
         raise InvalidStructure("cochain is not closed; no extension exists")
     theta, xi, chi = cocycle.parts
     F = pair.field
     n, m = pair.dim, bim.dim_m
+    check_entries((n + m) ** 3, max_entries)        # the product of the total
     z_m = (F.zero,) * m
     muh = MultiTensor.from_blocks(F, (n, m), {(0, 0, 0): pair.mu, (0, 0, 1): theta,
                                               (0, 1, 1): bim.left, (1, 0, 1): bim.right})
@@ -241,7 +243,8 @@ class ExtensionClassification(Value):
         self._init(dim_h2, count, representatives, complete)
 
 
-def classify(pair: MRBDerPair, bim: Bimodule) -> ExtensionClassification:
+def classify(pair: MRBDerPair, bim: Bimodule, *,
+             max_entries: int = MAX_ENTRIES) -> ExtensionClassification:
     """Representatives for H^2 classes.
 
     Over a finite field every class is listed (zero class first).  Over Q the
@@ -250,7 +253,7 @@ def classify(pair: MRBDerPair, bim: Bimodule) -> ExtensionClassification:
     """
     F = pair.field
     space2 = PairSpace(F, pair.dim, bim.dim_m, 2)
-    res = cohomology(pair, bim, 2)
+    res = cohomology(pair, bim, 2, max_entries=max_entries)
     reps = res.representatives
     zero = space2.zero()
     if F.p is None:

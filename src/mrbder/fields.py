@@ -7,6 +7,7 @@ operations; containers store raw scalars plus the field.  No floats anywhere.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 
@@ -156,12 +157,8 @@ class Field(Value):
 
     def parse(self, text):
         """Exact scalar from an int or a string "a" / "a/b".  Floats rejected."""
-        if isinstance(text, bool):
-            raise ParseError("inexact-scalar: %r" % (text,))
-        if isinstance(text, int):
+        if isinstance(text, int) and not isinstance(text, bool):
             return self.from_int(text)
-        if isinstance(text, float):
-            raise ParseError("inexact-scalar: %r" % (text,))
         if not isinstance(text, str):
             raise ParseError("inexact-scalar: %r" % (text,))
         s = text.strip()
@@ -182,9 +179,11 @@ class Field(Value):
         return (num * pow(den, -1, self.p)) % self.p
 
     def to_str(self, x) -> str:
-        if self.p is None:
-            return str(x)
-        return str(x % self.p)
+        try:
+            return str(x) if self.p is None else str(x % self.p)
+        except ValueError:      # Python writes no int of more digits than its limit
+            limit = sys.get_int_max_str_digits()
+            raise ValueError("number of more than %d digits" % limit) from None
 
     def add(self, a, b):
         return a + b if self.p is None else (a + b) % self.p

@@ -16,32 +16,20 @@ read the integer rows, so a matrix made from ints, such as a differential
 D_n, is never expanded, nor over Q made into Fractions, unless a caller
 reads ``rows`` or ``sparse_rows``.
 
-Every elimination enters at ``_echelon``, one pipeline for F_p and Q:
-peel, split, a first pass, one bound check, over Q a lift, and a merge.
-Singleton rows are peeled first, with no arithmetic (the first step of
-LaMacchia and Odlyzko's structured Gaussian elimination): a row whose one
-nonzero is at column c makes c a pivot with the RREF row e_c, and c is
-deleted from every other row, in a cascade.  A D_n in the standard basis
-loses about half its pivots so (162 of 320 on the dual+dual D_3).  The rows
-left over are renumbered onto the columns they touch and, above 32 000
-entries (nonzero rows times columns), split into the connected components
-of the column graph (two columns are joined when a row holds both; a D_n
-in the standard basis has hundreds).  A component's rows are zero off its
-columns, so their RREF rows are RREF rows of the whole matrix, and RREF is
-unique.  One integer kernel, ``_rref_mod``, reduces each component's rows
-once, modulo a prime, in place, each row against the pivot row's nonzeros
-alone: over F_p modulo p, which is the answer; over Q modulo a small prime
-(7, 11 or 13) for a component of more than 32 000 entries and the first
-prime below 2**30 for any other.  Over Q, ``_lift`` then takes each
-component on its own through the primes below 2**30 on the rows picked as
-pivot rows, CRT and rational reconstruction, and accepts the RREF only
-under an exact certificate over the integers on every row.
+Every elimination enters at ``_echelon``, one pipeline for F_p and Q: a
+peel of singleton rows with no arithmetic (``_peel``; a D_n in the standard
+basis loses about half its pivots so, 162 of 320 on the dual+dual D_3), a
+split into column components (``_partition``; hundreds on such a D_n), one
+pass of the integer kernel ``_rref_mod`` per component at its first prime,
+one bound check, over Q a lift through the primes below 2**30 under an
+exact certificate (``_lift``), and a merge.  ``kernel_rref`` and
+``modular_rank`` give the two ranks of the balance that proves H^n = 0 in
+``cohomology``.
 
-``kernel_rref`` takes an upper bound on the rank that its caller has
-proven, and stops after the first pass, with no kernel, once the peeled
-pivots and the ranks at the first primes reach it; ``modular_rank`` is a
-kept rank or, over Q, that rank after the first pass alone.  These are the
-two ranks of the balance that proves H^n = 0 in ``cohomology``.
+No matrix or tensor checks its own size.  A request checks its entry
+budget, an argument with the default ``MAX_ENTRIES``, where it grows and
+before it allocates: the loader at each tensor a file declares, each build
+of D_n and cohomology's representatives, and an extension's product.
 
 Products are integer products too (:func:`_product`), of the integer rows,
 over the product of the scales, made one row at a time.  A right factor
@@ -79,30 +67,17 @@ class ShapeError(ValueError):
 
 
 class EntryCapExceeded(ValueError):
-    """Tensor would hold more entries than the configured cap."""
+    """A request would build or list more entries than its budget allows."""
 
 
-_max_tensor_entries = 10**6
+# the default of every ``max_entries`` budget
+MAX_ENTRIES = 10**6
 
 
-def set_max_tensor_entries(cap: int) -> None:
-    """Set the global entry-count cap for newly built tensors (default 10**6)."""
-    global _max_tensor_entries
-    if cap < 1:
-        raise ValueError("cap must be positive")
-    _max_tensor_entries = cap
-
-
-def max_tensor_entries() -> int:
-    return _max_tensor_entries
-
-
-def _checked_size(dims: Sequence[int], cod: int) -> int:
-    """Entry count of a tensor of this shape; raises before anything is allocated."""
-    size = math.prod(dims) * cod
-    if size > _max_tensor_entries:
-        raise EntryCapExceeded("tensor with %d entries exceeds cap %d" % (size, _max_tensor_entries))
-    return size
+def check_entries(count: int, max_entries: int) -> None:
+    """Refuse a tensor of ``count`` entries over the budget, before it is built."""
+    if count > max_entries:
+        raise EntryCapExceeded("tensor with %d entries exceeds cap %d" % (count, max_entries))
 
 
 class Matrix:
@@ -961,7 +936,7 @@ class MultiTensor(Value):
         put(self, "dims", dims)
         put(self, "cod", cod)
         put(self, "entries", entries)
-        size = _checked_size(dims, cod)
+        size = math.prod(dims) * cod
         if len(entries) != size:
             raise ShapeError("entry count %d, expected %d" % (len(entries), size))
 
@@ -972,13 +947,12 @@ class MultiTensor(Value):
     @staticmethod
     def zeros(field: Field, dims: Sequence[int], cod: int) -> "MultiTensor":
         dims = tuple(dims)
-        return MultiTensor(field, dims, cod, (field.zero,) * _checked_size(dims, cod))
+        return MultiTensor(field, dims, cod, (field.zero,) * (math.prod(dims) * cod))
 
     @staticmethod
     def from_map(field: Field, dims: Sequence[int], cod: int, fn: Callable) -> "MultiTensor":
         """Build from ``fn(*basis_indices) -> coordinate vector of length cod``."""
         dims = tuple(dims)
-        _checked_size(dims, cod)
         entries = []
         for idx in product(*map(range, dims)):
             v = fn(*idx)
@@ -993,7 +967,7 @@ class MultiTensor(Value):
         dims[i]) whose part V_i x V_j -> V_k is the tensor blocks[i, j, k];
         the parts not listed are zero."""
         N = sum(dims)
-        out = [field.zero] * _checked_size((N, N), N)
+        out = [field.zero] * N ** 3
         start = [sum(dims[:i]) for i in range(len(dims))]
         for (i, j, k), t in blocks.items():
             for x, y in product(range(dims[i]), range(dims[j])):
@@ -1076,7 +1050,6 @@ class MultiTensor(Value):
         if m.nrows != self.dims[slot]:
             raise ShapeError("matrix rows %d, slot dim %d" % (m.nrows, self.dims[slot]))
         dims = self.dims[:slot] + (m.ncols,) + self.dims[slot + 1:]
-        _checked_size(dims, self.cod)
         pre, post = math.prod(self.dims[:slot]), math.prod(self.dims[slot + 1:]) * self.cod
         return MultiTensor(self.field, dims, self.cod, tuple(
             _contract(self.field, self.entries, pre, post, m.sparse_rows, m.ncols)))
@@ -1085,7 +1058,6 @@ class MultiTensor(Value):
         """Apply ``m`` to the output: T' = m . T."""
         if m.ncols != self.cod:
             raise ShapeError("matrix cols %d, codomain dim %d" % (m.ncols, self.cod))
-        _checked_size(self.dims, m.nrows)
         return MultiTensor(self.field, self.dims, m.nrows, tuple(_contract(
             self.field, self.entries, math.prod(self.dims), 1, m.transpose().sparse_rows, m.nrows)))
 

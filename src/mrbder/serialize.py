@@ -28,9 +28,11 @@ separators, no timestamps.
 from __future__ import annotations
 
 import json
+import re
+import sys
 
 from .fields import Field, ParseError, Value
-from .linalg import Matrix, MultiTensor, matrix_as_tensor, tensor_as_matrix
+from .linalg import MAX_ENTRIES, Matrix, MultiTensor, check_entries, matrix_as_tensor, tensor_as_matrix
 from .structures import Algebra, Bimodule, MRBDerPair
 from .cohomology import Cochain
 from .deformation import Deformation
@@ -51,6 +53,9 @@ def _reject_float(text):
 
 
 def loads_json(text: str):
+    limit = sys.get_int_max_str_digits()     # Python reads no int of more digits (0: no limit)
+    if limit and re.search(r"(?<!\d)\d{%d}" % (limit + 1), text):     # one scan per run of digits
+        raise ParseError("number of more than %d digits" % limit)
     try:
         return json.loads(text, parse_float=_reject_float,
                           parse_constant=_reject_float)
@@ -94,7 +99,8 @@ def _read_matrix(field: Field, obj, nrows: int, ncols: int, where: str) -> Matri
     return Matrix.from_rows(field, rows)
 
 
-def _read_triples(field: Field, obj, dim0: int, dim1: int, cod: int, where: str) -> MultiTensor:
+def _read_triples(field: Field, obj, dim0: int, dim1: int, cod: int, where: str,
+                  max_entries: int) -> MultiTensor:
     if not isinstance(obj, list):
         raise ParseError("%s: expected a list of [i, j, vector] triples" % where)
     values = {}
@@ -114,6 +120,7 @@ def _read_triples(field: Field, obj, dim0: int, dim1: int, cod: int, where: str)
             values[(i, j)] = tuple(field.parse(x) for x in vec)
         except ParseError as e:
             raise ParseError("%s: entry %d: %s" % (where, k, e)) from None
+    check_entries(dim0 * dim1 * cod, max_entries)
     zero = (field.zero,) * cod
     return MultiTensor.from_map(field, (dim0, dim1), cod,
                                 lambda a, b: values.get((a, b), zero))
@@ -137,8 +144,9 @@ def _matrix_or_zeros(field: Field, block: dict, name: str, key: str, nrows: int,
     return _read_matrix(field, block[key], nrows, ncols, "%s.%s" % (name, key))
 
 
-def load_instance(text: str) -> Instance:
-    """Parse and validate the shape of an instance file (no axiom checks)."""
+def load_instance(text: str, *, max_entries: int = MAX_ENTRIES) -> Instance:
+    """Parse and validate the shape of an instance file (no axiom checks); each
+    tensor it declares is checked against ``max_entries`` before it is filled."""
     data = _expect_dict(loads_json(text), "instance")
     unknown = set(data) - {"field", "dim", "kappa", "mu", "R", "d",
                            "bimodule", "deformation", "extension", "cocycle"}
@@ -154,7 +162,7 @@ def load_instance(text: str) -> Instance:
     if dim < 1:
         raise ParseError("dim must be positive")
     kappa = field.parse(data["kappa"])
-    mu = _read_triples(field, data.get("mu", []), dim, dim, dim, "mu")
+    mu = _read_triples(field, data.get("mu", []), dim, dim, dim, "mu", max_entries)
     R = _read_matrix(field, data["R"], dim, dim, "R")
     d = _read_matrix(field, data["d"], dim, dim, "d")
     pair = MRBDerPair(Algebra(field, dim, mu), R, d, kappa)
@@ -167,8 +175,8 @@ def load_instance(text: str) -> Instance:
         m = _expect_int(b["dim_m"], "bimodule.dim_m")
         if m < 1:
             raise ParseError("bimodule.dim_m must be positive")
-        left = _read_triples(field, b.get("l", []), dim, m, m, "bimodule.l")
-        right = _read_triples(field, b.get("r", []), m, dim, m, "bimodule.r")
+        left = _read_triples(field, b.get("l", []), dim, m, m, "bimodule.l", max_entries)
+        right = _read_triples(field, b.get("r", []), m, dim, m, "bimodule.r", max_entries)
         R_M, d_M = (_matrix_or_zeros(field, b, "bimodule", k, m, m) for k in ("R_M", "d_M"))
         bim = Bimodule(m, left, right, R_M, d_M)
 
@@ -183,8 +191,8 @@ def load_instance(text: str) -> Instance:
             if not isinstance(lst, list) or len(lst) != order:
                 raise ParseError("deformation.%s: expected %d entries (one per order)"
                                  % (name, order))
-        mu_terms = tuple(_read_triples(field, t, dim, dim, dim, "deformation.mu[%d]" % k)
-                         for k, t in enumerate(terms["mu"]))
+        mu_terms = tuple(_read_triples(field, t, dim, dim, dim, "deformation.mu[%d]" % k,
+                                       max_entries) for k, t in enumerate(terms["mu"]))
         R_terms, d_terms = (tuple(_read_matrix(field, t, dim, dim, "deformation.%s[%d]" % (name, k))
                                   for k, t in enumerate(terms[name])) for name in ("R", "d"))
         defo = Deformation(pair, order, mu_terms, R_terms, d_terms)
@@ -207,17 +215,18 @@ def load_instance(text: str) -> Instance:
     c = _block(data, "cocycle", {"theta", "xi", "chi"})
     if c is not None:
         m = bim.dim_m if bim is not None else dim
-        theta = _read_triples(field, c.get("theta", []), dim, dim, m, "cocycle.theta")
+        theta = _read_triples(field, c.get("theta", []), dim, dim, m, "cocycle.theta", max_entries)
+        # xi and chi, dim A x dim M entries each, are no larger than theta
         xi_m, chi_m = (_matrix_or_zeros(field, c, "cocycle", k, m, dim) for k in ("xi", "chi"))
         coc = Cochain(2, (theta, matrix_as_tensor(xi_m), matrix_as_tensor(chi_m)))
 
     return Instance(pair, bim, defo, ext, coc)
 
 
-def load_instance_file(path: str) -> Instance:
+def load_instance_file(path: str, *, max_entries: int = MAX_ENTRIES) -> Instance:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return load_instance(fh.read())
+            return load_instance(fh.read(), max_entries=max_entries)
     except OSError as e:
         raise ParseError("cannot read %s: %s" % (path, e)) from None
 

@@ -69,8 +69,8 @@ from mrbder.cohomology import (Cochain, CochainSpace, CohomologyResult, PairSpac
                                differential_matrix, hom_space, induced_lie_pair)
 from mrbder.constructions import induced_action, induced_product
 from mrbder.deformation import Deformation, Gauge
-from mrbder.linalg import (Matrix, MultiTensor, ShapeError, _nonzero_positions, kernel_rref,
-                           rank_and_kernel, rref_vectors, solve_linear)
+from mrbder.linalg import (MAX_ENTRIES, Matrix, MultiTensor, ShapeError, _nonzero_positions,
+                           kernel_rref, rank_and_kernel, rref_vectors, solve_linear)
 from mrbder.structures import (Algebra, Bimodule, InternalError, InvalidStructure, MRBDerPair,
                                operator_residual, unit_vector)
 
@@ -731,7 +731,7 @@ def field_matrix(cx, n: int, which: str) -> Matrix:
     listed and summed in the arithmetic of its field; the layout of the
     blocks is that of ``_blocks``."""
     F, nA, m = cx.field, cx.dim_a, cx.dim_m
-    rows, cols, layout = _blocks(cx, n, which)
+    rows, cols, layout = _blocks(cx, n, which, MAX_ENTRIES)
     coboundary = field_ce_entries if cx.coboundary is _ce_entries else field_coboundary_entries
 
     def entries(kind, arity):

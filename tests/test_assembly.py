@@ -22,6 +22,7 @@ from mrbder.cohomology import _MATRIX_KINDS, _lie_complex, _pair_complex, differ
 from mrbder.constructions import commutator_lie_pair, direct_sum, rho_representation
 from mrbder.fields import Field, QQ
 from mrbder.fuzzing import conjugate_pair, random_instances, random_invertible
+from mrbder.linalg import MAX_ENTRIES
 from mrbder.structures import (adjoint_bimodule, dual_algebra, dual_pair, scalar_pair,
                                upper_triangular_pair)
 
@@ -111,7 +112,7 @@ def conjugated(pair):
 def assert_matches_field_build(cx, n):
     F = cx.field
     for which in _MATRIX_KINDS:
-        got = cx.matrix(n, which)
+        got = cx.matrix(n, which, MAX_ENTRIES)
         want = field_matrix(cx, n, which)
         assert (got.nrows, got.ncols) == (want.nrows, want.ncols), (n, which)
         assert [list(row.items()) for row in got.sparse_rows] \

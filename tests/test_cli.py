@@ -10,6 +10,7 @@ import json
 import resource
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -17,7 +18,7 @@ import pytest
 
 from mrbder.cli import CHECK_FAILED_EXIT, INTERNAL_EXIT, USAGE_EXIT, main
 from mrbder.fields import QQ
-from mrbder.linalg import Matrix, max_tensor_entries, set_max_tensor_entries
+from mrbder.linalg import Matrix
 from mrbder.structures import InternalError, adjoint_bimodule, dual_pair
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -250,21 +251,62 @@ class TestUsage:
         (("--max-entries", "0", "verify", FIXD), USAGE_EXIT),
     ], ids=["exit-0", "exit-2-cap", "exit-2-bad-cap"])
     def test_cap_is_restored_on_return(self, capsys, argv, code):
-        # --max-entries holds for the one call; the caller's cap is back after
-        set_max_tensor_entries(12345)
-        try:
-            assert run(capsys, *argv)[0] == code
-            assert max_tensor_entries() == 12345
-        finally:
-            set_max_tensor_entries(10 ** 6)
+        # --max-entries holds for the one call: the calls after it, with and
+        # without the option, get their own budgets
+        degree_two = ("cohomology", FIXD, "--degree", "2")
+        assert run(capsys, *argv)[0] == code
+        assert run(capsys, *degree_two)[0] == 0
+        assert run(capsys, "--max-entries", "8", *degree_two)[0] == USAGE_EXIT
+        assert run(capsys, *degree_two)[0] == 0
+
+    def test_two_threads_keep_their_own_budgets(self, capsys, monkeypatch):
+        # the capped call reads its file only once the default call has read
+        # its own, and the default call goes on only once the capped call is
+        # done: a budget held in module state would let the capped call run
+        # under the default one
+        cli = importlib.import_module("mrbder.cli")
+        real = cli.load_instance_file
+        capped_loading, default_loaded, capped_done = (threading.Event() for _ in range(3))
+
+        def spy(path, **kwargs):
+            if threading.current_thread().name == "capped":
+                capped_loading.set()
+                assert default_loaded.wait(30)
+                return real(path, **kwargs)
+            inst = real(path, **kwargs)
+            default_loaded.set()
+            assert capped_done.wait(30)
+            return inst
+
+        monkeypatch.setattr(cli, "load_instance_file", spy)
+        codes = {}
+        degree_two = ["cohomology", FIXD, "--degree", "2"]
+
+        def call(argv):
+            try:
+                codes[threading.current_thread().name] = main(argv)
+            finally:
+                capped_done.set()
+
+        capped = threading.Thread(target=call, name="capped",
+                                  args=(["--max-entries", "8"] + degree_two,))
+        default = threading.Thread(target=call, name="default", args=(degree_two,))
+        capped.start()
+        assert capped_loading.wait(30)
+        default.start()
+        capped.join(60)
+        default.join(60)
+        assert codes == {"capped": USAGE_EXIT, "default": 0}
+        monkeypatch.setattr(cli, "load_instance_file", real)
+        assert run(capsys, *degree_two)[0] == 0
 
 
 class TestUsageBeforeVerification:
     """An out-of-range option is a usage error whatever the file holds: on a
     file that fails verification it exits 2 with the stderr a valid file gets."""
 
-    @pytest.mark.parametrize("argv", [["cohomology", "--degree", "9"],
-                                      ["complex-check", "--max-degree", "9"]],
+    @pytest.mark.parametrize("argv", [["cohomology", "--degree", "0"],
+                                      ["complex-check", "--max-degree", "1"]],
                              ids=["degree", "max-degree"])
     def test_degree_options(self, capsys, argv):
         assert run(capsys, *argv, INVALID_PAIR)[0] == USAGE_EXIT
@@ -288,8 +330,8 @@ class TestInternalErrors:
         mod = importlib.import_module("mrbder.cohomology")
         real = mod.differential_matrix
 
-        def broken(pair, bim, n, which):
-            d = real(pair, bim, n, which)
+        def broken(pair, bim, n, which, **budget):
+            d = real(pair, bim, n, which, **budget)
             if n != 2:
                 return d
             # injective, so Z^2 = 0 while B^2 is not, and D_2 D_1 cannot be zero
@@ -348,7 +390,7 @@ class TestInternalErrors:
     def test_unexpected_exception(self, capsys, monkeypatch):
         mod = importlib.import_module("mrbder.cli")
 
-        def boom(*args):
+        def boom(*args, **kwargs):
             raise KeyError("boom")
 
         monkeypatch.setattr(mod, "cohomology", boom)
@@ -379,10 +421,12 @@ class TestCohomology:
         assert len(rep["flat"]) == 4
 
     def test_degree_cap(self, capsys):
-        code, out, err = run(capsys, "cohomology", FIXD, "--degree", "9")
+        # no degree is out of range, but one past the entry budget is refused
+        code, out, err = run(capsys, "cohomology", FIXD, "--degree", "30")
         assert code == USAGE_EXIT
         assert out == ""
-        assert err.startswith("error:")
+        assert err == ("error: the pair map at degree 30 may list more than 1000000 entries "
+                       "and steps\n")
 
     def test_degree_zero_rejected(self, capsys):
         code, _, err = run(capsys, "cohomology", FIXD, "--degree", "0")
@@ -413,7 +457,7 @@ class TestComplexCheck:
     def test_max_degree_out_of_range(self, capsys):
         code, _, err = run(capsys, "complex-check", FIXD, "--max-degree", "1")
         assert code == USAGE_EXIT
-        assert "2..4" in err
+        assert err == "error: --max-degree must be at least 2\n"
 
     def test_entry_cap_stops_matrix_build(self, capsys):
         code, out, err = run(capsys, "--max-entries", "10", "complex-check", FIXD)

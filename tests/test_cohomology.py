@@ -3,8 +3,7 @@ import random
 
 import pytest
 
-from mrbder.cohomology import (MAX_COHOMOLOGY_DEGREE, MAX_MATRIX_DEGREE,
-                               DegreeCapExceeded, Cochain, CochainSpace,
+from mrbder.cohomology import (Cochain, CochainSpace,
                                PairSpace, ce_delta, cochain_arities, cohomology,
                                derivation_defect, differential_matrix,
                                hochschild_delta, hom_space, lie_derivation_defect,
@@ -15,8 +14,8 @@ from mrbder.constructions import (direct_sum, induced_action, induced_product,
                                   rho_representation)
 from mrbder.fields import Field, QQ
 from mrbder.fuzzing import conjugate_pair, random_instances, random_invertible
-from mrbder.linalg import (EntryCapExceeded, Matrix, MultiTensor, ShapeError, matrix_as_tensor,
-                           rref_vectors, set_max_tensor_entries)
+from mrbder.linalg import (MAX_ENTRIES, EntryCapExceeded, Matrix, MultiTensor, ShapeError,
+                           matrix_as_tensor, rref_vectors)
 from mrbder.structures import (Algebra, Bimodule, InternalError, MRBDerPair, adjoint_bimodule,
                                dual_pair, scalar_pair, dual_algebra,
                                upper_triangular_pair, verify_pair)
@@ -347,37 +346,28 @@ class TestComplexCache:
         # C^{n+1}, and builds the induced maps only after both
         pair, bim = _cap_instance(3)
         cap = int(err.split()[-1])
-        set_max_tensor_entries(cap)
-        try:
-            with pytest.raises(EntryCapExceeded, match="^%s$" % err):
-                differential_matrix(pair, bim, n, which)
-        finally:
-            set_max_tensor_entries(10 ** 6)
+        with pytest.raises(EntryCapExceeded, match="^%s$" % err):
+            differential_matrix(pair, bim, n, which, max_entries=cap)
 
     @pytest.mark.parametrize("which", KINDS)
     @pytest.mark.parametrize("dim_m", [None, 3], ids=["adjoint", "trivial3"])
     def test_lowered_cap_after_a_cached_build(self, which, dim_m):
-        # a kept matrix is returned as the same object under any later cap;
-        # a fresh build refuses with the size of C^n, then with that of
-        # C^{n+1} (C^n again for the maps that keep the degree)
+        # a kept matrix is returned as the same object under any later
+        # budget; a fresh build refuses with the size of C^n, then with that
+        # of C^{n+1} (C^n again for the maps that keep the degree)
         m = 2 if dim_m is None else dim_m
         step = which not in ("operator_map", "derivation_defect", "operator_defect")
         cached = _cap_instance(dim_m)
         kept = {n: differential_matrix(*cached, n, which) for n in (1, 2, 3)}
-        try:
-            for cap in range(1, 60):
-                fresh = _cap_instance(dim_m)
-                set_max_tensor_entries(cap)
-                for n in (1, 2, 3):
-                    assert differential_matrix(*cached, n, which) is kept[n]
-                    over = [s for s in (2 ** n * m, 2 ** (n + step) * m) if s > cap]
-                    if over:
-                        with pytest.raises(EntryCapExceeded, match="^tensor with %d entries "
-                                           "exceeds cap %d$" % (over[0], cap)):
-                            differential_matrix(*fresh, n, which)
-                set_max_tensor_entries(10 ** 6)
-        finally:
-            set_max_tensor_entries(10 ** 6)
+        for cap in range(1, 60):
+            fresh = _cap_instance(dim_m)
+            for n in (1, 2, 3):
+                assert differential_matrix(*cached, n, which, max_entries=cap) is kept[n]
+                over = [s for s in (2 ** n * m, 2 ** (n + step) * m) if s > cap]
+                if over:
+                    with pytest.raises(EntryCapExceeded, match="^tensor with %d entries "
+                                       "exceeds cap %d$" % (over[0], cap)):
+                        differential_matrix(*fresh, n, which, max_entries=cap)
 
     def test_scaled_maps_are_built_once_per_complex(self, monkeypatch):
         mod = importlib.import_module("mrbder.cohomology")
@@ -421,50 +411,44 @@ class TestComplexCache:
     @pytest.mark.parametrize("which", KINDS)
     @pytest.mark.parametrize("dim_m", [None, 3, "conjugated"])
     def test_lowered_cap_after_the_maps_are_scaled(self, which, dim_m):
-        # scaling the maps checks no cap: a complex whose integer copies are
-        # built refuses under every cap as a fresh one does, with the size
-        # of C^n, then of C^{n+1} (C^n again for the maps that keep the
-        # degree), then of the induced maps
+        # scaling the maps checks no budget: a complex whose integer copies
+        # are built refuses under every budget as a fresh one does, with the
+        # size of C^n, then of C^{n+1} (C^n again for the maps that keep the
+        # degree)
         def instance():
             if dim_m != "conjugated":
                 return _cap_instance(dim_m)
             pair = conjugate_pair(dual_pair(QQ), random_invertible(random.Random(0), QQ, 2))
             return pair, adjoint_bimodule(pair)
 
-        def outcome(pair_bim, n):
+        def outcome(pair_bim, n, cap):
             try:
-                return differential_matrix(*pair_bim, n, which)
+                return differential_matrix(*pair_bim, n, which, max_entries=cap)
             except EntryCapExceeded as e:
                 return str(e)
 
         m = 3 if dim_m == 3 else 2
         step = which not in ("operator_map", "derivation_defect", "operator_defect")
         mod = importlib.import_module("mrbder.cohomology")
-        try:
-            for cap in range(1, 60):
-                warm, fresh = instance(), instance()
-                mod._pair_complex(*warm).scaled()
-                set_max_tensor_entries(cap)
-                for n in (1, 2, 3):
-                    got = outcome(warm, n)
-                    assert got == outcome(fresh, n), (cap, n)
-                    over = [s for s in (2 ** n * m, 2 ** (n + step) * m) if s > cap]
-                    if over:
-                        assert got == "tensor with %d entries exceeds cap %d" % (over[0], cap)
-                set_max_tensor_entries(10 ** 6)
-        finally:
-            set_max_tensor_entries(10 ** 6)
+        for cap in range(1, 60):
+            warm, fresh = instance(), instance()
+            mod._pair_complex(*warm).scaled()
+            for n in (1, 2, 3):
+                got = outcome(warm, n, cap)
+                assert got == outcome(fresh, n, cap), (cap, n)
+                over = [s for s in (2 ** n * m, 2 ** (n + step) * m) if s > cap]
+                if over:
+                    assert got == "tensor with %d entries exceeds cap %d" % (over[0], cap)
 
     @pytest.mark.parametrize("which", sorted(COCHAIN_MAPS))
     @pytest.mark.parametrize("dim_m", [None, 3], ids=["adjoint", "trivial3"])
     def test_lowered_cap_on_the_cochain_maps(self, which, dim_m):
-        # under every cap a cochain-level map on inputs whose complex has
-        # built the matrix gives D_n times the cochain, or refuses with the
-        # size of the largest part of its image, the first one it allocates;
-        # on fresh inputs it gives what differential_matrix of its kind gives
-        m = 2 if dim_m is None else dim_m
+        # pair_delta takes the budget: under every budget, on inputs whose
+        # complex has built the matrix it gives D_n times the cochain, since
+        # a kept matrix is not checked again, and on fresh inputs what
+        # differential_matrix gives, the image or the refusal; the other
+        # cochain maps, reached from no command, build under the default
         apply, layers = COCHAIN_MAPS[which]
-        step = which not in ("operator_map", "derivation_defect")
         rng = random.Random(12)
         cochains = {n: _random_cochain(rng, dim_m, n, layers) for n in (1, 2, 3)}
         cached = _cap_instance(dim_m)
@@ -477,20 +461,17 @@ class TestComplexCache:
             except EntryCapExceeded as e:
                 return str(e)
 
-        try:
-            for cap in range(1, 60):
-                a, b = _cap_instance(dim_m), _cap_instance(dim_m)
-                set_max_tensor_entries(cap)
-                for n, c in cochains.items():
-                    size = 2 ** (n + step) * m
-                    want = images[n] if size <= cap else \
-                        "tensor with %d entries exceeds cap %d" % (size, cap)
-                    assert outcome(lambda: _flat(apply(*cached, c))) == want
-                    fresh = outcome(lambda: differential_matrix(*a, n, which).apply(_flat(c)))
-                    assert outcome(lambda: _flat(apply(*b, c))) == fresh
-                set_max_tensor_entries(10 ** 6)
-        finally:
-            set_max_tensor_entries(10 ** 6)
+        refused = 0
+        for cap in range(1, 60) if which == "pair" else [MAX_ENTRIES]:
+            budget = {"max_entries": cap} if which == "pair" else {}
+            a, b = _cap_instance(dim_m), _cap_instance(dim_m)
+            for n, c in cochains.items():
+                assert outcome(lambda: _flat(apply(*cached, c, **budget))) == images[n]
+                fresh = outcome(lambda: differential_matrix(*a, n, which, max_entries=cap)
+                                .apply(_flat(c)))
+                assert outcome(lambda: _flat(apply(*b, c, **budget))) == fresh
+                refused += isinstance(fresh, str)
+        assert (refused > 0) == (which == "pair")
 
     @pytest.mark.parametrize("which", KINDS)
     def test_a_repeated_call_lists_no_blocks(self, which, monkeypatch):
@@ -623,13 +604,22 @@ class TestCohomologyGroups:
         assert (res2.dim_cocycles, res2.dim_coboundaries, res2.dim_h) == (1, 1, 0)
 
     def test_caps(self, dual_q_adj):
+        # a degree below 1 is refused; above, the entry budget is the one
+        # limit: the default admits H^4 and D_5, a lower one refuses them
         pair, bim = dual_q_adj
-        with pytest.raises(DegreeCapExceeded):
-            cohomology(pair, bim, MAX_COHOMOLOGY_DEGREE + 1)
-        with pytest.raises(DegreeCapExceeded):
+        with pytest.raises(ShapeError):
             cohomology(pair, bim, 0)
-        with pytest.raises(DegreeCapExceeded):
-            differential_matrix(pair, bim, MAX_MATRIX_DEGREE + 1, "pair")
+        with pytest.raises(ShapeError):
+            differential_matrix(pair, bim, 0, "pair")
+        res = cohomology(pair, bim, 4)
+        assert (res.dim_cocycles, res.dim_coboundaries, res.dim_h) == (24, 24, 0)
+        # PC^6 = C^6 + 2 C^5 + C^4
+        assert differential_matrix(pair, bim, 5, "pair").nrows == 2 ** 7 + 2 * 2 ** 6 + 2 ** 5
+        fresh, fresh_bim = _cap_instance(None)
+        with pytest.raises(EntryCapExceeded, match="^tensor with 32 entries exceeds cap 31$"):
+            cohomology(fresh, fresh_bim, 4, max_entries=31)
+        with pytest.raises(EntryCapExceeded, match="^tensor with 128 entries exceeds cap 64$"):
+            differential_matrix(fresh, fresh_bim, 5, "pair", max_entries=64)
 
     def test_brute_force_counts_f2(self):
         # enumerate the whole space over F2 and compare with rank arithmetic

@@ -1,9 +1,14 @@
+import dataclasses
+import importlib
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from mrbder.cohomology import Cochain
 from mrbder.fields import Field, ParseError, QQ, is_prime
+from mrbder.linalg import MultiTensor
 
 rationals = st.fractions(min_value=-10 ** 6, max_value=10 ** 6, max_denominator=10 ** 4)
 residues5 = st.integers(min_value=0, max_value=4)
@@ -142,3 +147,31 @@ def test_elements_and_random():
     assert vals == {0, 1, 2}
     q = QQ.random(rng)
     assert isinstance(q, Fraction)
+
+
+def test_to_str_refuses_a_number_past_the_digit_limit():
+    # str() of an int of more than 4300 digits raises in CPython; the field
+    # says which limit, and a value one digit shorter is written in full
+    assert QQ.to_str(Fraction(10 ** 4299)) == "1" + "0" * 4299
+    with pytest.raises(ValueError, match="^number of more than 4300 digits$"):
+        QQ.to_str(Fraction(10 ** 4300))
+    with pytest.raises(ValueError, match="^number of more than 4300 digits$"):
+        QQ.to_str(Fraction(1, 10 ** 4300))
+
+
+def test_a_report_with_a_long_number_exits_2(monkeypatch, capsys):
+    # no shipped path makes such a value: a spy puts one in a representative
+    cli = importlib.import_module("mrbder.cli")
+    real = cli.cohomology
+
+    def spy(pair, bim, n, **kwargs):
+        res = real(pair, bim, n, **kwargs)
+        rep = res.representatives[0]
+        f = rep.parts[0]
+        big = MultiTensor(f.field, f.dims, f.cod, (Fraction(10 ** 5000),) + f.entries[1:])
+        return dataclasses.replace(res, representatives=(Cochain(n, (big,) + rep.parts[1:]),))
+
+    monkeypatch.setattr(cli, "cohomology", spy)
+    fixd = str(Path(__file__).resolve().parents[1] / "instances" / "fixd.json")
+    assert cli.main(["cohomology", fixd, "--degree", "1"]) == 2
+    assert capsys.readouterr() == ("", "error: number of more than 4300 digits\n")

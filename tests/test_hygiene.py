@@ -23,9 +23,14 @@
 * No function in ``src/`` calls ``rref_vectors``, which takes dense
   vectors: every elimination of the engine starts from sparse rows.  It
   stays public for the tests and the benchmark's tracer.
-* The entry lists of the structure maps have one reader: ``_blocks`` is
+* The entry lists of the structure maps have one reader: ``_assemble`` is
   called only by ``_Complex.matrix``, so every cochain map is its kept
-  matrix.
+  matrix.  (``_blocks`` lays out the blocks and checks the budget; the
+  budget check of several degrees at once calls it too, and lists nothing.)
+* The entry budget is an argument, never module state: ``src/`` holds no
+  ``global`` statement and none of the names of the process-wide cap and
+  the degree caps it replaced, and ``cli.main`` has no ``finally`` that
+  would restore one.
 * The four entry lists (``_coboundary_entries``, ``_ce_entries``,
   ``_operator_map_entries``, ``_defect_entries``) and the product kernels
   (``_product``, ``_walked_rows``, ``_unpack``, ``_packed_dots``) run on
@@ -241,11 +246,28 @@ def test_one_lcm_scaling():
 
 def test_entry_lists_have_one_reader():
     callers = [(module, f) for module, tree in MODULES.items()
-               for f, _ in _callers(tree, "_blocks")]
+               for f, _ in _callers(tree, "_assemble")]
     complex_class = next(node for node in MODULES["cohomology"].body
                          if isinstance(node, ast.ClassDef) and node.name == "_Complex")
     assert callers == [("cohomology", "matrix")]
-    assert [f for f, _ in _callers(complex_class, "_blocks")] == ["matrix"]
+    assert [f for f, _ in _callers(complex_class, "_assemble")] == ["matrix"]
+    assert sorted(f for f, _ in _callers(MODULES["cohomology"], "_blocks")) \
+        == ["check_budget", "matrix"]
+
+
+REMOVED_LIMITS = ("_max_tensor_entries", "set_max_tensor_entries", "max_tensor_entries",
+                  "MAX_MATRIX_DEGREE", "MAX_COHOMOLOGY_DEGREE")
+
+
+def test_the_budget_is_no_module_state():
+    found = [(module, type(n).__name__) for module, tree in MODULES.items()
+             for n in ast.walk(tree) if isinstance(n, (ast.Global, ast.Nonlocal))]
+    assert found == []
+    texts = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    assert [(m, name) for m, text in texts.items() for name in REMOVED_LIMITS if name in text] == []
+    main = next(n for n in MODULES["cli"].body
+                if isinstance(n, ast.FunctionDef) and n.name == "main")
+    assert [n for n in ast.walk(main) if isinstance(n, ast.Try) and n.finalbody] == []
 
 
 ENTRY_LISTS = ("_coboundary_entries", "_ce_entries", "_operator_map_entries", "_defect_entries")

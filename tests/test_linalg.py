@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mrbder.fields import Field, QQ
-from mrbder.linalg import (EntryCapExceeded, Matrix, MultiTensor, ShapeError,
-                           TensorSpace, matrix_as_tensor, max_tensor_entries,
-                           rank_and_kernel, rref_vectors,
-                           set_max_tensor_entries, solve_linear, tensor_as_matrix)
+from mrbder.linalg import (MAX_ENTRIES, EntryCapExceeded, Matrix, MultiTensor, ShapeError,
+                           TensorSpace, check_entries, matrix_as_tensor, rank_and_kernel,
+                           rref_vectors, solve_linear, tensor_as_matrix)
+from mrbder.serialize import load_instance
 
 from oracles import operator_matrix
 
@@ -360,23 +360,28 @@ class TestTensorSpace:
 
 
 def test_entry_cap(monkeypatch):
-    old = max_tensor_entries()
-    try:
-        set_max_tensor_entries(10)
-        with pytest.raises(EntryCapExceeded):
-            MultiTensor.zeros(QQ, (4, 4), 4)
-        set_max_tensor_entries(10 ** 6)
-        MultiTensor.zeros(QQ, (4, 4), 4)
-    finally:
-        set_max_tensor_entries(old)
+    # the budget is an argument: a 64-entry tensor is over 10 and within
+    # the default, and a tensor is built, whatever its size, only once a
+    # request has checked it
+    with pytest.raises(EntryCapExceeded, match="^tensor with 64 entries exceeds cap 10$"):
+        check_entries(64, 10)
+    check_entries(64, 64)
+    check_entries(MAX_ENTRIES, MAX_ENTRIES)
+    assert MAX_ENTRIES == 10 ** 6
+    assert len(MultiTensor.zeros(QQ, (4, 4), 4).entries) == 64
 
 
-def test_from_map_checks_the_cap_before_filling():
-    def fn(*idx):
-        raise AssertionError("from_map evaluated an entry of an oversized tensor")
+def test_from_map_checks_the_cap_before_filling(monkeypatch):
+    # a file declaring dim 10^5 is refused at mu, before from_map fills an entry
+    def fill(*args):
+        raise AssertionError("from_map was called for an oversized tensor")
 
-    with pytest.raises(EntryCapExceeded, match="exceeds cap"):
-        MultiTensor.from_map(QQ, (10 ** 5, 10 ** 5), 10 ** 5, fn)
+    monkeypatch.setattr(MultiTensor, "from_map", fill)
+    text = '{"field": "Q", "dim": 100000, "kappa": 0, "mu": [], "R": [], "d": []}'
+    with pytest.raises(EntryCapExceeded, match="^tensor with %d entries exceeds cap 1000000$" % 10 ** 15):
+        load_instance(text)
+    with pytest.raises(EntryCapExceeded, match="exceeds cap 7$"):
+        load_instance(text.replace("100000", "2"), max_entries=7)
 
 
 def test_partial_map_fixes_one_argument():

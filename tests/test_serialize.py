@@ -1,9 +1,11 @@
 import glob
 import json
 import os
+import time
 
 import pytest
 
+from mrbder.cli import main
 from mrbder.fields import ParseError, QQ
 from mrbder.serialize import (Instance, dumps_canonical, instance_to_json,
                               load_instance, load_instance_file, loads_json,
@@ -217,6 +219,34 @@ class TestRejection:
         with pytest.raises(ParseError, match="fiber dimension"):
             load_instance(minimal(extension={"i": [["0", "0"], ["0", "0"]],
                                              "p": [["1", "0"], ["0", "1"]]}))
+
+    # a number past the 4300 digits CPython converts from text is refused
+    # with one short message, whether the file writes it as a string or as
+    # a bare JSON int, and the message does not echo the digits
+    @pytest.mark.parametrize("kappa", ['"%s"' % ("7" * 5000), "7" * 5000, '"1/%s"' % ("7" * 5000)],
+                             ids=["string", "bare-int", "denominator"])
+    def test_long_numbers_are_refused(self, tmp_path, capsys, kappa):
+        text = minimal(kappa="KAPPA").replace('"KAPPA"', kappa)
+        with pytest.raises(ParseError, match="^number of more than 4300 digits$"):
+            load_instance(text)
+        path = tmp_path / "long.json"
+        path.write_text(text)
+        assert main(["verify", str(path)]) == 2
+        assert capsys.readouterr() == ("", "error: number of more than 4300 digits\n")
+
+    def test_the_digit_limit_is_checked_before_parsing(self):
+        # 4300 digits are read, 4301 are not, wherever they stand
+        inst = load_instance(minimal(mu=[[0, 0, ["7" * 4300, "-" + "7" * 4300]]]))
+        assert inst.pair.mu.entries[0] == 7 * (10 ** 4300 - 1) // 9
+        with pytest.raises(ParseError, match="^number of more than 4300 digits$"):
+            load_instance(minimal(mu=[[0, 0, ["0", "0"]], [1, 1, ["7" * 4301, "0"]]]))
+
+    def test_the_digit_scan_is_linear(self):
+        # a scan that restarts inside every run of digits takes about 12 s
+        # on these 200 runs of 4300 digits, and one scan per run milliseconds
+        start = time.perf_counter()
+        assert len(loads_json("[" + ",".join(["7" * 4300] * 200) + "]")) == 200
+        assert time.perf_counter() - start < 2.0
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError, match="cannot read"):

@@ -1,8 +1,12 @@
+from pathlib import Path
+
 import pytest
 
+from mrbder.cli import main
 from mrbder.constructions import direct_sum
 from mrbder.fields import Field, QQ
-from mrbder.linalg import Matrix, ShapeError, max_tensor_entries, set_max_tensor_entries
+from mrbder.linalg import Matrix, MultiTensor, ShapeError
+from mrbder.serialize import load_instance_file
 from mrbder.structures import (Algebra, Bimodule, CheckReport, MRBDerPair,
                                adjoint_bimodule, check_associativity,
                                check_bimodule, check_commutation,
@@ -273,13 +277,43 @@ class TestGoldenFailures:
         ]
 
 
-def test_checks_fit_under_a_cap_equal_to_the_largest_input():
-    # mu of dual + dual has exactly 4 * 4 * 4 = 64 entries; no residual may need more
+INSTANCES = sorted(str(p) for p in (Path(__file__).resolve().parents[1] / "instances").glob("*.json"))
+
+
+def _input_tensors(inst) -> list:
+    """The tensors an instance file declares."""
+    out = [inst.pair.mu]
+    if inst.bim is not None:
+        out += [inst.bim.left, inst.bim.right]
+    if inst.deformation is not None:
+        out += inst.deformation.mu_terms
+    if inst.cocycle is not None:
+        out += inst.cocycle.parts
+    return out
+
+
+def test_checks_fit_under_a_cap_equal_to_the_largest_input(monkeypatch, capsys):
+    # the axiom checks take no entry budget: no tensor that they, or the
+    # verify, deform-check and extend extract commands, build outgrows the
+    # largest tensor of the input, which the loader has checked
+    built = []
+    real = MultiTensor.__init__
+
+    def spy(self, field, dims, cod, entries):
+        built.append(len(entries))
+        real(self, field, dims, cod, entries)
+
+    monkeypatch.setattr(MultiTensor, "__init__", spy)
+    # mu of dual + dual has exactly 4 * 4 * 4 = 64 entries
     pair = direct_sum(dual_pair(QQ), dual_pair(QQ))
-    old = max_tensor_entries()
-    try:
-        set_max_tensor_entries(64)
-        assert verify_pair(pair).ok
-        assert check_bimodule(pair, adjoint_bimodule(pair)).ok
-    finally:
-        set_max_tensor_entries(old)
+    built.clear()
+    assert verify_pair(pair).ok
+    assert check_bimodule(pair, adjoint_bimodule(pair)).ok
+    assert max(built) == 64
+    for path in INSTANCES:
+        largest = max(len(t.entries) for t in _input_tensors(load_instance_file(path)))
+        for command in (["verify"], ["deform-check"], ["extend", "extract"]):
+            built.clear()
+            main(command + [path])
+            assert max(built) <= largest, (command, path)
+    capsys.readouterr()

@@ -25,7 +25,8 @@ from mrbder.extension import (Extension, ExtensionClassification, build_extensio
                               canonical_section, classify, fiber_retraction)
 from mrbder.fields import MAX_PRIME, Field, ParseError, QQ, Value
 from mrbder.fuzzing import FuzzInstance, random_instances
-from mrbder.linalg import EntryCapExceeded, Matrix, MultiTensor, ShapeError, TensorSpace
+from mrbder.linalg import (MAX_ENTRIES, EntryCapExceeded, Matrix, MultiTensor, ShapeError,
+                           TensorSpace, check_entries)
 from mrbder.serialize import Instance
 from mrbder.structures import (Algebra, Bimodule, CheckFailure, CheckReport, MRBDerPair,
                                adjoint_bimodule, check_commutation, dual_pair,
@@ -236,8 +237,12 @@ def test_construction_checks_keep_type_and_message(case):
 
 
 def test_tensor_checks_the_entry_cap():
-    with pytest.raises(EntryCapExceeded):
+    # the constructor checks the entry count against the shape, and no
+    # budget: the budget is checked where a request grows, before it builds
+    with pytest.raises(ShapeError, match="^entry count 0, expected 100000000$"):
         MultiTensor(QQ, (10**4, 10**4), 1, ())
+    with pytest.raises(EntryCapExceeded, match="^tensor with 100000000 entries exceeds cap 1000000$"):
+        check_entries(10**8, MAX_ENTRIES)
 
 
 def test_cochain_stores_its_parts_as_a_tuple():

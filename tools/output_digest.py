@@ -11,7 +11,7 @@ checkouts are compared with ``diff``:
     python3 tools/output_digest.py --src . > new.txt
     diff old.txt new.txt
 
-The grid: the twelve command forms of ``FORMS`` on each instance file
+The grid: the thirteen command forms of ``FORMS`` on each instance file
 (``instances/*.json`` of DIR unless files are named), with the default
 entry cap and with ``--max-entries`` 8, 16 and 64; then ``fuzz`` over the
 fields of ``FUZZ_FIELDS`` at dims 1 and 2, seeds 0-5 (``--no-fuzz`` leaves
@@ -32,6 +32,7 @@ FORMS = (
     ["cohomology", "--degree", "1"],
     ["cohomology", "--degree", "2"],
     ["cohomology", "--degree", "3"],
+    ["cohomology", "--degree", "4"],
     ["complex-check"],
     ["complex-check", "--max-degree", "4"],
     ["deform-check"],
@@ -45,8 +46,9 @@ CAPS = ([], ["--max-entries", "8"], ["--max-entries", "16"], ["--max-entries", "
 FUZZ_FIELDS = ("Q", "Fp:2", "Fp:3", "Fp:5", "Fp:7")
 FUZZ_COUNT = 10
 # calls the CLI must refuse with exit 2: no subcommand, a missing argument and
-# an unknown action (argparse), a bad cap, out-of-range options on a file that
-# fails verification, and fuzz requests out of range
+# an unknown action (argparse), a bad cap, and fuzz requests out of range; and
+# degrees on a file that fails verification: out of range, refused before the
+# file is read (exit 2), or in range, refused after it (exit 1)
 USAGE = (
     ["--max-entries", "64"],
     ["cohomology", "instances/fixd.json"],
@@ -56,6 +58,8 @@ USAGE = (
     ["complex-check", "--max-degree", "9", "instances/invalid_pair.json"],
     ["fuzz", "--field", "Fp:11", "--dim", "2", "--count", "1"],
     ["fuzz", "--field", "Q", "--count", "0"],
+    ["cohomology", "--degree", "0", "instances/invalid_pair.json"],
+    ["complex-check", "--max-degree", "1", "instances/invalid_pair.json"],
 )
 
 
