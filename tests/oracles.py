@@ -4,6 +4,10 @@
   zeros included, and rebuilds each row it touches.  ``dense_rank_and_kernel``,
   ``dense_rref_vectors``, ``dense_solve_linear`` and ``dense_inverse`` are the
   solvers of ``mrbder.linalg`` written on top of it.
+* ``gauss_jordan_rref_mod``: the integer kernel mod p as Gauss-Jordan, each
+  pivot reducing every row nonzero in its column, above it as well as
+  below; ``linalg._rref_mod`` reduces the free rows forward and then
+  back-substitutes, and must leave the same rows, pivots and order.
 * ``two_step_kernel_rref``: the RREF basis of a kernel in two eliminations,
   the free-column basis of ``rank_and_kernel`` reduced again by
   ``rref_vectors``, as ``cohomology`` once found Z^n; ``linalg.kernel_rref``
@@ -62,6 +66,7 @@
 import dataclasses
 import itertools
 from dataclasses import dataclass, make_dataclass
+from itertools import compress, islice
 from typing import Callable
 
 from mrbder.cohomology import (Cochain, CochainSpace, CohomologyResult, PairSpace, _blocks,
@@ -103,6 +108,61 @@ def dense_rref(field, rows):
         if r == nr:
             break
     return pivots
+
+
+def gauss_jordan_rref_mod(p: int, rows: list) -> tuple:
+    """Reduce int ``rows`` (lists of residues mod the prime ``p``) to RREF in place.
+
+    Returns (pivots, order): the pivot columns, and for each pivot the index
+    its row had in ``rows``.  ``rows`` ends as the RREF rows in pivot order
+    followed by the zero rows.  The pivot of each column is the lowest-index
+    row with a nonzero there that is not yet a pivot row; since RREF is
+    unique, any such choice gives the same rows.
+
+    Only nonzero entries are touched.  ``col_rows[j]`` lists every row that
+    may be nonzero in column j, so the rows to reduce at a pivot are read
+    from it rather than from a scan of the column.  The pivot row is scaled
+    on its nonzeros, and each other row is reduced against them; they all lie
+    at or after the pivot column.
+    """
+    nr = len(rows)
+    nc = len(rows[0]) if nr else 0
+    col_rows = [[] for _ in range(nc)]
+    for i, row in enumerate(rows):
+        for j in compress(range(nc), row):
+            col_rows[j].append(i)
+    free = [True] * nr                    # not a pivot row yet
+    order, pivots = [], []
+    for c in range(nc):
+        # a set: an entry can return to zero and be listed again
+        hits = sorted({i for i in col_rows[c] if rows[i][c]})
+        col_rows[c] = None
+        pr = next((i for i in hits if free[i]), None)
+        if pr is None:
+            continue
+        prow = rows[pr]
+        nz = list(compress(range(c, nc), islice(prow, c, None)))
+        inv = pow(prow[c], -1, p)
+        if inv != 1:
+            for j in nz:
+                prow[j] = inv * prow[j] % p
+        terms = [(j, prow[j]) for j in nz]
+        for i in hits:
+            if i != pr:
+                row = rows[i]
+                f = p - row[c]
+                for j, y in terms:
+                    x = row[j]
+                    if not x:
+                        col_rows[j].append(i)
+                    row[j] = (x + f * y) % p
+        free[pr] = False
+        order.append(pr)
+        pivots.append(c)
+        if len(pivots) == nr:
+            break
+    rows[:] = [rows[i] for i in order] + [row for i, row in enumerate(rows) if free[i]]
+    return pivots, order
 
 
 def dense_rref_vectors(field, vectors):
