@@ -133,10 +133,10 @@ def cmd_complex_check(args) -> tuple:
         raise ParseError("--max-degree must be at least 2")
     inst = _load(args, "complex-check")
     bim = _active_bimodule(inst)
-    for n in range(1, args.max_degree + 1):
-        check_budget(inst.pair, bim, n, "pair", max_entries=args.max_entries)
+    degrees = range(1, args.max_degree + 1)
+    check_budget(inst.pair, bim, degrees, "pair", max_entries=args.max_entries)
     mats = {n: differential_matrix(inst.pair, bim, n, "pair", max_entries=args.max_entries)
-            for n in range(1, args.max_degree + 1)}
+            for n in degrees}
     products = [{"degrees": [n + 1, n], "zero": mats[n + 1].product_is_zero(mats[n])}
                 for n in range(1, args.max_degree)]
     ok = all(p["zero"] for p in products)

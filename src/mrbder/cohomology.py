@@ -33,11 +33,11 @@ The differentials (all squaring to zero):
                - sum_{|S| odd}  (-kappa)^{(|S|-1)/2} R_M(f_S)
                + sum_{|S| even} (-kappa)^{|S|/2} f_S
 
-  The even-|S| coefficient is fixed by the calibration harness in
-  tools/calibrate_phi.py (see docs/phi_calibration.md): it is the unique
-  convention among a family of twelve candidates, kept with the tests in
-  tests/oracles.py, making phi a chain map and killing phi(mu) on adjoint
-  coefficients.
+  The even-|S| coefficient is the one of twelve candidates making phi a chain
+  map and killing phi(mu) on adjoint coefficients (docs/phi_calibration.md).
+  With it phi is one tensor power: in Z[u]/(u^2 + kappa), u^{|S|} is
+  (-kappa)^{|S|/2} for even |S| and (-kappa)^{(|S|-1)/2} u for odd |S|, so
+  with u for a bare slot (R + u)^{(x n)} = A + uB and phi(f) = f.A - R_M.f.B.
 
 * ``derivation_defect`` (Delta): Delta(f) = sum_j f.(Id x..x d x..x Id) - d_M . f,
   the failure of f to commute with the derivation.
@@ -70,7 +70,8 @@ each D_n is built once per pair and bimodule, whichever of
 cochain-level maps asks first.  A build checks the entry budget, the
 keyword ``max_entries`` of ``differential_matrix``, ``cohomology``,
 ``pair_delta`` and ``primitive`` (the default for the other maps), before it
-lists anything (see ``_blocks``); a kept matrix is returned unchecked.
+lists anything (see ``_blocks``), as ``check_budget`` checks several builds
+and the sum of their counts; a kept matrix is returned unchecked.
 
 ``cohomology`` proves H^n = 0 by a rank balance, or reads Z^n, B^n and the
 canonical representatives off the eliminations of D_n and of D_{n-1} at the
@@ -93,11 +94,6 @@ from .linalg import (MAX_ENTRIES, EntryCapExceeded, Matrix, MultiTensor, ShapeEr
                      rank_and_kernel, solve_linear, tensor_as_matrix)
 from .structures import Bimodule, InternalError, MRBDerPair, unit_vector
 from .constructions import LiePair, induced_action, induced_product
-
-
-def _sign_is_plus(k: int) -> bool:
-    # true when (-1)^k = +1
-    return k % 2 == 0
 
 
 # ---------------------------------------------------------------------------
@@ -300,46 +296,46 @@ def _ce_count(nA: int, m: int, bracket: list, rho: list, n: int) -> int:
 
 
 def _operator_map_entries(nA: int, m: int, R: list, R_M: list, kappa: int, n: int):
-    """phi on C^n (see :func:`operator_map`): for each set of bare slots, R in
-    the other slots, then the term's coefficient and R_M on the output.
-    ``kappa`` is kappa times D^2 (see :meth:`_Complex.scaled`)."""
-    coeffs = [(1, False)]                     # |bare| -> (coefficient, R_M applied)
-    for r in range(1, n + 1):
-        c = (-kappa) ** (r // 2)
-        coeffs.append((-c, True) if r % 2 == 1 else (c, False))
+    """phi on C^n (see :func:`operator_map`) as (R + u)^{(x n)} = A + uB over
+    Z[u]/(u^2 + kappa), u a bare slot, whose u^{|S|} = (-kappa)^{|S|/2} for
+    even |S| is the calibrated coefficient.  Slot by slot, a part a + bu at K
+    goes through R to each K nA + k, and bare to K nA + j as -kappa b + au;
+    then a is listed at row K and -b through R_M.  ``kappa`` is kappa times
+    D^2 (see :meth:`_Complex.scaled`), so u carries D as R does."""
     r_rows = [list(row.items()) for row in R]
     rm_cols = [list(col.items()) for col in R_M]
     places = [nA ** (n - 1 - p) for p in range(n)]
     for J in range(nA ** n):
-        digits = [(J // lo) % nA for lo in places]
-        images = ({}, {})                     # K -> value, without and with R_M
-        for bare in range(1 << n):
-            coeff, rm = coeffs[bare.bit_count()]
-            acc = images[rm]
-            opts = [[(j, 1)] if bare >> (n - 1 - p) & 1 else r_rows[j]
-                    for p, j in enumerate(digits)]
-            for combo in itertools.product(*opts):
-                K, v = 0, coeff
-                for (k, c), lo in zip(combo, places):
-                    K += k * lo
-                    v *= c
-                acc[K] = acc[K] + v if K in acc else v
-        plain, via_rm = images
+        parts = {0: (1, 0)}                   # K -> (a, b), the part a + bu
+        for lo in places:
+            j = J // lo % nA
+            grown = {}
+            for K, (a, b) in parts.items():
+                K *= nA
+                for k, c in r_rows[j]:
+                    x, y = grown.get(K + k, (0, 0))
+                    grown[K + k] = (x + a * c, y + b * c)
+                x, y = grown.get(K + j, (0, 0))
+                grown[K + j] = (x - kappa * b, y + a)
+            parts = {K: ab for K, ab in grown.items() if ab != (0, 0)}
         for s in range(m):
             col = J * m + s
-            for K, v in plain.items():
-                yield K * m + s, col, v
-            for K, v in via_rm.items():
-                for t, c in rm_cols[s]:
-                    yield K * m + t, col, v * c
+            for K, (a, b) in parts.items():
+                if a:
+                    yield K * m + s, col, a
+                if b:
+                    for t, c in rm_cols[s]:
+                        yield K * m + t, col, -b * c
 
 
 def _operator_map_count(nA: int, m: int, R: list, R_M: list, n: int) -> int:
     """A bound on the entries and loop steps of :func:`_operator_map_entries`:
-    a column J lists at most prod_p |{j_p} + row j_p of R| rows K, m times
-    and once per entry of R_M, from its 2^n sets of bare slots."""
+    with reach = sum_j |{j} + row j of R|, slot p meets at most reach^p
+    nA^{n-1-p} parts per digit value j, each |row j of R| + 1 steps, and the
+    reach^n parts at the end list m entries and one per entry of R_M."""
     reach = sum(len(row.keys() | {j}) for j, row in enumerate(R))
-    return reach ** n * (m + sum(map(len, R_M))) + (nA + sum(map(len, R))) ** n + (2 * nA) ** n
+    grow = n * nA ** (n - 1) if reach == nA else (reach ** n - nA ** n) // (reach - nA)
+    return reach ** n * (m + sum(map(len, R_M))) + (nA + sum(map(len, R))) * grow
 
 
 def _defect_entries(nA: int, m: int, d: list, d_M: list, n: int):
@@ -381,7 +377,7 @@ def _graded_blocks(n: int, layers: int) -> list:
 
     blocks = op(0, n)
     if layers == 4:
-        plus = _sign_is_plus(n)
+        plus = n % 2 == 0                     # (-1)^n = +1
         blocks += [(2 + i, i, plus, "defect", n - i) for i in range(min(n, 2))]
         if n > 1:
             blocks += op(2, n - 1)
@@ -440,7 +436,7 @@ class _Complex:
         use under the budget ``max_entries`` and then returned as it is kept."""
         m = self._matrices.get((n, which))
         if m is None:
-            m = self._matrices[n, which] = _assemble(self, *_blocks(self, n, which, max_entries))
+            m = self._matrices[n, which] = _assemble(self, *_blocks(self, n, which, max_entries)[:3])
         return m
 
 
@@ -450,8 +446,7 @@ def _pair_complex(pair: MRBDerPair, bim: Bimodule) -> _Complex:
     store = pair._complexes
     hit = store.get(id(bim))
     if hit is None:
-        # ``induce`` holds the maps, not the pair, so no reference cycle
-        # runs through the pair's store
+        # ``induce`` holds the maps, not the pair: no reference cycle runs through the store
         mu, R, R_M = pair.mu, pair.R, bim.R_M
         cx = _Complex(pair.field, pair.dim, bim.dim_m, _coboundary_entries, _coboundary_count,
                       (mu, bim.left, bim.right),
@@ -471,13 +466,15 @@ _CN_MAPS = {"hochschild": "delta", "modified": "mdelta",
 
 
 def _blocks(cx: _Complex, n: int, which: str, max_entries: int) -> tuple:
-    """The map ``which`` at degree n as (row arities, column arities, blocks),
-    each block (row part, column part, sign is plus, map, arity).
+    """The map ``which`` at degree n as (row arities, column arities, blocks,
+    steps), each block (row part, column part, sign is plus, map, arity).
 
     The budget ``max_entries`` is checked on the sizes of C^n and then of
     the first row part (C^{n+1}, or C^n for the maps that keep the degree),
-    then on the blocks' counts, bounds on the entries and loop steps of their
-    lists, held to at least the default: a million steps take under a second."""
+    then on ``steps``, the blocks' counts, bounds on the entries and loop
+    steps of their lists, each step charged once per pair of 1024-bit words
+    of its operands, held to at least the default: a million steps take
+    under a second."""
     if which in _CN_MAPS:
         kind = _CN_MAPS[which]
         cols = (n,)
@@ -493,19 +490,25 @@ def _blocks(cx: _Complex, n: int, which: str, max_entries: int) -> tuple:
     nA, m, limit = cx.dim_a, cx.dim_m, max(max_entries, MAX_ENTRIES)
     over = EntryCapExceeded("the %s map at degree %d may list more than %d entries and steps"
                             % (which, n, limit))
-    # past its bit length, nA^n > 1 columns or phi's 2^n sets are alone over the limit
-    if n > limit.bit_length() and (nA > 1 or any(kind == "phi" for *_, kind, _ in layout)):
+    # past its bit length, nA^n > 1 columns are alone over the limit
+    if n > limit.bit_length() and nA > 1:
         raise over
     for arity in (cols[0], rows[0]):
         check_entries(nA ** arity * m, max_entries)
-    _, maps, (R, R_M, _, d, d_M) = cx.scaled()
+    D, maps, (R, R_M, kappa, d, d_M) = cx.scaled()
     counts = {"delta": lambda a: cx.count(nA, m, *maps, a),
               "mdelta": lambda a: cx.count(nA, m, *cx.induced(), a),
               "phi": lambda a: _operator_map_count(nA, m, R, R_M, a),
               "defect": lambda a: _defect_count(nA, m, d, d_M, a)}
-    if sum(counts[kind](arity) for *_, kind, arity in layout) > limit:
+    # a step multiplies an input of at most b bits by an integer of at most max(2, n) b:
+    # D^n (D^2 for delta_R) scales a block, and phi's parts grow by |R| + max(1, |kappa|) a slot
+    ints = [v for t in maps for _, v in t] + [v for t in (R, R_M, d, d_M) for r in t for v in r.values()]
+    b = (max(D, max(map(abs, ints), default=0) + max(1, abs(kappa))) - 1).bit_length()
+    steps = (sum(counts[kind](arity) for *_, kind, arity in layout)
+             * (1 + max(2, n) * b // 1024) * (1 + b // 1024))
+    if steps > limit:
         raise over
-    return rows, cols, layout
+    return rows, cols, layout, steps
 
 
 def _assemble(cx: _Complex, rows: tuple, cols: tuple, layout: list) -> Matrix:
@@ -540,16 +543,14 @@ def _assemble(cx: _Complex, rows: tuple, cols: tuple, layout: list) -> Matrix:
 
 
 def _check_cochain_shape(cx: _Complex, f: MultiTensor):
-    n, m = cx.dim_a, cx.dim_m
-    if f.dims != (n,) * f.arity or f.cod != m:
+    if f.dims != (cx.dim_a,) * f.arity or f.cod != cx.dim_m:
         raise ShapeError("cochain must map A^%d -> M" % f.arity)
     if f.arity < 1:
         raise ShapeError("cochain degree must be >= 1")
 
 
 def _apply(cx: _Complex, which: str, f: MultiTensor) -> MultiTensor:
-    """A map on C^n applied to one Hochschild cochain: its kept matrix times
-    the cochain's entries."""
+    """A map on C^n applied to one Hochschild cochain, as its kept matrix."""
     _check_cochain_shape(cx, f)
     arity = f.arity + (which in ("hochschild", "modified"))
     return hom_space(cx.dim_a, cx.dim_m, arity, cx.field).unflatten(
@@ -624,15 +625,20 @@ def differential_matrix(pair: MRBDerPair, bim: Bimodule, n: int, which: str, *,
     return _pair_complex(pair, bim).matrix(n, which, max_entries)
 
 
-def check_budget(pair: MRBDerPair, bim: Bimodule, n: int, which: str, *,
+def check_budget(pair: MRBDerPair, bim: Bimodule, degrees, which: str, *,
                  max_entries: int = MAX_ENTRIES) -> None:
-    """Raise what :func:`differential_matrix` would for a build over the budget,
-    building nothing: a caller of several degrees checks them all first."""
-    _blocks(_pair_complex(pair, bim), n, which, max_entries)
+    """Raise what :func:`differential_matrix` would for a build at any of
+    ``degrees`` over the budget, and EntryCapExceeded when their steps sum
+    past it, building nothing: a caller of several builds checks them first."""
+    cx, limit, steps = _pair_complex(pair, bim), max(max_entries, MAX_ENTRIES), 0
+    for n in degrees:
+        steps += _blocks(cx, n, which, max_entries)[3]
+        if steps > limit:
+            raise EntryCapExceeded("the %s map at degree %d and those below it may list more "
+                                   "than %d entries and steps" % (which, n, limit))
 
 
-# the one dataclass in the package: callers rebuild results with
-# dataclasses.replace
+# the one dataclass in the package; callers rebuild results with dataclasses.replace
 @dataclass(frozen=True)
 class CohomologyResult:
     degree: int
@@ -735,20 +741,15 @@ def primitive(pair: MRBDerPair, bim: Bimodule, c: Cochain, *,
 # skew-symmetrization and the Lie-side complex
 
 
-def _permutations_with_sign(n: int):
-    for perm in itertools.permutations(range(n)):
-        inv = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
-        yield perm, (inv % 2 == 0)
-
-
 def skew_symmetrize(f: MultiTensor) -> MultiTensor:
     """S_n(f) = sum_{sigma} sgn(sigma) f(a_{sigma(1)},..,a_{sigma(n)}); no 1/n!."""
     n = f.arity
     if len(set(f.dims)) > 1:
         raise ShapeError("slots must share one dimension")
     acc = MultiTensor.zeros(f.field, f.dims, f.cod)
-    for perm, even in _permutations_with_sign(n):
+    for perm in itertools.permutations(range(n)):
         t = f.permute_slots(list(perm))
+        even = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n)) % 2 == 0
         acc = acc + t if even else acc - t
     return acc
 
@@ -776,8 +777,7 @@ def _lie_complex(lp: LiePair) -> _Complex:
     """The complex of ``lp``, kept on it as :func:`_pair_complex` keeps a
     pair's: equal but distinct Lie pairs get complexes of their own."""
     if not lp._complex:
-        # ``induce`` holds the maps of induced_lie_pair, not the Lie pair, so
-        # no reference cycle runs through its slot
+        # ``induce`` holds induced_lie_pair's maps, not the Lie pair: no cycle runs through it
         rho, R_M, d_M = _rho_of(lp)
         br, R = lp.bracket, lp.R
         lp._complex.append(_Complex(

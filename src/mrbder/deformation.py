@@ -241,11 +241,11 @@ def trivialize(defo: Deformation, max_order: int | None = None, *,
                max_entries: int = MAX_ENTRIES) -> Gauge | None:
     """Gauge the deformation to zero order by order.
 
-    Returns the composite gauge, or None when some surviving coefficient is a
-    cocycle that is not a coboundary (an essential deformation).  Only the
-    orders up to ``max_order`` (default: all) are gauged; a ``max_order``
-    below 1 gauges nothing and raises ShapeError.  Raises InvalidStructure
-    if the input fails its own coefficient equations.
+    Returns the composite gauge, or None when a surviving coefficient is a
+    cocycle but not a coboundary (an essential deformation).  Only orders up
+    to ``max_order`` (default: all; below 1, a ShapeError) are gauged.  Raises
+    InvalidStructure if the input fails its own coefficient equations, and
+    InternalError if one that passes them has a lowest coefficient not closed.
     """
     check_max_order(max_order)
     rep = check_deformation(defo)
@@ -261,9 +261,9 @@ def trivialize(defo: Deformation, max_order: int | None = None, *,
         if k is None or k > N:
             return total
         c = _coefficient_cochain(current, k)
-        # a surviving lowest coefficient is always closed for valid input
+        # the t^k equations, passed above, are the linearized ones: c is closed
         if not pair_delta(pair, bim, c, max_entries=max_entries).is_zero():
-            raise InvalidStructure("lowest coefficient is not a 2-cocycle")
+            raise InternalError("lowest coefficient is not a 2-cocycle")
         psi = primitive(pair, bim, -c, max_entries=max_entries)
         if psi is None:
             return None

@@ -791,7 +791,7 @@ def field_matrix(cx, n: int, which: str) -> Matrix:
     listed and summed in the arithmetic of its field; the layout of the
     blocks is that of ``_blocks``."""
     F, nA, m = cx.field, cx.dim_a, cx.dim_m
-    rows, cols, layout = _blocks(cx, n, which, MAX_ENTRIES)
+    rows, cols, layout, _ = _blocks(cx, n, which, MAX_ENTRIES)
     coboundary = field_ce_entries if cx.coboundary is _ce_entries else field_coboundary_entries
 
     def entries(kind, arity):

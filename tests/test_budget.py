@@ -6,15 +6,22 @@ checks predict, and that a request over it ends at once.
   every rung of both benchmark ladders (standard and conjugated bases), for
   the pair complex and for the Chevalley-Eilenberg one of the Lie side.
 * The default budget admits the frontier rungs of ut+dual: H^4 through the
-  CLI.
+  CLI, and the builds of H^5, as those of H^4 on ut+dual+ut.
 * A degree far past the budget exits 2 at once, in ``cohomology`` and in
-  ``complex-check``, which checks every degree before it builds any.
+  ``complex-check``, which checks every degree before it builds any, and
+  holds the sum of its builds' counts to the budget too.
+* The integers of a build grow with the degree, and the budget charges
+  their size: a dim-1 instance with a large R or a large denominator is
+  refused where fix0 is admitted, and the highest degree the default
+  admits, on it and on fix0, answers in under 3 s.
 * The dense representatives are checked before they are made.
 """
 
 import importlib
 import json
 import random
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -25,11 +32,12 @@ from mrbder.constructions import direct_sum, rho_representation
 from mrbder.fields import Field, QQ
 from mrbder.fuzzing import conjugate_pair, random_invertible
 from mrbder.linalg import MAX_ENTRIES, EntryCapExceeded
-from mrbder.serialize import Instance, dumps_canonical, instance_to_json
+from mrbder.serialize import Instance, dumps_canonical, instance_to_json, load_instance_file
 from mrbder.structures import adjoint_bimodule, dual_pair, upper_triangular_pair, zero_pair
 
 C = importlib.import_module("mrbder.cohomology")
-FIX0 = str(Path(__file__).resolve().parents[1] / "instances" / "fix0.json")
+ROOT = Path(__file__).resolve().parents[1]
+FIX0 = str(ROOT / "instances" / "fix0.json")
 F5 = Field.prime(5)
 ENTRY_LISTS = ("_coboundary_entries", "_ce_entries", "_operator_map_entries", "_defect_entries")
 
@@ -54,15 +62,8 @@ def _ladders():
 
 
 def _predicted(cx, n, which):
-    """The bound ``_blocks`` checks, from its count functions."""
-    _, _, layout = C._blocks(cx, n, which, MAX_ENTRIES)
-    _, maps, (R, R_M, _, d, d_M) = cx.scaled()
-    nA, m = cx.dim_a, cx.dim_m
-    counts = {"delta": lambda a: cx.count(nA, m, *maps, a),
-              "mdelta": lambda a: cx.count(nA, m, *cx.induced(), a),
-              "phi": lambda a: C._operator_map_count(nA, m, R, R_M, a),
-              "defect": lambda a: C._defect_count(nA, m, d, d_M, a)}
-    return sum(counts[kind](arity) for *_, kind, arity in layout)
+    """The bound ``_blocks`` checks: its blocks' counts, charged for the size of the integers."""
+    return C._blocks(cx, n, which, MAX_ENTRIES)[3]
 
 
 def test_the_prediction_bounds_the_entries_listed_on_both_ladders(monkeypatch):
@@ -118,6 +119,39 @@ def test_a_lower_budget_refuses_ut_dual_h4_before_listing(tmp_path, capsys, monk
     assert capsys.readouterr() == ("", "error: tensor with 15625 entries exceeds cap 15624\n")
 
 
+@pytest.mark.parametrize("top,counts", [("ut+dual", (88975, 520625)),
+                                        ("ut+dual+ut", (84448, 805760))])
+def test_the_default_budget_admits_the_builds_of_the_top_rungs(top, counts):
+    # cohomology at degree n builds D_{n-1} and D_n, each checked on its own
+    ut, dual = upper_triangular_pair(F5, F5.one), dual_pair(F5)
+    pair = direct_sum(ut, dual) if top == "ut+dual" else direct_sum(direct_sum(ut, dual), ut)
+    bim = adjoint_bimodule(pair)
+    n = 5 if top == "ut+dual" else 4
+    cx = C._pair_complex(pair, bim)
+    assert (_predicted(cx, n - 1, "pair"), _predicted(cx, n, "pair")) == counts
+    for degree in (n - 1, n):
+        C.check_budget(pair, bim, (degree,), "pair")
+
+
+def test_complex_check_holds_the_sum_of_its_builds_to_the_budget(capsys, monkeypatch):
+    # on fix0 every build up to degree 1000 fits alone, but the counts of
+    # degrees 1 to 408 sum past a million
+    def assemble(*args):
+        raise AssertionError("a refused build listed its entries")
+
+    pair = load_instance_file(FIX0).pair
+    bim = adjoint_bimodule(pair)
+    for n in range(1, 1001):
+        C.check_budget(pair, bim, (n,), "pair")
+    with pytest.raises(EntryCapExceeded, match="^the pair map at degree 408 and those below it "):
+        C.check_budget(pair, bim, range(1, 1001), "pair")
+    C.check_budget(pair, bim, range(1, 408), "pair")
+    monkeypatch.setattr(C, "_assemble", assemble)
+    assert main(["complex-check", FIX0, "--max-degree", "1000"]) == USAGE_EXIT
+    assert capsys.readouterr() == ("", "error: the pair map at degree 408 and those below it may "
+                                       "list more than 1000000 entries and steps\n")
+
+
 @pytest.mark.parametrize("argv", [["cohomology", FIX0, "--degree", "1000000"],
                                   ["complex-check", FIX0, "--max-degree", "1000000"],
                                   ["cohomology", FIX0, "--degree", str(10 ** 40)]],
@@ -128,6 +162,63 @@ def test_a_degree_past_the_budget_exits_2_at_once(capsys, argv):
     assert time.perf_counter() - start < 1.0
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: the pair map at degree ")
+
+
+def _highest(path, command):
+    """The highest degree of ``command`` the default budget admits on one
+    instance file: each of D_{n-1} and D_n for cohomology, and the sum of
+    D_1 .. D_n for complex-check."""
+    inst = load_instance_file(path)
+    bim = adjoint_bimodule(inst.pair)
+
+    def admits(n):
+        try:
+            for degrees in ([(n - 1,), (n,)] if command == "cohomology" else [range(1, n + 1)]):
+                C.check_budget(inst.pair, bim, degrees, "pair")
+        except EntryCapExceeded:
+            return False
+        return True
+
+    lo, hi = 2, 10 ** 6
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if admits(mid) else (lo, mid - 1)
+    return lo
+
+
+def _timed(argv):
+    """Exit code and wall time of one CLI call in a fresh process."""
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "mrbder", *argv], capture_output=True,
+                          cwd=ROOT, timeout=60)
+    return proc.returncode, time.perf_counter() - start
+
+
+@pytest.mark.parametrize("R", ["1" + "0" * 50, "1/1" + "0" * 4298], ids=["10^50", "1/10^4298"])
+def test_the_budget_charges_the_size_of_the_integers(tmp_path, R):
+    # a dim-1 zero algebra takes any R, and its integers grow with the degree,
+    # as R^n and D^n: at the highest degrees the default admits on fix0, such
+    # an instance exits 2 at once, and at its own highest it answers in time
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(dict(json.loads(Path(FIX0).read_text()), R=[[R]])))
+    path = str(path)
+    for command, flag in (("cohomology", "--degree"), ("complex-check", "--max-degree")):
+        top = _highest(path, command)
+        assert top < _highest(FIX0, command)
+        code, seconds = _timed([command, path, flag, str(_highest(FIX0, command))])
+        assert code == USAGE_EXIT and seconds < 1.0
+        code, seconds = _timed([command, path, flag, str(top)])
+        assert code == 0 and seconds < 3.0
+        code, seconds = _timed([command, path, flag, str(top + 1)])
+        assert code == USAGE_EXIT and seconds < 1.0
+
+
+@pytest.mark.parametrize("command,flag,top", [("cohomology", "--degree", 83333),
+                                              ("complex-check", "--max-degree", 407)])
+def test_the_highest_dim1_degree_the_default_admits_answers_in_time(command, flag, top):
+    assert _highest(FIX0, command) == top
+    code, seconds = _timed([command, FIX0, flag, str(top)])
+    assert code == 0 and seconds < 3.0
 
 
 @pytest.mark.parametrize("n,err", [

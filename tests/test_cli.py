@@ -369,6 +369,21 @@ class TestInternalErrors:
         assert run(capsys, "trivialize", RIGID_F5) == (
             INTERNAL_EXIT, "", "error: internal: gauge step failed to clear order 1\n")
 
+    def test_lowest_coefficient_that_is_not_closed(self, capsys, monkeypatch):
+        # the deformation passes its equations, so its lowest coefficient is
+        # closed; a differential that says otherwise is the engine's fault
+        mod = importlib.import_module("mrbder.deformation")
+        seen = []
+
+        def not_closed(pair, bim, c, **budget):
+            seen.append(c)
+            return c
+
+        monkeypatch.setattr(mod, "pair_delta", not_closed)
+        assert run(capsys, "trivialize", RIGID_F5) == (
+            INTERNAL_EXIT, "", "error: internal: lowest coefficient is not a 2-cocycle\n")
+        assert len(seen) == 1 and not seen[0].is_zero()
+
     def test_primitive_that_misses_the_cocycle(self, capsys, monkeypatch, one_entry_off):
         mod = importlib.import_module("mrbder.cohomology")
         code, out, _ = run(capsys, "infinitesimal", RIGID_F5)

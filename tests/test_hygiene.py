@@ -37,6 +37,9 @@
   plain ints: none takes a field argument or reads a ``Field`` method, so
   the entries of D_n and of every product enter the field in
   ``Matrix.from_ints`` alone.
+* phi is one tensor power: ``cohomology`` shifts no bit and reads neither
+  ``itertools.product`` nor ``bit_count``, so nothing runs over the 2^n
+  sets of bare slots, and no refusal in ``_blocks`` tests a map kind.
 """
 
 import ast
@@ -315,3 +318,16 @@ def test_the_field_scan_flags_the_field_arithmetic_build():
     flagged = {name: _field_uses(defs["field_" + name.lstrip("_")]) for name in ENTRY_LISTS}
     assert all(uses[0] == "F" and len(uses) > 1 for uses in flagged.values()), flagged
     assert {"add", "mul", "neg", "pow", "one"} <= FIELD_METHODS
+
+
+def test_phi_runs_over_no_sets_of_bare_slots():
+    tree = MODULES["cohomology"]
+    assert [n for n in ast.walk(tree)
+            if isinstance(n, ast.BinOp) and isinstance(n.op, ast.LShift)] == []
+    assert {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)} \
+        & {"product", "bit_count"} == set()
+    refusals = [n.test for n in ast.walk(_functions(tree)["_blocks"])
+                if isinstance(n, ast.If) and any(isinstance(b, ast.Raise) for b in n.body)]
+    assert len(refusals) == 2
+    assert [c.value for t in refusals for c in ast.walk(t)
+            if isinstance(c, ast.Constant) and isinstance(c.value, str)] == []

@@ -145,6 +145,13 @@ def main():
         "factor.  That convention ships as the default; every cohomology,",
         "deformation, and extension computation in the package uses it.",
         "",
+        "With it, phi is one tensor power.  Write `u` for a bare slot, with",
+        "`u^2 = -kappa`: `u^|S|` is `(-kappa)^(|S|/2)` for even `|S|` and",
+        "`(-kappa)^((|S|-1)/2) u` for odd `|S|`.  So the sum over the sets `S`",
+        "of bare slots is `(R + u)^(x n) = A + uB` over `Z[u]/(u^2 + kappa)`,",
+        "and `phi(f) = f . A - R_M . f . B`.  The engine builds it one slot at",
+        "a time, in `n` steps per column instead of over `2^n` sets.",
+        "",
         "Regenerate this report with `python3 tools/calibrate_phi.py`.",
         "",
     ]

@@ -16,7 +16,9 @@ The grid: the thirteen command forms of ``FORMS`` on each instance file
 entry cap and with ``--max-entries`` 8, 16 and 64; then ``fuzz`` over the
 fields of ``FUZZ_FIELDS`` at dims 1 and 2, seeds 0-5 (``--no-fuzz`` leaves
 these out); then, when no files are named, each malformed call of ``USAGE``
-once, so the messages and exit codes of refused calls are pinned too.
+once, so the messages and exit codes of refused calls are pinned too, and
+each call of ``HIGH_DEGREE``, which pins the bytes at a degree where the
+operator map runs over nineteen slots.
 """
 
 import argparse
@@ -61,6 +63,11 @@ USAGE = (
     ["cohomology", "--degree", "0", "instances/invalid_pair.json"],
     ["complex-check", "--max-degree", "1", "instances/invalid_pair.json"],
 )
+# a one-dimensional algebra far past the degrees of FORMS
+HIGH_DEGREE = (
+    ["cohomology", "--degree", "19", "instances/fix0.json"],
+    ["complex-check", "--max-degree", "19", "instances/fix0.json"],
+)
 
 
 def grid(instances: list, fuzz: bool, usage: bool):
@@ -77,6 +84,7 @@ def grid(instances: list, fuzz: bool, usage: bool):
                            "--count", str(FUZZ_COUNT), "--seed", str(seed)]
     if usage:
         yield from USAGE
+        yield from HIGH_DEGREE
 
 
 def run(main, argv: list) -> str:
