@@ -52,8 +52,8 @@ each basis cochain is written down one entry per nonzero structure constant,
 and the OC^n / PC^n differentials are stacked from the C^n blocks with the
 signs of the formulas above.  The lists run on plain ints: the maps times
 D, the lcm of their denominators and kappa's (1 over F_p), and the induced
-maps times D^2, so delta and Delta carry D, delta_R D^2 and phi at arity a
-D^a.  They are read in one place, summed into the integer rows of D_n over
+maps times D^2, contracted from those, so delta and Delta carry D, delta_R
+D^2 and phi at arity a D^a.  They are read in one place, summed into the integer rows of D_n over
 the largest power D^E, which enter the field in ``Matrix.from_ints`` alone.
 Every map, ``differential_matrix`` and the cochain-level functions alike, is
 that matrix, applied to a cochain by ``Matrix.apply``.  Transcriptions of the
@@ -90,8 +90,8 @@ from typing import Callable
 
 from .fields import Field, Value
 from .linalg import (MAX_ENTRIES, EntryCapExceeded, Matrix, MultiTensor, ShapeError,
-                     TensorSpace, _scaled, check_entries, kernel_rref, modular_rank,
-                     rank_and_kernel, solve_linear, tensor_as_matrix)
+                     TensorSpace, _contract, _Integers, _scaled, check_entries, kernel_rref,
+                     modular_rank, rank_and_kernel, solve_linear, tensor_as_matrix)
 from .structures import Bimodule, InternalError, MRBDerPair, unit_vector
 from .constructions import LiePair, induced_action, induced_product
 
@@ -388,28 +388,29 @@ class _Complex:
     """One complex: the structure maps its entry lists are written from, their
     integer copies, and the matrices built from them.
 
-    The maps are the coboundary's entry list, its count and its maps, a
-    function that makes the induced maps the modified coboundary runs on,
-    (R, R_M, kappa) for phi and (d, d_M) for Delta.  :meth:`scaled` makes
-    them integers, times their common denominator D, and :meth:`induced` the
-    induced maps, times D^2; both are built on first use and kept, as is
-    each matrix.  Two threads that build the same one keep equal values, so
-    no lock is needed.
+    The maps are the coboundary's entry list, its count and its maps (a
+    product, then actions on slot 0 and on slot 1), (R, R_M, kappa) for phi
+    and (d, d_M) for Delta.  :meth:`scaled` makes them integers, times their
+    common denominator D, and :meth:`induced` the induced maps the modified
+    coboundary runs on from those, times D^2; both are built on first use
+    and kept, as is each matrix.  Two threads that build the same one keep
+    equal values, so no lock is needed.
     """
 
     def __init__(self, field: Field, dim_a: int, dim_m: int, coboundary: Callable, count: Callable,
-                 maps: tuple, induce: Callable, R: Matrix, R_M: Matrix, kappa, d: Matrix, d_M: Matrix):
+                 maps: tuple, R: Matrix, R_M: Matrix, kappa, d: Matrix, d_M: Matrix):
         self.field, self.dim_a, self.dim_m = field, dim_a, dim_m
-        self.coboundary, self.count, self.maps, self.induce = coboundary, count, maps, induce
+        self.coboundary, self.count, self.maps = coboundary, count, maps
         self.R, self.R_M, self.kappa, self.d, self.d_M = R, R_M, kappa, d, d_M
         self._scaled, self._induced, self._matrices = None, None, {}
 
     def scaled(self) -> tuple:
-        """(D, the coboundary's maps, (R, R_M, kappa, d, d_M)) as plain ints,
-        built once: each map times D, the lcm of the denominators of their
-        entries and kappa (1 over F_p: the ints are the residues), and kappa
-        times D^2.  Tensors are lists of their nonzeros, R and d sparse rows,
-        R_M and d_M sparse columns."""
+        """(D, the coboundary's maps, (R, R_M, kappa, d, d_M), b) as plain
+        ints, built once: each map times D, the lcm of the denominators of
+        their entries and kappa (1 over F_p: the ints are the residues), and
+        kappa times D^2.  Tensors are lists of their nonzeros, R and d sparse
+        rows, R_M and d_M sparse columns.  b, the operand size ``_blocks``
+        charges, is the bit length of max(D, max |entry| + max(1, |kappa|)) - 1."""
         if self._scaled is None:
             tensors = [_nonzeros(t) for t in self.maps]
             mats = [self.R.sparse_rows, self.R_M.transpose().sparse_rows,
@@ -418,17 +419,35 @@ class _Complex:
                               + [v for rows in mats for row in rows for v in row.values()])
             it = iter(ints)     # zip takes from the map first, so each takes its own ints
             kappa = next(it) * D
+            b = (max(D, max(map(abs, ints[1:]), default=0) + max(1, abs(kappa))) - 1).bit_length()
             tensors = tuple([(i, v) for (i, _), v in zip(nz, it)] for nz in tensors)
             R, R_M, d, d_M = ([dict(zip(row, it)) for row in rows] for rows in mats)
-            self._scaled = D, tensors, (R, R_M, kappa, d, d_M)
+            self._scaled = D, tensors, (R, R_M, kappa, d, d_M), b
         return self._scaled
 
     def induced(self) -> tuple:
-        """The nonzeros of the induced maps times D^2, as plain ints, built once."""
+        """The nonzeros of the induced maps times D^2, as plain ints, built
+        once, in the order of :func:`_nonzeros`: the formulas of
+        ``constructions.induced_product`` and ``induced_action`` over the
+        maps of :meth:`scaled`, each term one ``linalg._contract`` in Z, and
+        the sums reduced mod p over F_p."""
         if self._induced is None:
-            D2 = self.scaled()[0] ** 2
-            self._induced = tuple([(i, v.numerator * (D2 // v.denominator))
-                                   for i, v in _nonzeros(t)] for t in self.induce())
+            _, tensors, (R, R_M, *_), _ = self.scaled()
+            nA, p, out = self.dim_a, self.field.p, []
+            neg_rm = [{t: -c for t, c in col.items()} for col in R_M]
+            for k, (t, nz) in enumerate(zip(self.maps, tensors)):
+                (d0, d1), cod = t.dims, t.cod
+                flat = [0] * (d0 * d1 * cod)
+                for (x, y, q), v in nz:
+                    flat[(x * d1 + y) * cod + q] = v
+                # (pre, post, maps, new dim) of R in slot 0, of R in slot 1 and of -R_M after:
+                # the product takes both Rs, an action R in its algebra slot k - 1 and -R_M
+                axes = ((1, d1 * cod, R, nA), (d0, cod, R, nA), (d0 * d1, 1, neg_rm, cod))
+                terms = [_contract(_Integers, flat, *axes[s]) for s in ((0, 1), (0, 2), (1, 2))[k]]
+                sums = map(sum, zip(*terms)) if p is None else (sum(v) % p for v in zip(*terms))
+                out.append([((i // (d1 * cod), i // cod % d1, i % cod), v)
+                            for i, v in enumerate(sums) if v])
+            self._induced = tuple(out)
         return self._induced
 
     def matrix(self, n: int, which: str, max_entries: int) -> Matrix:
@@ -446,13 +465,8 @@ def _pair_complex(pair: MRBDerPair, bim: Bimodule) -> _Complex:
     store = pair._complexes
     hit = store.get(id(bim))
     if hit is None:
-        # ``induce`` holds the maps, not the pair: no reference cycle runs through the store
-        mu, R, R_M = pair.mu, pair.R, bim.R_M
         cx = _Complex(pair.field, pair.dim, bim.dim_m, _coboundary_entries, _coboundary_count,
-                      (mu, bim.left, bim.right),
-                      lambda: (induced_product(mu, R), induced_action(bim.left, 0, R, R_M),
-                               induced_action(bim.right, 1, R, R_M)),
-                      R, R_M, pair.kappa, pair.d, bim.d_M)
+                      (pair.mu, bim.left, bim.right), pair.R, bim.R_M, pair.kappa, pair.d, bim.d_M)
         # the entry holds bim, so no other object can take its id meanwhile
         hit = store[id(bim)] = (bim, cx)
     return hit[1]
@@ -495,15 +509,13 @@ def _blocks(cx: _Complex, n: int, which: str, max_entries: int) -> tuple:
         raise over
     for arity in (cols[0], rows[0]):
         check_entries(nA ** arity * m, max_entries)
-    D, maps, (R, R_M, kappa, d, d_M) = cx.scaled()
+    _, maps, (R, R_M, _, d, d_M), b = cx.scaled()
     counts = {"delta": lambda a: cx.count(nA, m, *maps, a),
               "mdelta": lambda a: cx.count(nA, m, *cx.induced(), a),
               "phi": lambda a: _operator_map_count(nA, m, R, R_M, a),
               "defect": lambda a: _defect_count(nA, m, d, d_M, a)}
     # a step multiplies an input of at most b bits by an integer of at most max(2, n) b:
     # D^n (D^2 for delta_R) scales a block, and phi's parts grow by |R| + max(1, |kappa|) a slot
-    ints = [v for t in maps for _, v in t] + [v for t in (R, R_M, d, d_M) for r in t for v in r.values()]
-    b = (max(D, max(map(abs, ints), default=0) + max(1, abs(kappa))) - 1).bit_length()
     steps = (sum(counts[kind](arity) for *_, kind, arity in layout)
              * (1 + max(2, n) * b // 1024) * (1 + b // 1024))
     if steps > limit:
@@ -518,28 +530,29 @@ def _assemble(cx: _Complex, rows: tuple, cols: tuple, layout: list) -> Matrix:
     The blocks are listed over the integer maps of :meth:`_Complex.scaled`,
     so the entries of delta and Delta carry D, those of delta_R D^2 and
     those of phi at arity a D^a.  Each block is brought to the largest power
-    D^E as it is summed, and the sums, over the scale D^E, enter the field
-    in ``Matrix.from_ints``."""
+    D^E as it is summed, each power of D taken once, and the sums, over the
+    scale D^E, enter the field in ``Matrix.from_ints``."""
     F, nA, m = cx.field, cx.dim_a, cx.dim_m
-    D, maps, (R, R_M, kappa, d, d_M) = cx.scaled()
+    D, maps, (R, R_M, kappa, d, d_M), _ = cx.scaled()
     lists = {"delta": lambda a: cx.coboundary(nA, m, *maps, a),
              "mdelta": lambda a: cx.coboundary(nA, m, *cx.induced(), a),
              "phi": lambda a: _operator_map_entries(nA, m, R, R_M, kappa, a),
              "defect": lambda a: _defect_entries(nA, m, d, d_M, a)}
     power = {"delta": 1, "mdelta": 2, "defect": 1}      # phi: its arity
     top = max(power.get(kind, a) for _, _, _, kind, a in layout)
+    D_to = {e: D ** e for e in {top, *(top - power.get(kind, a) for *_, kind, a in layout)}}
     row_off, col_off = ([0, *itertools.accumulate(nA ** a * m for a in ar)] for ar in (rows, cols))
     srows = [{} for _ in range(row_off[-1])]
     for i, j, plus, kind, arity in layout:
         ro, co = row_off[i], col_off[j]
-        scale = D ** (top - power.get(kind, arity)) * (1 if plus else -1)
+        scale = D_to[top - power.get(kind, arity)] * (1 if plus else -1)
         for r, c, v in lists[kind](arity):
             row = srows[ro + r]
             c += co
             v *= scale
             row[c] = row[c] + v if c in row else v
     srows = [{c: v for c, v in row.items() if v} if 0 in row.values() else row for row in srows]
-    return Matrix.from_ints(F, srows, D ** top, col_off[-1])
+    return Matrix.from_ints(F, srows, D_to[top], col_off[-1])
 
 
 def _check_cochain_shape(cx: _Complex, f: MultiTensor):
@@ -777,13 +790,9 @@ def _lie_complex(lp: LiePair) -> _Complex:
     """The complex of ``lp``, kept on it as :func:`_pair_complex` keeps a
     pair's: equal but distinct Lie pairs get complexes of their own."""
     if not lp._complex:
-        # ``induce`` holds induced_lie_pair's maps, not the Lie pair: no cycle runs through it
         rho, R_M, d_M = _rho_of(lp)
-        br, R = lp.bracket, lp.R
-        lp._complex.append(_Complex(
-            lp.field, lp.dim, rho.dims[1], _ce_entries, _ce_count, (br, rho),
-            lambda: (induced_product(br, R), induced_action(rho, 0, R, R_M)),
-            R, R_M, lp.kappa, lp.d, d_M))
+        lp._complex.append(_Complex(lp.field, lp.dim, rho.dims[1], _ce_entries, _ce_count,
+                                    (lp.bracket, rho), lp.R, R_M, lp.kappa, lp.d, d_M))
     return lp._complex[0]
 
 

@@ -9,8 +9,8 @@ kappa = -lam^2.
 This module owns the induced formulas: :func:`induced_product` gives
 mu_R(a,b) = mu(Ra,b) + mu(a,Rb) (and [a,b]_R over a bracket), and
 :func:`induced_action` gives l~, r~ and, on a Lie pair, rho~.  The induced
-pair and bimodule, the modified coboundary of ``cohomology`` and its
-``induced_lie_pair`` all call them.
+pair and bimodule and ``cohomology.induced_lie_pair`` call them; the
+modified coboundary takes the same formulas over its integer maps.
 """
 
 from __future__ import annotations

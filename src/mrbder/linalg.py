@@ -33,10 +33,11 @@ of D_n and cohomology's representatives, and an extension's product.
 Products are integer products too (:func:`_product`), of the integer rows,
 over the product of the scales, made one row at a time.  A right factor
 with at most two nonzeros per row on average, such as a D_n in the standard
-basis, is walked row by row.  Any other is packed, each right row into one
-integer of a fixed number of bits per column (Kronecker substitution), so a
-result row is one integer multiply-add per nonzero of the left row.
-``Matrix.product_is_zero`` tests the rows as they are made and keeps none.
+basis, is walked row by row, a left row with one nonzero or none at no
+sum.  Any other is packed, each right row into one integer of a fixed
+number of bits per column (Kronecker substitution), so a result row is one
+integer multiply-add per nonzero of the left row.  ``Matrix.product_is_zero``
+makes only the rows of left rows with two nonzeros or more and keeps none.
 
 Tensors meet matrices in one loop, ``_contract``: it takes the middle axis
 of a flat (pre, d, post) tensor through a matrix's sparse rows, one
@@ -51,6 +52,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import sys
 from collections.abc import Collection, Sequence
 from fractions import Fraction
@@ -238,10 +240,15 @@ class Matrix:
         return Matrix.from_ints(F, list(_product(A, B, other.ncols, F.p)), sa * sb, other.ncols)
 
     def product_is_zero(self, other: "Matrix") -> bool:
-        """Whether self other = 0, from the rows of the integer product, each
-        made, tested and dropped; the test stops at the first nonzero row."""
+        """Whether self other = 0.  A row of ``self`` with one nonzero, at k,
+        gives zero exactly when row k of ``other`` is empty (no nonzero int or
+        residue times another is zero, mod p either); the rows with more are
+        made, tested and dropped one at a time, and the empty ones skipped."""
         (_, A), (_, B) = self._factors(other)
-        rows, p = _product(A, B, other.ncols, self.field.p), self.field.p
+        if any(B[k] for row in A if len(row) == 1 for k in row):
+            return False
+        p = self.field.p
+        rows = _product([row for row in A if len(row) > 1], B, other.ncols, p)
         if p is None:
             return not any(rows)
         return not any(v % p for row in rows for v in row.values())
@@ -843,8 +850,8 @@ def _product(A: list, B: list, nc: int, p: int | None) -> Iterable:
     matrices with small integer entries, such as D_{n+1} D_n, zero over the
     integers and not only mod p.
     """
-    # walking took 0.35-0.65 of the packed time on the standard-basis D_{n+1} D_n
-    # (0.53-1.12 nonzeros per row of D_n), and 1.1-2.7 of it over Q after a
+    # walking took 0.28-0.55 of the packed time on the standard-basis D_{n+1} D_n
+    # (0.53-0.88 nonzeros per row of D_n), and 1.6-4.2 of it over Q after a
     # basis change (2.75-8.2 per row)
     if sum(map(len, B)) <= 2 * len(B):
         return _walked_rows(A, B)
@@ -862,16 +869,23 @@ def _product(A: list, B: list, nc: int, p: int | None) -> Iterable:
 
 def _walked_rows(A: list, B: list) -> Iterable:
     """The {column: nonzero int} rows of the integer product A B, made one
-    at a time: each nonzero a_k of a row of A adds a_k times row k of B
-    (Gustavson 1978)."""
+    at a time, in increasing column order: each nonzero a_k of a row of A
+    adds a_k times row k of B (Gustavson 1978).  An empty row gives an
+    empty one, and a row with the one nonzero a_k is a_k times row k of B,
+    summed over nothing."""
     for row in A:
-        acc = {}
-        get = acc.get
-        for k, a in row.items():
-            for j, b in B[k].items():
-                acc[j] = get(j, 0) + a * b
-        row = {j: x for j, x in acc.items() if x}
-        yield dict(sorted(row.items())) if len(row) > 1 else row
+        if len(row) == 1:
+            (k, a), = row.items()
+            row = {j: a * b for j, b in B[k].items()}
+        elif row:
+            acc = {}
+            get = acc.get
+            for k, a in row.items():
+                for j, b in B[k].items():
+                    acc[j] = get(j, 0) + a * b
+            row = {j: x for j, x in acc.items() if x}
+        # an empty row of A gives a new empty row, not A's own
+        yield dict(sorted(row.items())) if len(row) > 1 else row or {}
 
 
 def _digit_width(bound: int) -> int:
@@ -897,6 +911,11 @@ def _unpack(u: int, w: int, nc: int) -> dict:
     return {j: digits[j] - half for j in compress(range(nc), map(half.__ne__, digits))}
 
 
+class _Integers:
+    """Z as ``_contract`` reads a field: plain ints, which never enter Q."""
+    zero, add, mul, is_zero = 0, operator.add, operator.mul, operator.not_
+
+
 def _contract(F: Field, entries: Sequence, pre: int, post: int, maps: list, d_new: int) -> list:
     """The flat (pre, d_new, post) tensor out[a, i, t] = sum_s maps[s][i] *
     entries[a, s, t]: the middle axis of the flat (pre, len(maps), post)
@@ -904,7 +923,8 @@ def _contract(F: Field, entries: Sequence, pre: int, post: int, maps: list, d_ne
     per old index, such as a matrix's ``sparse_rows``.
 
     Only nonzero entries are multiplied.  This is the one loop that
-    multiplies tensor entries by matrix entries.
+    multiplies tensor entries by matrix entries: ``F`` is their field, or
+    ``_Integers`` for plain ints.
     """
     add, mul, d_old = F.add, F.mul, len(maps)
     out = [F.zero] * (pre * d_new * post)

@@ -786,10 +786,20 @@ def field_defect_entries(F, nA: int, m: int, d: Matrix, d_M: Matrix, n: int):
                 yield J * m + t, col, v
 
 
+def field_induced(cx) -> tuple:
+    """The induced maps of the complex ``cx`` as field tensors, made from its
+    structure maps by ``constructions``: mu_R (or [,]_R) of its product, and
+    l~ and r~ (or rho~) of its actions on slot 0 and on slot 1."""
+    product, *actions = cx.maps
+    return (induced_product(product, cx.R),
+            *(induced_action(a, slot, cx.R, cx.R_M) for slot, a in enumerate(actions)))
+
+
 def field_matrix(cx, n: int, which: str) -> Matrix:
     """D_n of the map ``which`` on the complex ``cx`` (a ``_Complex``),
     listed and summed in the arithmetic of its field; the layout of the
-    blocks is that of ``_blocks``."""
+    blocks is that of ``_blocks``, and delta_R runs on ``field_induced``,
+    not on the engine's integer induced maps."""
     F, nA, m = cx.field, cx.dim_a, cx.dim_m
     rows, cols, layout, _ = _blocks(cx, n, which, MAX_ENTRIES)
     coboundary = field_ce_entries if cx.coboundary is _ce_entries else field_coboundary_entries
@@ -798,7 +808,7 @@ def field_matrix(cx, n: int, which: str) -> Matrix:
         if kind == "delta":
             return coboundary(F, nA, m, *cx.maps, arity)
         if kind == "mdelta":
-            return coboundary(F, nA, m, *cx.induce(), arity)
+            return coboundary(F, nA, m, *field_induced(cx), arity)
         if kind == "phi":
             return field_operator_map_entries(F, nA, m, cx.R, cx.R_M, cx.kappa, arity)
         return field_defect_entries(F, nA, m, cx.d, cx.d_M, arity)

@@ -376,13 +376,16 @@ class TestComplexCache:
         pair = conjugate_pair(dual_pair(QQ), random_invertible(random.Random(0), QQ, 2))
         bims = adjoint_bimodule(pair), adjoint_bimodule(pair)
         cx = mod._pair_complex(pair, bims[0])
-        induced, real_induce = [], cx.induce
-        cx.induce = lambda: induced.append(1) or real_induce()
+        # the integer induced maps are six contractions: mu in each slot, and
+        # each action in its algebra slot and through R_M
+        real_contract, contracted = mod._contract, []
+        monkeypatch.setattr(mod, "_contract",
+                            lambda *args: contracted.append(1) or real_contract(*args))
         for n in (1, 2, 3):
             for which in KINDS:
                 differential_matrix(pair, bims[0], n, which)
         pair_delta(pair, bims[0], _random_cochain(random.Random(4), None, 4, 4))
-        assert (len(scaled), len(induced)) == (1, 1)
+        assert (len(scaled), len(contracted)) == (1, 6)
         assert cx.scaled() is cx.scaled() and cx.induced() is cx.induced()
         assert cx.scaled()[0] > 1
         # an equal but distinct bimodule gets a complex, and copies, of its own

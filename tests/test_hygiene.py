@@ -36,7 +36,8 @@
   (``_product``, ``_walked_rows``, ``_unpack``, ``_packed_dots``) run on
   plain ints: none takes a field argument or reads a ``Field`` method, so
   the entries of D_n and of every product enter the field in
-  ``Matrix.from_ints`` alone.
+  ``Matrix.from_ints`` alone.  So do the integer induced maps
+  (``_Complex.induced``) and the zero test ``Matrix.product_is_zero``.
 * phi is one tensor power: ``cohomology`` shifts no bit and reads neither
   ``itertools.product`` nor ``bit_count``, so nothing runs over the 2^n
   sets of bare slots, and no refusal in ``_blocks`` tests a map kind.
@@ -308,6 +309,24 @@ def test_product_kernels_run_on_plain_ints():
     defs = _functions(MODULES["linalg"])
     assert {name: _field_uses(defs[name]) for name in PRODUCT_KERNELS} \
         == {name: [] for name in PRODUCT_KERNELS}
+
+
+def _methods(tree, cls: str) -> dict:
+    return _functions(next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == cls))
+
+
+def test_the_induced_maps_and_the_zero_test_run_on_plain_ints():
+    # the induced maps are contracted over ints, reduced mod p over F_p, and
+    # the zero test reads integer rows: neither takes a field argument or
+    # reads a Field method (``self.field.p`` is the modulus, not arithmetic)
+    assert _field_uses(_methods(MODULES["cohomology"], "_Complex")["induced"]) == []
+    assert _field_uses(_methods(MODULES["linalg"], "Matrix")["product_is_zero"]) == []
+    # the field-level formulas of ``constructions`` serve the public
+    # ``induced_lie_pair`` alone, not the complex
+    readers = {n.name for n in MODULES["cohomology"].body
+               if isinstance(n, (ast.FunctionDef, ast.ClassDef))
+               and _used_names(n).keys() & {"induced_product", "induced_action"}}
+    assert readers == {"induced_lie_pair"}
 
 
 def test_the_field_scan_flags_the_field_arithmetic_build():

@@ -276,3 +276,67 @@ def test_the_product_checks_make_no_product(F, monkeypatch, tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["ok"] is True
     assert checked == [(36, 16), (72, 36)]
     assert not set(made) & set(checked)
+
+
+# ---------------------------------------------------------------------------
+# empty and one-nonzero rows: the zero test decides them without a sum, and
+# the walk makes them without one
+
+
+def rows_of_every_kind(rng, F, per_row, lone):
+    """(A, B) with B of 12 rows, every third one empty and each of the others
+    (``per_row`` nonzeros, columns unsorted) followed by its copy, and A of rows whose products with B are zero:
+    empty, one nonzero at an empty row of B, a and -a at a row of B and at
+    its copy (over F_p the residues a and p - a, whose integer sum p a B_k
+    is zero mod p only), and mixes of those, in a seeded order.  With
+    ``lone`` nonzeros (1 or 2), one more row of A, placed last, has a
+    nonzero product."""
+    nk, nc = 12, 9
+    B = [{} for _ in range(nk)]
+    for k in range(1, nk, 3):
+        # in the sampled order, so a row of A with one nonzero must sort its product
+        B[k] = {j: big_entry(rng, F) for j in rng.sample(range(nc), per_row)}
+        B[k + 1] = dict(B[k])
+    empty, full = range(0, nk, 3), range(1, nk, 3)
+
+    def cancelling(k):
+        a = big_entry(rng, F)
+        return {k: a, k + 1: F.neg(a)}
+
+    A = [{}, {}, {rng.choice(empty): big_entry(rng, F)}, {rng.choice(empty): big_entry(rng, F)}]
+    A += [cancelling(k) for k in full]
+    A += [{**cancelling(1), rng.choice(empty): big_entry(rng, F), **cancelling(7)}]
+    rng.shuffle(A)
+    k = rng.choice(full)
+    if lone == 1:
+        A.append({k: big_entry(rng, F)})
+    elif lone == 2:
+        a = big_entry(rng, F)
+        A.append({k: a, k + 1: a})
+    return Matrix.from_sparse(F, A, nk), Matrix.from_sparse(F, B, nc)
+
+
+@pytest.mark.parametrize("F", FIELDS + [pytest.param(Field(7), id="F7")])
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("per_row, loop", [(2, "walk"), (4, "packed")])
+@pytest.mark.parametrize("lone", [0, 1, 2])
+def test_empty_and_one_nonzero_rows(F, seed, per_row, loop, lone, monkeypatch):
+    a, b = rows_of_every_kind(random.Random(seed), F, per_row, lone)
+    walked, inner = [], linalg._walked_rows
+    monkeypatch.setattr(linalg, "_walked_rows",
+                        lambda A, B: walked.append([len(r) for r in A]) or inner(A, B))
+    assert dense_matmul(a, b).is_zero() is (lone == 0)
+    assert_same_product(a, b)
+    # the walk keeps its rows in increasing column order
+    assert all(list(r) == sorted(r) for r in (a * b).sparse_rows)
+    # the zero test walks only the rows with two nonzeros or more
+    del walked[:]
+    assert a.product_is_zero(b) is (lone == 0)
+    assert all(n > 1 for lens in walked for n in lens)
+    assert bool(walked) is (loop == "walk" and lone != 1)
+    # the product walks every row: empty ones give empty rows, in place
+    del walked[:]
+    product = a * b
+    assert walked == ([[len(r) for r in a.sparse_rows]] if loop == "walk" else [])
+    assert [bool(r) for r in product.sparse_rows] == [i == a.nrows - 1 and lone > 0
+                                                      for i in range(a.nrows)]
