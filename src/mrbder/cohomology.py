@@ -224,9 +224,10 @@ def _coboundary_entries(nA: int, m: int, mu: list, left: list, right: list, n: i
     r_terms = [[] for _ in range(m)]          # s -> (row offset, value) of r(e_s, e_y)
     for (s, y, t), c in right:
         r_terms[s].append((y * m + t, c))
-    # slot p (0-based) replaces j_p by every (x, y) with mu(e_x, e_y)_{j_p} != 0
+    # slot p (0-based) replaces j_p by every (x, y) with mu(e_x, e_y)_{j_p} != 0;
+    # with mu zero no slot has a term, and none is listed
     mu_terms = []
-    for p in range(n):
+    for p in range(n if mu else 0):
         lo = nA ** (n - 1 - p)
         sign = (-1) ** (p + n)
         by_q = [[] for _ in range(nA)]

@@ -10,7 +10,8 @@ Instances are built valid by construction:
 * dimension 2: a small catalog of associative tables; for each table the
   valid (R, kappa) combinations are enumerated once over F_p and cached
   (kappa is solved for, not searched), and derivations commuting with R come
-  from a linear kernel.
+  from a linear kernel.  The residual at kappa = 0, a quadratic form in the
+  entries of R, is polarized once and the p^4 candidates are tested in ints.
 * over Q: scalar operators, the (1, x | x^2 = 0) pair, direct sums and
   semidirect products of the above, and random invertible base changes.
 
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import random
 
 from .fields import CLASS_ENUMERATION_CAP, Field, Value
@@ -152,21 +154,34 @@ def _dim2_tables(field: Field) -> dict:
 
 @functools.cache
 def _mrb_options(field: Field, alg: Algebra) -> list:
-    """All (R, kappa) with the operator identity, enumerated over F_p once
-    per field and table."""
+    """All (R, kappa) with the operator identity over F_p, once per field and
+    table: Q(R) at kappa = 0 is polarized with no division (r_a^2 has Q(E_a),
+    r_a r_b for a < b has Q(E_a + E_b) - Q(E_a) - Q(E_b)), and only the
+    candidates that pass in ints mod p become matrices."""
     if field.p is None:
         raise ValueError("enumeration needs a finite field")
-    F, n, mu = field, alg.dim, alg.mu
+    F, n, p, mu = field, alg.dim, field.p, alg.mu.entries
+    pairs = list(itertools.combinations_with_replacement(range(n * n), 2))
+
+    def q(*units):
+        R = _mat_from_flat(F, n, [units.count(a) for a in range(n * n)])
+        return operator_residual(alg.mu, R, R, R, F.zero).entries
+    square = [q(a) for a in range(n * n)]
+    form = list(zip(*(square[a] if a == b else
+                      [(v - x - y) % p for v, x, y in zip(q(a, b), square[a], square[b])]
+                      for a, b in pairs)))
     elems = F.elements()
-    first = next((k for k, w in enumerate(mu.entries) if not F.is_zero(w)), None)
+    first = next((k for k, w in enumerate(mu) if w), None)
     out = []
     for flat in itertools.product(elems, repeat=n * n):
-        R = _mat_from_flat(F, n, flat)
-        res = operator_residual(mu, R, R, R, F.zero)
+        mono = [flat[a] * flat[b] for a, b in pairs]
+        res = [sum(map(operator.mul, row, mono)) % p for row in form]
         # the identity holds at kappa when res = kappa mu: kappa is read off
         # the first nonzero entry of mu, and any kappa does when mu is zero
-        kappas = elems if first is None else (F.div(res.entries[first], mu.entries[first]),)
-        out.extend((R, kappa) for kappa in kappas if res == mu.scale(kappa))
+        kappas = elems if first is None else (F.div(res[first], mu[first]),)
+        if res == [kappas[0] * w % p for w in mu]:
+            R = _mat_from_flat(F, n, flat)
+            out.extend((R, kappa) for kappa in kappas)
     return out
 
 

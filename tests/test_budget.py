@@ -13,7 +13,8 @@ checks predict, and that a request over it ends at once.
 * The integers of a build grow with the degree, and the budget charges
   their size: a dim-1 instance with a large R or a large denominator is
   refused where fix0 is admitted, and the highest degree the default
-  admits, on it and on fix0, answers in under 3 s.
+  admits, on it and on fix0, answers in under 3 s.  On fix0, whose product
+  is zero, the coboundary builds nothing for any of its slots.
 * The dense representatives are checked before they are made.
 """
 
@@ -219,6 +220,14 @@ def test_the_highest_dim1_degree_the_default_admits_answers_in_time(command, fla
     assert _highest(FIX0, command) == top
     code, seconds = _timed([command, FIX0, flag, str(top)])
     assert code == 0 and seconds < 3.0
+
+
+def test_a_zero_product_walks_no_slot():
+    # fix0's coboundary at the highest degree the default admits: mu, l and r
+    # are zero, so it lists nothing, and builds no list for its 83 333 slots
+    start = time.perf_counter()
+    assert list(C._coboundary_entries(1, 1, [], [], [], 83333)) == []
+    assert time.perf_counter() - start < 0.05
 
 
 @pytest.mark.parametrize("n,err", [

@@ -4,15 +4,20 @@ transcriptions in ``oracles``, compared exactly (``==`` and ``repr``).
 * Random extensions over Q and F_5: ``build_extension`` of a random closed
   degree-2 cochain of a fuzzing instance, a random section s + i h, and a
   random invertible change of basis of the total space.
-* Every operator of the five dimension-2 product tables over F_2, F_3 and
-  F_5 (over F_2, -1 = 1).
+* Every operator of the five dimension-2 product tables over F_2, F_3, F_5
+  and F_7, the largest prime under ``CLASS_ENUMERATION_CAP`` (over F_2,
+  -1 = 1), in the order of the list that the fuzz draw indexes.
 
 A spy on ``linalg._echelon`` counts the row reductions: an extension finds
 its section and its retraction with one each, whatever the dimensions, and
-keeps them for every later step.
+keeps them for every later step.  A spy on ``operator_residual`` counts the
+residuals the enumeration reads: n^2 + C(n^2, 2) per table, not one per
+candidate operator.
 """
 
+import math
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -130,14 +135,48 @@ def test_extract_cocycle_refuses_values_outside_the_fiber(field):
         assert str(err.value) == "vector does not lie in the fiber"
 
 
-@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_operator_enumeration_matches_the_pairwise_solve(p):
     F = Field.prime(p)
     fuzzing._mrb_options.cache_clear()
     for name, alg in sorted(fuzzing._dim2_tables(F).items()):
         got = fuzzing._mrb_options(F, alg)
+        # equal in order too: the fuzz draw picks an index into this list
         assert same(got, pairwise_mrb_options(F, alg)), name
         assert got, name
+
+
+@pytest.mark.parametrize("p", [2, 5, 7])
+def test_operator_enumeration_reads_the_identity_once_per_polarization(p, monkeypatch):
+    F, calls = Field.prime(p), []
+    real = fuzzing.operator_residual
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(fuzzing, "operator_residual", spy)
+    fuzzing._mrb_options.cache_clear()
+    for name, alg in sorted(fuzzing._dim2_tables(F).items()):
+        del calls[:]
+        fuzzing._mrb_options(F, alg)
+        n2 = alg.dim ** 2
+        assert 0 < len(calls) <= n2 + math.comb(n2, 2), name
+
+
+def test_operator_enumeration_over_f7_is_fast():
+    F = Field.prime(7)
+    tables = sorted(fuzzing._dim2_tables(F).items())
+    best = math.inf
+    # the best of three runs, each from an empty cache, so that a slow phase
+    # of the host alone does not fail the bound
+    for _ in range(3):
+        fuzzing._mrb_options.cache_clear()
+        start = time.perf_counter()
+        for _, alg in tables:
+            fuzzing._mrb_options(F, alg)
+        best = min(best, time.perf_counter() - start)
+    assert best < 0.3
 
 
 @pytest.mark.parametrize("field", [QQ, F5], ids=["Q", "F5"])
