@@ -90,7 +90,7 @@ from typing import Callable
 
 from .fields import Field, Value
 from .linalg import (MAX_ENTRIES, EntryCapExceeded, Matrix, MultiTensor, ShapeError,
-                     TensorSpace, _contract, _Integers, _scaled, check_entries, kernel_rref,
+                     TensorSpace, _contract, _dense, _Integers, _scaled, check_entries, kernel_rref,
                      modular_rank, rank_and_kernel, solve_linear, tensor_as_matrix)
 from .structures import Bimodule, InternalError, MRBDerPair, unit_vector
 from .constructions import LiePair, induced_action, induced_product
@@ -225,15 +225,16 @@ def _coboundary_entries(nA: int, m: int, mu: list, left: list, right: list, n: i
     for (s, y, t), c in right:
         r_terms[s].append((y * m + t, c))
     # slot p (0-based) replaces j_p by every (x, y) with mu(e_x, e_y)_{j_p} != 0;
-    # with mu zero no slot has a term, and none is listed
-    mu_terms = []
+    # with mu zero no slot has a term, and none is listed; slots of one place
+    # and sign (every slot at nA = 1 has place 1) share one table
+    mu_terms, tables = [], {}
     for p in range(n if mu else 0):
-        lo = nA ** (n - 1 - p)
-        sign = (-1) ** (p + n)
-        by_q = [[] for _ in range(nA)]
-        for (x, y, q), c in mu:
-            by_q[q].append(((x * nA + y) * lo * m, sign * c))
-        mu_terms.append((lo, by_q))
+        lo, sign = nA ** (n - 1 - p), (-1) ** (p + n)
+        if (lo, sign) not in tables:
+            tables[lo, sign] = by_q = [[] for _ in range(nA)]
+            for (x, y, q), c in mu:
+                by_q[q].append(((x * nA + y) * lo * m, sign * c))
+        mu_terms.append((lo, tables[lo, sign]))
     for J in range(nA ** n):
         slots = []
         for lo, by_q in mu_terms:
@@ -725,7 +726,7 @@ def cohomology(pair: MRBDerPair, bim: Bimodule, n: int, *,
             raise InternalError("dim B^%d is %d, but rank D_%d is %d" % (n, dim_b, n - 1, d_prev._rank))
         d_prev._rank = dim_b
     check_entries(len(kept) * space.dim, max(max_entries, MAX_ENTRIES))
-    reps = tuple(map(space.unflatten, Matrix.from_sparse(F, kept, space.dim).rows))
+    reps = tuple(map(space.unflatten, _dense(F.zero, space.dim, kept)))
     return CohomologyResult(n, len(z_basis), dim_b, len(kept), reps)
 
 

@@ -31,9 +31,8 @@ from .fields import CLASS_ENUMERATION_CAP, Value
 from .linalg import (MAX_ENTRIES, Matrix, MultiTensor, ShapeError, _contract, check_entries,
                      matrix_as_tensor, rank_and_kernel, tensor_as_matrix)
 from .structures import (Algebra, Bimodule, CheckFailure, CheckReport,
-                         InternalError, InvalidStructure, MRBDerPair, _report,
-                         multiplicative_residual, residual_failures, unit_vector,
-                         verify_pair)
+                         InternalError, InvalidStructure, MRBDerPair, _report, is_homomorphism,
+                         multiplicative_residual, residual_failures, unit_vector, verify_pair)
 from .cohomology import Cochain, PairSpace, cohomology, pair_delta, primitive
 
 
@@ -211,24 +210,24 @@ def equivalence_map(ext1: Extension, ext2: Extension, h: Matrix) -> Matrix:
     return (s2 + ext2.i * h) * ext1.p + ext2.i * L1 * (Matrix.identity(F, N) - s1 * ext1.p)
 
 
-def _is_equivalence(pair: MRBDerPair, ext1: Extension, ext2: Extension,
-                    gamma: Matrix) -> bool:
-    t1, t2 = ext1.total, ext2.total
-    return all(r.is_zero() for r in [gamma * ext1.i - ext2.i, ext2.p * gamma - ext1.p,
-                                     gamma * t1.R - t2.R * gamma, gamma * t1.d - t2.d * gamma,
-                                     multiplicative_residual(gamma, t1.mu, t2.mu)])
+def _is_equivalence(ext1: Extension, ext2: Extension, gamma: Matrix) -> bool:
+    return (is_homomorphism(gamma, ext1.total, ext2.total).ok
+            and (gamma * ext1.i - ext2.i).is_zero() and (ext2.p * gamma - ext1.p).is_zero())
 
 
 def extensions_equivalent(pair: MRBDerPair, bim: Bimodule,
                           ext1: Extension, ext2: Extension) -> Matrix | None:
-    """An equivalence of extensions over the identity on A and M, or None."""
+    """An equivalence of extensions over the identity on A and M, or None;
+    totals of different weights are refused."""
+    if ext1.total.kappa != ext2.total.kappa:
+        raise InvalidStructure("the totals have different weights")
     c1 = extract_cocycle(pair, bim, ext1)
     c2 = extract_cocycle(pair, bim, ext2)
     h = cocycles_cohomologous(pair, bim, c1, c2)
     if h is None:
         return None
     gamma = equivalence_map(ext1, ext2, h)
-    if not _is_equivalence(pair, ext1, ext2, gamma):
+    if not _is_equivalence(ext1, ext2, gamma):
         raise InternalError("comparison cochain did not induce an equivalence")
     return gamma
 

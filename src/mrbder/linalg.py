@@ -6,13 +6,12 @@ solutions and canonical subspace bases all come from reduced row echelon
 form with first-nonzero pivoting, so results are deterministic and basis
 choices are reproducible across runs.
 
-A :class:`Matrix` has dense rows, sparse rows ({column: nonzero} dicts) and
-integer rows over a positive scale: whichever form it was made from, the
-others are built when first read and kept, as are its transpose and, once
-proven, its rank; the dense rows of a matrix made from ints over Q are read
-straight off the ints, and no sparse rows are kept for them.  Equality,
-hashing and ``repr`` are those of the dense rows.  Elimination and products
-read the integer rows, so a matrix made from ints, such as a differential
+A :class:`Matrix` stores one form, integer rows ({column: nonzero int}
+dicts) over a positive scale, made when the matrix is made.  Its dense rows
+and, over Q, its Fraction rows are views read off the ints when first read
+and kept, as are its transpose and, once proven, its rank.  Equality reads
+the ints, hashing and ``repr`` the dense rows.  Elimination and products
+read the ints alone, so a matrix made from ints, such as a differential
 D_n, is never expanded, nor over Q made into Fractions, unless a caller
 reads ``rows`` or ``sparse_rows``.
 
@@ -82,48 +81,53 @@ def check_entries(count: int, max_entries: int) -> None:
 
 
 class Matrix:
-    """Matrix over ``field``, made from dense, sparse or integer rows.
+    """Matrix over ``field``, stored as (scale, {column: nonzero int} rows):
+    the matrix times an int scale > 0, over F_p residues at scale 1.
 
-    ``Matrix(field, rows)`` takes the rows as a tuple of row tuples,
-    :meth:`from_sparse` one {column: nonzero} dict per row and
-    :meth:`from_ints` integer rows over a scale.  ``rows``, ``sparse_rows``
-    and :meth:`int_rows` give each form; one the matrix was not made from is
-    built on first use and kept.  A matrix with no rows has no columns.
+    ``Matrix(field, rows)`` (a tuple of row tuples) and :meth:`from_sparse`
+    (one {column: nonzero} dict per row) scale the rows once, over Q by the
+    lcm of their denominators, and keep them as views; :meth:`from_ints`
+    stores integer rows over a scale.  :meth:`int_rows` returns the pair;
+    ``rows`` and, over Q, ``sparse_rows`` are read off it when first read
+    and kept.  A matrix with no rows has no columns.
 
     Column convention: ``apply`` sends a coordinate vector v to M v, so the
     j-th column is the image of the j-th basis vector.
     """
 
-    __slots__ = ("field", "_rows", "_sparse", "_ints", "_ncols", "_transpose", "_rank")
+    __slots__ = ("field", "_ints", "_ncols", "_rows", "_sparse", "_transpose", "_rank")
 
     def __init__(self, field: Field, rows: tuple):
         w = len(rows[0]) if rows else 0
         if any(len(r) != w for r in rows):
             raise ShapeError("ragged rows")
-        self.field, self._rows, self._sparse, self._ncols = field, rows, None, w
-        self._ints = self._transpose = self._rank = None
+        # _nonzero_positions' test, inline: on short rows its call costs more
+        zero, is_zero = field.zero, field.is_zero
+        sparse = [{j: v for j, v in enumerate(r) if v is not zero and not is_zero(v)} for r in rows]
+        self._store(field, _int_form(field, sparse), w, rows, sparse)
+
+    def _store(self, field: Field, ints: tuple, ncols: int, rows=None, sparse=None) -> "Matrix":
+        """Set every slot: the stored (scale, int rows) pair and the views given."""
+        self.field, self._ints, self._ncols = field, ints, ncols if ints[1] else 0
+        self._rows, self._sparse, self._transpose, self._rank = rows, sparse, None, None
+        return self
 
     @staticmethod
     def from_sparse(field: Field, rows: list, ncols: int) -> "Matrix":
         """The matrix with one {column: nonzero} dict per row; the dicts are
-        kept, not copied, and must hold no zeros."""
-        m = Matrix(field, ())
-        m._rows, m._sparse, m._ncols = None, rows, ncols if rows else 0
-        return m
+        kept as its sparse rows, not copied, and must hold no zeros."""
+        return Matrix.__new__(Matrix)._store(field, _int_form(field, rows), ncols, None, rows)
 
     @staticmethod
     def from_ints(field: Field, rows: list, scale: int, ncols: int) -> "Matrix":
         """rows / scale, for {column: nonzero int} ``rows`` and an int scale > 0:
         the one place where integers enter the field.  Over F_p the rows are
-        reduced to residues at once.  Over Q they are kept, not copied, and
-        the Fraction rows are built on first read, one per distinct int."""
+        reduced to residues at once.  Over Q they are kept, not copied."""
         if (p := field.p) is not None:
             k = pow(scale, -1, p)
             return Matrix.from_sparse(
                 field, [{j: r for j, v in row.items() if (r := v * k % p)} for row in rows], ncols)
-        m = Matrix(field, ())
-        m._rows, m._ints, m._ncols = None, (scale, rows), ncols if rows else 0
-        return m
+        return Matrix.__new__(Matrix)._store(field, (scale, rows), ncols)
 
     @staticmethod
     def from_rows(field: Field, rows: Iterable[Sequence]) -> "Matrix":
@@ -131,8 +135,7 @@ class Matrix:
 
     @staticmethod
     def zeros(field: Field, nrows: int, ncols: int) -> "Matrix":
-        z = field.zero
-        return Matrix(field, tuple(tuple(z for _ in range(ncols)) for _ in range(nrows)))
+        return Matrix.from_ints(field, [{} for _ in range(nrows)], 1, ncols)
 
     @staticmethod
     def identity(field: Field, n: int) -> "Matrix":
@@ -145,58 +148,36 @@ class Matrix:
 
     @property
     def rows(self) -> tuple:
-        """The rows as a tuple of row tuples, zeros stored as ``field.zero``;
-        a matrix made from ints over Q builds them from its ints, and keeps
-        no sparse rows for it."""
+        """The rows as row tuples, zeros as ``field.zero``, built once and kept:
+        off the sparse rows if kept, else straight off the ints, keeping none."""
         if self._rows is None:
-            zero, nc, rows = self.field.zero, self._ncols, []
-            if self._sparse is None and self._ints is not None:
-                ints, enter = self._ints[1], self._fractions()
-                items = (zip(r, map(enter.__getitem__, r.values())) for r in ints)
-            else:
-                items = (r.items() for r in self.sparse_rows)
-            for pairs in items:
-                row = [zero] * nc
-                for c, v in pairs:
-                    row[c] = v
-                rows.append(tuple(row))
-            self._rows = tuple(rows)
+            rows = self._sparse or self._fraction_rows()
+            self._rows = tuple(_dense(self.field.zero, self._ncols, rows))
         return self._rows
 
     @property
     def sparse_rows(self) -> list:
-        """The rows as {column: nonzero} dicts; callers must not change them."""
-        if self._sparse is None and self._ints is None:
-            F = self.field
-            self._sparse = [{j: row[j] for j in _nonzero_positions(F, row)} for row in self._rows]
-        elif self._sparse is None:
-            enter = self._fractions()
-            self._sparse = [{c: enter[v] for c, v in row.items()} for row in self._ints[1]]
+        """The rows as {column: nonzero} dicts; callers must not change them.
+        Over F_p they are the int rows; over Q, read off them once and kept."""
+        if self._sparse is None:
+            self._sparse = list(self._fraction_rows())
         return self._sparse
 
-    def _fractions(self) -> dict:
-        """{v: v / scale} for each distinct int v of a matrix made from ints
-        over Q: the one Fraction its rows hold for v."""
+    def _fraction_rows(self) -> Iterable:
+        """The {column: Fraction} rows of the ints over Q, made one at a time,
+        with one Fraction per distinct int."""
         scale, ints = self._ints
-        return {v: Fraction(v, scale) for v in {v for row in ints for v in row.values()}}
+        enter = {v: Fraction(v, scale) for v in {v for row in ints for v in row.values()}}
+        return ({c: enter[v] for c, v in row.items()} for row in ints)
 
     def int_rows(self) -> tuple:
-        """(scale, rows): {column: nonzero int} rows, the matrix times the int
-        scale > 0, built once and kept; (1, ``sparse_rows``) over F_p, and
-        over Q the lcm of the denominators unless made from ints."""
-        if self.field.p is not None:
-            return 1, self.sparse_rows
-        if self._ints is None:
-            rows = self.sparse_rows
-            scale, ints = _scaled([v for row in rows for v in row.values()])
-            it = iter(ints)     # zip takes from the row first, so each row takes its own ints
-            self._ints = scale, [dict(zip(row, it)) for row in rows]
+        """(scale, rows), the stored form: {column: nonzero int} rows, the
+        matrix times the int scale > 0; (1, residues) over F_p."""
         return self._ints
 
     @property
     def nrows(self) -> int:
-        rows = self._sparse if self._rows is None else self._rows
-        return len(self._ints[1] if rows is None else rows)
+        return len(self._ints[1])
 
     @property
     def ncols(self) -> int:
@@ -205,11 +186,11 @@ class Matrix:
     def __eq__(self, other):
         if other.__class__ is not Matrix:
             return NotImplemented
-        if self.field != other.field:
-            return False
-        if self._sparse is not None and other._sparse is not None:
-            return self._ncols == other._ncols and self._sparse == other._sparse
-        return self.rows == other.rows
+        (s, A), (t, B) = self._ints, other._ints
+        # A / s = B / t exactly when t A = s B
+        return (self.field == other.field and self._ncols == other._ncols and len(A) == len(B)
+                and all({j: v * t for j, v in a.items()} == {j: v * s for j, v in b.items()}
+                        for a, b in zip(A, B)))
 
     def __hash__(self):
         return hash((self.field, self.rows))
@@ -267,15 +248,14 @@ class Matrix:
         return tuple(_contract(self.field, vec, 1, 1, self.transpose().sparse_rows, self.nrows))
 
     def transpose(self) -> "Matrix":
-        """The transpose, built on first use and kept, from the ints if held."""
+        """The transpose, built from the ints on first use and kept."""
         if self._transpose is None:
-            scale, rows = self._ints or (None, self.sparse_rows)
-            cols = [{} for _ in range(self.ncols)]
+            scale, rows = self._ints
+            cols = [{} for _ in range(self._ncols)]
             for i, row in enumerate(rows):
                 for j, v in row.items():
                     cols[j][i] = v
-            self._transpose = (Matrix.from_sparse(self.field, cols, self.nrows) if scale is None
-                               else Matrix.from_ints(self.field, cols, scale, self.nrows))
+            self._transpose = Matrix.from_ints(self.field, cols, scale, len(rows))
         return self._transpose
 
     def right_inverse(self) -> "Matrix | None":
@@ -296,14 +276,13 @@ class Matrix:
         return inv
 
     def is_zero(self) -> bool:
-        return not any(self.sparse_rows if self._ints is None else self._ints[1])
+        return not any(self._ints[1])
 
     def block_diag(self, other: "Matrix") -> "Matrix":
-        F = self.field
-        z = F.zero
-        top = [tuple(r) + (z,) * other.ncols for r in self.rows]
-        bot = [(z,) * self.ncols + tuple(r) for r in other.rows]
-        return Matrix(F, tuple(top + bot))
+        (s, A), (t, B), k = self._ints, other._ints, self._ncols
+        rows = [{j: v * t for j, v in a.items()} for a in A]
+        rows += [{j + k: v * s for j, v in b.items()} for b in B]
+        return Matrix.from_ints(self.field, rows, s * t, k + other._ncols)
 
     def _entrywise(self, op: Callable, other: "Matrix") -> "Matrix":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
@@ -406,6 +385,26 @@ def _scaled(xs: Collection) -> tuple:
     the lcm of their denominators."""
     d = math.lcm(*(x.denominator for x in xs))
     return d, [x.numerator * (d // x.denominator) for x in xs]
+
+
+def _int_form(field: Field, rows: list) -> tuple:
+    """(scale, int rows) of {column: nonzero} ``rows``: (1, ``rows``) over
+    F_p, and over Q the rows times the lcm of their denominators."""
+    if field.p is not None:
+        return 1, rows
+    scale, ints = _scaled([v for row in rows for v in row.values()])
+    it = iter(ints)     # zip takes from the row first, so each row takes its own ints
+    return scale, [dict(zip(row, it)) for row in rows]
+
+
+def _dense(zero, nc: int, rows: Iterable) -> Iterable:
+    """Each {column: nonzero} dict of ``rows`` as a tuple of ``nc``
+    entries, the others ``zero``, made one at a time."""
+    for r in rows:
+        row = [zero] * nc
+        for c, v in r.items():
+            row[c] = v
+        yield tuple(row)
 
 
 def _free_columns(nc: int, pivots: list, rows: list) -> dict:
@@ -734,7 +733,7 @@ def rref_vectors(field: Field, vectors: Iterable[Sequence]) -> tuple:
     if any(len(r) != nc for r in rows):
         raise ShapeError("ragged vectors")
     pivots, red = _echelon(field, Matrix.from_rows(field, rows).int_rows(), nc)
-    return list(Matrix.from_sparse(field, red, nc).rows), pivots
+    return list(_dense(field.zero, nc, red)), pivots
 
 
 def rank_and_kernel(m: Matrix) -> tuple:

@@ -28,11 +28,12 @@ from pathlib import Path
 
 import pytest
 
+import oracles
 from mrbder.cli import USAGE_EXIT, main
 from mrbder.constructions import direct_sum, rho_representation
 from mrbder.fields import Field, QQ
 from mrbder.fuzzing import conjugate_pair, random_invertible
-from mrbder.linalg import MAX_ENTRIES, EntryCapExceeded
+from mrbder.linalg import MAX_ENTRIES, EntryCapExceeded, MultiTensor
 from mrbder.serialize import Instance, dumps_canonical, instance_to_json, load_instance_file
 from mrbder.structures import adjoint_bimodule, dual_pair, upper_triangular_pair, zero_pair
 
@@ -228,6 +229,16 @@ def test_a_zero_product_walks_no_slot():
     start = time.perf_counter()
     assert list(C._coboundary_entries(1, 1, [], [], [], 83333)) == []
     assert time.perf_counter() - start < 0.05
+
+
+def test_one_table_serves_the_slots_of_one_place_and_sign():
+    # mu(x, x) = x on a line: every slot has place 1, so its 20 000 slots
+    # share two tables, one per sign, and list what the field transcription
+    # lists, entry for entry and in order
+    one = MultiTensor(QQ, (1, 1), 1, (QQ.one,))
+    n, mu = 20000, [((0, 0, 0), 1)]
+    want = list(oracles.field_coboundary_entries(QQ, 1, 1, one, one, one, n))
+    assert list(C._coboundary_entries(1, 1, mu, mu, mu, n)) == want and len(want) == n + 2
 
 
 @pytest.mark.parametrize("n,err", [

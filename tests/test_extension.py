@@ -235,6 +235,27 @@ class TestEquivalence:
         with pytest.raises(InternalError, match="did not induce an equivalence"):
             extensions_equivalent(pair, bim, ext, built)
 
+    def test_totals_of_different_weights_are_refused(self, monkeypatch):
+        # a zero product satisfies the identity at every weight, so the two
+        # totals differ only in kappa; both split and give the same cocycle
+        F = QQ
+        zero = Algebra(F, 2, MultiTensor.zeros(F, (2, 2), 2))
+        i = Matrix.from_rows(F, [[F.zero], [F.one]])
+        p = Matrix.from_rows(F, [[F.one, F.zero]])
+        z = Matrix.zeros(F, 2, 2)
+        ext0 = Extension(MRBDerPair(zero, z, z, F.zero), i, p)
+        ext1 = Extension(MRBDerPair(zero, z, z, F.one), i, p)
+        pair, bim = derive_base(ext0)
+        mod = importlib.import_module("mrbder.extension")
+
+        def extract(*args, **kwargs):
+            raise AssertionError("a cocycle was extracted")
+
+        monkeypatch.setattr(mod, "extract_cocycle", extract)
+        for a, b in [(ext0, ext1), (ext1, ext0)]:
+            with pytest.raises(InvalidStructure, match="^the totals have different weights$"):
+                extensions_equivalent(pair, bim, a, b)
+
     def test_equivalence_map_shape(self):
         ext = dual_over_line(QQ)
         gamma = equivalence_map(ext, ext, Matrix.zeros(QQ, 1, 1))

@@ -38,6 +38,10 @@
   the entries of D_n and of every product enter the field in
   ``Matrix.from_ints`` alone.  So do the integer induced maps
   (``_Complex.induced``) and the zero test ``Matrix.product_is_zero``.
+* A ``Matrix`` stores one form, (scale, integer rows): only
+  ``Matrix._store``, which every constructor calls, writes ``_ints``, and
+  nothing in ``src/`` tests it against None or as a truth value, so no
+  reader branches on which form exists.
 * phi is one tensor power: ``cohomology`` shifts no bit and reads neither
   ``itertools.product`` nor ``bit_count``, so nothing runs over the 2^n
   sets of bare slots, and no refusal in ``_blocks`` tests a map kind.
@@ -350,3 +354,62 @@ def test_phi_runs_over_no_sets_of_bare_slots():
     assert len(refusals) == 2
     assert [c.value for t in refusals for c in ast.walk(t)
             if isinstance(c, ast.Constant) and isinstance(c.value, str)] == []
+
+
+def _form_uses(tree) -> tuple:
+    """(enclosing function of each write of an ``_ints`` attribute, line of
+    each test of one: against None, or read as a truth value)."""
+    writes, tests = [], []
+
+    def is_ints(node):
+        return isinstance(node, ast.Attribute) and node.attr == "_ints"
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if is_ints(node) and isinstance(node.ctx, ast.Store):
+            writes.append(scope)
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if any(map(is_ints, operands)) and any(
+                    isinstance(o, ast.Constant) and o.value is None for o in operands):
+                tests.append(node.lineno)
+        truths = (node.values if isinstance(node, ast.BoolOp)
+                  else [node.test] if isinstance(node, (ast.If, ast.IfExp, ast.While))
+                  else [node.operand] if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not)
+                  else [])
+        tests.extend(node.lineno for t in truths if is_ints(t))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "<module>")
+    return writes, tests
+
+
+PLANTED_FORMS = """\
+class M:
+    def __init__(self):
+        self._ints = None
+
+    def int_rows(self):
+        if self._ints is None:
+            self._ints = 1, []
+        return self._ints
+
+    def transpose(self):
+        scale, rows = self._ints or (None, [])
+        return not self._ints
+"""
+
+
+def test_the_form_scan_finds_planted_writes_and_tests():
+    assert _form_uses(ast.parse(PLANTED_FORMS)) == (["__init__", "int_rows"], [6, 11, 12])
+
+
+def test_only_the_constructors_write_the_stored_form():
+    # a Matrix holds one form, (scale, integer rows): the constructors store
+    # it through _store, every other method reads it, and none asks whether
+    # it exists
+    uses = {name: _form_uses(tree) for name, tree in MODULES.items()}
+    assert [(name, f) for name, (writes, _) in uses.items() for f in writes] == [("linalg", "_store")]
+    assert {name: tests for name, (_, tests) in uses.items() if tests} == {}
