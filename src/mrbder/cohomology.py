@@ -86,11 +86,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable
 
 from .fields import Field, Value
 from .linalg import (MAX_ENTRIES, EntryCapExceeded, Matrix, MultiTensor, ShapeError,
-                     TensorSpace, _contract, _dense, _Integers, _scaled, check_entries, kernel_rref,
+                     TensorSpace, _contract, _dense, _Integers, _least, _scaled, check_entries, kernel_rref,
                      modular_rank, rank_and_kernel, solve_linear, tensor_as_matrix)
 from .structures import Bimodule, InternalError, MRBDerPair, unit_vector
 from .constructions import LiePair, induced_action, induced_product
@@ -410,20 +411,25 @@ class _Complex:
         """(D, the coboundary's maps, (R, R_M, kappa, d, d_M), b) as plain
         ints, built once: each map times D, the lcm of the denominators of
         their entries and kappa (1 over F_p: the ints are the residues), and
-        kappa times D^2.  Tensors are lists of their nonzeros, R and d sparse
-        rows, R_M and d_M sparse columns.  b, the operand size ``_blocks``
-        charges, is the bit length of max(D, max |entry| + max(1, |kappa|)) - 1."""
+        kappa times D^2.  Tensors are lists of their nonzeros, R and d (read
+        off their stored pairs) sparse rows, R_M and d_M sparse columns.  b,
+        the operand size ``_blocks`` charges, is the bit length of
+        max(D, max |entry| + max(1, |kappa|)) - 1."""
         if self._scaled is None:
             tensors = [_nonzeros(t) for t in self.maps]
-            mats = [self.R.sparse_rows, self.R_M.transpose().sparse_rows,
-                    self.d.sparse_rows, self.d_M.transpose().sparse_rows]
+            mats = [_least(*m.int_rows()) for m in (self.R, self.R_M.transpose(),
+                                                    self.d, self.d_M.transpose())]
+            # each matrix enters as 1 / its least scale, which D scales to its ints' factor
             D, ints = _scaled([self.kappa] + [v for nz in tensors for _, v in nz]
-                              + [v for rows in mats for row in rows for v in row.values()])
+                              + [Fraction(1, s) for s, _ in mats])
             it = iter(ints)     # zip takes from the map first, so each takes its own ints
             kappa = next(it) * D
-            b = (max(D, max(map(abs, ints[1:]), default=0) + max(1, abs(kappa))) - 1).bit_length()
             tensors = tuple([(i, v) for (i, _), v in zip(nz, it)] for nz in tensors)
-            R, R_M, d, d_M = ([dict(zip(row, it)) for row in rows] for rows in mats)
+            R, R_M, d, d_M = mats = [[{j: v * k for j, v in row.items()} for row in rows]
+                                     for (_, rows), k in zip(mats, it)]
+            top = max(map(abs, itertools.chain(
+                ints[1:-len(mats)], (v for rows in mats for row in rows for v in row.values()))), default=0)
+            b = (max(D, top + max(1, abs(kappa))) - 1).bit_length()
             self._scaled = D, tensors, (R, R_M, kappa, d, d_M), b
         return self._scaled
 

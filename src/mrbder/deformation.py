@@ -98,12 +98,6 @@ class Deformation(Value):
     def is_zero(self) -> bool:
         return self.lowest_nonzero() is None
 
-    def truncate(self, order: int) -> "Deformation":
-        if order > self.order:
-            raise ShapeError("cannot extend a deformation by truncation")
-        return Deformation(self.pair, order, self.mu_terms[:order],
-                           self.R_terms[:order], self.d_terms[:order])
-
     def lowest_nonzero(self) -> int | None:
         for k in range(1, self.order + 1):
             if not (self.mu_at(k).is_zero() and self.R_at(k).is_zero()

@@ -32,7 +32,7 @@ from .linalg import (MAX_ENTRIES, Matrix, MultiTensor, ShapeError, _contract, ch
                      matrix_as_tensor, rank_and_kernel, tensor_as_matrix)
 from .structures import (Algebra, Bimodule, CheckFailure, CheckReport,
                          InternalError, InvalidStructure, MRBDerPair, _report, is_homomorphism,
-                         multiplicative_residual, residual_failures, unit_vector, verify_pair)
+                         multiplicative_residual, residual_failures, verify_pair)
 from .cohomology import Cochain, PairSpace, cohomology, pair_delta, primitive
 
 
@@ -179,21 +179,14 @@ def build_extension(pair: MRBDerPair, bim: Bimodule, cocycle: Cochain, *,
     F = pair.field
     n, m = pair.dim, bim.dim_m
     check_entries((n + m) ** 3, max_entries)        # the product of the total
-    z_m = (F.zero,) * m
     muh = MultiTensor.from_blocks(F, (n, m), {(0, 0, 0): pair.mu, (0, 0, 1): theta,
                                               (0, 1, 1): bim.left, (1, 0, 1): bim.right})
-
-    def operator(base: Matrix, part: MultiTensor, fiber: Matrix) -> Matrix:
-        # the operator on A + M: base on A, fiber on M, and part from A to M
-        low = tensor_as_matrix(part)
-        return Matrix.from_rows(F, [tuple(r) + z_m for r in base.rows]
-                                + [tuple(x) + tuple(y) for x, y in zip(low.rows, fiber.rows)])
-
-    total = MRBDerPair(Algebra(F, n + m, muh), operator(pair.R, xi, bim.R_M),
-                       operator(pair.d, chi, bim.d_M), pair.kappa)
-    i_rows = [z_m] * n + [unit_vector(F, m, w) for w in range(m)]
-    p_rows = [unit_vector(F, n, a) + z_m for a in range(n)]
-    return Extension(total, Matrix.from_rows(F, i_rows), Matrix.from_rows(F, p_rows))
+    i = Matrix.from_ints(F, [{} for _ in range(n)] + [{w: 1} for w in range(m)], 1, m)
+    p = Matrix.from_ints(F, [{a: 1} for a in range(n)], 1, n + m)
+    # each operator on A + M, base (+) fiber + i part p: base on A, fiber on M, part A -> M
+    R, d = (base.block_diag(fiber) + i * tensor_as_matrix(part) * p
+            for base, part, fiber in ((pair.R, xi, bim.R_M), (pair.d, chi, bim.d_M)))
+    return Extension(MRBDerPair(Algebra(F, n + m, muh), R, d, pair.kappa), i, p)
 
 
 def cocycles_cohomologous(pair: MRBDerPair, bim: Bimodule,

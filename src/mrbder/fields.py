@@ -141,10 +141,6 @@ class Field(Value):
         return "Q" if self.p is None else "Fp:%d" % self.p
 
     @property
-    def is_rational(self) -> bool:
-        return self.p is None
-
-    @property
     def zero(self):
         return _Q_ZERO if self.p is None else 0
 

@@ -7,13 +7,12 @@ form with first-nonzero pivoting, so results are deterministic and basis
 choices are reproducible across runs.
 
 A :class:`Matrix` stores one form, integer rows ({column: nonzero int}
-dicts) over a positive scale, made when the matrix is made.  Its dense rows
-and, over Q, its Fraction rows are views read off the ints when first read
-and kept, as are its transpose and, once proven, its rank.  Equality reads
-the ints, hashing and ``repr`` the dense rows.  Elimination and products
-read the ints alone, so a matrix made from ints, such as a differential
-D_n, is never expanded, nor over Q made into Fractions, unless a caller
-reads ``rows`` or ``sparse_rows``.
+dicts) over a positive scale, made when the matrix is made; all arithmetic
+and elimination run on that pair.  Its dense rows and, over Q, its Fraction
+rows are views for output, hashing and tensor contraction, read off the
+ints when first read and kept, as are its transpose and, once proven, its
+rank.  A D_n, made from ints, is never expanded nor, over Q, made into
+Fractions unless a caller reads ``rows`` or ``sparse_rows``.
 
 Every elimination enters at ``_echelon``, one pipeline for F_p and Q: a
 peel of singleton rows with no arithmetic (``_peel``; a D_n in the standard
@@ -29,8 +28,7 @@ budget, an argument with the default ``MAX_ENTRIES``, where it grows and
 before it allocates: the loader at each tensor a file declares, each build
 of D_n and cohomology's representatives, and an extension's product.
 
-Products are integer products too (:func:`_product`), of the integer rows,
-over the product of the scales, made one row at a time.  A right factor
+Products (:func:`_product`) are made one row at a time.  A right factor
 with at most two nonzeros per row on average, such as a D_n in the standard
 basis, is walked row by row, a left row with one nonzero or none at no
 sum.  Any other is packed, each right row into one integer of a fixed
@@ -87,9 +85,10 @@ class Matrix:
     ``Matrix(field, rows)`` (a tuple of row tuples) and :meth:`from_sparse`
     (one {column: nonzero} dict per row) scale the rows once, over Q by the
     lcm of their denominators, and keep them as views; :meth:`from_ints`
-    stores integer rows over a scale.  :meth:`int_rows` returns the pair;
-    ``rows`` and, over Q, ``sparse_rows`` are read off it when first read
-    and kept.  A matrix with no rows has no columns.
+    stores integer rows over a scale.  All arithmetic runs on the pair, and
+    sums and multiples are stored at the least scale.  :meth:`int_rows`
+    returns the pair; ``rows`` and, over Q, ``sparse_rows`` are views, read
+    off it when first read and kept.  A matrix with no rows has no columns.
 
     Column convention: ``apply`` sends a coordinate vector v to M v, so the
     j-th column is the image of the j-th basis vector.
@@ -109,7 +108,8 @@ class Matrix:
     def _store(self, field: Field, ints: tuple, ncols: int, rows=None, sparse=None) -> "Matrix":
         """Set every slot: the stored (scale, int rows) pair and the views given."""
         self.field, self._ints, self._ncols = field, ints, ncols if ints[1] else 0
-        self._rows, self._sparse, self._transpose, self._rank = rows, sparse, None, None
+        self._sparse = sparse if field.p is None else ints[1]     # over F_p, the int rows
+        self._rows, self._transpose, self._rank = rows, None, None
         return self
 
     @staticmethod
@@ -121,8 +121,8 @@ class Matrix:
     @staticmethod
     def from_ints(field: Field, rows: list, scale: int, ncols: int) -> "Matrix":
         """rows / scale, for {column: nonzero int} ``rows`` and an int scale > 0:
-        the one place where integers enter the field.  Over F_p the rows are
-        reduced to residues at once.  Over Q they are kept, not copied."""
+        where new ints enter the field (D_n, products, the B step).  Over
+        F_p the rows are reduced to residues at once; over Q, kept."""
         if (p := field.p) is not None:
             k = pow(scale, -1, p)
             return Matrix.from_sparse(
@@ -135,16 +135,15 @@ class Matrix:
 
     @staticmethod
     def zeros(field: Field, nrows: int, ncols: int) -> "Matrix":
-        return Matrix.from_ints(field, [{} for _ in range(nrows)], 1, ncols)
+        return Matrix.__new__(Matrix)._store(field, (1, [{} for _ in range(nrows)]), ncols)
 
     @staticmethod
     def identity(field: Field, n: int) -> "Matrix":
-        return Matrix.scalar(field, n, field.one)
+        return Matrix.__new__(Matrix)._store(field, (1, [{i: 1} for i in range(n)]), n)
 
     @staticmethod
     def scalar(field: Field, n: int, c) -> "Matrix":
-        z = field.zero
-        return Matrix(field, tuple(tuple(c if i == j else z for j in range(n)) for i in range(n)))
+        return Matrix.identity(field, n).scale(c)
 
     @property
     def rows(self) -> tuple:
@@ -201,19 +200,33 @@ class Matrix:
     def entry(self, i: int, j: int):
         return self.rows[i][j]
 
-    def __add__(self, other: "Matrix") -> "Matrix":
-        return self._entrywise(self.field.add, other)
+    def __add__(self, other: "Matrix", sign: int = 1) -> "Matrix":
+        """self + sign other: t A + sign s B over s t, in increasing column order."""
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise ShapeError("shape mismatch")
+        (s, A), (t, B) = self._ints, other._ints
+        return self._made(s * t, [[(j, t * a.get(j, 0) + sign * s * b.get(j, 0))
+                                   for j in sorted(a.keys() | b.keys())] for a, b in zip(A, B)])
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return self._entrywise(self.field.sub, other)
+        return self.__add__(other, -1)
 
     def __neg__(self) -> "Matrix":
-        neg = self.field.neg
-        return Matrix(self.field, tuple(tuple(neg(a) for a in r) for r in self.rows))
+        return self.scale(-1)
 
     def scale(self, c) -> "Matrix":
-        mul = self.field.mul
-        return Matrix(self.field, tuple(tuple(mul(c, a) for a in r) for r in self.rows))
+        """c times the matrix: the ints times c's numerator over the scale
+        times its denominator (over F_p c is a residue, over 1)."""
+        (scale, A), n = self._ints, c.numerator
+        return self._made(scale * c.denominator, [[(j, v * n) for j, v in a.items()] for a in A])
+
+    def _made(self, scale: int, rows: list) -> "Matrix":
+        """The (column, int) pairs of ``rows`` over ``scale``, zeros dropped and
+        over F_p reduced mod p, as a matrix of this shape at its least scale."""
+        p = self.field.p
+        ints = [{j: x for j, x in row if x} if p is None else {j: r for j, x in row if (r := x % p)}
+                for row in rows]
+        return Matrix.__new__(Matrix)._store(self.field, _least(scale, ints), self._ncols)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         (sa, A), (sb, B) = self._factors(other)
@@ -255,7 +268,7 @@ class Matrix:
             for i, row in enumerate(rows):
                 for j, v in row.items():
                     cols[j][i] = v
-            self._transpose = Matrix.from_ints(self.field, cols, scale, len(rows))
+            self._transpose = Matrix.__new__(Matrix)._store(self.field, (scale, cols), len(rows))
         return self._transpose
 
     def right_inverse(self) -> "Matrix | None":
@@ -282,13 +295,7 @@ class Matrix:
         (s, A), (t, B), k = self._ints, other._ints, self._ncols
         rows = [{j: v * t for j, v in a.items()} for a in A]
         rows += [{j + k: v * s for j, v in b.items()} for b in B]
-        return Matrix.from_ints(self.field, rows, s * t, k + other._ncols)
-
-    def _entrywise(self, op: Callable, other: "Matrix") -> "Matrix":
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ShapeError("shape mismatch")
-        return Matrix(self.field, tuple(
-            tuple(map(op, ra, rb)) for ra, rb in zip(self.rows, other.rows)))
+        return Matrix.__new__(Matrix)._store(self.field, (s * t, rows), k + other._ncols)
 
 
 def _nonzero_positions(field: Field, values: Sequence) -> list:
@@ -385,6 +392,14 @@ def _scaled(xs: Collection) -> tuple:
     the lcm of their denominators."""
     d = math.lcm(*(x.denominator for x in xs))
     return d, [x.numerator * (d // x.denominator) for x in xs]
+
+
+def _least(scale: int, rows: list) -> tuple:
+    """(scale, rows) of {column: nonzero int} ``rows`` over ``scale`` at
+    the least scale: both divided by their gcd, scale 1 for a zero matrix."""
+    if scale == 1 or (g := math.gcd(scale, *(v for row in rows for v in row.values()))) == 1:
+        return scale, rows
+    return scale // g, [{j: v // g for j, v in row.items()} for row in rows]
 
 
 def _int_form(field: Field, rows: list) -> tuple:
@@ -1102,18 +1117,14 @@ class MultiTensor(Value):
 
 def matrix_as_tensor(m: Matrix) -> "MultiTensor":
     """View an r x c matrix as the 1-slot tensor k^c -> k^r."""
-    flat = []
-    for j in range(m.ncols):
-        flat.extend(m.rows[i][j] for i in range(m.nrows))
-    return MultiTensor(m.field, (m.ncols,), m.nrows, tuple(flat))
+    return MultiTensor(m.field, (m.ncols,), m.nrows, tuple(chain.from_iterable(m.transpose().rows)))
 
 
 def tensor_as_matrix(t: "MultiTensor") -> Matrix:
     """Inverse of :func:`matrix_as_tensor` for arity-1 tensors."""
     if t.arity != 1:
         raise ShapeError("expected an arity-1 tensor")
-    n, m = t.dims[0], t.cod
-    return Matrix.from_rows(t.field, [[t.value_at(j)[i] for j in range(n)] for i in range(m)])
+    return Matrix.from_rows(t.field, [t.entries[i::t.cod] for i in range(t.cod)])
 
 
 class TensorSpace(Value):

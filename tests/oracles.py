@@ -20,6 +20,14 @@
 * The entry-by-entry product ``dense_matmul``: each nonzero of a left row
   times each nonzero of the matching right row, added into the result with
   the field's own operations.
+* ``entrywise`` and ``dense_scalar``: sums, differences, negatives and
+  multiples as ``Matrix`` once made them, one field operation per entry of
+  the dense rows, each result made again by the dense constructor.  The
+  engine computes them on the stored (scale, int rows) pair.
+* ``fraction_scaled``: the integer maps of ``cohomology._Complex.scaled``
+  as they were once read, every matrix entry a field value (``sparse_rows``)
+  scaled to ints at once with the tensors' entries and kappa.  The engine
+  reads each matrix's stored pair and brings it to the common scale.
 * The structure maps of the complex as literal transcriptions of their
   formulas, evaluated on one cochain at a time: ``hochschild_delta``, the
   twins ``modified_delta`` (written out) and ``modified_delta_via_induced``
@@ -75,7 +83,7 @@ from mrbder.cohomology import (Cochain, CochainSpace, CohomologyResult, PairSpac
 from mrbder.constructions import induced_action, induced_product
 from mrbder.deformation import Deformation, Gauge
 from mrbder.linalg import (MAX_ENTRIES, Matrix, MultiTensor, ShapeError, _nonzero_positions,
-                           kernel_rref, rank_and_kernel, rref_vectors, solve_linear)
+                           _scaled, kernel_rref, rank_and_kernel, rref_vectors, solve_linear)
 from mrbder.structures import (Algebra, Bimodule, InternalError, InvalidStructure, MRBDerPair,
                                operator_residual, unit_vector)
 
@@ -276,6 +284,39 @@ def dense_matmul(a: Matrix, b: Matrix) -> Matrix:
             for j, y in b_nz[k]:
                 acc[j] = add(acc[j], mul(x, y))
     return Matrix(F, tuple(tuple(r) for r in out))
+
+
+def entrywise(op: Callable, a: Matrix, *others: Matrix) -> Matrix:
+    """The matrix of ``op`` applied to the entries of ``a`` and ``others``
+    at each place, made from dense rows: ``entrywise(F.add, a, b)`` is
+    a + b, ``entrywise(F.neg, a)`` is -a, and with ``functools.partial(F.mul,
+    c)`` it is c a."""
+    if any((m.nrows, m.ncols) != (a.nrows, a.ncols) for m in others):
+        raise ShapeError("shape mismatch")
+    return Matrix(a.field, tuple(tuple(map(op, *rows))
+                                 for rows in zip(a.rows, *(m.rows for m in others))))
+
+
+def dense_scalar(F, n: int, c) -> Matrix:
+    """c times the n x n identity, from dense rows."""
+    return Matrix(F, tuple(tuple(c if i == j else F.zero for j in range(n)) for i in range(n)))
+
+
+def fraction_scaled(cx) -> tuple:
+    """``cx.scaled()`` from the maps' entries as field values: the matrices'
+    ``sparse_rows`` (R_M and d_M through their transposes), the tensors'
+    nonzeros and kappa, scaled to ints by one ``linalg._scaled``."""
+    tensors = [_nonzeros(t) for t in cx.maps]
+    mats = [cx.R.sparse_rows, cx.R_M.transpose().sparse_rows,
+            cx.d.sparse_rows, cx.d_M.transpose().sparse_rows]
+    D, ints = _scaled([cx.kappa] + [v for nz in tensors for _, v in nz]
+                      + [v for rows in mats for row in rows for v in row.values()])
+    it = iter(ints)
+    kappa = next(it) * D
+    b = (max(D, max(map(abs, ints[1:]), default=0) + max(1, abs(kappa))) - 1).bit_length()
+    tensors = tuple([(i, v) for (i, _), v in zip(nz, it)] for nz in tensors)
+    R, R_M, d, d_M = ([dict(zip(row, it)) for row in rows] for rows in mats)
+    return D, tensors, (R, R_M, kappa, d, d_M), b
 
 
 def operator_matrix(dom, cod, fn: Callable) -> Matrix:

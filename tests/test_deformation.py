@@ -67,14 +67,6 @@ class TestDeformationData:
         assert defo.R_at(5).is_zero()
         assert defo.lowest_nonzero() == 1
 
-    def test_truncate(self, dual_q):
-        defo = derivation_scaling_deformation(dual_q, 3)
-        t = defo.truncate(1)
-        assert t.order == 1
-        assert t.d_at(1).rows == dual_q.d.rows
-        with pytest.raises(ShapeError):
-            t.truncate(2)
-
     def test_order_caps(self, dual_q):
         with pytest.raises(ShapeError):
             zero_deformation(dual_q, 0)

@@ -50,7 +50,7 @@ def random_rows(rng, F, nr, nc, density, rank=None, zero_rows=0, fresh_zeros=Fal
         rows = [list(r) for r in (a * b).rows]
     for _ in range(zero_rows):
         rows.insert(rng.randrange(len(rows) + 1), [F.zero] * nc)
-    if fresh_zeros and F.is_rational:
+    if fresh_zeros and F.p is None:
         rows = [[Fraction(0) if F.is_zero(x) else x for x in r] for r in rows]
     return rows
 

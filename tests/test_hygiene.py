@@ -42,6 +42,9 @@
   ``Matrix._store``, which every constructor calls, writes ``_ints``, and
   nothing in ``src/`` tests it against None or as a truth value, so no
   reader branches on which form exists.
+* ``Matrix`` arithmetic runs on that form: inside the class only
+  ``__hash__``, ``__repr__`` and ``entry`` read the dense ``.rows`` view,
+  and only ``from_rows`` calls the dense constructor ``Matrix(field, rows)``.
 * phi is one tensor power: ``cohomology`` shifts no bit and reads neither
   ``itertools.product`` nor ``bit_count``, so nothing runs over the 2^n
   sets of bare slots, and no refusal in ``_blocks`` tests a map kind.
@@ -413,3 +416,14 @@ def test_only_the_constructors_write_the_stored_form():
     uses = {name: _form_uses(tree) for name, tree in MODULES.items()}
     assert [(name, f) for name, (writes, _) in uses.items() for f in writes] == [("linalg", "_store")]
     assert {name: tests for name, (_, tests) in uses.items() if tests} == {}
+
+
+def test_matrix_arithmetic_reads_no_dense_rows():
+    methods = _methods(MODULES["linalg"], "Matrix")
+    readers = {name for name, fn in methods.items()
+               if any(isinstance(n, ast.Attribute) and n.attr == "rows" for n in ast.walk(fn))}
+    assert {"__hash__", "__repr__", "entry"} <= readers <= {"rows", "__hash__", "__repr__", "entry"}
+    dense = {name for name, fn in methods.items()
+             if any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "Matrix"
+                    for n in ast.walk(fn))}
+    assert dense == {"from_rows"}

@@ -48,7 +48,7 @@ def fixtures(F):
            ("gauged-zero/line/4", apply_gauge(zero_deformation(line, 4), random_gauge(rng, F, 1, 4))),
            ("gauged-scaling/dual/2",
             apply_gauge(derivation_scaling_deformation(dual, 2), random_gauge(rng, F, 2, 2)))]
-    name = "deform_d_scaling.json" if F.is_rational else "deform_rigid_f5.json"
+    name = "deform_d_scaling.json" if F.p is None else "deform_rigid_f5.json"
     out.append((name, load_instance_file(str(INSTANCES / name)).deformation))
     return out
 
