@@ -7,17 +7,22 @@ ordering, so identical inputs give byte-identical output.
 Each command maps the parsed arguments to (report, ok) and checks the range
 of its options before ``_load`` reads its file, so usage errors are reported
 before any verification.  ``main`` is the one exit path: it emits the report,
-or the failed-check report of a refused file, and sets the exit code.
+or the failed-check report of a refused file, and sets the exit code.  It is
+the in-process API; ``entry`` is for a process only (``python -m mrbder``, the
+``mrbder`` script).
 
 Exit codes: 0 = success (including negative but well-posed answers such as
 "not trivializable"); 1 = a verification or property check failed; 2 = usage,
 parse, or capacity errors; 3 = an internal error: a result failed the
-engine's own consistency check, or an unexpected exception escaped.
+engine's own consistency check, the report could not be written, or an
+unexpected exception escaped.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
+import os
 import sys
 
 from .fields import Field, ParseError
@@ -54,7 +59,13 @@ def _report_entry(name: str, report: CheckReport) -> dict:
 
 
 def _emit(obj) -> None:
-    sys.stdout.write(dumps_canonical(obj))
+    try:
+        sys.stdout.write(dumps_canonical(obj))
+        sys.stdout.flush()
+    except OSError:
+        # fd 1 to devnull, so the interpreter's last flush cannot fail again (exit 120)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise
 
 
 def _active_bimodule(inst: Instance):
@@ -288,5 +299,9 @@ def main(argv=None) -> int:
         return INTERNAL_EXIT
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+def entry() -> int:
+    """``main()``, then a freeze of the collector: its shutdown passes skip every object made."""
+    try:
+        return main()
+    finally:
+        gc.freeze()

@@ -15,6 +15,7 @@ they are installed there, and skipped, with the reason, when they are not.
 """
 
 import hashlib
+import importlib.util
 import os
 import re
 import subprocess
@@ -48,6 +49,25 @@ def test_digest_of_one_instance(capsys, monkeypatch):
     out, err = capsys.readouterr()
     assert lines[0].groups()[:3] == (hashlib.sha256(out.encode()).hexdigest(),
                                      hashlib.sha256(err.encode()).hexdigest(), str(code))
+
+
+def test_child_processes_give_the_golden_lines(capsys, monkeypatch):
+    # a subset of the grid through ``--process``, each call a child
+    # ``python -m mrbder``: every refused call, the thirteen forms on one
+    # instance at the default cap, and one fuzz call
+    spec = importlib.util.spec_from_file_location("output_digest", ROOT / "tools" / "output_digest.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    calls = [*tool.USAGE, *(form + ["instances/fixd.json"] for form in tool.FORMS),
+             ["fuzz", "--field", "Fp:5", "--dim", "2", "--count", str(tool.FUZZ_COUNT), "--seed", "0"]]
+    monkeypatch.setattr(tool, "grid", lambda *_: iter(calls))
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.chdir(ROOT)
+    assert tool.main(["--src", str(ROOT), "--process"]) == 0
+    got = capsys.readouterr().out.splitlines()
+    assert [x.split(" ", 3)[3] for x in got] == [" ".join(c) for c in calls]
+    golden = set(GOLDEN.read_text().splitlines())
+    assert [x for x in got if x not in golden] == []
 
 
 def test_full_grid_matches_the_golden_digest():

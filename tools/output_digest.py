@@ -4,7 +4,9 @@
 
 Every call runs in this one process, through ``mrbder.cli.main`` of the
 package under ``DIR/src``, with ``DIR`` as the working directory, so the
-argv and any path in a message read the same for every checkout.  Two
+argv and any path in a message read the same for every checkout.  With
+``--process`` each call runs instead as a child ``python -m mrbder`` in
+``DIR``, through the process entry, and prints the same line.  Two
 checkouts are compared with ``diff``:
 
     python3 tools/output_digest.py --src /path/to/old > old.txt
@@ -26,6 +28,7 @@ import contextlib
 import hashlib
 import io
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -87,6 +90,12 @@ def grid(instances: list, fuzz: bool, usage: bool):
         yield from HIGH_DEGREE
 
 
+def line(out: bytes, err: bytes, code, argv: list) -> str:
+    """The digest line of a call that wrote ``out`` and ``err`` and exited ``code``."""
+    return "%s %s %s %s" % (hashlib.sha256(out).hexdigest(), hashlib.sha256(err).hexdigest(),
+                            code, " ".join(argv))
+
+
 def run(main, argv: list) -> str:
     """The digest line of one call of ``main``."""
     out, err = io.StringIO(), io.StringIO()
@@ -95,14 +104,24 @@ def run(main, argv: list) -> str:
             code = main(argv)
         except SystemExit as e:          # argparse refusing the argv
             code = e.code
-    sha = [hashlib.sha256(s.getvalue().encode()).hexdigest() for s in (out, err)]
-    return "%s %s %s %s" % (sha[0], sha[1], code, " ".join(argv))
+    return line(out.getvalue().encode(), err.getvalue().encode(), code, argv)
+
+
+def run_child(root: Path, argv: list) -> str:
+    """The digest line of one call as a child ``python -m mrbder`` of the
+    package under ``root/src``, with ``root`` as the working directory."""
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "mrbder", *argv], cwd=root, capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=600)
+    return line(done.stdout, done.stderr, done.returncode, argv)
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", required=True, metavar="DIR", help="the checkout to run")
     ap.add_argument("--no-fuzz", action="store_true", help="leave out the fuzz calls")
+    ap.add_argument("--process", action="store_true",
+                    help="run each call as a child python -m mrbder")
     ap.add_argument("instances", nargs="*", help="instance files, relative to DIR")
     args = ap.parse_args(argv)
     root = Path(args.src).resolve()
@@ -113,7 +132,7 @@ def main(argv=None) -> int:
     os.chdir(root)
     instances = args.instances or sorted(str(p) for p in Path("instances").glob("*.json"))
     for call in grid(instances, not args.no_fuzz, not args.instances):
-        print(run(cli.main, call), flush=True)
+        print(run_child(root, call) if args.process else run(cli.main, call), flush=True)
     return 0
 
 
