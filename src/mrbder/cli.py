@@ -25,7 +25,7 @@ import gc
 import os
 import sys
 
-from .fields import Field, ParseError
+from .fields import CLASS_ENUMERATION_CAP, Field, ParseError
 from .structures import (CheckReport, InternalError, InvalidStructure, check_bimodule,
                          adjoint_bimodule, verify_pair)
 from .cohomology import (PairSpace, check_budget, cohomology, differential_matrix, pair_delta,
@@ -222,8 +222,10 @@ def cmd_extend(args) -> tuple:
 
 def cmd_fuzz(args) -> tuple:
     field = Field.from_name(args.field)
-    if args.count < 1:
-        raise ParseError("--count must be positive")
+    # every instance is built before any is written, so the count is bounded
+    if not 1 <= args.count <= CLASS_ENUMERATION_CAP:
+        raise ParseError("--count must be positive" if args.count < 1
+                         else "--count must be at most %d" % CLASS_ENUMERATION_CAP)
     insts = random_instances(field, args.dim, args.count, args.seed)
     rows = []
     for inst in insts:

@@ -51,10 +51,12 @@ tensored with one structure map (mu, l, r, R, R_M, d, d_M), so the image of
 each basis cochain is written down one entry per nonzero structure constant,
 and the OC^n / PC^n differentials are stacked from the C^n blocks with the
 signs of the formulas above.  The lists run on plain ints: the maps times
-D, the lcm of their denominators and kappa's (1 over F_p), and the induced
-maps times D^2, contracted from those, so delta and Delta carry D, delta_R
-D^2 and phi at arity a D^a.  They are read in one place, summed into the integer rows of D_n over
-the largest power D^E, which enter the field in ``Matrix.from_ints`` alone.
+D, the lcm of the scales of their stored forms and of kappa's denominator
+(1 over F_p), and the induced maps of ``constructions.induced_product`` and
+``induced_action`` times D^2, so delta and Delta carry D, delta_R D^2 and
+phi at arity a D^a.  They are read in one place, summed into the integer
+rows of D_n over the largest power D^E, which enter the field in
+``Matrix.from_ints`` alone.
 Every map, ``differential_matrix`` and the cochain-level functions alike, is
 that matrix, applied to a cochain by ``Matrix.apply``.  Transcriptions of the
 formulas, and the build of D_n in the field's arithmetic, are kept in
@@ -62,7 +64,7 @@ tests/oracles.py, and the tests hold the maps equal to them.
 
 The complex of a (pair, bimodule) is one object, ``_Complex``: the
 structure maps its entry lists are written from, their integer copies and
-those of the induced maps, and each matrix D_n it has built, as sparse
+those of the induced maps, and each matrix D_n it has built, as integer
 rows.  The pair keeps it, keyed by the bimodule object's identity, for as
 long as the pair lives, so equal but distinct inputs never share one, and
 each D_n is built once per pair and bimodule, whichever of
@@ -91,7 +93,7 @@ from typing import Callable
 
 from .fields import Field, Value
 from .linalg import (MAX_ENTRIES, EntryCapExceeded, Matrix, MultiTensor, ShapeError,
-                     TensorSpace, _contract, _dense, _Integers, _least, _scaled, check_entries, kernel_rref,
+                     TensorSpace, _least, _scaled, check_entries, kernel_rref,
                      modular_rank, rank_and_kernel, solve_linear, tensor_as_matrix)
 from .structures import Bimodule, InternalError, MRBDerPair, unit_vector
 from .constructions import LiePair, induced_action, induced_product
@@ -188,6 +190,14 @@ class CochainSpace(Value):
         return Cochain(self.arities[0],
                        tuple(sp.unflatten(vec[a:b]) for sp, a, b in self._slices))
 
+    def from_sparse(self, values: dict) -> Cochain:
+        """The cochain with the nonzero field values ``values`` at their flat
+        indices and zeros elsewhere."""
+        return Cochain(self.arities[0], tuple(
+            MultiTensor.from_sparse(self.field, sp.dims, sp.cod,
+                                    {k - a: v for k, v in values.items() if a <= k < b})
+            for sp, a, b in self._slices))
+
     def basis(self):
         return (self.unflatten(unit_vector(self.field, self.dim, k)) for k in range(self.dim))
 
@@ -207,11 +217,13 @@ def PairSpace(field: Field, dim_a: int, dim_m: int, degree: int) -> CochainSpace
 # plain ints, from the maps of ``_Complex.scaled``.
 
 
-def _nonzeros(t: MultiTensor) -> list:
-    """(index tuple, value) of each nonzero entry of ``t``, codomain index last."""
-    is_zero = t.field.is_zero
-    return [(idx + (q,), v) for idx, vec in t.nonzero_values()
-            for q, v in enumerate(vec) if not is_zero(v)]
+def _int_nonzeros(t: MultiTensor, factor: int) -> list:
+    """((x, y, q), v * factor) for each nonzero int v of the bilinear
+    ``t``'s stored form, in flat order: the entries of ``t`` times its scale
+    times ``factor``."""
+    (d0, d1), cod = t.dims, t.cod
+    return [((k // (d1 * cod), k // cod % d1, k % cod), v * factor)
+            for k, v in enumerate(t.int_entries()[1]) if v]
 
 
 def _coboundary_entries(nA: int, m: int, mu: list, left: list, right: list, n: int):
@@ -394,10 +406,10 @@ class _Complex:
     The maps are the coboundary's entry list, its count and its maps (a
     product, then actions on slot 0 and on slot 1), (R, R_M, kappa) for phi
     and (d, d_M) for Delta.  :meth:`scaled` makes them integers, times their
-    common denominator D, and :meth:`induced` the induced maps the modified
-    coboundary runs on from those, times D^2; both are built on first use
-    and kept, as is each matrix.  Two threads that build the same one keep
-    equal values, so no lock is needed.
+    common scale D, and :meth:`induced` lists the induced maps the modified
+    coboundary runs on, times D^2; both are built on first use and kept, as
+    is each matrix.  Two threads that build the same one keep equal values,
+    so no lock is needed.
     """
 
     def __init__(self, field: Field, dim_a: int, dim_m: int, coboundary: Callable, count: Callable,
@@ -409,53 +421,40 @@ class _Complex:
 
     def scaled(self) -> tuple:
         """(D, the coboundary's maps, (R, R_M, kappa, d, d_M), b) as plain
-        ints, built once: each map times D, the lcm of the denominators of
-        their entries and kappa (1 over F_p: the ints are the residues), and
-        kappa times D^2.  Tensors are lists of their nonzeros, R and d (read
-        off their stored pairs) sparse rows, R_M and d_M sparse columns.  b,
-        the operand size ``_blocks`` charges, is the bit length of
-        max(D, max |entry| + max(1, |kappa|)) - 1."""
+        ints, built once: each map times D, the lcm of the scales of their
+        stored forms and of kappa's denominator (1 over F_p: the ints are the
+        residues), and kappa times D^2.  Tensors are lists of their nonzeros,
+        R and d sparse rows, R_M and d_M sparse columns.  b, the operand size
+        ``_blocks`` charges, is the bit length of max(D, max |entry| +
+        max(1, |kappa|)) - 1."""
         if self._scaled is None:
-            tensors = [_nonzeros(t) for t in self.maps]
             mats = [_least(*m.int_rows()) for m in (self.R, self.R_M.transpose(),
                                                     self.d, self.d_M.transpose())]
-            # each matrix enters as 1 / its least scale, which D scales to its ints' factor
-            D, ints = _scaled([self.kappa] + [v for nz in tensors for _, v in nz]
-                              + [Fraction(1, s) for s, _ in mats])
-            it = iter(ints)     # zip takes from the map first, so each takes its own ints
-            kappa = next(it) * D
-            tensors = tuple([(i, v) for (i, _), v in zip(nz, it)] for nz in tensors)
+            scales = [t.int_entries()[0] for t in self.maps] + [s for s, _ in mats]
+            # each map enters as 1 / its least scale, which D scales to its ints' factor
+            D, ints = _scaled([self.kappa] + [Fraction(1, s) for s in scales])
+            kappa, it = ints[0] * D, iter(ints[1:])
+            tensors = tuple(_int_nonzeros(t, k) for t, k in zip(self.maps, it))
             R, R_M, d, d_M = mats = [[{j: v * k for j, v in row.items()} for row in rows]
                                      for (_, rows), k in zip(mats, it)]
-            top = max(map(abs, itertools.chain(
-                ints[1:-len(mats)], (v for rows in mats for row in rows for v in row.values()))), default=0)
+            top = max(map(abs, itertools.chain((v for nz in tensors for _, v in nz),
+                                               (v for rows in mats for row in rows for v in row.values()))),
+                      default=0)
             b = (max(D, top + max(1, abs(kappa))) - 1).bit_length()
             self._scaled = D, tensors, (R, R_M, kappa, d, d_M), b
         return self._scaled
 
     def induced(self) -> tuple:
         """The nonzeros of the induced maps times D^2, as plain ints, built
-        once, in the order of :func:`_nonzeros`: the formulas of
-        ``constructions.induced_product`` and ``induced_action`` over the
-        maps of :meth:`scaled`, each term one ``linalg._contract`` in Z, and
-        the sums reduced mod p over F_p."""
+        once: ``constructions.induced_product`` of the product and
+        ``induced_action`` of each action, listed as :meth:`scaled` lists
+        the maps."""
         if self._induced is None:
-            _, tensors, (R, R_M, *_), _ = self.scaled()
-            nA, p, out = self.dim_a, self.field.p, []
-            neg_rm = [{t: -c for t, c in col.items()} for col in R_M]
-            for k, (t, nz) in enumerate(zip(self.maps, tensors)):
-                (d0, d1), cod = t.dims, t.cod
-                flat = [0] * (d0 * d1 * cod)
-                for (x, y, q), v in nz:
-                    flat[(x * d1 + y) * cod + q] = v
-                # (pre, post, maps, new dim) of R in slot 0, of R in slot 1 and of -R_M after:
-                # the product takes both Rs, an action R in its algebra slot k - 1 and -R_M
-                axes = ((1, d1 * cod, R, nA), (d0, cod, R, nA), (d0 * d1, 1, neg_rm, cod))
-                terms = [_contract(_Integers, flat, *axes[s]) for s in ((0, 1), (0, 2), (1, 2))[k]]
-                sums = map(sum, zip(*terms)) if p is None else (sum(v) % p for v in zip(*terms))
-                out.append([((i // (d1 * cod), i // cod % d1, i % cod), v)
-                            for i, v in enumerate(sums) if v])
-            self._induced = tuple(out)
+            D2 = self.scaled()[0] ** 2
+            mu, *actions = self.maps
+            maps = [induced_product(mu, self.R)] + [
+                induced_action(t, slot, self.R, self.R_M) for slot, t in enumerate(actions)]
+            self._induced = tuple(_int_nonzeros(t, D2 // t.int_entries()[0]) for t in maps)
         return self._induced
 
     def matrix(self, n: int, which: str, max_entries: int) -> Matrix:
@@ -732,7 +731,7 @@ def cohomology(pair: MRBDerPair, bim: Bimodule, n: int, *,
             raise InternalError("dim B^%d is %d, but rank D_%d is %d" % (n, dim_b, n - 1, d_prev._rank))
         d_prev._rank = dim_b
     check_entries(len(kept) * space.dim, max(max_entries, MAX_ENTRIES))
-    reps = tuple(map(space.unflatten, _dense(F.zero, space.dim, kept)))
+    reps = tuple(map(space.from_sparse, kept))
     return CohomologyResult(n, len(z_basis), dim_b, len(kept), reps)
 
 

@@ -6,11 +6,12 @@ structures; passage to the commutator Lie bracket; and the embedding of
 ordinary Rota-Baxter operators of weight lambda via R = lam*Id + 2P,
 kappa = -lam^2.
 
-This module owns the induced formulas: :func:`induced_product` gives
-mu_R(a,b) = mu(Ra,b) + mu(a,Rb) (and [a,b]_R over a bracket), and
-:func:`induced_action` gives l~, r~ and, on a Lie pair, rho~.  The induced
-pair and bimodule and ``cohomology.induced_lie_pair`` call them; the
-modified coboundary takes the same formulas over its integer maps.
+This module owns the induced formulas, their one implementation:
+:func:`induced_product` gives mu_R(a,b) = mu(Ra,b) + mu(a,Rb) (and
+[a,b]_R over a bracket), and :func:`induced_action` gives l~, r~ and, on a
+Lie pair, rho~.  Both run on the tensors' stored ints.  The induced pair
+and bimodule, ``cohomology.induced_lie_pair`` and the complex the modified
+coboundary runs over (``cohomology._Complex.induced``) call them.
 """
 
 from __future__ import annotations

@@ -255,9 +255,9 @@ def classify(pair: MRBDerPair, bim: Bimodule, *,
     if total > CLASS_ENUMERATION_CAP:
         raise ValueError("too many classes to enumerate (%d)" % total)
     # the class of digits c is sum_k c_k reps[k]: the stacked representatives
-    # with their index taken through c
+    # (residues) with their index taken through c, reduced mod p
     stacked = [x for r in reps for x in space2.flatten(r)]
-    out = [space2.unflatten(tuple(_contract(F, stacked, 1, space2.dim,
-                                            [{0: c} if c else {} for c in digits], 1)))
+    out = [space2.unflatten(tuple(v % F.p for v in _contract(
+               stacked, 1, space2.dim, [{0: c} if c else {} for c in digits], 1)))
            for digits in itertools.product(range(F.p), repeat=res.dim_h)]
     return ExtensionClassification(res.dim_h, total, tuple(out), True)

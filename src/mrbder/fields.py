@@ -22,7 +22,8 @@ MAX_PRIME = 3_317_044_064_679_887_385_961_981
 
 # The most objects over a finite field that are listed one by one: the H^2
 # classes of ``extension.classify``, and the p^4 candidate operators that
-# ``fuzzing`` enumerates for a 2-dimensional algebra.
+# ``fuzzing`` enumerates for a 2-dimensional algebra; also the most instances
+# one ``fuzz`` call draws, all of which it builds before it writes any.
 CLASS_ENUMERATION_CAP = 4096
 
 # Over Q every ``zero`` is this one (immutable) object, so a scan for nonzero
@@ -61,18 +62,20 @@ class Value:
 
     A subclass names its slots in ``__slots__``; those without a leading
     ``_`` are its fields, in constructor order, and the others are kept
-    outside its value.  Its ``__init__`` stores every slot with :meth:`_init`
-    and then runs its checks.  As for a frozen dataclass: instances of one
-    class are equal when their fields are (other classes get
-    ``NotImplemented``), the hash is that of the tuple of fields, ``repr`` is
-    ``Name(field=value, ...)`` and attributes can be neither assigned nor
-    deleted.
+    outside its value.  A class whose field is a view (a property over
+    other slots) names its fields in ``_fields`` instead.  Its ``__init__``
+    stores every slot with :meth:`_init` and then runs its checks.  As for a
+    frozen dataclass: instances of one class are equal when their fields are
+    (other classes get ``NotImplemented``), the hash is that of the tuple of
+    fields, ``repr`` is ``Name(field=value, ...)`` and attributes can be
+    neither assigned nor deleted.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls):
-        cls._fields = tuple(n for n in cls.__slots__ if not n.startswith("_"))
+        if "_fields" not in cls.__dict__:
+            cls._fields = tuple(n for n in cls.__slots__ if not n.startswith("_"))
 
     def _init(self, *values):
         """Store ``values`` in the slots, in the order of ``__slots__``."""

@@ -165,10 +165,9 @@ def _mrb_options(field: Field, alg: Algebra) -> list:
 
     def q(*units):
         R = _mat_from_flat(F, n, [units.count(a) for a in range(n * n)])
-        return operator_residual(alg.mu, R, R, R, F.zero).entries
+        return operator_residual(alg.mu, R, R, R, F.zero)
     square = [q(a) for a in range(n * n)]
-    form = list(zip(*(square[a] if a == b else
-                      [(v - x - y) % p for v, x, y in zip(q(a, b), square[a], square[b])]
+    form = list(zip(*((square[a] if a == b else q(a, b) - square[a] - square[b]).entries
                       for a, b in pairs)))
     elems = F.elements()
     first = next((k for k, w in enumerate(mu) if w), None)

@@ -9,10 +9,10 @@ choices are reproducible across runs.
 A :class:`Matrix` stores one form, integer rows ({column: nonzero int}
 dicts) over a positive scale, made when the matrix is made; all arithmetic
 and elimination run on that pair.  Its dense rows and, over Q, its Fraction
-rows are views for output, hashing and tensor contraction, read off the
-ints when first read and kept, as are its transpose and, once proven, its
-rank.  A D_n, made from ints, is never expanded nor, over Q, made into
-Fractions unless a caller reads ``rows`` or ``sparse_rows``.
+rows are views for output and hashing, read off the ints when first read
+and kept, as are its transpose and, once proven, its rank.  A D_n, made
+from ints, is never expanded nor, over Q, made into Fractions unless a
+caller reads ``rows`` or ``sparse_rows``.
 
 Every elimination enters at ``_echelon``, one pipeline for F_p and Q: a
 peel of singleton rows with no arithmetic (``_peel``; a D_n in the standard
@@ -36,25 +36,32 @@ number of bits per column (Kronecker substitution), so a result row is one
 integer multiply-add per nonzero of the left row.  ``Matrix.product_is_zero``
 makes only the rows of left rows with two nonzeros or more and keeps none.
 
+A :class:`MultiTensor` stores one form the same way: flat ints over a
+positive scale, at the least scale (residues at scale 1 over F_p), made by
+its constructors.  A tensor made from field entries keeps that tuple as its
+``entries`` view; one made from ints reads its view off them when first
+read.  Its sums, multiples, permutations and block tables, the zero test
+and the nonzero scan run on the ints.
+
 Tensors meet matrices in one loop, ``_contract``: it takes the middle axis
-of a flat (pre, d, post) tensor through a matrix's sparse rows, one
-multiply-add per nonzero tensor entry and nonzero matrix entry.
-``precompose_slot`` (a slot through the matrix's rows), ``postcompose`` (the
-codomain through its columns), ``eval`` (one slot per argument vector) and
-``partial_map`` (a slot through a unit vector) are a shape check and calls
-of it; so is ``Matrix.apply``, a vector being a tensor with no slots.
+of a flat (pre, d, post) int tensor through a matrix's integer rows, one
+multiply-add of plain ints per nonzero tensor entry and nonzero matrix
+entry, the result over the product of the scales.  ``precompose_slot`` (a
+slot through the matrix's rows), ``postcompose`` (the codomain through its
+columns), ``eval`` (one slot per argument vector) and ``partial_map`` (a
+slot through a unit vector) are a shape check and calls of it; so is
+``Matrix.apply``, a vector being a tensor with no slots.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import operator
 import sys
 from collections.abc import Collection, Sequence
 from fractions import Fraction
 from itertools import chain, compress, count, islice, product, repeat
-from operator import is_not, itemgetter, mul
+from operator import add, is_not, itemgetter, mul, sub
 from typing import Callable, Iterable
 
 from .fields import Field, Value, is_prime
@@ -258,7 +265,8 @@ class Matrix:
         if len(vec) != self.ncols:
             raise ShapeError("apply %dx%d to vector of length %d" % (self.nrows, self.ncols, len(vec)))
         # the vector is a tensor with no slots, its codomain taken through the columns
-        return tuple(_contract(self.field, vec, 1, 1, self.transpose().sparse_rows, self.nrows))
+        (s, v), (t, cols) = _flat_form(self.field, vec), self.transpose().int_rows()
+        return _field_values(self.field, s * t, _contract(v, 1, 1, cols, self.nrows))
 
     def transpose(self) -> "Matrix":
         """The transpose, built from the ints on first use and kept."""
@@ -925,54 +933,115 @@ def _unpack(u: int, w: int, nc: int) -> dict:
     return {j: digits[j] - half for j in compress(range(nc), map(half.__ne__, digits))}
 
 
-class _Integers:
-    """Z as ``_contract`` reads a field: plain ints, which never enter Q."""
-    zero, add, mul, is_zero = 0, operator.add, operator.mul, operator.not_
-
-
-def _contract(F: Field, entries: Sequence, pre: int, post: int, maps: list, d_new: int) -> list:
-    """The flat (pre, d_new, post) tensor out[a, i, t] = sum_s maps[s][i] *
-    entries[a, s, t]: the middle axis of the flat (pre, len(maps), post)
-    tensor ``entries`` taken through ``maps``, one {new index: nonzero} dict
-    per old index, such as a matrix's ``sparse_rows``.
+def _contract(entries: Sequence, pre: int, post: int, maps: list, d_new: int) -> list:
+    """The flat (pre, d_new, post) int tensor out[a, i, t] = sum_s maps[s][i] *
+    entries[a, s, t]: the middle axis of the flat (pre, len(maps), post) int
+    tensor ``entries`` taken through ``maps``, one {new index: nonzero int}
+    dict per old index, such as a matrix's integer rows.
 
     Only nonzero entries are multiplied.  This is the one loop that
-    multiplies tensor entries by matrix entries: ``F`` is their field, or
-    ``_Integers`` for plain ints.
+    multiplies tensor entries by matrix entries, all plain ints: the caller
+    keeps the scales and, over F_p, reduces the result.
     """
-    add, mul, d_old = F.add, F.mul, len(maps)
-    out = [F.zero] * (pre * d_new * post)
-    for k in _nonzero_positions(F, entries):
+    d_old = len(maps)
+    out = [0] * (pre * d_new * post)
+    for k in compress(count(), entries):
         b, t = divmod(k, post)
         a, s = divmod(b, d_old)
         e, base = entries[k], a * d_new * post + t
         for i, c in maps[s].items():
-            j = base + i * post
-            out[j] = add(out[j], mul(c, e))
+            out[base + i * post] += c * e
     return out
 
 
+def _flat_form(field: Field, values: Sequence, nonzero: dict | None = None) -> tuple:
+    """(scale, flat ints) of the field values ``values``: over F_p (1, the
+    residues themselves), over Q the values times the lcm of their
+    denominators, the least scale.  ``nonzero``, {flat index: value} of
+    every nonzero value, is found by ``_nonzero_positions`` unless given."""
+    if field.p is not None:
+        return 1, tuple(values)
+    if nonzero is None:
+        nonzero = {k: values[k] for k in _nonzero_positions(field, values)}
+    scale, ints = _scaled(nonzero.values())
+    flat = [0] * len(values)
+    for k, v in zip(nonzero, ints):
+        flat[k] = v
+    return scale, tuple(flat)
+
+
+def _field_values(field: Field, scale: int, ints: Sequence) -> tuple:
+    """The field values of the flat ``ints`` over ``scale``: over F_p (scale
+    1) their residues; over Q ``field.zero`` for each 0 and one Fraction per
+    distinct nonzero int."""
+    if (p := field.p) is not None:
+        return tuple(map(p.__rmod__, ints))
+    enter = {v: Fraction(v, scale) if v else field.zero for v in set(ints)}
+    return tuple(map(enter.__getitem__, ints))
+
+
 class MultiTensor(Value):
-    """Multilinear map V_1 x ... x V_k -> W in coordinates.
+    """Multilinear map V_1 x ... x V_k -> W in coordinates, stored as (scale,
+    flat ints): the entries times an int scale > 0, at the least such scale,
+    and over F_p residues at scale 1.
 
     ``dims`` are the domain dimensions per slot, ``cod`` the codomain
-    dimension.  Entries are stored flat, index (i_1,...,i_k,j) lexicographic
-    with the codomain index fastest.  Arity 0 is allowed: the tensor is then
-    just a vector of length ``cod``.
+    dimension.  Entries are flat, index (i_1,...,i_k,j) lexicographic with
+    the codomain index fastest.  Arity 0 is allowed: the tensor is then just
+    a vector of length ``cod``.
+
+    ``MultiTensor(field, dims, cod, entries)`` scales the field values
+    ``entries`` once and keeps that tuple as its view, as does
+    :meth:`from_sparse`; :meth:`from_ints` stores flat ints over a scale.
+    All arithmetic runs on the ints, and every result is made by
+    ``from_ints``.  ``entries``, the value's field, is a view: the tuple
+    given, or read off the ints when first read and kept.
     """
 
-    __slots__ = ("field", "dims", "cod", "entries")
+    __slots__ = ("field", "dims", "cod", "_entries", "_ints")
+    _fields = ("field", "dims", "cod", "entries")
 
     def __init__(self, field: Field, dims: tuple, cod: int, entries: tuple):
-        # built once per tensor operation, so the slots are set directly
-        put = object.__setattr__
-        put(self, "field", field)
-        put(self, "dims", dims)
-        put(self, "cod", cod)
-        put(self, "entries", entries)
-        size = math.prod(dims) * cod
-        if len(entries) != size:
+        if len(entries) != (size := math.prod(dims) * cod):
             raise ShapeError("entry count %d, expected %d" % (len(entries), size))
+        self._init(field, dims, cod, entries, _flat_form(field, entries))
+
+    @staticmethod
+    def from_sparse(field: Field, dims: tuple, cod: int, values: dict) -> "MultiTensor":
+        """The tensor with the nonzero field values ``values`` at their flat
+        indices and zeros elsewhere; its view is made at once."""
+        entries = [field.zero] * (math.prod(dims) * cod)
+        for k, v in values.items():
+            entries[k] = v
+        t = MultiTensor.__new__(MultiTensor)
+        t._init(field, dims, cod, tuple(entries), _flat_form(field, entries, values))
+        return t
+
+    @staticmethod
+    def from_ints(field: Field, dims: tuple, cod: int, ints: Iterable, scale: int) -> "MultiTensor":
+        """The tensor of the flat ``ints`` over the int ``scale`` > 0 (1 over
+        F_p), stored at the least scale; over F_p the ints are reduced to
+        residues, which are also its entries."""
+        if (p := field.p) is not None:
+            ints = entries = tuple(map(p.__rmod__, ints))
+        else:
+            ints, entries = tuple(ints), None
+            if scale != 1 and (g := math.gcd(scale, *ints)) > 1:
+                scale, ints = scale // g, tuple(v // g for v in ints)
+        t = MultiTensor.__new__(MultiTensor)
+        t._init(field, dims, cod, entries, (scale, ints))
+        return t
+
+    @property
+    def entries(self) -> tuple:
+        """The entries as field values, read off the ints over Q."""
+        if self._entries is None:
+            object.__setattr__(self, "_entries", _field_values(self.field, *self._ints))
+        return self._entries
+
+    def int_entries(self) -> tuple:
+        """(scale, flat ints), the stored form; (1, residues) over F_p."""
+        return self._ints
 
     @property
     def arity(self) -> int:
@@ -981,7 +1050,7 @@ class MultiTensor(Value):
     @staticmethod
     def zeros(field: Field, dims: Sequence[int], cod: int) -> "MultiTensor":
         dims = tuple(dims)
-        return MultiTensor(field, dims, cod, (field.zero,) * (math.prod(dims) * cod))
+        return MultiTensor.from_ints(field, dims, cod, (0,) * (math.prod(dims) * cod), 1)
 
     @staticmethod
     def from_map(field: Field, dims: Sequence[int], cod: int, fn: Callable) -> "MultiTensor":
@@ -999,15 +1068,18 @@ class MultiTensor(Value):
     def from_blocks(field: Field, dims: Sequence[int], blocks: dict) -> "MultiTensor":
         """The bilinear map on the direct sum V_0 + V_1 + ... (dim V_i =
         dims[i]) whose part V_i x V_j -> V_k is the tensor blocks[i, j, k];
-        the parts not listed are zero."""
+        the parts not listed are zero.  The blocks' ints are brought to the
+        product of their scales, which ``from_ints`` reduces."""
         N = sum(dims)
-        out = [field.zero] * N ** 3
+        out = [0] * N ** 3
         start = [sum(dims[:i]) for i in range(len(dims))]
+        scale = math.prod(t._ints[0] for t in blocks.values())
         for (i, j, k), t in blocks.items():
+            (s, ints), w = t._ints, dims[k]
             for x, y in product(range(dims[i]), range(dims[j])):
-                dst = ((start[i] + x) * N + start[j] + y) * N + start[k]
-                out[dst:dst + dims[k]] = t.value_at(x, y)
-        return MultiTensor(field, (N, N), N, tuple(out))
+                dst, src = ((start[i] + x) * N + start[j] + y) * N + start[k], (x * dims[j] + y) * w
+                out[dst:dst + w] = ints[src:src + w] if s == scale else [v * (scale // s) for v in ints[src:src + w]]
+        return MultiTensor.from_ints(field, (N, N), N, out, scale)
 
     def offset(self, idx: tuple) -> int:
         off = 0
@@ -1022,60 +1094,58 @@ class MultiTensor(Value):
 
     def nonzero_values(self):
         """(index tuple, value) of each basis tuple with a nonzero value, in
-        lexicographic order."""
-        is_zero, cod, ent = self.field.is_zero, self.cod, self.entries
+        lexicographic order; the values are read off the view."""
+        cod, ints = self.cod, self._ints[1]
         for k, idx in enumerate(product(*map(range, self.dims))):
-            v = ent[k * cod:(k + 1) * cod]
-            if not all(map(is_zero, v)):
-                yield idx, v
+            if any(ints[k * cod:(k + 1) * cod]):
+                yield idx, self.entries[k * cod:(k + 1) * cod]
 
     def eval(self, args: Sequence[Sequence]) -> tuple:
-        """Full multilinear evaluation on coordinate vectors."""
+        """Full multilinear evaluation on coordinate vectors: each slot
+        through the one-column matrix of its argument."""
         if len(args) != self.arity:
             raise ShapeError("expected %d arguments" % self.arity)
-        F, cur = self.field, self.entries
+        t = self
         for k, a in enumerate(args):
-            if len(a) != self.dims[k]:
-                raise ShapeError("argument of length %d, expected %d" % (len(a), self.dims[k]))
-            # the first remaining slot through the 1 x d matrix a
-            post = math.prod(self.dims[k + 1:]) * self.cod
-            cur = _contract(F, cur, 1, post, [{0: c} if not F.is_zero(c) else {} for c in a], 1)
-        return tuple(cur)
+            t = t.precompose_slot(k, Matrix.from_rows(self.field, zip(a)))
+        return t.entries
 
-    def __add__(self, other: "MultiTensor") -> "MultiTensor":
-        return self._entrywise(self.field.add, other)
+    def __add__(self, other: "MultiTensor", sign: int = 1) -> "MultiTensor":
+        """self + sign other: t A + sign s B over s t."""
+        if (self.dims, self.cod) != (other.dims, other.cod):
+            raise ShapeError("tensor shape mismatch")
+        (s, A), (t, B) = self._ints, other._ints
+        ints = map(add if sign > 0 else sub, A, B) if s == t == 1 else \
+            [t * a + sign * s * b for a, b in zip(A, B)]
+        return MultiTensor.from_ints(self.field, self.dims, self.cod, ints, s * t)
 
     def __sub__(self, other: "MultiTensor") -> "MultiTensor":
-        return self._entrywise(self.field.sub, other)
+        return self.__add__(other, -1)
 
     def __neg__(self) -> "MultiTensor":
-        neg = self.field.neg
-        return MultiTensor(self.field, self.dims, self.cod, tuple(neg(a) for a in self.entries))
+        return self.scale(-1)
 
     def scale(self, c) -> "MultiTensor":
-        F = self.field
-        if F.is_zero(c):
-            return MultiTensor.zeros(F, self.dims, self.cod)
-        if c == F.one:
+        """c times the tensor: the ints times c's numerator over the scale
+        times its denominator (over F_p c is a residue, over 1)."""
+        if c == 1:
             return self
-        mul = F.mul
-        return MultiTensor(F, self.dims, self.cod, tuple(mul(c, a) for a in self.entries))
+        (scale, A), n = self._ints, c.numerator
+        return MultiTensor.from_ints(self.field, self.dims, self.cod, [v * n for v in A],
+                                     scale * c.denominator)
 
     def is_zero(self) -> bool:
-        F = self.field
-        return all(F.is_zero(a) for a in self.entries)
+        return not any(self._ints[1])
 
     def partial_map(self, slot: int, i: int) -> Matrix:
         """Matrix of a bilinear map with argument ``slot`` fixed at e_i:
-        T(e_i, .) for slot 0, T(., e_i) for slot 1."""
+        T(e_i, .) for slot 0, T(., e_i) for slot 1, the slot through e_i."""
         if self.arity != 2 or slot not in (0, 1):
             raise ShapeError("partial maps need a bilinear tensor and slot 0 or 1")
-        F, cod = self.field, self.cod
-        unit = [{0: F.one} if s == i else {} for s in range(self.dims[slot])]
-        pre, post = (1, self.dims[1] * cod) if slot == 0 else (self.dims[0], cod)
-        flat = _contract(F, self.entries, pre, post, unit, 1)
-        return Matrix(F, tuple(zip(*(flat[j * cod:(j + 1) * cod]
-                                     for j in range(self.dims[1 - slot])))))
+        unit = Matrix.from_ints(self.field, [{0: 1} if s == i else {} for s in range(self.dims[slot])], 1, 1)
+        scale, flat = self.precompose_slot(slot, unit)._ints
+        return tensor_as_matrix(MultiTensor.from_ints(self.field, (self.dims[1 - slot],), self.cod,
+                                                      flat, scale))
 
     def precompose_slot(self, slot: int, m: Matrix) -> "MultiTensor":
         """Feed slot ``slot`` through ``m`` first: T'(..., a, ...) = T(..., m a, ...)."""
@@ -1085,15 +1155,17 @@ class MultiTensor(Value):
             raise ShapeError("matrix rows %d, slot dim %d" % (m.nrows, self.dims[slot]))
         dims = self.dims[:slot] + (m.ncols,) + self.dims[slot + 1:]
         pre, post = math.prod(self.dims[:slot]), math.prod(self.dims[slot + 1:]) * self.cod
-        return MultiTensor(self.field, dims, self.cod, tuple(
-            _contract(self.field, self.entries, pre, post, m.sparse_rows, m.ncols)))
+        (s, A), (t, rows) = self._ints, m.int_rows()
+        return MultiTensor.from_ints(self.field, dims, self.cod,
+                                     _contract(A, pre, post, rows, m.ncols), s * t)
 
     def postcompose(self, m: Matrix) -> "MultiTensor":
         """Apply ``m`` to the output: T' = m . T."""
         if m.ncols != self.cod:
             raise ShapeError("matrix cols %d, codomain dim %d" % (m.ncols, self.cod))
-        return MultiTensor(self.field, self.dims, m.nrows, tuple(_contract(
-            self.field, self.entries, math.prod(self.dims), 1, m.transpose().sparse_rows, m.nrows)))
+        (s, A), (t, cols) = self._ints, m.transpose().int_rows()
+        return MultiTensor.from_ints(self.field, self.dims, m.nrows,
+                                     _contract(A, math.prod(self.dims), 1, cols, m.nrows), s * t)
 
     def permute_slots(self, perm: Sequence[int]) -> "MultiTensor":
         """Route argument i of the result into slot perm[i] of this tensor.
@@ -1105,26 +1177,25 @@ class MultiTensor(Value):
             raise ShapeError("not a permutation")
         # inv[s] is the argument routed into slot s
         inv = sorted(range(self.arity), key=perm.__getitem__)
-        return MultiTensor.from_map(self.field, [self.dims[p] for p in perm], self.cod,
-                                    lambda *idx: self.value_at(*(idx[i] for i in inv)))
-
-    def _entrywise(self, op: Callable, other: "MultiTensor") -> "MultiTensor":
-        if (self.dims, self.cod) != (other.dims, other.cod):
-            raise ShapeError("tensor shape mismatch")
-        return MultiTensor(self.field, self.dims, self.cod,
-                           tuple(map(op, self.entries, other.entries)))
+        dims, (scale, A), cod = tuple(self.dims[p] for p in perm), self._ints, self.cod
+        offs = (self.offset(tuple(idx[i] for i in inv)) for idx in product(*map(range, dims)))
+        return MultiTensor.from_ints(self.field, dims, cod, [v for o in offs for v in A[o:o + cod]], scale)
 
 
 def matrix_as_tensor(m: Matrix) -> "MultiTensor":
     """View an r x c matrix as the 1-slot tensor k^c -> k^r."""
-    return MultiTensor(m.field, (m.ncols,), m.nrows, tuple(chain.from_iterable(m.transpose().rows)))
+    scale, cols = m.transpose().int_rows()
+    return MultiTensor.from_ints(m.field, (m.ncols,), m.nrows,
+                                 [col.get(i, 0) for col in cols for i in range(m.nrows)], scale)
 
 
 def tensor_as_matrix(t: "MultiTensor") -> Matrix:
     """Inverse of :func:`matrix_as_tensor` for arity-1 tensors."""
     if t.arity != 1:
         raise ShapeError("expected an arity-1 tensor")
-    return Matrix.from_rows(t.field, [t.entries[i::t.cod] for i in range(t.cod)])
+    (scale, A), cod = t.int_entries(), t.cod
+    rows = [{j: v for j, v in enumerate(A[i::cod]) if v} for i in range(cod)]
+    return Matrix.from_ints(t.field, rows, scale, t.dims[0])
 
 
 class TensorSpace(Value):
@@ -1151,10 +1222,6 @@ class TensorSpace(Value):
         return MultiTensor(self.field, self.dims, self.cod, tuple(vec))
 
     def basis(self):
-        F = self.field
-        n = self.dim
-        for k in range(n):
-            ent = [F.zero] * n
-            ent[k] = F.one
-            yield MultiTensor(F, self.dims, self.cod, tuple(ent))
+        return (MultiTensor.from_sparse(self.field, self.dims, self.cod, {k: self.field.one})
+                for k in range(self.dim))
 

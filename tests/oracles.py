@@ -24,6 +24,17 @@
   multiples as ``Matrix`` once made them, one field operation per entry of
   the dense rows, each result made again by the dense constructor.  The
   engine computes them on the stored (scale, int rows) pair.
+* The dense-Fraction tensor: ``dense_contract`` (the one loop that once
+  multiplied tensor entries by matrix entries, with the field's own add and
+  mul) and the ``MultiTensor`` operations written on it and on the dense
+  entries, as the class once computed them: ``dense_tensor_entrywise``,
+  ``dense_tensor_scale``, ``dense_partial_map``, ``dense_precompose_slot``,
+  ``dense_postcompose``, ``dense_eval``, ``dense_apply``,
+  ``dense_permute_slots``, ``dense_from_blocks``,
+  ``dense_nonzero_values``, ``dense_matrix_as_tensor`` and
+  ``dense_tensor_as_matrix``.  The engine computes them on the stored
+  (scale, flat ints) pair.  ``_nonzeros`` lists a tensor's nonzero entries
+  with their index tuples, as ``cohomology`` once listed its maps.
 * ``fraction_scaled``: the integer maps of ``cohomology._Complex.scaled``
   as they were once read, every matrix entry a field value (``sparse_rows``)
   scaled to ints at once with the tensors' entries and kappa.  The engine
@@ -73,12 +84,13 @@
 
 import dataclasses
 import itertools
+import math
 from dataclasses import dataclass, make_dataclass
 from itertools import compress, islice
 from typing import Callable
 
 from mrbder.cohomology import (Cochain, CochainSpace, CohomologyResult, PairSpace, _blocks,
-                               _ce_entries, _nonzeros, _rho_of, cochain_arities,
+                               _ce_entries, _rho_of, cochain_arities,
                                differential_matrix, hom_space, induced_lie_pair)
 from mrbder.constructions import induced_action, induced_product
 from mrbder.deformation import Deformation, Gauge
@@ -300,6 +312,109 @@ def entrywise(op: Callable, a: Matrix, *others: Matrix) -> Matrix:
 def dense_scalar(F, n: int, c) -> Matrix:
     """c times the n x n identity, from dense rows."""
     return Matrix(F, tuple(tuple(c if i == j else F.zero for j in range(n)) for i in range(n)))
+
+
+def dense_contract(F, entries, pre: int, post: int, maps: list, d_new: int) -> list:
+    """The flat (pre, d_new, post) tensor out[a, i, t] = sum_s maps[s][i] *
+    entries[a, s, t] over field values, ``maps`` one {new index: nonzero}
+    dict per old index, in the field's own arithmetic."""
+    add, mul, d_old = F.add, F.mul, len(maps)
+    out = [F.zero] * (pre * d_new * post)
+    for k in _nonzero_positions(F, entries):
+        b, t = divmod(k, post)
+        a, s = divmod(b, d_old)
+        e, base = entries[k], a * d_new * post + t
+        for i, c in maps[s].items():
+            j = base + i * post
+            out[j] = add(out[j], mul(c, e))
+    return out
+
+
+def dense_tensor_entrywise(op: Callable, a: MultiTensor, *others: MultiTensor) -> MultiTensor:
+    """The tensor of ``op`` applied to the entries of ``a`` and ``others`` at
+    each place: ``F.add``, ``F.sub`` and ``F.neg`` give +, - and unary -."""
+    if any((t.dims, t.cod) != (a.dims, a.cod) for t in others):
+        raise ShapeError("tensor shape mismatch")
+    return MultiTensor(a.field, a.dims, a.cod, tuple(map(op, a.entries, *(t.entries for t in others))))
+
+
+def dense_tensor_scale(t: MultiTensor, c) -> MultiTensor:
+    F = t.field
+    if F.is_zero(c):
+        return MultiTensor(F, t.dims, t.cod, (F.zero,) * len(t.entries))
+    return MultiTensor(F, t.dims, t.cod, tuple(F.mul(c, a) for a in t.entries))
+
+
+def dense_partial_map(t: MultiTensor, slot: int, i: int) -> Matrix:
+    F, cod = t.field, t.cod
+    unit = [{0: F.one} if s == i else {} for s in range(t.dims[slot])]
+    pre, post = (1, t.dims[1] * cod) if slot == 0 else (t.dims[0], cod)
+    flat = dense_contract(F, t.entries, pre, post, unit, 1)
+    return Matrix(F, tuple(zip(*(flat[j * cod:(j + 1) * cod] for j in range(t.dims[1 - slot])))))
+
+
+def dense_precompose_slot(t: MultiTensor, slot: int, m: Matrix) -> MultiTensor:
+    dims = t.dims[:slot] + (m.ncols,) + t.dims[slot + 1:]
+    pre, post = math.prod(t.dims[:slot]), math.prod(t.dims[slot + 1:]) * t.cod
+    return MultiTensor(t.field, dims, t.cod, tuple(
+        dense_contract(t.field, t.entries, pre, post, m.sparse_rows, m.ncols)))
+
+
+def dense_postcompose(t: MultiTensor, m: Matrix) -> MultiTensor:
+    return MultiTensor(t.field, t.dims, m.nrows, tuple(dense_contract(
+        t.field, t.entries, math.prod(t.dims), 1, m.transpose().sparse_rows, m.nrows)))
+
+
+def dense_eval(t: MultiTensor, args) -> tuple:
+    F, cur = t.field, t.entries
+    for k, a in enumerate(args):
+        post = math.prod(t.dims[k + 1:]) * t.cod
+        cur = dense_contract(F, cur, 1, post, [{0: c} if not F.is_zero(c) else {} for c in a], 1)
+    return tuple(cur)
+
+
+def dense_apply(m: Matrix, vec) -> tuple:
+    return tuple(dense_contract(m.field, vec, 1, 1, m.transpose().sparse_rows, m.nrows))
+
+
+def dense_permute_slots(t: MultiTensor, perm) -> MultiTensor:
+    inv = sorted(range(t.arity), key=perm.__getitem__)
+    return MultiTensor.from_map(t.field, [t.dims[p] for p in perm], t.cod,
+                                lambda *idx: t.value_at(*(idx[i] for i in inv)))
+
+
+def dense_from_blocks(F, dims, blocks: dict) -> MultiTensor:
+    N = sum(dims)
+    out = [F.zero] * N ** 3
+    start = [sum(dims[:i]) for i in range(len(dims))]
+    for (i, j, k), t in blocks.items():
+        for x, y in itertools.product(range(dims[i]), range(dims[j])):
+            dst = ((start[i] + x) * N + start[j] + y) * N + start[k]
+            out[dst:dst + dims[k]] = t.value_at(x, y)
+    return MultiTensor(F, (N, N), N, tuple(out))
+
+
+def dense_nonzero_values(t: MultiTensor) -> list:
+    is_zero, cod, ent = t.field.is_zero, t.cod, t.entries
+    return [(idx, ent[k * cod:(k + 1) * cod])
+            for k, idx in enumerate(itertools.product(*map(range, t.dims)))
+            if not all(map(is_zero, ent[k * cod:(k + 1) * cod]))]
+
+
+def dense_matrix_as_tensor(m: Matrix) -> MultiTensor:
+    return MultiTensor(m.field, (m.ncols,), m.nrows,
+                       tuple(itertools.chain.from_iterable(m.transpose().rows)))
+
+
+def dense_tensor_as_matrix(t: MultiTensor) -> Matrix:
+    return Matrix.from_rows(t.field, [t.entries[i::t.cod] for i in range(t.cod)])
+
+
+def _nonzeros(t: MultiTensor) -> list:
+    """(index tuple, value) of each nonzero entry of ``t``, codomain index last."""
+    is_zero = t.field.is_zero
+    return [(idx + (q,), v) for idx, vec in t.nonzero_values()
+            for q, v in enumerate(vec) if not is_zero(v)]
 
 
 def fraction_scaled(cx) -> tuple:

@@ -16,8 +16,9 @@ from pathlib import Path
 
 import pytest
 
+from mrbder import cli
 from mrbder.cli import CHECK_FAILED_EXIT, INTERNAL_EXIT, USAGE_EXIT, main
-from mrbder.fields import QQ
+from mrbder.fields import CLASS_ENUMERATION_CAP, QQ, Field
 from mrbder.linalg import Matrix
 from mrbder.structures import InternalError, adjoint_bimodule, dual_pair
 
@@ -734,6 +735,24 @@ class TestFuzz:
         code, _, err = run(capsys, "fuzz", "--field", "Fp:5", "--count", "0")
         assert code == USAGE_EXIT
         assert "--count must be positive" in err
+
+    @pytest.mark.parametrize("count", [CLASS_ENUMERATION_CAP + 1, 10**9])
+    def test_a_count_over_the_cap_is_refused_before_any_draw(self, capsys, monkeypatch, count):
+        # all instances are built before one is written, so an unbounded count
+        # would never end; the refusal comes before the first draw
+        monkeypatch.setattr(cli, "random_instances", lambda *a: pytest.fail("instances drawn"))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "fuzz", "--field", "Q", "--count", str(count))
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (USAGE_EXIT, "")
+        assert err == "error: --count must be at most %d\n" % CLASS_ENUMERATION_CAP
+
+    def test_the_cap_itself_is_admitted(self, capsys, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(cli, "random_instances", lambda *a: drawn.append(a) or [])
+        code, out, _ = run(capsys, "fuzz", "--field", "Fp:5", "--count", str(CLASS_ENUMERATION_CAP))
+        assert code == 0 and json.loads(out)["count"] == CLASS_ENUMERATION_CAP
+        assert drawn == [(Field(5), 2, CLASS_ENUMERATION_CAP, 0)]
 
 
 @pytest.mark.parametrize("seed", ["1", "2"])

@@ -38,6 +38,11 @@
   the entries of D_n and of every product enter the field in
   ``Matrix.from_ints`` alone.  So do the integer induced maps
   (``_Complex.induced``) and the zero test ``Matrix.product_is_zero``.
+* The induced maps have one implementation: ``_Complex.induced`` calls
+  ``constructions.induced_product`` and ``induced_action``, and
+  ``cohomology`` makes no ``_contract`` call.  Neither ``_contract`` nor any
+  ``MultiTensor`` method reads a ``Field`` arithmetic method: a tensor
+  computes on its stored ints.
 * A ``Matrix`` stores one form, (scale, integer rows): only
   ``Matrix._store``, which every constructor calls, writes ``_ints``, and
   nothing in ``src/`` tests it against None or as a truth value, so no
@@ -323,17 +328,32 @@ def _methods(tree, cls: str) -> dict:
 
 
 def test_the_induced_maps_and_the_zero_test_run_on_plain_ints():
-    # the induced maps are contracted over ints, reduced mod p over F_p, and
-    # the zero test reads integer rows: neither takes a field argument or
-    # reads a Field method (``self.field.p`` is the modulus, not arithmetic)
-    assert _field_uses(_methods(MODULES["cohomology"], "_Complex")["induced"]) == []
+    # the induced maps are read off stored ints, and the zero test reads
+    # integer rows: neither takes a field argument or reads a Field method
+    # (``self.field.p`` is the modulus, not arithmetic)
+    induced = _methods(MODULES["cohomology"], "_Complex")["induced"]
+    assert _field_uses(induced) == []
     assert _field_uses(_methods(MODULES["linalg"], "Matrix")["product_is_zero"]) == []
-    # the field-level formulas of ``constructions`` serve the public
-    # ``induced_lie_pair`` alone, not the complex
-    readers = {n.name for n in MODULES["cohomology"].body
-               if isinstance(n, (ast.FunctionDef, ast.ClassDef))
-               and _used_names(n).keys() & {"induced_product", "induced_action"}}
-    assert readers == {"induced_lie_pair"}
+    # the complex's induced maps are the formulas of ``constructions``, and
+    # ``cohomology`` contracts no tensor of its own
+    assert {f for f, _ in _callers(induced, "induced_product")} == {"induced"}
+    assert {f for f, _ in _callers(induced, "induced_action")} == {"induced"}
+    assert _callers(MODULES["cohomology"], "_contract") == []
+
+
+# the Field methods that compute with values; ``zero`` and ``one`` are constants
+FIELD_ARITHMETIC = {"add", "sub", "mul", "neg", "inv", "div", "pow", "is_zero", "from_int"}
+
+
+def test_tensor_arithmetic_reads_no_field_arithmetic():
+    # a MultiTensor computes on its stored ints, so neither the contraction
+    # nor any method of the class reads a Field arithmetic method; the view
+    # and the scaling of field values are helpers outside the class
+    assert FIELD_ARITHMETIC <= FIELD_METHODS
+    assert _field_uses(_functions(MODULES["linalg"])["_contract"]) == []
+    methods = _methods(MODULES["linalg"], "MultiTensor")
+    assert {name: sorted(set(_field_uses(fn)) & FIELD_ARITHMETIC) for name, fn in methods.items()} \
+        == {name: [] for name in methods}
 
 
 def test_the_field_scan_flags_the_field_arithmetic_build():

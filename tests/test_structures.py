@@ -297,13 +297,20 @@ def test_checks_fit_under_a_cap_equal_to_the_largest_input(monkeypatch, capsys):
     # verify, deform-check and extend extract commands, build outgrows the
     # largest tensor of the input, which the loader has checked
     built = []
-    real = MultiTensor.__init__
+    real, real_ints = MultiTensor.__init__, MultiTensor.from_ints
 
     def spy(self, field, dims, cod, entries):
         built.append(len(entries))
         real(self, field, dims, cod, entries)
 
+    def spy_ints(field, dims, cod, ints, scale):
+        t = real_ints(field, dims, cod, ints, scale)
+        built.append(len(t.int_entries()[1]))
+        return t
+
+    # a tensor is made from field entries or, by every operation, from ints
     monkeypatch.setattr(MultiTensor, "__init__", spy)
+    monkeypatch.setattr(MultiTensor, "from_ints", staticmethod(spy_ints))
     # mu of dual + dual has exactly 4 * 4 * 4 = 64 entries
     pair = direct_sum(dual_pair(QQ), dual_pair(QQ))
     built.clear()
