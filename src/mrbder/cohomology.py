@@ -190,13 +190,18 @@ class CochainSpace(Value):
         return Cochain(self.arities[0],
                        tuple(sp.unflatten(vec[a:b]) for sp, a, b in self._slices))
 
-    def from_sparse(self, values: dict) -> Cochain:
-        """The cochain with the nonzero field values ``values`` at their flat
-        indices and zeros elsewhere."""
-        return Cochain(self.arities[0], tuple(
-            MultiTensor.from_sparse(self.field, sp.dims, sp.cod,
-                                    {k - a: v for k, v in values.items() if a <= k < b})
-            for sp, a, b in self._slices))
+    def from_sparse(self, rows: list) -> tuple:
+        """The cochains with the nonzero field values of each dict of ``rows``
+        at their flat indices and zeros elsewhere; their zero parts are one
+        tensor per part."""
+        F, out = self.field, []
+        zeros = [MultiTensor.from_sparse(F, sp.dims, sp.cod, {}) for sp, _, _ in self._slices]
+        for values in rows:
+            parts = ({k - a: v for k, v in values.items() if a <= k < b} for _, a, b in self._slices)
+            out.append(Cochain(self.arities[0], tuple(
+                MultiTensor.from_sparse(F, sp.dims, sp.cod, part) if part else zero
+                for (sp, _, _), zero, part in zip(self._slices, zeros, parts))))
+        return tuple(out)
 
     def basis(self):
         return (self.unflatten(unit_vector(self.field, self.dim, k)) for k in range(self.dim))
@@ -731,7 +736,7 @@ def cohomology(pair: MRBDerPair, bim: Bimodule, n: int, *,
             raise InternalError("dim B^%d is %d, but rank D_%d is %d" % (n, dim_b, n - 1, d_prev._rank))
         d_prev._rank = dim_b
     check_entries(len(kept) * space.dim, max(max_entries, MAX_ENTRIES))
-    reps = tuple(map(space.from_sparse, kept))
+    reps = space.from_sparse(kept)
     return CohomologyResult(n, len(z_basis), dim_b, len(kept), reps)
 
 

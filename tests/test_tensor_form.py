@@ -226,12 +226,16 @@ def test_blocks(F):
 @pytest.mark.parametrize("F", FIELDS)
 def test_cochains_from_sparse_values(F):
     space = PairSpace(F, 2, 2, 2)
-    values = {0: F.one, 9: F.from_int(3), space.dim - 1: F.neg(F.one)}
-    c = space.from_sparse(values)
-    dense = [F.zero] * space.dim
-    for k, v in values.items():
-        dense[k] = v
-    assert c == space.unflatten(tuple(dense))
-    assert space.flatten(c) == tuple(dense)
-    for p in c.parts:
-        assert_least(p)
+    rows = [{0: F.one, 9: F.from_int(3), space.dim - 1: F.neg(F.one)}, {}, {1: F.one}]
+    cochains = space.from_sparse(rows)
+    assert len(cochains) == len(rows)
+    for c, values in zip(cochains, rows):
+        dense = [F.zero] * space.dim
+        for k, v in values.items():
+            dense[k] = v
+        assert c == space.unflatten(tuple(dense))
+        assert space.flatten(c) == tuple(dense)
+        for p in c.parts:
+            assert_least(p)
+    # the zero parts of the cochains are one tensor per part
+    assert cochains[1].parts[1] is cochains[2].parts[1] and cochains[1].parts[1].is_zero()
