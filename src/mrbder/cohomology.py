@@ -87,6 +87,7 @@ live here too.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -166,12 +167,9 @@ class CochainSpace(Value):
     __slots__ = ("field", "dim_a", "dim_m", "arities", "_slices")
 
     def __init__(self, field: Field, dim_a: int, dim_m: int, arities: tuple):
-        out, start = [], 0
-        for a in arities:
-            sp = hom_space(dim_a, dim_m, a, field)
-            out.append((sp, start, start + sp.dim))
-            start += sp.dim
-        self._init(field, dim_a, dim_m, arities, tuple(out))
+        spaces = [hom_space(dim_a, dim_m, a, field) for a in arities]
+        ends = itertools.accumulate(sp.dim for sp in spaces)
+        self._init(field, dim_a, dim_m, arities, tuple((sp, end - sp.dim, end) for sp, end in zip(spaces, ends)))
 
     @property
     def dim(self) -> int:
@@ -182,13 +180,11 @@ class CochainSpace(Value):
 
     def flatten(self, c: Cochain) -> tuple:
         if len(c.parts) != len(self.arities):
-            raise ShapeError("cochain of arities %s, space of arities %s"
-                             % (c.arities, self.arities))
+            raise ShapeError("cochain of arities %s, space of arities %s" % (c.arities, self.arities))
         return sum((sp.flatten(p) for (sp, _, _), p in zip(self._slices, c.parts)), ())
 
     def unflatten(self, vec) -> Cochain:
-        return Cochain(self.arities[0],
-                       tuple(sp.unflatten(vec[a:b]) for sp, a, b in self._slices))
+        return Cochain(self.arities[0], tuple(sp.unflatten(vec[a:b]) for sp, a, b in self._slices))
 
     def from_sparse(self, rows: list) -> tuple:
         """The cochains with the nonzero field values of each dict of ``rows``
@@ -202,6 +198,14 @@ class CochainSpace(Value):
                 MultiTensor.from_sparse(F, sp.dims, sp.cod, part) if part else zero
                 for (sp, _, _), zero, part in zip(self._slices, zeros, parts))))
         return tuple(out)
+
+    def image(self, m: Matrix, parts: tuple) -> tuple:
+        """The parts in this space of ``m`` times the cochain of ``parts``, from its ints."""
+        forms = [p.int_entries() for p in parts]
+        scale = math.lcm(*(s for s, _ in forms))
+        t, image = m.apply_ints(scale, [v * (scale // s) for s, ints in forms for v in ints])
+        return tuple(MultiTensor.from_ints(self.field, sp.dims, sp.cod, image[a:b], t)
+                     for sp, a, b in self._slices)
 
     def basis(self):
         return (self.unflatten(unit_vector(self.field, self.dim, k)) for k in range(self.dim))
@@ -577,23 +581,20 @@ def _check_cochain_shape(cx: _Complex, f: MultiTensor):
 def _apply(cx: _Complex, which: str, f: MultiTensor) -> MultiTensor:
     """A map on C^n applied to one Hochschild cochain, as its kept matrix."""
     _check_cochain_shape(cx, f)
-    arity = f.arity + (which in ("hochschild", "modified"))
-    return hom_space(cx.dim_a, cx.dim_m, arity, cx.field).unflatten(
-        cx.matrix(f.arity, which, MAX_ENTRIES).apply(f.entries))
+    space = CochainSpace(cx.field, cx.dim_a, cx.dim_m, (f.arity + (which in ("hochschild", "modified")),))
+    return space.image(cx.matrix(f.arity, which, MAX_ENTRIES), (f,))[0]
 
 
 def _apply_graded(cx: _Complex, layers: int, c: Cochain, max_entries: int = MAX_ENTRIES) -> Cochain:
     """The differential of OC^n (layers = 2) or PC^n (layers = 4) applied to
     one cochain."""
     if c.arities != cochain_arities(c.degree, layers):
-        raise ShapeError("expected a cochain in %s^%d"
-                         % ("OC" if layers == 2 else "PC", c.degree))
+        raise ShapeError("expected a cochain in %s^%d" % ("OC" if layers == 2 else "PC", c.degree))
     for p in c.parts:
         _check_cochain_shape(cx, p)
-    flat = CochainSpace(cx.field, cx.dim_a, cx.dim_m, c.arities).flatten(c)
-    image = cx.matrix(c.degree, "operator" if layers == 2 else "pair", max_entries).apply(flat)
-    return CochainSpace(cx.field, cx.dim_a, cx.dim_m,
-                        cochain_arities(c.degree + 1, layers)).unflatten(image)
+    space = CochainSpace(cx.field, cx.dim_a, cx.dim_m, cochain_arities(c.degree + 1, layers))
+    m = cx.matrix(c.degree, "operator" if layers == 2 else "pair", max_entries)
+    return Cochain(c.degree + 1, space.image(m, c.parts))
 
 
 def hochschild_delta(pair: MRBDerPair, bim: Bimodule, f: MultiTensor) -> MultiTensor:

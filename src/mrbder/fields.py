@@ -78,9 +78,10 @@ class Value:
             cls._fields = tuple(n for n in cls.__slots__ if not n.startswith("_"))
 
     def _init(self, *values):
-        """Store ``values`` in the slots, in the order of ``__slots__``."""
+        """Store ``values`` in the slots, in the order of ``__slots__``; self."""
         for name, v in zip(self.__slots__, values):
             object.__setattr__(self, name, v)
+        return self
 
     def _values(self) -> tuple:
         return tuple(map(self.__getattribute__, self._fields))

@@ -18,8 +18,8 @@ Every elimination enters at ``_echelon``, one pipeline for F_p and Q: a
 peel of singleton rows with no arithmetic (``_peel``; a D_n in the standard
 basis loses about half its pivots so, 162 of 320 on the dual+dual D_3), a
 split into column components (``_partition``; hundreds on such a D_n), one
-pass per component at its first prime of ``_rref_mod`` (forward
-elimination, then back substitution), one bound check, over Q a lift under
+pass per component at its first prime of ``_rref_mod`` (Gauss-Jordan row
+by row against a basis kept in RREF), one bound check, over Q a lift under
 an exact certificate (``_lift``), and a merge.  ``kernel_rref`` and
 ``modular_rank`` give the two ranks of the balance that proves H^n = 0.
 
@@ -264,9 +264,12 @@ class Matrix:
     def apply(self, vec: Sequence) -> tuple:
         if len(vec) != self.ncols:
             raise ShapeError("apply %dx%d to vector of length %d" % (self.nrows, self.ncols, len(vec)))
-        # the vector is a tensor with no slots, its codomain taken through the columns
-        (s, v), (t, cols) = _flat_form(self.field, vec), self.transpose().int_rows()
-        return _field_values(self.field, s * t, _contract(v, 1, 1, cols, self.nrows))
+        return _field_values(self.field, *self.apply_ints(*_flat_form(self.field, vec)))
+
+    def apply_ints(self, scale: int, ints: Sequence) -> tuple:
+        """(scale, flat ints), not reduced mod p, of this matrix times ``ints`` over ``scale``."""
+        t, cols = self.transpose().int_rows()
+        return scale * t, _contract(ints, 1, 1, cols, self.nrows)
 
     def transpose(self) -> "Matrix":
         """The transpose, built from the ints on first use and kept."""
@@ -321,56 +324,51 @@ def _rref_mod(p: int, rows: list) -> tuple:
     """Reduce int ``rows`` (lists of residues mod the prime ``p``) to RREF in place.
 
     Returns (pivots, order): the pivot columns, and the index in ``rows`` of
-    each pivot's row, the lowest-index row nonzero there not yet a pivot
-    row.  ``rows`` ends as the (unique) RREF rows in pivot order, then zeros.
+    each pivot's row.  ``rows`` ends as the (unique) RREF rows in pivot
+    order, then zeros.
 
-    Forward, a pivot row, scaled, reduces on its nonzeros only the free rows
-    (not yet pivot rows) that ``col_rows[c]`` lists as maybe nonzero in its
-    column c: each is left its input plus the one vector of the pivot rows'
-    span that clears their columns, as under Gauss-Jordan, so the pivots and
-    ``order`` are Gauss-Jordan's.  Back, last pivot first, each clears its
-    column in the earlier pivot rows nonzero there (rank**2 reads at most).
+    Gauss-Jordan row by row, in index order, against the basis of the rows
+    before, kept in RREF: a basis row is zero at the other pivots, so a row's
+    multipliers are its entries there, read once, and an update touches only
+    the basis row's nonzeros off its pivot.  A row left nonzero is scaled at
+    its first nonzero c and clears column c from the basis rows ``where[c]``
+    lists; a row left zero stays.  So row i is the pivot row of c when the
+    rows before it span it on the columns before c, not on those up to c:
+    Gauss-Jordan's choice, its pivot rows for the columns up to c being their
+    lowest-index row basis.  So pivots, ``order`` and rows are Gauss-Jordan's.
     """
-    nr = len(rows)
-    nc = len(rows[0]) if nr else 0
-    col_rows = [[] for _ in range(nc)]
+    nc = len(rows[0]) if rows else 0
+    at, terms = {}, {}      # pivot column: its row's index; that row's (column, residue) after it, or None
+    mask = [0] * nc                     # 1 at the pivot columns
+    where = [[] for _ in range(nc)]     # pivots whose row may be nonzero at a free column
     for i, row in enumerate(rows):
-        for j in compress(range(nc), row):
-            col_rows[j].append(i)
-    free = [True] * nr                    # not a pivot row yet
-    order, pivots = [], []
-    for c in range(nc):
-        # a set: an entry can return to zero and be listed again
-        hits = sorted({i for i in col_rows[c] if free[i] and rows[i][c]})
-        col_rows[c] = None
-        if not hits:
-            continue
-        pr = hits[0]
-        prow = rows[pr]
-        inv = pow(prow[c], -1, p)
-        terms = [(j, inv * prow[j] % p) for j in compress(range(c, nc), islice(prow, c, None))]
-        for j, y in terms:
-            prow[j] = y
-        for i in islice(hits, 1, None):
-            row = rows[i]
-            f = p - row[c]
-            for j, y in terms:
-                x = row[j]
-                if not x:
-                    col_rows[j].append(i)
-                row[j] = (x + f * y) % p
-        free[pr] = False
-        order.append(pr)
-        pivots.append(c)
-    rows[:] = [rows[i] for i in order] + [row for i, row in enumerate(rows) if free[i]]
-    for k in range(len(order) - 1, 0, -1):          # back substitution
-        c, prow, terms = pivots[k], rows[k], None
-        for row in filter(itemgetter(c), islice(rows, k)):
-            if terms is None:       # the pivot row's nonzeros, once a row needs them
-                terms = [(j, prow[j]) for j in compress(range(c, nc), islice(prow, c, None))]
-            f = p - row[c]
-            for j, y in terms:
+        for c in list(compress(range(nc), map(mul, row, mask))):
+            f, row[c] = p - row[c], 0
+            if (ts := terms[c]) is None:
+                b = rows[at[c]]
+                ts = terms[c] = [(j, b[j]) for j in compress(range(c + 1, nc), islice(b, c + 1, None))]
+            for j, y in ts:
                 row[j] = (row[j] + f * y) % p
+        if (c := next(compress(range(nc), row), None)) is None:
+            continue
+        inv, row[c] = pow(row[c], -1, p), 1
+        ts = [(j, inv * row[j] % p) for j in compress(range(c + 1, nc), islice(row, c + 1, None))]
+        for j, y in ts:
+            row[j] = y
+            where[j].append(c)
+        for k in where[c]:
+            b = rows[at[k]]
+            if x := b[c]:
+                f, b[c], terms[k] = p - x, 0, None
+                for j, y in ts:
+                    if not (x := b[j]):
+                        where[j].append(k)
+                    b[j] = (x + f * y) % p
+        where[c], at[c], terms[c], mask[c] = None, i, ts, 1
+    pivots = sorted(at)
+    order = list(map(at.__getitem__, pivots))
+    kept = set(order)
+    rows[:] = [rows[i] for i in order] + [row for i, row in enumerate(rows) if i not in kept]
     return pivots, order
 
 
@@ -1013,9 +1011,8 @@ class MultiTensor(Value):
         entries = [field.zero] * (math.prod(dims) * cod)
         for k, v in values.items():
             entries[k] = v
-        t = MultiTensor.__new__(MultiTensor)
-        t._init(field, dims, cod, tuple(entries), _flat_form(field, entries, values))
-        return t
+        return MultiTensor.__new__(MultiTensor)._init(field, dims, cod, tuple(entries),
+                                                      _flat_form(field, entries, values))
 
     @staticmethod
     def from_ints(field: Field, dims: tuple, cod: int, ints: Iterable, scale: int) -> "MultiTensor":
@@ -1023,14 +1020,15 @@ class MultiTensor(Value):
         F_p), stored at the least scale; over F_p the ints are reduced to
         residues, which are also its entries."""
         if (p := field.p) is not None:
-            ints = entries = tuple(map(p.__rmod__, ints))
-        else:
-            ints, entries = tuple(ints), None
-            if scale != 1 and (g := math.gcd(scale, *ints)) > 1:
-                scale, ints = scale // g, tuple(v // g for v in ints)
-        t = MultiTensor.__new__(MultiTensor)
-        t._init(field, dims, cod, entries, (scale, ints))
-        return t
+            ints = map(p.__rmod__, ints)
+        elif scale != 1 and (g := math.gcd(scale, *(ints := tuple(ints)))) > 1:
+            scale, ints = scale // g, (v // g for v in ints)
+        return MultiTensor._stored(field, dims, cod, tuple(ints), scale)
+
+    @staticmethod
+    def _stored(field: Field, dims: tuple, cod: int, ints: tuple, scale: int) -> "MultiTensor":
+        """The tensor storing (``scale``, ``ints``) as given: the least scale, residues over F_p."""
+        return MultiTensor.__new__(MultiTensor)._init(field, dims, cod, ints if field.p else None, (scale, ints))
 
     @property
     def entries(self) -> tuple:
@@ -1050,7 +1048,7 @@ class MultiTensor(Value):
     @staticmethod
     def zeros(field: Field, dims: Sequence[int], cod: int) -> "MultiTensor":
         dims = tuple(dims)
-        return MultiTensor.from_ints(field, dims, cod, (0,) * (math.prod(dims) * cod), 1)
+        return MultiTensor._stored(field, dims, cod, (0,) * (math.prod(dims) * cod), 1)
 
     @staticmethod
     def from_map(field: Field, dims: Sequence[int], cod: int, fn: Callable) -> "MultiTensor":
@@ -1069,7 +1067,7 @@ class MultiTensor(Value):
         """The bilinear map on the direct sum V_0 + V_1 + ... (dim V_i =
         dims[i]) whose part V_i x V_j -> V_k is the tensor blocks[i, j, k];
         the parts not listed are zero.  The blocks' ints are brought to the
-        product of their scales, which ``from_ints`` reduces."""
+        product of their scales, which only over Q needs ``from_ints``."""
         N = sum(dims)
         out = [0] * N ** 3
         start = [sum(dims[:i]) for i in range(len(dims))]
@@ -1079,7 +1077,7 @@ class MultiTensor(Value):
             for x, y in product(range(dims[i]), range(dims[j])):
                 dst, src = ((start[i] + x) * N + start[j] + y) * N + start[k], (x * dims[j] + y) * w
                 out[dst:dst + w] = ints[src:src + w] if s == scale else [v * (scale // s) for v in ints[src:src + w]]
-        return MultiTensor.from_ints(field, (N, N), N, out, scale)
+        return (MultiTensor._stored if field.p else MultiTensor.from_ints)(field, (N, N), N, tuple(out), scale)
 
     def offset(self, idx: tuple) -> int:
         off = 0
@@ -1179,7 +1177,7 @@ class MultiTensor(Value):
         inv = sorted(range(self.arity), key=perm.__getitem__)
         dims, (scale, A), cod = tuple(self.dims[p] for p in perm), self._ints, self.cod
         offs = (self.offset(tuple(idx[i] for i in inv)) for idx in product(*map(range, dims)))
-        return MultiTensor.from_ints(self.field, dims, cod, [v for o in offs for v in A[o:o + cod]], scale)
+        return MultiTensor._stored(self.field, dims, cod, tuple(v for o in offs for v in A[o:o + cod]), scale)
 
 
 def matrix_as_tensor(m: Matrix) -> "MultiTensor":

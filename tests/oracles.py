@@ -4,10 +4,13 @@
   zeros included, and rebuilds each row it touches.  ``dense_rank_and_kernel``,
   ``dense_rref_vectors``, ``dense_solve_linear`` and ``dense_inverse`` are the
   solvers of ``mrbder.linalg`` written on top of it.
-* ``gauss_jordan_rref_mod``: the integer kernel mod p as Gauss-Jordan, each
-  pivot reducing every row nonzero in its column, above it as well as
-  below; ``linalg._rref_mod`` reduces the free rows forward and then
-  back-substitutes, and must leave the same rows, pivots and order.
+* ``gauss_jordan_rref_mod``: the integer kernel mod p as Gauss-Jordan, a
+  column sweep, each pivot reducing every row nonzero in its column, above
+  it as well as below; ``two_phase_rref_mod``, the sweep that reduces only
+  the rows not yet pivot rows, keeping ``col_rows`` over all of them, and
+  then back-substitutes.  ``linalg._rref_mod`` runs Gauss-Jordan row by
+  row, each row against the basis of the rows before it, kept in RREF, and
+  must leave the same rows, pivots and order as both.
 * ``two_step_kernel_rref``: the RREF basis of a kernel in two eliminations,
   the free-column basis of ``rank_and_kernel`` reduced again by
   ``rref_vectors``, as ``cohomology`` once found Z^n; ``linalg.kernel_rref``
@@ -87,6 +90,7 @@ import itertools
 import math
 from dataclasses import dataclass, make_dataclass
 from itertools import compress, islice
+from operator import itemgetter
 from typing import Callable
 
 from mrbder.cohomology import (Cochain, CochainSpace, CohomologyResult, PairSpace, _blocks,
@@ -182,6 +186,63 @@ def gauss_jordan_rref_mod(p: int, rows: list) -> tuple:
         if len(pivots) == nr:
             break
     rows[:] = [rows[i] for i in order] + [row for i, row in enumerate(rows) if free[i]]
+    return pivots, order
+
+
+def two_phase_rref_mod(p: int, rows: list) -> tuple:
+    """Reduce int ``rows`` (lists of residues mod the prime ``p``) to RREF in place.
+
+    Returns (pivots, order): the pivot columns, and the index in ``rows`` of
+    each pivot's row, the lowest-index row nonzero there not yet a pivot
+    row.  ``rows`` ends as the (unique) RREF rows in pivot order, then zeros.
+
+    Forward, a pivot row, scaled, reduces on its nonzeros only the free rows
+    (not yet pivot rows) that ``col_rows[c]`` lists as maybe nonzero in its
+    column c: each is left its input plus the one vector of the pivot rows'
+    span that clears their columns, as under Gauss-Jordan, so the pivots and
+    ``order`` are Gauss-Jordan's.  Back, last pivot first, each clears its
+    column in the earlier pivot rows nonzero there (rank**2 reads at most).
+    """
+    nr = len(rows)
+    nc = len(rows[0]) if nr else 0
+    col_rows = [[] for _ in range(nc)]
+    for i, row in enumerate(rows):
+        for j in compress(range(nc), row):
+            col_rows[j].append(i)
+    free = [True] * nr                    # not a pivot row yet
+    order, pivots = [], []
+    for c in range(nc):
+        # a set: an entry can return to zero and be listed again
+        hits = sorted({i for i in col_rows[c] if free[i] and rows[i][c]})
+        col_rows[c] = None
+        if not hits:
+            continue
+        pr = hits[0]
+        prow = rows[pr]
+        inv = pow(prow[c], -1, p)
+        terms = [(j, inv * prow[j] % p) for j in compress(range(c, nc), islice(prow, c, None))]
+        for j, y in terms:
+            prow[j] = y
+        for i in islice(hits, 1, None):
+            row = rows[i]
+            f = p - row[c]
+            for j, y in terms:
+                x = row[j]
+                if not x:
+                    col_rows[j].append(i)
+                row[j] = (x + f * y) % p
+        free[pr] = False
+        order.append(pr)
+        pivots.append(c)
+    rows[:] = [rows[i] for i in order] + [row for i, row in enumerate(rows) if free[i]]
+    for k in range(len(order) - 1, 0, -1):          # back substitution
+        c, prow, terms = pivots[k], rows[k], None
+        for row in filter(itemgetter(c), islice(rows, k)):
+            if terms is None:       # the pivot row's nonzeros, once a row needs them
+                terms = [(j, prow[j]) for j in compress(range(c, nc), islice(prow, c, None))]
+            f = p - row[c]
+            for j, y in terms:
+                row[j] = (row[j] + f * y) % p
     return pivots, order
 
 
